@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper
+.PHONY: test test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper bench-selftest loc
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -71,3 +71,16 @@ bench-obs:
 ## the paper-reproduction benchmark tables/figures (slow)
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ -q
+
+## the repo benchmark's own unit tests (estimator, tracer, driver form)
+bench-selftest:
+	$(PYTHON) -m pytest bench_e2e/tests -q
+
+## lines of python per src/repro package, total last (deletion PRs
+## state this before/after)
+loc:
+	@for pkg in src/repro/*/; do \
+		printf '%7d %s\n' $$(find $$pkg -name '*.py' | xargs cat | wc -l) $$pkg; \
+	done
+	@printf '%7d %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'
+	@printf '%7d total\n' $$(find src/repro -name '*.py' | xargs cat | wc -l)

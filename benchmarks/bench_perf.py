@@ -158,7 +158,8 @@ def test_process_grid_bitwise_equal_and_scales(benchmark):
 @pytest.mark.benchmark(group="perf-serving")
 def test_micro_batched_serving_beats_sequential(benchmark):
     """The serving gateway's acceptance bar: >= 2x at concurrency 32."""
-    from repro.serving import ServingConfig, run_load
+    from repro.serving import run_load
+    from repro.specs import ServingSpec
 
     suite = load_suite("edgehome")
     suites = {"home": suite}
@@ -170,8 +171,8 @@ def test_micro_batched_serving_beats_sequential(benchmark):
         return run_load(suites, config, n_requests=384, concurrency=32,
                         embedder=embedder)
 
-    batched_config = ServingConfig(max_batch_size=32, max_wait_ms=2.0)
-    sequential_config = ServingConfig(max_batch_size=1, max_wait_ms=0.0)
+    batched_config = ServingSpec(max_batch_size=32, max_wait_ms=2.0)
+    sequential_config = ServingSpec(max_batch_size=1, max_wait_ms=0.0)
 
     batched = benchmark(measure, batched_config)
     best_speedup = 0.0

@@ -64,11 +64,10 @@ def measure_mode(suites, spec: ServingSpec, n_requests: int,
                  concurrency: int) -> LoadReport:
     """One warmup cycle, then one measured closed-loop run."""
     embedder = CachedEmbedder()
-    config = spec.to_config()
     workload_cycle = sum(len(suite.queries) for suite in suites.values())
-    run_load(suites, config, n_requests=workload_cycle,
+    run_load(suites, spec, n_requests=workload_cycle,
              concurrency=min(8, concurrency), embedder=embedder)
-    return run_load(suites, config, n_requests=n_requests,
+    return run_load(suites, spec, n_requests=n_requests,
                     concurrency=concurrency, embedder=embedder)
 
 
@@ -163,7 +162,7 @@ def bench_serving_chaos(n_requests: int = 64, concurrency: int = 8,
                        execution_retries=2, retry_backoff_ms=20.0,
                        slice_timeout_s=30.0, obs=obs)
     plan = FaultPlan(seed=seed, worker_crash_rate=crash_rate)
-    report = run_load(suites, spec.to_config(), n_requests=n_requests,
+    report = run_load(suites, spec, n_requests=n_requests,
                       concurrency=concurrency, faults=plan,
                       tolerate_errors=True)
     metrics = report.gateway_metrics
@@ -259,7 +258,7 @@ def bench_serving_budget(n_requests: int = 96, window: int = 8,
     suite = load_suite(suite_name)
     embedder = CachedEmbedder()
     base_config = ServingSpec(max_batch_size=max_batch_size,
-                              max_wait_ms=2.0).to_config()
+                              max_wait_ms=2.0)
     # untimed warmup cycle (vocabulary ramp, plan paths)
     _run_budget_waves(suite, suite_name, embedder, len(suite.queries),
                       window, base_config)
@@ -273,7 +272,7 @@ def bench_serving_budget(n_requests: int = 96, window: int = 8,
                       settle_requests=window, recovery_ticks=2,
                       interval_ms=3_600_000.0)
     ctl_config = ServingSpec(max_batch_size=max_batch_size,
-                             max_wait_ms=2.0, budget=spec).to_config()
+                             max_wait_ms=2.0, budget=spec)
     ctl_served, ctl_shed, ctl_wall_s, ctl_metrics = _run_budget_waves(
         suite, suite_name, embedder, n_requests, window, ctl_config)
     assert ctl_served > 0, "budget run shed every request (goodput 0)"
@@ -318,7 +317,7 @@ def bench_serving_http(n_requests: int = 256, concurrency: int = 8,
     for tenant, suite in suites.items():
         sessions.register(tenant, suite)
     spec = ServingSpec(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
-    gateway = Gateway(sessions, config=spec.to_config())
+    gateway = Gateway(sessions, config=spec)
 
     bound = threading.Event()
     server_info: dict = {}

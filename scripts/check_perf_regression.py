@@ -1,10 +1,11 @@
 """Compare a fresh BENCH_perf.json against the committed baseline.
 
 Exits nonzero when any tracked throughput metric regressed by more than
-the allowed fraction (default 25%).  Latency-style metrics (``*_ms``,
-``*_s``) regress when they grow; throughput-style metrics (``*_per_s``,
-``speedup``) regress when they shrink.  Machine metadata is reported but
-never compared.
+the allowed fraction (default 25%) — or is missing from either file, so
+deleting a bench section cannot pass the gate.  Latency-style metrics
+(``*_ms``, ``*_s``) regress when they grow; throughput-style metrics
+(``*_per_s``, ``speedup``) regress when they shrink.  Machine metadata
+is reported but never compared.
 
 Run (see also ``make bench-check``)::
 
@@ -78,14 +79,23 @@ def lookup(report: dict, section: str, metric: str):
     return node.get(metric)
 
 
-def compare(baseline: dict, fresh: dict,
-            tolerance: float) -> list[tuple[str, float, float, float]]:
-    """Return ``(metric, baseline, fresh, ratio)`` rows that regressed."""
+def compare(baseline: dict, fresh: dict, tolerance: float) -> list[tuple]:
+    """Return ``(metric, baseline, fresh, ratio)`` rows that fail the gate.
+
+    A tracked metric absent from either report fails with ``None`` in
+    the missing slot (and as the ratio): a gate that skips what it
+    cannot find is passed by deleting the bench.  A zero or negative
+    baseline has no meaningful ratio and is skipped.
+    """
     regressions = []
     for section, metric, higher_is_better in TRACKED_METRICS:
         base_value = lookup(baseline, section, metric)
         fresh_value = lookup(fresh, section, metric)
-        if base_value is None or fresh_value is None or base_value <= 0:
+        if base_value is None or fresh_value is None:
+            regressions.append(
+                (f"{section}.{metric}", base_value, fresh_value, None))
+            continue
+        if base_value <= 0:
             continue
         ratio = fresh_value / base_value
         regressed = (ratio < 1.0 - tolerance if higher_is_better
@@ -117,6 +127,10 @@ def main(argv: list[str] | None = None) -> int:
         print("OK: no throughput regression")
         return 0
     for name, base_value, fresh_value, ratio in regressions:
+        if ratio is None:
+            where = "baseline" if base_value is None else "fresh report"
+            print(f"MISSING {name}: tracked metric absent from the {where}")
+            continue
         print(f"REGRESSION {name}: baseline {base_value:.4g} -> fresh "
               f"{fresh_value:.4g} ({ratio:.2f}x)")
     return 1

@@ -53,7 +53,6 @@ _LAZY_EXPORTS = {
     "register_carbon_signal": ("repro.registry", "register_carbon_signal"),
     # carbon/power-aware serving
     "BudgetController": ("repro.power", "BudgetController"),
-    "BudgetPolicy": ("repro.power", "BudgetPolicy"),
     "EnergyMeter": ("repro.power", "EnergyMeter"),
     "load_intensity_trace": ("repro.power", "load_intensity_trace"),
     "build_engine_llm": ("repro.engines", "build_engine_llm"),
@@ -64,10 +63,6 @@ _LAZY_EXPORTS = {
     "load_suite": ("repro.api", "load_suite"),
     "load_model": ("repro.api", "load_model"),
     "load_catalog": ("repro.tools.catalog", "load_catalog"),
-    # deprecated builders (shims around the Session API)
-    "build_agent": ("repro.api", "build_agent"),
-    "build_gateway": ("repro.api", "build_gateway"),
-    "build_less_is_more": ("repro.api", "build_less_is_more"),
     "__version__": ("repro.version", "__version__"),
 }
 

@@ -1,25 +1,12 @@
-"""Top-level convenience constructors (legacy surface).
+"""Top-level loaders: ``load_suite`` and ``load_model``.
 
-``load_suite`` and ``load_model`` remain first-class helpers; the
-``build_*`` constructors predate the declarative Session API and are
-kept as thin shims — each emits a :class:`DeprecationWarning` and
-delegates to the exact machinery :func:`repro.open_session` uses, so
-old-API and new-API paths produce bitwise-identical episodes (asserted
-in ``tests/test_session_equivalence.py``).
-
-Migration::
-
-    # old                                   # new
-    build_agent(s, m, q, suite)             open_session(suite=suite).build_agent(AgentSpec(s, m, q))
-    build_less_is_more(m, q, suite, k=3)    open_session(suite=suite).build_agent(AgentSpec("lis", m, q, k=3))
-    build_gateway({"t": suite}, config)     open_session(ServingSpec(tenants=...)).serve()
+Agents and gateways are built through the declarative Session API
+(:func:`repro.open_session` → ``build_agent`` / ``run`` / ``serve``).
 
 All imports are local so that ``import repro`` stays cheap.
 """
 
 from __future__ import annotations
-
-import warnings
 
 
 def load_suite(name: str, n_queries: int | None = None, seed: int | None = None):
@@ -37,58 +24,3 @@ def load_model(model: str, quant: str = "q4_K_M"):
     from repro.llm import SimulatedLLM
 
     return SimulatedLLM.from_registry(model, quant)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.{old} is deprecated; use {new} instead "
-        f"(see the README 'Public API' migration table)",
-        DeprecationWarning, stacklevel=3)
-
-
-def build_less_is_more(model: str, quant: str, suite, k: int = 3, **kwargs):
-    """Deprecated: build a Less-is-More agent for ``suite``.
-
-    Use ``open_session(suite=suite).build_agent(AgentSpec("lis", model,
-    quant, k=k))``.
-    """
-    _deprecated("build_less_is_more",
-                'open_session(...).build_agent(AgentSpec("lis", ...))')
-    from repro.session import open_session
-    from repro.specs import AgentSpec
-
-    session = open_session(suite=suite)
-    return session.build_agent(
-        AgentSpec(scheme="lis", model=model, quant=quant, k=k), **kwargs)
-
-
-def build_agent(scheme: str, model: str, quant: str, suite, **kwargs):
-    """Deprecated: build any registered scheme's agent.
-
-    Use ``open_session(suite=suite).build_agent(AgentSpec(scheme, model,
-    quant))``.
-    """
-    _deprecated("build_agent", "open_session(...).build_agent(AgentSpec(...))")
-    from repro.session import open_session
-    from repro.specs import AgentSpec
-
-    session = open_session(suite=suite)
-    return session.build_agent(
-        AgentSpec(scheme=scheme, model=model, quant=quant), **kwargs)
-
-
-def build_gateway(suites: dict, config=None):
-    """Deprecated: wire a serving gateway over ``{tenant_name: suite}``.
-
-    Use ``open_session(ServingSpec(tenants=(...,))).serve()`` — or keep
-    the suites as objects and register them on a
-    :class:`~repro.serving.session.SessionManager` directly.
-    """
-    _deprecated("build_gateway", "open_session(ServingSpec(...)).serve()")
-    from repro.serving.gateway import Gateway
-    from repro.serving.session import SessionManager
-
-    sessions = SessionManager()
-    for tenant, suite in suites.items():
-        sessions.register(tenant, suite)
-    return Gateway(sessions, config=config)

@@ -246,11 +246,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     cost ledger — after ``--requests`` closed-loop requests.
     """
     from repro.obs.prometheus import render_prometheus
-    from repro.serving import ServingConfig, run_load
-    from repro.specs import ObsSpec
+    from repro.serving import run_load
+    from repro.specs import ObsSpec, ServingSpec
     from repro.suites import load_suite
 
-    config = ServingConfig(
+    config = ServingSpec(
         max_batch_size=args.batch_size, max_wait_ms=2.0,
         obs=ObsSpec(sink="memory", sample_rate=args.sample_rate))
     report = run_load({args.suite: load_suite(args.suite)}, config,
@@ -263,11 +263,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Replayable chaos run: serve a workload while injecting faults."""
     from repro.obs.sinks import read_jsonl_spans
-    from repro.serving import FaultPlan, ServingConfig, run_load
-    from repro.specs import ObsSpec
+    from repro.serving import FaultPlan, run_load
+    from repro.specs import ObsSpec, ServingSpec
     from repro.suites import load_suite
 
-    config = ServingConfig(
+    config = ServingSpec(
         max_batch_size=args.batch_size,
         max_wait_ms=2.0,
         execution_backend="process" if args.process else "thread",
@@ -329,9 +329,8 @@ def cmd_carbon(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
-    from repro.serving import Gateway, ServingConfig, SessionManager, \
-        TenantShedError
-    from repro.specs import BudgetSpec
+    from repro.serving import Gateway, SessionManager, TenantShedError
+    from repro.specs import BudgetSpec, ServingSpec
     from repro.suites import load_suite
 
     suite = load_suite(args.suite)
@@ -341,8 +340,8 @@ def cmd_carbon(args: argparse.Namespace) -> int:
         async def scenario():
             sessions = SessionManager()
             sessions.register(args.suite, suite)
-            config = ServingConfig(max_batch_size=args.batch_size,
-                                   max_wait_ms=2.0, budget=spec)
+            config = ServingSpec(max_batch_size=args.batch_size,
+                                 max_wait_ms=2.0, budget=spec)
             async with Gateway(sessions, config=config) as gateway:
                 start = time.perf_counter()
                 served = 0

@@ -36,12 +36,20 @@ FAMILY_WEIGHTS = {
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors (0.0 when either is all-zero)."""
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
+    """Cosine similarity of two vectors (0.0 when either is all-zero).
+
+    Each vector is rescaled by its largest magnitude before the norms
+    are taken: squaring entries below ~1e-154 underflows, which would
+    shrink the norm (and inflate the cosine) of a tiny-but-nonzero
+    vector.
+    """
+    scale_a = float(np.max(np.abs(a), initial=0.0))
+    scale_b = float(np.max(np.abs(b), initial=0.0))
+    if scale_a == 0.0 or scale_b == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (norm_a * norm_b))
+    a = np.asarray(a) / scale_a
+    b = np.asarray(b) / scale_b
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 class SentenceEmbedder:

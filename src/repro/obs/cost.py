@@ -19,7 +19,7 @@ execution time, so a degradation downshift (``full`` → ``compressed`` →
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -110,14 +110,11 @@ class CostLedger:
             tenants[tenant].setdefault("by_variant", {})[variant] = stats
         for tenant, version in versions.items():
             tenants[tenant]["catalog_version"] = version
-        totals = _Bucket()
-        with self._lock:
-            for bucket in self._by_tenant.values():
-                totals.requests += bucket.requests
-                totals.tool_prompt_tokens += bucket.tool_prompt_tokens
-                totals.prompt_tokens += bucket.prompt_tokens
-                totals.completion_tokens += bucket.completion_tokens
-                totals.llm_calls += bucket.llm_calls
+        # summed from the copies above, not the live buckets: a record()
+        # landing mid-snapshot must not make total disagree with by_tenant
+        totals = _Bucket(**{
+            counter.name: sum(stats[counter.name] for stats in tenants.values())
+            for counter in fields(_Bucket)})
         return {"total": totals.to_dict(), "by_tenant": tenants}
 
 

@@ -16,7 +16,7 @@ serving degradation ladder (:mod:`repro.serving.degrade`).
   the simulated board down power modes while grid intensity is high.
 """
 
-from repro.power.budget import MODE_LADDER, BudgetController, BudgetPolicy
+from repro.power.budget import MODE_LADDER, BudgetController
 from repro.power.meter import EnergyMeter, EnergyRecord, WindowStats
 from repro.power.signals import (
     DEFAULT_INTENSITY_G_PER_KWH,
@@ -30,7 +30,6 @@ from repro.power.signals import (
 
 __all__ = [
     "BudgetController",
-    "BudgetPolicy",
     "DEFAULT_INTENSITY_G_PER_KWH",
     "EnergyMeter",
     "EnergyRecord",

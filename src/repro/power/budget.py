@@ -21,144 +21,20 @@ Like the pressure controller, the core is a synchronous :meth:`tick`
 :meth:`run` is the thin async loop the gateway starts when configured
 with a :class:`~repro.specs.BudgetSpec`.
 
-Budget windows are request-count based (the last ``window_requests``
-attributed requests per tenant), not wall-time based, so tests drive
-the whole control loop deterministically.  After any ladder move the
-controller waits for ``settle_requests`` fresh records before acting on
-that tenant again — the window must re-fill with evidence from the new
-rung, which is what prevents a stale window from racing a tenant all
-the way down the ladder.
+The controller reads its knobs straight off the
+:class:`~repro.specs.BudgetSpec`, whose docstring is the one home of
+their semantics (request-count windows, settling, hysteresis).
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+
+from repro.specs import BudgetSpec
 
 #: the nvpmodel ladder, fastest first (mirrors
 #: :data:`repro.hardware.power_modes.POWER_MODES`)
 MODE_LADDER = ("MAXN", "30W", "15W")
-
-
-@dataclass(frozen=True)
-class BudgetPolicy:
-    """Thresholds and knobs of the carbon/power budget loop.
-
-    Parameters
-    ----------
-    energy_budget_j:
-        Rolling-mean joules per request a tenant may spend before being
-        stepped down a rung; ``None`` disables the energy budget.
-    carbon_budget_g:
-        Rolling-mean gCO₂ per request cap; ``None`` disables it.  At
-        least one of the two budgets or ``intensity_high`` must be set.
-    window_requests:
-        How many recent requests the rolling means cover.
-    settle_requests:
-        Fresh records required after a ladder move before the tenant is
-        judged again (default: ``window_requests`` — a full new window).
-    recovery_ticks:
-        Consecutive under-budget ticks required before stepping a tenant
-        back up (and low-intensity ticks before stepping the power mode
-        back up).
-    recovery_margin:
-        Recovery additionally requires the rolling mean below
-        ``budget * recovery_margin`` — the hysteresis band that keeps a
-        tenant hovering at the cap from flapping.
-    intensity_high / intensity_low:
-        gCO₂/kWh thresholds for the power-mode ladder: at or above
-        ``intensity_high`` each tick steps the simulated board down one
-        nvpmodel mode; at or below ``intensity_low`` (default
-        ``intensity_high * recovery_margin``) ticks count toward
-        climbing back.  ``None`` disables mode stepping.
-    min_power_mode:
-        Deepest mode the controller may select (``"15W"`` allows the
-        full MAXN → 30W → 15W descent; ``"MAXN"`` pins the board).
-    interval_ms:
-        Poll period of the async :meth:`BudgetController.run` loop.
-    """
-
-    energy_budget_j: float | None = None
-    carbon_budget_g: float | None = None
-    window_requests: int = 32
-    settle_requests: int | None = None
-    recovery_ticks: int = 3
-    recovery_margin: float = 0.8
-    intensity_high: float | None = None
-    intensity_low: float | None = None
-    min_power_mode: str = "15W"
-    interval_ms: float = 100.0
-
-    def __post_init__(self):
-        if (self.energy_budget_j is None and self.carbon_budget_g is None
-                and self.intensity_high is None):
-            raise ValueError(
-                "BudgetPolicy needs at least one control: energy_budget_j, "
-                "carbon_budget_g or intensity_high")
-        if self.energy_budget_j is not None and self.energy_budget_j <= 0.0:
-            raise ValueError(
-                f"energy_budget_j must be > 0 (or None), "
-                f"got {self.energy_budget_j}")
-        if self.carbon_budget_g is not None and self.carbon_budget_g <= 0.0:
-            raise ValueError(
-                f"carbon_budget_g must be > 0 (or None), "
-                f"got {self.carbon_budget_g}")
-        if self.window_requests < 1:
-            raise ValueError(
-                f"window_requests must be >= 1, got {self.window_requests}")
-        if self.settle_requests is None:
-            object.__setattr__(self, "settle_requests", self.window_requests)
-        if self.settle_requests < 1:
-            raise ValueError(
-                f"settle_requests must be >= 1, got {self.settle_requests}")
-        if self.recovery_ticks < 1:
-            raise ValueError(
-                f"recovery_ticks must be >= 1, got {self.recovery_ticks}")
-        if not 0.0 < self.recovery_margin <= 1.0:
-            raise ValueError(
-                f"recovery_margin must be in (0, 1], "
-                f"got {self.recovery_margin}")
-        if self.intensity_high is not None:
-            if self.intensity_high <= 0.0:
-                raise ValueError(
-                    f"intensity_high must be > 0 (or None), "
-                    f"got {self.intensity_high}")
-            if self.intensity_low is None:
-                object.__setattr__(self, "intensity_low",
-                                   self.intensity_high * self.recovery_margin)
-            if not 0.0 <= self.intensity_low < self.intensity_high:
-                raise ValueError(
-                    f"intensity_low must be in [0, intensity_high), "
-                    f"got {self.intensity_low}")
-        elif self.intensity_low is not None:
-            raise ValueError("intensity_low requires intensity_high")
-        if self.min_power_mode not in MODE_LADDER:
-            raise ValueError(
-                f"min_power_mode must be one of {MODE_LADDER}, "
-                f"got {self.min_power_mode!r}")
-        if self.interval_ms <= 0.0:
-            raise ValueError(
-                f"interval_ms must be > 0, got {self.interval_ms}")
-
-    @property
-    def interval_s(self) -> float:
-        return self.interval_ms / 1e3
-
-    @classmethod
-    def from_spec(cls, spec) -> "BudgetPolicy":
-        """The runtime policy equivalent of a :class:`~repro.specs.BudgetSpec`."""
-        return cls(
-            energy_budget_j=spec.energy_budget_j,
-            carbon_budget_g=spec.carbon_budget_g,
-            window_requests=spec.window_requests,
-            settle_requests=spec.settle_requests,
-            recovery_ticks=spec.recovery_ticks,
-            recovery_margin=spec.recovery_margin,
-            intensity_high=spec.intensity_high,
-            intensity_low=spec.intensity_low,
-            min_power_mode=spec.min_power_mode,
-            interval_ms=spec.interval_ms,
-        )
 
 
 class BudgetController:
@@ -175,15 +51,15 @@ class BudgetController:
 
     SOURCE = "budget"
 
-    def __init__(self, gateway, policy: BudgetPolicy, meter=None,
+    def __init__(self, gateway, spec: BudgetSpec, meter=None,
                  signal=None, clock=None):
         self.gateway = gateway
-        self.policy = policy
+        self.spec = spec
         self.meter = meter if meter is not None else gateway.power_meter
         self.signal = signal if signal is not None else self.meter.signal
         self._clock = clock if clock is not None else self.meter.now
         self._mode_index = 0
-        self._mode_floor = MODE_LADDER.index(policy.min_power_mode)
+        self._mode_floor = MODE_LADDER.index(spec.min_power_mode)
         self._mode_clear_streak = 0
         self._tenant_clear_streak: dict[str, int] = {}
         self._shed_streak: dict[str, int] = {}
@@ -219,8 +95,8 @@ class BudgetController:
         t_s = self._clock() if now_s is None else now_s
         intensity = self.signal.intensity(t_s)
         self._tick_power_mode(intensity)
-        if (self.policy.energy_budget_j is not None
-                or self.policy.carbon_budget_g is not None):
+        if (self.spec.energy_budget_j is not None
+                or self.spec.carbon_budget_g is not None):
             for tenant in self.gateway.sessions.tenant_names:
                 self._tick_tenant(tenant)
 
@@ -233,23 +109,23 @@ class BudgetController:
         """
         loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(self.policy.interval_s)
+            await asyncio.sleep(self.spec.interval_s)
             await loop.run_in_executor(None, self.tick)
 
     # ------------------------------------------------------------------
     # power-mode ladder
     # ------------------------------------------------------------------
     def _tick_power_mode(self, intensity: float) -> None:
-        policy = self.policy
-        if policy.intensity_high is None:
+        spec = self.spec
+        if spec.intensity_high is None:
             return
-        if intensity >= policy.intensity_high:
+        if intensity >= spec.intensity_high:
             self._mode_clear_streak = 0
             if self._mode_index < self._mode_floor:
                 self._set_mode(self._mode_index + 1, "down")
-        elif intensity <= policy.intensity_low:
+        elif intensity <= spec.effective_intensity_low:
             self._mode_clear_streak += 1
-            if self._mode_clear_streak >= policy.recovery_ticks:
+            if self._mode_clear_streak >= spec.recovery_ticks:
                 self._mode_clear_streak = 0
                 if self._mode_index > 0:
                     self._set_mode(self._mode_index - 1, "up")
@@ -272,7 +148,7 @@ class BudgetController:
     # per-tenant budget ladder
     # ------------------------------------------------------------------
     def _tick_tenant(self, tenant: str) -> None:
-        policy = self.policy
+        spec = self.spec
         arbiter = self.gateway.ladder
         ladder = arbiter.ladder(tenant)
         desired = arbiter.desired_index(self.SOURCE, tenant)
@@ -280,7 +156,7 @@ class BudgetController:
             # a shed tenant generates no fresh evidence: probation —
             # after recovery_ticks quiet ticks, try one rung up
             streak = self._shed_streak.get(tenant, 0) + 1
-            if streak >= policy.recovery_ticks:
+            if streak >= spec.recovery_ticks:
                 self._shed_streak[tenant] = 0
                 self._step(tenant, -1)
             else:
@@ -291,26 +167,26 @@ class BudgetController:
         if stats.requests == 0:
             return
         fresh = stats.total_requests - self._settle_marks.get(tenant, 0)
-        if fresh < min(policy.settle_requests, policy.window_requests):
+        if fresh < min(spec.effective_settle_requests, spec.window_requests):
             return  # the window hasn't refilled since the last move
         over = False
         under = True
-        if policy.energy_budget_j is not None:
-            over = over or stats.mean_energy_j > policy.energy_budget_j
+        if spec.energy_budget_j is not None:
+            over = over or stats.mean_energy_j > spec.energy_budget_j
             under = under and (stats.mean_energy_j
-                               <= policy.energy_budget_j
-                               * policy.recovery_margin)
-        if policy.carbon_budget_g is not None:
-            over = over or stats.mean_carbon_g > policy.carbon_budget_g
+                               <= spec.energy_budget_j
+                               * spec.recovery_margin)
+        if spec.carbon_budget_g is not None:
+            over = over or stats.mean_carbon_g > spec.carbon_budget_g
             under = under and (stats.mean_carbon_g
-                               <= policy.carbon_budget_g
-                               * policy.recovery_margin)
+                               <= spec.carbon_budget_g
+                               * spec.recovery_margin)
         if over:
             self._tenant_clear_streak[tenant] = 0
             self._step(tenant, +1)
         elif under and desired > 0:
             streak = self._tenant_clear_streak.get(tenant, 0) + 1
-            if streak >= policy.recovery_ticks:
+            if streak >= spec.recovery_ticks:
                 self._tenant_clear_streak[tenant] = 0
                 self._step(tenant, -1)
             else:

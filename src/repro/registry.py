@@ -167,10 +167,10 @@ SUITES = Registry("suite", builtin_modules=("repro.suites",))
 GRID_BACKENDS = Registry("grid backend", builtin_modules=(
     "repro.evaluation.runner",))
 
-#: serving execution backend name -> ``f(config) -> stage | None``
+#: serving execution backend name -> ``f(serving_spec) -> stage | None``
 #: (``None`` means "execute inline on the gateway's batch worker")
 SERVING_BACKENDS = Registry("serving execution backend", builtin_modules=(
-    "repro.serving.config", "repro.serving.process"),
+    "repro.serving.gateway", "repro.serving.process"),
     builtin_names=("thread", "process"))
 
 #: catalog name -> zero-arg builder returning a
@@ -244,7 +244,7 @@ def register_grid_backend(name: str, runner: Callable | None = None, *,
 
 def register_serving_backend(name: str, factory: Callable | None = None, *,
                              replace: bool = False):
-    """Register a serving execution-stage factory ``f(config)``."""
+    """Register a serving execution-stage factory ``f(serving_spec)``."""
     return SERVING_BACKENDS.register(name, factory, replace=replace)
 
 

@@ -13,12 +13,13 @@ same query run sequentially through the
 
 Quickstart::
 
-    from repro.serving import Gateway, ServingConfig, SessionManager
+    from repro.serving import Gateway, SessionManager
+    from repro.specs import ServingSpec
     from repro.suites import load_suite
 
     sessions = SessionManager()
     sessions.register("home", load_suite("edgehome"))
-    async with Gateway(sessions, ServingConfig(max_batch_size=32)) as gw:
+    async with Gateway(sessions, ServingSpec(max_batch_size=32)) as gw:
         response = await gw.submit("home", "edgehome-q001")
         print(response.episode.success, response.batch_size)
 """
@@ -29,8 +30,7 @@ from repro.serving.batcher import (
     QueueFullError,
     SchedulerStoppedError,
 )
-from repro.power import BudgetController, BudgetPolicy, EnergyMeter
-from repro.serving.config import ServingConfig
+from repro.power import BudgetController, EnergyMeter
 from repro.serving.degrade import (
     DegradationController,
     DegradationPolicy,
@@ -75,7 +75,6 @@ __all__ = [
     "AsgiServer",
     "BatchScheduler",
     "BudgetController",
-    "BudgetPolicy",
     "DeadlineExceededError",
     "DegradationController",
     "DegradationPolicy",
@@ -93,7 +92,6 @@ __all__ = [
     "ProcessEpisodeExecutor",
     "QueueFullError",
     "SchedulerStoppedError",
-    "ServingConfig",
     "ServingResponse",
     "SessionManager",
     "SupervisedEpisodeExecutor",

@@ -18,8 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.serving.config import ServingConfig
 from repro.serving.telemetry import Telemetry
+from repro.specs import ServingSpec
 
 
 class QueueFullError(RuntimeError):
@@ -66,7 +66,7 @@ class BatchScheduler:
         the worker thread, must return one result per request in order.
         Exceptions fail every request in the batch.
     config:
-        Batch/queue tunables (:class:`ServingConfig`).
+        Batch/queue tunables (:class:`~repro.specs.ServingSpec`).
     telemetry:
         Recorder for queue depth, batch sizes and rejections.
     faults:
@@ -84,7 +84,7 @@ class BatchScheduler:
     def __init__(
         self,
         process: Callable[[list[PendingRequest]], list[Any]],
-        config: ServingConfig,
+        config: ServingSpec,
         telemetry: Telemetry | None = None,
         faults=None,
         tracer=None,

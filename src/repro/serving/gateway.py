@@ -22,13 +22,19 @@ from repro.core.episode import EpisodeResult
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
 from repro.power import EnergyMeter, build_signal
-from repro.registry import SERVING_BACKENDS
+from repro.registry import SERVING_BACKENDS, register_serving_backend
 from repro.serving.batcher import BatchScheduler, PendingRequest
-from repro.serving.config import ServingConfig
 from repro.serving.faults import InjectedFaultError, as_injector
 from repro.serving.session import SessionManager
 from repro.serving.telemetry import Telemetry
+from repro.specs import ServingSpec
 from repro.suites.base import Query
+
+
+@register_serving_backend("thread")
+def _thread_stage(config: ServingSpec) -> None:
+    """Inline execution on the gateway's batch worker (no stage object)."""
+    return None
 
 
 class DeadlineExceededError(TimeoutError):
@@ -164,15 +170,14 @@ class Gateway:
     def __init__(
         self,
         sessions: SessionManager,
-        config: ServingConfig | None = None,
+        config: ServingSpec | None = None,
         telemetry: Telemetry | None = None,
         faults=None,
         degradation=None,
         tracer=None,
-        budget=None,
     ):
         self.sessions = sessions
-        self.config = config if config is not None else ServingConfig()
+        self.config = config if config is not None else ServingSpec()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._faults = as_injector(faults)
         # an explicit tracer (tests, embedding hosts) wins over the
@@ -204,12 +209,10 @@ class Gateway:
         # carbon/power accounting: the meter is always on (attribution
         # is cheap and read-only); the BudgetController only runs when a
         # BudgetSpec is configured
-        self._budget_spec = budget if budget is not None else (
-            self.config.budget)
+        budget = self.config.budget
         self.power_meter = EnergyMeter(
-            signal=build_signal(self._budget_spec),
-            window_requests=(self._budget_spec.window_requests
-                             if self._budget_spec is not None else 32))
+            signal=build_signal(budget),
+            window_requests=budget.window_requests if budget is not None else 32)
         self.budget = None  # controller, built in start() when enabled
         self._budget_task: asyncio.Task | None = None
 
@@ -245,11 +248,11 @@ class Gateway:
                 self, self._degradation_policy)
             self._degradation_task = asyncio.get_running_loop().create_task(
                 self.degradation.run(), name="degradation-controller")
-        if self._budget_spec is not None:
+        if self.config.budget is not None:
             from repro.power import BudgetController
 
             self.budget = BudgetController(
-                self, self._budget_spec.to_policy(), meter=self.power_meter)
+                self, self.config.budget, meter=self.power_meter)
             self._budget_task = asyncio.get_running_loop().create_task(
                 self.budget.run(), name="budget-controller")
 
@@ -451,9 +454,9 @@ class Gateway:
             "mean_energy_j": stats.mean_energy_j,
             "mean_carbon_g": stats.mean_carbon_g,
         }
-        if self._budget_spec is not None:
-            status["energy_budget_j"] = self._budget_spec.energy_budget_j
-            status["carbon_budget_g"] = self._budget_spec.carbon_budget_g
+        if self.config.budget is not None:
+            status["energy_budget_j"] = self.config.budget.energy_budget_j
+            status["carbon_budget_g"] = self.config.budget.carbon_budget_g
         return status
 
     def is_shed(self, tenant: str) -> bool:
@@ -638,15 +641,10 @@ class Gateway:
                         execute_traces.append(trace.child(span.span_id))
                 try:
                     if use_worker:
-                        if traced:
-                            episodes = stage.execute(
-                                tenant, scheme, model, quant, queries, plans,
-                                inline=agent.run_planned_many,
-                                traces=execute_traces)
-                        else:
-                            episodes = stage.execute(
-                                tenant, scheme, model, quant, queries, plans,
-                                inline=agent.run_planned_many)
+                        episodes = stage.execute(
+                            tenant, scheme, model, quant, queries, plans,
+                            inline=agent.run_planned_many,
+                            traces=execute_traces if traced else None)
                     else:
                         episodes = agent.run_planned_many(queries, plans)
                 except Exception:

@@ -15,10 +15,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.episode import EpisodeResult
-from repro.serving.config import ServingConfig
 from repro.serving.gateway import Gateway
 from repro.serving.session import SessionManager
 from repro.serving.telemetry import percentile
+from repro.specs import ServingSpec
 from repro.suites.base import BenchmarkSuite, Query
 
 
@@ -163,7 +163,7 @@ def make_workload(suites: dict[str, BenchmarkSuite], n_requests: int) -> list[Lo
 
 def run_load(
     suites: dict[str, BenchmarkSuite],
-    config: ServingConfig,
+    config: ServingSpec,
     n_requests: int,
     concurrency: int,
     embedder=None,

@@ -4,7 +4,7 @@ Micro-batch *planning* (one batched ``encode`` plus one multi-query
 search per Search Level) stays in the gateway's parent process, where the
 shared :class:`~repro.embedding.cache.CachedEmbedder` lives; episode
 *execution* is GIL-bound pure Python, so with
-``ServingConfig(execution_backend="process")`` the post-planning step
+``ServingSpec(execution_backend="process")`` the post-planning step
 loop of a flushed batch fans out across a pool of worker processes.
 
 Workers are primed once, at gateway start, with a pickled snapshot of

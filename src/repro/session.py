@@ -196,7 +196,7 @@ class Session:
         else:
             sessions.register(self.suite.name, self.suite,
                               engine=serving.default_engine)
-        return Gateway(sessions, config=serving.to_config())
+        return Gateway(sessions, config=serving)
 
 
 def open_session(spec: Any = None, *, suite: Any = None,

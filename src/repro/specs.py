@@ -67,15 +67,55 @@ def _as_tuple(value) -> tuple:
     return tuple(value)
 
 
+def _require_min(owner, bound, *names: str, strict: bool = False) -> None:
+    """Each named numeric field is ``>= bound`` (``> bound`` if strict).
+
+    ``None`` passes: optional fields use it for "unset".
+    """
+    for name in names:
+        value = getattr(owner, name)
+        if value is None or (value > bound if strict else value >= bound):
+            continue
+        optional = type(owner).__dataclass_fields__[name].default is None
+        raise ValueError(
+            f"{type(owner).__name__}.{name} must be "
+            f"{'>' if strict else '>='} {bound}"
+            f"{' (or None)' if optional else ''}, got {value}")
+
+
+def _require_registered(registry, name: str) -> None:
+    """``name`` resolves through ``registry``.
+
+    Membership is import-free for the builtin names a registry declares;
+    only an unknown name loads the implementing modules — through
+    ``get``, whose error lists what *is* registered.
+    """
+    if name not in registry:
+        registry.get(name)
+
+
+def _coerce(owner, name: str, spec_cls, required: bool = False) -> None:
+    """Normalize nested-spec field ``name`` of the frozen ``owner``.
+
+    Accepts the spec itself, its ``to_dict()`` form or — for the specs a
+    registry name addresses (catalog, suite, engine) — the bare name.
+    """
+    value = getattr(owner, name)
+    if isinstance(value, dict):
+        value = spec_cls.from_dict(value)
+    elif isinstance(value, str) and spec_cls in (CatalogSpec, EngineSpec,
+                                                 SuiteSpec):
+        value = spec_cls(value)
+    object.__setattr__(owner, name, value)
+    _require(isinstance(value, spec_cls) or (value is None and not required),
+             f"{type(owner).__name__}.{name} must be a {spec_cls.__name__}, "
+             f"got {type(value).__name__}")
+
+
 #: description variants a CatalogSpec may select — mirror
 #: repro.tools.schema.DESCRIPTION_VARIANTS (kept in sync by
 #: tests/test_specs.py) so constructing a spec stays import-free
 CATALOG_VARIANTS = ("full", "compressed", "minimal")
-
-#: engines every install ships — mirror the builtin names declared on
-#: repro.registry.ENGINES (kept in sync by tests/test_specs.py) so
-#: constructing an EngineSpec stays import-free for the common names
-ENGINE_BUILTINS = ("simulated", "openai_http")
 
 
 @dataclass(frozen=True)
@@ -105,45 +145,16 @@ class EngineSpec(_SpecBase):
     temperature: float = 0.0
 
     def __post_init__(self):
-        _require(bool(self.name), "EngineSpec.name must be a non-empty string")
-        if self.name not in ENGINE_BUILTINS:
-            from repro.registry import ENGINES
+        from repro.registry import ENGINES
 
-            # import-free for the builtin names above; an unknown name
-            # loads the engine modules to give a definitive answer
-            if self.name not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {self.name!r}; registered engines: "
-                    f"{', '.join(ENGINES.names())}")
+        _require(bool(self.name), "EngineSpec.name must be a non-empty string")
+        _require_registered(ENGINES, self.name)
         _require(self.name != "openai_http" or bool(self.base_url),
                  "EngineSpec(name='openai_http') requires base_url "
                  "(e.g. 'http://127.0.0.1:8080/v1')")
-        _require(self.timeout_s > 0.0,
-                 f"EngineSpec.timeout_s must be > 0, got {self.timeout_s}")
-        _require(self.retries >= 0,
-                 f"EngineSpec.retries must be >= 0, got {self.retries}")
-        _require(self.retry_backoff_ms >= 0.0,
-                 f"EngineSpec.retry_backoff_ms must be >= 0, "
-                 f"got {self.retry_backoff_ms}")
-        _require(self.max_tokens >= 1,
-                 f"EngineSpec.max_tokens must be >= 1, got {self.max_tokens}")
-        _require(self.temperature >= 0.0,
-                 f"EngineSpec.temperature must be >= 0, got {self.temperature}")
-
-    def build_llm(self, model: str, quant: str):
-        """Resolve the engine factory and build the agent-facing LLM."""
-        from repro.engines import build_engine_llm
-
-        return build_engine_llm(self, model, quant)
-
-
-def _coerce_engine(value):
-    """Accept an EngineSpec, a bare engine name, or a to_dict() dict."""
-    if isinstance(value, str):
-        return EngineSpec(value)
-    if isinstance(value, dict):
-        return EngineSpec.from_dict(value)
-    return value
+        _require_min(self, 0, "timeout_s", strict=True)
+        _require_min(self, 0, "retries", "retry_backoff_ms", "temperature")
+        _require_min(self, 1, "max_tokens")
 
 
 @dataclass(frozen=True)
@@ -201,15 +212,8 @@ class SuiteSpec(_SpecBase):
 
     def __post_init__(self):
         _require(bool(self.name), "SuiteSpec.name must be a non-empty string")
-        _require(self.n_queries is None or self.n_queries >= 1,
-                 f"SuiteSpec.n_queries must be >= 1, got {self.n_queries}")
-        if isinstance(self.catalog, str):
-            object.__setattr__(self, "catalog", CatalogSpec(self.catalog))
-        elif isinstance(self.catalog, dict):
-            object.__setattr__(self, "catalog", CatalogSpec.from_dict(self.catalog))
-        _require(self.catalog is None or isinstance(self.catalog, CatalogSpec),
-                 f"SuiteSpec.catalog must be a CatalogSpec, "
-                 f"got {type(self.catalog).__name__}")
+        _require_min(self, 1, "n_queries")
+        _coerce(self, "catalog", CatalogSpec)
 
     def load(self):
         """Build the suite (and its catalog, if pinned) via the registries."""
@@ -246,17 +250,11 @@ class AgentSpec(_SpecBase):
         _require(bool(self.scheme), "AgentSpec.scheme must be a non-empty string")
         _require(bool(self.model), "AgentSpec.model must be a non-empty string")
         _require(bool(self.quant), "AgentSpec.quant must be a non-empty string")
-        object.__setattr__(self, "engine", _coerce_engine(self.engine))
-        _require(self.engine is None or isinstance(self.engine, EngineSpec),
-                 f"AgentSpec.engine must be an EngineSpec, "
-                 f"got {type(self.engine).__name__}")
-        _require(self.k is None or self.k >= 1,
-                 f"AgentSpec.k must be >= 1, got {self.k}")
+        _coerce(self, "engine", EngineSpec)
+        _require_min(self, 1, "k")
         _require(self.force_level is None or self.force_level in (1, 2, 3),
                  f"AgentSpec.force_level must be 1, 2 or 3, got {self.force_level}")
-        _require(self.context_window is None or self.context_window >= 1024,
-                 f"AgentSpec.context_window must be >= 1024, "
-                 f"got {self.context_window}")
+        _require_min(self, 1024, "context_window")
 
     def agent_kwargs(self) -> dict:
         """The scheme-factory kwargs this spec pins (unset knobs omitted)."""
@@ -291,10 +289,7 @@ class GridSpec(_SpecBase):
             _require(bool(getattr(self, axis)),
                      f"GridSpec.{axis} must name at least one entry")
         _require(bool(self.backend), "GridSpec.backend must be a non-empty string")
-        _require(self.workers is None or self.workers >= 1,
-                 f"GridSpec.workers must be >= 1, got {self.workers}")
-        _require(self.n_queries is None or self.n_queries >= 1,
-                 f"GridSpec.n_queries must be >= 1, got {self.n_queries}")
+        _require_min(self, 1, "workers", "n_queries")
 
     @property
     def cells(self) -> tuple[tuple[str, str, str], ...]:
@@ -323,35 +318,15 @@ class TenantSpec(_SpecBase):
 
     def __post_init__(self):
         _require(bool(self.name), "TenantSpec.name must be a non-empty string")
-        if isinstance(self.suite, str):
-            object.__setattr__(self, "suite", SuiteSpec(self.suite))
-        elif isinstance(self.suite, dict):
-            object.__setattr__(self, "suite", SuiteSpec.from_dict(self.suite))
-        _require(isinstance(self.suite, SuiteSpec),
-                 f"TenantSpec.suite must be a SuiteSpec, got {type(self.suite).__name__}")
-        if isinstance(self.catalog, str):
-            object.__setattr__(self, "catalog", CatalogSpec(self.catalog))
-        elif isinstance(self.catalog, dict):
-            object.__setattr__(self, "catalog", CatalogSpec.from_dict(self.catalog))
-        _require(self.catalog is None or isinstance(self.catalog, CatalogSpec),
-                 f"TenantSpec.catalog must be a CatalogSpec, "
-                 f"got {type(self.catalog).__name__}")
-        object.__setattr__(self, "engine", _coerce_engine(self.engine))
-        _require(self.engine is None or isinstance(self.engine, EngineSpec),
-                 f"TenantSpec.engine must be an EngineSpec, "
-                 f"got {type(self.engine).__name__}")
+        _coerce(self, "suite", SuiteSpec, required=True)
+        _coerce(self, "catalog", CatalogSpec)
+        _coerce(self, "engine", EngineSpec)
 
     def effective_suite(self) -> SuiteSpec:
         """The suite spec with this tenant's catalog override applied."""
         if self.catalog is None:
             return self.suite
         return self.suite.replace(catalog=self.catalog)
-
-
-#: trace sinks every install ships — mirror the builtin names declared
-#: on repro.registry.TRACE_SINKS (kept in sync by tests/test_specs.py)
-#: so constructing an ObsSpec stays import-free for the common names
-TRACE_SINK_BUILTINS = ("memory", "jsonl", "null")
 
 
 @dataclass(frozen=True)
@@ -376,41 +351,19 @@ class ObsSpec(_SpecBase):
     ring_capacity: int = 2048
 
     def __post_init__(self):
-        _require(bool(self.sink), "ObsSpec.sink must be a non-empty string")
-        if self.sink not in TRACE_SINK_BUILTINS:
-            from repro.registry import TRACE_SINKS
+        from repro.registry import TRACE_SINKS
 
-            # import-free for the builtin names above; an unknown name
-            # loads the sink module to give a definitive answer
-            if self.sink not in TRACE_SINKS:
-                raise ValueError(
-                    f"unknown trace sink {self.sink!r}; registered trace "
-                    f"sinks: {', '.join(TRACE_SINKS.names())}")
+        _require(bool(self.sink), "ObsSpec.sink must be a non-empty string")
+        _require_registered(TRACE_SINKS, self.sink)
         _require(0.0 <= self.sample_rate <= 1.0,
                  f"ObsSpec.sample_rate must be in [0, 1], "
                  f"got {self.sample_rate}")
-        _require(self.slow_span_ms is None or self.slow_span_ms > 0.0,
-                 f"ObsSpec.slow_span_ms must be > 0 (or None), "
-                 f"got {self.slow_span_ms}")
-        _require(self.ring_capacity >= 1,
-                 f"ObsSpec.ring_capacity must be >= 1, "
-                 f"got {self.ring_capacity}")
+        _require_min(self, 0, "slow_span_ms", strict=True)
+        _require_min(self, 1, "ring_capacity")
         _require(self.sink != "jsonl" or bool(self.sink_path),
                  "ObsSpec(sink='jsonl') requires sink_path to name the "
                  "output file")
 
-    def build_tracer(self):
-        """Construct the configured :class:`~repro.obs.trace.Tracer`."""
-        from repro.obs.trace import build_tracer
-
-        return build_tracer(self)
-
-
-#: carbon signals every install ships — mirror the builtin names
-#: declared on repro.registry.CARBON_SIGNALS (kept in sync by
-#: tests/test_specs.py) so constructing a BudgetSpec stays import-free
-#: for the common names
-CARBON_SIGNAL_BUILTINS = ("static", "sinusoid", "trace")
 
 #: nvpmodel modes, fastest first — mirror of
 #: repro.hardware.power_modes.POWER_MODES / repro.power.budget.MODE_LADDER
@@ -420,24 +373,63 @@ POWER_MODE_NAMES = ("MAXN", "30W", "15W")
 
 @dataclass(frozen=True)
 class BudgetSpec(_SpecBase):
-    """Carbon/power budget configuration for the serving gateway.
+    """Carbon/power budget: the knobs of the gateway's budget loop.
 
     Threading this through :class:`ServingSpec` makes the gateway build
-    an :class:`~repro.power.budget.BudgetController`: tenants whose
-    rolling mean joules (``energy_budget_j``) or gCO₂
-    (``carbon_budget_g``) per request exceed the budget step down the
-    degradation ladder, and while the grid's carbon intensity sits at or
-    above ``intensity_high`` the simulated board steps down nvpmodel
-    power modes (MAXN → 30W → 15W), both climbing back with hysteresis.
+    an :class:`~repro.power.budget.BudgetController`, which reads this
+    spec directly: tenants whose rolling mean joules or gCO₂ per request
+    exceed the budget step down the degradation ladder, and while the
+    grid's carbon intensity is high the simulated board steps down
+    nvpmodel power modes (MAXN → 30W → 15W), both climbing back with
+    hysteresis.  Budget windows count requests (the last
+    ``window_requests`` attributed per tenant), not seconds, so the
+    whole loop is drivable deterministically without a clock.
 
-    ``signal`` names a registered carbon signal
-    (:data:`repro.registry.CARBON_SIGNALS`): ``static`` holds
-    ``intensity_g_per_kwh`` flat, ``sinusoid`` swings ±
-    ``intensity_amplitude`` around it over ``period_s``, ``trace``
-    replays the grid-intensity CSV at ``trace_path``.  Budget windows
-    count requests, not seconds, so the loop is drivable without a
-    clock; see :class:`~repro.power.budget.BudgetPolicy` for the knob
-    semantics.
+    Parameters
+    ----------
+    energy_budget_j:
+        Rolling-mean joules per request a tenant may spend before being
+        stepped down a rung; ``None`` disables the energy budget.
+    carbon_budget_g:
+        Rolling-mean gCO₂ per request cap; ``None`` disables it.  At
+        least one of the two budgets or ``intensity_high`` must be set.
+    window_requests:
+        How many recent requests the rolling means cover.
+    settle_requests:
+        Fresh records required after a ladder move before the tenant is
+        judged again — the window must re-fill with evidence from the
+        new rung, which is what prevents a stale window from racing a
+        tenant all the way down the ladder.  Default: ``window_requests``
+        (a full new window), resolved by
+        :attr:`effective_settle_requests`.
+    recovery_ticks:
+        Consecutive under-budget ticks required before stepping a tenant
+        back up (and low-intensity ticks before stepping the power mode
+        back up).
+    recovery_margin:
+        Recovery additionally requires the rolling mean below
+        ``budget * recovery_margin`` — the hysteresis band that keeps a
+        tenant hovering at the cap from flapping.
+    signal:
+        A registered carbon signal
+        (:data:`repro.registry.CARBON_SIGNALS`): ``static`` holds
+        ``intensity_g_per_kwh`` flat, ``sinusoid`` swings ±
+        ``intensity_amplitude`` around it over ``period_s`` (shifted by
+        ``phase_s``), ``trace`` replays the grid-intensity CSV at
+        ``trace_path``.
+    intensity_high / intensity_low:
+        gCO₂/kWh thresholds for the power-mode ladder: at or above
+        ``intensity_high`` each tick steps the simulated board down one
+        nvpmodel mode; at or below ``intensity_low`` (default
+        ``intensity_high * recovery_margin``, resolved by
+        :attr:`effective_intensity_low`) ticks count toward climbing
+        back.  ``intensity_high=None`` disables mode stepping.
+    min_power_mode:
+        Deepest mode the controller may select (``"15W"`` allows the
+        full MAXN → 30W → 15W descent; ``"MAXN"`` pins the board).
+    interval_ms:
+        Poll period of the async :meth:`BudgetController.run
+        <repro.power.budget.BudgetController.run>` loop.
     """
 
     energy_budget_j: float | None = None
@@ -458,77 +450,54 @@ class BudgetSpec(_SpecBase):
     interval_ms: float = 100.0
 
     def __post_init__(self):
+        from repro.registry import CARBON_SIGNALS
+
         _require(self.energy_budget_j is not None
                  or self.carbon_budget_g is not None
                  or self.intensity_high is not None,
                  "BudgetSpec needs at least one control: energy_budget_j, "
                  "carbon_budget_g or intensity_high")
-        _require(self.energy_budget_j is None or self.energy_budget_j > 0.0,
-                 f"BudgetSpec.energy_budget_j must be > 0 (or None), "
-                 f"got {self.energy_budget_j}")
-        _require(self.carbon_budget_g is None or self.carbon_budget_g > 0.0,
-                 f"BudgetSpec.carbon_budget_g must be > 0 (or None), "
-                 f"got {self.carbon_budget_g}")
-        _require(self.window_requests >= 1,
-                 f"BudgetSpec.window_requests must be >= 1, "
-                 f"got {self.window_requests}")
-        _require(self.settle_requests is None or self.settle_requests >= 1,
-                 f"BudgetSpec.settle_requests must be >= 1 (or None), "
-                 f"got {self.settle_requests}")
-        _require(self.recovery_ticks >= 1,
-                 f"BudgetSpec.recovery_ticks must be >= 1, "
-                 f"got {self.recovery_ticks}")
+        _require_min(self, 0, "energy_budget_j", "carbon_budget_g", "period_s",
+                     "intensity_high", "interval_ms", strict=True)
+        _require_min(self, 1, "window_requests", "settle_requests",
+                     "recovery_ticks")
+        _require_min(self, 0, "intensity_g_per_kwh", "intensity_amplitude")
         _require(0.0 < self.recovery_margin <= 1.0,
                  f"BudgetSpec.recovery_margin must be in (0, 1], "
                  f"got {self.recovery_margin}")
-        if self.signal not in CARBON_SIGNAL_BUILTINS:
-            from repro.registry import CARBON_SIGNALS
-
-            # import-free for the builtin names above; an unknown name
-            # loads the signal module to give a definitive answer
-            if self.signal not in CARBON_SIGNALS:
-                raise ValueError(
-                    f"unknown carbon signal {self.signal!r}; registered "
-                    f"carbon signals: {', '.join(CARBON_SIGNALS.names())}")
-        _require(self.intensity_g_per_kwh >= 0.0,
-                 f"BudgetSpec.intensity_g_per_kwh must be >= 0, "
-                 f"got {self.intensity_g_per_kwh}")
-        _require(self.intensity_amplitude >= 0.0,
-                 f"BudgetSpec.intensity_amplitude must be >= 0, "
-                 f"got {self.intensity_amplitude}")
-        _require(self.period_s > 0.0,
-                 f"BudgetSpec.period_s must be > 0, got {self.period_s}")
+        _require_registered(CARBON_SIGNALS, self.signal)
         _require(self.signal != "trace" or bool(self.trace_path),
                  "BudgetSpec(signal='trace') requires trace_path to name "
                  "the grid-intensity CSV")
-        _require(self.intensity_high is None or self.intensity_high > 0.0,
-                 f"BudgetSpec.intensity_high must be > 0 (or None), "
-                 f"got {self.intensity_high}")
         _require(self.intensity_low is None
                  or self.intensity_high is not None,
                  "BudgetSpec.intensity_low requires intensity_high")
-        _require(self.intensity_low is None
-                 or 0.0 <= self.intensity_low < self.intensity_high,
+        # the *resolved* threshold is what must leave a hysteresis band
+        # (recovery_margin=1.0 with no explicit intensity_low would not)
+        _require(self.intensity_high is None
+                 or 0.0 <= self.effective_intensity_low < self.intensity_high,
                  f"BudgetSpec.intensity_low must be in [0, intensity_high), "
-                 f"got {self.intensity_low}")
+                 f"got {self.effective_intensity_low}")
         _require(self.min_power_mode in POWER_MODE_NAMES,
                  f"BudgetSpec.min_power_mode must be one of "
                  f"{', '.join(POWER_MODE_NAMES)}, got {self.min_power_mode!r}")
-        _require(self.interval_ms > 0.0,
-                 f"BudgetSpec.interval_ms must be > 0, "
-                 f"got {self.interval_ms}")
 
-    def to_policy(self):
-        """The runtime :class:`~repro.power.budget.BudgetPolicy` equivalent."""
-        from repro.power.budget import BudgetPolicy
+    # late defaults resolve on read, never by mutating the fields:
+    # replace() re-resolves them and to_dict() round-trips what was set
+    @property
+    def effective_settle_requests(self) -> int:
+        return (self.settle_requests if self.settle_requests is not None
+                else self.window_requests)
 
-        return BudgetPolicy.from_spec(self)
+    @property
+    def effective_intensity_low(self) -> float | None:
+        if self.intensity_low is not None or self.intensity_high is None:
+            return self.intensity_low
+        return self.intensity_high * self.recovery_margin
 
-    def build_signal(self):
-        """Construct the configured carbon signal."""
-        from repro.power.signals import build_signal
-
-        return build_signal(self)
+    @property
+    def interval_s(self) -> float:
+        return self.interval_ms / 1e3
 
 
 @dataclass(frozen=True)
@@ -560,16 +529,10 @@ class HttpSpec(_SpecBase):
         _require(bool(self.host), "HttpSpec.host must be a non-empty string")
         _require(0 <= self.port <= 65535,
                  f"HttpSpec.port must be in [0, 65535], got {self.port}")
-        _require(self.backlog >= 1,
-                 f"HttpSpec.backlog must be >= 1, got {self.backlog}")
+        _require_min(self, 1, "backlog", "rate_limit_burst")
         _require(self.api_key is None or bool(self.api_key),
                  "HttpSpec.api_key must be a non-empty string (or None)")
-        _require(self.rate_limit_rps is None or self.rate_limit_rps > 0.0,
-                 f"HttpSpec.rate_limit_rps must be > 0 (or None), "
-                 f"got {self.rate_limit_rps}")
-        _require(self.rate_limit_burst is None or self.rate_limit_burst >= 1,
-                 f"HttpSpec.rate_limit_burst must be >= 1 (or None), "
-                 f"got {self.rate_limit_burst}")
+        _require_min(self, 0, "rate_limit_rps", strict=True)
         _require(self.rate_limit_burst is None or self.rate_limit_rps is not None,
                  "HttpSpec.rate_limit_burst requires rate_limit_rps")
 
@@ -578,14 +541,105 @@ class HttpSpec(_SpecBase):
 class ServingSpec(_SpecBase):
     """Declarative gateway configuration: tenants + batching + execution.
 
-    The batching/backend fields mirror
-    :class:`repro.serving.config.ServingConfig` (see its docstring for
-    the tuning guidance); :meth:`to_config` converts.  ``plan_cache_size``
-    enables plan-result memoization: up to N ``(tenant, query, scheme,
-    model, quant) -> ToolPlan`` entries are reused across requests,
-    skipping the recommender + retrieval stage for repeated traffic
-    (cached replies are bitwise identical — plans are deterministic per
-    query).
+    The one serving config type — :class:`~repro.serving.gateway.Gateway`,
+    the micro-batch scheduler and the execution-backend factories read
+    it directly.
+
+    Parameters
+    ----------
+    tenants:
+        The :class:`TenantSpec` entries :meth:`Session.serve
+        <repro.session.Session.serve>` registers (names unique).  Empty
+        serves the session's own suite as a single tenant.
+    default_engine:
+        :class:`EngineSpec` for tenants that do not pin their own;
+        ``None`` is the simulated engine.
+    max_batch_size:
+        Flush a micro-batch as soon as this many requests are waiting.
+        The planning stage of the whole batch runs through one vectorized
+        ``encode``/``search_arrays`` pass, so larger batches amortize
+        more kernel overhead at the cost of head-of-line latency.
+    max_wait_ms:
+        Deadline-based flush: a request never waits longer than this for
+        co-batchable traffic before its (possibly smaller) batch is cut.
+    queue_capacity:
+        Admission control — total requests allowed to wait across all
+        tenants.  Submissions beyond it fail fast with
+        :class:`~repro.serving.batcher.QueueFullError` instead of growing
+        an unbounded backlog.
+    default_scheme / default_model / default_quant:
+        Agent grid cell used for requests that do not specify one.  Also
+        the cell :meth:`~repro.serving.gateway.Gateway.update_catalog`
+        warms against a hot-swapped tool catalog before the atomic swap,
+        so default-cell traffic never pays the re-index on-path.
+    execution_backend:
+        Where the post-planning episode loop of a flushed batch runs.
+        Resolved through the serving-backend registry
+        (:data:`repro.registry.SERVING_BACKENDS`): ``"thread"`` (default)
+        keeps it on the gateway's batch worker; ``"process"`` fans it out
+        across a pool of worker processes
+        (:class:`~repro.serving.process.ProcessEpisodeExecutor`) —
+        planning stays batched in the parent either way, and served
+        results are bitwise identical across backends.
+    execution_workers:
+        Process count for the ``"process"`` backend (default: one per
+        CPU).  Ignored by the thread backend.
+    timeout_ms:
+        End-to-end deadline per request, enforced by
+        :meth:`~repro.serving.gateway.Gateway.submit` from admission
+        through execution: a request that has not completed within this
+        budget fails with
+        :class:`~repro.serving.gateway.DeadlineExceededError` and — if
+        it is still queued — is dropped before the next batch is cut, so
+        no client future can hang forever behind a stalled worker.
+        ``None`` (the default) disables the deadline.
+    worker_init_timeout_s:
+        How long :meth:`~repro.serving.process.ProcessEpisodeExecutor.start`
+        waits for every worker process to reach the init barrier before
+        declaring the pool dead (the error reports how many workers made
+        it).  Also bounds each respawn attempt after a worker crash.
+    execution_retries:
+        How many times the supervised process stage resubmits a failed
+        worker slice (bounded backoff between attempts) before running
+        it inline on the batch worker.  Results are bitwise identical
+        either way — episodes are deterministic from plan + seeds — so
+        this trades only latency against pool pressure.
+    retry_backoff_ms:
+        Base backoff between slice retries; attempt ``n`` waits
+        ``n * retry_backoff_ms``.
+    slice_timeout_s:
+        Upper bound on one worker slice; a slice that exceeds it is
+        treated like a worker crash (retried, then run inline) so a
+        wedged worker cannot strand its micro-batch.  ``None`` disables
+        the bound.
+    plan_cache_size:
+        When > 0, memoize up to this many ``(tenant, query, scheme,
+        model, quant) -> plan`` results in an LRU cache, so a repeated
+        identical request skips the recommender + retrieval stage
+        entirely.  Plans are deterministic per query, so cached replies
+        are bitwise identical to freshly planned ones.  0 (the default)
+        disables memoization; hit/miss counts surface in
+        :meth:`~repro.serving.telemetry.Telemetry.snapshot`.
+    obs:
+        Observability configuration (:class:`ObsSpec`): which trace sink
+        to build, the sampling rate and the slow-span threshold.
+        ``None`` (the default) disables tracing entirely — the serving
+        hot path then carries a single ``is None`` check.  Tracing never
+        changes served results; spans only observe.
+    http:
+        Bind address for the HTTP front door (:class:`HttpSpec`: host,
+        port, listen backlog), used by ``repro serve`` and
+        :func:`repro.serving.http.serve_gateway`.  ``None`` (the
+        default) means the gateway is in-process only — the ASGI app
+        itself works regardless (tests call it directly).
+    budget:
+        Carbon/power budget (:class:`BudgetSpec`): when set, the gateway
+        runs a :class:`~repro.power.budget.BudgetController` that steps
+        tenants down the degradation ladder on a rolling joule/gCO₂
+        budget and the simulated board down nvpmodel power modes while
+        grid carbon intensity is high.  ``None`` (the default) disables
+        budget control; per-request energy/carbon attribution through
+        the :class:`~repro.power.meter.EnergyMeter` is always on.
     """
 
     tenants: tuple[TenantSpec, ...] = ()
@@ -609,6 +663,8 @@ class ServingSpec(_SpecBase):
     budget: BudgetSpec | None = None
 
     def __post_init__(self):
+        from repro.registry import SERVING_BACKENDS
+
         tenants = tuple(
             TenantSpec.from_dict(t) if isinstance(t, dict) else t
             for t in self.tenants)
@@ -620,97 +676,28 @@ class ServingSpec(_SpecBase):
         names = [tenant.name for tenant in tenants]
         _require(len(names) == len(set(names)),
                  f"ServingSpec.tenants names must be unique, got {names}")
-        # mirror ServingConfig's validation (keep the two in sync) rather
-        # than calling to_config(): constructing a spec must stay cheap —
-        # importing repro.serving here would drag in the whole stack
-        _require(self.max_batch_size >= 1,
-                 f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        _require(self.max_wait_ms >= 0.0,
-                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
-        _require(self.queue_capacity >= 1,
-                 f"queue_capacity must be >= 1, got {self.queue_capacity}")
+        _require_min(self, 1, "max_batch_size", "queue_capacity",
+                     "execution_workers")
+        _require_min(self, 0, "max_wait_ms", "plan_cache_size",
+                     "execution_retries", "retry_backoff_ms")
+        _require_min(self, 0, "timeout_ms", "worker_init_timeout_s",
+                     "slice_timeout_s", strict=True)
         for field_name in ("default_scheme", "default_model", "default_quant"):
             _require(bool(getattr(self, field_name)),
                      f"ServingSpec.{field_name} must be a non-empty string")
-        from repro.registry import SERVING_BACKENDS
+        _require_registered(SERVING_BACKENDS, self.execution_backend)
+        _coerce(self, "obs", ObsSpec)
+        _coerce(self, "http", HttpSpec)
+        _coerce(self, "budget", BudgetSpec)
+        _coerce(self, "default_engine", EngineSpec)
 
-        # membership against declared builtin names is import-free; only
-        # an unknown name loads the backend modules to report the full list
-        if self.execution_backend not in SERVING_BACKENDS:
-            raise ValueError(
-                f"unknown execution_backend {self.execution_backend!r}; "
-                f"registered serving execution backends: "
-                f"{', '.join(SERVING_BACKENDS.names())}")
-        _require(self.execution_workers is None or self.execution_workers >= 1,
-                 f"execution_workers must be >= 1, got {self.execution_workers}")
-        _require(self.plan_cache_size >= 0,
-                 f"plan_cache_size must be >= 0, got {self.plan_cache_size}")
-        _require(self.timeout_ms is None or self.timeout_ms > 0.0,
-                 f"timeout_ms must be > 0 (or None), got {self.timeout_ms}")
-        _require(self.worker_init_timeout_s > 0.0,
-                 f"worker_init_timeout_s must be > 0, "
-                 f"got {self.worker_init_timeout_s}")
-        _require(self.execution_retries >= 0,
-                 f"execution_retries must be >= 0, got {self.execution_retries}")
-        _require(self.retry_backoff_ms >= 0.0,
-                 f"retry_backoff_ms must be >= 0, got {self.retry_backoff_ms}")
-        _require(self.slice_timeout_s is None or self.slice_timeout_s > 0.0,
-                 f"slice_timeout_s must be > 0 (or None), "
-                 f"got {self.slice_timeout_s}")
-        if isinstance(self.obs, dict):
-            object.__setattr__(self, "obs", ObsSpec.from_dict(self.obs))
-        _require(self.obs is None or isinstance(self.obs, ObsSpec),
-                 f"ServingSpec.obs must be an ObsSpec, "
-                 f"got {type(self.obs).__name__}")
-        if isinstance(self.http, dict):
-            object.__setattr__(self, "http", HttpSpec.from_dict(self.http))
-        _require(self.http is None or isinstance(self.http, HttpSpec),
-                 f"ServingSpec.http must be an HttpSpec, "
-                 f"got {type(self.http).__name__}")
-        if isinstance(self.budget, dict):
-            object.__setattr__(self, "budget",
-                               BudgetSpec.from_dict(self.budget))
-        _require(self.budget is None or isinstance(self.budget, BudgetSpec),
-                 f"ServingSpec.budget must be a BudgetSpec, "
-                 f"got {type(self.budget).__name__}")
-        object.__setattr__(self, "default_engine",
-                           _coerce_engine(self.default_engine))
-        _require(self.default_engine is None
-                 or isinstance(self.default_engine, EngineSpec),
-                 f"ServingSpec.default_engine must be an EngineSpec, "
-                 f"got {type(self.default_engine).__name__}")
+    @property
+    def max_wait_s(self) -> float:
+        return self.max_wait_ms / 1e3
 
-    def to_config(self):
-        """The runtime :class:`ServingConfig` equivalent of this spec."""
-        from repro.serving.config import ServingConfig
-
-        return ServingConfig(
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            queue_capacity=self.queue_capacity,
-            default_scheme=self.default_scheme,
-            default_model=self.default_model,
-            default_quant=self.default_quant,
-            execution_backend=self.execution_backend,
-            execution_workers=self.execution_workers,
-            plan_cache_size=self.plan_cache_size,
-            timeout_ms=self.timeout_ms,
-            worker_init_timeout_s=self.worker_init_timeout_s,
-            execution_retries=self.execution_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
-            slice_timeout_s=self.slice_timeout_s,
-            obs=self.obs,
-            http=self.http,
-            budget=self.budget,
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingSpec":
-        data = dict(data)
-        data["tenants"] = tuple(
-            TenantSpec.from_dict(t) if isinstance(t, dict) else t
-            for t in data.get("tenants", ()))
-        return cls(**data)
+    @property
+    def timeout_s(self) -> float | None:
+        return self.timeout_ms / 1e3 if self.timeout_ms is not None else None
 
 
 @dataclass(frozen=True)
@@ -729,25 +716,12 @@ class ExperimentSpec(_SpecBase):
     serving: ServingSpec | None = None
 
     def __post_init__(self):
-        conversions = (("suite", SuiteSpec), ("agent", AgentSpec),
-                       ("grid", GridSpec), ("serving", ServingSpec))
-        for name, spec_cls in conversions:
-            value = getattr(self, name)
-            if isinstance(value, dict):
-                object.__setattr__(self, name, spec_cls.from_dict(value))
-            elif name == "suite" and isinstance(value, str):
-                object.__setattr__(self, name, SuiteSpec(value))
-            value = getattr(self, name)
-            _require(value is None or isinstance(value, spec_cls),
-                     f"ExperimentSpec.{name} must be a {spec_cls.__name__}, "
-                     f"got {type(value).__name__}")
+        for name, spec_cls in (("suite", SuiteSpec), ("agent", AgentSpec),
+                               ("grid", GridSpec), ("serving", ServingSpec)):
+            _coerce(self, name, spec_cls)
         _require(self.suite is not None or self.serving is not None,
                  "ExperimentSpec needs a suite (for run/run_grid) or a "
                  "serving spec (for serve)")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        return cls(**data)
 
 
 __all__ = [

@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import build_agent, build_less_is_more, load_model, load_suite
+from repro import AgentSpec, load_model, load_suite, open_session
 
 
 class TestLoadSuite:
@@ -28,33 +28,31 @@ class TestLoadModel:
 
 
 class TestBuildAgents:
-    """The legacy builders keep working (as deprecation shims)."""
+    """Agents are built through ``open_session(...).build_agent``."""
 
     @pytest.fixture(scope="class")
-    def suite(self):
-        return load_suite("bfcl", n_queries=4)
+    def session(self):
+        return open_session(suite=load_suite("bfcl", n_queries=4))
 
-    def test_build_less_is_more(self, suite):
-        with pytest.deprecated_call():
-            agent = build_less_is_more("llama3.1-8b", "q4_0", suite, k=5)
+    def test_build_lis_with_explicit_k(self, session):
+        agent = session.build_agent(
+            AgentSpec("lis", "llama3.1-8b", "q4_0", k=5))
         assert agent.scheme == "lis"
         assert agent.k == 5
 
-    def test_build_agent_schemes(self, suite):
+    def test_build_agent_schemes(self, session):
         for scheme in ("default", "gorilla", "toolllm", "lis"):
-            with pytest.deprecated_call():
-                agent = build_agent(scheme, "qwen2-7b", "q4_0", suite)
-            assert agent.scheme in ("default", "gorilla", "toolllm", "lis")
+            agent = session.build_agent(AgentSpec(scheme, "qwen2-7b", "q4_0"))
+            assert agent.scheme == scheme
 
-    def test_build_agent_unknown(self, suite):
-        with pytest.deprecated_call(), pytest.raises(ValueError):
-            build_agent("react", "qwen2-7b", "q4_0", suite)
+    def test_build_agent_unknown(self, session):
+        with pytest.raises(ValueError, match="registered schemes"):
+            session.build_agent(AgentSpec("react", "qwen2-7b", "q4_0"))
 
-    def test_episode_round_trip(self, suite):
-        with pytest.deprecated_call():
-            agent = build_less_is_more("qwen2-7b", "q4_K_M", suite)
-        episode = agent.run(suite.queries[0])
-        assert episode.qid == suite.queries[0].qid
+    def test_episode_round_trip(self, session):
+        agent = session.build_agent(AgentSpec("lis", "qwen2-7b", "q4_K_M"))
+        query = session.suite.queries[0]
+        assert agent.run(query).qid == query.qid
 
 
 class TestPackageSurface:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.embedding import SentenceEmbedder, cosine_similarity
@@ -97,7 +97,15 @@ class TestCosineSimilarity:
     def test_zero_vector_safe(self):
         assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
 
+    def test_entries_whose_squares_underflow(self):
+        ones = np.ones(4)
+        assert cosine_similarity(np.full(4, 2.7e-162), ones) == pytest.approx(1.0)
+        assert cosine_similarity(np.array([3e-162, 0.0, 0.0, 0.0]),
+                                 ones) == pytest.approx(0.5)
+
     @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4))
+    @example([2.7e-162] * 4)
+    @example([3e-162, 0.0, 0.0, 0.0])
     @settings(max_examples=50)
     def test_bounded(self, values):
         vec = np.asarray(values)

@@ -16,10 +16,10 @@ import asyncio
 import pytest
 
 from repro.embedding.cache import CachedEmbedder
-from repro.serving import Gateway, ServingConfig, SessionManager
+from repro.serving import Gateway, SessionManager
 from repro.serving.http import ASGITestClient, create_app
 from repro.serving.http.limits import RateLimiter
-from repro.specs import HttpSpec
+from repro.specs import HttpSpec, ServingSpec
 from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
@@ -33,9 +33,9 @@ def suite():
 def make_app(suite, http: HttpSpec | None = None):
     sessions = SessionManager(embedder=CachedEmbedder())
     sessions.register("home", suite)
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0,
-                           default_scheme="lis-k3", default_model=MODEL,
-                           default_quant=QUANT)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                         default_scheme="lis-k3", default_model=MODEL,
+                         default_quant=QUANT)
     return create_app(Gateway(sessions, config=config), http=http)
 
 

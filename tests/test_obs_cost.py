@@ -14,7 +14,8 @@ import pytest
 
 from repro.llm.tokens import tool_prompt_tokens
 from repro.obs import CostLedger, CostRecord, plan_tool_tokens
-from repro.serving import Gateway, ServingConfig, SessionManager, run_load
+from repro.serving import Gateway, SessionManager, run_load
+from repro.specs import ServingSpec
 from repro.suites import load_suite
 from repro.tools.catalog import load_catalog
 
@@ -56,6 +57,37 @@ def test_snapshot_is_json_plain_and_detached():
     assert ledger.snapshot()["by_tenant"]["home"]["requests"] == 1
 
 
+def test_snapshot_total_equals_sum_of_tenants_under_concurrent_records():
+    """``total`` is derived from the same copy ``by_tenant`` is, so no
+    ``record()`` can land between the two (one lock acquisition)."""
+    import threading
+
+    ledger = CostLedger()
+    stop = threading.Event()
+
+    def hammer():
+        n = 0
+        while not stop.is_set():
+            ledger.record(CostRecord(f"t{n % 3}", "full", 7, prompt_tokens=11,
+                                     completion_tokens=3, llm_calls=1))
+            n += 1
+
+    writer = threading.Thread(target=hammer, daemon=True)
+    writer.start()
+    try:
+        for _ in range(2000):
+            snapshot = ledger.snapshot()
+            for counter in ("requests", "tool_prompt_tokens", "prompt_tokens",
+                            "completion_tokens", "llm_calls"):
+                assert snapshot["total"][counter] == sum(
+                    stats[counter]
+                    for stats in snapshot["by_tenant"].values()), counter
+    finally:
+        stop.set()
+        writer.join(timeout=5.0)
+    assert ledger.snapshot()["total"]["requests"] > 0
+
+
 def test_plan_tool_tokens_matches_the_catalog_estimator():
     catalog = load_catalog("edgehome")
     tools = list(catalog)[:5]
@@ -78,7 +110,7 @@ def test_plan_tool_tokens_matches_the_catalog_estimator():
 # ----------------------------------------------------------------------
 def test_load_report_carries_the_cost_snapshot():
     suite = load_suite("edgehome", n_queries=6)
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
     report = run_load({"home": suite}, config, n_requests=6, concurrency=3)
     cost = report.cost
     assert cost["total"]["requests"] == 6
@@ -106,7 +138,7 @@ def test_variant_downshift_shrinks_recorded_tool_tokens():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
         async with Gateway(sessions, config=config) as gateway:
             for query in suite.queries[:4]:
                 await gateway.submit("home", query)

@@ -16,7 +16,8 @@ import re
 import pytest
 
 from repro.obs import escape_label_value, render_prometheus
-from repro.serving import Gateway, ServingConfig, SessionManager, Telemetry
+from repro.serving import Gateway, SessionManager, Telemetry
+from repro.specs import ServingSpec
 from repro.suites import load_suite
 
 _SAMPLE = re.compile(
@@ -223,7 +224,7 @@ def test_gateway_metrics_text_is_valid_and_live():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
         async with Gateway(sessions, config=config) as gateway:
             await asyncio.gather(*(
                 gateway.submit("home", query) for query in suite.queries))

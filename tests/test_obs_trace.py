@@ -34,11 +34,10 @@ from repro.obs import (
 from repro.serving import (
     FaultPlan,
     Gateway,
-    ServingConfig,
     SessionManager,
     run_load,
 )
-from repro.specs import ObsSpec
+from repro.specs import ObsSpec, ServingSpec
 from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
@@ -50,7 +49,7 @@ def _memory_tracer(sample_rate: float = 1.0) -> tuple[Tracer, MemorySink]:
     return Tracer(sink, sample_rate=sample_rate), sink
 
 
-def _serve(suite, config: ServingConfig, tracer: Tracer | None,
+def _serve(suite, config: ServingSpec, tracer: Tracer | None,
            queries=None, faults=None):
     """Submit ``queries`` through one gateway; return the responses."""
 
@@ -115,7 +114,7 @@ def test_trace_context_pickle_roundtrip():
 def test_single_request_produces_complete_span_tree():
     suite = load_suite("edgehome", n_queries=4)
     tracer, sink = _memory_tracer()
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
     [response] = _serve(suite, config, tracer, queries=[suite.queries[0]])
     assert response.episode is not None
 
@@ -139,7 +138,7 @@ def test_single_request_produces_complete_span_tree():
 
 def test_same_workload_names_the_same_traces_across_runs():
     suite = load_suite("edgehome", n_queries=6)
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
     ids = []
     for _ in range(2):
         tracer, sink = _memory_tracer()
@@ -154,10 +153,10 @@ def test_same_workload_names_the_same_traces_across_runs():
 def test_worker_slice_spans_cross_the_pickle_boundary():
     suite = load_suite("edgehome", n_queries=6)
     tracer, sink = _memory_tracer()
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0,
-                           execution_backend="process",
-                           execution_workers=WORKERS,
-                           slice_timeout_s=30.0)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                         execution_backend="process",
+                         execution_workers=WORKERS,
+                         slice_timeout_s=30.0)
     responses = _serve(suite, config, tracer)
     assert all(response.episode is not None for response in responses)
 
@@ -185,11 +184,11 @@ def test_inline_fallback_slices_are_distinguishable():
     through the inline fallback — named ``inline-slice``, parent pid."""
     suite = load_suite("edgehome", n_queries=4)
     tracer, sink = _memory_tracer()
-    config = ServingConfig(max_batch_size=2, max_wait_ms=2.0,
-                           execution_backend="process",
-                           execution_workers=WORKERS,
-                           execution_retries=0, retry_backoff_ms=10.0,
-                           slice_timeout_s=30.0)
+    config = ServingSpec(max_batch_size=2, max_wait_ms=2.0,
+                         execution_backend="process",
+                         execution_workers=WORKERS,
+                         execution_retries=0, retry_backoff_ms=10.0,
+                         slice_timeout_s=30.0)
     responses = _serve(suite, config, tracer,
                        faults=FaultPlan(seed=2, worker_crash_rate=1.0))
     assert all(response.episode is not None for response in responses)
@@ -232,7 +231,7 @@ def test_tracing_preserves_bitwise_equivalence():
         .run("lis-k3", MODEL, QUANT).episodes
     }
     tracer, sink = _memory_tracer()
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
     responses = _serve(suite, config, tracer)
     assert len(sink.trace_ids()) == len(suite.queries)
     for response in responses:
@@ -240,11 +239,11 @@ def test_tracing_preserves_bitwise_equivalence():
 
 
 def test_obs_spec_wires_a_jsonl_artifact(tmp_path):
-    """``ServingConfig.obs`` alone (no explicit tracer) builds the tracer
+    """``ServingSpec.obs`` alone (no explicit tracer) builds the tracer
     and the JSONL sink writes one span per line, readable back."""
     path = tmp_path / "trace.jsonl"
     suite = load_suite("edgehome", n_queries=4)
-    config = ServingConfig(
+    config = ServingSpec(
         max_batch_size=4, max_wait_ms=2.0,
         obs=ObsSpec(sink="jsonl", sink_path=str(path)))
     report = run_load({"home": suite}, config, n_requests=4, concurrency=4)

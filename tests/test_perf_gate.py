@@ -3,7 +3,7 @@
 ``scripts/check_perf_regression.py`` guards every PR's throughput and
 ``scripts/bench_perf.py`` produces the JSON it reads — so a bug in
 either silently disables the whole perf-tracking story.  These tests
-exercise the comparison logic (pass, >25% regression, missing/new
+exercise the comparison logic (pass, >25% regression, missing
 metrics) and the bench harness's JSON-shape plumbing with stubbed-out
 measurements (the real measurements live in ``make bench``).
 """
@@ -40,7 +40,9 @@ def _report(**overrides) -> dict:
                     "chaos": {"success_rate": 1.0},
                     "obs": {"req_per_s_sample_1": 1_800.0},
                     "http": {"req_per_s": 800.0},
-                    "engine_overhead": {"engined_episodes_per_s": 990.0}},
+                    "engine_overhead": {"engined_episodes_per_s": 990.0},
+                    "budget": {"goodput_rps": 900.0,
+                               "energy_j_per_req": 210.0}},
     }
     for dotted, value in overrides.items():
         *path, metric = dotted.split(".")
@@ -84,19 +86,36 @@ def test_latency_improvement_passes():
     assert check.compare(_report(), fresh, tolerance=0.25) == []
 
 
-def test_metric_missing_from_fresh_is_skipped_not_crashed():
+def test_metric_missing_from_fresh_fails():
+    """Deleting a bench section must not pass the gate."""
     fresh = _report()
     del fresh["serving"]["batched_req_per_s"]
     del fresh["grid"]
-    assert check.compare(_report(), fresh, tolerance=0.25) == []
+    rows = check.compare(_report(), fresh, tolerance=0.25)
+    assert [row[0] for row in rows] == [
+        "grid.sequential_s", "grid.parallel_s", "grid.process_s",
+        "serving.batched_req_per_s"]
+    assert all(row[2] is None and row[3] is None for row in rows)
 
 
-def test_metric_missing_from_baseline_is_skipped():
-    """A brand-new metric (fresh only) must not fail against old baselines."""
+def test_metric_missing_from_baseline_fails():
+    """A tracked metric the baseline lacks is unguarded — the PR that
+    starts tracking it must commit its baseline value too."""
     baseline = _report()
     del baseline["grid"]["process_s"]
     fresh = _report(**{"grid.process_s": 123.0})
-    assert check.compare(baseline, fresh, tolerance=0.25) == []
+    assert check.compare(baseline, fresh, tolerance=0.25) == [
+        ("grid.process_s", None, 123.0, None)]
+
+
+def test_main_reports_missing_metric(tmp_path, capsys):
+    fresh = _report()
+    del fresh["serving"]["http"]
+    args = ["--baseline", _write(tmp_path, "base.json", _report()),
+            "--fresh", _write(tmp_path, "fresh.json", fresh)]
+    assert check.main(args) == 1
+    assert ("MISSING serving.http.req_per_s: tracked metric absent from "
+            "the fresh report") in capsys.readouterr().out
 
 
 def test_zero_or_negative_baseline_is_skipped():

@@ -19,16 +19,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.power import BudgetController, BudgetPolicy, MODE_LADDER
+from repro.power import BudgetController, MODE_LADDER
 from repro.power.signals import StaticSignal
 from repro.serving import (
     DegradationPolicy,
     Gateway,
-    ServingConfig,
     SessionManager,
     TenantShedError,
 )
-from repro.specs import BudgetSpec
+from repro.specs import BudgetSpec, ServingSpec
 from repro.suites import load_suite
 
 COMMITTED_TRACE = (Path(__file__).resolve().parent.parent
@@ -46,39 +45,46 @@ RUNG_SETUPS = {
 
 def test_budget_policy_validation():
     with pytest.raises(ValueError, match="at least one control"):
-        BudgetPolicy()
+        BudgetSpec()
     with pytest.raises(ValueError):
-        BudgetPolicy(energy_budget_j=0.0)
+        BudgetSpec(energy_budget_j=0.0)
     with pytest.raises(ValueError):
-        BudgetPolicy(carbon_budget_g=-1.0)
+        BudgetSpec(carbon_budget_g=-1.0)
     with pytest.raises(ValueError):
-        BudgetPolicy(energy_budget_j=1.0, window_requests=0)
+        BudgetSpec(energy_budget_j=1.0, window_requests=0)
     with pytest.raises(ValueError):
-        BudgetPolicy(energy_budget_j=1.0, settle_requests=0)
+        BudgetSpec(energy_budget_j=1.0, settle_requests=0)
     with pytest.raises(ValueError):
-        BudgetPolicy(energy_budget_j=1.0, recovery_ticks=0)
+        BudgetSpec(energy_budget_j=1.0, recovery_ticks=0)
     with pytest.raises(ValueError):
-        BudgetPolicy(energy_budget_j=1.0, recovery_margin=1.5)
+        BudgetSpec(energy_budget_j=1.0, recovery_margin=1.5)
     with pytest.raises(ValueError):
-        BudgetPolicy(intensity_high=-10.0)
+        BudgetSpec(intensity_high=-10.0)
     with pytest.raises(ValueError, match="requires intensity_high"):
-        BudgetPolicy(energy_budget_j=1.0, intensity_low=100.0)
+        BudgetSpec(energy_budget_j=1.0, intensity_low=100.0)
     with pytest.raises(ValueError):
-        BudgetPolicy(intensity_high=400.0, intensity_low=500.0)
+        BudgetSpec(intensity_high=400.0, intensity_low=500.0)
     with pytest.raises(ValueError, match="min_power_mode"):
-        BudgetPolicy(energy_budget_j=1.0, min_power_mode="1W")
+        BudgetSpec(energy_budget_j=1.0, min_power_mode="1W")
     with pytest.raises(ValueError):
-        BudgetPolicy(energy_budget_j=1.0, interval_ms=0.0)
+        BudgetSpec(energy_budget_j=1.0, interval_ms=0.0)
+    with pytest.raises(ValueError, match=r"intensity_low must be in \[0"):
+        # the derived threshold (high * margin) must leave a band too
+        BudgetSpec(intensity_high=400.0, recovery_margin=1.0)
     # defaults: settle window fills, intensity_low derives from the margin
-    policy = BudgetPolicy(energy_budget_j=5.0, window_requests=16,
-                          intensity_high=500.0)
-    assert policy.settle_requests == 16
-    assert policy.intensity_low == pytest.approx(400.0)
-    assert policy.interval_s == pytest.approx(0.1)
-    # and the spec round-trips into the same policy
     spec = BudgetSpec(energy_budget_j=5.0, window_requests=16,
                       intensity_high=500.0)
-    assert BudgetPolicy.from_spec(spec) == policy
+    assert spec.effective_settle_requests == 16
+    assert spec.effective_intensity_low == pytest.approx(400.0)
+    assert spec.interval_s == pytest.approx(0.1)
+    # explicit values win over the derived defaults
+    pinned = spec.replace(settle_requests=4, intensity_low=100.0)
+    assert pinned.effective_settle_requests == 4
+    assert pinned.effective_intensity_low == 100.0
+    # the defaults resolve on read: the fields stay as written, so the
+    # dict form round-trips exactly what was set
+    assert spec.settle_requests is None and spec.intensity_low is None
+    assert BudgetSpec.from_dict(spec.to_dict()) == spec
 
 
 async def _run_pinned(suite, rung):
@@ -89,7 +95,7 @@ async def _run_pinned(suite, rung):
         suite.catalog.at(variant))
     sessions = SessionManager()
     sessions.register("home", served)
-    config = ServingConfig(max_batch_size=4, max_wait_ms=1.0)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
     async with Gateway(sessions, config=config) as gateway:
         if scheme is not None:
             gateway.set_scheme_override("home", scheme)
@@ -127,8 +133,8 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
                           interval_ms=600_000.0)
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                               budget=spec)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                             budget=spec)
         waves = []
         async with Gateway(sessions, config=config) as gateway:
             assert isinstance(gateway.budget, BudgetController)
@@ -197,8 +203,8 @@ def test_budget_and_pressure_compose_without_oscillation():
         spec = BudgetSpec(energy_budget_j=1e-6, window_requests=2,
                           settle_requests=2, recovery_ticks=2,
                           interval_ms=600_000.0)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                               budget=spec)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                             budget=spec)
         async with Gateway(sessions, config=config,
                            degradation=degradation) as gateway:
             for query in suite.queries:
@@ -257,8 +263,8 @@ def test_intensity_steps_power_mode_with_hysteresis():
                           recovery_ticks=2, signal="trace",
                           trace_path=str(COMMITTED_TRACE),
                           interval_ms=600_000.0)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                               budget=spec)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                             budget=spec)
         async with Gateway(sessions, config=config) as gateway:
             controller = gateway.budget
             evening = 20 * 3600.0   # duck-curve peak, > intensity_high
@@ -296,7 +302,7 @@ def test_intensity_steps_power_mode_with_hysteresis():
             # a MAXN-pinned policy never leaves the top mode
             pinned = BudgetController(
                 gateway,
-                BudgetPolicy(intensity_high=450.0, min_power_mode="MAXN"),
+                BudgetSpec(intensity_high=450.0, min_power_mode="MAXN"),
                 meter=gateway.power_meter, signal=StaticSignal(999.0))
             pinned.tick(now_s=0.0)
             assert pinned.power_mode == "MAXN"
@@ -319,8 +325,8 @@ def test_shed_probation_recovers_a_shed_tenant():
         spec = BudgetSpec(energy_budget_j=1e-6, window_requests=1,
                           settle_requests=1, recovery_ticks=2,
                           interval_ms=600_000.0)
-        config = ServingConfig(max_batch_size=2, max_wait_ms=1.0,
-                               budget=spec)
+        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0,
+                             budget=spec)
         async with Gateway(sessions, config=config) as gateway:
             query = suite.queries[0]
             descent = []
@@ -358,8 +364,8 @@ def test_budget_status_surface():
         sessions.register("home", suite)
         spec = BudgetSpec(energy_budget_j=1e6, carbon_budget_g=1e6,
                           window_requests=4, interval_ms=600_000.0)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                               budget=spec)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                             budget=spec)
         async with Gateway(sessions, config=config) as gateway:
             empty = gateway.budget_status("home")
             assert empty["window_requests"] == 0
@@ -386,7 +392,7 @@ def test_unbudgeted_gateway_still_meters():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=2, max_wait_ms=1.0)
+        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0)
         async with Gateway(sessions, config=config) as gateway:
             assert gateway.budget is None
             await gateway.submit("home", suite.queries[0])

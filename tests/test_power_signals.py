@@ -191,7 +191,7 @@ def test_custom_signal_registration():
     try:
         spec = BudgetSpec(energy_budget_j=1.0, signal="test-square",
                           period_s=100.0)
-        signal = spec.build_signal()
+        signal = build_signal(spec)
         assert signal.intensity(10.0) == 100.0
         assert signal.intensity(60.0) == 500.0
     finally:

@@ -11,9 +11,9 @@ from repro.serving import (
     BatchScheduler,
     QueueFullError,
     SchedulerStoppedError,
-    ServingConfig,
     Telemetry,
 )
+from repro.specs import ServingSpec
 
 
 def run(coro):
@@ -35,7 +35,7 @@ def test_flush_on_max_batch_size():
     async def scenario():
         telemetry = Telemetry()
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=4, max_wait_ms=10_000.0),
+            ServingSpec(max_batch_size=4, max_wait_ms=10_000.0),
             telemetry=telemetry)
         futures = [scheduler.submit("t", i) for i in range(4)]
         results = await asyncio.gather(*futures)
@@ -52,7 +52,7 @@ def test_flush_on_max_batch_size():
 def test_flush_on_deadline_with_partial_batch():
     async def scenario():
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=64, max_wait_ms=5.0))
+            ServingSpec(max_batch_size=64, max_wait_ms=5.0))
         futures = [scheduler.submit("t", i) for i in range(3)]
         results = await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
         await scheduler.stop()
@@ -65,7 +65,7 @@ def test_flush_on_deadline_with_partial_batch():
 def test_round_robin_fairness_across_tenants():
     async def scenario():
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=6, max_wait_ms=50.0))
+            ServingSpec(max_batch_size=6, max_wait_ms=50.0))
         # tenant "a" floods, tenant "b" sends one request
         futures = [scheduler.submit("a", f"a{i}") for i in range(5)]
         futures.append(scheduler.submit("b", "b0"))
@@ -92,7 +92,7 @@ def test_fairness_caps_flooding_tenant_in_cut_order():
 
     async def scenario():
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=4, max_wait_ms=50.0), process=capture)
+            ServingSpec(max_batch_size=4, max_wait_ms=50.0), process=capture)
         futures = [scheduler.submit("a", f"a{i}") for i in range(4)]
         futures.append(scheduler.submit("b", "b0"))
         await asyncio.gather(*futures)
@@ -116,7 +116,7 @@ def test_admission_control_queue_full():
             return [None] * len(batch)
 
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=2),
+            ServingSpec(max_batch_size=1, max_wait_ms=0.0, queue_capacity=2),
             process=slow, telemetry=telemetry)
         inflight = [scheduler.submit("t", 0)]
         await asyncio.sleep(0.05)  # let the first batch enter the worker
@@ -134,7 +134,7 @@ def test_admission_control_queue_full():
 
 
 def test_submit_outside_lifecycle_raises():
-    config = ServingConfig()
+    config = ServingSpec()
     scheduler = BatchScheduler(echo_processor, config)
     with pytest.raises(SchedulerStoppedError):
         scheduler.submit("t", 0)
@@ -154,7 +154,7 @@ def test_processor_exception_fails_the_batch():
 
     async def scenario():
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=2, max_wait_ms=1.0), process=broken)
+            ServingSpec(max_batch_size=2, max_wait_ms=1.0), process=broken)
         futures = [scheduler.submit("t", i) for i in range(2)]
         outcomes = await asyncio.gather(*futures, return_exceptions=True)
         await scheduler.stop()
@@ -167,7 +167,7 @@ def test_processor_exception_fails_the_batch():
 def test_stop_drains_pending_requests():
     async def scenario():
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=8, max_wait_ms=10_000.0))
+            ServingSpec(max_batch_size=8, max_wait_ms=10_000.0))
         # fewer than a full batch with a far deadline; stop() must not
         # strand them
         futures = [scheduler.submit("t", i) for i in range(3)]
@@ -182,11 +182,12 @@ def test_stop_drains_pending_requests():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ServingConfig(max_batch_size=0)
+        ServingSpec(max_batch_size=0)
     with pytest.raises(ValueError):
-        ServingConfig(max_wait_ms=-1.0)
+        ServingSpec(max_wait_ms=-1.0)
     with pytest.raises(ValueError):
-        ServingConfig(queue_capacity=0)
+        ServingSpec(queue_capacity=0)
+    assert ServingSpec(max_wait_ms=0.5).max_wait_s == 0.0005
 
 
 def test_abort_stop_fails_inflight_requests_fast():
@@ -194,7 +195,7 @@ def test_abort_stop_fails_inflight_requests_fast():
     promptly with SchedulerStoppedError — none is processed, none hangs."""
     async def scenario():
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=64, max_wait_ms=10_000.0))
+            ServingSpec(max_batch_size=64, max_wait_ms=10_000.0))
         futures = [scheduler.submit("t", i) for i in range(5)]
         await asyncio.wait_for(scheduler.stop(drain=False), timeout=2.0)
         outcomes = await asyncio.wait_for(
@@ -222,7 +223,7 @@ def test_abort_stop_with_batch_midflight_fails_queued_requests():
             return [(request.payload, request.batch_size) for request in batch]
 
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=1, max_wait_ms=0.0),
+            ServingSpec(max_batch_size=1, max_wait_ms=0.0),
             process=slow)
         inflight = scheduler.submit("t", 0)
         await asyncio.sleep(0.05)  # first batch is now inside the worker
@@ -250,7 +251,7 @@ def test_queue_full_error_reports_occupancy():
             return [None] * len(batch)
 
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=1, max_wait_ms=0.0, queue_capacity=3),
+            ServingSpec(max_batch_size=1, max_wait_ms=0.0, queue_capacity=3),
             process=slow)
         inflight = [scheduler.submit("a", 0)]
         await asyncio.sleep(0.05)
@@ -283,7 +284,7 @@ def test_quarantine_isolates_poisoned_request():
     async def scenario():
         telemetry = Telemetry()
         scheduler = await start_scheduler(
-            ServingConfig(max_batch_size=4, max_wait_ms=10_000.0),
+            ServingSpec(max_batch_size=4, max_wait_ms=10_000.0),
             process=poisonable, telemetry=telemetry)
         futures = [scheduler.submit("t", payload)
                    for payload in ["ok0", "ok1", "bad", "ok2"]]

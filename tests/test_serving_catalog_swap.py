@@ -16,10 +16,10 @@ import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
-from repro.serving import Gateway, ServingConfig, SessionManager
+from repro.serving import Gateway, SessionManager
 from repro.serving.gateway import _PlanCache
 from repro.serving.process import ProcessEpisodeExecutor
-from repro.specs import CatalogSpec
+from repro.specs import CatalogSpec, ServingSpec
 from repro.suites import load_suite
 from repro.tools.catalog import load_catalog
 
@@ -35,10 +35,10 @@ def suite():
 def make_gateway(suite, plan_cache_size=64):
     sessions = SessionManager(embedder=CachedEmbedder())
     sessions.register("home", suite)
-    config = ServingConfig(max_batch_size=4, max_wait_ms=2.0,
-                           default_scheme="lis-k3", default_model=MODEL,
-                           default_quant=QUANT,
-                           plan_cache_size=plan_cache_size)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                         default_scheme="lis-k3", default_model=MODEL,
+                         default_quant=QUANT,
+                         plan_cache_size=plan_cache_size)
     return Gateway(sessions, config=config)
 
 

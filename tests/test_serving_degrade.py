@@ -10,10 +10,10 @@ from repro.serving import (
     DegradationController,
     DegradationPolicy,
     Gateway,
-    ServingConfig,
     SessionManager,
     TenantShedError,
 )
+from repro.specs import ServingSpec
 from repro.suites import load_suite
 
 
@@ -41,7 +41,7 @@ def test_ladder_down_to_shed_and_back_up():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=1.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
         async with Gateway(sessions, config=config,
                            degradation=policy) as gateway:
             controller = gateway.degradation
@@ -98,7 +98,7 @@ def test_reduced_k_rung_reroutes_default_scheme():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingConfig(max_wait_ms=1.0),
+        async with Gateway(sessions, config=ServingSpec(max_wait_ms=1.0),
                            degradation=policy) as gateway:
             controller = gateway.degradation
             for _ in range(3):
@@ -129,7 +129,7 @@ def test_in_between_pressure_holds_ladder_and_resets_recovery():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingConfig(),
+        async with Gateway(sessions, config=ServingSpec(),
                            degradation=policy) as gateway:
             controller = gateway.degradation
             controller.tick(depth=20)
@@ -155,7 +155,7 @@ def test_p95_latency_trigger():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingConfig(),
+        async with Gateway(sessions, config=ServingSpec(),
                            degradation=policy) as gateway:
             controller = gateway.degradation
             # empty queue but terrible tail latency still degrades
@@ -179,7 +179,7 @@ def test_background_loop_runs_and_cancels_cleanly():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingConfig(),
+        async with Gateway(sessions, config=ServingSpec(),
                            degradation=policy) as gateway:
             await asyncio.sleep(0.08)  # several control intervals
             assert not gateway._degradation_task.done()
@@ -201,7 +201,7 @@ def test_variant_ladder_skipped_for_non_full_catalogs():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", compressed)
-        async with Gateway(sessions, config=ServingConfig(),
+        async with Gateway(sessions, config=ServingSpec(),
                            degradation=policy) as gateway:
             controller = gateway.degradation
             controller.tick(depth=10)

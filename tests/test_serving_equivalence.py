@@ -20,8 +20,9 @@ import pytest
 from repro.core.episode import EpisodeResult
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
-from repro.serving import Gateway, ServingConfig, SessionManager
+from repro.serving import Gateway, SessionManager
 from repro.serving.http import ASGITestClient, create_app
+from repro.specs import ServingSpec
 from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
@@ -77,7 +78,7 @@ def test_served_episodes_equal_sequential_runner(suite):
     async def serve_all():
         sessions = SessionManager()
         sessions.register("t", suite)
-        config = ServingConfig(max_batch_size=8, max_wait_ms=5.0)
+        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0)
         async with Gateway(sessions, config=config) as gateway:
             responses = await asyncio.gather(*(
                 gateway.submit("t", query) for query in suite.queries
@@ -111,9 +112,9 @@ def test_http_call_equals_sequential_runner(suite):
     async def serve_all():
         sessions = SessionManager(embedder=CachedEmbedder())
         sessions.register("t", suite)
-        config = ServingConfig(max_batch_size=8, max_wait_ms=5.0,
-                               default_scheme="lis-k3", default_model=MODEL,
-                               default_quant=QUANT)
+        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0,
+                             default_scheme="lis-k3", default_model=MODEL,
+                             default_quant=QUANT)
         app = create_app(Gateway(sessions, config=config))
         client = ASGITestClient(app)
         async with app:
@@ -156,9 +157,9 @@ def test_process_execution_stage_equals_sequential_runner(suite):
     async def serve_all():
         sessions = SessionManager()
         sessions.register("t", suite)
-        config = ServingConfig(max_batch_size=8, max_wait_ms=5.0,
-                               execution_backend="process",
-                               execution_workers=workers)
+        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0,
+                             execution_backend="process",
+                             execution_workers=workers)
         async with Gateway(sessions, config=config) as gateway:
             return await asyncio.gather(*(
                 gateway.submit("t", query) for query in suite.queries
@@ -185,9 +186,9 @@ def test_late_registered_tenant_served_inline_with_process_stage():
     async def serve():
         sessions = SessionManager()
         sessions.register("early", early)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=5.0,
-                               execution_backend="process",
-                               execution_workers=2)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
+                             execution_backend="process",
+                             execution_workers=2)
         async with Gateway(sessions, config=config) as gateway:
             assert gateway._process_stage.covers("early")
             sessions.register("late", late)  # workers never saw this one
@@ -214,7 +215,7 @@ def test_served_results_independent_of_batch_composition(suite):
 
     target = suite.queries[0]
     alone = asyncio.run(serve(
-        [target], ServingConfig(max_batch_size=1, max_wait_ms=0.0)))
+        [target], ServingSpec(max_batch_size=1, max_wait_ms=0.0)))
     crowded = asyncio.run(serve(
-        suite.queries[:10], ServingConfig(max_batch_size=10, max_wait_ms=20.0)))
+        suite.queries[:10], ServingSpec(max_batch_size=10, max_wait_ms=20.0)))
     assert alone[target.qid] == crowded[target.qid]

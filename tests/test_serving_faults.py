@@ -25,11 +25,11 @@ from repro.serving import (
     FaultPlan,
     Gateway,
     InjectedFaultError,
-    ServingConfig,
     SessionManager,
     SupervisedEpisodeExecutor,
 )
 from repro.serving.faults import as_injector
+from repro.specs import ServingSpec
 from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
@@ -118,11 +118,11 @@ def test_worker_sigkill_mid_load_recovers_bitwise():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=2.0,
-                               execution_backend="process",
-                               execution_workers=WORKERS,
-                               execution_retries=2, retry_backoff_ms=20.0,
-                               slice_timeout_s=20.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                             execution_backend="process",
+                             execution_workers=WORKERS,
+                             execution_retries=2, retry_backoff_ms=20.0,
+                             slice_timeout_s=20.0)
         async with Gateway(sessions, config=config) as gateway:
             stage = gateway._process_stage
             assert isinstance(stage, SupervisedEpisodeExecutor)
@@ -166,11 +166,11 @@ def test_supervised_executor_survives_crash_fault_plan():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=2.0,
-                               execution_backend="process",
-                               execution_workers=WORKERS,
-                               execution_retries=1, retry_backoff_ms=10.0,
-                               slice_timeout_s=20.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                             execution_backend="process",
+                             execution_workers=WORKERS,
+                             execution_retries=1, retry_backoff_ms=10.0,
+                             slice_timeout_s=20.0)
         faults = FaultPlan(seed=11, worker_crash_rate=0.5)
         async with Gateway(sessions, config=config, faults=faults) as gateway:
             responses = await asyncio.gather(*(
@@ -194,8 +194,8 @@ def test_slow_batch_fault_trips_deadline():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=2, max_wait_ms=1.0,
-                               timeout_ms=150.0)
+        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0,
+                             timeout_ms=150.0)
         faults = FaultPlan(seed=1, slow_batch_rate=1.0, slow_batch_ms=600.0)
         async with Gateway(sessions, config=config, faults=faults) as gateway:
             with pytest.raises(DeadlineExceededError):
@@ -214,8 +214,8 @@ def test_per_request_timeout_overrides_config():
         sessions = SessionManager()
         sessions.register("home", suite)
         # config deadline is absurdly tight; the per-request override wins
-        config = ServingConfig(max_batch_size=2, max_wait_ms=1.0,
-                               timeout_ms=0.001)
+        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0,
+                             timeout_ms=0.001)
         async with Gateway(sessions, config=config) as gateway:
             response = await gateway.submit("home", suite.queries[0],
                                             timeout_ms=30_000.0)
@@ -234,7 +234,7 @@ def test_injected_exception_fails_only_that_request():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
         # every other group raises (the stream under seed 5 mixes hits
         # and misses); surviving requests must still complete
         faults = FaultPlan(seed=5, exception_rate=0.5)
@@ -256,14 +256,14 @@ def test_injected_exception_fails_only_that_request():
 
 def test_config_validation_for_fault_tolerance_knobs():
     with pytest.raises(ValueError):
-        ServingConfig(timeout_ms=0.0)
+        ServingSpec(timeout_ms=0.0)
     with pytest.raises(ValueError):
-        ServingConfig(worker_init_timeout_s=0.0)
+        ServingSpec(worker_init_timeout_s=0.0)
     with pytest.raises(ValueError):
-        ServingConfig(execution_retries=-1)
+        ServingSpec(execution_retries=-1)
     with pytest.raises(ValueError):
-        ServingConfig(retry_backoff_ms=-1.0)
+        ServingSpec(retry_backoff_ms=-1.0)
     with pytest.raises(ValueError):
-        ServingConfig(slice_timeout_s=0.0)
-    assert ServingConfig(timeout_ms=250.0).timeout_s == 0.25
-    assert ServingConfig().timeout_s is None
+        ServingSpec(slice_timeout_s=0.0)
+    assert ServingSpec(timeout_ms=250.0).timeout_s == 0.25
+    assert ServingSpec().timeout_s is None

@@ -18,11 +18,11 @@ import pytest
 from repro.core.episode import EpisodeResult
 from repro.embedding.cache import CachedEmbedder
 from repro.obs.trace import request_trace_id
-from repro.serving import Gateway, ServingConfig, SessionManager
+from repro.serving import Gateway, SessionManager
 from repro.serving.http import ASGITestClient, create_app
 from repro.serving.http.app import ERROR_STATUS, METRICS_CONTENT_TYPE
 from repro.serving.http.client import lifespan_shutdown, lifespan_startup
-from repro.specs import BudgetSpec
+from repro.specs import BudgetSpec, ServingSpec
 from repro.suites import load_suite
 from repro.tools.catalog import load_catalog
 from test_obs_prometheus import _parse_exposition
@@ -42,7 +42,7 @@ def make_app(suite, **overrides):
                   default_scheme="lis-k3", default_model=MODEL,
                   default_quant=QUANT)
     kwargs.update(overrides)
-    return create_app(Gateway(sessions, config=ServingConfig(**kwargs)))
+    return create_app(Gateway(sessions, config=ServingSpec(**kwargs)))
 
 
 def serve(suite, scenario, **overrides):

@@ -16,12 +16,12 @@ from repro.serving import (
     Gateway,
     LoadReport,
     LoadSpec,
-    ServingConfig,
     SessionManager,
     make_workload,
     run_closed_loop,
     run_load,
 )
+from repro.specs import ServingSpec
 from repro.suites import load_suite
 
 
@@ -116,7 +116,7 @@ def test_run_closed_loop_serves_whole_workload(suite):
     async def go():
         sessions = SessionManager()
         sessions.register("t", suite)
-        config = ServingConfig(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
         async with Gateway(sessions, config=config) as gateway:
             return await run_closed_loop(gateway, workload, concurrency=4)
 
@@ -145,7 +145,7 @@ def test_run_closed_loop_serves_whole_workload(suite):
 
 
 def test_run_load_owns_gateway_lifecycle(suite):
-    report = run_load({"t": suite}, ServingConfig(max_batch_size=2),
+    report = run_load({"t": suite}, ServingSpec(max_batch_size=2),
                       n_requests=4, concurrency=2)
     assert report.n_requests == 4
     assert report.throughput_rps > 0.0
@@ -164,7 +164,7 @@ def test_run_load_episodes_match_direct_submission(suite):
         return {r.episode.qid: r.episode for r in responses}
 
     want = asyncio.run(direct())
-    report = run_load({"t": suite}, ServingConfig(max_batch_size=4),
+    report = run_load({"t": suite}, ServingSpec(max_batch_size=4),
                       n_requests=len(suite.queries), concurrency=3)
     assert len(report.episodes) == len(suite.queries)
     for (_, qid, repeat), episode in report.episodes.items():

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.serving import Gateway, ServingConfig, SessionManager
+from repro.serving import Gateway, SessionManager
 from repro.serving.gateway import _PlanCache
 from repro.specs import ServingSpec, SuiteSpec, TenantSpec
 from repro.suites import load_suite
@@ -33,8 +33,8 @@ def serve_queries(suite, config, queries, rounds=1):
 
 
 def test_cached_replies_bitwise_identical(suite):
-    config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                           plan_cache_size=64)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                         plan_cache_size=64)
     (first, second), metrics = serve_queries(
         suite, config, suite.queries, rounds=2)
     assert metrics["plan_cache_hits"] >= len(suite.queries)
@@ -44,9 +44,9 @@ def test_cached_replies_bitwise_identical(suite):
 
 def test_cache_matches_uncached_gateway(suite):
     queries = suite.queries[:6]
-    cached_config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                                  plan_cache_size=64)
-    plain_config = ServingConfig(max_batch_size=4, max_wait_ms=1.0)
+    cached_config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                                plan_cache_size=64)
+    plain_config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
     (cached_round,), _ = serve_queries(suite, cached_config, queries)
     (plain_round,), plain_metrics = serve_queries(suite, plain_config, queries)
     assert cached_round == plain_round
@@ -57,8 +57,8 @@ def test_cache_matches_uncached_gateway(suite):
 
 def test_hit_miss_accounting(suite):
     queries = suite.queries[:4]
-    config = ServingConfig(max_batch_size=4, max_wait_ms=1.0,
-                           plan_cache_size=64)
+    config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+                         plan_cache_size=64)
     _, metrics = serve_queries(suite, config, queries, rounds=3)
     assert metrics["plan_cache_misses"] == len(queries)
     assert metrics["plan_cache_hits"] == 2 * len(queries)

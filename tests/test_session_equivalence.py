@@ -1,24 +1,14 @@
-"""Old API vs Session API: bitwise-identical episodes, working shims.
+"""Session-path equivalences: bitwise-identical episodes across seams.
 
-The legacy ``build_*`` helpers are deprecation shims over the exact
-machinery :func:`repro.open_session` drives, so for every scheme a full
-edgehome grid cell run through the old path must equal — field for
-field, float for float — the same cell run through a fresh Session.
+Every way of reaching an agent — a suite assembled on the pre-catalog
+tool path vs the catalog registry, the engine-less direct path vs the
+``simulated`` engine, sequential vs served — must produce the same
+episodes field for field, float for float.
 """
-
-import warnings
 
 import pytest
 
-from repro import (
-    AgentSpec,
-    EngineSpec,
-    build_agent,
-    build_gateway,
-    build_less_is_more,
-    load_suite,
-    open_session,
-)
+from repro import AgentSpec, EngineSpec, load_suite, open_session
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
 N_QUERIES = 8
@@ -27,29 +17,6 @@ N_QUERIES = 8
 @pytest.fixture(scope="module")
 def suite():
     return load_suite("edgehome", n_queries=N_QUERIES)
-
-
-def legacy_episodes(scheme, suite):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if scheme.startswith("lis"):
-            k = int(scheme.split("-k", 1)[1]) if "-k" in scheme else 3
-            agent = build_less_is_more(MODEL, QUANT, suite, k=k)
-        else:
-            agent = build_agent(scheme, MODEL, QUANT, suite)
-    return [agent.run(query) for query in suite.queries]
-
-
-@pytest.mark.parametrize("scheme", ["default", "gorilla", "lis-k3", "lis-k5"])
-def test_legacy_and_session_paths_bitwise_identical(scheme, suite):
-    old = legacy_episodes(scheme, suite)
-    new = open_session(suite=suite).run(
-        AgentSpec(scheme=scheme, model=MODEL, quant=QUANT)).episodes
-    assert len(old) == len(new) == N_QUERIES
-    for old_episode, new_episode in zip(old, new):
-        # dataclass equality compares every field, floats included —
-        # bitwise identity, not approximation
-        assert old_episode == new_episode
 
 
 @pytest.mark.parametrize("suite_name", ["bfcl", "geoengine", "edgehome"])
@@ -120,7 +87,8 @@ class TestSimulatedEngineEquivalence:
     def test_served_bitwise_identical(self, suite):
         import asyncio
 
-        from repro.serving import Gateway, ServingConfig, SessionManager
+        from repro.serving import Gateway, SessionManager
+        from repro.specs import ServingSpec
 
         reference = {
             episode.qid: episode
@@ -131,9 +99,9 @@ class TestSimulatedEngineEquivalence:
         async def serve_all():
             sessions = SessionManager()
             sessions.register("t", suite, engine=EngineSpec("simulated"))
-            config = ServingConfig(max_batch_size=4, max_wait_ms=2.0,
-                                   default_scheme="lis-k3",
-                                   default_model=MODEL, default_quant=QUANT)
+            config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                                 default_scheme="lis-k3",
+                                 default_model=MODEL, default_quant=QUANT)
             async with Gateway(sessions, config=config) as gateway:
                 return await asyncio.gather(*(
                     gateway.submit("t", query) for query in suite.queries))
@@ -143,34 +111,32 @@ class TestSimulatedEngineEquivalence:
 
 
 class TestDeprecationShims:
-    def test_build_agent_warns_and_delegates(self, suite):
-        with pytest.deprecated_call(match="build_agent is deprecated"):
-            agent = build_agent("default", MODEL, QUANT, suite)
-        assert agent.scheme == "default"
-        assert agent.suite is suite
+    """The ``repro.api.build_*`` deprecation shims are deleted, not
+    aliased; what they pinned about agent construction now holds on the
+    one remaining path, ``Session.build_agent``."""
 
-    def test_build_less_is_more_warns_and_delegates(self, suite):
-        with pytest.deprecated_call(match="build_less_is_more is deprecated"):
-            agent = build_less_is_more(MODEL, QUANT, suite, k=5)
-        assert agent.scheme == "lis"
-        assert agent.k == 5
+    def test_shims_are_gone(self):
+        import repro
+        import repro.api
 
-    def test_build_gateway_warns_and_delegates(self, suite):
-        with pytest.deprecated_call(match="build_gateway is deprecated"):
-            gateway = build_gateway({"home": suite})
-        assert gateway.sessions.get("home").suite is suite
+        assert not [name for name in vars(repro.api)
+                    if name.startswith("build_")]
+        assert not hasattr(repro, "build_agent")
 
     def test_build_agent_kwargs_pass_through(self, suite):
-        with pytest.deprecated_call():
-            agent = build_agent("gorilla", MODEL, QUANT, suite, k=6)
+        agent = open_session(suite=suite).build_agent(
+            AgentSpec("gorilla", MODEL, QUANT), k=6)
         assert agent.k == 6
+        assert agent.suite is suite
 
     def test_build_agent_unknown_scheme_lists_registered(self, suite):
-        with pytest.deprecated_call(), \
-                pytest.raises(ValueError, match="registered schemes"):
-            build_agent("react", MODEL, QUANT, suite)
+        with pytest.raises(ValueError, match="registered schemes"):
+            open_session(suite=suite).build_agent(
+                AgentSpec("react", MODEL, QUANT))
 
     def test_load_suite_does_not_warn(self):
+        import warnings
+
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             load_suite("edgehome", n_queries=2)

@@ -8,8 +8,11 @@ from repro.specs import (
     AgentSpec,
     BudgetSpec,
     CatalogSpec,
+    EngineSpec,
     ExperimentSpec,
     GridSpec,
+    HttpSpec,
+    ObsSpec,
     ServingSpec,
     SuiteSpec,
     TenantSpec,
@@ -232,15 +235,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="requires intensity_high"):
             BudgetSpec(energy_budget_j=1.0, intensity_low=200.0)
 
-    def test_budget_builtin_signals_match_registry(self):
-        # specs.py mirrors the builtin names to stay import-free; this
-        # is the keep-in-sync check against the live registry
-        from repro.registry import CARBON_SIGNALS
-        from repro.specs import CARBON_SIGNAL_BUILTINS
-
-        for name in CARBON_SIGNAL_BUILTINS:
-            assert name in CARBON_SIGNALS
-
     def test_power_mode_names_match_hardware_ladder(self):
         from repro.hardware.power_modes import POWER_MODES
         from repro.power import MODE_LADDER
@@ -270,14 +264,15 @@ class TestSpecImportsStayCheap:
         code = (
             "import sys; "
             "from repro.specs import AgentSpec, BudgetSpec, GridSpec, "
-            "ServingSpec, SuiteSpec, TenantSpec; "
+            "ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
             "plan_cache_size=8, execution_backend='process', "
-            "budget=BudgetSpec(energy_budget_j=50.0)); "
+            "budget=BudgetSpec(energy_budget_j=50.0, signal='sinusoid'), "
+            "obs=ObsSpec(), default_engine='simulated'); "
             "AgentSpec(); GridSpec(); "
             "heavy = sorted(m for m in sys.modules if m.startswith("
             "('repro.serving', 'repro.evaluation', 'repro.core', "
-            "'repro.power', 'numpy'))); "
+            "'repro.power', 'repro.obs', 'repro.engines', 'numpy'))); "
             "print(','.join(heavy))"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -289,14 +284,6 @@ class TestSpecImportsStayCheap:
 
 
 class TestConversions:
-    def test_serving_spec_to_config(self):
-        spec = ServingSpec(max_batch_size=4, max_wait_ms=0.5,
-                           plan_cache_size=32)
-        config = spec.to_config()
-        assert config.max_batch_size == 4
-        assert config.max_wait_ms == 0.5
-        assert config.plan_cache_size == 32
-
     def test_replace_produces_new_frozen_spec(self):
         spec = AgentSpec(scheme="lis-k3")
         other = spec.replace(scheme="default")
@@ -306,9 +293,14 @@ class TestConversions:
             spec.scheme = "x"  # frozen
 
     def test_serving_spec_threads_budget_to_config(self):
+        from repro.serving import Gateway, SessionManager
+
         budget = BudgetSpec(energy_budget_j=50.0, window_requests=8)
         spec = ServingSpec(budget=budget, plan_cache_size=8)
-        assert spec.to_config().budget == budget
+        # the gateway's config *is* the spec: nothing to convert or drop
+        gateway = Gateway(SessionManager(), config=spec)
+        assert gateway.config is spec
+        assert gateway.config.budget == budget
         # dict coercion mirrors the other nested specs
         coerced = ServingSpec(
             budget={"energy_budget_j": 50.0, "window_requests": 8},
@@ -317,15 +309,62 @@ class TestConversions:
         with pytest.raises(ValueError, match="BudgetSpec"):
             ServingSpec(budget="tight")
 
-    def test_budget_spec_to_policy(self):
+    def test_budget_spec_resolves_late_defaults(self):
         spec = BudgetSpec(energy_budget_j=5.0, intensity_high=500.0,
                           recovery_margin=0.9)
-        policy = spec.to_policy()
-        assert policy.energy_budget_j == 5.0
-        assert policy.intensity_low == pytest.approx(450.0)
-        assert policy.settle_requests == policy.window_requests
+        assert spec.effective_intensity_low == pytest.approx(450.0)
+        assert spec.effective_settle_requests == spec.window_requests == 32
+        # resolved on read, so a replaced window re-resolves the default
+        assert spec.replace(window_requests=64).effective_settle_requests == 64
+        assert spec.replace(intensity_high=None).effective_intensity_low is None
 
     def test_agent_kwargs_only_set_fields(self):
         assert AgentSpec().agent_kwargs() == {}
         assert AgentSpec(k=5, force_level=1).agent_kwargs() == {
             "k": 5, "force_level": 1}
+
+
+class TestWireCompat:
+    """Spec JSON is an interface (``repro serve --spec``, ``bench_e2e``'s
+    generated spec): the key sets below are the PR 12 wire form."""
+
+    SERVING_KEYS = {
+        "tenants", "default_engine", "max_batch_size", "max_wait_ms",
+        "queue_capacity", "default_scheme", "default_model", "default_quant",
+        "execution_backend", "execution_workers", "plan_cache_size",
+        "timeout_ms", "worker_init_timeout_s", "execution_retries",
+        "retry_backoff_ms", "slice_timeout_s", "obs", "http", "budget"}
+    BUDGET_KEYS = {
+        "energy_budget_j", "carbon_budget_g", "window_requests",
+        "settle_requests", "recovery_ticks", "recovery_margin", "signal",
+        "intensity_g_per_kwh", "intensity_amplitude", "period_s", "phase_s",
+        "trace_path", "intensity_high", "intensity_low", "min_power_mode",
+        "interval_ms"}
+
+    def test_key_sets_unchanged(self):
+        assert set(ServingSpec().to_dict()) == self.SERVING_KEYS
+        assert set(BudgetSpec(energy_budget_j=1).to_dict()) == self.BUDGET_KEYS
+
+    def test_parent_written_serving_spec_round_trips(self):
+        import json
+        from pathlib import Path
+
+        # written by the PR 12 commit's ServingSpec.to_dict()
+        data = json.loads((Path(__file__).parent / "data"
+                           / "serving_spec_parent.json").read_text())
+        spec = ServingSpec.from_dict(data)
+        assert spec == ServingSpec(
+            tenants=(
+                TenantSpec("home", SuiteSpec("edgehome", n_queries=6, seed=1),
+                           catalog=CatalogSpec("edgehome", variant="compressed"),
+                           engine=EngineSpec("simulated")),
+                TenantSpec("assist", "bfcl")),
+            default_engine="simulated", max_batch_size=16, max_wait_ms=1.5,
+            queue_capacity=64, default_scheme="lis-k5",
+            execution_backend="process", execution_workers=2,
+            plan_cache_size=256, timeout_ms=500.0,
+            obs=ObsSpec(sink="null", sample_rate=0.5, slow_span_ms=20.0),
+            http=HttpSpec(port=0, api_key="k", rate_limit_rps=5.0),
+            budget=BudgetSpec(energy_budget_j=90.0, window_requests=4,
+                              intensity_high=450.0))
+        assert spec.to_dict() == data

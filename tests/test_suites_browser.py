@@ -18,7 +18,8 @@ import pytest
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.registry import CATALOGS
-from repro.serving import Gateway, ServingConfig, SessionManager
+from repro.serving import Gateway, SessionManager
+from repro.specs import ServingSpec
 from repro.session import open_session
 from repro.suites import load_suite
 from repro.suites.browser import (
@@ -230,7 +231,7 @@ class TestEndToEnd:
         async def serve_all():
             sessions = SessionManager()
             sessions.register("t", suite)
-            config = ServingConfig(max_batch_size=8, max_wait_ms=5.0)
+            config = ServingSpec(max_batch_size=8, max_wait_ms=5.0)
             async with Gateway(sessions, config=config) as gateway:
                 return await asyncio.gather(*(
                     gateway.submit("t", query) for query in suite.queries))
