@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper bench-selftest loc
+.PHONY: test test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper bench-selftest bench-pair loc
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -75,6 +75,14 @@ bench-paper:
 ## the repo benchmark's own unit tests (estimator, tracer, driver form)
 bench-selftest:
 	$(PYTHON) -m pytest bench_e2e/tests -q
+
+## paired A/B of the repo benchmark: REF's committed files vs the working
+## tree, alternating order over distinct seeds, medians/quartiles/wins
+## (make bench-pair REF=<sha> WORKLOAD=http_closed_c2 [PAIRS=10])
+PAIRS ?= 10
+bench-pair:
+	$(PYTHON) scripts/bench_pair.py --ref $(REF) --workload $(WORKLOAD) \
+		--pairs $(PAIRS)
 
 ## lines of python per src/repro package, total last (deletion PRs
 ## state this before/after)

@@ -171,8 +171,8 @@ def test_micro_batched_serving_beats_sequential(benchmark):
         return run_load(suites, config, n_requests=384, concurrency=32,
                         embedder=embedder)
 
-    batched_config = ServingSpec(max_batch_size=32, max_wait_ms=2.0)
-    sequential_config = ServingSpec(max_batch_size=1, max_wait_ms=0.0)
+    batched_config = ServingSpec(max_batch_size=32)
+    sequential_config = ServingSpec(max_batch_size=1)
 
     batched = benchmark(measure, batched_config)
     best_speedup = 0.0

@@ -41,7 +41,7 @@ async def main() -> None:
         tenants=(
             TenantSpec("smart-home", SuiteSpec("edgehome", n_queries=12)),
         ),
-        max_batch_size=8, max_wait_ms=2.0,
+        max_batch_size=8,
         budget=BudgetSpec(
             energy_budget_j=150.0,          # well under the ~230 J/req
             window_requests=wave,           # full-catalog traffic costs

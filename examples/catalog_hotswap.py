@@ -54,7 +54,7 @@ async def main() -> None:
     # 3. serving hot-swap ----------------------------------------------
     spec = ServingSpec(
         tenants=(TenantSpec("home", SuiteSpec("edgehome", n_queries=12)),),
-        max_batch_size=4, max_wait_ms=2.0, plan_cache_size=64,
+        max_batch_size=4, plan_cache_size=64,
     )
     session = open_session(spec)
     async with session.serve() as gateway:

@@ -29,7 +29,7 @@ async def main() -> None:
             TenantSpec("smart-home", SuiteSpec("edgehome", n_queries=12)),
             TenantSpec("assistant", SuiteSpec("bfcl", n_queries=12)),
         ),
-        max_batch_size=8, max_wait_ms=5.0, queue_capacity=64,
+        max_batch_size=8, queue_capacity=64,
         plan_cache_size=128,
     )
     session = open_session(spec)

@@ -34,7 +34,7 @@ async def main() -> None:
             TenantSpec("smart-home", SuiteSpec("edgehome", n_queries=12)),
             TenantSpec("assistant", SuiteSpec("bfcl", n_queries=12)),
         ),
-        max_batch_size=8, max_wait_ms=5.0,
+        max_batch_size=8,
         obs=ObsSpec(sink="memory", sample_rate=1.0),
     )
     session = open_session(spec)

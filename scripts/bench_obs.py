@@ -49,7 +49,7 @@ MODES = (
 
 
 def bench_obs(n_requests: int = 512, concurrency: int = 32,
-              max_batch_size: int = 32, max_wait_ms: float = 2.0,
+              max_batch_size: int = 32,
               trials: int = 3, suite_name: str = "edgehome") -> dict:
     """Measure all four modes, return the ``serving.obs`` metrics dict."""
     suites = {suite_name: load_suite(suite_name)}
@@ -66,8 +66,7 @@ def bench_obs(n_requests: int = 512, concurrency: int = 32,
     best: dict = {}
     for _ in range(trials):
         for key, obs in MODES:
-            spec = ServingSpec(max_batch_size=max_batch_size,
-                               max_wait_ms=max_wait_ms, obs=obs)
+            spec = ServingSpec(max_batch_size=max_batch_size, obs=obs)
             report = measure_mode(suites, spec, n_requests, concurrency)
             if (key not in best
                     or report.throughput_rps > best[key].throughput_rps):

@@ -51,6 +51,9 @@ from repro.serving import (  # noqa: E402
 from repro.specs import BudgetSpec, HttpSpec, ObsSpec, ServingSpec  # noqa: E402
 from repro.suites import load_suite  # noqa: E402
 
+#: The shipped coalescing window — the benches measure what ships
+#: unless ``--max-wait-ms`` opts into an idle-time window.
+DEFAULT_MAX_WAIT_MS = ServingSpec().max_wait_ms
 #: Required batched/sequential throughput ratio (the PR's acceptance bar).
 REQUIRED_SPEEDUP = 2.0
 #: Required fraction of requests served under the chaos scenario.  The
@@ -72,7 +75,8 @@ def measure_mode(suites, spec: ServingSpec, n_requests: int,
 
 
 def bench_serving(n_requests: int = 512, concurrency: int = 32,
-                  max_batch_size: int = 32, max_wait_ms: float = 2.0,
+                  max_batch_size: int = 32,
+                  max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                   trials: int = 3, suite_name: str = "edgehome") -> dict:
     """Measure both modes, return the serving metrics dict.
 
@@ -89,7 +93,7 @@ def bench_serving(n_requests: int = 512, concurrency: int = 32,
     suites = {suite_name: load_suite(suite_name)}
     batched_spec = ServingSpec(max_batch_size=max_batch_size,
                                max_wait_ms=max_wait_ms)
-    sequential_spec = ServingSpec(max_batch_size=1, max_wait_ms=0.0)
+    sequential_spec = ServingSpec(max_batch_size=1)
 
     best_batched: LoadReport | None = None
     best_sequential: LoadReport | None = None
@@ -156,7 +160,7 @@ def bench_serving_chaos(n_requests: int = 64, concurrency: int = 8,
     suites = {suite_name: load_suite(suite_name)}
     obs = (ObsSpec(sink="jsonl", sink_path=trace_out)
            if trace_out else None)
-    spec = ServingSpec(max_batch_size=8, max_wait_ms=2.0,
+    spec = ServingSpec(max_batch_size=8,
                        execution_backend="process",
                        execution_workers=workers,
                        execution_retries=2, retry_backoff_ms=20.0,
@@ -257,8 +261,7 @@ def bench_serving_budget(n_requests: int = 96, window: int = 8,
     """
     suite = load_suite(suite_name)
     embedder = CachedEmbedder()
-    base_config = ServingSpec(max_batch_size=max_batch_size,
-                              max_wait_ms=2.0)
+    base_config = ServingSpec(max_batch_size=max_batch_size)
     # untimed warmup cycle (vocabulary ramp, plan paths)
     _run_budget_waves(suite, suite_name, embedder, len(suite.queries),
                       window, base_config)
@@ -271,8 +274,7 @@ def bench_serving_budget(n_requests: int = 96, window: int = 8,
     spec = BudgetSpec(energy_budget_j=budget_j, window_requests=window,
                       settle_requests=window, recovery_ticks=2,
                       interval_ms=3_600_000.0)
-    ctl_config = ServingSpec(max_batch_size=max_batch_size,
-                             max_wait_ms=2.0, budget=spec)
+    ctl_config = ServingSpec(max_batch_size=max_batch_size, budget=spec)
     ctl_served, ctl_shed, ctl_wall_s, ctl_metrics = _run_budget_waves(
         suite, suite_name, embedder, n_requests, window, ctl_config)
     assert ctl_served > 0, "budget run shed every request (goodput 0)"
@@ -298,7 +300,8 @@ def bench_serving_budget(n_requests: int = 96, window: int = 8,
 
 
 def bench_serving_http(n_requests: int = 256, concurrency: int = 8,
-                       max_batch_size: int = 32, max_wait_ms: float = 2.0,
+                       max_batch_size: int = 32,
+                       max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                        suite_name: str = "edgehome") -> dict:
     """Closed-loop load over the **sockets** path: HTTP front door end
     to end.
@@ -405,7 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-requests", type=int, default=512)
     parser.add_argument("--concurrency", type=int, default=32)
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
+    parser.add_argument("--max-wait-ms", type=float,
+                        default=DEFAULT_MAX_WAIT_MS,
+                        help="opt-in idle coalescing window (default: the "
+                             "ServingSpec default, work-conserving)")
     parser.add_argument("--trials", type=int, default=3,
                         help="repeat the comparison, keep the best speedup")
     parser.add_argument("--suite", default="edgehome")

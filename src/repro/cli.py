@@ -251,7 +251,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.suites import load_suite
 
     config = ServingSpec(
-        max_batch_size=args.batch_size, max_wait_ms=2.0,
+        max_batch_size=args.batch_size,
         obs=ObsSpec(sink="memory", sample_rate=args.sample_rate))
     report = run_load({args.suite: load_suite(args.suite)}, config,
                       n_requests=args.requests, concurrency=args.concurrency)
@@ -269,7 +269,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     config = ServingSpec(
         max_batch_size=args.batch_size,
-        max_wait_ms=2.0,
         execution_backend="process" if args.process else "thread",
         execution_workers=args.workers,
         timeout_ms=args.timeout_ms,
@@ -341,7 +340,7 @@ def cmd_carbon(args: argparse.Namespace) -> int:
             sessions = SessionManager()
             sessions.register(args.suite, suite)
             config = ServingSpec(max_batch_size=args.batch_size,
-                                 max_wait_ms=2.0, budget=spec)
+                                 budget=spec)
             async with Gateway(sessions, config=config) as gateway:
                 start = time.perf_counter()
                 served = 0

@@ -9,10 +9,10 @@ monotonic histogram buckets, summary quantiles.  It renders from the
 ``Gateway.metrics_text()``, the ``repro metrics`` CLI, offline
 ``LoadReport`` dumps, and the future ASGI ``/metrics`` endpoint.
 
-The latency percentiles are exported as a ``summary`` with a
-``window="ring"`` label: they come from Telemetry's fixed-capacity
-sample rings, i.e. they describe the most recent ``max_samples``
-observations, not the process lifetime.
+The latency and queue-wait percentiles are exported as ``summary``
+families with a ``window="ring"`` label: they come from Telemetry's
+fixed-capacity sample rings, i.e. they describe the most recent
+``max_samples`` observations, not the process lifetime.
 """
 
 from __future__ import annotations
@@ -202,23 +202,34 @@ def render_prometheus(snapshot: dict, cost: dict | None = None,
         out.sample(f"{full}_count", total)
 
     # ------------------------------------------------------------------
-    # latency summary (windowed percentiles from the sample ring)
+    # summaries (windowed percentiles from the sample rings)
     # ------------------------------------------------------------------
-    quantiles = [("0.5", "latency_p50_ms"), ("0.95", "latency_p95_ms"),
-                 ("0.99", "latency_p99_ms")]
-    if any(key in snapshot for _, key in quantiles):
-        full = out.family(
-            "request_latency_seconds", "summary",
-            "End-to-end request latency; quantiles are windowed over the "
-            "telemetry sample ring, not the process lifetime.")
+    def summary(name, help_text, quantiles, total, count):
+        if not any(key in snapshot for _, key in quantiles):
+            return
+        full = out.family(name, "summary", help_text)
         for quantile, key in quantiles:
             if key in snapshot:
                 out.sample(full, snapshot[key] / 1e3,
                            {"quantile": quantile, "window": "ring"})
-        completed = snapshot.get("requests_completed", 0)
-        mean_ms = snapshot.get("latency_mean_ms", 0.0)
-        out.sample(f"{full}_sum", completed * mean_ms / 1e3)
-        out.sample(f"{full}_count", completed)
+        out.sample(f"{full}_sum", total)
+        out.sample(f"{full}_count", count)
+
+    completed = snapshot.get("requests_completed", 0)
+    summary("request_latency_seconds",
+            "End-to-end request latency; quantiles are windowed over the "
+            "telemetry sample ring, not the process lifetime.",
+            [("0.5", "latency_p50_ms"), ("0.95", "latency_p95_ms"),
+             ("0.99", "latency_p99_ms")],
+            completed * snapshot.get("latency_mean_ms", 0.0) / 1e3,
+            completed)
+    summary("queue_wait_seconds",
+            "Time a request waited in the scheduler queue before its "
+            "micro-batch was cut; quantiles are windowed over the "
+            "telemetry sample ring, sum and count are lifetime-exact.",
+            [("0.5", "queue_wait_p50_ms"), ("0.95", "queue_wait_p95_ms")],
+            snapshot.get("queue_wait_sum_s", 0.0),
+            snapshot.get("queue_wait_count", 0))
 
     # ------------------------------------------------------------------
     # cost ledger (per-tenant token counters)

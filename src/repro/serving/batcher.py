@@ -1,17 +1,23 @@
-"""The micro-batch scheduler: bounded queue, fairness, deadline flushing.
+"""The micro-batch scheduler: bounded queue, fairness, backlog batching.
 
-Requests enter per-tenant FIFO queues and leave in micro-batches cut by
-whichever comes first — the batch filling up (``max_batch_size``) or the
-oldest waiting request hitting its coalescing deadline (``max_wait_ms``).
-Batches are assembled round-robin across tenants so one chatty tenant
-cannot starve the others, and each batch is processed on a dedicated
-worker thread so the event loop keeps admitting (and coalescing) traffic
-while the previous batch executes.
+Requests enter per-tenant FIFO queues and leave in micro-batches of at
+most ``max_batch_size``.  The scheduler is work-conserving: whenever
+the batch worker is free and anything is queued, a batch is cut and
+dispatched at once, so a batch is exactly the backlog that built up
+while the previous batch ran — the in-flight batch *is* the coalescing
+window.  Load therefore fills batches on its own and an idle worker
+never makes a request wait for company; ``max_wait_ms > 0`` opts back
+into holding the first request of an idle period for co-batchable
+traffic.  Batches are assembled round-robin across tenants so one
+chatty tenant cannot starve the others, and each batch is processed on
+a dedicated worker thread so the event loop keeps admitting traffic
+(the next batch's backlog) while the previous batch executes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
 import time
 from collections import deque
@@ -201,6 +207,16 @@ class BatchScheduler:
     # scheduler loop
     # ------------------------------------------------------------------
     async def _run(self) -> None:
+        """Cut and dispatch batches until stopped.
+
+        One batch is in flight at a time (``run_in_executor`` is
+        awaited), so every pass through the loop finds the worker free:
+        if anything is queued it is cut and dispatched right away —
+        the requests that arrived while the previous batch ran ride
+        together — and otherwise the loop sleeps on the wake event.
+        Only an explicit ``max_wait_ms > 0`` adds a wait in between.
+        """
+        max_wait_s = self.config.max_wait_s
         while True:
             if self._aborting:
                 return  # stop(drain=False): stop() fails what is queued
@@ -211,26 +227,31 @@ class BatchScheduler:
                 await self._wake.wait()
                 continue
 
-            # coalescing window: wait for more traffic until the oldest
-            # request's deadline or a full batch, whichever is first
-            deadline = self._oldest_enqueue() + self.config.max_wait_s
-            while (self._total_pending < self.config.max_batch_size
-                   and not self._stopping):
-                remaining = deadline - self._loop.time()
-                if remaining <= 0.0:
-                    break
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-            if self._aborting:
-                return
+            if max_wait_s > 0.0:
+                # opt-in coalescing window: hold for more traffic until
+                # the oldest request has waited max_wait_ms or the batch
+                # is full (a backlog older than the window skips it)
+                deadline = self._oldest_enqueue() + max_wait_s
+                while (self._total_pending < self.config.max_batch_size
+                       and not self._stopping):
+                    remaining = deadline - self._loop.time()
+                    if remaining <= 0.0:
+                        break
+                    self._wake.clear()
+                    try:
+                        await asyncio.wait_for(self._wake.wait(),
+                                               timeout=remaining)
+                    except asyncio.TimeoutError:
+                        break
+                if self._aborting:
+                    return
 
             batch = self._cut_batch()
             if not batch:
                 continue
-            self.telemetry.record_flush(len(batch))
+            self.telemetry.record_flush(
+                len(batch), [request.dequeued_at - request.enqueued_at
+                             for request in batch])
             try:
                 results = await self._loop.run_in_executor(
                     self._worker, self._process_batch, batch)
@@ -361,8 +382,6 @@ class _SingleWorker:
         self._shutdown = False
 
     def submit(self, fn, *args):
-        import concurrent.futures
-
         if self._thread is None:
             self._thread = threading.Thread(target=self._drain,
                                             name="serving-batch-worker",

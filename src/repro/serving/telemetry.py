@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from collections.abc import Sequence
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -59,12 +60,13 @@ class Telemetry:
     Parameters
     ----------
     max_samples:
-        Bound on the retained latency / queue-depth sample lists so a
-        long-lived gateway cannot grow without limit; once full, new
-        samples overwrite the oldest (each list is its own ring buffer).
-        Counters and the batch-size histogram are exact regardless.
+        Bound on the retained latency / queue-wait / queue-depth sample
+        lists so a long-lived gateway cannot grow without limit; once
+        full, new samples overwrite the oldest (each list is its own
+        ring buffer).  Counters and the batch-size histogram are exact
+        regardless.
 
-    Because the sample lists are rings, the latency/queue-depth
+    Because the sample lists are rings, the latency/queue-wait/queue-depth
     percentiles in :meth:`snapshot` are **windowed** over the most
     recent ``max_samples`` observations — they are not lifetime
     statistics.  Counters, by contrast, are lifetime-exact; pair them
@@ -86,6 +88,9 @@ class Telemetry:
         self._batch_sizes: Counter[int] = Counter()
         self._queue_depths = _Ring(max_samples)
         self._latencies_s = _Ring(max_samples)
+        self._queue_waits_s = _Ring(max_samples)
+        self._queue_wait_sum_s = 0.0
+        self._queue_wait_count = 0
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
         self._catalog_swaps: Counter[str] = Counter()
@@ -116,10 +121,16 @@ class Telemetry:
         with self._lock:
             self._rejected += 1
 
-    def record_flush(self, batch_size: int) -> None:
-        """One micro-batch cut and dispatched."""
+    def record_flush(self, batch_size: int,
+                     queue_waits_s: Sequence[float] = ()) -> None:
+        """One micro-batch cut and dispatched; ``queue_waits_s`` is each
+        of its requests' enqueue-to-dequeue wait."""
         with self._lock:
             self._batch_sizes[int(batch_size)] += 1
+            for wait_s in queue_waits_s:
+                self._queue_waits_s.push(wait_s)
+            self._queue_wait_sum_s += sum(queue_waits_s)
+            self._queue_wait_count += len(queue_waits_s)
 
     def record_plan_lookup(self, hit: bool) -> None:
         """One plan-cache probe (only recorded when the cache is enabled)."""
@@ -209,18 +220,22 @@ class Telemetry:
     def snapshot(self) -> dict:
         """Point-in-time metrics dict (JSON-serializable).
 
-        Latency and queue-depth percentiles are **windowed** over the
-        most recent ``max_samples`` observations (the sample rings), not
-        the process lifetime; counters are lifetime-exact.  ``uptime_s``
-        (monotonic seconds since construction) and ``snapshot_seq``
-        (incremented per snapshot) let scrapers compute rates and detect
-        restarts between scrapes.
+        Latency, queue-wait and queue-depth percentiles are **windowed**
+        over the most recent ``max_samples`` observations (the sample
+        rings), not the process lifetime; counters (and
+        ``queue_wait_sum_s`` / ``queue_wait_count``) are lifetime-exact.
+        ``uptime_s`` (monotonic seconds since construction) and
+        ``snapshot_seq`` (incremented per snapshot) let scrapers compute
+        rates and detect restarts between scrapes.
         """
         with self._lock:
             self._snapshot_seq += 1
             snapshot_seq = self._snapshot_seq
             uptime_s = time.monotonic() - self._started_at
             latencies = self._latencies_s.values()
+            queue_waits = self._queue_waits_s.values()
+            queue_wait_sum_s = self._queue_wait_sum_s
+            queue_wait_count = self._queue_wait_count
             depths = self._queue_depths.values()
             sizes = dict(sorted(self._batch_sizes.items()))
             admitted, rejected = self._admitted, self._rejected
@@ -239,6 +254,9 @@ class Telemetry:
             energy_j = dict(self._energy_j)
             carbon_g = dict(self._carbon_g)
             budget_transitions = dict(self._budget_transitions)
+        # sort each ring once; percentile() re-sorting a sorted list is linear
+        latencies.sort()
+        queue_waits.sort()
         n_batches = sum(sizes.values())
         plan_lookups = plan_hits + plan_misses
         n_batched = sum(size * count for size, count in sizes.items())
@@ -260,6 +278,10 @@ class Telemetry:
             "latency_p99_ms": percentile(latencies, 99.0) * 1e3,
             "latency_mean_ms": (sum(latencies) / len(latencies) * 1e3
                                 if latencies else 0.0),
+            "queue_wait_p50_ms": percentile(queue_waits, 50.0) * 1e3,
+            "queue_wait_p95_ms": percentile(queue_waits, 95.0) * 1e3,
+            "queue_wait_sum_s": queue_wait_sum_s,
+            "queue_wait_count": queue_wait_count,
             "plan_cache_hits": plan_hits,
             "plan_cache_misses": plan_misses,
             "plan_cache_hit_rate": (plan_hits / plan_lookups

@@ -555,13 +555,20 @@ class ServingSpec(_SpecBase):
         :class:`EngineSpec` for tenants that do not pin their own;
         ``None`` is the simulated engine.
     max_batch_size:
-        Flush a micro-batch as soon as this many requests are waiting.
-        The planning stage of the whole batch runs through one vectorized
+        Cap on one micro-batch (and, inside a ``max_wait_ms`` window,
+        the fill level that ends the wait early).  The planning stage of the whole batch runs through one vectorized
         ``encode``/``search_arrays`` pass, so larger batches amortize
         more kernel overhead at the cost of head-of-line latency.
     max_wait_ms:
-        Deadline-based flush: a request never waits longer than this for
-        co-batchable traffic before its (possibly smaller) batch is cut.
+        Opt-in coalescing window.  At the default ``0.0`` the scheduler
+        is work-conserving: a free worker dispatches whatever is queued
+        at once, and batches form only from the backlog that built up
+        while the previous batch ran.  A positive value lets an *idle*
+        worker hold the first request up to this long for co-batchable
+        traffic — worth it only when a larger batch saves more CPU than
+        the wait costs in latency (sparse arrivals that still come in
+        near-simultaneous clumps); under sustained load the backlog
+        fills batches without it.
     queue_capacity:
         Admission control — total requests allowed to wait across all
         tenants.  Submissions beyond it fail fast with
@@ -645,7 +652,7 @@ class ServingSpec(_SpecBase):
     tenants: tuple[TenantSpec, ...] = ()
     default_engine: EngineSpec | None = None
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     queue_capacity: int = 256
     default_scheme: str = "lis-k3"
     default_model: str = "hermes2-pro-8b"

@@ -183,6 +183,26 @@ def test_latency_summary_quantiles_carry_the_window_label():
         [({}, pytest.approx(4 * 0.012))]
 
 
+def test_queue_wait_summary_renders_from_flush_samples():
+    telemetry = Telemetry()
+    telemetry.record_flush(1, [0.0])
+    telemetry.record_flush(3, [0.002, 0.004, 0.006])
+    snapshot = telemetry.snapshot()
+    assert snapshot["queue_wait_p50_ms"] == pytest.approx(3.0)
+    samples = _parse_exposition(render_prometheus(snapshot))
+    quantiles = {labels["quantile"]: (labels["window"], value)
+                 for labels, value in samples["repro_queue_wait_seconds"]}
+    assert quantiles == {
+        "0.5": ("ring", pytest.approx(0.003)),
+        "0.95": ("ring", pytest.approx(snapshot["queue_wait_p95_ms"] / 1e3))}
+    assert samples["repro_queue_wait_seconds_sum"] == \
+        [({}, pytest.approx(0.012))]
+    assert samples["repro_queue_wait_seconds_count"] == [({}, 4.0)]
+    # a pre-queue-wait snapshot renders without the family
+    assert "repro_queue_wait_seconds" not in _parse_exposition(
+        render_prometheus({"latency_p50_ms": 1.0}))
+
+
 def test_missing_keys_render_absent_families_not_errors():
     text = render_prometheus({})
     assert _parse_exposition(text) == {}
@@ -232,6 +252,9 @@ def test_gateway_metrics_text_is_valid_and_live():
 
     samples = _parse_exposition(asyncio.run(scenario()))
     assert samples["repro_requests_completed_total"] == [({}, 4.0)]
+    # the scheduler feeds every dispatched request's queue wait
+    assert samples["repro_queue_wait_seconds_count"] == [({}, 4.0)]
+    assert samples["repro_queue_wait_seconds_sum"][0][1] >= 0.0
     # the cost ledger rides along in the same exposition
     [(labels, value)] = samples["repro_cost_requests_total"]
     assert labels == {"tenant": "home"}

@@ -180,8 +180,19 @@ def test_worker_slice_spans_cross_the_pickle_boundary():
 
 
 def test_inline_fallback_slices_are_distinguishable():
-    """With every group crashing a worker and zero retries, episodes run
-    through the inline fallback — named ``inline-slice``, parent pid."""
+    """With every pool-dispatched group crashing a worker and zero
+    retries, episodes run through the inline fallback — named
+    ``inline-slice``, parent pid.
+
+    The SIGKILL races the slices: the surviving worker may finish its
+    slice before the pool notices the death, so a crashed group can
+    legitimately keep a ``worker-slice``.  The contract is therefore
+    checked per trace — a slice is ``inline-slice`` in the parent pid
+    exactly when its trace carries an ``inline_fallback`` event — which
+    holds however the race resolves.  (Some fallback always happens: a
+    first group that wholly outran its kill leaves the pool one worker
+    short, and the second group's kill takes the last one.)
+    """
     suite = load_suite("edgehome", n_queries=4)
     tracer, sink = _memory_tracer()
     config = ServingSpec(max_batch_size=2, max_wait_ms=2.0,
@@ -193,21 +204,34 @@ def test_inline_fallback_slices_are_distinguishable():
                        faults=FaultPlan(seed=2, worker_crash_rate=1.0))
     assert all(response.episode is not None for response in responses)
 
-    by_name = {}
+    by_trace = {}
     for span in sink.spans():
-        by_name.setdefault(span.name, []).append(span)
-    inline_slices = by_name.get("inline-slice", [])
-    assert inline_slices, "crash-everything run produced no inline slices"
-    assert not by_name.get("worker-slice"), \
-        "worker slices survived a crash-every-group plan with 0 retries"
-    for span in inline_slices:
-        assert span.attributes["pid"] == os.getpid()
-    # the fallback decision itself is an event on the owning trace
-    fallback_events = [event
-                       for spans in by_name.values() for span in spans
-                       for event in span.events
-                       if event.name == "inline_fallback"]
-    assert fallback_events
+        by_trace.setdefault(span.trace_id, []).append(span)
+    assert len(by_trace) == len(suite.queries)
+    fell_back_traces = 0
+    for spans in by_trace.values():
+        [execute] = [span for span in spans if span.name == "execute"]
+        slices = [span for span in spans
+                  if span.name in ("worker-slice", "inline-slice")]
+        events = {event.name for span in spans for event in span.events}
+        if execute.attributes["backend"] != "worker":
+            # served while the pool respawned: no slice on either side
+            assert not slices and "inline_fallback" not in events
+            continue
+        # every episode of a pool-dispatched group came from one slice
+        [slice_span] = slices
+        assert slice_span.parent_id == execute.span_id
+        if "inline_fallback" in events:
+            # the fallback decision is an event on the owning trace and
+            # its episode ran on this side of the pickle boundary
+            fell_back_traces += 1
+            assert slice_span.name == "inline-slice"
+            assert slice_span.attributes["pid"] == os.getpid()
+        else:
+            # the survivor outran the kill: a real worker-side slice
+            assert slice_span.name == "worker-slice"
+            assert slice_span.attributes["pid"] != os.getpid()
+    assert fell_back_traces, "crash-everything run produced no inline slices"
 
 
 def test_worker_slice_span_helper_names_both_sides():

@@ -62,6 +62,106 @@ def test_flush_on_deadline_with_partial_batch():
     assert all(size == 3 for _, size in results)
 
 
+def capturing_processor(captured):
+    def capture(batch):
+        captured.append([request.payload for request in batch])
+        return [None] * len(batch)
+    return capture
+
+
+def test_backlog_behind_a_running_batch_is_the_next_batch():
+    """Work-conserving default: A reaches an idle worker and flushes
+    alone; B, C, D queue while A runs and leave together — the in-flight
+    batch is the coalescing window."""
+    captured = []
+    entered, release = threading.Event(), threading.Event()
+    capture = capturing_processor(captured)
+
+    def held(batch):
+        entered.set()
+        assert release.wait(timeout=5.0)
+        return capture(batch)
+
+    async def scenario():
+        scheduler = await start_scheduler(ServingSpec(), process=held)
+        first = scheduler.submit("t", "A")
+        assert await asyncio.to_thread(entered.wait, 5.0)
+        backlog = [scheduler.submit("t", payload) for payload in "BCD"]
+        assert scheduler.pending == 3
+        release.set()
+        await asyncio.gather(first, *backlog)
+        await scheduler.stop()
+
+    run(scenario())
+    assert captured == [["A"], ["B", "C", "D"]]
+
+
+def test_one_loop_turn_of_submissions_forms_one_batch_at_defaults():
+    """32 closed-loop clients re-submitting in the same event-loop turn
+    all land before the scheduler task runs: one full batch, no window
+    needed (the ``gw_closed_c32`` property)."""
+    async def scenario():
+        telemetry = Telemetry()
+        scheduler = await start_scheduler(ServingSpec(), telemetry=telemetry)
+        results = await asyncio.gather(*(
+            scheduler.submit("t", i) for i in range(32)))
+        await scheduler.stop()
+        return results, telemetry.snapshot()
+
+    results, metrics = run(scenario())
+    assert results == [(i, 32) for i in range(32)]
+    assert metrics["batch_size_histogram"] == {"32": 1}
+    assert metrics["queue_wait_count"] == 32
+
+
+def test_default_dispatches_an_idle_trickle_at_once_with_no_timer(monkeypatch):
+    """Each request of a trickle finds the worker idle and is cut on the
+    scheduler's next turn — alone, and without arming ``wait_for``."""
+    captured = []
+
+    def no_timer(*args, **kwargs):
+        raise AssertionError("the idle path armed a coalescing timer")
+
+    async def scenario():
+        scheduler = await start_scheduler(
+            ServingSpec(), process=capturing_processor(captured))
+        monkeypatch.setattr(asyncio, "wait_for", no_timer)
+        for payload in "ABC":
+            future = scheduler.submit("t", payload)
+            # a crashed scheduler task must fail the test, not hang it
+            await asyncio.wait({future, scheduler._task}, timeout=5.0,
+                               return_when=asyncio.FIRST_COMPLETED)
+            assert future.done() and not scheduler._task.done()
+        await scheduler.stop()
+
+    run(scenario())
+    assert captured == [["A"], ["B"], ["C"]]
+
+
+def test_explicit_window_still_coalesces_an_idle_trickle():
+    """``max_wait_ms > 0`` is the opt-in: an idle worker holds the first
+    request for company until the window closes or the batch fills."""
+    captured = []
+
+    async def scenario():
+        scheduler = await start_scheduler(
+            ServingSpec(max_batch_size=3, max_wait_ms=10_000.0),
+            process=capturing_processor(captured))
+        futures = []
+        for count, payload in enumerate("ABC", start=1):
+            futures.append(scheduler.submit("t", payload))
+            if count < 3:
+                for _ in range(10):  # the scheduler gets its turns ...
+                    await asyncio.sleep(0)
+                # ... and keeps holding inside the (huge) window
+                assert scheduler.pending == count and not captured
+        await asyncio.gather(*futures)
+        await scheduler.stop()
+
+    run(scenario())
+    assert captured == [["A", "B", "C"]]
+
+
 def test_round_robin_fairness_across_tenants():
     async def scenario():
         scheduler = await start_scheduler(
@@ -86,13 +186,10 @@ def test_fairness_caps_flooding_tenant_in_cut_order():
     interleaves tenants instead of draining the flooder first."""
     captured = []
 
-    def capture(batch):
-        captured.append([request.payload for request in batch])
-        return [None] * len(batch)
-
     async def scenario():
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=4, max_wait_ms=50.0), process=capture)
+            ServingSpec(max_batch_size=4, max_wait_ms=50.0),
+            process=capturing_processor(captured))
         futures = [scheduler.submit("a", f"a{i}") for i in range(4)]
         futures.append(scheduler.submit("b", "b0"))
         await asyncio.gather(*futures)

@@ -67,8 +67,7 @@ def test_decide_batch_matches_decide(suite):
         assert decision == single  # frozen dataclass: scores compare bitwise
 
 
-def test_served_episodes_equal_sequential_runner(suite):
-    """The acceptance criterion: gateway output == ExperimentRunner output."""
+def _assert_served_equals_sequential(suite, config: ServingSpec) -> None:
     reference_runner = ExperimentRunner(suite, embedder=CachedEmbedder())
     reference = {
         episode.qid: episode
@@ -78,7 +77,6 @@ def test_served_episodes_equal_sequential_runner(suite):
     async def serve_all():
         sessions = SessionManager()
         sessions.register("t", suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0)
         async with Gateway(sessions, config=config) as gateway:
             responses = await asyncio.gather(*(
                 gateway.submit("t", query) for query in suite.queries
@@ -94,6 +92,18 @@ def test_served_episodes_equal_sequential_runner(suite):
         # energy and token floats — bitwise, thanks to batch-invariant
         # kernels and per-query RNG streams
         assert response.episode == reference[response.episode.qid]
+
+
+def test_served_episodes_equal_sequential_runner(suite):
+    """The acceptance criterion: gateway output == ExperimentRunner output."""
+    _assert_served_equals_sequential(
+        suite, ServingSpec(max_batch_size=8, max_wait_ms=5.0))
+
+
+def test_served_episodes_equal_sequential_runner_at_default_spec(suite):
+    """Same contract for what ships: the work-conserving default (no
+    coalescing window, batches cut from the backlog)."""
+    _assert_served_equals_sequential(suite, ServingSpec())
 
 
 def test_http_call_equals_sequential_runner(suite):

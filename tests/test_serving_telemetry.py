@@ -120,6 +120,20 @@ def test_batch_histogram_boundaries_and_mean():
     assert snapshot["mean_batch_size"] == pytest.approx((1 + 1 + 8 + 32) / 4)
 
 
+def test_flush_feeds_queue_wait_percentiles_and_exact_sum():
+    telemetry = Telemetry(max_samples=4)
+    telemetry.record_flush(1)  # waits are optional: histogram-only callers
+    telemetry.record_flush(2, [0.001, 0.003])
+    telemetry.record_flush(4, [0.002, 0.002, 0.004, 0.008])
+    snapshot = telemetry.snapshot()
+    assert snapshot["n_batches"] == 3
+    # the ring keeps the 4 newest waits; sum/count stay lifetime-exact
+    assert snapshot["queue_wait_p50_ms"] == pytest.approx(3.0)
+    assert snapshot["queue_wait_p95_ms"] == pytest.approx(7.4)
+    assert snapshot["queue_wait_sum_s"] == pytest.approx(0.020)
+    assert snapshot["queue_wait_count"] == 6
+
+
 def test_queue_depth_tracking_and_rejections():
     telemetry = Telemetry()
     for depth in (1, 3, 2):

@@ -345,6 +345,14 @@ class TestWireCompat:
         assert set(ServingSpec().to_dict()) == self.SERVING_KEYS
         assert set(BudgetSpec(energy_budget_j=1).to_dict()) == self.BUDGET_KEYS
 
+    def test_max_wait_defaults_to_work_conserving(self):
+        # the key stays on the wire; only its default moved (2.0 -> 0.0),
+        # so a spec written without it now means "no idle-time window"
+        assert ServingSpec().max_wait_ms == 0.0
+        assert ServingSpec().to_dict()["max_wait_ms"] == 0.0
+        assert ServingSpec.from_dict({"max_batch_size": 4}).max_wait_ms == 0.0
+        assert ServingSpec.from_dict({"max_wait_ms": 1.5}).max_wait_ms == 1.5
+
     def test_parent_written_serving_spec_round_trips(self):
         import json
         from pathlib import Path
