@@ -3,11 +3,16 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper bench-selftest bench-pair loc
+.PHONY: test golden-check test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper bench-selftest bench-pair loc
 
 ## tier-1 test suite (the CI gate)
 test:
 	$(PYTHON) -m pytest -x -q
+
+## every golden episode (digests written by the parent commit's code,
+## tests/data/golden_episodes_parent.json) still comes out bit for bit
+golden-check:
+	$(PYTHON) scripts/make_golden_episodes.py --check
 
 ## process-backend equivalence tests with an explicit 2-worker pool
 test-process:
@@ -78,11 +83,12 @@ bench-selftest:
 
 ## paired A/B of the repo benchmark: REF's committed files vs the working
 ## tree, alternating order over distinct seeds, medians/quartiles/wins
-## (make bench-pair REF=<sha> WORKLOAD=http_closed_c2 [PAIRS=10])
+## (make bench-pair REF=<sha> WORKLOAD=http_closed_c2 [PAIRS=10]
+## [SEEDS=41,42,...] — seeds default to 1..PAIRS; a claim names unused ones)
 PAIRS ?= 10
 bench-pair:
 	$(PYTHON) scripts/bench_pair.py --ref $(REF) --workload $(WORKLOAD) \
-		--pairs $(PAIRS)
+		--pairs $(PAIRS) $(if $(SEEDS),--seeds $(SEEDS))
 
 ## lines of python per src/repro package, total last (deletion PRs
 ## state this before/after)

@@ -54,11 +54,20 @@ class CachedEmbedder:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._generation = getattr(self.embedder, "projection_generation", 0)
+        self._generation = self.projection_generation
 
     @property
     def dim(self) -> int:
         return self.embedder.dim
+
+    @property
+    def projection_generation(self) -> int:
+        """The wrapped embedder's projection id (0 when it has none).
+
+        Changes on :meth:`reseed`; anything derived from this embedder's
+        vectors and kept elsewhere keys its validity on it.
+        """
+        return getattr(self.embedder, "projection_generation", 0)
 
     # ------------------------------------------------------------------
     # encoding
@@ -105,7 +114,7 @@ class CachedEmbedder:
                 return np.stack(out)
             unique_misses = list(miss_positions)
             with self._compute_lock:
-                compute_generation = getattr(self.embedder, "projection_generation", 0)
+                compute_generation = self.projection_generation
                 fresh = self.embedder.encode(unique_misses)
             with self._lock:
                 self._check_generation()
@@ -231,7 +240,7 @@ class CachedEmbedder:
         making previously cached vectors incomparable with new ones;
         tracking the embedder's projection generation keeps the cache
         coherent without an explicit invalidation call."""
-        generation = getattr(self.embedder, "projection_generation", 0)
+        generation = self.projection_generation
         if generation != self._generation:
             self._cache.clear()
             self._generation = generation

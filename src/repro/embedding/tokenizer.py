@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -21,13 +22,16 @@ _SUFFIXES = ("ingly", "edly", "ings", "ing", "edly", "ied", "ies", "ed", "es", "
 _KEEP_SHORT = frozenset({"gas", "bus", "gps", "les", "las", "pas"})
 
 
+@lru_cache(maxsize=16384)
 def stem(word: str) -> str:
     """Light deterministic suffix-stripping stemmer.
 
     Much weaker than Porter but stable and predictable: it only strips a
     suffix when the remaining stem keeps at least three characters, so the
     lexicon can rely on the mapping ("plotting" -> "plott" is avoided by
-    de-doubling the final consonant).
+    de-doubling the final consonant).  Memoized (bounded): the same few
+    thousand catalog and query words are stemmed on every paraphrase and
+    every uncached embed.
     """
     if word in _KEEP_SHORT or len(word) <= 3:
         return word

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,15 @@ _PLACEHOLDER_VALUES = {
 _GENERIC_WORDS = ("data", "information", "process", "handle", "task",
                   "result", "item", "request", "thing", "general")
 
+#: Splits a description into the raw words the paraphraser rewrites.
+_WORD_TOKENIZER = Tokenizer(remove_stopwords=False, apply_stem=False)
+
+#: Entries kept by :meth:`SimulatedLLM._similarities`.  An episode uses
+#: one to three presented sets and a gateway runs at most a few dozen
+#: episodes at once, so this covers every live episode with room for
+#: repeated queries; at ~1 KB an entry the memo stays under 300 KB.
+_SIMILARITY_MEMO_ENTRIES = 256
+
 
 @dataclass
 class SimulatedLLM:
@@ -59,6 +69,13 @@ class SimulatedLLM:
     embedder: CachedEmbedder = field(default_factory=shared_embedder)
     calibration: BehaviorCalibration = DEFAULT_CALIBRATION
     root_seed: int = DEFAULT_ROOT_SEED
+    #: (projection generation, query text, presented descriptions) ->
+    #: query-vs-description similarity vector; see :meth:`_similarities`
+    _similarity_memo: dict = field(default_factory=dict, init=False,
+                                   repr=False, compare=False)
+    _similarity_lock: threading.Lock = field(default_factory=threading.Lock,
+                                             init=False, repr=False,
+                                             compare=False)
 
     @classmethod
     def from_registry(cls, model: str, quant: str = "q4_K_M", **kwargs) -> "SimulatedLLM":
@@ -68,6 +85,19 @@ class SimulatedLLM:
     @property
     def name(self) -> str:
         return f"{self.model.name}-{self.quant.name}"
+
+    # the memo is derived state and the lock cannot cross a process
+    # boundary: agents ship to pool workers without either
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_similarity_memo"]
+        del state["_similarity_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._similarity_memo = {}
+        self._similarity_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # RNG plumbing
@@ -194,7 +224,8 @@ class SimulatedLLM:
 
         plan = plan_agent_prompt(query.text, presented_tools, context_window,
                                  step_index=step_index)
-        included = [tool for tool in presented_tools if tool.name in set(plan.tools_included)]
+        included_names = set(plan.tools_included)
+        included = [tool for tool in presented_tools if tool.name in included_names]
         pressure = context_pressure(plan.prompt_tokens, context_window)
         usage = self._turn_usage(plan.prompt_tokens, step_index, len(included),
                                  gold_call, rng)
@@ -205,14 +236,20 @@ class SimulatedLLM:
             return AgentTurn(call=None, usage=usage, signalled_error=True,
                              tools_seen=plan.tools_included)
 
-        distractor_sim = self._distractor_similarity(query, included, gold_call.tool)
-        gold_present = any(tool.name == gold_call.tool for tool in included)
-        if gold_present:
-            gold_spec = next(tool for tool in included if tool.name == gold_call.tool)
-            gold_sim = self._similarity(query.text, gold_spec.description)
+        # everything similarity-shaped below is a mask or an index on the
+        # one query-vs-presented-tools vector this episode already has
+        sims = self._similarities(query.text, included)
+        is_gold = np.array([tool.name == gold_call.tool for tool in included],
+                           dtype=bool)
+        distractor_rows = np.flatnonzero(~is_gold)
+        distractor_sims = sims[distractor_rows]
+        # mean query-similarity of the 3 closest non-gold presented tools
+        distractor_sim = (float(np.mean(np.sort(distractor_sims)[::-1][:3]))
+                          if distractor_rows.size else 0.0)
+        if is_gold.any():
             logit = behavior.selection_logit(
                 self.model, self.quant, len(included), distractor_sim, pressure,
-                gold_similarity=gold_sim,
+                gold_similarity=float(sims[np.argmax(is_gold)]),
                 step_index=step_index if query.sequential else 0,
                 sequential=query.sequential,
                 skill_multiplier=skill_multiplier,
@@ -228,11 +265,15 @@ class SimulatedLLM:
             return AgentTurn(call=call, usage=usage, correct_tool=True,
                              tools_seen=plan.tools_included)
 
-        distractor = self._pick_distractor(query, included, gold_call.tool, rng)
-        if distractor is None:
+        if not distractor_rows.size:
             # nothing plausible to call: behave like an error signal
             return AgentTurn(call=None, usage=usage, signalled_error=True,
                              tools_seen=plan.tools_included)
+        # a wrong tool, biased towards the most query-similar ones
+        weights = np.exp((distractor_sims - distractor_sims.max()) / 0.08)
+        weights /= weights.sum()
+        distractor = included[distractor_rows[
+            int(rng.choice(distractor_rows.size, p=weights))]]
         call = ToolCall(distractor.name, self._placeholder_arguments(distractor))
         return AgentTurn(call=call, usage=usage, correct_tool=False,
                          tools_seen=plan.tools_included)
@@ -253,36 +294,34 @@ class SimulatedLLM:
         return TokenUsage(prompt_tokens=prompt_tokens, completion_tokens=completion,
                           kv_cached_tokens=kv_cached)
 
-    def _similarity(self, text_a: str, text_b: str) -> float:
-        return float(np.dot(self.embedder.encode_one(text_a),
-                            self.embedder.encode_one(text_b)))
+    def _similarities(self, query_text: str,
+                      included: list[ToolSpec]) -> np.ndarray:
+        """Query-vs-description dot products, one per tool in ``included``.
 
-    def _query_tool_similarities(self, query: Query,
-                                 candidates: list[ToolSpec]) -> np.ndarray:
-        """Query-vs-description dot products via one batched encode."""
-        vectors = self.embedder.encode(
-            [query.text] + [tool.description for tool in candidates])
-        return vectors[1:] @ vectors[0]
-
-    def _distractor_similarity(self, query: Query, included: list[ToolSpec],
-                               gold_tool: str) -> float:
-        """Mean query-similarity of the 3 closest non-gold presented tools."""
-        candidates = [tool for tool in included if tool.name != gold_tool]
-        if not candidates:
-            return 0.0
-        sims = np.sort(self._query_tool_similarities(query, candidates))[::-1]
-        return float(np.mean(sims[:3]))
-
-    def _pick_distractor(self, query: Query, included: list[ToolSpec],
-                         gold_tool: str, rng: np.random.Generator) -> ToolSpec | None:
-        """Sample a wrong tool, biased towards the most query-similar ones."""
-        candidates = [tool for tool in included if tool.name != gold_tool]
-        if not candidates:
-            return None
-        sims = self._query_tool_similarities(query, candidates)
-        weights = np.exp((sims - sims.max()) / 0.08)
-        weights /= weights.sum()
-        return candidates[int(rng.choice(len(candidates), p=weights))]
+        A pure function of the query text, the presented descriptions
+        and the embedder's projection, so every step and retry of an
+        episode — which present the same tools — shares one batched
+        encode and one matvec.  Keyed on the description *texts*: catalog
+        variants of one tool name never share an entry, and a reseeded
+        projection (another LLM may share the embedder) starts over.
+        The memo is bounded (oldest entry out) and lock-protected, since
+        a gateway runs episodes on one LLM from several threads; the
+        returned vector is shared and read-only.
+        """
+        descriptions = tuple(tool.description for tool in included)
+        key = (self.embedder.projection_generation, query_text, descriptions)
+        with self._similarity_lock:
+            sims = self._similarity_memo.get(key)
+        if sims is None:
+            vectors = self.embedder.encode((query_text,) + descriptions)
+            sims = vectors[1:] @ vectors[0]
+            sims.flags.writeable = False
+            with self._similarity_lock:
+                memo = self._similarity_memo
+                memo[key] = sims
+                if len(memo) > _SIMILARITY_MEMO_ENTRIES:
+                    del memo[next(iter(memo))]
+        return sims
 
     def _format_gold_call(self, gold_call: ToolCall, pressure: float,
                           distractor_sim: float, arg_multiplier: float,
@@ -340,8 +379,7 @@ class SimulatedLLM:
         if generic_p is None:
             generic_p = noise * 0.30
         lexicon = default_lexicon()
-        tokenizer = Tokenizer(remove_stopwords=False, apply_stem=False)
-        words = tokenizer.words(text)
+        words = _WORD_TOKENIZER.words(text)
         output: list[str] = []
         for word in words:
             roll = rng.random()

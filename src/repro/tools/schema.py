@@ -160,6 +160,29 @@ class ToolSpec:
         if len(names) != len(set(names)):
             raise ValueError(f"tool {self.name!r}: duplicate parameter names")
 
+    def __hash__(self) -> int:
+        """Field-wise hash, computed once per (frozen) spec.
+
+        Prompt layout is memoized on ``tuple[ToolSpec, ...]`` keys, which
+        hashes every presented spec — nested parameters included — on
+        every LLM turn.  Memoized like :meth:`json_text`; string hashes
+        are salted per process, so the cached value never leaves one
+        (:meth:`__getstate__`).
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.description, self.parameters,
+                           self.category, self.returns,
+                           self.compressed_description,
+                           self.minimal_description))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     @property
     def required_parameters(self) -> tuple[ToolParameter, ...]:
         return tuple(parameter for parameter in self.parameters if parameter.required)

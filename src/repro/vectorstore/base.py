@@ -9,6 +9,11 @@ import numpy as np
 from repro.vectorstore.metrics import Metric, get_metric
 
 
+#: what a ranking pass yields: ``(scores, ids, lengths)`` — see
+#: :meth:`VectorIndex._search_arrays_impl`
+Ranked = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+
+
 @dataclass
 class SearchResult:
     """Top-k result for one query: parallel score/id arrays, best first."""
@@ -51,6 +56,7 @@ class VectorIndex:
         self._ids = np.zeros(0, dtype=np.int64)
         # hoisted 0..n-1 row ids, maintained on add (not per search call)
         self._rows = np.zeros(0, dtype=np.intp)
+        self._refresh_operand()
 
     # ------------------------------------------------------------------
     # storage
@@ -81,6 +87,7 @@ class VectorIndex:
         self._vectors = np.vstack([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
         self._rows = np.arange(self._vectors.shape[0], dtype=np.intp)
+        self._refresh_operand()
         self._on_add(vectors, ids)
 
     def reconstruct(self, vector_id: int) -> np.ndarray:
@@ -95,15 +102,12 @@ class VectorIndex:
     # ------------------------------------------------------------------
     def search(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         """Return the top-``k`` neighbours for each query row."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        if queries.shape[1] != self.dim:
-            raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if len(self) == 0:
-            empty = SearchResult(np.zeros(0), np.zeros(0, dtype=np.int64))
-            return [empty for _ in range(queries.shape[0])]
-        return self._search_impl(queries, min(k, len(self)))
+        scores, ids, lengths = self._search_checked(queries, k)
+        if lengths is None:
+            return [SearchResult(scores=row_scores, ids=row_ids)
+                    for row_scores, row_ids in zip(scores, ids)]
+        return [SearchResult(scores=row_scores[:n], ids=row_ids[:n])
+                for row_scores, row_ids, n in zip(scores, ids, lengths)]
 
     def search_one(self, query: np.ndarray, k: int) -> SearchResult:
         """Convenience: top-``k`` neighbours of a single vector."""
@@ -116,40 +120,76 @@ class VectorIndex:
         to retrieve the same number of neighbours (always true for exact
         indexes; an IVF probe may narrow some queries' candidate sets).
         """
-        results = self.search(queries, k)
-        lengths = [len(result) for result in results]
-        if len(set(lengths)) > 1:
+        scores, ids, lengths = self._search_checked(queries, k)
+        if lengths is not None:
             raise ValueError(
                 f"search_arrays(k={k}) requires uniform result lengths over "
-                f"{len(self)} stored vectors, but the {len(results)} queries "
-                f"retrieved {lengths} neighbours each; use search() for "
-                "ragged results (an IVF probe over sparse lists can narrow "
-                "some queries' candidate sets)")
-        return (np.stack([result.scores for result in results]),
-                np.stack([result.ids for result in results]))
+                f"{len(self)} stored vectors, but the {len(lengths)} queries "
+                f"retrieved {lengths.tolist()} neighbours each; use search() "
+                "for ragged results (an IVF probe over sparse lists can "
+                "narrow some queries' candidate sets)")
+        return scores, ids
+
+    def _search_checked(self, queries: np.ndarray, k: int) -> Ranked:
+        """Validate the call, then rank: what both public forms share."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        if queries.shape[1] != self.dim:
+            raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if len(self) == 0:
+            n_queries = queries.shape[0]
+            return (np.zeros((n_queries, 0)),
+                    np.zeros((n_queries, 0), dtype=np.int64), None)
+        return self._search_arrays_impl(queries, min(k, len(self)))
+
+    # pickling ----------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # the operand is a function of the stored vectors: rebuilt on the
+        # receiving side, never shipped
+        state = self.__dict__.copy()
+        state.pop("_operand", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._refresh_operand()
 
     # hooks -------------------------------------------------------------
+    def _refresh_operand(self) -> None:
+        """Recompute what search needs of the stored vectors.
+
+        Called whenever they change (construction, ``add``, unpickling),
+        so a search never re-derives anything from data that did not
+        change since the last one.
+        """
+        self._operand = self.metric.prepare(self._vectors)
+
     def _on_add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         """Subclass hook invoked after vectors are appended."""
 
-    def _search_impl(self, queries: np.ndarray, k: int) -> list[SearchResult]:
+    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> Ranked:
+        """Rank validated ``queries`` against a non-empty index.
+
+        Returns ``(scores, ids, lengths)``: ``(q, k')`` matrices, best
+        first, and ``None`` — or, when the queries retrieved different
+        numbers of neighbours, the per-query counts (row ``i`` is then
+        valid up to ``lengths[i]``).  The one hook behind both
+        :meth:`search` and :meth:`search_arrays`; subclasses override
+        this, never the public methods.
+        """
         raise NotImplementedError
 
     # shared helpers -----------------------------------------------------
-    def _rank(self, scores: np.ndarray, candidate_rows: np.ndarray, k: int) -> SearchResult:
-        """Order candidate rows by score for one query."""
-        return self._rank_batch(scores[None, :], candidate_rows, k)[0]
-
     def _rank_batch(self, score_matrix: np.ndarray, candidate_rows: np.ndarray,
-                    k: int) -> list[SearchResult]:
-        """Top-``k`` of every score row in one vectorized selection pass.
+                    k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` ``(scores, ids)`` of every score row in one pass.
 
         ``score_matrix`` is ``(q, c)`` over the shared ``candidate_rows``.
         When ``k`` is a strict subset, an ``argpartition`` pass selects
         the top block before only that block is sorted — O(c + k log k)
         per query instead of O(c log c).
         """
-        score_matrix = np.atleast_2d(score_matrix)
         # argsort/argpartition pick minima; negate similarities so "best"
         # is always the smallest key
         keys = -score_matrix if self.metric.higher_is_better else score_matrix
@@ -161,7 +201,5 @@ class VectorIndex:
             top = np.take_along_axis(block, order, axis=1)
         else:
             top = np.argsort(keys, axis=1, kind="stable")
-        top_scores = np.take_along_axis(score_matrix, top, axis=1)
-        top_ids = self._ids[candidate_rows[top]]
-        return [SearchResult(scores=top_scores[qi], ids=top_ids[qi])
-                for qi in range(score_matrix.shape[0])]
+        return (np.take_along_axis(score_matrix, top, axis=1),
+                self._ids[candidate_rows[top]])

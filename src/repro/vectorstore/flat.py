@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vectorstore.base import SearchResult, VectorIndex
+from repro.vectorstore.base import Ranked, VectorIndex
 
 
 class FlatIndex(VectorIndex):
@@ -14,11 +14,12 @@ class FlatIndex(VectorIndex):
     pools are tiny (tens of tools), so exact search is both the fastest
     and the most faithful reproduction of the paper's FAISS usage.
 
-    Search is fully batched: one metric evaluation produces the whole
-    ``(q, n)`` score matrix and one vectorized selection pass ranks every
-    query — no per-query Python loop, no per-call ``np.arange``.
+    Search is fully batched: one metric evaluation against the prepared
+    stored vectors produces the whole ``(q, n)`` score matrix and one
+    vectorized selection pass ranks every query — no per-query Python
+    loop, nothing recomputed from the stored side per call.
     """
 
-    def _search_impl(self, queries: np.ndarray, k: int) -> list[SearchResult]:
-        score_matrix = self.metric.score(queries, self._vectors)
-        return self._rank_batch(score_matrix, self._rows, k)
+    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> Ranked:
+        score_matrix = self.metric.score_prepared(queries, self._operand)
+        return (*self._rank_batch(score_matrix, self._rows, k), None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import derive_rng
-from repro.vectorstore.base import SearchResult, VectorIndex
+from repro.vectorstore.base import Ranked, VectorIndex
 from repro.vectorstore.metrics import get_metric
 
 
@@ -93,7 +93,7 @@ class IVFIndex(VectorIndex):
         if self.is_trained:
             self._reassign()
 
-    def _search_impl(self, queries: np.ndarray, k: int) -> list[SearchResult]:
+    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> Ranked:
         if not self.is_trained:
             self.train()
         assert self._centroids is not None and self._assignments is not None
@@ -106,16 +106,25 @@ class IVFIndex(VectorIndex):
         probe_lists = np.argsort(centroid_dists, axis=1, kind="stable")[:, :nprobe]
         probe_sets, group_of = np.unique(np.sort(probe_lists, axis=1),
                                          axis=0, return_inverse=True)
-        results: list[SearchResult | None] = [None] * queries.shape[0]
+        n_queries = queries.shape[0]
+        scores = np.zeros((n_queries, k))
+        ids = np.zeros((n_queries, k), dtype=np.int64)
+        lengths = np.zeros(n_queries, dtype=np.intp)
         for group, probes in enumerate(probe_sets):
             members = np.flatnonzero(group_of == group)
             candidate_rows = np.sort(np.concatenate(
                 [self._list_rows[int(cluster)] for cluster in probes]))
             if candidate_rows.size == 0:
                 candidate_rows = self._rows
-            scores = self.metric.score(queries[members], self._vectors[candidate_rows])
-            ranked = self._rank_batch(scores, candidate_rows,
-                                      min(k, candidate_rows.size))
-            for qi, result in zip(members, ranked):
-                results[qi] = result
-        return results
+            # rows gathered *from* the prepared operand: preparation is
+            # row-wise, so this equals preparing the gathered rows
+            group_scores = self.metric.score_prepared(
+                queries[members], self._operand.take(candidate_rows))
+            width = min(k, candidate_rows.size)
+            scores[members, :width], ids[members, :width] = self._rank_batch(
+                group_scores, candidate_rows, width)
+            lengths[members] = width
+        width = int(lengths.max())
+        if (lengths == width).all():
+            return scores[:, :width], ids[:, :width], None
+        return scores, ids, lengths

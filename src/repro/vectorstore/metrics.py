@@ -11,12 +11,17 @@ would then return timing-dependent results.  Fixing the gemm shape makes
 every query's scores identical no matter which batch it rides in, at the
 cost of padding tiny batches up to :data:`QUERY_BLOCK` rows (~50us, well
 under one per-query search).
+
+A metric is a ``prepare`` / ``score_prepared`` pair: whatever depends on
+the stored vectors alone (row normalisation, squared norms, the layout
+the gemm reads) is computed once by the index that owns them, so a
+search pays only for its queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,15 +51,37 @@ def batch_invariant_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.nda
     blocks = []
     for start in range(0, n_queries, QUERY_BLOCK):
         chunk = queries[start:start + QUERY_BLOCK]
-        pad = QUERY_BLOCK - chunk.shape[0]
-        if pad:
-            chunk = np.vstack([chunk, np.zeros((pad, chunk.shape[1]))])
-            blocks.append((chunk @ vectors_t)[:QUERY_BLOCK - pad])
+        rows = chunk.shape[0]
+        if rows < QUERY_BLOCK:
+            padded = np.zeros((QUERY_BLOCK, chunk.shape[1]))
+            padded[:rows] = chunk
+            blocks.append((padded @ vectors_t)[:rows])
         else:
             blocks.append(chunk @ vectors_t)
     if len(blocks) == 1:
         return blocks[0]
     return np.vstack(blocks)
+
+
+class PreparedVectors(NamedTuple):
+    """A metric's precomputed form of a set of stored vectors.
+
+    Everything about the stored side that a search would otherwise
+    recompute per call: ``matrix`` is the C-contiguous ``(n, d)`` array
+    whose ``.T`` view the gemm consumes (row-normalised for cosine),
+    ``sq_norms`` the squared row norms L2 adds back (``None`` for the
+    similarities).  Both are row-wise functions of the vectors, so
+    :meth:`take` of a prepared set equals preparing the taken rows.
+    """
+
+    matrix: np.ndarray
+    sq_norms: np.ndarray | None = None
+
+    def take(self, rows: np.ndarray) -> "PreparedVectors":
+        """The prepared form of the stored rows ``rows`` (a gather)."""
+        return PreparedVectors(
+            self.matrix[rows],
+            None if self.sq_norms is None else self.sq_norms[rows])
 
 
 @dataclass(frozen=True)
@@ -68,37 +95,65 @@ class Metric:
     higher_is_better:
         True for similarities (inner product, cosine), False for
         distances (L2).
-    score:
-        ``score(queries (q,d), vectors (n,d)) -> (q,n)`` array.
+    prepare:
+        ``prepare(vectors (n,d)) -> PreparedVectors``; an index calls it
+        when its stored vectors change, never per search.
+    score_prepared:
+        ``score_prepared(queries (q,d), prepared) -> (q,n)`` array.
     """
 
     name: str
     higher_is_better: bool
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    prepare: Callable[[np.ndarray], PreparedVectors]
+    score_prepared: Callable[[np.ndarray, PreparedVectors], np.ndarray]
+
+    def score(self, queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """One-shot ``(q,n)`` scores against vectors nobody keeps prepared."""
+        return self.score_prepared(queries, self.prepare(vectors))
 
 
-def _inner_product(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return batch_invariant_matmul(queries, vectors.T)
+def _prepare_raw(vectors: np.ndarray) -> PreparedVectors:
+    return PreparedVectors(np.ascontiguousarray(vectors, dtype=float))
 
 
-def _cosine(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return batch_invariant_matmul(normalize_rows(queries), normalize_rows(vectors).T)
+def _prepare_unit(vectors: np.ndarray) -> PreparedVectors:
+    return PreparedVectors(normalize_rows(vectors))
 
 
-def _squared_l2(queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    # ||q - v||^2 = ||q||^2 - 2 q.v + ||v||^2, computed without a (q,n,d) blow-up
+def _prepare_l2(vectors: np.ndarray) -> PreparedVectors:
+    matrix = np.ascontiguousarray(vectors, dtype=float)
+    return PreparedVectors(matrix, np.sum(matrix**2, axis=1))
+
+
+def _inner_product(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
+    return batch_invariant_matmul(queries, prepared.matrix.T)
+
+
+def _cosine(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
+    return batch_invariant_matmul(normalize_rows(queries), prepared.matrix.T)
+
+
+def l2_expansion(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
+    """``||q||^2 - 2 q.v + ||v||^2`` without a ``(q,n,d)`` blow-up.
+
+    Rounding can leave a tiny negative where ``q == v``; the L2 metric
+    clamps those, the PQ look-up tables sum them as they are.
+    """
     q_sq = np.sum(queries**2, axis=1, keepdims=True)
-    v_sq = np.sum(vectors**2, axis=1)
-    cross = batch_invariant_matmul(queries, vectors.T)
-    dists = q_sq - 2.0 * cross + v_sq[None, :]
+    cross = batch_invariant_matmul(queries, prepared.matrix.T)
+    return q_sq - 2.0 * cross + prepared.sq_norms[None, :]
+
+
+def _squared_l2(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
+    dists = l2_expansion(queries, prepared)
     np.maximum(dists, 0.0, out=dists)
     return dists
 
 
 METRICS: dict[str, Metric] = {
-    "ip": Metric("ip", True, _inner_product),
-    "cosine": Metric("cosine", True, _cosine),
-    "l2": Metric("l2", False, _squared_l2),
+    "ip": Metric("ip", True, _prepare_raw, _inner_product),
+    "cosine": Metric("cosine", True, _prepare_unit, _cosine),
+    "l2": Metric("l2", False, _prepare_l2, _squared_l2),
 }
 
 

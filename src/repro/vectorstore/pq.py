@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.rng import derive_rng
-from repro.vectorstore.base import SearchResult, VectorIndex
+from repro.vectorstore.base import Ranked, VectorIndex
 from repro.vectorstore.ivf import kmeans
-from repro.vectorstore.metrics import batch_invariant_matmul
+from repro.vectorstore.metrics import l2_expansion
 
 
 class PQIndex(VectorIndex):
@@ -32,6 +31,8 @@ class PQIndex(VectorIndex):
     def __init__(self, dim: int, metric="l2", m: int = 8, n_centroids: int = 256):
         if metric not in ("l2",):
             raise ValueError("PQIndex supports the 'l2' metric only")
+        # read by _refresh_operand while the base class constructs
+        self._codebooks: np.ndarray | None = None  # (m, n_centroids, sub_dim)
         super().__init__(dim=dim, metric=metric)
         if m <= 0 or dim % m != 0:
             raise ValueError(f"m must divide dim ({dim}), got {m}")
@@ -40,7 +41,6 @@ class PQIndex(VectorIndex):
         self.m = m
         self.n_centroids = n_centroids
         self.sub_dim = dim // m
-        self._codebooks: np.ndarray | None = None  # (m, n_centroids, sub_dim)
         self._codes: np.ndarray | None = None      # (n, m) uint8
         self._code_columns: np.ndarray | None = None  # (1, m, n) intp
 
@@ -64,28 +64,28 @@ class PQIndex(VectorIndex):
                                   seed_stream=f"pq-train-{sub}")
             books.append(centroids)
         self._codebooks = np.stack(books)
+        self._refresh_operand()
         self._encode_all()
 
+    def _refresh_operand(self) -> None:
+        # search never touches the raw vectors: what it reuses across
+        # calls is each sub-space codebook in the L2 metric's prepared form
+        self._operand = None if self._codebooks is None else [
+            self.metric.prepare(book) for book in self._codebooks]
+
     def _encode_all(self) -> None:
-        assert self._codebooks is not None
+        assert self._operand is not None
         n = len(self)
         codes = np.zeros((n, self.m), dtype=np.uint8)
         for sub in range(self.m):
             block = self._vectors[:, sub * self.sub_dim:(sub + 1) * self.sub_dim]
-            dists = self._block_dists(block, self._codebooks[sub])
-            codes[:, sub] = np.argmin(dists, axis=1)
+            # the fixed-shape matmul inside keeps codes (and per-query
+            # LUTs below) bitwise independent of the batch composition
+            codes[:, sub] = np.argmin(
+                l2_expansion(block, self._operand[sub]), axis=1)
         self._codes = codes
         # (1, m, n) gather indices reused by every batched search
         self._code_columns = codes.T.astype(np.intp)[None, :, :]
-
-    @staticmethod
-    def _block_dists(block: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        # the fixed-shape matmul keeps per-query LUTs (and therefore PQ
-        # scores) bitwise independent of the query batch composition
-        b_sq = np.sum(block**2, axis=1, keepdims=True)
-        c_sq = np.sum(centroids**2, axis=1)
-        cross = batch_invariant_matmul(block, centroids.T)
-        return b_sq - 2.0 * cross + c_sq[None, :]
 
     def _on_add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
         if self.is_trained:
@@ -94,21 +94,21 @@ class PQIndex(VectorIndex):
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def _search_impl(self, queries: np.ndarray, k: int) -> list[SearchResult]:
+    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> Ranked:
         if not self.is_trained:
             self.train()
-        assert self._codebooks is not None and self._codes is not None
+        assert self._operand is not None and self._codes is not None
         # asymmetric distance: queries stay exact, database is coded.
         # One LUT per sub-space covers the whole query batch, and one
         # gather+sum scores every (query, vector) pair — the only Python
         # loop is over the m sub-spaces, never over queries.
         sub_queries = queries.reshape(queries.shape[0], self.m, self.sub_dim)
         luts = np.stack([
-            self._block_dists(sub_queries[:, sub, :], self._codebooks[sub])
+            l2_expansion(sub_queries[:, sub, :], self._operand[sub])
             for sub in range(self.m)
         ], axis=1)  # (q, m, n_centroids)
         dists = np.take_along_axis(luts, self._code_columns, axis=2).sum(axis=1)
-        return self._rank_batch(dists, self._rows, k)
+        return (*self._rank_batch(dists, self._rows, k), None)
 
     # ------------------------------------------------------------------
     # memory accounting

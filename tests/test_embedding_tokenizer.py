@@ -53,6 +53,12 @@ class TestTokenizer:
     def test_empty_string(self):
         assert Tokenizer().tokenize("") == []
 
+    def test_stem_memo_is_bounded_and_transparent(self):
+        assert stem.cache_info().maxsize is not None
+        words = ["plotting", "studies", "gas", "buses", "quickly", "map"]
+        assert [stem(word) for word in words] == [
+            stem.__wrapped__(word) for word in words]
+
     def test_char_trigrams_padding(self):
         trigrams = Tokenizer().char_trigrams("map")
         assert "#ma" in trigrams

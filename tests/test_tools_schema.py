@@ -1,6 +1,8 @@
 """Tests for repro.tools.schema."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -197,6 +199,35 @@ class TestDictRoundTrip:
     def test_spec_round_trip_is_json_safe(self, weather_tool):
         payload = json.dumps(weather_tool.to_dict())
         assert ToolSpec.from_dict(json.loads(payload)) == weather_tool
+
+
+class TestSpecHash:
+    """``ToolSpec.__hash__`` is memoized; equality and wire forms are not."""
+
+    def test_equal_specs_hash_equal_and_differ_by_any_field(self, weather_tool):
+        twin = ToolSpec.from_dict(weather_tool.to_dict())
+        assert twin is not weather_tool
+        assert hash(twin) == hash(weather_tool)
+        assert len({weather_tool, twin}) == 1
+        for change in ({"name": "other"}, {"description": "Other."},
+                       {"parameters": weather_tool.parameters[:1]},
+                       {"category": "x"}, {"returns": "y"},
+                       {"minimal_description": "Weather"}):
+            changed = dataclasses.replace(weather_tool, **change)
+            assert changed != weather_tool
+            assert hash(changed) != hash(weather_tool)
+
+    def test_cached_hash_is_invisible_to_eq_dict_and_pickle(self, weather_tool):
+        fresh = ToolSpec.from_dict(weather_tool.to_dict())
+        before = weather_tool.to_dict()
+        hash(weather_tool)
+        assert "_hash" in vars(weather_tool)
+        assert weather_tool == fresh              # fresh was never hashed
+        assert weather_tool.to_dict() == before
+        # str hashes are salted per process: the memo must not travel
+        clone = pickle.loads(pickle.dumps(weather_tool))
+        assert "_hash" not in vars(clone)
+        assert clone == weather_tool and hash(clone) == hash(weather_tool)
 
 
 class TestToolCall:
