@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test golden-check test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench bench-check bench-serving bench-budget bench-obs bench-paper bench-selftest bench-pair loc
+.PHONY: test golden-check test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench-pair bench-trend bench-paper bench-selftest loc
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -19,11 +19,16 @@ test-process:
 	REPRO_PROCESS_WORKERS=2 $(PYTHON) -m pytest \
 		tests/test_runner_process.py tests/test_serving_equivalence.py -q
 
-## fault-injection suite (worker kills, deadlines, degradation ladder)
+## fault-injection suite (worker kills, deadlines, degradation ladder),
+## then the seeded worker-kill scenario end to end: only recoverable
+## faults are injected, so `repro chaos` exits 1 if a request is lost or
+## the trace artifact disagrees with telemetry about the fault hooks
 test-chaos:
 	REPRO_PROCESS_WORKERS=2 $(PYTHON) -m pytest \
 		tests/test_serving_faults.py tests/test_serving_degrade.py -q
-	REPRO_PROCESS_WORKERS=2 $(PYTHON) scripts/bench_serving.py --chaos
+	$(PYTHON) -m repro chaos --process --workers 2 --seed 0 \
+		--crash-rate 0.25 --exception-rate 0 --requests 64 \
+		--concurrency 8 --trace-out /tmp/serving_chaos_trace.jsonl
 
 ## run the example scripts with a bounded batch (API breakage fails here)
 examples-smoke:
@@ -50,29 +55,6 @@ serve-smoke:
 serve-smoke-uvicorn:
 	$(PYTHON) scripts/serve_smoke.py --uvicorn
 
-## regenerate the committed perf baseline at the repo root
-bench:
-	$(PYTHON) scripts/bench_perf.py --output BENCH_perf.json
-
-## measure fresh numbers and fail on >25% throughput regression
-bench-check:
-	$(PYTHON) scripts/bench_perf.py --output /tmp/bench_perf_fresh.json
-	$(PYTHON) scripts/check_perf_regression.py --fresh /tmp/bench_perf_fresh.json
-
-## serving-gateway load bench: asserts micro-batched >= 2x sequential
-bench-serving:
-	$(PYTHON) scripts/bench_serving.py
-
-## carbon/power budget bench: asserts budgeted serving spends less
-## energy per request than uncontrolled while goodput stays > 0
-bench-budget:
-	$(PYTHON) scripts/bench_serving.py --budget
-
-## tracing-overhead bench: asserts full tracing costs < 10% throughput
-## (--update-baseline refreshes BENCH_perf.json's serving.obs section)
-bench-obs:
-	$(PYTHON) scripts/bench_obs.py
-
 ## the paper-reproduction benchmark tables/figures (slow)
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ -q
@@ -81,14 +63,27 @@ bench-paper:
 bench-selftest:
 	$(PYTHON) -m pytest bench_e2e/tests -q
 
-## paired A/B of the repo benchmark: REF's committed files vs the working
-## tree, alternating order over distinct seeds, medians/quartiles/wins
-## (make bench-pair REF=<sha> WORKLOAD=http_closed_c2 [PAIRS=10]
-## [SEEDS=41,42,...] — seeds default to 1..PAIRS; a claim names unused ones)
+## the perf gate: paired A/B of the repo benchmark, REF's committed files
+## vs the working tree, alternating order over distinct seeds; prints
+## medians/quartiles/wins per metric and exits non-zero on a REGRESSION
+## verdict (worse than the BENCHMARK.json bound) or an unverified run.
+## No WORKLOAD = all four, in BENCHMARK.json order (CI: PAIRS=3 against
+## the merge base).  A gain is claimed with the full ten pairs:
+## make bench-pair REF=<sha> [WORKLOAD=http_closed_c2] [PAIRS=10]
+## [SEEDS=41,42,...] — seeds default to 1..PAIRS; a claim names unused ones
 PAIRS ?= 10
 bench-pair:
-	$(PYTHON) scripts/bench_pair.py --ref $(REF) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) $(if $(SEEDS),--seeds $(SEEDS))
+	$(PYTHON) scripts/bench_pair.py --ref $(REF) --pairs $(PAIRS) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEEDS),--seeds $(SEEDS))
+
+## the kept trajectory: print BENCH_history.jsonl (one line per PR, added
+## with `python3 -m bench_e2e --out report.json` then
+## `scripts/bench_history.py append report.json`) and fail when the newest
+## line is worse than the best of the last five comparable ones by more
+## than a metric's bound
+bench-trend:
+	$(PYTHON) scripts/bench_history.py trend
+	$(PYTHON) scripts/bench_history.py check
 
 ## lines of python per src/repro package, total last (deletion PRs
 ## state this before/after)

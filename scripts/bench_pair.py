@@ -15,8 +15,13 @@ program change only while ``bench_e2e/`` is identical on both sides (the
 tool says so when it is not).  Nothing is written inside the repository
 beyond what the benchmark itself leaves (git-ignored).
 
-Run:  python scripts/bench_pair.py --ref <sha> --workload http_closed_c2
-      make bench-pair REF=<sha> WORKLOAD=http_closed_c2 [PAIRS=10]
+Without ``--workload`` every workload of ``BENCHMARK.json`` is compared,
+in its order, and the exit code is non-zero when any of them reads
+``REGRESSION`` or has a run whose output did not verify — the CI gate
+(``bench-gate``: the merge base as ``--ref``, three pairs).
+
+Run:  python scripts/bench_pair.py --ref <sha> [--workload http_closed_c2]
+      make bench-pair REF=<sha> [WORKLOAD=http_closed_c2] [PAIRS=10]
 """
 
 from __future__ import annotations
@@ -91,67 +96,25 @@ def compare(better: str, bound: float | None,
             "verdict": verdict}
 
 
-def metric_table() -> dict[str, tuple[str, float | None]]:
-    """``name -> (better, bound)`` from the working tree's BENCHMARK.json."""
-    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
-    return {entry["name"]: (entry["better"], entry.get("bound"))
-            for entry in contract["end_to_end"] + contract["per_layer"]}
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ref", required=True,
-                        help="commit to compare the working tree against")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", default=None,
-                        help="comma-separated seeds, one per pair "
-                             "(default: 1..PAIRS)")
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
-                        help="1 = compare the per-layer metrics instead")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="also write every run's raw result here (JSON)")
-    args = parser.parse_args(argv)
-    seeds = ([int(seed) for seed in args.seeds.split(",")] if args.seeds
-             else list(range(1, args.pairs + 1)))
-    if len(set(seeds)) != len(seeds):
-        parser.error("--seeds must be distinct")
-
-    ref_tree = Path(tempfile.mkdtemp(prefix="bench-pair-ref-"))
+def compare_workload(workload: str, trees: dict[str, Path], seeds: list[int],
+                     args: argparse.Namespace, table: dict) -> tuple[dict, bool]:
+    """Run the pairs of one workload and print its table; returns every
+    run's raw result and whether the workload fails the gate."""
     runs: dict[str, list[dict]] = {"ref": [], "tree": []}
-    try:
-        extract_ref(args.ref, ref_tree)
-        if subprocess.run(["git", "diff", "--quiet", args.ref, "--",
-                           "bench_e2e", "BENCHMARK.json"],
-                          cwd=REPO_ROOT).returncode != 0:
-            print("note: bench_e2e/ or BENCHMARK.json differ between "
-                  f"{args.ref} and the working tree — the two sides do "
-                  "not run the same benchmark")
-        trees = {"ref": ref_tree, "tree": REPO_ROOT}
-        for index, seed in enumerate(seeds):
-            order = ("ref", "tree") if index % 2 == 0 else ("tree", "ref")
-            for side in order:
-                runs[side].append(run_once(trees[side], args.workload, seed,
-                                           args.seconds, args.trace))
-            print(f"pair {index + 1}/{len(seeds)} seed {seed} "
-                  f"({order[0]} first): " + "  ".join(
-                      f"{side} failed {runs[side][-1]['failed']}/"
-                      f"{runs[side][-1]['attempted']}"
-                      for side in runs), flush=True)
-    finally:
-        shutil.rmtree(ref_tree, ignore_errors=True)
-
-    if args.out:
-        Path(args.out).write_text(json.dumps(
-            {"ref": args.ref, "workload": args.workload, "seeds": seeds,
-             "seconds": args.seconds, "trace": args.trace, "runs": runs},
-            indent=1) + "\n")
-    table = metric_table()
+    for index, seed in enumerate(seeds):
+        order = ("ref", "tree") if index % 2 == 0 else ("tree", "ref")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seed,
+                                       args.seconds, args.trace))
+        print(f"pair {index + 1}/{len(seeds)} seed {seed} "
+              f"({order[0]} first): " + "  ".join(
+                  f"{side} failed {runs[side][-1]['failed']}/"
+                  f"{runs[side][-1]['attempted']}"
+                  for side in runs), flush=True)
     names = [name for name in runs["ref"][0]["metrics"]
              if all(name in run["metrics"]
                     for side in runs.values() for run in side)]
-    print(f"\n{args.workload}: {args.ref} (ref) vs working tree, "
+    print(f"\n{workload}: {args.ref} (ref) vs working tree, "
           f"{len(seeds)} pairs, seeds {seeds}, --seconds {args.seconds:g} "
           f"--trace {args.trace}")
     print(f"{'metric':<44} {'ref q1 / median / q3':>32} "
@@ -176,7 +139,64 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{side}: failed {failed}/{attempted}, "
               f"{incorrect} run(s) with unverified output")
         regressed = regressed or incorrect > 0
-    return 1 if regressed else 0
+    return runs, regressed
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", required=True,
+                        help="commit to compare the working tree against")
+    parser.add_argument("--workload", default=None,
+                        help="one workload (default: every workload of "
+                             "BENCHMARK.json, in its order)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", default=None,
+                        help="comma-separated seeds, one per pair "
+                             "(default: 1..PAIRS)")
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 = compare the per-layer metrics instead")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="also write every run's raw result here (JSON)")
+    args = parser.parse_args(argv)
+    seeds = ([int(seed) for seed in args.seeds.split(",")] if args.seeds
+             else list(range(1, args.pairs + 1)))
+    if len(set(seeds)) != len(seeds):
+        parser.error("--seeds must be distinct")
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    table = {entry["name"]: (entry["better"], entry.get("bound"))
+             for entry in contract["end_to_end"] + contract["per_layer"]}
+    workloads = ([args.workload] if args.workload
+                 else [entry["name"] for entry in contract["workloads"]])
+
+    ref_tree = Path(tempfile.mkdtemp(prefix="bench-pair-ref-"))
+    runs: dict[str, dict] = {}
+    failing = []
+    try:
+        extract_ref(args.ref, ref_tree)
+        if subprocess.run(["git", "diff", "--quiet", args.ref, "--",
+                           "bench_e2e", "BENCHMARK.json"],
+                          cwd=REPO_ROOT).returncode != 0:
+            print("note: bench_e2e/ or BENCHMARK.json differ between "
+                  f"{args.ref} and the working tree — the two sides do "
+                  "not run the same benchmark")
+        trees = {"ref": ref_tree, "tree": REPO_ROOT}
+        for workload in workloads:
+            runs[workload], regressed = compare_workload(
+                workload, trees, seeds, args, table)
+            if regressed:
+                failing.append(workload)
+    finally:
+        shutil.rmtree(ref_tree, ignore_errors=True)
+
+    if args.out:
+        Path(args.out).write_text(json.dumps(
+            {"ref": args.ref, "seeds": seeds, "seconds": args.seconds,
+             "trace": args.trace, "runs": runs}, indent=1) + "\n")
+    if len(workloads) > 1:
+        print(f"\nbench_pair: {len(workloads)} workloads against {args.ref}: "
+              + (f"FAIL ({', '.join(failing)})" if failing else "ok"))
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

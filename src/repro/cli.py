@@ -261,9 +261,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Replayable chaos run: serve a workload while injecting faults."""
+    """Replayable chaos run: serve a workload while injecting faults.
+
+    Exits 1 when a request was lost although the plan injected only
+    recoverable faults (``--exception-rate 0`` and no ``--timeout-ms``:
+    worker kills and stalls are retried or run inline), or when the
+    trace artifact disagrees with telemetry about where faults fired.
+    """
+    from collections import Counter
+
     from repro.obs.sinks import read_jsonl_spans
-    from repro.serving import FaultPlan, run_load
+    from repro.serving import FaultPlan, make_workload, run_load
     from repro.specs import ObsSpec, ServingSpec
     from repro.suites import load_suite
 
@@ -280,7 +288,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                      worker_crash_rate=args.crash_rate if args.process else 0.0,
                      slow_batch_rate=args.slow_rate, slow_batch_ms=250.0,
                      exception_rate=args.exception_rate)
-    report = run_load({args.suite: load_suite(args.suite)}, config,
+    suites = {args.suite: load_suite(args.suite)}
+    report = run_load(suites, config,
                       n_requests=args.requests, concurrency=args.concurrency,
                       faults=plan, tolerate_errors=True)
     metrics = report.gateway_metrics
@@ -294,6 +303,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
           f"{metrics['deadline_timeouts']}")
     print(f"  p95 latency {report.latency_p95_ms:.1f} ms at "
           f"{report.throughput_rps:.1f} req/s")
+    failed = False
+    if (report.n_errors and args.exception_rate == 0
+            and args.timeout_ms is None):
+        # the report keeps every served episode, so what the workload
+        # offered and no episode answers is what was lost
+        lost = (Counter((load.tenant, load.query.qid)
+                        for load in make_workload(suites, args.requests))
+                - Counter(key[:2] for key in report.episodes))
+        print(f"  LOST: {report.n_errors} request(s) failed under "
+              f"recoverable faults only: " + ", ".join(
+                  f"{tenant}/{qid}" + (f" x{count}" if count > 1 else "")
+                  for (tenant, qid), count in sorted(lost.items())))
+        failed = True
     if args.trace_out:
         spans = read_jsonl_spans(args.trace_out)
         traces = {span["trace_id"] for span in spans}
@@ -311,8 +333,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if args.timeout_ms is None and injected_hooks != event_hooks:
             print(f"  MISMATCH: telemetry recorded faults at "
                   f"{injected_hooks}, trace events cover {event_hooks}")
-            return 1
-    return 0
+            failed = True
+    return 1 if failed else 0
 
 
 def cmd_carbon(args: argparse.Namespace) -> int:
@@ -581,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "carbon", help="uncontrolled vs carbon/power-budgeted serving")
     carbon_parser.add_argument("--suite", default="edgehome")
     carbon_parser.add_argument("--requests", type=int, default=48)
-    carbon_parser.add_argument("--concurrency", type=int, default=8)
     carbon_parser.add_argument("--batch-size", type=int, default=8)
     carbon_parser.add_argument("--window", type=int, default=8,
                                help="rolling budget window (requests)")

@@ -72,8 +72,7 @@ class CostLedger:
 
     Recording happens on the gateway's batch worker; snapshots are read
     from bench/CLI threads — everything is lock-protected.  The snapshot
-    is plain JSON-able dicts, written into ``BENCH_perf.json`` by the
-    serving bench.
+    is plain JSON-able dicts (:meth:`Gateway.costs`, ``LoadReport.cost``).
     """
 
     def __init__(self):
@@ -121,9 +120,9 @@ class CostLedger:
 def plan_tool_tokens(plan) -> int:
     """Prompt-token weight of the tools a plan exposes to the model.
 
-    Uses the same cached per-tool estimator the catalog token metrics
-    use, so ledger numbers and ``BENCH_perf.json`` catalog ratios are
-    directly comparable.
+    Uses the same cached per-tool estimator ``repro catalog list``
+    totals per variant, so ledger numbers and the catalog token totals
+    pinned in ``tests/test_tools_catalog.py`` are directly comparable.
     """
     from repro.llm.tokens import tool_prompt_tokens
 

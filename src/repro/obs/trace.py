@@ -182,37 +182,22 @@ class Tracer:
         self.sample_rate = sample_rate
         self.slow_span_ms = slow_span_ms
         self._lock = threading.Lock()
-        self._repeats: dict[tuple[str, str], int] = {}
         self._span_seq = 0
         self._pending: dict[str, list[SpanEvent]] = {}
 
     # ------------------------------------------------------------------
     # trace lifecycle
     # ------------------------------------------------------------------
-    def begin(self, tenant: str, qid: str) -> TraceContext | None:
-        """Start (or skip, per sampling) the trace for one request.
-
-        The trace id is a pure function of ``(tenant, qid, repeat)``:
-        the n-th request for the same tenant/qid pair gets the same id
-        on every run, independent of global interleaving.  Returns
-        ``None`` for unsampled requests — every downstream tracing call
-        is guarded by that, so an unsampled request costs one branch.
-        """
-        key = (tenant, qid)
-        with self._lock:
-            repeat = self._repeats.get(key, 0)
-            self._repeats[key] = repeat + 1
-        return self.sampled(request_trace_id(tenant, qid, repeat))
-
     def sampled(self, trace_id: str) -> TraceContext | None:
         """The :class:`TraceContext` for a pre-assigned trace id, or
         ``None`` when sampling skips it.
 
         The id's own high bits decide — deterministic and unbiased, so a
-        sample rate keeps a reproducible subset.  Callers that count
-        repeats themselves (the gateway stamps ids on every response,
-        traced or not) pair :func:`request_trace_id` with this instead
-        of :meth:`begin`.
+        sample rate keeps a reproducible subset.  Ids come from
+        :func:`request_trace_id`; the caller counts the repeats (the
+        gateway stamps ids on every response, traced or not).  Every
+        downstream tracing call is guarded by the ``None``, so an
+        unsampled request costs one branch.
         """
         if self.sample_rate <= 0.0:
             return None

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.hardware.power_modes import POWER_MODES
 from repro.specs import BudgetSpec
 
-#: the nvpmodel ladder, fastest first (mirrors
-#: :data:`repro.hardware.power_modes.POWER_MODES`)
-MODE_LADDER = ("MAXN", "30W", "15W")
+#: the nvpmodel ladder, fastest first
+MODE_LADDER = tuple(POWER_MODES)
 
 
 class BudgetController:

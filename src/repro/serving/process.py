@@ -195,36 +195,6 @@ class ProcessEpisodeExecutor:
             raise RuntimeError("executor is not running")
         return self._pool.submit(_execute_slice, cell, items)
 
-    def execute(self, tenant: str, scheme: str, model: str, quant: str,
-                queries: list[Query], plans: list,
-                inline=None, traces=None) -> list[EpisodeResult]:
-        """Run one planned group across the pool, preserving order.
-
-        The group's episodes are dealt round-robin into one slice per
-        worker so each task carries many (query, plan) pairs — per-task
-        pickling overhead is paid per slice, not per episode.  ``inline``
-        is accepted for signature parity with the supervised stage and
-        ignored: this bare executor propagates worker failures.
-        ``traces`` rides along per request but the bare executor has no
-        tracer, so returned spans are dropped; use the supervised stage
-        for traced serving.
-        """
-        cell = (tenant, scheme, model, quant)
-        items = list(zip(queries, plans,
-                         traces if traces is not None else [None] * len(queries)))
-        n_slices = min(self.workers, len(items))
-        if n_slices == 0:
-            return []
-        futures = [
-            self.submit_slice(cell, items[start::n_slices])
-            for start in range(n_slices)
-        ]
-        episodes: list[EpisodeResult | None] = [None] * len(items)
-        for start, future in enumerate(futures):
-            slice_episodes, _spans = future.result()
-            episodes[start::n_slices] = slice_episodes
-        return episodes
-
 
 class SupervisedEpisodeExecutor:
     """Fault-tolerant wrapper around pool generations (the ``"process"``

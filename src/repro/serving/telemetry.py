@@ -2,8 +2,8 @@
 
 All record methods are lock-protected — admissions happen on the event
 loop thread while flushes and completions are recorded from the batch
-worker — and :meth:`Telemetry.snapshot` returns a plain-dict view that
-the bench harness writes into ``BENCH_perf.json``.
+worker — and :meth:`Telemetry.snapshot` returns the plain-dict view
+behind :meth:`Gateway.metrics` and ``/metrics``.
 """
 
 from __future__ import annotations

@@ -365,9 +365,11 @@ class ObsSpec(_SpecBase):
                  "output file")
 
 
-#: nvpmodel modes, fastest first — mirror of
-#: repro.hardware.power_modes.POWER_MODES / repro.power.budget.MODE_LADDER
-#: (kept in sync by tests/test_specs.py), import-free for validation
+#: nvpmodel modes, fastest first — the keys of
+#: repro.hardware.power_modes.POWER_MODES (from which
+#: repro.power.budget.MODE_LADDER is derived), repeated here because
+#: importing repro.hardware loads numpy and spec validation must not
+#: (tests/test_specs.py holds both the mirror and the cheap import)
 POWER_MODE_NAMES = ("MAXN", "30W", "15W")
 
 

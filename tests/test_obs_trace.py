@@ -31,6 +31,7 @@ from repro.obs import (
     read_jsonl_spans,
     worker_slice_span,
 )
+from repro.obs.trace import request_trace_id
 from repro.serving import (
     FaultPlan,
     Gateway,
@@ -71,11 +72,14 @@ def _serve(suite, config: ServingSpec, tracer: Tracer | None,
 def test_trace_ids_are_pure_functions_of_tenant_qid_repeat():
     tracer_a, _ = _memory_tracer()
     tracer_b, _ = _memory_tracer()
-    keys = [("home", "q-1"), ("home", "q-2"), ("home", "q-1"),
-            ("office", "q-1")]
-    ids_a = [tracer_a.begin(tenant, qid).trace_id for tenant, qid in keys]
-    ids_b = [tracer_b.begin(tenant, qid).trace_id for tenant, qid in keys]
-    assert ids_a == ids_b
+    # the second ("home", "q-1") is that pair's repeat 1
+    keys = [("home", "q-1", 0), ("home", "q-2", 0), ("home", "q-1", 1),
+            ("office", "q-1", 0)]
+    ids_a = [tracer_a.sampled(request_trace_id(*key)).trace_id
+             for key in keys]
+    ids_b = [tracer_b.sampled(request_trace_id(*key)).trace_id
+             for key in keys]
+    assert ids_a == ids_b == [request_trace_id(*key) for key in keys]
     # repeats of the same key and other tenants get distinct ids
     assert len(set(ids_a)) == len(ids_a)
 
@@ -85,7 +89,8 @@ def test_sampling_keeps_a_reproducible_subset():
 
     def sampled(tracer: Tracer) -> set[str]:
         return {qid for qid in qids
-                if tracer.begin("home", qid) is not None}
+                if tracer.sampled(request_trace_id("home", qid, 0))
+                is not None}
 
     subset_a = sampled(Tracer(MemorySink(), sample_rate=0.25))
     subset_b = sampled(Tracer(MemorySink(), sample_rate=0.25))

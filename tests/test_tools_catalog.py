@@ -232,6 +232,36 @@ class TestLoadCatalog:
         with pytest.raises(ValueError, match="registered catalogs"):
             load_catalog("nope")
 
+    def test_builtin_variant_token_totals(self):
+        """The description-variant lever in exact numbers: summed
+        ``tool_prompt_tokens`` per builtin catalog at full / compressed /
+        minimal.  The values are the ``catalog.*`` rows of the perf
+        baseline that was retired at c15e7b3 (see CHANGES.md, PR 16),
+        where only the two ratios were guarded, at 25%."""
+        from repro.llm.tokens import tool_prompt_tokens
+
+        committed = {
+            "bfcl": (6796, 6263, 5922),
+            "browser": (1531, 1460, 1412),
+            "edgehome": (3447, 3344, 3245),
+            "geoengine": (5390, 5196, 4753),
+        }
+        # exactly the shipped catalogs (plugins unregister after themselves)
+        assert CATALOGS.names() == sorted(committed)
+        measured = {}
+        for name in committed:
+            catalog = load_catalog(name)
+            measured[name] = tuple(
+                sum(tool_prompt_tokens(tool) for tool in catalog.at(variant))
+                for variant in ("full", "compressed", "minimal"))
+            full, compressed, minimal = measured[name]
+            assert full > compressed > minimal, name
+        assert measured == committed
+        totals = [sum(column) for column in zip(*measured.values())]
+        assert totals == [17164, 16263, 15332]
+        assert round(totals[1] / totals[0], 4) == 0.9475
+        assert round(totals[2] / totals[0], 4) == 0.8933
+
     def test_variant_and_include(self):
         catalog = load_catalog("edgehome", variant="minimal",
                                include=["set_alarm", "turn_on_light"])
