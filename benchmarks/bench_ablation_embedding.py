@@ -22,7 +22,7 @@ import pytest
 
 from benchmarks.conftest import attach_rows
 from repro.embedding import SentenceEmbedder
-from repro.suites.bfcl_catalog import build_bfcl_registry
+from repro.tools import load_catalog
 from repro.vectorstore import FlatIndex, PQIndex
 
 #: paraphrase probes: (query-style text, gold tool) pairs
@@ -50,15 +50,15 @@ def _top1_hits(index, embedder, names) -> int:
 
 @pytest.mark.benchmark(group="ablation-embedding")
 def test_embedding_dimension_sweep(benchmark):
-    registry = build_bfcl_registry()
-    names = registry.names
+    catalog = load_catalog("bfcl")
+    names = catalog.names
 
     def sweep():
         rows = {}
         for dim in (32, 96, 256, 768):
             embedder = SentenceEmbedder(dim=dim)
             index = FlatIndex(dim=dim, metric="cosine")
-            index.add(embedder.encode(registry.descriptions()))
+            index.add(embedder.encode(catalog.descriptions()))
             rows[dim] = _top1_hits(index, embedder, names)
         return rows
 
@@ -76,10 +76,10 @@ def test_embedding_dimension_sweep(benchmark):
 
 @pytest.mark.benchmark(group="ablation-embedding")
 def test_pq_compression_recall_tradeoff(benchmark):
-    registry = build_bfcl_registry()
-    names = registry.names
+    catalog = load_catalog("bfcl")
+    names = catalog.names
     embedder = SentenceEmbedder()
-    vectors = embedder.encode(registry.descriptions())
+    vectors = embedder.encode(catalog.descriptions())
 
     def sweep():
         flat = FlatIndex(dim=768, metric="l2")
@@ -115,8 +115,8 @@ def test_pq_compression_recall_tradeoff(benchmark):
 @pytest.mark.benchmark(group="ablation-embedding")
 def test_projection_reroll_stability(benchmark):
     """Re-rolled projections retrieve comparably; the cache stays bounded."""
-    registry = build_bfcl_registry()
-    names = registry.names
+    catalog = load_catalog("bfcl")
+    names = catalog.names
     embedder = SentenceEmbedder()
 
     def sweep():
@@ -128,7 +128,7 @@ def test_projection_reroll_stability(benchmark):
             # the cache restarts empty instead of accumulating projections
             assert embedder.direction_count == 0
             index = FlatIndex(dim=embedder.dim, metric="cosine")
-            index.add(embedder.encode(registry.descriptions()))
+            index.add(embedder.encode(catalog.descriptions()))
             rows[namespace] = _top1_hits(index, embedder, names)
             probe_vectors[namespace] = embedder.encode_one(PROBES[0][0])
         return rows, probe_vectors

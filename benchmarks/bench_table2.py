@@ -25,8 +25,7 @@ from repro.baselines import DefaultAgent
 from repro.llm import SimulatedLLM
 from repro.suites.base import BenchmarkSuite
 from repro.suites.geoengine import generate_geoengine_queries
-from repro.suites.geoengine_catalog import build_geoengine_registry
-from repro.tools import ToolRegistry
+from repro.tools import ToolCatalog, load_catalog
 
 
 def _vqa_queries(n: int = 24):
@@ -36,7 +35,7 @@ def _vqa_queries(n: int = 24):
     return vqa[:n]
 
 
-def _reduced_registry(full: ToolRegistry, queries, size: int = 19) -> ToolRegistry:
+def _reduced_catalog(full: ToolCatalog, queries, size: int = 19) -> ToolCatalog:
     """A 19-tool subset covering the gold chains (a Level-2-style union)."""
     keep: dict[str, None] = {}
     for query in queries:
@@ -46,11 +45,12 @@ def _reduced_registry(full: ToolRegistry, queries, size: int = 19) -> ToolRegist
         if len(keep) >= size:
             break
         keep.setdefault(tool.name, None)
-    return ToolRegistry(full.subset(list(keep)[:size]))
+    # select, not subset: tool order is prompt order, gold chains first
+    return ToolCatalog("table2", full.select(list(keep)[:size]))
 
 
-def _measure(queries, registry, window):
-    suite = BenchmarkSuite("table2", registry, list(queries), sequential=True)
+def _measure(queries, catalog, window):
+    suite = BenchmarkSuite("table2", catalog, list(queries), sequential=True)
     llm = SimulatedLLM.from_registry("llama3.1-8b", "q4_K_M")
     agent = DefaultAgent(llm=llm, suite=suite, context_window=window)
     episodes = [agent.run(query) for query in queries]
@@ -64,9 +64,9 @@ def _measure(queries, registry, window):
 
 @pytest.mark.benchmark(group="table2")
 def test_table2_context_and_toolcount(benchmark):
-    full = build_geoengine_registry()
+    full = load_catalog("geoengine")
     queries = _vqa_queries()
-    reduced = _reduced_registry(full, queries)
+    reduced = _reduced_catalog(full, queries)
     assert len(reduced) == 19  # the paper's reduced pool size
 
     def run_grid():

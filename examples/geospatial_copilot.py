@@ -32,7 +32,7 @@ def main() -> None:
                                           quant="q4_K_M"))
 
     # --- stage 1: the Tool Recommender sees the query, zero tools -------
-    recommendation = agent.llm.recommend_tools(query, suite.registry)
+    recommendation = agent.llm.recommend_tools(query, suite.catalog)
     print("recommender output (the LLM's 'ideal tools'):")
     for text in recommendation.descriptions:
         print(f"  - {text}")

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from repro import AgentSpec, open_session, register_suite
 from repro.suites.base import BenchmarkSuite, Query
-from repro.tools import ToolCall, ToolParameter as P, ToolRegistry, ToolSpec as T
+from repro.tools import ToolCall, ToolCatalog, ToolParameter as P, ToolSpec as T
 
 
-def build_smart_home_registry() -> ToolRegistry:
+def build_smart_home_catalog() -> ToolCatalog:
     """A compact 16-tool smart-home API surface."""
-    return ToolRegistry([
+    return ToolCatalog("smart-home", [
         T("turn_on_light", "Turn on the smart light in a room.",
           (P("room", "string", "Room name."),), category="lighting"),
         T("turn_off_light", "Turn off the smart light in a room.",
@@ -75,7 +75,7 @@ def build_smart_home_suite(n_queries: int | None = None,
     registry's builder contract — this catalog is hand-written, not
     generated.
     """
-    registry = build_smart_home_registry()
+    catalog = build_smart_home_catalog()
 
     def q(qid, text, category, *calls, sequential=False):
         return Query(qid=qid, text=text, category=category,
@@ -130,7 +130,7 @@ def build_smart_home_suite(n_queries: int | None = None,
             ("Make me a coffee", "appliance", ("start_coffee_maker", {})),
         ])
     ]
-    return BenchmarkSuite("smart-home", registry, eval_queries, train_queries)
+    return BenchmarkSuite("smart-home", catalog, eval_queries, train_queries)
 
 
 def main() -> None:

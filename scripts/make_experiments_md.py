@@ -9,8 +9,9 @@ import os
 import sys
 import time
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # make the benchmarks package importable when run as a script
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+sys.path.insert(0, REPO_ROOT)
 
 from repro.evaluation.metrics import normalize
 from repro.evaluation.runner import ExperimentRunner
@@ -95,7 +96,7 @@ def main() -> None:
     out: list[str] = []
     out.append("# EXPERIMENTS — paper vs measured\n")
     out.append(f"All numbers from the seeded simulator ({n} queries per cell; "
-               "regenerate with `pytest benchmarks/ --benchmark-only` or "
+               "regenerate with `make bench-paper` or "
                f"`python scripts/make_experiments_md.py {n}`). Our substrate is a "
                "calibrated behavioural simulator, not the authors' testbed: "
                "*shapes* (orderings, gaps, crossovers) are the reproduction "
@@ -107,21 +108,21 @@ def main() -> None:
                "(Llama3.1-8b-q4_K_M, 'Plot the fmow VQA captions...')\n")
     out.append("Regenerated by `benchmarks/bench_table2.py`; measured on the "
                "template's seeded instantiations:\n")
-    from benchmarks.bench_table2 import _measure, _reduced_registry, _vqa_queries
-    from repro.suites.geoengine_catalog import build_geoengine_registry
+    from benchmarks.bench_table2 import _measure, _reduced_catalog, _vqa_queries
+    from repro.tools import load_catalog
 
-    full = build_geoengine_registry()
+    full = load_catalog("geoengine")
     queries = _vqa_queries()
-    reduced = _reduced_registry(full, queries)
+    reduced = _reduced_catalog(full, queries)
     out.append("| config | paper | measured success / time / power |")
     out.append("|---|---|---|")
     paper_rows = {"16K/46": "fail, 30 s, 27 W", "16K/19": "ok, 20 s, 26 W",
                   "8K/19": "ok, 17 s, 22 W"}
     grid = {}
-    for config, (registry, window) in {
+    for config, (catalog, window) in {
         "16K/46": (full, 16384), "16K/19": (reduced, 16384), "8K/19": (reduced, 8192),
     }.items():
-        row = _measure(queries, registry, window)
+        row = _measure(queries, catalog, window)
         grid[config] = row
         out.append(f"| {config} | {paper_rows[config]} | {row['success']:.0%}, "
                    f"{row['time_s']:.1f} s, {row['power_w']:.1f} W |")
@@ -173,7 +174,7 @@ def main() -> None:
                "score ~0.0 vs ~0.3-0.5); see `repro/core/controller.py`.\n")
     out.append(f"_Generated in {time.time() - start:.0f}s._\n")
 
-    with open("/root/repo/EXPERIMENTS.md", "w") as handle:
+    with open(os.path.join(REPO_ROOT, "EXPERIMENTS.md"), "w") as handle:
         handle.write("\n".join(out))
     print(f"wrote EXPERIMENTS.md ({time.time() - start:.0f}s)")
 

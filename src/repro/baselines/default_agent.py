@@ -23,7 +23,7 @@ class DefaultAgent(FunctionCallingAgent):
 
     def plan(self, query: Query) -> ToolPlan:
         return ToolPlan(
-            tools=list(self.suite.registry),
+            tools=list(self.suite.catalog),
             context_window=self.context_window,
             level=None,
         )

@@ -50,8 +50,8 @@ class GorillaAgent(FunctionCallingAgent):
         self.context_window = context_window
         self.embedder = embedder if embedder is not None else shared_embedder()
         self._index = FlatIndex(dim=self.embedder.dim, metric="cosine")
-        self._index.add(self.embedder.encode(suite.registry.descriptions()))
-        self._names = suite.registry.names
+        self._index.add(self.embedder.encode(suite.catalog.descriptions()))
+        self._names = suite.catalog.names
 
     def _k_for(self, query: Query) -> int:
         """Sequential tasks need a wider net: a chain references many
@@ -79,8 +79,8 @@ class GorillaAgent(FunctionCallingAgent):
             return current_tools, 0.0
         context_parts = [query.text, "Progress so far:"]
         for name in called_tools[-2:]:
-            if name in self.suite.registry:
-                context_parts.append(self.suite.registry.get(name).description)
+            if name in self.suite.catalog:
+                context_parts.append(self.suite.catalog.get(name).description)
         tools = self._retrieve(" ".join(context_parts), self._k_for(query))
         return tools, EMBEDDING_OVERHEAD_S + KNN_OVERHEAD_S
 

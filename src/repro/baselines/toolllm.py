@@ -80,13 +80,13 @@ class ToolLLMAgent(FunctionCallingAgent):
     # ------------------------------------------------------------------
     def _build_tree(self) -> list[tuple[str, ...]]:
         """Cluster tools into leaf groups of ~``group_size``."""
-        descriptions = self.suite.registry.descriptions()
+        descriptions = self.suite.catalog.descriptions()
         vectors = self.embedder.encode(descriptions)
         n_groups = max(2, math.ceil(len(descriptions) / self.group_size))
         labels = AgglomerativeClustering(
             n_clusters=n_groups, linkage="average", metric="cosine",
         ).fit_predict(vectors)
-        names = self.suite.registry.names
+        names = self.suite.catalog.names
         groups: list[tuple[str, ...]] = []
         for group_id in range(int(labels.max()) + 1):
             members = tuple(names[i] for i in np.nonzero(labels == group_id)[0])
@@ -119,7 +119,7 @@ class ToolLLMAgent(FunctionCallingAgent):
         pre_usages = []
         for group in self._groups:
             group_text = " ".join(
-                self.suite.registry.get(name).description for name in group
+                self.suite.catalog.get(name).description for name in group
             )
             group_vec = self.embedder.encode_one(group_text)
             scores.append(float(np.dot(query_vec, group_vec)))

@@ -350,6 +350,7 @@ def cmd_carbon(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
+    from repro.obs.prometheus import split_labels
     from repro.serving import Gateway, SessionManager, TenantShedError
     from repro.specs import BudgetSpec, ServingSpec
     from repro.suites import load_suite
@@ -409,11 +410,10 @@ def cmd_carbon(args: argparse.Namespace) -> int:
     print(f"budget {budget_j:.1f} J/req: {served}/{args.requests} req at "
           f"{goodput:.1f} req/s | {ctl_j:.1f} J/req | "
           f"{ctl_g * 1e3:.2f} mgCO2/req ({saved:.0%} energy saved)")
-    detail = metrics["budget_transitions_detail"]
-    ladder = {key: count for key, count in sorted(detail.items())
-              if not key.startswith("device:")}
-    modes = {key: count for key, count in sorted(detail.items())
-             if key.startswith("device:")}
+    ladder, modes = {}, {}
+    for key, count in sorted(metrics["budget_transitions_detail"].items()):
+        scope = split_labels(key, 3)[0]
+        (modes if scope == "device" else ladder)[key] = count
     print(f"  ladder moves: {ladder or 'none'}")
     print(f"  power-mode moves: {modes or 'none'}")
     return 0

@@ -67,8 +67,8 @@ class FunctionCallingAgent:
         self.skill_multiplier = skill_multiplier
         self.arg_multiplier = arg_multiplier
         factory = suite.executor_factory
-        self.executor = (factory(suite.registry) if factory is not None
-                         else SimulatedToolExecutor(suite.registry))
+        self.executor = (factory(suite.catalog) if factory is not None
+                         else SimulatedToolExecutor(suite.catalog))
 
     # ------------------------------------------------------------------
     # to be provided by subclasses
@@ -186,7 +186,7 @@ class FunctionCallingAgent:
             turn = self._turn(query, step_index, tools, window, attempt, session, result)
             if turn.signalled_error and self.fallback_to_all and not in_fallback:
                 in_fallback = True
-                tools = list(self.suite.registry)
+                tools = list(self.suite.catalog)
                 window = DEFAULT_CONTEXT_WINDOW
                 attempt += 1
                 turn = self._turn(query, step_index, tools, window, attempt,

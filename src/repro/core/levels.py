@@ -88,7 +88,7 @@ class SearchLevelBuilder:
 
     def build(self, suite: BenchmarkSuite) -> SearchLevels:
         """Populate all search levels for ``suite``."""
-        tool_names = suite.registry.names
+        tool_names = suite.catalog.names
         tool_index = self._build_level1(suite)
         clusters, cluster_index = self._build_level2(suite)
         return SearchLevels(
@@ -104,7 +104,7 @@ class SearchLevelBuilder:
     # Level 1: individual tool embeddings
     # ------------------------------------------------------------------
     def _build_level1(self, suite: BenchmarkSuite) -> FlatIndex:
-        vectors = self.embedder.encode(suite.registry.descriptions())
+        vectors = self.embedder.encode(suite.catalog.descriptions())
         index = FlatIndex(dim=self.embedder.dim, metric="cosine")
         index.add(vectors)
         return index
@@ -162,7 +162,7 @@ class SearchLevelBuilder:
         is directly comparable with the recommender's tool-shaped
         descriptions at query time (the same space Level 1 lives in).
         """
-        descriptions = [suite.registry.get(name).description for name in tools]
+        descriptions = [suite.catalog.get(name).description for name in tools]
         vectors = self.embedder.encode(descriptions)
         return normalize_rows(vectors.mean(axis=0, keepdims=True))[0]
 

@@ -63,7 +63,7 @@ class LessIsMoreAgent(FunctionCallingAgent):
         if confidence_threshold is not None:
             controller_kwargs["confidence_threshold"] = confidence_threshold
         self.controller = ToolController(levels, **controller_kwargs)
-        self._corpus = suite.registry.descriptions()
+        self._corpus = suite.catalog.descriptions()
 
     @classmethod
     def build(
@@ -104,7 +104,7 @@ class LessIsMoreAgent(FunctionCallingAgent):
             return []
         recommendations = [
             self.llm.recommend_tools(
-                query, self.suite.registry, corpus_descriptions=self._corpus)
+                query, self.suite.catalog, corpus_descriptions=self._corpus)
             for query in queries
         ]
         # paper Section III-B: the recommended descriptions are embedded

@@ -245,7 +245,7 @@ class ChatEngineLLM:
     # ------------------------------------------------------------------
     # recommender
     # ------------------------------------------------------------------
-    def recommend_tools(self, query, registry=None,
+    def recommend_tools(self, query, catalog=None,
                         corpus_descriptions=None) -> RecommenderOutput:
         transcript = render_recommender_prompt(query.text)
         reply = self.engine.generate(

@@ -143,7 +143,7 @@ class ExperimentRunner:
                  for model in models for quant in quants for scheme in schemes]
         # shared offline state, built exactly once outside the pool
         _ = self.levels
-        self.embedder.encode(self.suite.registry.descriptions())
+        self.embedder.encode(self.suite.catalog.descriptions())
         if max_workers is None:
             max_workers = min(len(cells), os.cpu_count() or 1)
         if max_workers <= 1 or len(cells) <= 1:

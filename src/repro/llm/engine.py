@@ -109,20 +109,20 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # Tool Recommender (paper Section III-B)
     # ------------------------------------------------------------------
-    def recommend_tools(self, query: Query, registry=None,
+    def recommend_tools(self, query: Query, catalog=None,
                         corpus_descriptions: list[str] | None = None) -> RecommenderOutput:
         """Describe the "ideal tools" for ``query`` without seeing any tools.
 
         The simulator grounds the output in the query's gold tools — the
         model "understands" the task to the extent its reasoning skill
         allows — then corrupts it: paraphrase noise, dropped tools (weak
-        planners under-enumerate chains) and spurious extras.  ``registry``
-        (a :class:`~repro.tools.ToolRegistry`) supplies the reference tool
+        planners under-enumerate chains) and spurious extras.  ``catalog``
+        (a :class:`~repro.tools.ToolCatalog`) supplies the reference tool
         descriptions; without it, descriptions are derived from tool names.
         """
         rng = self._rng(query.qid, "recommend")
         quality = behavior.recommender_quality(self.model, self.quant)
-        gold_descriptions = self._gold_descriptions(query, registry)
+        gold_descriptions = self._gold_descriptions(query, catalog)
         merge_p = (self.calibration.recommender_merge_p_sequential
                    if query.sequential else self.calibration.recommender_merge_p)
         gold_descriptions = self._merge_related_needs(gold_descriptions, rng, merge_p)
@@ -183,7 +183,7 @@ class SimulatedLLM:
             index += 1
         return merged
 
-    def _gold_descriptions(self, query: Query, registry=None) -> list[str]:
+    def _gold_descriptions(self, query: Query, catalog=None) -> list[str]:
         """Reference "ideal tool" texts: one per distinct gold tool."""
         texts: list[str] = []
         seen: set[str] = set()
@@ -191,8 +191,8 @@ class SimulatedLLM:
             if call.tool in seen:
                 continue
             seen.add(call.tool)
-            if registry is not None and call.tool in registry:
-                texts.append(registry.get(call.tool).description)
+            if catalog is not None and call.tool in catalog:
+                texts.append(catalog.get(call.tool).description)
             else:
                 # fall back to a name-derived description
                 texts.append(f"A tool to {call.tool.replace('_', ' ')}.")

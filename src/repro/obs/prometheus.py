@@ -17,6 +17,129 @@ fixed-capacity sample rings, i.e. they describe the most recent
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+
+class Family(NamedTuple):
+    """One metric family: where it lives in a snapshot and how it is exposed.
+
+    ``key`` is the :meth:`Telemetry.snapshot` key holding the family's
+    total; a labelled family's per-label values sit beside it under
+    :attr:`breakdown_key`, keyed by the label values joined with ``:``
+    (:func:`join_labels` / :func:`split_labels` — the only two places
+    that know the format).  ``name`` is the exposition name under the
+    namespace, ``kind`` its ``# TYPE``.
+    """
+
+    key: str
+    name: str
+    help: str
+    labels: tuple[str, ...] = ()
+    kind: str = "counter"
+
+    @property
+    def breakdown_key(self) -> str:
+        """Snapshot key of the per-label breakdown (labelled rows only)."""
+        if len(self.labels) == 1:
+            return f"{self.key}_by_{self.labels[0]}"
+        return f"{self.key}_detail"
+
+
+def join_labels(values: tuple[str, ...]) -> str:
+    """The snapshot's JSON key for one label tuple."""
+    return ":".join(values)
+
+
+def split_labels(joined: str, n_labels: int) -> list[str]:
+    """Invert :func:`join_labels`.  Split from the right: only the first
+    label (tenant / scope / hook) is free-form and may itself hold ``:``;
+    directions, rungs and power modes never do."""
+    return joined.rsplit(":", n_labels - 1)
+
+
+#: Every scalar and labelled family of a telemetry snapshot — the one
+#: table :class:`~repro.serving.telemetry.Telemetry` allocates its
+#: counters from and :func:`render_prometheus` walks.  A new counter is
+#: one row here plus the ``record_*`` method that increments it.
+FAMILIES: tuple[Family, ...] = (
+    Family("requests_admitted", "requests_admitted_total",
+           "Requests accepted into the scheduler queue."),
+    Family("requests_rejected", "requests_rejected_total",
+           "Requests bounced by admission control."),
+    Family("requests_completed", "requests_completed_total",
+           "Requests finished successfully."),
+    Family("requests_failed", "requests_failed_total",
+           "Requests finished with an error."),
+    Family("n_batches", "batches_total", "Micro-batches cut and dispatched."),
+    Family("plan_cache_hits", "plan_cache_hits_total", "Plan-cache hits."),
+    Family("plan_cache_misses", "plan_cache_misses_total",
+           "Plan-cache misses."),
+    Family("worker_restarts", "worker_restarts_total",
+           "Worker-pool crashes detected and respawned."),
+    Family("slice_retries", "slice_retries_total",
+           "Failed worker slices resubmitted to the pool."),
+    Family("inline_fallbacks", "inline_fallbacks_total",
+           "Failed worker slices executed inline after retries ran out."),
+    Family("batch_quarantines", "batch_quarantines_total",
+           "Failed micro-batches re-processed request-by-request."),
+    Family("quarantined_requests", "quarantined_requests_total",
+           "Requests re-processed solo inside quarantined batches."),
+    Family("deadline_timeouts", "deadline_timeouts_total",
+           "Requests abandoned on an expired end-to-end deadline."),
+    Family("catalog_swaps", "catalog_swaps_total",
+           "Tool-catalog hot-swaps applied, per tenant.", ("tenant",)),
+    Family("shed_requests", "shed_requests_total",
+           "Requests rejected while their tenant was shed, per tenant.",
+           ("tenant",)),
+    Family("faults_injected", "faults_injected_total",
+           "Chaos faults fired, per fault hook.", ("hook",)),
+    Family("degrade_transitions", "degrade_transitions_total",
+           "Degradation-ladder transitions, per tenant/direction/rung.",
+           ("tenant", "direction", "rung")),
+    Family("energy_j", "energy_joules_total",
+           "Estimated energy attributed to served requests, per tenant "
+           "(joules; accounting-layer re-cost under the active power mode).",
+           ("tenant",)),
+    Family("carbon_g", "carbon_grams_total",
+           "Estimated operational carbon attributed to served requests, "
+           "per tenant (gCO2 via the configured grid-intensity signal).",
+           ("tenant",)),
+    Family("budget_transitions", "budget_transitions_total",
+           "Carbon/power budget-controller actions, per "
+           "scope/direction/target (tenant ladder moves and device "
+           "power-mode moves).", ("scope", "direction", "target")),
+    Family("uptime_s", "uptime_seconds",
+           "Seconds since this Telemetry instance was created (monotonic).",
+           kind="gauge"),
+    Family("snapshot_seq", "snapshot_seq",
+           "Snapshots taken from this Telemetry instance; use to detect "
+           "restarts between scrapes.", kind="gauge"),
+    Family("queue_depth_max", "queue_depth_max",
+           "Maximum observed queue depth (windowed sample ring).",
+           kind="gauge"),
+    Family("queue_depth_mean", "queue_depth_mean",
+           "Mean observed queue depth (windowed sample ring).", kind="gauge"),
+    Family("plan_cache_hit_rate", "plan_cache_hit_rate",
+           "Plan-cache hit rate over all lookups.", kind="gauge"),
+    Family("mean_batch_size", "mean_batch_size",
+           "Mean size of dispatched micro-batches.", kind="gauge"),
+)
+
+#: The cost ledger's families: ``key`` is a field of
+#: ``CostLedger.snapshot()["by_tenant"][tenant]``.
+COST_FAMILIES: tuple[Family, ...] = (
+    Family("requests", "cost_requests_total",
+           "Requests accounted by the cost ledger, per tenant.", ("tenant",)),
+    Family("tool_prompt_tokens", "cost_tool_prompt_tokens_total",
+           "Prompt tokens spent on tool schemas, per tenant.", ("tenant",)),
+    Family("prompt_tokens", "cost_prompt_tokens_total",
+           "Episode prompt tokens, per tenant.", ("tenant",)),
+    Family("completion_tokens", "cost_completion_tokens_total",
+           "Episode completion tokens, per tenant.", ("tenant",)),
+    Family("llm_calls", "cost_llm_calls_total",
+           "LLM calls made by episodes, per tenant.", ("tenant",)),
+)
+
 
 def escape_label_value(value: str) -> str:
     """Escape a label value per the exposition format.
@@ -85,103 +208,18 @@ def render_prometheus(snapshot: dict, cost: dict | None = None,
     """
     out = _Writer(namespace)
 
-    counters = [
-        ("requests_admitted_total", "requests_admitted",
-         "Requests accepted into the scheduler queue."),
-        ("requests_rejected_total", "requests_rejected",
-         "Requests bounced by admission control."),
-        ("requests_completed_total", "requests_completed",
-         "Requests finished successfully."),
-        ("requests_failed_total", "requests_failed",
-         "Requests finished with an error."),
-        ("batches_total", "n_batches", "Micro-batches cut and dispatched."),
-        ("plan_cache_hits_total", "plan_cache_hits", "Plan-cache hits."),
-        ("plan_cache_misses_total", "plan_cache_misses", "Plan-cache misses."),
-        ("worker_restarts_total", "worker_restarts",
-         "Worker-pool crashes detected and respawned."),
-        ("slice_retries_total", "slice_retries",
-         "Failed worker slices resubmitted to the pool."),
-        ("inline_fallbacks_total", "inline_fallbacks",
-         "Failed worker slices executed inline after retries ran out."),
-        ("batch_quarantines_total", "batch_quarantines",
-         "Failed micro-batches re-processed request-by-request."),
-        ("quarantined_requests_total", "quarantined_requests",
-         "Requests re-processed solo inside quarantined batches."),
-        ("deadline_timeouts_total", "deadline_timeouts",
-         "Requests abandoned on an expired end-to-end deadline."),
-    ]
-    for name, key, help_text in counters:
-        if key in snapshot:
-            full = out.family(name, "counter", help_text)
-            out.sample(full, snapshot[key])
-
-    gauges = [
-        ("uptime_seconds", "uptime_s",
-         "Seconds since this Telemetry instance was created (monotonic)."),
-        ("snapshot_seq", "snapshot_seq",
-         "Snapshots taken from this Telemetry instance; use to detect "
-         "restarts between scrapes."),
-        ("queue_depth_max", "queue_depth_max",
-         "Maximum observed queue depth (windowed sample ring)."),
-        ("queue_depth_mean", "queue_depth_mean",
-         "Mean observed queue depth (windowed sample ring)."),
-        ("plan_cache_hit_rate", "plan_cache_hit_rate",
-         "Plan-cache hit rate over all lookups."),
-        ("mean_batch_size", "mean_batch_size",
-         "Mean size of dispatched micro-batches."),
-    ]
-    for name, key, help_text in gauges:
-        if key in snapshot:
-            full = out.family(name, "gauge", help_text)
-            out.sample(full, snapshot[key])
-
-    # ------------------------------------------------------------------
-    # per-tenant / per-hook labeled counters
-    # ------------------------------------------------------------------
-    labeled = [
-        ("catalog_swaps_total", "catalog_swaps_by_tenant", "tenant",
-         "Tool-catalog hot-swaps applied, per tenant."),
-        ("shed_requests_total", "shed_requests_by_tenant", "tenant",
-         "Requests rejected while their tenant was shed, per tenant."),
-        ("faults_injected_total", "faults_injected_by_hook", "hook",
-         "Chaos faults fired, per fault hook."),
-        ("energy_joules_total", "energy_j_by_tenant", "tenant",
-         "Estimated energy attributed to served requests, per tenant "
-         "(joules; accounting-layer re-cost under the active power mode)."),
-        ("carbon_grams_total", "carbon_g_by_tenant", "tenant",
-         "Estimated operational carbon attributed to served requests, "
-         "per tenant (gCO2 via the configured grid-intensity signal)."),
-    ]
-    for name, key, label, help_text in labeled:
-        by = snapshot.get(key)
+    for family in FAMILIES:
+        if not family.labels:
+            if family.key in snapshot:
+                out.sample(out.family(family.name, family.kind, family.help),
+                           snapshot[family.key])
+            continue
+        by = snapshot.get(family.breakdown_key)
         if by:
-            full = out.family(name, "counter", help_text)
-            for value_key in sorted(by):
-                out.sample(full, by[value_key], {label: value_key})
-
-    transitions = snapshot.get("degrade_transitions_detail")
-    if transitions:
-        full = out.family(
-            "degrade_transitions_total", "counter",
-            "Degradation-ladder transitions, per tenant/direction/rung.")
-        for key in sorted(transitions):
-            tenant, direction, rung = (key.split(":", 2) + ["", ""])[:3]
-            out.sample(full, transitions[key],
-                       {"tenant": tenant, "direction": direction,
-                        "rung": rung})
-
-    budget_transitions = snapshot.get("budget_transitions_detail")
-    if budget_transitions:
-        full = out.family(
-            "budget_transitions_total", "counter",
-            "Carbon/power budget-controller actions, per "
-            "scope/direction/target (tenant ladder moves and device "
-            "power-mode moves).")
-        for key in sorted(budget_transitions):
-            scope, direction, target = (key.split(":", 2) + ["", ""])[:3]
-            out.sample(full, budget_transitions[key],
-                       {"scope": scope, "direction": direction,
-                        "target": target})
+            full = out.family(family.name, family.kind, family.help)
+            for joined in sorted(by):
+                out.sample(full, by[joined], dict(zip(
+                    family.labels, split_labels(joined, len(family.labels)))))
 
     # ------------------------------------------------------------------
     # batch-size histogram (cumulative, monotonic buckets)
@@ -234,26 +272,12 @@ def render_prometheus(snapshot: dict, cost: dict | None = None,
     # ------------------------------------------------------------------
     # cost ledger (per-tenant token counters)
     # ------------------------------------------------------------------
-    if cost:
-        tenants = cost.get("by_tenant", {})
-        families = [
-            ("cost_requests_total", "requests",
-             "Requests accounted by the cost ledger, per tenant."),
-            ("cost_tool_prompt_tokens_total", "tool_prompt_tokens",
-             "Prompt tokens spent on tool schemas, per tenant."),
-            ("cost_prompt_tokens_total", "prompt_tokens",
-             "Episode prompt tokens, per tenant."),
-            ("cost_completion_tokens_total", "completion_tokens",
-             "Episode completion tokens, per tenant."),
-            ("cost_llm_calls_total", "llm_calls",
-             "LLM calls made by episodes, per tenant."),
-        ]
-        for name, key, help_text in families:
-            if not tenants:
-                break
-            full = out.family(name, "counter", help_text)
+    tenants = (cost or {}).get("by_tenant")
+    if tenants:
+        for family in COST_FAMILIES:
+            full = out.family(family.name, family.kind, family.help)
             for tenant in sorted(tenants):
-                out.sample(full, tenants[tenant].get(key, 0),
+                out.sample(full, tenants[tenant].get(family.key, 0),
                            {"tenant": tenant})
 
     return out.text()

@@ -89,7 +89,9 @@ class EnergyMeter:
     One meter per gateway.  ``record`` runs on the gateway's batch
     worker; the controller thread reads ``window_stats`` and swaps the
     active ``power_mode`` — a lock keeps the window deques coherent
-    across the two.
+    across the two.  The meter keeps rolling windows and request counts
+    only: lifetime joules/gCO₂ live in the gateway's ``Telemetry``
+    (``record_energy``), the one ledger ``/metrics`` reads.
     """
 
     def __init__(self, signal=None, device: DeviceProfile = JETSON_AGX_ORIN,
@@ -106,8 +108,6 @@ class EnergyMeter:
         self._lock = threading.Lock()
         self._mode = "MAXN"
         self._mode_device = device  # MAXN == the base profile
-        self._totals_energy: dict[str, float] = {}
-        self._totals_carbon: dict[str, float] = {}
         self._counts: dict[str, int] = {}
         self._windows: dict[str, deque[EnergyRecord]] = {}
 
@@ -166,10 +166,6 @@ class EnergyMeter:
                               carbon_g=carbon_g, power_mode=mode,
                               intensity_g_per_kwh=intensity)
         with self._lock:
-            self._totals_energy[tenant] = (
-                self._totals_energy.get(tenant, 0.0) + energy_j)
-            self._totals_carbon[tenant] = (
-                self._totals_carbon.get(tenant, 0.0) + carbon_g)
             self._counts[tenant] = self._counts.get(tenant, 0) + 1
             window = self._windows.get(tenant)
             if window is None:
@@ -213,15 +209,3 @@ class EnergyMeter:
                 mean_energy_j=energy / n,
                 mean_carbon_g=carbon / n,
             )
-
-    def snapshot(self) -> dict:
-        """Cumulative attribution plus the active power mode."""
-        with self._lock:
-            return {
-                "power_mode": self._mode,
-                "energy_j": sum(self._totals_energy.values()),
-                "carbon_g": sum(self._totals_carbon.values()),
-                "energy_j_by_tenant": dict(self._totals_energy),
-                "carbon_g_by_tenant": dict(self._totals_carbon),
-                "requests_by_tenant": dict(self._counts),
-            }

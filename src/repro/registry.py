@@ -200,15 +200,6 @@ TRACE_SINKS = Registry("trace sink", builtin_modules=(
 ENGINES = Registry("engine", builtin_modules=("repro.engines",),
                    builtin_names=("simulated", "openai_http"))
 
-#: fault hook name -> one-line description of what an injected fault
-#: does there.  The chaos harness (:mod:`repro.serving.faults`) fires
-#: deterministic faults only at registered hook points, so the set of
-#: places a :class:`~repro.serving.faults.FaultPlan` can touch is
-#: enumerable — third-party serving stages register theirs here.
-FAULT_HOOKS = Registry("fault hook", builtin_modules=(
-    "repro.serving.faults",),
-    builtin_names=("process.execute", "batch.process", "gateway.group"))
-
 #: carbon signal name -> factory ``f(budget_spec) -> signal`` where the
 #: signal satisfies the :mod:`repro.power.signals` protocol
 #: (``intensity(t_s) -> gCO₂/kWh``, a pure function of time).  Resolved
@@ -258,17 +249,6 @@ def register_trace_sink(name: str, factory: Callable | None = None, *,
     addressable as ``ObsSpec(sink="<name>")``.
     """
     return TRACE_SINKS.register(name, factory, replace=replace)
-
-
-def register_fault_hook(name: str, description: str | None = None, *,
-                        replace: bool = False):
-    """Register a chaos-injection hook point by name.
-
-    ``description`` documents what a fired fault does at the hook; the
-    fault injector only fires at registered hooks, so chaos suites can
-    enumerate (and third-party stages extend) the injectable surface.
-    """
-    return FAULT_HOOKS.register(name, description, replace=replace)
 
 
 def register_carbon_signal(name: str, factory: Callable | None = None, *,

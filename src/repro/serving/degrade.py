@@ -189,6 +189,14 @@ class LadderArbiter:
             desires[tenant] = 0
             self._apply(tenant)
 
+    def forget(self, tenant: str) -> None:
+        """Drop a removed tenant's desires, rung, ladder and base catalog
+        (no side effects, no telemetry): a later tenant of the same name
+        starts at ``full`` with a ladder built from its own catalog."""
+        for table in (*self._desired.values(), self._applied, self._ladders,
+                      self._base_catalogs):
+            table.pop(tenant, None)
+
     def _apply(self, tenant: str) -> None:
         ladder = self.ladder(tenant)
         target = max((desires.get(tenant, 0)

@@ -7,9 +7,8 @@ bit-reproducible decisions by drawing from named BLAKE2-derived RNG
 streams (:func:`repro.utils.rng.derive_rng`) — the same plan produces the
 same decision sequence at every hook on every platform.
 
-Faults fire at **registered hook points** (see
-:data:`repro.registry.FAULT_HOOKS`); the built-in three cover the layers
-a production gateway loses first:
+Faults fire at three **hook points** (:attr:`FaultInjector._HOOK_RATES`
+is the table), covering the layers a production gateway loses first:
 
 ``process.execute``
     before a planned group is dealt to the worker pool — a ``crash``
@@ -32,17 +31,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.registry import register_fault_hook
 from repro.utils.rng import derive_rng
-
-#: hook name -> what a fired fault does there (registered so third-party
-#: stages can add their own hook points and chaos suites can enumerate)
-register_fault_hook("process.execute",
-                    "SIGKILL one pool worker before a group is dispatched")
-register_fault_hook("batch.process",
-                    "stall the batch worker before the processor runs")
-register_fault_hook("gateway.group",
-                    "raise InjectedFaultError inside one planned group")
 
 
 class InjectedFaultError(RuntimeError):

@@ -181,9 +181,11 @@ class Gateway:
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._faults = as_injector(faults)
         # an explicit tracer (tests, embedding hosts) wins over the
-        # config's ObsSpec; both absent means tracing is off entirely
+        # config's ObsSpec; both absent means tracing is off entirely.
+        # stop() closes only a sink the gateway built itself
         self.tracer = tracer if tracer is not None else build_tracer(
             self.config.obs)
+        self._owns_tracer = tracer is None and self.tracer is not None
         self.costs_ledger = CostLedger()
         self.scheduler = BatchScheduler(self._process_batch, self.config,
                                         telemetry=self.telemetry,
@@ -275,6 +277,10 @@ class Gateway:
         if self._process_stage is not None:
             self._process_stage.shutdown()
             self._process_stage = None
+        if self._owns_tracer:
+            close = getattr(self.tracer.sink, "close", None)
+            if close is not None:
+                close()
 
     async def __aenter__(self) -> "Gateway":
         await self.start()
@@ -522,6 +528,23 @@ class Gateway:
             self._process_stage.uncover(tenant)
         self.telemetry.record_catalog_swap(tenant)
         return version
+
+    def remove_tenant(self, tenant: str) -> None:
+        """Deregister ``tenant`` and drop the control-plane state kept
+        under its name, so a tenant re-registered as ``tenant`` starts
+        clean: not shed, no scheme override, rung ``full`` with a ladder
+        built from its own catalog, and executed inline until the next
+        pool respawn re-primes the workers from the current runners.
+        Unknown names raise
+        :class:`~repro.serving.session.UnknownTenantError`.
+        """
+        self.sessions.deregister(tenant)
+        self.unshed_tenant(tenant)
+        self.clear_scheme_override(tenant)
+        if self._ladder is not None:
+            self._ladder.forget(tenant)
+        if self._process_stage is not None:
+            self._process_stage.uncover(tenant)
 
     # ------------------------------------------------------------------
     # degradation controls (driven by the DegradationController, but

@@ -11,7 +11,7 @@ POST   ``/v1/call``                   Serve one request (qid or exact text)
 GET    ``/v1/tenants``                List registered tenants
 GET    ``/v1/tenants/{name}``         One tenant's serving summary
 PUT    ``/v1/tenants/{name}``         Register a tenant / hot-swap catalog
-DELETE ``/v1/tenants/{name}``         Deregister a tenant
+DELETE ``/v1/tenants/{name}``         Remove a tenant (``Gateway.remove_tenant``)
 GET    ``/v1/tenants/{name}/status``  Degradation rung + cost snapshot
 GET    ``/healthz``                   Gateway + worker-pool liveness
 GET    ``/metrics``                   Prometheus text exposition
@@ -344,7 +344,7 @@ class GatewayHTTPApp:
 
     async def _delete_tenant(self, receive, send, params) -> None:
         name = params["name"]
-        self.gateway.sessions.deregister(name)
+        self.gateway.remove_tenant(name)
         await send_json(send, 200, {"name": name, "deleted": True})
 
     async def _tenant_status(self, receive, send, params) -> None:

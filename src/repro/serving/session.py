@@ -1,7 +1,7 @@
 """Multi-tenant session state: per-tenant tool catalogs and Search Levels.
 
 Each tenant is one :class:`~repro.suites.base.BenchmarkSuite` — its own
-tool registry, offline-built Search Levels and lazily-constructed agent
+tool catalog, offline-built Search Levels and lazily-constructed agent
 grid cells.  Tenants share a single lock-protected
 :class:`~repro.embedding.cache.CachedEmbedder`, so the vector for a
 given text is computed once across the whole gateway regardless of which
@@ -100,7 +100,7 @@ class TenantSession:
         new_runner = ExperimentRunner(new_suite, embedder=self.runner.embedder,
                                       engine=self.engine)
         _ = new_runner.levels  # re-index now, not on the first request
-        new_runner.embedder.encode(new_suite.registry.descriptions())
+        new_runner.embedder.encode(new_suite.catalog.descriptions())
         new_agents: dict[tuple[str, str, str], object] = {}
         if warm_cell is not None:
             agent = new_runner.make_agent(*warm_cell)
@@ -145,7 +145,7 @@ class TenantSession:
         default cell before accepting traffic.
         """
         agent = self.agent_for(scheme, model, quant)
-        agent.embedder.encode(self.suite.registry.descriptions())
+        agent.embedder.encode(self.suite.catalog.descriptions())
 
 
 class SessionManager:

@@ -13,6 +13,8 @@ import time
 from collections import Counter
 from collections.abc import Sequence
 
+from repro.obs.prometheus import FAMILIES, join_labels
+
 
 def percentile(values: list[float], q: float) -> float:
     """The ``q``-th percentile (0..100) by linear interpolation.
@@ -81,51 +83,41 @@ class Telemetry:
         self._started_at = time.monotonic()
         self._snapshot_seq = 0
         self._lock = threading.Lock()
-        self._admitted = 0
-        self._rejected = 0
-        self._completed = 0
-        self._failed = 0
+        #: one cell per counter row of FAMILIES: label tuple -> total
+        self._counters: dict[str, dict[tuple[str, ...], float]] = {
+            family.key: {} for family in FAMILIES if family.kind == "counter"}
         self._batch_sizes: Counter[int] = Counter()
         self._queue_depths = _Ring(max_samples)
         self._latencies_s = _Ring(max_samples)
         self._queue_waits_s = _Ring(max_samples)
         self._queue_wait_sum_s = 0.0
         self._queue_wait_count = 0
-        self._plan_cache_hits = 0
-        self._plan_cache_misses = 0
-        self._catalog_swaps: Counter[str] = Counter()
-        self._worker_restarts = 0
-        self._slice_retries = 0
-        self._inline_fallbacks = 0
-        self._batch_quarantines = 0
-        self._quarantined_requests = 0
-        self._deadline_timeouts = 0
-        self._shed_requests: Counter[str] = Counter()
-        self._faults_injected: Counter[str] = Counter()
-        self._degrade_transitions: Counter[str] = Counter()
-        self._energy_j: dict[str, float] = {}
-        self._carbon_g: dict[str, float] = {}
-        self._budget_transitions: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
+    def _add(self, key: str, *labels: str, amount: float = 1) -> None:
+        """Bump one counter cell; the caller holds the lock."""
+        cell = self._counters[key]
+        cell[labels] = cell.get(labels, 0) + amount
+
     def record_admission(self, queue_depth: int) -> None:
         """One request accepted into the queue (depth *after* enqueue)."""
         with self._lock:
-            self._admitted += 1
+            self._add("requests_admitted")
             self._queue_depths.push(float(queue_depth))
 
     def record_rejection(self) -> None:
         """One request bounced by admission control."""
         with self._lock:
-            self._rejected += 1
+            self._add("requests_rejected")
 
     def record_flush(self, batch_size: int,
                      queue_waits_s: Sequence[float] = ()) -> None:
         """One micro-batch cut and dispatched; ``queue_waits_s`` is each
         of its requests' enqueue-to-dequeue wait."""
         with self._lock:
+            self._add("n_batches")
             self._batch_sizes[int(batch_size)] += 1
             for wait_s in queue_waits_s:
                 self._queue_waits_s.push(wait_s)
@@ -135,66 +127,61 @@ class Telemetry:
     def record_plan_lookup(self, hit: bool) -> None:
         """One plan-cache probe (only recorded when the cache is enabled)."""
         with self._lock:
-            if hit:
-                self._plan_cache_hits += 1
-            else:
-                self._plan_cache_misses += 1
+            self._add("plan_cache_hits" if hit else "plan_cache_misses")
 
     def record_catalog_swap(self, tenant: str) -> None:
         """One tenant's tool catalog hot-swapped by ``Gateway.update_catalog``."""
         with self._lock:
-            self._catalog_swaps[tenant] += 1
+            self._add("catalog_swaps", tenant)
 
     def record_worker_restart(self) -> None:
         """One worker-pool crash detected; an async respawn was kicked off."""
         with self._lock:
-            self._worker_restarts += 1
+            self._add("worker_restarts")
 
     def record_slice_retry(self) -> None:
         """One failed worker slice resubmitted to the (possibly new) pool."""
         with self._lock:
-            self._slice_retries += 1
+            self._add("slice_retries")
 
     def record_inline_fallback(self) -> None:
         """One failed worker slice executed inline after retries ran out."""
         with self._lock:
-            self._inline_fallbacks += 1
+            self._add("inline_fallbacks")
 
     def record_batch_quarantine(self, batch_size: int) -> None:
         """One failed micro-batch of ``batch_size`` requests re-processed
         request-by-request (both the batch and its requests are counted)."""
         with self._lock:
-            self._batch_quarantines += 1
-            self._quarantined_requests += int(batch_size)
+            self._add("batch_quarantines")
+            self._add("quarantined_requests", amount=int(batch_size))
 
     def record_deadline_timeout(self) -> None:
         """One request abandoned because its end-to-end deadline expired."""
         with self._lock:
-            self._deadline_timeouts += 1
+            self._add("deadline_timeouts")
 
     def record_shed_request(self, tenant: str) -> None:
         """One request rejected because its tenant is shed (degradation)."""
         with self._lock:
-            self._shed_requests[tenant] += 1
+            self._add("shed_requests", tenant)
 
     def record_fault(self, hook: str) -> None:
         """One injected fault fired at ``hook`` (chaos harness only)."""
         with self._lock:
-            self._faults_injected[hook] += 1
+            self._add("faults_injected", hook)
 
     def record_degradation(self, tenant: str, rung: str, direction: str) -> None:
         """One degradation-ladder transition (``direction`` is down|up)."""
         with self._lock:
-            self._degrade_transitions[f"{tenant}:{direction}:{rung}"] += 1
+            self._add("degrade_transitions", tenant, direction, rung)
 
     def record_energy(self, tenant: str, energy_j: float,
                       carbon_g: float) -> None:
         """One request's attributed energy/carbon (see ``repro.power``)."""
         with self._lock:
-            self._energy_j[tenant] = (
-                self._energy_j.get(tenant, 0.0) + float(energy_j))
-            self._carbon_g[tenant] = (
-                self._carbon_g.get(tenant, 0.0) + float(carbon_g))
+            self._add("energy_j", tenant, amount=float(energy_j))
+            self._add("carbon_g", tenant, amount=float(carbon_g))
 
     def record_budget_transition(self, scope: str, target: str,
                                  direction: str) -> None:
@@ -203,16 +190,16 @@ class Telemetry:
         power-mode move (``scope="device"``, ``target`` the new mode);
         ``direction`` is down|up."""
         with self._lock:
-            self._budget_transitions[f"{scope}:{direction}:{target}"] += 1
+            self._add("budget_transitions", scope, direction, target)
 
     def record_completion(self, latency_s: float, ok: bool = True) -> None:
         """One request finished (``latency_s`` is submit-to-response)."""
         with self._lock:
             if ok:
-                self._completed += 1
+                self._add("requests_completed")
                 self._latencies_s.push(float(latency_s))
             else:
-                self._failed += 1
+                self._add("requests_failed")
 
     # ------------------------------------------------------------------
     # views
@@ -230,44 +217,32 @@ class Telemetry:
         """
         with self._lock:
             self._snapshot_seq += 1
-            snapshot_seq = self._snapshot_seq
-            uptime_s = time.monotonic() - self._started_at
+            out = {
+                "uptime_s": time.monotonic() - self._started_at,
+                "snapshot_seq": self._snapshot_seq,
+            }
+            for family in FAMILIES:
+                cell = self._counters.get(family.key)
+                if cell is None:  # a gauge: derived below
+                    continue
+                out[family.key] = sum(cell.values())
+                if family.labels:
+                    out[family.breakdown_key] = {
+                        join_labels(labels): value
+                        for labels, value in cell.items()}
             latencies = self._latencies_s.values()
             queue_waits = self._queue_waits_s.values()
-            queue_wait_sum_s = self._queue_wait_sum_s
-            queue_wait_count = self._queue_wait_count
+            out["queue_wait_sum_s"] = self._queue_wait_sum_s
+            out["queue_wait_count"] = self._queue_wait_count
             depths = self._queue_depths.values()
             sizes = dict(sorted(self._batch_sizes.items()))
-            admitted, rejected = self._admitted, self._rejected
-            completed, failed = self._completed, self._failed
-            plan_hits, plan_misses = self._plan_cache_hits, self._plan_cache_misses
-            catalog_swaps = dict(self._catalog_swaps)
-            worker_restarts = self._worker_restarts
-            slice_retries = self._slice_retries
-            inline_fallbacks = self._inline_fallbacks
-            batch_quarantines = self._batch_quarantines
-            quarantined_requests = self._quarantined_requests
-            deadline_timeouts = self._deadline_timeouts
-            shed_requests = dict(self._shed_requests)
-            faults_injected = dict(self._faults_injected)
-            degrade_transitions = dict(self._degrade_transitions)
-            energy_j = dict(self._energy_j)
-            carbon_g = dict(self._carbon_g)
-            budget_transitions = dict(self._budget_transitions)
         # sort each ring once; percentile() re-sorting a sorted list is linear
         latencies.sort()
         queue_waits.sort()
-        n_batches = sum(sizes.values())
-        plan_lookups = plan_hits + plan_misses
+        n_batches = out["n_batches"]
+        plan_lookups = out["plan_cache_hits"] + out["plan_cache_misses"]
         n_batched = sum(size * count for size, count in sizes.items())
-        return {
-            "uptime_s": uptime_s,
-            "snapshot_seq": snapshot_seq,
-            "requests_admitted": admitted,
-            "requests_rejected": rejected,
-            "requests_completed": completed,
-            "requests_failed": failed,
-            "n_batches": n_batches,
+        out.update({
             "mean_batch_size": (n_batched / n_batches) if n_batches else 0.0,
             "max_batch_size": max(sizes) if sizes else 0,
             "batch_size_histogram": {str(size): count for size, count in sizes.items()},
@@ -280,30 +255,7 @@ class Telemetry:
                                 if latencies else 0.0),
             "queue_wait_p50_ms": percentile(queue_waits, 50.0) * 1e3,
             "queue_wait_p95_ms": percentile(queue_waits, 95.0) * 1e3,
-            "queue_wait_sum_s": queue_wait_sum_s,
-            "queue_wait_count": queue_wait_count,
-            "plan_cache_hits": plan_hits,
-            "plan_cache_misses": plan_misses,
-            "plan_cache_hit_rate": (plan_hits / plan_lookups
+            "plan_cache_hit_rate": (out["plan_cache_hits"] / plan_lookups
                                     if plan_lookups else 0.0),
-            "catalog_swaps": sum(catalog_swaps.values()),
-            "catalog_swaps_by_tenant": catalog_swaps,
-            "worker_restarts": worker_restarts,
-            "slice_retries": slice_retries,
-            "inline_fallbacks": inline_fallbacks,
-            "batch_quarantines": batch_quarantines,
-            "quarantined_requests": quarantined_requests,
-            "deadline_timeouts": deadline_timeouts,
-            "shed_requests": sum(shed_requests.values()),
-            "shed_requests_by_tenant": shed_requests,
-            "faults_injected": sum(faults_injected.values()),
-            "faults_injected_by_hook": faults_injected,
-            "degrade_transitions": sum(degrade_transitions.values()),
-            "degrade_transitions_detail": degrade_transitions,
-            "energy_j": sum(energy_j.values()),
-            "energy_j_by_tenant": energy_j,
-            "carbon_g": sum(carbon_g.values()),
-            "carbon_g_by_tenant": carbon_g,
-            "budget_transitions": sum(budget_transitions.values()),
-            "budget_transitions_detail": budget_transitions,
-        }
+        })
+        return out

@@ -587,7 +587,7 @@ class ServingSpec(_SpecBase):
         (:data:`repro.registry.SERVING_BACKENDS`): ``"thread"`` (default)
         keeps it on the gateway's batch worker; ``"process"`` fans it out
         across a pool of worker processes
-        (:class:`~repro.serving.process.ProcessEpisodeExecutor`) —
+        (:class:`~repro.serving.process.SupervisedEpisodeExecutor`) —
         planning stays batched in the parent either way, and served
         results are bitwise identical across backends.
     execution_workers:
@@ -603,7 +603,7 @@ class ServingSpec(_SpecBase):
         no client future can hang forever behind a stalled worker.
         ``None`` (the default) disables the deadline.
     worker_init_timeout_s:
-        How long :meth:`~repro.serving.process.ProcessEpisodeExecutor.start`
+        How long :meth:`~repro.serving.process.SupervisedEpisodeExecutor.start`
         waits for every worker process to reach the init barrier before
         declaring the pool dead (the error reports how many workers made
         it).  Also bounds each respawn attempt after a worker crash.

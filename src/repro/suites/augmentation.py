@@ -117,17 +117,17 @@ class AugmentationEngine:
 
     def _permutation(self, query: Query, rng: np.random.Generator) -> AugmentedQuery | None:
         """Swap one gold step for a sibling tool of the same catalog category."""
-        registry = self.suite.registry
+        catalog = self.suite.catalog
         swappable = [
             (idx, call) for idx, call in enumerate(query.gold_calls)
-            if len(registry.by_category(registry.get(call.tool).category)) > 1
+            if len(catalog.by_category(catalog.get(call.tool).category)) > 1
         ]
         if not swappable:
             return None
         idx, call = swappable[int(rng.integers(len(swappable)))]
         chain_tools = set(query.gold_tools)
         siblings = [
-            tool for tool in registry.by_category(registry.get(call.tool).category)
+            tool for tool in catalog.by_category(catalog.get(call.tool).category)
             if tool.name != call.tool and tool.name not in chain_tools
         ]
         if not siblings:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.tools.catalog import ToolCatalog
-from repro.tools.registry import ToolRegistry
 from repro.tools.schema import ToolCall
 
 #: Mini-batch size used throughout the paper's evaluation (Section IV).
@@ -104,12 +103,6 @@ class BenchmarkSuite:
     may look at (mirroring the paper's use of benchmark training splits
     for GPT-4 augmentation).
 
-    The ``registry`` field (named for the legacy constructor surface)
-    accepts either a frozen :class:`~repro.tools.catalog.ToolCatalog` or
-    a legacy :class:`~repro.tools.registry.ToolRegistry`; registries are
-    frozen into a catalog at construction, so ``suite.registry`` — and
-    the :attr:`catalog` alias — is always a versioned catalog.
-
     ``executor_factory`` (optional) builds the suite's tool executor
     from its catalog — ``f(catalog) -> SimulatedToolExecutor`` — letting
     stateful suites (the browser suite) install an executor whose
@@ -119,32 +112,25 @@ class BenchmarkSuite:
     """
 
     name: str
-    registry: ToolCatalog | ToolRegistry
+    catalog: ToolCatalog
     queries: list[Query]
     train_queries: list[Query] = field(default_factory=list)
     sequential: bool = False
     executor_factory: object = None
 
     def __post_init__(self):
-        if isinstance(self.registry, ToolRegistry):
-            self.registry = self.registry.to_catalog(name=self.name)
-        if not isinstance(self.registry, ToolCatalog):
+        if not isinstance(self.catalog, ToolCatalog):
             raise TypeError(
-                f"suite {self.name!r}: registry must be a ToolCatalog or "
-                f"ToolRegistry, got {type(self.registry).__name__}")
+                f"suite {self.name!r}: catalog must be a ToolCatalog, "
+                f"got {type(self.catalog).__name__}")
         for query in list(self.queries) + list(self.train_queries):
             for tool in query.gold_tools:
-                if tool not in self.registry:
+                if tool not in self.catalog:
                     raise ValueError(
                         f"query {query.qid} references unknown tool {tool!r} "
-                        f"(catalog {self.registry.name!r}, "
-                        f"version {self.registry.version[:12]})"
+                        f"(catalog {self.catalog.name!r}, "
+                        f"version {self.catalog.version[:12]})"
                     )
-
-    @property
-    def catalog(self) -> ToolCatalog:
-        """The suite's tool catalog (alias of :attr:`registry`)."""
-        return self.registry
 
     def with_catalog(self, catalog: ToolCatalog) -> "BenchmarkSuite":
         """This suite re-tooled onto ``catalog`` (same query pools).
@@ -154,14 +140,14 @@ class BenchmarkSuite:
         the serving hot-swap path relies on that check.
         """
         return BenchmarkSuite(
-            name=self.name, registry=catalog, queries=self.queries,
+            name=self.name, catalog=catalog, queries=self.queries,
             train_queries=self.train_queries, sequential=self.sequential,
             executor_factory=self.executor_factory,
         )
 
     @property
     def n_tools(self) -> int:
-        return len(self.registry)
+        return len(self.catalog)
 
     @property
     def categories(self) -> list[str]:

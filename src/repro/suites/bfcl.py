@@ -204,7 +204,7 @@ def build_bfcl_suite(n_queries: int = PAPER_QUERY_BATCH, seed: int = 0,
     """
     return BenchmarkSuite(
         name="bfcl",
-        registry=catalog if catalog is not None else load_catalog("bfcl"),
+        catalog=catalog if catalog is not None else load_catalog("bfcl"),
         queries=generate_bfcl_queries(n_queries, seed, split="eval"),
         train_queries=generate_bfcl_queries(n_train, seed, split="train"),
         sequential=False,

@@ -256,7 +256,7 @@ def build_browser_suite(n_queries: int = PAPER_QUERY_BATCH, seed: int = 0,
     """
     return BenchmarkSuite(
         name="browser",
-        registry=catalog if catalog is not None else load_catalog("browser"),
+        catalog=catalog if catalog is not None else load_catalog("browser"),
         queries=generate_browser_queries(n_queries, seed, split="eval"),
         train_queries=generate_browser_queries(n_train, seed, split="train"),
         sequential=True,

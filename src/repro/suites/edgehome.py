@@ -18,7 +18,6 @@ from repro.registry import register_catalog
 from repro.suites.base import PAPER_QUERY_BATCH, BenchmarkSuite, Query
 from repro.suites.templating import QueryTemplate
 from repro.tools.catalog import ToolCatalog, load_catalog
-from repro.tools.registry import ToolRegistry
 from repro.tools.schema import ToolCall
 from repro.tools.schema import ToolParameter as P
 from repro.tools.schema import ToolSpec as T
@@ -111,11 +110,6 @@ def _edgehome_tools() -> tuple[T, ...]:
 def build_edgehome_catalog() -> ToolCatalog:
     """The 32-tool EdgeHome catalog (full variant)."""
     return ToolCatalog("edgehome", _edgehome_tools())
-
-
-def build_edgehome_registry() -> ToolRegistry:
-    """Legacy registry form of the EdgeHome catalog (same specs, order)."""
-    return ToolRegistry(_edgehome_tools())
 
 
 def _one(tool: str, **arguments) -> list[ToolCall]:
@@ -238,7 +232,7 @@ def build_edgehome_suite(n_queries: int = PAPER_QUERY_BATCH, seed: int = 0,
     """
     return BenchmarkSuite(
         name="edgehome",
-        registry=catalog if catalog is not None else load_catalog("edgehome"),
+        catalog=catalog if catalog is not None else load_catalog("edgehome"),
         queries=generate_edgehome_queries(n_queries, seed, split="eval"),
         train_queries=generate_edgehome_queries(n_train, seed, split="train"),
         sequential=True,  # contains chains; per-query flag is authoritative

@@ -211,7 +211,7 @@ def build_geoengine_suite(n_queries: int = PAPER_QUERY_BATCH, seed: int = 0,
     """
     return BenchmarkSuite(
         name="geoengine",
-        registry=catalog if catalog is not None else load_catalog("geoengine"),
+        catalog=catalog if catalog is not None else load_catalog("geoengine"),
         queries=generate_geoengine_queries(n_queries, seed, split="eval"),
         train_queries=generate_geoengine_queries(n_train, seed, split="train"),
         sequential=True,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.registry import register_catalog
 from repro.tools.catalog import ToolCatalog
-from repro.tools.registry import ToolRegistry
 from repro.tools.schema import ToolParameter as P
 from repro.tools.schema import ToolSpec as T
 
@@ -253,8 +252,3 @@ def _geoengine_tools() -> tuple[T, ...]:
 def build_geoengine_catalog() -> ToolCatalog:
     """The 46-tool GeoEngine-like catalog (full variant)."""
     return ToolCatalog("geoengine", _geoengine_tools())
-
-
-def build_geoengine_registry() -> ToolRegistry:
-    """Legacy registry form of the GeoEngine catalog (same specs, order)."""
-    return ToolRegistry(_geoengine_tools())

@@ -83,13 +83,8 @@ class ToolCatalog:
     ``to_dict``/``from_dict`` round-tripping in the style of
     :mod:`repro.specs`.
 
-    One deliberate departure from the legacy
-    :class:`~repro.tools.registry.ToolRegistry` surface: ``subset``
-    returns a *catalog in registration order*, not a list in the given
-    order — rank-ordered plan assembly moved to :meth:`select`.  Code
-    that built plans from ``suite.registry.subset(ranked_names)`` must
-    switch to ``suite.catalog.select(ranked_names)`` (see the README
-    migration table).
+    ``subset`` returns a *catalog in registration order*; rank-ordered
+    plan assembly (a list in the given order) is :meth:`select`.
 
     ``variant`` records which description variant the held specs embody;
     freshly built catalogs are ``full``.  The :attr:`version` content
@@ -116,7 +111,7 @@ class ToolCatalog:
                 f"{', '.join(duplicates)}")
 
     # ------------------------------------------------------------------
-    # lookup (the ToolRegistry read API, kept call-compatible)
+    # lookup
     # ------------------------------------------------------------------
     @property
     def _by_name(self) -> dict[str, ToolSpec]:
@@ -295,12 +290,6 @@ class ToolCatalog:
             ToolSpec.from_dict(t) if isinstance(t, dict) else t
             for t in data.get("tools", ()))
         return cls(**data)
-
-    def registry(self):
-        """A legacy :class:`~repro.tools.registry.ToolRegistry` view."""
-        from repro.tools.registry import ToolRegistry
-
-        return ToolRegistry(self.tools)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ToolCatalog({self.name!r}, tools={len(self.tools)}, "

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.tools.registry import ToolRegistry
+from repro.tools.catalog import ToolCatalog
 from repro.tools.schema import ToolCall, ValidationIssue
 from repro.utils.hashing import stable_hash64
 from repro.utils.rng import derive_rng
@@ -35,11 +35,11 @@ class ExecutionOutcome:
 
 @dataclass
 class SimulatedToolExecutor:
-    """Validates and "executes" tool calls against a registry.
+    """Validates and "executes" tool calls against a catalog.
 
     Parameters
     ----------
-    registry:
+    catalog:
         The full tool pool (calls to unknown tools fail).
     api_latency_mean_s:
         Mean of the simulated per-call API latency (lognormal-ish jitter,
@@ -54,7 +54,7 @@ class SimulatedToolExecutor:
         to share across concurrent episodes.
     """
 
-    registry: ToolRegistry
+    catalog: ToolCatalog
     api_latency_mean_s: float = 0.15
     executed: list[ExecutionOutcome] = field(default_factory=list)
     log_calls: bool = True
@@ -105,11 +105,11 @@ class SimulatedToolExecutor:
                 call=call, ok=False,
                 error=f"tool {call.tool!r} was not offered to the agent",
             ))
-        if call.tool not in self.registry:
+        if call.tool not in self.catalog:
             return self._record(ExecutionOutcome(
                 call=call, ok=False, error=f"unknown tool {call.tool!r}"))
 
-        spec = self.registry.get(call.tool)
+        spec = self.catalog.get(call.tool)
         issues = spec.validate_arguments(call.arguments)
         if issues:
             return self._record(ExecutionOutcome(

@@ -28,7 +28,7 @@ class FixedPlanAgent(FunctionCallingAgent):
     scheme = "fixed"
 
     def plan(self, query):
-        return ToolPlan(tools=list(self.suite.registry),
+        return ToolPlan(tools=list(self.suite.catalog),
                         context_window=DEFAULT_CONTEXT_WINDOW)
 
 

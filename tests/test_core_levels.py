@@ -22,13 +22,13 @@ def geo_levels(geo_suite):
 class TestLevel1:
     def test_one_vector_per_tool(self, geo_suite, geo_levels):
         assert len(geo_levels.tool_index) == geo_suite.n_tools
-        assert geo_levels.tool_names == geo_suite.registry.names
+        assert geo_levels.tool_names == geo_suite.catalog.names
 
     def test_tool_lookup_by_own_description(self, geo_suite, geo_levels):
         embedder = shared_embedder()
         hits = 0
         for row, name in enumerate(geo_levels.tool_names[:20]):
-            description = geo_suite.registry.get(name).description
+            description = geo_suite.catalog.get(name).description
             result = geo_levels.tool_index.search_one(embedder.encode_one(description), 1)
             hits += int(result.top()[1] == row)
         assert hits >= 19  # exact self-retrieval on the tool corpus

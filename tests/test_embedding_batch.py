@@ -42,7 +42,7 @@ class TestBatchedEquivalence:
         np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=1e-13)
 
     def test_edgehome_corpus_matches_reference(self, embedder):
-        corpus = load_suite("edgehome").registry.descriptions()
+        corpus = load_suite("edgehome").catalog.descriptions()
         batch = embedder.encode(corpus)
         reference = np.stack([embedder.encode_one_reference(t) for t in corpus])
         np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=1e-13)

@@ -293,23 +293,23 @@ class TestChatEngineLLM:
         query = suite.queries[0]
         gold = query.gold_calls[0]
         llm = _adapter(EngineReply(tool_calls=(gold,)))
-        turn = llm.execute_step(query, 0, list(suite.registry), 16384)
+        turn = llm.execute_step(query, 0, list(suite.catalog), 16384)
         assert turn.call == gold
         assert turn.correct_tool
         assert not turn.signalled_error
-        assert turn.tools_seen == tuple(t.name for t in suite.registry)
+        assert turn.tools_seen == tuple(t.name for t in suite.catalog)
 
     def test_no_parseable_call_signals_error(self, suite):
         llm = _adapter(EngineReply(text="I cannot help with that."))
         turn = llm.execute_step(suite.queries[0], 0,
-                                list(suite.registry), 16384)
+                                list(suite.catalog), 16384)
         assert turn.call is None
         assert turn.signalled_error
 
     def test_error_signal_passthrough(self, suite):
         llm = _adapter(EngineReply(error_signal="tool not found"))
         turn = llm.execute_step(suite.queries[0], 0,
-                                list(suite.registry), 16384)
+                                list(suite.catalog), 16384)
         assert turn.call is None
         assert turn.signalled_error
 
@@ -317,7 +317,7 @@ class TestChatEngineLLM:
         llm = _adapter(EngineReply(text="chatter",
                                    tool_calls=(ToolCall("pause_media", {}),)))
         turn = llm.execute_step(suite.queries[0], 0,
-                                list(suite.registry), 16384)
+                                list(suite.catalog), 16384)
         assert turn.usage.prompt_tokens > 0
 
     def test_requires_presented_tools(self, suite):

@@ -47,7 +47,7 @@ def _quiet(engine: OpenAIHttpEngine) -> OpenAIHttpEngine:
 class TestWireFormat:
     def test_payload_shape_and_native_extraction(self):
         suite = load_suite("edgehome", n_queries=2)
-        tools = list(suite.registry)[:3]
+        tools = list(suite.catalog)[:3]
         app = MockOpenAIApp(reply_fn=lambda payload: tool_call_message(
             payload["tools"][0]["function"]["name"], {"room": "kitchen"}))
         with MockOpenAIServer(app) as server:
@@ -149,7 +149,7 @@ class TestEndToEnd:
 
         assert len(run.episodes) == 3
         # one chat-completions request per executed step, all advertising
-        # the full registry (the default scheme presents everything)
+        # the full catalog (the default scheme presents everything)
         assert len(app.requests) >= 3
         assert all(req["tools"] for req in app.requests)
         for episode in run.episodes:

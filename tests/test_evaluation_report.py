@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evaluation.report import comparison_paragraph, grid_report
+from repro.evaluation.reporting import comparison_paragraph, grid_report
 from repro.evaluation.runner import ExperimentRunner
 from repro.suites import load_suite
 

@@ -10,12 +10,11 @@ import pytest
 from repro.hardware import InferenceRequest, simulate_inference
 from repro.llm import get_quant_spec
 from repro.llm.tokens import AGENT_SYSTEM_TOKENS, tool_prompt_tokens
-from repro.suites.geoengine_catalog import build_geoengine_registry
+from repro.tools import load_catalog
 
 
 def geo_prompt_tokens(n_tools: int) -> int:
-    registry = build_geoengine_registry()
-    tools = list(registry)[:n_tools]
+    tools = list(load_catalog("geoengine"))[:n_tools]
     return AGENT_SYSTEM_TOKENS + sum(tool_prompt_tokens(t) for t in tools) + 40
 
 
@@ -78,8 +77,7 @@ class TestBfclWindowRequirement:
     def test_51_tools_need_16k(self):
         # the paper runs default agents at 16K because the pool fits there
         from repro.llm.tokens import plan_agent_prompt
-        from repro.suites.bfcl_catalog import build_bfcl_registry
 
-        tools = list(build_bfcl_registry())
+        tools = list(load_catalog("bfcl"))
         assert plan_agent_prompt("q", tools, 16384).tools_truncated == ()
         assert plan_agent_prompt("q", tools, 8192).tools_truncated != ()

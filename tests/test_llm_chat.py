@@ -14,7 +14,7 @@ from repro.llm.chat import (
     render_tool_call,
 )
 from repro.llm.tokens import AGENT_SYSTEM_TOKENS, plan_agent_prompt
-from repro.suites.bfcl_catalog import build_bfcl_registry
+from repro.tools import load_catalog
 from repro.tools.schema import ToolCall
 
 
@@ -38,13 +38,13 @@ class TestTranscript:
 
 class TestAgentPrompt:
     def test_contains_all_tool_names(self):
-        tools = list(build_bfcl_registry())[:5]
+        tools = list(load_catalog("bfcl"))[:5]
         rendered = render_agent_prompt("do something", tools).render()
         for tool in tools:
             assert tool.name in rendered
 
     def test_history_appended(self):
-        tools = list(build_bfcl_registry())[:2]
+        tools = list(load_catalog("bfcl"))[:2]
         call = ToolCall("get_current_weather", {"city": "Paris"})
         transcript = render_agent_prompt("task", tools, history=[(call, "ok: 18C")])
         rendered = transcript.render()
@@ -55,14 +55,14 @@ class TestAgentPrompt:
         # the engine's budget model is an upper envelope over the lean
         # concrete rendering (it reserves few-shot/pretty-print space):
         # rendered <= planned <= ~2.5x rendered
-        tools = list(build_bfcl_registry())[:10]
+        tools = list(load_catalog("bfcl"))[:10]
         rendered = render_agent_prompt("what is the weather in Paris?", tools)
         plan = plan_agent_prompt("what is the weather in Paris?", tools, 16384)
         assert rendered.prompt_tokens <= plan.prompt_tokens
         assert plan.prompt_tokens <= 2.5 * rendered.prompt_tokens
 
     def test_error_prompt_mentions_fallback_contract(self):
-        rendered = render_agent_prompt("t", list(build_bfcl_registry())[:1]).render()
+        rendered = render_agent_prompt("t", list(load_catalog("bfcl"))[:1]).render()
         assert '"error"' in rendered  # the paper's failure-signal protocol
 
 

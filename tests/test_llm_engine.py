@@ -39,17 +39,17 @@ class TestConstruction:
 
 class TestRecommender:
     def test_descriptions_nonempty(self, strong_llm, bfcl):
-        output = strong_llm.recommend_tools(bfcl.queries[0], bfcl.registry)
+        output = strong_llm.recommend_tools(bfcl.queries[0], bfcl.catalog)
         assert output.descriptions
         assert all(isinstance(text, str) and text for text in output.descriptions)
 
     def test_deterministic(self, strong_llm, bfcl):
-        a = strong_llm.recommend_tools(bfcl.queries[1], bfcl.registry)
-        b = strong_llm.recommend_tools(bfcl.queries[1], bfcl.registry)
+        a = strong_llm.recommend_tools(bfcl.queries[1], bfcl.catalog)
+        b = strong_llm.recommend_tools(bfcl.queries[1], bfcl.catalog)
         assert a.descriptions == b.descriptions
 
     def test_usage_accounts_prompt_and_completion(self, strong_llm, bfcl):
-        output = strong_llm.recommend_tools(bfcl.queries[2], bfcl.registry)
+        output = strong_llm.recommend_tools(bfcl.queries[2], bfcl.catalog)
         assert output.usage.prompt_tokens > 100
         assert output.usage.completion_tokens > 0
 
@@ -61,8 +61,8 @@ class TestRecommender:
         hits = 0
         queries = bfcl.queries[:20]
         for query in queries:
-            output = strong_llm.recommend_tools(query, bfcl.registry)
-            gold_desc = bfcl.registry.get(query.gold_tools[0]).description
+            output = strong_llm.recommend_tools(query, bfcl.catalog)
+            gold_desc = bfcl.catalog.get(query.gold_tools[0]).description
             gold_vec = embedder.encode_one(gold_desc)
             rec_vec = embedder.encode_one(output.descriptions[0])
             if float(np.dot(gold_vec, rec_vec)) > 0.5:
@@ -72,7 +72,7 @@ class TestRecommender:
     def test_weak_model_sometimes_misses_chain_tools(self, weak_llm, geo):
         shorter = 0
         for query in geo.queries:
-            output = weak_llm.recommend_tools(query, geo.registry)
+            output = weak_llm.recommend_tools(query, geo.catalog)
             if len(output.descriptions) < len(set(query.gold_tools)):
                 shorter += 1
         assert shorter > 0  # weak planners under-enumerate chains
@@ -85,19 +85,19 @@ class TestRecommender:
 class TestExecuteStep:
     def test_returns_call_or_error(self, strong_llm, bfcl):
         query = bfcl.queries[0]
-        turn = strong_llm.execute_step(query, 0, list(bfcl.registry), 16384)
+        turn = strong_llm.execute_step(query, 0, list(bfcl.catalog), 16384)
         assert turn.signalled_error or turn.call is not None
 
     def test_deterministic(self, strong_llm, bfcl):
         query = bfcl.queries[3]
-        tools = list(bfcl.registry)
+        tools = list(bfcl.catalog)
         a = strong_llm.execute_step(query, 0, tools, 16384)
         b = strong_llm.execute_step(query, 0, tools, 16384)
         assert a == b
 
     def test_attempt_changes_stream(self, weak_llm, bfcl):
         query = bfcl.queries[4]
-        tools = list(bfcl.registry)
+        tools = list(bfcl.catalog)
         turns = set()
         for i in range(6):
             call = weak_llm.execute_step(query, 0, tools, 16384, attempt=i).call
@@ -106,18 +106,18 @@ class TestExecuteStep:
 
     def test_gold_absent_never_correct(self, strong_llm, bfcl):
         query = bfcl.queries[5]
-        tools = [tool for tool in bfcl.registry if tool.name != query.gold_tools[0]][:8]
+        tools = [tool for tool in bfcl.catalog if tool.name != query.gold_tools[0]][:8]
         turn = strong_llm.execute_step(query, 0, tools, 16384)
         assert not turn.correct_tool
 
     def test_fewer_tools_improve_accuracy(self, bfcl):
         llm = SimulatedLLM.from_registry("llama3.1-8b", "q4_K_M")
-        all_tools = list(bfcl.registry)
+        all_tools = list(bfcl.catalog)
         correct_many = 0
         correct_few = 0
         for query in bfcl.queries:
             gold = query.gold_tools[0]
-            few = [bfcl.registry.get(gold)] + [t for t in all_tools if t.name != gold][:4]
+            few = [bfcl.catalog.get(gold)] + [t for t in all_tools if t.name != gold][:4]
             correct_many += llm.execute_step(query, 0, all_tools, 16384).correct_tool
             correct_few += llm.execute_step(query, 0, few, 8192).correct_tool
         # the paper's Table II effect, reproduced at the engine level
@@ -125,7 +125,7 @@ class TestExecuteStep:
 
     def test_usage_kv_cached_on_later_steps(self, strong_llm, geo):
         query = geo.queries[0]
-        tools = list(geo.registry)
+        tools = list(geo.catalog)
         step0 = strong_llm.execute_step(query, 0, tools, 16384)
         step2 = strong_llm.execute_step(query, 2, tools, 16384)
         assert step0.usage.kv_cached_tokens == 0
@@ -138,9 +138,9 @@ class TestExecuteStep:
     def test_wrong_tool_calls_have_type_correct_args(self, weak_llm, bfcl):
         from repro.tools import SimulatedToolExecutor
 
-        executor = SimulatedToolExecutor(bfcl.registry)
+        executor = SimulatedToolExecutor(bfcl.catalog)
         for query in bfcl.queries[:25]:
-            turn = weak_llm.execute_step(query, 0, list(bfcl.registry), 16384)
+            turn = weak_llm.execute_step(query, 0, list(bfcl.catalog), 16384)
             if turn.call is not None and not turn.correct_tool:
                 outcome = executor.execute(turn.call)
                 # placeholder args satisfy the schema (wrong tool, valid call)

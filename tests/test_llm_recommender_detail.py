@@ -26,8 +26,8 @@ def retrieval_quality(llm, suite, n=20):
     embedder = shared_embedder()
     sims = []
     for query in suite.queries[:n]:
-        output = llm.recommend_tools(query, suite.registry)
-        gold = suite.registry.get(query.gold_tools[0]).description
+        output = llm.recommend_tools(query, suite.catalog)
+        gold = suite.catalog.get(query.gold_tools[0]).description
         sims.append(float(np.dot(embedder.encode_one(output.descriptions[0]),
                                  embedder.encode_one(gold))))
     return float(np.mean(sims))
@@ -50,7 +50,7 @@ class TestQualityScalesWithReasoning:
         weak = SimulatedLLM.from_registry("mistral-8b", "q4_0")
         generic_hits = 0
         for query in bfcl.queries[:20]:
-            output = weak.recommend_tools(query, bfcl.registry)
+            output = weak.recommend_tools(query, bfcl.catalog)
             words = set(" ".join(output.descriptions).split())
             generic_hits += int(bool(words & set(_GENERIC_WORDS)))
         assert generic_hits >= 5  # genericisation is the weak-model signature
@@ -61,7 +61,7 @@ class TestMergingBehaviour:
         llm = SimulatedLLM.from_registry("hermes2-pro-8b", "full")
         merged = 0
         for query in geo.queries:
-            output = llm.recommend_tools(query, geo.registry)
+            output = llm.recommend_tools(query, geo.catalog)
             if len(output.descriptions) < len(set(query.gold_tools)):
                 merged += 1
         # most multi-tool chains blend at least two needs into one text
@@ -70,7 +70,7 @@ class TestMergingBehaviour:
     def test_single_tool_queries_never_merge(self, bfcl):
         llm = SimulatedLLM.from_registry("hermes2-pro-8b", "full")
         for query in bfcl.queries[:15]:
-            output = llm.recommend_tools(query, bfcl.registry)
+            output = llm.recommend_tools(query, bfcl.catalog)
             # one gold tool -> at least one description, possibly plus a
             # spurious extra, never zero
             assert 1 <= len(output.descriptions) <= 2
@@ -89,11 +89,11 @@ class TestUsageAccounting:
     def test_completion_scales_with_description_count(self, geo, bfcl):
         llm = SimulatedLLM.from_registry("hermes2-pro-8b", "full")
         geo_usage = np.mean([
-            llm.recommend_tools(q, geo.registry).usage.completion_tokens
+            llm.recommend_tools(q, geo.catalog).usage.completion_tokens
             for q in geo.queries[:10]
         ])
         bfcl_usage = np.mean([
-            llm.recommend_tools(q, bfcl.registry).usage.completion_tokens
+            llm.recommend_tools(q, bfcl.catalog).usage.completion_tokens
             for q in bfcl.queries[:10]
         ])
         assert geo_usage > bfcl_usage  # chains describe more tools
@@ -103,6 +103,6 @@ class TestUsageAccounting:
         # subsequent function calling"
         llm = SimulatedLLM.from_registry("llama3.1-8b", "q4_K_M")
         query = bfcl.queries[0]
-        rec_usage = llm.recommend_tools(query, bfcl.registry).usage
-        turn = llm.execute_step(query, 0, list(bfcl.registry), 16384)
+        rec_usage = llm.recommend_tools(query, bfcl.catalog).usage
+        turn = llm.execute_step(query, 0, list(bfcl.catalog), 16384)
         assert rec_usage.prompt_tokens < 0.1 * turn.usage.prompt_tokens

@@ -14,7 +14,7 @@ from repro.llm.tokens import (
     plan_agent_prompt,
     tool_prompt_tokens,
 )
-from repro.suites.bfcl_catalog import build_bfcl_registry
+from repro.tools import load_catalog
 
 
 class TestRegistries:
@@ -73,8 +73,7 @@ class TestTokenEstimation:
         assert estimate_tokens("abc") == 1
 
     def test_tool_prompt_tokens_reasonable(self):
-        registry = build_bfcl_registry()
-        for tool in registry:
+        for tool in load_catalog("bfcl"):
             tokens = tool_prompt_tokens(tool)
             assert 40 <= tokens <= 250, tool.name
 
@@ -82,7 +81,7 @@ class TestTokenEstimation:
 class TestPromptPlan:
     @pytest.fixture(scope="class")
     def tools(self):
-        return list(build_bfcl_registry())
+        return list(load_catalog("bfcl"))
 
     def test_all_51_tools_fit_16k(self, tools):
         plan = plan_agent_prompt("What is the weather in Paris?", tools, 16384)

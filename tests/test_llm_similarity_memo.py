@@ -73,7 +73,7 @@ def test_retry_reuses_the_episodes_table(monkeypatch, weak_geo):
         assert by_set.setdefault(names, sims) is sims
         assert not sims.flags.writeable
     for text, names, sims in calls:
-        tools = [session.suite.registry.get(name) for name in names]
+        tools = [session.suite.catalog.get(name) for name in names]
         np.testing.assert_array_equal(sims, _expected(agent.llm, text, tools))
 
 
@@ -89,7 +89,7 @@ def test_fallback_switches_to_the_full_sets_table(monkeypatch, weak_geo):
     assert sizes == set(presented)
     for text, names, sims in calls:
         assert sims.shape == (len(names),)
-        tools = [session.suite.registry.get(name) for name in names]
+        tools = [session.suite.catalog.get(name) for name in names]
         np.testing.assert_array_equal(sims, _expected(agent.llm, text, tools))
 
 
@@ -97,7 +97,7 @@ def test_catalog_variants_never_share_an_entry():
     session = open_session("edgehome", n_queries=4, embedder=CachedEmbedder())
     llm = SimulatedLLM.from_registry("hermes2-pro-8b", "q4_K_M",
                                      embedder=CachedEmbedder())
-    tools = list(session.suite.registry)[:6]
+    tools = list(session.suite.catalog)[:6]
     text = session.suite.queries[0].text
     tables, texts = {}, set()
     for variant in ("full", "compressed", "minimal"):
@@ -115,7 +115,7 @@ def test_catalog_variants_never_share_an_entry():
 def test_reseeded_shared_embedder_invalidates_both_llms():
     embedder = CachedEmbedder()
     session = open_session("edgehome", n_queries=4, embedder=embedder)
-    tools = list(session.suite.registry)[:6]
+    tools = list(session.suite.catalog)[:6]
     text = session.suite.queries[0].text
     first = SimulatedLLM.from_registry("hermes2-pro-8b", "q4_K_M",
                                        embedder=embedder)
@@ -136,7 +136,7 @@ def test_memo_is_bounded(monkeypatch):
                            embedder=CachedEmbedder())
     llm = SimulatedLLM.from_registry("hermes2-pro-8b", "q4_K_M",
                                      embedder=CachedEmbedder())
-    tools = list(session.suite.registry)[:5]
+    tools = list(session.suite.catalog)[:5]
     for query in session.suite.queries:
         llm._similarities(query.text, tools)
         assert len(llm._similarity_memo) <= 4

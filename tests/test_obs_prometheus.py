@@ -11,11 +11,13 @@ by eyeballing strings.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import re
 
 import pytest
 
 from repro.obs import escape_label_value, render_prometheus
+from repro.obs.prometheus import FAMILIES
 from repro.serving import Gateway, SessionManager, Telemetry
 from repro.specs import ServingSpec
 from repro.suites import load_suite
@@ -102,6 +104,105 @@ def test_hostile_tenant_names_render_and_parse():
     [(labels, value)] = samples["repro_shed_requests_total"]
     assert value == 3.0
     assert labels["tenant"] == 'evil\\"tenant\\n\\\\'
+
+
+def test_colon_in_a_tenant_name_stays_in_the_tenant_label():
+    """``org:home`` is a legal tenant name; only the first label of a
+    joined snapshot key is free-form, so it is split from the right."""
+    telemetry = Telemetry()
+    telemetry.record_degradation("org:home", "compressed", "down")
+    telemetry.record_budget_transition("org:home", "minimal", "down")
+    snapshot = telemetry.snapshot()
+    assert snapshot["degrade_transitions_detail"] == {
+        "org:home:down:compressed": 1}
+    samples = _parse_exposition(render_prometheus(snapshot))
+    assert samples["repro_degrade_transitions_total"] == [
+        ({"tenant": "org:home", "direction": "down", "rung": "compressed"},
+         1.0)]
+    assert samples["repro_budget_transitions_total"] == [
+        ({"scope": "org:home", "direction": "down", "target": "minimal"},
+         1.0)]
+
+
+# ----------------------------------------------------------------------
+# the family table
+# ----------------------------------------------------------------------
+#: the parent commit's Telemetry().snapshot() keys, written out: the
+#: table may be re-ordered or re-typed, the wire surface may not move
+SNAPSHOT_KEYS = {
+    "uptime_s", "snapshot_seq", "requests_admitted", "requests_rejected",
+    "requests_completed", "requests_failed", "n_batches", "mean_batch_size",
+    "max_batch_size", "batch_size_histogram", "queue_depth_max",
+    "queue_depth_mean", "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
+    "latency_mean_ms", "queue_wait_p50_ms", "queue_wait_p95_ms",
+    "queue_wait_sum_s", "queue_wait_count", "plan_cache_hits",
+    "plan_cache_misses", "plan_cache_hit_rate", "catalog_swaps",
+    "catalog_swaps_by_tenant", "worker_restarts", "slice_retries",
+    "inline_fallbacks", "batch_quarantines", "quarantined_requests",
+    "deadline_timeouts", "shed_requests", "shed_requests_by_tenant",
+    "faults_injected", "faults_injected_by_hook", "degrade_transitions",
+    "degrade_transitions_detail", "energy_j", "energy_j_by_tenant",
+    "carbon_g", "carbon_g_by_tenant", "budget_transitions",
+    "budget_transitions_detail",
+}
+
+#: one example value per ``record_*`` parameter name; booleans are swept
+_RECORD_ARGS = {
+    "queue_depth": 1, "batch_size": 2, "queue_waits_s": [0.001],
+    "tenant": "t", "hook": "h", "rung": "compressed", "direction": "down",
+    "energy_j": 1.5, "carbon_g": 0.5, "scope": "t", "target": "minimal",
+    "latency_s": 0.01,
+}
+
+
+def _record_calls():
+    """``(method name, kwargs)`` covering every ``Telemetry.record_*``."""
+    for name, method in sorted(vars(Telemetry).items()):
+        if not name.startswith("record_"):
+            continue
+        params = [p for p in inspect.signature(method).parameters
+                  if p != "self"]
+        flags = [p for p in params if p in ("hit", "ok")]
+        fixed = {p: _RECORD_ARGS[p] for p in params if p not in flags}
+        for value in ((True, False) if flags else (None,)):
+            yield name, {**fixed, **{flag: value for flag in flags}}
+
+
+def test_snapshot_keys_are_the_parents_43():
+    assert len(SNAPSHOT_KEYS) == 43
+    assert set(Telemetry().snapshot()) == SNAPSHOT_KEYS
+
+
+def test_family_rows_are_unique_and_present_in_an_empty_snapshot():
+    snapshot = Telemetry().snapshot()
+    assert len({family.key for family in FAMILIES}) == len(FAMILIES)
+    assert len({family.name for family in FAMILIES}) == len(FAMILIES)
+    for family in FAMILIES:
+        assert family.kind in ("counter", "gauge")
+        assert family.key in snapshot, family.key
+        if family.labels:
+            assert snapshot[family.breakdown_key] == {}, family.key
+
+
+def test_every_row_has_a_recorder_and_every_recorder_a_row():
+    telemetry = Telemetry()
+    row_keys = [family.key for family in FAMILIES
+                if family.key not in ("uptime_s", "snapshot_seq")]
+    for name, kwargs in _record_calls():
+        before = telemetry.snapshot()
+        getattr(telemetry, name)(**kwargs)
+        after = telemetry.snapshot()
+        assert any(before[key] != after[key] for key in row_keys), \
+            f"{name}({kwargs}) moved no FAMILIES row"
+    snapshot = telemetry.snapshot()
+    assert [family.key for family in FAMILIES
+            if not snapshot[family.key]] == []
+    text = render_prometheus(snapshot)
+    _parse_exposition(text)  # every family declared exactly once
+    for family in FAMILIES:
+        assert text.count(f"# HELP repro_{family.name} ") == 1, family.name
+        assert text.count(
+            f"# TYPE repro_{family.name} {family.kind}\n") == 1, family.name
 
 
 # ----------------------------------------------------------------------

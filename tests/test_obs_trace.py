@@ -25,6 +25,7 @@ import pickle
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.obs import (
+    JsonlSink,
     MemorySink,
     TraceContext,
     Tracer,
@@ -284,6 +285,32 @@ def test_obs_spec_wires_a_jsonl_artifact(tmp_path):
     assert len(roots) == 4
     for span in spans:
         assert span["end_s"] >= span["start_s"]
+
+
+def test_stop_closes_the_sink_the_gateway_built(tmp_path):
+    """``Gateway.stop`` closes a sink it built from ``config.obs`` (the
+    JSONL file used to stay open: ``ResourceWarning``); a tracer the
+    caller passed in stays the caller's to close."""
+    suite = load_suite("edgehome", n_queries=1)
+
+    async def one_request(**gateway_kwargs):
+        sessions = SessionManager()
+        sessions.register("home", suite)
+        async with Gateway(sessions, **gateway_kwargs) as gateway:
+            await gateway.submit("home", suite.queries[0])
+        return gateway.tracer.sink
+
+    built_path, passed_path = tmp_path / "built.jsonl", tmp_path / "own.jsonl"
+    built = asyncio.run(one_request(config=ServingSpec(
+        obs=ObsSpec(sink="jsonl", sink_path=str(built_path)))))
+    assert built._file.closed
+    assert sorted(span["name"] for span in read_jsonl_spans(
+        str(built_path))) == ["execute", "plan", "queue", "request"]
+
+    passed = asyncio.run(one_request(
+        tracer=Tracer(JsonlSink(str(passed_path)))))
+    assert not passed._file.closed
+    passed.close()
 
 
 def test_memory_sink_ring_evicts_oldest():

@@ -258,10 +258,8 @@ def test_meter_window_rolls_and_totals_accumulate():
     assert stats.total_requests == 3     # totals never forget
     assert stats.mean_energy_j == pytest.approx(big_record.energy_j)
     meter.record("other", big, model="hermes2-pro-8b", quant="q4_K_M")
-    snapshot = meter.snapshot()
-    assert snapshot["requests_by_tenant"] == {"home": 3, "other": 1}
-    assert snapshot["energy_j"] == pytest.approx(
-        sum(snapshot["energy_j_by_tenant"].values()))
+    assert meter.window_stats("home").total_requests == 3
+    assert meter.window_stats("other").total_requests == 1
 
 
 def test_meter_edge_cases():

@@ -97,7 +97,7 @@ def test_runner_pickle_round_trip_preserves_episodes(suite):
 
 def test_direction_bank_regenerates_bitwise_on_unpickle(suite):
     embedder = CachedEmbedder()
-    embedder.encode(suite.registry.descriptions())
+    embedder.encode(suite.catalog.descriptions())
     bank = embedder.embedder._bank
     clone_bank = pickle.loads(pickle.dumps(bank))
     assert clone_bank.keys == bank.keys

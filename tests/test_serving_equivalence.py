@@ -211,6 +211,39 @@ def test_late_registered_tenant_served_inline_with_process_stage():
         assert response.episode == reference[response.episode.qid]
 
 
+def test_removed_then_reregistered_tenant_leaves_the_stale_pool():
+    """DELETE + PUT a tenant name with another suite under the process
+    backend: the workers hold the *old* suite's runner under that name,
+    so the stage must stop covering it — served == sequential bitwise."""
+    old = load_suite("edgehome", n_queries=4)
+    new = load_suite("geoengine", n_queries=4)
+    reference = {
+        episode.qid: episode
+        for episode in ExperimentRunner(new, embedder=CachedEmbedder())
+        .run("lis-k3", MODEL, QUANT).episodes
+    }
+
+    async def serve():
+        sessions = SessionManager()
+        sessions.register("t", old)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
+                             execution_backend="process",
+                             execution_workers=2)
+        async with Gateway(sessions, config=config) as gateway:
+            assert gateway._process_stage.covers("t")
+            gateway.remove_tenant("t")
+            sessions.register("t", new)
+            assert not gateway._process_stage.covers("t")
+            return await asyncio.gather(*(
+                gateway.submit("t", query) for query in new.queries
+            ))
+
+    responses = asyncio.run(serve())
+    assert len(responses) == len(reference) == 4
+    for response in responses:
+        assert response.episode == reference[response.episode.qid]
+
+
 def test_served_results_independent_of_batch_composition(suite):
     """The same query must serve identically alone and inside a batch."""
 

@@ -18,7 +18,6 @@ import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
-from repro.registry import FAULT_HOOKS
 from repro.serving import (
     DeadlineExceededError,
     FaultInjector,
@@ -98,8 +97,17 @@ def test_as_injector_normalization():
 
 
 def test_builtin_hooks_registered():
-    for hook in ("process.execute", "batch.process", "gateway.group"):
-        assert hook in FAULT_HOOKS
+    """The injector's own table is the hook list: ``decide`` accepts
+    exactly the three hooks and rejects a fourth, naming them."""
+    hooks = ("process.execute", "batch.process", "gateway.group")
+    injector = FaultInjector(FaultPlan(
+        worker_crash_rate=1.0, slow_batch_rate=1.0, exception_rate=1.0))
+    assert [injector.decide(hook).hook for hook in hooks] == list(hooks)
+    with pytest.raises(ValueError) as excinfo:
+        injector.decide("my.stage")
+    for hook in hooks:
+        assert hook in str(excinfo.value)
+    assert sorted(FaultInjector._HOOK_RATES) == sorted(hooks)
 
 
 # ----------------------------------------------------------------------

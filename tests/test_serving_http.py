@@ -361,6 +361,47 @@ def test_delete_tenant(suite):
     assert again.status == 404
 
 
+def test_delete_then_put_resets_the_ladder(suite):
+    """A removed tenant's rung, ladder and base catalog must not outlive
+    it: the next tenant of that name starts at ``full`` and steps down
+    *its own* catalog (the stale edgehome base used to fail the swap)."""
+
+    async def scenario(client, app):
+        gateway = app.gateway
+        assert gateway.ladder.step("pressure", "home", +1) == "compressed"
+        await client.delete("/v1/tenants/home")
+        created = await client.put(
+            "/v1/tenants/home", {"suite": "geoengine", "n_queries": 4})
+        rung = gateway.rung("home")
+        stepped = gateway.ladder.step("pressure", "home", +1)
+        return created, rung, stepped, gateway.sessions.get("home").suite
+
+    created, rung, stepped, new_suite = serve(suite, scenario)
+    assert created.status == 201
+    assert rung == "full"
+    assert stepped == "compressed"
+    assert new_suite.catalog.name == "geoengine"
+    assert new_suite.catalog.variant == "compressed"
+
+
+def test_delete_then_put_unsheds_the_name(suite):
+    async def scenario(client, app):
+        app.gateway.shed_tenant("home")
+        app.gateway.set_scheme_override("home", "lis-k1")
+        await client.delete("/v1/tenants/home")
+        await client.put("/v1/tenants/home",
+                         {"suite": "edgehome", "n_queries": 4})
+        status = await client.get("/v1/tenants/home/status")
+        served = await client.post(
+            "/v1/call", {"tenant": "home", "qid": suite.queries[0].qid})
+        return status, served
+
+    status, served = serve(suite, scenario)
+    assert status.json()["shed"] is False
+    assert status.json()["scheme_override"] is None
+    assert served.status == 200
+
+
 def test_tenant_status_reports_rung_shed_and_cost(suite):
     qid = suite.queries[0].qid
 

@@ -1,7 +1,7 @@
 """Session-path equivalences: bitwise-identical episodes across seams.
 
-Every way of reaching an agent — a suite assembled on the pre-catalog
-tool path vs the catalog registry, the engine-less direct path vs the
+Every way of reaching an agent — a suite assembled by hand vs the
+suite and catalog registries, the engine-less direct path vs the
 ``simulated`` engine, sequential vs served — must produce the same
 episodes field for field, float for float.
 """
@@ -21,38 +21,33 @@ def suite():
 
 @pytest.mark.parametrize("suite_name", ["bfcl", "geoengine", "edgehome"])
 def test_catalog_full_variant_equals_pre_redesign_tool_path(suite_name):
-    """Default-variant episodes == the pre-catalog tool path, per suite.
+    """Default-variant episodes == a hand-assembled suite, per suite.
 
-    Before the catalog redesign every suite hand-built a
-    ``ToolRegistry`` in a module-private helper; those helpers survive
-    as ``build_*_registry``.  A suite assembled the old way (registry +
-    raw query generators) must produce bitwise-identical episodes to the
-    same suite loaded through the catalog registry — the ``full``
-    variant is a pure re-plumbing, not a behavior change.
+    A suite assembled by hand (the module-private tool tuple in a
+    ``ToolCatalog`` + the raw query generators) must produce
+    bitwise-identical episodes to the same suite loaded through the
+    suite and catalog registries — ``load_suite`` is plumbing, not a
+    behavior change.
     """
     from repro.suites.base import BenchmarkSuite
     from repro.suites.bfcl import generate_bfcl_queries
-    from repro.suites.bfcl_catalog import build_bfcl_registry
-    from repro.suites.edgehome import (
-        build_edgehome_registry,
-        generate_edgehome_queries,
-    )
+    from repro.suites.bfcl_catalog import _bfcl_tools
+    from repro.suites.edgehome import _edgehome_tools, generate_edgehome_queries
     from repro.suites.geoengine import generate_geoengine_queries
-    from repro.suites.geoengine_catalog import build_geoengine_registry
+    from repro.suites.geoengine_catalog import _geoengine_tools
+    from repro.tools import ToolCatalog
 
-    legacy = {
-        # (registry builder, query generator, builder's n_train, sequential)
-        "bfcl": (build_bfcl_registry, generate_bfcl_queries, 120, False),
-        "geoengine": (build_geoengine_registry, generate_geoengine_queries,
-                      120, True),
-        "edgehome": (build_edgehome_registry, generate_edgehome_queries,
-                     100, True),
+    by_hand = {
+        # (tool tuple, query generator, builder's n_train, sequential)
+        "bfcl": (_bfcl_tools, generate_bfcl_queries, 120, False),
+        "geoengine": (_geoengine_tools, generate_geoengine_queries, 120, True),
+        "edgehome": (_edgehome_tools, generate_edgehome_queries, 100, True),
     }
-    build_registry, generate, n_train, sequential = legacy[suite_name]
+    tools, generate, n_train, sequential = by_hand[suite_name]
     n_queries = 6
     old_suite = BenchmarkSuite(
         name=suite_name,
-        registry=build_registry(),
+        catalog=ToolCatalog(suite_name, tools()),
         queries=generate(n_queries, 0, "eval"),
         train_queries=generate(n_train, 0, "train"),
         sequential=sequential,

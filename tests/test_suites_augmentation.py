@@ -35,7 +35,7 @@ class TestAugmentationEngine:
         for sample in geo_samples:
             assert sample.tools, sample.text
             for tool in sample.tools:
-                assert tool in geo_suite.registry
+                assert tool in geo_suite.catalog
 
     def test_rouge_band_enforced(self, geo_samples):
         for sample in geo_samples:

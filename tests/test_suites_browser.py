@@ -104,7 +104,7 @@ class TestQueries:
     def test_gold_arguments_validate(self, suite):
         for query in suite.queries:
             for call in query.gold_calls:
-                spec = suite.registry.get(call.tool)
+                spec = suite.catalog.get(call.tool)
                 assert spec.validate_arguments(call.arguments) == [], query.qid
 
     def test_deterministic(self):
@@ -121,11 +121,11 @@ class TestQueries:
 class TestBrowserExecutor:
     @pytest.fixture()
     def executor(self, suite):
-        return build_browser_executor(suite.registry)
+        return build_browser_executor(suite.catalog)
 
     def test_suite_wires_the_factory(self, suite):
         assert suite.executor_factory is build_browser_executor
-        assert isinstance(build_browser_executor(suite.registry),
+        assert isinstance(build_browser_executor(suite.catalog),
                           BrowserToolExecutor)
 
     def test_page_required_before_dependent_tools(self, executor):

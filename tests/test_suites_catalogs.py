@@ -4,18 +4,17 @@ import json
 
 import pytest
 
-from repro.suites.bfcl_catalog import build_bfcl_registry
-from repro.suites.geoengine_catalog import build_geoengine_registry
+from repro.tools import load_catalog
 
 
 @pytest.fixture(scope="module")
 def bfcl():
-    return build_bfcl_registry()
+    return load_catalog("bfcl")
 
 
 @pytest.fixture(scope="module")
 def geo():
-    return build_geoengine_registry()
+    return load_catalog("geoengine")
 
 
 class TestBfclCatalog:

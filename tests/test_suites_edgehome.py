@@ -3,7 +3,8 @@
 import pytest
 
 from repro.suites import load_suite
-from repro.suites.edgehome import build_edgehome_registry, build_edgehome_suite
+from repro.suites.edgehome import build_edgehome_suite
+from repro.tools import load_catalog
 
 
 @pytest.fixture(scope="module")
@@ -13,20 +14,17 @@ def suite():
 
 class TestRegistry:
     def test_32_tools(self):
-        assert len(build_edgehome_registry()) == 32
+        assert len(load_catalog("edgehome")) == 32
 
     def test_three_domains(self):
-        assert set(build_edgehome_registry().categories) == {"home", "assistant", "media"}
+        assert set(load_catalog("edgehome").categories) == {"home", "assistant", "media"}
 
     def test_no_collision_with_other_catalogs(self):
-        from repro.suites.bfcl_catalog import build_bfcl_registry
-        from repro.suites.geoengine_catalog import build_geoengine_registry
-
-        edge = set(build_edgehome_registry().names)
-        assert not edge & set(build_geoengine_registry().names)
+        edge = set(load_catalog("edgehome").names)
+        assert not edge & set(load_catalog("geoengine").names)
         # a couple of generic assistant verbs may overlap with BFCL by
         # design (create_calendar_event vs create_event must NOT collide)
-        assert not edge & set(build_bfcl_registry().names)
+        assert not edge & set(load_catalog("bfcl").names)
 
 
 class TestQueries:
@@ -43,7 +41,7 @@ class TestQueries:
     def test_gold_arguments_validate(self, suite):
         for query in suite.queries:
             for call in query.gold_calls:
-                spec = suite.registry.get(call.tool)
+                spec = suite.catalog.get(call.tool)
                 assert spec.validate_arguments(call.arguments) == [], query.qid
 
     def test_deterministic(self):

@@ -44,11 +44,11 @@ class TestBfclSuite:
 
     def test_gold_tools_exist_in_registry(self, suite):
         for query in suite.queries:
-            assert query.gold_tools[0] in suite.registry
+            assert query.gold_tools[0] in suite.catalog
 
     def test_gold_arguments_validate(self, suite):
         for query in suite.queries:
-            spec = suite.registry.get(query.gold_tools[0])
+            spec = suite.catalog.get(query.gold_tools[0])
             assert spec.validate_arguments(query.gold_calls[0].arguments) == [], query.qid
 
     def test_deterministic_generation(self):
@@ -83,12 +83,12 @@ class TestGeoEngineSuite:
     def test_gold_arguments_validate(self, suite):
         for query in suite.queries:
             for call in query.gold_calls:
-                spec = suite.registry.get(call.tool)
+                spec = suite.catalog.get(call.tool)
                 assert spec.validate_arguments(call.arguments) == [], (query.qid, call.tool)
 
     def test_chains_start_with_data_access(self, suite):
         for query in suite.queries:
-            first_tool = suite.registry.get(query.gold_tools[0])
+            first_tool = suite.catalog.get(query.gold_tools[0])
             assert first_tool.category == "data_access"
 
     def test_season_consistency(self, suite):
@@ -112,7 +112,7 @@ class TestSuiteValidation:
         good = build_bfcl_suite(n_queries=2)
         bad_query = Query("x", "text", "cat", (ToolCall("not_a_tool"),))
         with pytest.raises(ValueError):
-            BenchmarkSuite("broken", good.registry, [bad_query])
+            BenchmarkSuite("broken", good.catalog, [bad_query])
 
     def test_queries_by_category_split(self):
         suite = build_bfcl_suite(n_queries=60)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.registry import CATALOGS, register_catalog
 from repro.tools.catalog import CatalogDiff, ToolCatalog, load_catalog
-from repro.tools.registry import ToolRegistry
 from repro.tools.schema import ToolParameter as P
 from repro.tools.schema import ToolSpec as T
 
@@ -211,12 +210,6 @@ class TestRoundTrip:
         assert from_json == original
         assert from_pickle == original
         assert from_dict.version == original.version
-
-    def test_registry_view_round_trips(self, catalog):
-        registry = catalog.registry()
-        assert isinstance(registry, ToolRegistry)
-        assert registry.names == catalog.names
-        assert registry.to_catalog(name="demo") == catalog
 
 
 class TestLoadCatalog:

@@ -19,7 +19,7 @@ def _calls(suite, n):
 
 def test_concurrent_executions_do_not_lose_log_entries():
     suite = load_suite("edgehome", n_queries=16)
-    executor = SimulatedToolExecutor(suite.registry)
+    executor = SimulatedToolExecutor(suite.catalog)
     calls = _calls(suite, 400)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -34,7 +34,7 @@ def test_concurrent_executions_do_not_lose_log_entries():
 
 def test_log_opt_out_keeps_executor_stateless():
     suite = load_suite("edgehome", n_queries=8)
-    executor = SimulatedToolExecutor(suite.registry, log_calls=False)
+    executor = SimulatedToolExecutor(suite.catalog, log_calls=False)
     calls = _calls(suite, 64)
 
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -47,11 +47,11 @@ def test_log_opt_out_keeps_executor_stateless():
 def test_outcomes_deterministic_under_concurrency():
     """The same call yields the same outcome no matter the interleaving."""
     suite = load_suite("edgehome", n_queries=8)
-    sequential_executor = SimulatedToolExecutor(suite.registry)
+    sequential_executor = SimulatedToolExecutor(suite.catalog)
     call = suite.queries[0].gold_calls[0]
     reference = sequential_executor.execute(call)
 
-    concurrent_executor = SimulatedToolExecutor(suite.registry, log_calls=False)
+    concurrent_executor = SimulatedToolExecutor(suite.catalog, log_calls=False)
     with ThreadPoolExecutor(max_workers=8) as pool:
         outcomes = list(pool.map(concurrent_executor.execute, [call] * 64))
     for outcome in outcomes:
@@ -61,7 +61,7 @@ def test_outcomes_deterministic_under_concurrency():
 
 def test_failed_calls_are_logged_and_reset_clears():
     suite = load_suite("edgehome", n_queries=4)
-    executor = SimulatedToolExecutor(suite.registry)
+    executor = SimulatedToolExecutor(suite.catalog)
     bad = ToolCall("not_a_real_tool", {})
     outcome = executor.execute(bad)
     assert not outcome.ok

@@ -1,13 +1,13 @@
-"""Tests for repro.tools.registry and repro.tools.executor."""
+"""Tests for the catalog read API agents use and repro.tools.executor."""
 
 import pytest
 
-from repro.tools import SimulatedToolExecutor, ToolCall, ToolParameter, ToolRegistry, ToolSpec
+from repro.tools import SimulatedToolExecutor, ToolCall, ToolCatalog, ToolParameter, ToolSpec
 
 
 @pytest.fixture
-def registry():
-    return ToolRegistry([
+def catalog():
+    return ToolCatalog("trio", [
         ToolSpec("alpha", "First tool.", (ToolParameter("x", "integer"),), category="a"),
         ToolSpec("beta", "Second tool.", (), category="a"),
         ToolSpec("gamma", "Third tool.", (ToolParameter("s", "string"),), category="b"),
@@ -15,99 +15,82 @@ def registry():
 
 
 class TestToolRegistry:
-    def test_len_and_contains(self, registry):
-        assert len(registry) == 3
-        assert "alpha" in registry
-        assert "delta" not in registry
+    def test_len_and_contains(self, catalog):
+        assert len(catalog) == 3
+        assert "alpha" in catalog
+        assert "delta" not in catalog
 
-    def test_registration_order_preserved(self, registry):
-        assert registry.names == ["alpha", "beta", "gamma"]
+    def test_registration_order_preserved(self, catalog):
+        assert catalog.names == ["alpha", "beta", "gamma"]
 
-    def test_duplicate_rejected(self, registry):
-        with pytest.raises(ValueError):
-            registry.register(ToolSpec("alpha", "dup"))
-
-    def test_duplicate_error_lists_registered_names(self, registry):
-        with pytest.raises(ValueError, match="registered tools: alpha, beta, gamma"):
-            registry.register(ToolSpec("alpha", "dup"))
-
-    def test_get_unknown(self, registry):
+    def test_get_unknown(self, catalog):
         with pytest.raises(KeyError):
-            registry.get("delta")
+            catalog.get("delta")
 
-    def test_get_unknown_suggests_near_miss(self, registry):
+    def test_get_unknown_suggests_near_miss(self, catalog):
         with pytest.raises(KeyError, match="did you mean 'gamma'"):
-            registry.get("gama")
+            catalog.get("gama")
 
-    def test_get_unknown_lists_known_names(self, registry):
+    def test_get_unknown_lists_known_names(self, catalog):
         with pytest.raises(KeyError, match="known names: alpha, beta, gamma"):
-            registry.get("zzz")
+            catalog.get("zzz")
 
-    def test_select_alias_matches_subset(self, registry):
-        assert registry.select(["beta", "alpha"]) == \
-            registry.subset(["beta", "alpha"])
+    def test_categories(self, catalog):
+        assert catalog.categories == ["a", "b"]
 
-    def test_to_catalog_preserves_order_and_specs(self, registry):
-        catalog = registry.to_catalog(name="trio")
-        assert catalog.name == "trio"
-        assert catalog.names == registry.names
-        assert list(catalog) == list(registry)
+    def test_by_category(self, catalog):
+        assert [t.name for t in catalog.by_category("a")] == ["alpha", "beta"]
 
-    def test_categories(self, registry):
-        assert registry.categories == ["a", "b"]
+    def test_subset_preserves_order(self, catalog):
+        # a list in the *given* order is ``select`` on a catalog
+        assert [t.name for t in catalog.select(["gamma", "alpha"])] == ["gamma", "alpha"]
 
-    def test_by_category(self, registry):
-        assert [t.name for t in registry.by_category("a")] == ["alpha", "beta"]
+    def test_descriptions_order(self, catalog):
+        assert catalog.descriptions()[0] == "First tool."
 
-    def test_subset_preserves_order(self, registry):
-        assert [t.name for t in registry.subset(["gamma", "alpha"])] == ["gamma", "alpha"]
-
-    def test_descriptions_order(self, registry):
-        assert registry.descriptions()[0] == "First tool."
-
-    def test_prompt_text_contains_all(self, registry):
-        text = registry.prompt_text()
-        for name in registry.names:
+    def test_prompt_text_contains_all(self, catalog):
+        text = catalog.prompt_text()
+        for name in catalog.names:
             assert name in text
 
-    def test_prompt_text_subset(self, registry):
-        text = registry.prompt_text(["beta"])
+    def test_prompt_text_subset(self, catalog):
+        text = catalog.prompt_text(["beta"])
         assert "beta" in text and "alpha" not in text
 
 
 class TestSimulatedToolExecutor:
-    def test_successful_call(self, registry):
-        executor = SimulatedToolExecutor(registry)
+    def test_successful_call(self, catalog):
+        executor = SimulatedToolExecutor(catalog)
         outcome = executor.execute(ToolCall("alpha", {"x": 3}))
         assert outcome.ok
         assert outcome.value["tool"] == "alpha"
         assert outcome.api_latency_s > 0
 
-    def test_unknown_tool_fails(self, registry):
-        outcome = SimulatedToolExecutor(registry).execute(ToolCall("delta"))
+    def test_unknown_tool_fails(self, catalog):
+        outcome = SimulatedToolExecutor(catalog).execute(ToolCall("delta"))
         assert not outcome.ok
         assert "unknown tool" in outcome.error
 
-    def test_not_offered_tool_fails(self, registry):
-        executor = SimulatedToolExecutor(registry)
+    def test_not_offered_tool_fails(self, catalog):
+        executor = SimulatedToolExecutor(catalog)
         outcome = executor.execute(ToolCall("alpha", {"x": 3}), allowed={"beta"})
         assert not outcome.ok
         assert "not offered" in outcome.error
 
-    def test_validation_failure(self, registry):
-        outcome = SimulatedToolExecutor(registry).execute(ToolCall("alpha", {"x": "three"}))
+    def test_validation_failure(self, catalog):
+        outcome = SimulatedToolExecutor(catalog).execute(ToolCall("alpha", {"x": "three"}))
         assert not outcome.ok
         assert outcome.issues
 
-    def test_deterministic_latency_and_result(self, registry):
+    def test_deterministic_latency_and_result(self, catalog):
         call = ToolCall("gamma", {"s": "hello"})
-        a = SimulatedToolExecutor(registry).execute(call)
-        b = SimulatedToolExecutor(registry).execute(call)
+        a = SimulatedToolExecutor(catalog).execute(call)
+        b = SimulatedToolExecutor(catalog).execute(call)
         assert a.api_latency_s == b.api_latency_s
         assert a.value == b.value
 
-    def test_execution_log_and_reset(self, registry):
-        executor = SimulatedToolExecutor(registry)
+    def test_execution_log_and_reset(self, catalog):
+        executor = SimulatedToolExecutor(catalog)
         executor.execute(ToolCall("beta"))
         executor.execute(ToolCall("delta"))
         assert len(executor.executed) == 2
