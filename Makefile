@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test golden-check test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench-pair bench-trend bench-paper bench-selftest loc
+.PHONY: test golden-check test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench-pair bench-trend bench-paper bench-selftest loc loc-check
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -14,7 +14,8 @@ test:
 golden-check:
 	$(PYTHON) scripts/make_golden_episodes.py --check
 
-## process-backend equivalence tests with an explicit 2-worker pool
+## the pickling boundary the serving process backend ships runners and
+## agents across, then served == sequential with an explicit 2-worker pool
 test-process:
 	REPRO_PROCESS_WORKERS=2 $(PYTHON) -m pytest \
 		tests/test_runner_process.py tests/test_serving_equivalence.py -q
@@ -55,7 +56,7 @@ serve-smoke:
 serve-smoke-uvicorn:
 	$(PYTHON) scripts/serve_smoke.py --uvicorn
 
-## the paper-reproduction benchmark tables/figures (slow)
+## the paper-reproduction benchmark tables/figures (26 tests, ~15 s)
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ -q
 
@@ -87,9 +88,19 @@ bench-trend:
 
 ## lines of python per src/repro package, total last (deletion PRs
 ## state this before/after)
+LOC_TOTAL = $$(find src/repro -name '*.py' | xargs cat | wc -l)
 loc:
 	@for pkg in src/repro/*/; do \
 		printf '%7d %s\n' $$(find $$pkg -name '*.py' | xargs cat | wc -l) $$pkg; \
 	done
 	@printf '%7d %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'
-	@printf '%7d total\n' $$(find src/repro -name '*.py' | xargs cat | wc -l)
+	@printf '%7d total\n' $(LOC_TOTAL)
+
+## `make loc`, failing when the src/repro total exceeds LOC_CEILING (the
+## total of the last PR that moved it): growth is a visible one-line edit
+## here in the PR that causes it
+LOC_CEILING := 16822
+loc-check: loc
+	@if [ $(LOC_TOTAL) -gt $(LOC_CEILING) ]; then \
+		echo "src/repro is over LOC_CEILING=$(LOC_CEILING)"; exit 1; \
+	fi

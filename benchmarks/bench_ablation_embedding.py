@@ -1,13 +1,10 @@
 """Ablation A6: the retrieval substrate on a memory-constrained device.
 
-Two practical knobs for hosting the Search Levels on an edge board:
+Two questions about hosting the Search Levels on an edge board:
 
 * **embedding dimensionality** — the paper uses MPNet's 768; smaller
   projections shrink the vector store and speed up k-NN.  How far can
   the dimension drop before Level-1 retrieval quality breaks?
-* **product quantization** — storing PQ codes instead of raw vectors
-  compresses the store by >10x; what is the recall cost on the actual
-  tool corpus?
 * **projection re-rolls** — retrieval quality must be a property of the
   feature model, not of one lucky random projection.  The sweep re-rolls
   the projection under fresh seed namespaces via
@@ -23,7 +20,7 @@ import pytest
 from benchmarks.conftest import attach_rows
 from repro.embedding import SentenceEmbedder
 from repro.tools import load_catalog
-from repro.vectorstore import FlatIndex, PQIndex
+from repro.vectorstore import FlatIndex
 
 #: paraphrase probes: (query-style text, gold tool) pairs
 PROBES = [
@@ -72,44 +69,6 @@ def test_embedding_dimension_sweep(benchmark):
     assert rows[768] >= 9          # the paper's dimension works
     assert rows[256] >= rows[32]   # quality degrades as dim collapses
     assert rows[32] <= rows[768]
-
-
-@pytest.mark.benchmark(group="ablation-embedding")
-def test_pq_compression_recall_tradeoff(benchmark):
-    catalog = load_catalog("bfcl")
-    names = catalog.names
-    embedder = SentenceEmbedder()
-    vectors = embedder.encode(catalog.descriptions())
-
-    def sweep():
-        flat = FlatIndex(dim=768, metric="l2")
-        flat.add(vectors)
-        flat_hits = _top1_hits(flat, embedder, names)
-        rows = {"flat": (flat_hits, vectors.nbytes / 1024, 1.0)}
-        for m in (8, 32, 96):
-            pq = PQIndex(dim=768, m=m, n_centroids=32)
-            pq.add(vectors)
-            pq.train()
-            hits = _top1_hits(pq, embedder, names)
-            rows[f"pq{m}"] = (hits, pq._codes.nbytes / 1024,  # noqa: SLF001
-                              pq.marginal_compression_ratio())
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\nPQ compression vs retrieval quality (51-tool corpus; marginal "
-          "ratio amortises the fixed codebooks)")
-    for label, (hits, kb, ratio) in rows.items():
-        print(f"  {label:>5}: {hits}/10 hits, codes={kb:7.1f} KB, "
-              f"marginal compression x{ratio:.0f}")
-    attach_rows(benchmark, {f"{label}_hits": hits
-                            for label, (hits, _, _) in rows.items()})
-
-    flat_hits = rows["flat"][0]
-    # generous sub-spaces keep exact-search quality at >60x compression
-    assert rows["pq96"][0] >= flat_hits - 1
-    assert rows["pq96"][2] > 50.0
-    # fewer sub-spaces compress harder still
-    assert rows["pq8"][2] > rows["pq96"][2]
 
 
 @pytest.mark.benchmark(group="ablation-embedding")

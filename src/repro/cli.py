@@ -3,7 +3,7 @@
 Commands
 --------
 ``run``        evaluate one (scheme, model, quant) batch on a suite
-``grid``       sweep a scheme x model x quant grid on a worker pool
+``grid``       sweep a scheme x model x quant grid, cell by cell
 ``compare``    default vs Gorilla vs LiS side-by-side with error bars
 ``levels``     inspect the offline Search Levels built for a suite
 ``catalog``    list / show / diff registered tool catalogs and variants
@@ -25,7 +25,7 @@ Examples::
     python -m repro run --suite bfcl --scheme lis-k3 --model llama3.1-8b
     python -m repro run --suite browser --engine-url http://127.0.0.1:8080/v1
     python -m repro grid --suite bfcl --schemes default,lis-k3 \
-        --quants q4_K_M,q8_0 --backend process --workers 4
+        --quants q4_K_M,q8_0
     python -m repro compare --suite geoengine --model hermes2-pro-8b -n 60
     python -m repro levels --suite geoengine
     python -m repro catalog list
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.registry import GRID_BACKENDS, SUITES
+from repro.registry import SUITES
 from repro.session import open_session
 from repro.specs import AgentSpec, EngineSpec, ExperimentSpec, GridSpec, SuiteSpec
 
@@ -102,8 +102,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         schemes=args.schemes,
         models=args.models or args.model,
         quants=args.quants or args.quant,
-        backend=args.backend,
-        workers=args.workers,
     )
     session = _session(args, grid=grid)
     start = time.perf_counter()
@@ -112,10 +110,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     print(render_metric_table(
         {f"{scheme} {model}-{quant}": run.summary
          for (scheme, model, quant), run in results.items()},
-        title=(f"{args.suite} | {len(results)} cells | {args.queries} queries | "
-               f"{grid.backend} backend")))
-    print(f"{len(results)} cells in {wall_s:.2f}s "
-          f"({grid.backend}, workers={grid.workers or 'auto'})")
+        title=f"{args.suite} | {len(results)} cells | {args.queries} queries"))
+    print(f"{len(results)} cells in {wall_s:.2f}s")
     return 0
 
 
@@ -497,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "--engine openai_http")
     run_parser.set_defaults(func=cmd_run)
 
-    grid_parser = sub.add_parser("grid", help="sweep a grid on a worker pool")
+    grid_parser = sub.add_parser("grid", help="sweep a grid, cell by cell")
     _add_common(grid_parser)
     grid_parser.add_argument("--schemes", default="default,gorilla,lis-k3",
                              help="comma-separated scheme names")
@@ -507,13 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_parser.add_argument("--quants", default=None,
                              help="comma-separated quantizations "
                                   "(default: the --quant value)")
-    grid_parser.add_argument("--backend", default="thread",
-                             choices=GRID_BACKENDS.names(),
-                             help="worker pool type (process scales the "
-                                  "GIL-bound episode loop across cores)")
-    grid_parser.add_argument("--workers", type=int, default=None,
-                             help="pool size (default: one per CPU, capped "
-                                  "at the cell count)")
     grid_parser.set_defaults(func=cmd_grid)
 
     compare_parser = sub.add_parser("compare", help="all schemes side by side")

@@ -10,8 +10,8 @@ misses, the misses are embedded in a single vectorized
 :meth:`SentenceEmbedder.encode` call, and the results are merged back in
 order.  An optional ``max_entries`` bound turns the cache into an LRU so
 long-lived services cannot grow without limit.  All cache mutation is
-lock-protected, so one embedder can be shared by a parallel experiment
-grid.
+lock-protected, so one embedder can be shared by concurrent callers
+(the serving gateway's worker threads).
 """
 
 from __future__ import annotations
@@ -146,61 +146,6 @@ class CachedEmbedder:
         """Drop every cached vector (counters are kept)."""
         with self._lock:
             self._cache.clear()
-
-    # ------------------------------------------------------------------
-    # cross-process cache transfer
-    # ------------------------------------------------------------------
-    def cached_texts(self) -> frozenset[str]:
-        """The texts currently cached (a snapshot, cheap to take).
-
-        Process-pool workers record this before running their chunk so
-        :meth:`export_cache` can ship only the entries they added.
-        """
-        with self._lock:
-            self._check_generation()
-            return frozenset(self._cache)
-
-    def export_cache(self, exclude: frozenset[str] | set[str] = frozenset()) -> dict:
-        """Snapshot the cache for transfer to another embedder.
-
-        Returns a plain picklable dict: the projection generation the
-        vectors were computed under plus a text -> vector mapping.  Used
-        by process-pool grid workers to ship their warmed entries back to
-        the parent (see :meth:`merge_cache`); passing the
-        :meth:`cached_texts` snapshot taken *before* the work as
-        ``exclude`` turns the export into a true delta, so inherited
-        entries are not re-serialized just for the parent to skip them.
-        """
-        with self._lock:
-            self._check_generation()
-            return {
-                "generation": self._generation,
-                "entries": {text: vec for text, vec in self._cache.items()
-                            if text not in exclude},
-            }
-
-    def merge_cache(self, exported: dict) -> int:
-        """Merge an :meth:`export_cache` snapshot into this cache.
-
-        Entries whose text is already cached are skipped (the embedder is
-        deterministic, so both sides hold the same vector), and snapshots
-        from a different projection generation are ignored wholesale —
-        their vectors are incomparable with the current projection.
-        Returns the number of entries actually added; the LRU bound, when
-        set, applies as usual.
-        """
-        generation = exported["generation"]
-        entries = exported["entries"]
-        merged = 0
-        with self._lock:
-            self._check_generation()
-            if generation != self._generation:
-                return 0
-            for text, vec in entries.items():
-                if text not in self._cache:
-                    self._store(text, np.asarray(vec))
-                    merged += 1
-        return merged
 
     # ------------------------------------------------------------------
     # pickling (process-pool workers receive a warm snapshot)

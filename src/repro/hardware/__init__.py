@@ -20,9 +20,9 @@ Constants are calibrated against the paper's Table II anchor points
 
 from repro.hardware.device import JETSON_AGX_ORIN, DeviceProfile
 from repro.hardware.inference import InferenceRequest, InferenceTrace, simulate_inference
+from repro.hardware.measurement import MeasurementSession
 from repro.hardware.memory import kv_cache_gb, model_weights_gb
 from repro.hardware.power_modes import POWER_MODES, PowerMode, apply_power_mode, orin_in_mode
-from repro.hardware.session import MeasurementSession
 
 __all__ = [
     "JETSON_AGX_ORIN",

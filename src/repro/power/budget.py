@@ -87,6 +87,13 @@ class BudgetController:
             }
         return {"power_mode": self.power_mode, "tenants": tenants}
 
+    def forget(self, tenant: str) -> None:
+        """Drop a removed tenant's streaks and settle mark (a watermark
+        on the meter's count, which restarts at zero with it)."""
+        for table in (self._tenant_clear_streak, self._shed_streak,
+                      self._settle_marks):
+            table.pop(tenant, None)
+
     # ------------------------------------------------------------------
     # the feedback loop
     # ------------------------------------------------------------------

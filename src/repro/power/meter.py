@@ -174,6 +174,13 @@ class EnergyMeter:
             window.append(record)
         return record
 
+    def forget(self, tenant: str) -> None:
+        """Drop a removed tenant's window and count: a later tenant of
+        the same name starts with an empty window."""
+        with self._lock:
+            self._windows.pop(tenant, None)
+            self._counts.pop(tenant, None)
+
     def _model_shape(self, model: str, quant: str) -> tuple[float, float]:
         from repro.llm import get_model_spec, get_quant_spec
 

@@ -163,10 +163,6 @@ SCHEMES = Registry("scheme", builtin_modules=(
 #: suite name -> builder ``f(n_queries=..., seed=...) -> BenchmarkSuite``
 SUITES = Registry("suite", builtin_modules=("repro.suites",))
 
-#: grid backend name -> ``f(runner, cells, n_queries, max_workers) -> runs``
-GRID_BACKENDS = Registry("grid backend", builtin_modules=(
-    "repro.evaluation.runner",))
-
 #: serving execution backend name -> ``f(serving_spec) -> stage | None``
 #: (``None`` means "execute inline on the gateway's batch worker")
 SERVING_BACKENDS = Registry("serving execution backend", builtin_modules=(
@@ -225,12 +221,6 @@ def register_suite(name: str, builder: Callable | None = None, *,
                    replace: bool = False):
     """Register a suite builder ``f(n_queries=..., seed=...)`` by name."""
     return SUITES.register(name, builder, replace=replace)
-
-
-def register_grid_backend(name: str, runner: Callable | None = None, *,
-                          replace: bool = False):
-    """Register a grid execution backend for ``run_grid``."""
-    return GRID_BACKENDS.register(name, runner, replace=replace)
 
 
 def register_serving_backend(name: str, factory: Callable | None = None, *,

@@ -533,8 +533,10 @@ class Gateway:
         """Deregister ``tenant`` and drop the control-plane state kept
         under its name, so a tenant re-registered as ``tenant`` starts
         clean: not shed, no scheme override, rung ``full`` with a ladder
-        built from its own catalog, and executed inline until the next
-        pool respawn re-primes the workers from the current runners.
+        built from its own catalog, an empty energy window with no
+        budget streaks, and executed inline until the next pool respawn
+        re-primes the workers from the current runners.  Lifetime
+        counters (telemetry, cost ledger) do not reset.
         Unknown names raise
         :class:`~repro.serving.session.UnknownTenantError`.
         """
@@ -543,6 +545,9 @@ class Gateway:
         self.clear_scheme_override(tenant)
         if self._ladder is not None:
             self._ladder.forget(tenant)
+        self.power_meter.forget(tenant)
+        if self.budget is not None:
+            self.budget.forget(tenant)
         if self._process_stage is not None:
             self._process_stage.uncover(tenant)
 

@@ -144,8 +144,10 @@ class TenantSession:
         first request, so the gateway warms every registered tenant's
         default cell before accepting traffic.
         """
-        agent = self.agent_for(scheme, model, quant)
-        agent.embedder.encode(self.suite.catalog.descriptions())
+        self.agent_for(scheme, model, quant)
+        # the session's embedder, not the agent's: the paper's baseline
+        # agent has none
+        self.runner.embedder.encode(self.suite.catalog.descriptions())
 
 
 class SessionManager:

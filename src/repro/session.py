@@ -7,8 +7,7 @@ of Search Levels per suite — and exposes the three ways of driving the
 stack:
 
 * :meth:`Session.run` — one (scheme, model, quant) evaluation batch;
-* :meth:`Session.run_grid` — a scheme x model x quant sweep on a
-  worker pool;
+* :meth:`Session.run_grid` — a scheme x model x quant sweep;
 * :meth:`Session.serve` — the async multi-tenant micro-batching
   gateway.
 
@@ -150,7 +149,7 @@ class Session:
                                **{**spec.agent_kwargs(), **kwargs})
 
     def run_grid(self, grid: "GridSpec | None" = None) -> dict:
-        """Run a scheme x model x quant grid on a worker pool.
+        """Run a scheme x model x quant grid, cell by cell.
 
         Returns ``{(scheme, model, quant): EvaluationRun}`` exactly like
         :meth:`ExperimentRunner.run_grid`.
@@ -163,8 +162,7 @@ class Session:
                 "session's ExperimentSpec")
         return self.runner.run_grid(
             list(grid.schemes), list(grid.models), list(grid.quants),
-            n_queries=grid.n_queries, max_workers=grid.workers,
-            backend=grid.backend)
+            n_queries=grid.n_queries)
 
     def serve(self, serving: "ServingSpec | None" = None) -> "Gateway":
         """Wire the serving gateway this spec describes (unstarted).

@@ -268,19 +268,16 @@ class AgentSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class GridSpec(_SpecBase):
-    """A scheme x model x quant sweep and how to execute it.
+    """A scheme x model x quant sweep.
 
     Axis fields accept any iterable of names (or a comma-separated
     string) and normalize to tuples so the spec stays hashable and
-    picklable.  ``backend`` resolves through the grid-backend registry
-    (``sequential`` | ``thread`` | ``process`` built in).
+    picklable.
     """
 
     schemes: tuple[str, ...] = ("default", "gorilla", "lis-k3")
     models: tuple[str, ...] = ("llama3.1-8b",)
     quants: tuple[str, ...] = ("q4_K_M",)
-    backend: str = "thread"
-    workers: int | None = None
     n_queries: int | None = None
 
     def __post_init__(self):
@@ -288,8 +285,7 @@ class GridSpec(_SpecBase):
             object.__setattr__(self, axis, _as_tuple(getattr(self, axis)))
             _require(bool(getattr(self, axis)),
                      f"GridSpec.{axis} must name at least one entry")
-        _require(bool(self.backend), "GridSpec.backend must be a non-empty string")
-        _require_min(self, 1, "workers", "n_queries")
+        _require_min(self, 1, "n_queries")
 
     @property
     def cells(self) -> tuple[tuple[str, str, str], ...]:

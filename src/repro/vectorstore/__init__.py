@@ -2,33 +2,23 @@
 
 The Tool Controller in the paper runs FAISS k-NN searches against the
 Search Level latent spaces.  This package provides the same capability in
-pure numpy:
+pure numpy with one index, :class:`FlatIndex`: exact search with the
+semantics of ``faiss.IndexFlatIP`` / ``IndexFlatL2``.  Tool catalogs are
+tens of vectors; an inverted-file index first drew level with exact
+search at about 1000 (README, "Layout").
 
-* :class:`FlatIndex` — exact search, identical semantics to
-  ``faiss.IndexFlatIP`` / ``IndexFlatL2``;
-* :class:`IVFIndex` — an inverted-file index with a k-means coarse
-  quantizer and an ``nprobe`` knob, mirroring ``faiss.IndexIVFFlat`` (used
-  by the ablation studies, not the main pipeline);
-* :func:`index_factory` — small FAISS-style string factory.
-
-All indexes share the :class:`VectorIndex` interface: ``add`` vectors with
-integer ids, ``search`` returns ``(scores, ids)`` sorted best-first.
+``add`` vectors with integer ids, ``search`` returns ``(scores, ids)``
+sorted best-first.
 """
 
 from repro.vectorstore.base import SearchResult, VectorIndex
-from repro.vectorstore.factory import index_factory
 from repro.vectorstore.flat import FlatIndex
-from repro.vectorstore.ivf import IVFIndex
 from repro.vectorstore.metrics import METRICS, Metric
-from repro.vectorstore.pq import PQIndex
 
 __all__ = [
     "METRICS",
     "FlatIndex",
-    "IVFIndex",
     "Metric",
-    "PQIndex",
     "SearchResult",
     "VectorIndex",
-    "index_factory",
 ]

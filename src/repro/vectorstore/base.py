@@ -9,11 +9,6 @@ import numpy as np
 from repro.vectorstore.metrics import Metric, get_metric
 
 
-#: what a ranking pass yields: ``(scores, ids, lengths)`` — see
-#: :meth:`VectorIndex._search_arrays_impl`
-Ranked = tuple[np.ndarray, np.ndarray, np.ndarray | None]
-
-
 @dataclass
 class SearchResult:
     """Top-k result for one query: parallel score/id arrays, best first."""
@@ -43,7 +38,7 @@ class SearchResult:
 
 @dataclass
 class VectorIndex:
-    """Base class: id-addressed vector storage with exactish k-NN search."""
+    """Base class: id-addressed vector storage with exact k-NN search."""
 
     dim: int
     metric: Metric = field(default_factory=lambda: get_metric("cosine"))
@@ -88,7 +83,6 @@ class VectorIndex:
         self._ids = np.concatenate([self._ids, ids])
         self._rows = np.arange(self._vectors.shape[0], dtype=np.intp)
         self._refresh_operand()
-        self._on_add(vectors, ids)
 
     def reconstruct(self, vector_id: int) -> np.ndarray:
         """Return the stored vector for ``vector_id``."""
@@ -102,12 +96,9 @@ class VectorIndex:
     # ------------------------------------------------------------------
     def search(self, queries: np.ndarray, k: int) -> list[SearchResult]:
         """Return the top-``k`` neighbours for each query row."""
-        scores, ids, lengths = self._search_checked(queries, k)
-        if lengths is None:
-            return [SearchResult(scores=row_scores, ids=row_ids)
-                    for row_scores, row_ids in zip(scores, ids)]
-        return [SearchResult(scores=row_scores[:n], ids=row_ids[:n])
-                for row_scores, row_ids, n in zip(scores, ids, lengths)]
+        scores, ids = self._search_checked(queries, k)
+        return [SearchResult(scores=row_scores, ids=row_ids)
+                for row_scores, row_ids in zip(scores, ids)]
 
     def search_one(self, query: np.ndarray, k: int) -> SearchResult:
         """Convenience: top-``k`` neighbours of a single vector."""
@@ -116,21 +107,11 @@ class VectorIndex:
     def search_arrays(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Batched top-k as ``(scores, ids)`` matrices of shape ``(q, k')``.
 
-        ``k'`` is ``k`` clamped to the index size.  Requires every query
-        to retrieve the same number of neighbours (always true for exact
-        indexes; an IVF probe may narrow some queries' candidate sets).
+        ``k'`` is ``k`` clamped to the index size.
         """
-        scores, ids, lengths = self._search_checked(queries, k)
-        if lengths is not None:
-            raise ValueError(
-                f"search_arrays(k={k}) requires uniform result lengths over "
-                f"{len(self)} stored vectors, but the {len(lengths)} queries "
-                f"retrieved {lengths.tolist()} neighbours each; use search() "
-                "for ragged results (an IVF probe over sparse lists can "
-                "narrow some queries' candidate sets)")
-        return scores, ids
+        return self._search_checked(queries, k)
 
-    def _search_checked(self, queries: np.ndarray, k: int) -> Ranked:
+    def _search_checked(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Validate the call, then rank: what both public forms share."""
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if queries.shape[1] != self.dim:
@@ -140,7 +121,7 @@ class VectorIndex:
         if len(self) == 0:
             n_queries = queries.shape[0]
             return (np.zeros((n_queries, 0)),
-                    np.zeros((n_queries, 0), dtype=np.int64), None)
+                    np.zeros((n_queries, 0), dtype=np.int64))
         return self._search_arrays_impl(queries, min(k, len(self)))
 
     # pickling ----------------------------------------------------------
@@ -165,18 +146,12 @@ class VectorIndex:
         """
         self._operand = self.metric.prepare(self._vectors)
 
-    def _on_add(self, vectors: np.ndarray, ids: np.ndarray) -> None:
-        """Subclass hook invoked after vectors are appended."""
-
-    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> Ranked:
+    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Rank validated ``queries`` against a non-empty index.
 
-        Returns ``(scores, ids, lengths)``: ``(q, k')`` matrices, best
-        first, and ``None`` — or, when the queries retrieved different
-        numbers of neighbours, the per-query counts (row ``i`` is then
-        valid up to ``lengths[i]``).  The one hook behind both
-        :meth:`search` and :meth:`search_arrays`; subclasses override
-        this, never the public methods.
+        Returns ``(scores, ids)``: ``(q, k')`` matrices, best first.  The
+        one hook behind both :meth:`search` and :meth:`search_arrays`;
+        subclasses override this, never the public methods.
         """
         raise NotImplementedError
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vectorstore.base import Ranked, VectorIndex
+from repro.vectorstore.base import VectorIndex
 
 
 class FlatIndex(VectorIndex):
@@ -20,6 +20,6 @@ class FlatIndex(VectorIndex):
     loop, nothing recomputed from the stored side per call.
     """
 
-    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> Ranked:
+    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         score_matrix = self.metric.score_prepared(queries, self._operand)
-        return (*self._rank_batch(score_matrix, self._rows, k), None)
+        return self._rank_batch(score_matrix, self._rows, k)

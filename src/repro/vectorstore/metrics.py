@@ -70,18 +70,11 @@ class PreparedVectors(NamedTuple):
     recompute per call: ``matrix`` is the C-contiguous ``(n, d)`` array
     whose ``.T`` view the gemm consumes (row-normalised for cosine),
     ``sq_norms`` the squared row norms L2 adds back (``None`` for the
-    similarities).  Both are row-wise functions of the vectors, so
-    :meth:`take` of a prepared set equals preparing the taken rows.
+    similarities).
     """
 
     matrix: np.ndarray
     sq_norms: np.ndarray | None = None
-
-    def take(self, rows: np.ndarray) -> "PreparedVectors":
-        """The prepared form of the stored rows ``rows`` (a gather)."""
-        return PreparedVectors(
-            self.matrix[rows],
-            None if self.sq_norms is None else self.sq_norms[rows])
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ class Metric:
     Attributes
     ----------
     name:
-        Identifier used in factory strings and serialized indexes.
+        Identifier an index is constructed with (``metric="cosine"``).
     higher_is_better:
         True for similarities (inner product, cosine), False for
         distances (L2).
@@ -106,10 +99,6 @@ class Metric:
     higher_is_better: bool
     prepare: Callable[[np.ndarray], PreparedVectors]
     score_prepared: Callable[[np.ndarray, PreparedVectors], np.ndarray]
-
-    def score(self, queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """One-shot ``(q,n)`` scores against vectors nobody keeps prepared."""
-        return self.score_prepared(queries, self.prepare(vectors))
 
 
 def _prepare_raw(vectors: np.ndarray) -> PreparedVectors:
@@ -133,19 +122,14 @@ def _cosine(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
     return batch_invariant_matmul(normalize_rows(queries), prepared.matrix.T)
 
 
-def l2_expansion(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
+def _squared_l2(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
     """``||q||^2 - 2 q.v + ||v||^2`` without a ``(q,n,d)`` blow-up.
 
-    Rounding can leave a tiny negative where ``q == v``; the L2 metric
-    clamps those, the PQ look-up tables sum them as they are.
+    Rounding can leave a tiny negative where ``q == v``; clamp those.
     """
     q_sq = np.sum(queries**2, axis=1, keepdims=True)
     cross = batch_invariant_matmul(queries, prepared.matrix.T)
-    return q_sq - 2.0 * cross + prepared.sq_norms[None, :]
-
-
-def _squared_l2(queries: np.ndarray, prepared: PreparedVectors) -> np.ndarray:
-    dists = l2_expansion(queries, prepared)
+    dists = q_sq - 2.0 * cross + prepared.sq_norms[None, :]
     np.maximum(dists, 0.0, out=dists)
     return dists
 

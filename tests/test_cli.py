@@ -29,13 +29,15 @@ class TestParser:
 
     def test_grid_defaults(self):
         args = build_parser().parse_args(["grid"])
-        assert args.backend == "thread"
-        assert args.workers is None
         assert args.schemes == "default,gorilla,lis-k3"
 
     def test_grid_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["grid", "--backend", "gpu"])
+        # the grid is one in-process loop: the pool flags are gone, so
+        # even their formerly valid values are argparse errors
+        for stale in (["--backend", "gpu"], ["--backend", "process"],
+                      ["--workers", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["grid", *stale])
 
 
 class TestCommands:

@@ -354,6 +354,51 @@ def test_shed_probation_recovers_a_shed_tenant():
     asyncio.run(scenario())
 
 
+def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
+    """DELETE + PUT a tenant name: the successor must be steered by its
+    own joules only — not by the removed tenant's rolling window, nor
+    held back by its settle mark (a watermark on the old request count)."""
+    old = load_suite("geoengine", n_queries=4)
+    new = load_suite("browser", n_queries=4)
+
+    async def scenario():
+        sessions = SessionManager()
+        sessions.register("t", old)
+        spec = BudgetSpec(energy_budget_j=1.0, window_requests=4,
+                          interval_ms=600_000.0)
+        async with Gateway(sessions, config=ServingSpec(budget=spec)) as gateway:
+            for query in old.queries:
+                await gateway.submit("t", query)
+            gateway.budget.tick(now_s=0.0)   # over budget: settle mark = 4
+            assert gateway.rung("t") == "compressed"
+            lifetime_j = gateway.metrics()["energy_j_by_tenant"]["t"]
+
+            gateway.remove_tenant("t")
+            sessions.register("t", new)
+            status = gateway.budget_status("t")
+            assert status["window_requests"] == 0
+            assert status["mean_energy_j"] == 0.0
+            gateway.budget.tick(now_s=0.0)
+            assert gateway.rung("t") == "full"
+            assert gateway.rung_source("t") == "none"
+            # lifetime counters are not per-incarnation state
+            assert gateway.metrics()["energy_j_by_tenant"]["t"] == lifetime_j
+
+            # the fresh tenant's own requests do steer it, and exactly
+            # once its own window has filled
+            for query in new.queries[:3]:
+                await gateway.submit("t", query)
+            gateway.budget.tick(now_s=0.0)
+            assert gateway.rung("t") == "full"
+            await gateway.submit("t", new.queries[3])
+            assert gateway.budget_status("t")["window_requests"] == 4
+            gateway.budget.tick(now_s=0.0)
+            assert gateway.rung("t") == "compressed"
+            assert gateway.rung_source("t") == "budget"
+
+    asyncio.run(scenario())
+
+
 def test_budget_status_surface():
     """``Gateway.budget_status`` exposes the spent window and the budgets
     so the HTTP status endpoint can render them."""

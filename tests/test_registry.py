@@ -4,7 +4,6 @@ import pytest
 
 from repro.registry import (
     CATALOGS,
-    GRID_BACKENDS,
     SCHEMES,
     SERVING_BACKENDS,
     SUITES,
@@ -78,17 +77,14 @@ class TestBuiltins:
         import sys
         from pathlib import Path
 
-        code = ("from repro.registry import GRID_BACKENDS, SCHEMES; "
-                "print(','.join(GRID_BACKENDS.names())); "
+        code = ("from repro.registry import SCHEMES; "
                 "print(','.join(SCHEMES.names()))")
         src = str(Path(__file__).resolve().parent.parent / "src")
         out = subprocess.run([sys.executable, "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=120,
                              check=True)
-        backends, schemes = out.stdout.strip().splitlines()
-        assert backends == "process,sequential,thread"
-        assert schemes == "default,gorilla,lis,toolllm"
+        assert out.stdout.strip() == "default,gorilla,lis,toolllm"
 
     def test_builtin_schemes_present(self):
         for name in ("default", "gorilla", "toolllm", "lis"):
@@ -97,10 +93,6 @@ class TestBuiltins:
     def test_builtin_suites_present(self):
         for name in ("bfcl", "geoengine", "edgehome"):
             assert name in SUITES
-
-    def test_builtin_grid_backends_present(self):
-        for name in ("sequential", "thread", "process"):
-            assert name in GRID_BACKENDS
 
     def test_builtin_serving_backends_present(self):
         for name in ("thread", "process"):
@@ -220,24 +212,3 @@ class TestThirdPartyPlugins:
             assert session.suite is base
         finally:
             SUITES.unregister("tiny-home")
-
-    def test_custom_grid_backend_dispatches(self):
-        from repro.evaluation.runner import ExperimentRunner
-        from repro.registry import register_grid_backend
-
-        calls = []
-
-        @register_grid_backend("recording")
-        def recording(runner, cells, n_queries, max_workers):
-            calls.append(list(cells))
-            return [runner.run(*cell, n_queries=n_queries) for cell in cells]
-
-        try:
-            runner = ExperimentRunner(load_suite("edgehome", n_queries=2))
-            results = runner.run_grid(["default"], ["hermes2-pro-8b"],
-                                      ["q4_K_M", "q8_0"], backend="recording",
-                                      max_workers=4)
-            assert len(results) == 2
-            assert calls and len(calls[0]) == 2
-        finally:
-            GRID_BACKENDS.unregister("recording")

@@ -1,14 +1,22 @@
-"""Parallel run_grid must reproduce the sequential results exactly."""
+"""run_grid is the cell-by-cell loop over runner.run, bit for bit.
+
+The grid's one referee: every cell of ``run_grid`` must equal the
+``runner.run`` call of the same arguments on full :class:`EpisodeResult`
+and :class:`MetricSummary` equality, in ``GridSpec.cells`` order — for a
+stateless suite and for the stateful multi-turn ``browser`` suite.
+"""
 
 import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
+from repro.specs import GridSpec
 from repro.suites import load_suite
 
 SCHEMES = ["default", "lis-k3"]
 MODELS = ["hermes2-pro-8b"]
 QUANTS = ["q4_K_M", "q8_0"]
+CELLS = GridSpec(schemes=SCHEMES, models=MODELS, quants=QUANTS).cells
 
 
 @pytest.fixture(scope="module")
@@ -16,46 +24,27 @@ def suite():
     return load_suite("edgehome", n_queries=8)
 
 
-def run_grid(suite, max_workers):
-    runner = ExperimentRunner(suite, embedder=CachedEmbedder())
-    return runner.run_grid(SCHEMES, MODELS, QUANTS, max_workers=max_workers)
-
-
-def summary_fingerprint(run):
-    summary = run.summary
-    return (
-        summary.n_episodes,
-        summary.success_rate,
-        summary.tool_accuracy,
-        summary.mean_tools_presented,
-        summary.mean_time_s,
-        summary.mean_energy_j,
-    )
-
-
-def test_parallel_matches_sequential(suite):
-    sequential = run_grid(suite, max_workers=1)
-    parallel = run_grid(suite, max_workers=4)
-    assert set(sequential) == set(parallel)
-    for key, run in sequential.items():
-        assert summary_fingerprint(parallel[key]) == summary_fingerprint(run), key
-        seq_steps = [(e.qid, [s.tool_called for s in e.steps]) for e in run.episodes]
-        par_steps = [(e.qid, [s.tool_called for s in e.steps])
-                     for e in parallel[key].episodes]
-        assert seq_steps == par_steps
+@pytest.mark.parametrize("suite_name,n_queries", [("edgehome", 8), ("browser", 6)])
+def test_grid_equals_cell_by_cell_runs(suite_name, n_queries):
+    suite = load_suite(suite_name, n_queries=n_queries)
+    grid = ExperimentRunner(suite, embedder=CachedEmbedder()).run_grid(
+        SCHEMES, MODELS, QUANTS)
+    assert tuple(grid) == CELLS  # same cells, same order
+    reference = ExperimentRunner(suite, embedder=CachedEmbedder())
+    for cell in CELLS:
+        run = reference.run(*cell)
+        # EpisodeResult equality covers steps, turn indices, level,
+        # fallback, timing, energy and token floats
+        assert grid[cell].episodes == run.episodes, cell
+        assert grid[cell].summary == run.summary, cell
 
 
 def test_grid_covers_all_cells(suite):
-    results = run_grid(suite, max_workers=2)
+    results = ExperimentRunner(suite, embedder=CachedEmbedder()).run_grid(
+        SCHEMES, MODELS, QUANTS)
     assert len(results) == len(SCHEMES) * len(MODELS) * len(QUANTS)
     for (scheme, model, quant), run in results.items():
         assert run.scheme == scheme
         assert run.model == model
         assert run.quant == quant
         assert len(run.episodes) == 8
-
-
-def test_default_worker_count_runs(suite):
-    results = ExperimentRunner(suite, embedder=CachedEmbedder()).run_grid(
-        ["lis-k3"], MODELS, ["q4_K_M"])
-    assert len(results) == 1

@@ -106,6 +106,29 @@ def test_served_episodes_equal_sequential_runner_at_default_spec(suite):
     _assert_served_equals_sequential(suite, ServingSpec())
 
 
+@pytest.mark.parametrize("scheme", ["default", "gorilla", "toolllm", "lis-k3"])
+def test_gateway_starts_and_serves_under_any_default_scheme(scheme):
+    """Warming goes through the session's embedder, so a gateway whose
+    ``default_scheme`` is the paper's baseline (an agent with no
+    embedder of its own) starts — and serves what ``agent.run`` returns."""
+    suite = load_suite("edgehome", n_queries=4)
+    # ToolLLM's "DFSDT does not fit the board" refusal lives in run();
+    # the served path is plan + run_planned, so the reference lifts it
+    kwargs = {"enforce_memory": False} if scheme == "toolllm" else {}
+    reference = ExperimentRunner(suite, embedder=CachedEmbedder()).make_agent(
+        scheme, MODEL, QUANT, **kwargs)
+
+    async def serve_one():
+        sessions = SessionManager()
+        sessions.register("t", suite)
+        config = ServingSpec(default_scheme=scheme, default_model=MODEL,
+                             default_quant=QUANT)
+        async with Gateway(sessions, config=config) as gateway:
+            return await gateway.submit("t", suite.queries[0])
+
+    assert asyncio.run(serve_one()).episode == reference.run(suite.queries[0])
+
+
 def test_http_call_equals_sequential_runner(suite):
     """The HTTP front door adds a JSON round-trip on top of the gateway;
     episodes decoded from ``POST /v1/call`` responses must still equal

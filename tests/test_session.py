@@ -95,7 +95,7 @@ class TestSessionRuns:
     def test_run_grid_matches_individual_runs(self, session):
         grid = GridSpec(schemes=("default", "lis-k3"),
                         models=("hermes2-pro-8b",), quants=("q4_K_M",),
-                        backend="sequential", n_queries=3)
+                        n_queries=3)
         results = session.run_grid(grid)
         assert set(results) == {("default", "hermes2-pro-8b", "q4_K_M"),
                                 ("lis-k3", "hermes2-pro-8b", "q4_K_M")}

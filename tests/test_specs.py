@@ -30,8 +30,7 @@ ALL_SPECS = [
               k=4, confidence_threshold=0.2, force_level=2,
               context_window=8192),
     GridSpec(schemes=("default", "lis-k3"), models=("llama3.1-8b",),
-             quants=("q4_K_M", "q8_0"), backend="process", workers=2,
-             n_queries=8),
+             quants=("q4_K_M", "q8_0"), n_queries=8),
     TenantSpec(name="home", suite=SuiteSpec(name="edgehome", n_queries=6)),
     BudgetSpec(energy_budget_j=120.0, carbon_budget_g=0.02,
                window_requests=8, recovery_ticks=2, signal="sinusoid",
@@ -198,9 +197,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="schemes"):
             GridSpec(schemes=())
 
-    def test_grid_workers_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            GridSpec(workers=0)
+    def test_grid_n_queries_positive(self):
+        with pytest.raises(ValueError, match="n_queries"):
+            GridSpec(n_queries=0)
+
+    def test_grid_stale_backend_key_fails_loudly(self):
+        """A dict serialized before the grid lost its worker pools still
+        carries ``backend``: ``from_dict`` must refuse it, not drop it."""
+        stale = dict(GridSpec().to_dict(), backend="process")
+        with pytest.raises(TypeError, match="backend"):
+            GridSpec.from_dict(stale)
+        assert set(GridSpec().to_dict()) == {
+            "schemes", "models", "quants", "n_queries"}
 
     def test_serving_duplicate_tenants(self):
         with pytest.raises(ValueError, match="unique"):

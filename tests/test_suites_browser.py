@@ -4,7 +4,7 @@ The suite's point is tool-state carryover — later turns of an episode
 only succeed because an earlier turn opened a page — so beyond the
 usual suite hygiene (catalog shape, determinism, gold validation) these
 tests pin the state machine itself, then drive the suite through each
-execution path: a sequential Session run, the process-backend grid, and
+execution path: a sequential Session run, a pickled runner, and
 the serving gateway, asserting bitwise equality and per-turn records
 throughout.
 """
@@ -12,6 +12,7 @@ throughout.
 from __future__ import annotations
 
 import asyncio
+import pickle
 
 import pytest
 
@@ -179,7 +180,7 @@ class TestBrowserExecutor:
 
 
 # ----------------------------------------------------------------------
-# end to end: sequential, grid (process), served
+# end to end: sequential, pickled, served
 # ----------------------------------------------------------------------
 class TestEndToEnd:
     def test_session_run_carries_state_across_turns(self):
@@ -204,21 +205,20 @@ class TestEndToEnd:
         # the suite is solvable end to end, not trivially failing
         assert run.summary.success_rate > 0.5
 
-    def test_process_grid_bitwise_equals_sequential(self):
+    def test_pickled_runner_bitwise_equals_original(self):
+        """The stateful multi-turn suite crosses a process boundary as a
+        pickle (what the serving process backend ships to its workers)
+        and must behave identically on the far side."""
         suite = load_suite("browser", n_queries=6)
-        schemes, models, quants = ["default", "lis-k3"], [MODEL], [QUANT]
-        sequential = ExperimentRunner(
-            suite, embedder=CachedEmbedder()).run_grid(
-            schemes, models, quants, backend="sequential")
-        process = ExperimentRunner(
-            suite, embedder=CachedEmbedder()).run_grid(
-            schemes, models, quants, backend="process", max_workers=2)
-        assert list(process) == list(sequential)
-        for cell, run in sequential.items():
+        runner = ExperimentRunner(suite, embedder=CachedEmbedder())
+        clone = pickle.loads(pickle.dumps(runner))
+        for scheme in ("default", "lis-k3"):
+            original = runner.run(scheme, MODEL, QUANT)
             # EpisodeResult equality covers turn_index on every step —
-            # the stateful executor pickles to workers and behaves
-            # identically there
-            assert process[cell].episodes == run.episodes, cell
+            # the stateful executor pickles and carries state the same
+            shipped = clone.run(scheme, MODEL, QUANT)
+            assert shipped.episodes == original.episodes, scheme
+            assert shipped.summary == original.summary, scheme
 
     def test_served_episodes_equal_sequential_and_keep_turns(self):
         suite = load_suite("browser", n_queries=12)

@@ -1,10 +1,10 @@
-"""Batched-vs-per-query search equivalence across all index types."""
+"""Batched-vs-per-query search equivalence for the flat index, per metric."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import derive_rng
-from repro.vectorstore import FlatIndex, IVFIndex, PQIndex
+from repro.vectorstore import FlatIndex
 
 
 @pytest.fixture(scope="module")
@@ -29,21 +29,7 @@ def build_flat_l2(vectors):
     return index
 
 
-def build_ivf(vectors):
-    index = IVFIndex(dim=16, metric="cosine", n_lists=5, nprobe=2)
-    index.add(vectors)
-    index.train()
-    return index
-
-
-def build_pq(vectors):
-    index = PQIndex(dim=16, m=4, n_centroids=16)
-    index.add(vectors)
-    index.train()
-    return index
-
-
-BUILDERS = [build_flat_cosine, build_flat_l2, build_ivf, build_pq]
+BUILDERS = [build_flat_cosine, build_flat_l2]
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -71,28 +57,11 @@ def test_batched_scores_sorted_best_first(builder, vectors, queries):
 def test_flat_batched_matches_bruteforce(vectors, queries):
     index = build_flat_cosine(vectors)
     results = index.search(queries, 5)
-    scores = index.metric.score(queries, vectors)
+    scores = index.metric.score_prepared(queries, index.metric.prepare(vectors))
     for qi, result in enumerate(results):
         expected_rows = np.argsort(-scores[qi], kind="stable")[:5]
         np.testing.assert_array_equal(result.ids, expected_rows)
         np.testing.assert_allclose(result.scores, scores[qi][expected_rows])
-
-
-def test_ivf_batched_matches_per_query_reference(vectors, queries):
-    """The grouped IVF probe must reproduce the naive per-query algorithm."""
-    index = build_ivf(vectors)
-    results = index.search(queries, 4)
-    centroids = index._centroids
-    assignments = index._assignments
-    centroid_dists = ((queries[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    for qi, result in enumerate(results):
-        probe = np.argsort(centroid_dists[qi], kind="stable")[: index.nprobe]
-        candidate_rows = np.flatnonzero(np.isin(assignments, probe))
-        scores = index.metric.score(queries[qi:qi + 1], vectors[candidate_rows])[0]
-        order = np.argsort(-scores, kind="stable")[:4]
-        np.testing.assert_allclose(np.sort(result.scores)[::-1],
-                                   np.sort(scores[order])[::-1])
-        assert set(result.ids.tolist()) <= set(candidate_rows.tolist())
 
 
 def test_search_arrays_shapes(vectors, queries):
@@ -109,14 +78,6 @@ def test_search_arrays_clamps_k(vectors):
     index = build_flat_cosine(vectors)
     scores, ids = index.search_arrays(np.ones((2, 16)), 999)
     assert scores.shape == (2, 60)
-
-
-def test_pq_add_after_train_refreshes_batched_state(vectors):
-    index = build_pq(vectors)
-    extra = np.full((1, 16), 50.0)
-    index.add(extra, ids=[999])
-    result = index.search_one(extra[0], k=1)
-    assert result.top()[1] == 999
 
 
 def test_rows_hoisted_and_maintained(vectors):
@@ -160,29 +121,3 @@ def test_batch_invariant_matmul_handles_empty_and_blocked_shapes():
     np.testing.assert_array_equal(
         batch_invariant_matmul(big, stored.T)[:5],
         batch_invariant_matmul(big[:5], stored.T))
-
-
-def test_search_arrays_nonuniform_error_is_actionable(vectors):
-    """An IVF probe over sparse lists can retrieve ragged result counts;
-    the serving batcher surfaces that as a descriptive error, not a bare
-    'non-uniform' complaint."""
-    index = IVFIndex(dim=16, metric="cosine", n_lists=8, nprobe=1)
-    index.add(vectors[:10])
-    index.train()
-    queries = derive_rng("ragged-queries").standard_normal((6, 16))
-    try:
-        index.search_arrays(queries, 8)
-    except ValueError as error:
-        message = str(error)
-        assert "k=8" in message
-        assert "10 stored vectors" in message
-        assert "6 queries" in message
-        # the per-query retrieval counts are spelled out
-        assert "[" in message and "]" in message
-    else:
-        # nprobe=1 over 8 lists of 10 vectors should give ragged counts;
-        # if clustering happened to balance them, force the empty path
-        lonely = FlatIndex(dim=16, metric="cosine")
-        lonely.add(vectors[:1])
-        scores, ids = lonely.search_arrays(queries, 8)
-        assert scores.shape == (6, 1)

@@ -1,61 +1,13 @@
-"""Tests for repro.vectorstore.factory and metrics."""
+"""Tests for repro.vectorstore.metrics."""
 
 import numpy as np
 import pytest
 
-from repro.vectorstore import FlatIndex, IVFIndex, index_factory
-from repro.vectorstore.factory import dump_index, load_index
 from repro.vectorstore.metrics import METRICS, get_metric
 
 
-class TestFactory:
-    def test_flat(self):
-        assert isinstance(index_factory(8, "Flat"), FlatIndex)
-
-    def test_ivf(self):
-        index = index_factory(8, "IVF16")
-        assert isinstance(index, IVFIndex)
-        assert index.n_lists == 16
-
-    def test_case_insensitive(self):
-        assert isinstance(index_factory(8, "flat"), FlatIndex)
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            index_factory(8, "HNSW32")
-
-    def test_metric_forwarded(self):
-        assert index_factory(8, "Flat", metric="l2").metric.name == "l2"
-
-
-class TestSerialization:
-    def test_flat_round_trip(self):
-        index = FlatIndex(dim=3, metric="ip")
-        index.add(np.eye(3), ids=[7, 8, 9])
-        restored = load_index(dump_index(index))
-        assert isinstance(restored, FlatIndex)
-        assert restored.metric.name == "ip"
-        assert restored.ids.tolist() == [7, 8, 9]
-        result = restored.search_one(np.array([0.0, 1.0, 0.0]), k=1)
-        assert result.top()[1] == 8
-
-    def test_ivf_round_trip_preserves_config(self):
-        index = IVFIndex(dim=2, n_lists=4, nprobe=2)
-        index.add(np.random.default_rng(0).standard_normal((10, 2)))
-        restored = load_index(dump_index(index))
-        assert isinstance(restored, IVFIndex)
-        assert restored.n_lists == 4
-        assert restored.nprobe == 2
-        assert len(restored) == 10
-
-    def test_empty_index_round_trip(self):
-        restored = load_index(dump_index(FlatIndex(dim=5)))
-        assert len(restored) == 0
-        assert restored.dim == 5
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            load_index('{"kind": "Mystery", "dim": 2}')
+def _score(metric: str, queries: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return METRICS[metric].score_prepared(queries, METRICS[metric].prepare(vectors))
 
 
 class TestMetrics:
@@ -71,15 +23,15 @@ class TestMetrics:
             get_metric("manhattan")
 
     def test_cosine_zero_vector_safe(self):
-        scores = METRICS["cosine"].score(np.zeros((1, 2)), np.ones((1, 2)))
+        scores = _score("cosine", np.zeros((1, 2)), np.ones((1, 2)))
         assert np.isfinite(scores).all()
 
     def test_l2_nonnegative(self):
         queries = np.random.default_rng(1).standard_normal((3, 4))
         vectors = np.random.default_rng(2).standard_normal((5, 4))
-        assert (METRICS["l2"].score(queries, vectors) >= 0).all()
+        assert (_score("l2", queries, vectors) >= 0).all()
 
     def test_ip_matches_matmul(self):
         queries = np.random.default_rng(3).standard_normal((2, 4))
         vectors = np.random.default_rng(4).standard_normal((3, 4))
-        np.testing.assert_allclose(METRICS["ip"].score(queries, vectors), queries @ vectors.T)
+        np.testing.assert_allclose(_score("ip", queries, vectors), queries @ vectors.T)

@@ -1,16 +1,14 @@
 """Seeded randomized stress test: multi-query search == stacked per-query.
 
-The batch-invariance contract underpins both the serving layer's bitwise
-guarantee and the grid runner's backend equivalence, so it gets an
-adversarial workout here: random corpora and query batches across shapes
-chosen to straddle the padded-matmul boundary (``QUERY_BLOCK == 8``),
-``k`` at and beyond the index size, single-row indexes and duplicated
-query rows — for all three index families.
+The batch-invariance contract underpins the serving layer's bitwise
+guarantee, so it gets an adversarial workout here: random corpora and
+query batches across shapes chosen to straddle the padded-matmul
+boundary (``QUERY_BLOCK == 8``), ``k`` at and beyond the index size,
+single-row indexes and duplicated query rows.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import numpy as np
@@ -18,8 +16,7 @@ import pytest
 
 from repro.utils.rng import derive_rng
 from repro.utils.vectorops import normalize_rows
-from repro.vectorstore import FlatIndex, IVFIndex, PQIndex
-from repro.vectorstore.factory import dump_index, load_index
+from repro.vectorstore import FlatIndex
 from repro.vectorstore.metrics import QUERY_BLOCK, batch_invariant_matmul
 
 DIM = 24
@@ -28,27 +25,15 @@ BATCH_SIZES = [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1,
                2 * QUERY_BLOCK, 2 * QUERY_BLOCK + 3]
 
 
-def _build(family: str, vectors: np.ndarray):
-    if family == "flat":
-        index = FlatIndex(dim=DIM, metric="cosine")
-        index.add(vectors)
-        return index
-    if family == "ivf":
-        # full coverage probe: every list is visited, so the candidate
-        # set (and thus the result) is shape-independent and exact
-        n_lists = min(4, vectors.shape[0])
-        index = IVFIndex(dim=DIM, metric="cosine",
-                         n_lists=n_lists, nprobe=n_lists)
-        index.add(vectors)
-        index.train()
-        return index
-    if family == "pq":
-        index = PQIndex(dim=DIM, m=4,
-                        n_centroids=max(2, min(16, vectors.shape[0])))
-        index.add(vectors)
-        index.train()
-        return index
-    raise ValueError(family)
+#: the one index family; still a parameter because it names the tests'
+#: rng streams and ids (``[flat]``)
+FAMILIES = ["flat"]
+
+
+def _build(vectors: np.ndarray, metric: str = "cosine") -> FlatIndex:
+    index = FlatIndex(dim=DIM, metric=metric)
+    index.add(vectors)
+    return index
 
 
 def _assert_batch_matches_stacked(index, queries: np.ndarray, k: int) -> None:
@@ -62,13 +47,13 @@ def _assert_batch_matches_stacked(index, queries: np.ndarray, k: int) -> None:
                                       err_msg=f"row {row}, k={k}")
 
 
-@pytest.mark.parametrize("family", ["flat", "ivf", "pq"])
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("trial", range(3))
 def test_random_batches_match_per_query(family, trial):
     rng = derive_rng("vectorstore-stress", family, trial)
     n_vectors = int(rng.integers(5, 40))
     vectors = rng.normal(size=(n_vectors, DIM))
-    index = _build(family, vectors)
+    index = _build(vectors)
 
     for batch_size in BATCH_SIZES:
         queries = rng.normal(size=(batch_size, DIM))
@@ -76,11 +61,11 @@ def test_random_batches_match_per_query(family, trial):
             _assert_batch_matches_stacked(index, queries, k)
 
 
-@pytest.mark.parametrize("family", ["flat", "ivf", "pq"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_duplicate_queries_get_identical_rows(family):
     """The same vector must retrieve identically wherever it rides."""
     rng = derive_rng("vectorstore-stress", "duplicates", family)
-    index = _build(family, rng.normal(size=(12, DIM)))
+    index = _build(rng.normal(size=(12, DIM)))
     base = rng.normal(size=(3, DIM))
     # each base query duplicated across block boundaries
     queries = np.vstack([base, base[::-1], base[1:], base])
@@ -92,10 +77,10 @@ def test_duplicate_queries_get_identical_rows(family):
         assert by_key.setdefault(key, got) == got, f"row {row} diverged"
 
 
-@pytest.mark.parametrize("family", ["flat", "ivf", "pq"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_single_row_index(family):
     rng = derive_rng("vectorstore-stress", "single-row", family)
-    index = _build(family, rng.normal(size=(1, DIM)))
+    index = _build(rng.normal(size=(1, DIM)))
     queries = rng.normal(size=(QUERY_BLOCK + 1, DIM))
     for k in (1, 5):  # k clamps to the one stored vector
         results = index.search(queries, k)
@@ -103,10 +88,10 @@ def test_single_row_index(family):
         _assert_batch_matches_stacked(index, queries, k)
 
 
-@pytest.mark.parametrize("family", ["flat", "ivf", "pq"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_search_arrays_matches_search(family):
     rng = derive_rng("vectorstore-stress", "arrays", family)
-    index = _build(family, rng.normal(size=(15, DIM)))
+    index = _build(rng.normal(size=(15, DIM)))
     queries = rng.normal(size=(QUERY_BLOCK + 3, DIM))
     scores, ids = index.search_arrays(queries, 4)
     assert scores.shape == ids.shape == (queries.shape[0], 4)
@@ -118,11 +103,11 @@ def test_search_arrays_matches_search(family):
 # ----------------------------------------------------------------------
 # prepared operands == the per-call formulas they replaced, bitwise
 # ----------------------------------------------------------------------
-# The indexes keep the metric's prepared form of their stored vectors
-# (row-normalised matrix, squared norms, prepared PQ codebooks) instead
-# of deriving it on every search.  The references below are the per-call
-# formulas as they stood before that, kept here so that "same bits" is
-# asserted against them and not against the code under test.
+# The index keeps the metric's prepared form of its stored vectors
+# (row-normalised matrix, squared norms) instead of deriving it on every
+# search.  The references below are the per-call formulas as they stood
+# before that, kept here so that "same bits" is asserted against them
+# and not against the code under test.
 def _reference_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.ndarray:
     blocks = []
     for start in range(0, queries.shape[0], QUERY_BLOCK):
@@ -136,11 +121,11 @@ def _reference_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _reference_l2(queries, vectors, clamp=True):
+def _reference_l2(queries, vectors):
     dists = (np.sum(queries**2, axis=1, keepdims=True)
              - 2.0 * _reference_matmul(queries, vectors.T)
              + np.sum(vectors**2, axis=1)[None, :])
-    return np.maximum(dists, 0.0) if clamp else dists
+    return np.maximum(dists, 0.0)
 
 
 def _reference_scores(metric: str, queries, vectors) -> np.ndarray:
@@ -152,87 +137,44 @@ def _reference_scores(metric: str, queries, vectors) -> np.ndarray:
     return _reference_l2(queries, vectors)
 
 
-def _reference_candidates(index, family: str, metric: str, query: np.ndarray):
-    """``(candidate_rows, scores)`` of one query by the naive algorithm."""
-    vectors = index._vectors
-    rows = np.arange(vectors.shape[0])
-    if family == "ivf":
-        centroid_dists = _reference_l2(query[None, :], index._centroids)[0]
-        probes = np.argsort(centroid_dists, kind="stable")[:index.nprobe]
-        probed = np.sort(np.concatenate(
-            [index._list_rows[int(cluster)] for cluster in probes]))
-        rows = probed if probed.size else rows
-    if family == "pq":
-        scores = np.zeros(vectors.shape[0])
-        for sub in range(index.m):
-            span = slice(sub * index.sub_dim, (sub + 1) * index.sub_dim)
-            book = index._codebooks[sub]
-            codes = np.argmin(_reference_l2(vectors[:, span], book,
-                                            clamp=False), axis=1)
-            lut = _reference_l2(query[None, span], book, clamp=False)[0]
-            scores = scores + lut[codes]
-        return rows, scores
-    return rows, _reference_scores(metric, query[None, :], vectors[rows])[0]
-
-
-def _assert_matches_reference(index, family, metric, queries, k) -> None:
-    results = index.search(queries, k)   # (self-trains a reloaded IVF/PQ)
-    widths = set()
+def _assert_matches_reference(index, metric, queries, k) -> None:
+    results = index.search(queries, k)
+    position = {int(stored_id): row_of
+                for row_of, stored_id in enumerate(index._ids)}
     for row, result in enumerate(results):
-        rows, scores = _reference_candidates(index, family, metric, queries[row])
+        scores = _reference_scores(metric, queries[row][None, :],
+                                   index._vectors)[0]
         keys = -scores if index.metric.higher_is_better else scores
         best = np.argsort(keys, kind="stable")[:k]
         np.testing.assert_array_equal(result.scores, scores[best],
                                       err_msg=f"row {row}")
-        # ids are pinned through their scores, which tolerates PQ's exact
-        # ties (two vectors with equal codes) whichever way they break
-        position = {int(index._ids[r]): i for i, r in enumerate(rows)}
+        # ids are pinned through their scores, which tolerates exact ties
+        # whichever way they break
         np.testing.assert_array_equal(
             scores[[position[int(i)] for i in result.ids]], result.scores)
         assert len(set(result.ids.tolist())) == len(result)
-        widths.add(len(result))
-    if len(widths) == 1:
-        scores, ids = index.search_arrays(queries, k)
-        np.testing.assert_array_equal(
-            scores, np.stack([result.scores for result in results]))
-        np.testing.assert_array_equal(
-            ids, np.stack([result.ids for result in results]))
-    else:
-        with pytest.raises(ValueError, match="uniform result lengths"):
-            index.search_arrays(queries, k)
+    scores, ids = index.search_arrays(queries, k)
+    np.testing.assert_array_equal(
+        scores, np.stack([result.scores for result in results]))
+    np.testing.assert_array_equal(
+        ids, np.stack([result.ids for result in results]))
 
 
-def _build_metric(family: str, metric: str, vectors: np.ndarray):
-    if family == "flat":
-        index = FlatIndex(dim=DIM, metric=metric)
-    elif family == "ivf":
-        # a *partial* probe: candidate rows are gathered from the
-        # prepared operand, which must equal preparing the gathered rows
-        index = IVFIndex(dim=DIM, metric=metric, n_lists=4, nprobe=2)
-    else:
-        index = PQIndex(dim=DIM, m=4, n_centroids=16)
-    index.add(vectors)
-    if family != "flat":
-        index.train()
-    return index
-
-
-#: PQ scores asymmetric L2 distances only
-FAMILY_METRICS = [(family, metric) for family in ("flat", "ivf")
-                  for metric in ("cosine", "ip", "l2")] + [("pq", "l2")]
+FAMILY_METRICS = [(family, metric) for family in FAMILIES
+                  for metric in ("cosine", "ip", "l2")]
 REFERENCE_BATCHES = [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1, 33]
 
 
 @pytest.mark.parametrize("family,metric", FAMILY_METRICS)
 def test_prepared_operand_matches_per_call_formula(family, metric):
     rng = derive_rng("vectorstore-stress", "operand", family, metric)
-    index = _build_metric(family, metric, rng.normal(size=(40, DIM)))
+    index = _build(rng.normal(size=(40, DIM)), metric)
     batches = [rng.normal(size=(size, DIM)) for size in REFERENCE_BATCHES]
 
     def check(candidate):
         for queries in batches:
             for k in (1, 3, len(candidate) + 2):
-                _assert_matches_reference(candidate, family, metric, queries, k)
+                _assert_matches_reference(candidate, metric, queries, k)
 
     check(index)
     # interleaved adds: the operand may never lag the stored vectors
@@ -245,11 +187,6 @@ def test_prepared_operand_matches_per_call_formula(family, metric):
     check(unpickled)
     np.testing.assert_array_equal(unpickled.search_arrays(batches[-1], 3)[0],
                                   index.search_arrays(batches[-1], 3)[0])
-    if family != "pq":   # dump_index covers the flat and IVF families
-        payload = dump_index(index)
-        assert set(json.loads(payload)) <= {
-            "kind", "dim", "metric", "ids", "vectors", "n_lists", "nprobe"}
-        check(load_index(payload))
 
 
 def test_matmul_padding_block_matches_vstack_padding():
@@ -261,7 +198,7 @@ def test_matmul_padding_block_matches_vstack_padding():
         np.testing.assert_array_equal(
             batch_invariant_matmul(queries, stored.T),
             _reference_matmul(queries, stored.T))
-        # a non-contiguous query view (PQ's per-sub-space slices)
+        # a non-contiguous query view
         np.testing.assert_array_equal(
             batch_invariant_matmul(queries[:, 4:12], stored[:, 4:12].T),
             _reference_matmul(queries[:, 4:12], stored[:, 4:12].T))
