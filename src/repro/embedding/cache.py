@@ -217,6 +217,11 @@ class CachedEmbedder:
         return vec
 
 
+#: LRU bound of the process-wide embedder (~6 KB a vector, ~50 MB full):
+#: `repro serve` lives on it and every request brings new texts.  An
+#: evicted text re-encodes to bitwise the same vector.
+SHARED_MAX_ENTRIES = 8192
+
 _SHARED: CachedEmbedder | None = None
 
 
@@ -224,5 +229,5 @@ def shared_embedder() -> CachedEmbedder:
     """Process-wide cached embedder (the default for agents/pipelines)."""
     global _SHARED
     if _SHARED is None:
-        _SHARED = CachedEmbedder()
+        _SHARED = CachedEmbedder(max_entries=SHARED_MAX_ENTRIES)
     return _SHARED

@@ -26,7 +26,11 @@ from repro.utils.hashing import stable_hash64
 #: Feature key: ``(family, feature)``, e.g. ``("token", "weather")``.
 FeatureKey = tuple[str, str]
 
-_INITIAL_CAPACITY = 256
+#: Rows reserved up front: address space, not memory — ``np.empty`` pages
+#: become resident as rows are written.  Doubling copies every row under
+#: the bank lock; a two-suite build is ~6k rows and a served request adds
+#: ~2 bigrams, so this defers the first copy to about request 5 000.
+_INITIAL_CAPACITY = 16384
 
 
 class DirectionBank:

@@ -182,7 +182,7 @@ def argument_success_probability(
         + calibration.arg_distractor_penalty * max(0.0, distractor_similarity)
     )
     probability = 1.0 - (1.0 - arg_quality) * difficulty
-    return float(np.clip(probability, 0.02, 0.995))
+    return min(max(probability, 0.02), 0.995)
 
 
 def error_signal_probability(
@@ -193,10 +193,9 @@ def error_signal_probability(
 ) -> float:
     """P(the model gives up and signals failure instead of calling)."""
     skill = effective_skill(model, quant)
-    return float(np.clip(
-        calibration.error_signal_base * (1.0 - skill) * (1.0 + 2.0 * pressure),
-        0.0, 0.35,
-    ))
+    probability = (calibration.error_signal_base * (1.0 - skill)
+                   * (1.0 + 2.0 * pressure))
+    return min(max(probability, 0.0), 0.35)
 
 
 def completion_tokens(

@@ -56,8 +56,48 @@ _WORD_TOKENIZER = Tokenizer(remove_stopwords=False, apply_stem=False)
 #: Entries kept by :meth:`SimulatedLLM._similarities`.  An episode uses
 #: one to three presented sets and a gateway runs at most a few dozen
 #: episodes at once, so this covers every live episode with room for
-#: repeated queries; at ~1 KB an entry the memo stays under 300 KB.
+#: repeated queries; at ~3 KB an entry the memo stays under 1 MB.
 _SIMILARITY_MEMO_ENTRIES = 256
+
+
+class PresentedView(np.ndarray):
+    """One query's similarity to each presented tool — the read-only
+    vector :meth:`SimulatedLLM._similarities` answers with, hence a
+    subclass — plus what a turn reads off it, as plain Python values.
+    Only :meth:`of` fills them in: a slice or a copy carries ``None``.
+    """
+
+    values: tuple[float, ...] | None = None   #: the vector as floats, per row
+    names: tuple[str, ...] | None = None      #: presented tool names, per row
+    order: tuple[int, ...] | None = None      #: rows by descending similarity
+    first_row: dict[str, int] | None = None   #: first row carrying each name
+
+    @classmethod
+    def of(cls, sims: np.ndarray, names: tuple[str, ...]) -> "PresentedView":
+        sims.flags.writeable = False
+        view = sims.view(cls)
+        view.values = tuple(sims.tolist())
+        view.names = names
+        view.order = tuple(sorted(range(len(names)), reverse=True,
+                                  key=view.values.__getitem__))
+        view.first_row = {names[row]: row for row in reversed(range(len(names)))}
+        return view
+
+    def distractor_similarity(self, gold: str) -> tuple[float, bool]:
+        """Mean of the (up to) three highest similarities among rows not
+        named ``gold``, and whether there is such a row.  Added left to
+        right, bit for bit ``np.mean(np.sort(x)[::-1][:3])``; ``sum()``
+        is compensated from Python 3.12 on and differs in the last ulp.
+        """
+        names, values = self.names, self.values
+        total, count = 0.0, 0
+        for row in self.order:
+            if names[row] != gold:
+                total = total + values[row] if count else values[row]
+                count += 1
+                if count == 3:
+                    break
+        return (total / count, True) if count else (0.0, False)
 
 
 @dataclass
@@ -69,8 +109,8 @@ class SimulatedLLM:
     embedder: CachedEmbedder = field(default_factory=shared_embedder)
     calibration: BehaviorCalibration = DEFAULT_CALIBRATION
     root_seed: int = DEFAULT_ROOT_SEED
-    #: (projection generation, query text, presented descriptions) ->
-    #: query-vs-description similarity vector; see :meth:`_similarities`
+    #: (projection generation, query text, presented names, presented
+    #: descriptions) -> :class:`PresentedView`; see :meth:`_similarities`
     _similarity_memo: dict = field(default_factory=dict, init=False,
                                    repr=False, compare=False)
     _similarity_lock: threading.Lock = field(default_factory=threading.Lock,
@@ -224,8 +264,11 @@ class SimulatedLLM:
 
         plan = plan_agent_prompt(query.text, presented_tools, context_window,
                                  step_index=step_index)
-        included_names = set(plan.tools_included)
-        included = [tool for tool in presented_tools if tool.name in included_names]
+        included = presented_tools
+        if plan.tools_truncated:
+            included_names = set(plan.tools_included)
+            included = [tool for tool in presented_tools
+                        if tool.name in included_names]
         pressure = context_pressure(plan.prompt_tokens, context_window)
         usage = self._turn_usage(plan.prompt_tokens, step_index, len(included),
                                  gold_call, rng)
@@ -236,20 +279,17 @@ class SimulatedLLM:
             return AgentTurn(call=None, usage=usage, signalled_error=True,
                              tools_seen=plan.tools_included)
 
-        # everything similarity-shaped below is a mask or an index on the
-        # one query-vs-presented-tools vector this episode already has
-        sims = self._similarities(query.text, included)
-        is_gold = np.array([tool.name == gold_call.tool for tool in included],
-                           dtype=bool)
-        distractor_rows = np.flatnonzero(~is_gold)
-        distractor_sims = sims[distractor_rows]
+        # everything similarity-shaped below is read off the one view of
+        # the query-vs-presented-tools vector this episode already has
+        view = self._similarities(query.text, included)
         # mean query-similarity of the 3 closest non-gold presented tools
-        distractor_sim = (float(np.mean(np.sort(distractor_sims)[::-1][:3]))
-                          if distractor_rows.size else 0.0)
-        if is_gold.any():
+        distractor_sim, has_distractor = view.distractor_similarity(
+            gold_call.tool)
+        gold_row = view.first_row.get(gold_call.tool)
+        if gold_row is not None:
             logit = behavior.selection_logit(
                 self.model, self.quant, len(included), distractor_sim, pressure,
-                gold_similarity=float(sims[np.argmax(is_gold)]),
+                gold_similarity=view.values[gold_row],
                 step_index=step_index if query.sequential else 0,
                 sequential=query.sequential,
                 skill_multiplier=skill_multiplier,
@@ -265,11 +305,15 @@ class SimulatedLLM:
             return AgentTurn(call=call, usage=usage, correct_tool=True,
                              tools_seen=plan.tools_included)
 
-        if not distractor_rows.size:
+        if not has_distractor:
             # nothing plausible to call: behave like an error signal
             return AgentTurn(call=None, usage=usage, signalled_error=True,
                              tools_seen=plan.tools_included)
         # a wrong tool, biased towards the most query-similar ones
+        is_gold = np.array([name == gold_call.tool for name in view.names],
+                           dtype=bool)
+        distractor_rows = np.flatnonzero(~is_gold)
+        distractor_sims = np.asarray(view)[distractor_rows]
         weights = np.exp((distractor_sims - distractor_sims.max()) / 0.08)
         weights /= weights.sum()
         distractor = included[distractor_rows[
@@ -295,33 +339,35 @@ class SimulatedLLM:
                           kv_cached_tokens=kv_cached)
 
     def _similarities(self, query_text: str,
-                      included: list[ToolSpec]) -> np.ndarray:
+                      included: list[ToolSpec]) -> PresentedView:
         """Query-vs-description dot products, one per tool in ``included``.
 
-        A pure function of the query text, the presented descriptions
-        and the embedder's projection, so every step and retry of an
-        episode — which present the same tools — shares one batched
-        encode and one matvec.  Keyed on the description *texts*: catalog
-        variants of one tool name never share an entry, and a reseeded
-        projection (another LLM may share the embedder) starts over.
-        The memo is bounded (oldest entry out) and lock-protected, since
-        a gateway runs episodes on one LLM from several threads; the
-        returned vector is shared and read-only.
+        A pure function of the query text, the presented tools and the
+        embedder's projection, so every step and retry of an episode —
+        which present the same tools — shares one batched encode, one
+        matvec and one :class:`PresentedView` of the result.  Keyed on
+        the names and the description *texts*: a renamed tool never reads
+        another set's rows, catalog variants of one tool name never share
+        an entry, and a reseeded projection (another LLM may share the
+        embedder) starts over.  The memo is bounded (oldest entry out)
+        and lock-protected, since a gateway runs episodes on one LLM from
+        several threads; the returned view is shared and read-only.
         """
-        descriptions = tuple(tool.description for tool in included)
-        key = (self.embedder.projection_generation, query_text, descriptions)
+        names = tuple([tool.name for tool in included])
+        descriptions = tuple([tool.description for tool in included])
+        key = (self.embedder.projection_generation, query_text, names,
+               descriptions)
         with self._similarity_lock:
-            sims = self._similarity_memo.get(key)
-        if sims is None:
+            view = self._similarity_memo.get(key)
+        if view is None:
             vectors = self.embedder.encode((query_text,) + descriptions)
-            sims = vectors[1:] @ vectors[0]
-            sims.flags.writeable = False
+            view = PresentedView.of(vectors[1:] @ vectors[0], names)
             with self._similarity_lock:
                 memo = self._similarity_memo
-                memo[key] = sims
+                memo[key] = view
                 if len(memo) > _SIMILARITY_MEMO_ENTRIES:
                     del memo[next(iter(memo))]
-        return sims
+        return view
 
     def _format_gold_call(self, gold_call: ToolCall, pressure: float,
                           distractor_sim: float, arg_multiplier: float,

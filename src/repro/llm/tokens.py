@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from repro.tools.schema import ToolSpec
 
@@ -33,8 +35,8 @@ def tool_prompt_tokens(tool: ToolSpec) -> int:
     Real chat templates pretty-print tool JSON with indentation and add
     per-tool role glue; the +48 overhead makes the 51-tool BFCL pool
     genuinely require a 16K window, as the paper's setup does.  Cached
-    per spec (specs are frozen): prompt layout recomputes this for every
-    presented tool on every turn.
+    per spec (specs are frozen): prompt layout and the cost ledger sum
+    it over every presented set.
     """
     return estimate_tokens(tool.json_text()) + 48
 
@@ -62,6 +64,17 @@ class PromptPlan:
                 + self.history_tokens)
 
 
+@lru_cache(maxsize=256)
+def _tool_layout(tools: tuple[ToolSpec, ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Names and running prompt-token totals of one presented tool tuple:
+    the only O(n_tools) part of a layout, and a function of the tools
+    alone, so the steps and retries of an episode share it.  Sized like
+    the similarity memo: the presented sets of the live episodes.
+    """
+    return (tuple(tool.name for tool in tools),
+            tuple(accumulate(tool_prompt_tokens(tool) for tool in tools)))
+
+
 def plan_agent_prompt(
     query_text: str,
     tools: list[ToolSpec],
@@ -69,50 +82,23 @@ def plan_agent_prompt(
     step_index: int = 0,
     generation_reserve: int = 1024,
 ) -> PromptPlan:
-    """Lay out an agent prompt, truncating tools that overflow the window.
-
-    The layout is a pure function of its inputs and is recomputed for
-    every turn (including within-step retries on the same tool set), so
-    the result is memoized — a serving workload lays out the same
-    (query, tools, window) combination many times.
-    """
-    return _plan_agent_prompt_cached(query_text, tuple(tools), context_window,
-                                     step_index, generation_reserve)
-
-
-@lru_cache(maxsize=8192)
-def _plan_agent_prompt_cached(
-    query_text: str,
-    tools: tuple[ToolSpec, ...],
-    context_window: int,
-    step_index: int,
-    generation_reserve: int,
-) -> PromptPlan:
+    """Lay out an agent prompt, truncating tools that overflow the window."""
     query_tokens = estimate_tokens(query_text)
     history_tokens = HISTORY_TOKENS_PER_STEP * step_index
     budget = (context_window - generation_reserve - AGENT_SYSTEM_TOKENS
               - query_tokens - history_tokens)
-    included: list[str] = []
-    truncated: list[str] = []
-    tool_tokens = 0
-    overflowed = False
-    for tool in tools:
-        cost = tool_prompt_tokens(tool)
-        if not overflowed and tool_tokens + cost <= budget:
-            tool_tokens += cost
-            included.append(tool.name)
-        else:
-            # tools are serialized in order: the first overflow cuts off
-            # everything after it (suffix truncation, like a real template)
-            overflowed = True
-            truncated.append(tool.name)
+    names, totals = _tool_layout(tuple(tools))
+    # tools are serialized in order: the first overflow cuts off
+    # everything after it (suffix truncation, like a real template), so
+    # the included prefix ends where the running total passes the budget
+    n_included = bisect_right(totals, budget)
     return PromptPlan(
         system_tokens=AGENT_SYSTEM_TOKENS,
-        tool_tokens=tool_tokens,
+        tool_tokens=totals[n_included - 1] if n_included else 0,
         query_tokens=query_tokens,
         history_tokens=history_tokens,
-        tools_included=tuple(included),
-        tools_truncated=tuple(truncated),
+        tools_included=names[:n_included],
+        tools_truncated=names[n_included:],
     )
 
 

@@ -1,10 +1,13 @@
 """Tests for the vectorized embedding engine: batched-vs-sequential
 equivalence, the direction bank, and the batch-aware cache."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.embedding import DirectionBank, SentenceEmbedder
+from repro.embedding import directions as directions_module
 from repro.embedding.cache import CachedEmbedder
 from repro.suites import load_suite
 
@@ -100,8 +103,46 @@ class TestDirectionCache:
 
     def test_bank_directions_are_unit_norm(self):
         bank = DirectionBank(dim=32, namespace="t")
-        bank.intern([("token", str(i)) for i in range(300)])  # force growth
+        bank.intern([("token", str(i)) for i in range(300)])
         np.testing.assert_allclose(np.linalg.norm(bank.matrix, axis=1), 1.0)
+
+    def test_interning_past_the_first_batch_copies_no_earlier_row(self):
+        """A served process interns a catalog-sized first batch, then a
+        couple of new bigram rows per request: inside the reservation
+        that must never reallocate (the copy ran under the bank lock, in
+        the request path)."""
+        bank = DirectionBank(dim=8, namespace="t")
+        bank.intern([("token", str(i)) for i in range(6000)])
+        before = bank.matrix
+        snapshot = before.copy()
+        address = before.__array_interface__["data"][0]
+        for start in range(6000, 9000, 2):    # two rows a request
+            bank.intern([("bigram", f"{start} a"), ("bigram", f"{start} b")])
+        assert len(bank) == 9000
+        assert bank.matrix.__array_interface__["data"][0] == address
+        assert np.shares_memory(before, bank.matrix)
+        np.testing.assert_array_equal(before, snapshot)
+        np.testing.assert_array_equal(bank.matrix[:6000], snapshot)
+
+    def test_growth_past_the_reservation_keeps_every_row(self, monkeypatch):
+        monkeypatch.setattr(directions_module, "_INITIAL_CAPACITY", 4)
+        bank = DirectionBank(dim=16, namespace="t")
+        keys = [("token", str(i)) for i in range(37)]
+        for key in keys:                      # one row at a time: 4 doublings
+            bank.intern([key])
+        fresh = DirectionBank(dim=16, namespace="t")
+        fresh.intern(keys)
+        np.testing.assert_array_equal(bank.matrix, fresh.matrix)
+
+    def test_pickle_ships_keys_not_the_reservation(self):
+        bank = DirectionBank(dim=16, namespace="t")
+        bank.intern([("token", str(i)) for i in range(50)])
+        assert "_storage" not in bank.__getstate__()
+        payload = pickle.dumps(bank)
+        assert len(payload) < 50 * 16 * 8     # smaller than the 50 rows alone
+        clone = pickle.loads(payload)
+        np.testing.assert_array_equal(clone.matrix, bank.matrix)
+        assert clone.intern([("token", "new")]) == [50]
 
 
 class TestCachedEmbedderBatch:

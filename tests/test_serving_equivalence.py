@@ -17,7 +17,9 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import open_session
 from repro.core.episode import EpisodeResult
+from repro.embedding import cache as cache_module
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.serving import Gateway, SessionManager
@@ -127,6 +129,44 @@ def test_gateway_starts_and_serves_under_any_default_scheme(scheme):
             return await gateway.submit("t", suite.queries[0])
 
     assert asyncio.run(serve_one()).episode == reference.run(suite.queries[0])
+
+
+def test_serve_keeps_the_shared_embedder_bounded(monkeypatch):
+    """``Session.serve()`` runs on the process-wide embedder for the
+    life of the process, and every request brings a new query text and
+    new paraphrased recommendations: the cache must stay under its LRU
+    bound.  Evicted texts (tool descriptions included, at this size)
+    re-encode to the same bits, so the episodes do not move."""
+    bound = 48
+    monkeypatch.setattr(cache_module, "SHARED_MAX_ENTRIES", bound)
+    monkeypatch.setattr(cache_module, "_SHARED", None)
+    suite = load_suite("edgehome", n_queries=96)
+    assert len({query.text for query in suite.queries}) > bound
+    reference = {
+        episode.qid: episode
+        for episode in ExperimentRunner(suite, embedder=CachedEmbedder())
+        .run("lis-k3", MODEL, QUANT).episodes
+    }
+    session = open_session(suite=suite)
+    assert session.embedder is cache_module.shared_embedder()
+    sizes = []
+
+    async def serve_all():
+        async with session.serve(ServingSpec(max_batch_size=8)) as gateway:
+            responses = []
+            for start in range(0, len(suite.queries), 16):
+                responses += await asyncio.gather(*(
+                    gateway.submit(suite.name, query)
+                    for query in suite.queries[start:start + 16]))
+                sizes.append(len(session.embedder))
+        return responses
+
+    responses = asyncio.run(serve_all())
+    assert max(sizes) <= bound
+    assert session.embedder.cache_info()["evictions"] > len(suite.queries)
+    assert len(responses) == len(reference)
+    for response in responses:
+        assert response.episode == reference[response.episode.qid]
 
 
 def test_http_call_equals_sequential_runner(suite):
