@@ -99,7 +99,7 @@ loc:
 ## `make loc`, failing when the src/repro total exceeds LOC_CEILING (the
 ## total of the last PR that moved it): growth is a visible one-line edit
 ## here in the PR that causes it
-LOC_CEILING := 16862
+LOC_CEILING := 16820
 loc-check: loc
 	@if [ $(LOC_TOTAL) -gt $(LOC_CEILING) ]; then \
 		echo "src/repro is over LOC_CEILING=$(LOC_CEILING)"; exit 1; \

@@ -7,11 +7,10 @@ the committed day-long grid-intensity trace
 (``benchmarks/data/grid_intensity_day.csv``).  Between waves the budget
 controller ticks against a simulated clock walking through the day:
 over-budget windows step the tenant down the degradation ladder
-(full -> compressed -> minimal -> reduced-k -> shed), and the evening
-carbon peak steps the simulated Jetson down a power mode
-(MAXN -> 30W).  Both effects are visible in the per-wave status lines
-— and every served episode stays bitwise identical to running the same
-query uncontrolled at that rung.
+(full -> reduced-k -> shed), and the evening carbon peak steps the
+simulated Jetson down a power mode (MAXN -> 30W).  Both effects are
+visible in the per-wave status lines — and every served episode stays
+bitwise identical to running the same query uncontrolled at that rung.
 
 Run:  PYTHONPATH=src python examples/carbon_demo.py
 (set REPRO_EXAMPLE_QUERIES to bound the wave size, e.g. in CI)

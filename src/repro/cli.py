@@ -338,10 +338,10 @@ def cmd_carbon(args: argparse.Namespace) -> int:
     budget — and print the energy/carbon ledger of both.
 
     Requests go through the gateway in waves of ``--window`` with one
-    controller tick between waves, so the descent down the ladder is
-    deterministic and visible.  With no explicit ``--budget`` the cap
-    self-calibrates to ``--budget-fraction`` of the uncontrolled mean,
-    so the command always demonstrates the controller controlling.
+    controller tick between waves, so the descent down the ladder (full
+    → reduced-k → shed) is deterministic.  With no explicit ``--budget``
+    the cap self-calibrates to ``--budget-fraction`` of the uncontrolled
+    mean, so the command always demonstrates the controller controlling.
     """
     import asyncio
     import time

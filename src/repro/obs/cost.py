@@ -5,15 +5,15 @@ The paper's thesis is that *smaller prompts win on the edge* — the
 of a static catalog ratio.  For every served request it records:
 
 * ``tool_prompt_tokens`` — the prompt weight of the tools the plan
-  selected (via the same cached estimator catalogs use), which is the
-  quantity catalog-variant degradation actually shrinks;
+  selected (via the same cached estimator catalogs use), which is what
+  the ladder's reduced-``k`` rung and a terser catalog variant shrink;
 * ``prompt_tokens`` / ``completion_tokens`` / ``llm_calls`` — the
   episode's own LLM traffic.
 
 Entries are keyed by tenant **and** the tenant's catalog variant at
-execution time, so a degradation downshift (``full`` → ``compressed`` →
-``minimal``) shows up as a drop in mean tool tokens per request in the
-``by_variant`` breakdown — the "less is more" savings, quantified.
+execution time, so an operator's hot-swap to a terser variant (``full``
+→ ``compressed`` → ``minimal``; variants are not ladder rungs) shows up
+in the ``by_variant`` breakdown's mean tool tokens per request.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class CostLedger:
 
         ``by_tenant`` holds each tenant's lifetime totals plus a
         ``by_variant`` breakdown — comparing ``mean_tool_prompt_tokens``
-        across variants is the degradation-savings readout.
+        across variants is the description-variant savings readout.
         """
         with self._lock:
             tenants = {tenant: bucket.to_dict()

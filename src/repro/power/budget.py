@@ -78,10 +78,8 @@ class BudgetController:
         arbiter = self.gateway.ladder
         tenants = {}
         for tenant in self.gateway.sessions.tenant_names:
-            ladder = arbiter.ladder(tenant)
-            desired = arbiter.desired_index(self.SOURCE, tenant)
             tenants[tenant] = {
-                "desired_rung": ladder[min(desired, len(ladder) - 1)],
+                "desired_rung": arbiter.desired_rung(self.SOURCE, tenant),
                 "effective_rung": arbiter.rung(tenant),
                 "rung_source": arbiter.rung_source(tenant),
             }
@@ -110,14 +108,12 @@ class BudgetController:
     async def run(self) -> None:
         """Poll-and-tick loop; cancelled by ``Gateway.stop``.
 
-        Ticks run on a worker thread for the same reason the pressure
-        controller's do: a variant downshift re-indexes Search Levels
-        and must not stall the event loop's admissions.
+        Ticks run on the event loop, like the pressure controller's: a
+        rung move writes the state ``submit`` reads there.
         """
-        loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.spec.interval_s)
-            await loop.run_in_executor(None, self.tick)
+            self.tick()
 
     # ------------------------------------------------------------------
     # power-mode ladder
@@ -156,10 +152,8 @@ class BudgetController:
     # ------------------------------------------------------------------
     def _tick_tenant(self, tenant: str) -> None:
         spec = self.spec
-        arbiter = self.gateway.ladder
-        ladder = arbiter.ladder(tenant)
-        desired = arbiter.desired_index(self.SOURCE, tenant)
-        if ladder[min(desired, len(ladder) - 1)] == "shed":
+        desired = self.gateway.ladder.desired_rung(self.SOURCE, tenant)
+        if desired == "shed":
             # a shed tenant generates no fresh evidence: probation —
             # after recovery_ticks quiet ticks, try one rung up
             streak = self._shed_streak.get(tenant, 0) + 1
@@ -191,7 +185,7 @@ class BudgetController:
         if over:
             self._tenant_clear_streak[tenant] = 0
             self._step(tenant, +1)
-        elif under and desired > 0:
+        elif under and desired != "full":
             streak = self._tenant_clear_streak.get(tenant, 0) + 1
             if streak >= spec.recovery_ticks:
                 self._tenant_clear_streak[tenant] = 0

@@ -6,15 +6,17 @@ controller: watch queue depth and tail latency through the gateway's
 high, step every tenant down a ladder of progressively cheaper serving
 configurations —
 
-``full`` → ``compressed`` catalog → ``minimal`` catalog → reduced-``k``
-scheme → ``shed``
+``full`` → reduced-``k`` scheme → ``shed``
 
 — then climb back up one rung at a time once pressure clears.  The
-catalog rungs reuse :meth:`~repro.serving.gateway.Gateway.update_catalog`
-(hot-swap, plan-cache invalidation and warm-before-swap included); the
 reduced-``k`` rung reroutes default traffic through a cheaper scheme
-cell; the last rung sheds the tenant at admission.  Every transition is
-counted in telemetry (``degrade_transitions``).
+cell (fewer tools presented — the paper's lever); the last rung sheds
+the tenant at admission.  Each rung down costs strictly fewer joules
+and tool tokens per request on all four suites, pinned per rung in
+``tests/test_serving_degrade.py``.  Catalog description variants
+failed that law as rungs and are an offline catalog feature only — no
+controller ever swaps a tenant's catalog.  Every transition is counted
+in telemetry (``degrade_transitions``).
 
 Two controllers can drive the same ladder: this module's queue-pressure
 :class:`DegradationController` and the carbon/power
@@ -38,10 +40,8 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 
-#: the ladder, cheapest-last; per-tenant ladders may skip the catalog
-#: rungs when the tenant's catalog is not the ``full`` variant (variants
-#: derive from full descriptions only)
-RUNGS = ("full", "compressed", "minimal", "reduced-k", "shed")
+#: the ladder, cheapest-last, the same for every tenant
+RUNGS = ("full", "reduced-k", "shed")
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,11 @@ class LadderArbiter:
 
     Each controller steps its own *desired* ladder index per tenant under
     a stable source name; the arbiter applies ``max`` over sources as the
-    tenant's effective rung, walking one rung at a time so cumulative
-    rung side effects (catalog swaps, scheme overrides, shedding) stay
-    exactly the single-step sequence a lone controller would produce.
+    tenant's effective rung, walking one rung at a time so the recorded
+    transitions are exactly the single-step sequence a lone controller
+    would produce.  A rung's side effects are a function of the rung
+    alone (scheme override from ``reduced-k`` down, shedding at
+    ``shed``).  Not thread-safe: every caller runs on the event loop.
     Telemetry records one ``degrade_transitions`` entry per effective
     rung moved — a controller whose desire is already dominated by
     another source moves nothing and records nothing.
@@ -117,37 +119,17 @@ class LadderArbiter:
         self.reduced_k_scheme = reduced_k_scheme
         self._desired: dict[str, dict[str, int]] = {}  # source -> tenant -> idx
         self._applied: dict[str, int] = {}             # tenant -> effective idx
-        self._ladders: dict[str, tuple[str, ...]] = {}
-        self._base_catalogs: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def ladder(self, tenant: str) -> tuple[str, ...]:
-        """The tenant's ladder, built lazily from its catalog variant."""
-        ladder = self._ladders.get(tenant)
-        if ladder is None:
-            catalog = self.gateway.sessions.get(tenant).suite.catalog
-            if getattr(catalog, "variant", None) == "full":
-                self._base_catalogs[tenant] = catalog
-                ladder = RUNGS
-            else:
-                # variants derive from full descriptions only; skip the
-                # catalog rungs for a tenant already serving a variant
-                ladder = (RUNGS[0], "reduced-k", "shed")
-            self._ladders[tenant] = ladder
-        return ladder
-
     def rung(self, tenant: str) -> str:
         """The tenant's effective rung name (``"full"`` when undegraded)."""
-        ladder = self._ladders.get(tenant)
-        if ladder is None:
-            return RUNGS[0]
-        return ladder[self._applied.get(tenant, 0)]
+        return RUNGS[self._applied.get(tenant, 0)]
 
-    def desired_index(self, source: str, tenant: str) -> int:
-        """``source``'s current desired ladder index for ``tenant``."""
-        return self._desired.get(source, {}).get(tenant, 0)
+    def desired_rung(self, source: str, tenant: str) -> str:
+        """``source``'s current desired rung name for ``tenant``."""
+        return RUNGS[self._desired.get(source, {}).get(tenant, 0)]
 
     def rung_source(self, tenant: str) -> str:
         """Which source(s) pin the tenant at its effective rung.
@@ -172,15 +154,14 @@ class LadderArbiter:
         Returns the source's new desired rung name, or ``None`` when the
         desire was already clamped at the ladder edge (no change).
         """
-        ladder = self.ladder(tenant)
         desires = self._desired.setdefault(source, {})
         old = desires.get(tenant, 0)
-        new = min(max(old + direction, 0), len(ladder) - 1)
+        new = min(max(old + direction, 0), len(RUNGS) - 1)
         if new == old:
             return None
         desires[tenant] = new
         self._apply(tenant)
-        return ladder[new]
+        return RUNGS[new]
 
     def release(self, source: str, tenant: str) -> None:
         """Drop ``source``'s desire back to the top rung."""
@@ -190,57 +171,44 @@ class LadderArbiter:
             self._apply(tenant)
 
     def forget(self, tenant: str) -> None:
-        """Drop a removed tenant's desires, rung, ladder and base catalog
-        (no side effects, no telemetry): a later tenant of the same name
-        starts at ``full`` with a ladder built from its own catalog."""
-        for table in (*self._desired.values(), self._applied, self._ladders,
-                      self._base_catalogs):
+        """Drop a removed tenant's desires and rung (no side effects, no
+        telemetry): a later tenant of the same name starts at ``full``."""
+        for table in (*self._desired.values(), self._applied):
             table.pop(tenant, None)
 
     def _apply(self, tenant: str) -> None:
-        ladder = self.ladder(tenant)
         target = max((desires.get(tenant, 0)
                       for desires in self._desired.values()), default=0)
-        target = min(target, len(ladder) - 1)
         old = self._applied.get(tenant, 0)
         tracer = getattr(self.gateway, "tracer", None)
         while old != target:
             new = old + (1 if target > old else -1)
-            self._enter(tenant, ladder, old, new)
+            self._enter(tenant, new)
             self._applied[tenant] = new
             direction_name = "down" if new > old else "up"
             self.gateway.telemetry.record_degradation(
-                tenant, ladder[new], direction_name)
+                tenant, RUNGS[new], direction_name)
             if tracer is not None:
                 # control-plane transition: not owned by any one request,
                 # so it lands as a standalone marker span
                 tracer.marker("degrade", {"tenant": tenant,
-                                          "rung": ladder[new],
-                                          "from_rung": ladder[old],
+                                          "rung": RUNGS[new],
+                                          "from_rung": RUNGS[old],
                                           "direction": direction_name})
             old = new
 
-    def _enter(self, tenant: str, ladder: tuple[str, ...],
-               old: int, new: int) -> None:
-        """Apply the side effects of moving ``tenant`` from rung to rung."""
+    def _enter(self, tenant: str, index: int) -> None:
+        """Put the gateway in rung ``index``'s state for ``tenant``: the
+        scheme override from ``reduced-k`` down, shedding at ``shed``."""
         gateway = self.gateway
-        if ladder[old] == "shed":
-            gateway.unshed_tenant(tenant)
-        if ladder[old] == "reduced-k" and ladder[new] != "shed":
-            gateway.clear_scheme_override(tenant)
-        rung = ladder[new]
-        if rung == "shed":
-            gateway.shed_tenant(tenant)
-        elif rung == "reduced-k":
+        if index >= 1:
             gateway.set_scheme_override(tenant, self.reduced_k_scheme)
-        elif rung in ("compressed", "minimal"):
-            if ladder[old] != "reduced-k":
-                # coming up from reduced-k the catalog is already at
-                # this variant; skip the redundant (re-indexing) swap
-                base = self._base_catalogs[tenant]
-                gateway.update_catalog(tenant, base.at(rung))
-        elif rung == RUNGS[0] and "compressed" in ladder:
-            gateway.update_catalog(tenant, self._base_catalogs[tenant])
+        else:
+            gateway.clear_scheme_override(tenant)
+        if index == 2:
+            gateway.shed_tenant(tenant)
+        else:
+            gateway.unshed_tenant(tenant)
 
 
 class DegradationController:
@@ -249,9 +217,8 @@ class DegradationController:
     One controller per gateway.  All rung mutations go through the
     gateway's shared :class:`LadderArbiter` (source ``"pressure"``),
     which in turn uses only the gateway's public degradation controls
-    (``update_catalog``, ``set_scheme_override``, ``shed_tenant`` and
-    their inverses), so an operator can read the same state the
-    controller writes.
+    (``set_scheme_override``, ``shed_tenant`` and their inverses), so an
+    operator can read the same state the controller writes.
     """
 
     SOURCE = "pressure"
@@ -311,10 +278,17 @@ class DegradationController:
     async def run(self) -> None:
         """Poll-and-tick loop; cancelled by ``Gateway.stop``.
 
-        Ticks run on a worker thread (catalog-variant swaps re-index the
-        Search Levels, which must not stall the event loop's admissions).
+        Ticks run on the event loop, where ``submit`` reads the shed set
+        and scheme overrides a rung move writes.  Only the optional p95
+        reading — a telemetry snapshot, which sorts the sample ring — is
+        taken on a worker thread first.
         """
         loop = asyncio.get_running_loop()
+        telemetry = self.gateway.telemetry
         while True:
             await asyncio.sleep(self.policy.interval_s)
-            await loop.run_in_executor(None, self.tick)
+            p95_ms = None
+            if self.policy.p95_high_ms is not None:
+                snapshot = await loop.run_in_executor(None, telemetry.snapshot)
+                p95_ms = snapshot["latency_p95_ms"]
+            self.tick(p95_ms=p95_ms)

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from repro.core.episode import EpisodeResult
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
-from repro.power import EnergyMeter, build_signal
+from repro.power import BudgetController, EnergyMeter, build_signal
 from repro.registry import SERVING_BACKENDS, register_serving_backend
 from repro.serving.batcher import BatchScheduler, PendingRequest
+from repro.serving.degrade import DegradationController, LadderArbiter
 from repro.serving.faults import InjectedFaultError, as_injector
 from repro.serving.session import SessionManager
 from repro.serving.telemetry import Telemetry
@@ -130,6 +131,12 @@ class _PlanCache:
         with self._lock:
             return len(self._entries)
 
+    def forget(self, tenant: str) -> None:
+        """Drop every plan cached under ``tenant`` (a removed name)."""
+        with self._lock:
+            for key in [key for key in self._entries if key[0] == tenant]:
+                del self._entries[key]
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -194,9 +201,9 @@ class Gateway:
         self._process_stage = None
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
-        # degradation state, written by the DegradationController (or an
-        # operator) and read by submit(); plain attribute swaps are
-        # atomic under the GIL and submit() runs on the event loop only
+        # degradation state, written by the LadderArbiter (or an
+        # operator) and read by submit(); event-loop-only, like submit()
+        # and both controllers' ticks
         self._shed_tenants: frozenset[str] = frozenset()
         self._scheme_overrides: dict[str, str] = {}
         # per-(tenant, qid) repeat counter backing the deterministic
@@ -205,9 +212,8 @@ class Gateway:
         self._degradation_policy = degradation
         self.degradation = None  # controller, built in start() when enabled
         self._degradation_task: asyncio.Task | None = None
-        # the shared rung arbiter both controllers write through; built
-        # lazily so gateways that never degrade pay nothing
-        self._ladder = None
+        # the shared rung arbiter both controllers write through
+        self.ladder = LadderArbiter(self)
         # carbon/power accounting: the meter is always on (attribution
         # is cheap and read-only); the BudgetController only runs when a
         # BudgetSpec is configured
@@ -244,15 +250,11 @@ class Gateway:
             self._process_stage.start(self.sessions.runners())
         await self.scheduler.start()
         if self._degradation_policy is not None:
-            from repro.serving.degrade import DegradationController
-
             self.degradation = DegradationController(
                 self, self._degradation_policy)
             self._degradation_task = asyncio.get_running_loop().create_task(
                 self.degradation.run(), name="degradation-controller")
         if self.config.budget is not None:
-            from repro.power import BudgetController
-
             self.budget = BudgetController(
                 self, self.config.budget, meter=self.power_meter)
             self._budget_task = asyncio.get_running_loop().create_task(
@@ -422,29 +424,14 @@ class Gateway:
                 health["worker_pids"] = list(worker_pids())
         return health
 
-    @property
-    def ladder(self):
-        """The shared rung arbiter the degradation controllers write through."""
-        if self._ladder is None:
-            from repro.serving.degrade import LadderArbiter
-
-            self._ladder = LadderArbiter(self)
-        return self._ladder
-
     def rung(self, tenant: str) -> str:
         """The tenant's effective degradation rung (``"full"`` at rest)."""
-        ladder = self._ladder
-        if ladder is None:
-            from repro.serving.degrade import RUNGS
-
-            return RUNGS[0]
-        return ladder.rung(tenant)
+        return self.ladder.rung(tenant)
 
     def rung_source(self, tenant: str) -> str:
         """Which controller pins the tenant's rung (``"pressure"``,
         ``"budget"``, both, or ``"none"`` at the top rung)."""
-        return "none" if self._ladder is None else (
-            self._ladder.rung_source(tenant))
+        return self.ladder.rung_source(tenant)
 
     def power_mode(self) -> str:
         """The nvpmodel mode the accounting layer costs new work under."""
@@ -532,22 +519,25 @@ class Gateway:
     def remove_tenant(self, tenant: str) -> None:
         """Deregister ``tenant`` and drop the control-plane state kept
         under its name, so a tenant re-registered as ``tenant`` starts
-        clean: not shed, no scheme override, rung ``full`` with a ladder
-        built from its own catalog, an empty energy window with no
-        budget streaks, and executed inline until the next pool respawn
-        re-primes the workers from the current runners.  Lifetime
-        counters (telemetry, cost ledger) do not reset.
+        clean: not shed, no scheme override, rung ``full``, an empty
+        energy window with no budget streaks, request repeats (trace
+        ids) from zero, no cached plans, and executed inline until the
+        next pool respawn re-primes the workers from the current
+        runners.  Lifetime counters (telemetry, cost ledger) do not reset.
         Unknown names raise
         :class:`~repro.serving.session.UnknownTenantError`.
         """
         self.sessions.deregister(tenant)
         self.unshed_tenant(tenant)
         self.clear_scheme_override(tenant)
-        if self._ladder is not None:
-            self._ladder.forget(tenant)
+        self.ladder.forget(tenant)
         self.power_meter.forget(tenant)
         if self.budget is not None:
             self.budget.forget(tenant)
+        for key in [key for key in self._request_repeats if key[0] == tenant]:
+            del self._request_repeats[key]
+        if self._plan_cache is not None:
+            self._plan_cache.forget(tenant)
         if self._process_stage is not None:
             self._process_stage.uncover(tenant)
 

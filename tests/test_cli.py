@@ -71,10 +71,9 @@ class TestCommands:
 
     def test_carbon_command_reproduces_committed_budget_scenario(self, capsys):
         """The wave-driven budget scenario is deterministic (manual
-        controller ticks, seeded energy model), so its numbers are exact:
-        these are the ``serving.budget`` values of the perf baseline
-        that was retired at c15e7b3 (see CHANGES.md, PR 16), where only
-        energy per request was guarded, at 25%."""
+        controller ticks, seeded energy model), so its numbers are exact
+        (the uncontrolled row is the ``serving.budget`` value of the perf
+        baseline retired at c15e7b3; see CHANGES.md, PRs 16 and 23)."""
         assert main(["carbon", "--requests", "96", "--window", "8"]) == 0
         lines = capsys.readouterr().out.splitlines()
         rows = [re.search(r"(\d+)/96 req at .* \| ([\d.]+) J/req", line)
@@ -87,12 +86,11 @@ class TestCommands:
         assert served[1] > 0
         # ... and the committed values (48 served means 48 shed)
         assert served == [96, 48]
-        assert j_per_req == [234.6, 210.6]
+        assert j_per_req == [234.6, 185.6]
         assert lines[1].startswith("budget 140.7 J/req:")
-        assert "23.40 mgCO2/req (10% energy saved)" in lines[1]
+        assert "20.62 mgCO2/req (21% energy saved)" in lines[1]
         assert lines[2].strip() == "ladder moves: " + str({
-            "edgehome:down:compressed": 1, "edgehome:down:minimal": 1,
-            "edgehome:down:reduced-k": 1, "edgehome:down:shed": 3,
+            "edgehome:down:reduced-k": 1, "edgehome:down:shed": 4,
             "edgehome:up:reduced-k": 3})
         assert lines[3].strip() == "power-mode moves: none"
 

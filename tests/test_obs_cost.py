@@ -1,9 +1,9 @@
-"""Cost ledger: per-tenant token accounting and the degradation readout.
+"""Cost ledger: per-tenant token accounting and the variant readout.
 
-The paper's claim made measurable: when a tenant's catalog downshifts
-(``full`` → ``compressed`` → ``minimal``), the per-request tool-token
-cost the ledger records must shrink — the ``by_variant`` breakdown is
-the "less is more" savings, quantified per served request.
+When an operator hot-swaps a tenant's catalog to the ``compressed``
+variant, the per-request tool-token cost the ledger records must shrink
+— the ``by_variant`` breakdown quantifies it per served request.  (The
+variants are an operator's tool, not degradation rungs.)
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def test_variant_downshift_shrinks_recorded_tool_tokens():
     """Hot-swapping a tenant to the compressed catalog must show up as a
     lower per-request tool-token mean in the ledger.
 
-    The ``compressed`` rung keeps the tool *selections* identical while
+    The ``compressed`` variant keeps the tool *selections* identical while
     shrinking every description, so its mean is strictly lower.  (The
-    ``minimal`` rung is deliberately not asserted here: its terser
+    ``minimal`` variant is deliberately not asserted here: its terser
     descriptions can degrade retrieval enough that a query falls back to
     a wider tool selection, and the ledger faithfully reports that the
     per-request cost went *up* — which is exactly the regression the

@@ -33,14 +33,9 @@ from repro.suites import load_suite
 COMMITTED_TRACE = (Path(__file__).resolve().parent.parent
                    / "benchmarks" / "data" / "grid_intensity_day.csv")
 
-#: how an uncontrolled gateway reproduces each ladder rung:
-#: (catalog variant, scheme override)
-RUNG_SETUPS = {
-    "full": ("full", None),
-    "compressed": ("compressed", None),
-    "minimal": ("minimal", None),
-    "reduced-k": ("minimal", "lis-k1"),
-}
+#: how an uncontrolled gateway reproduces each serving rung: the scheme
+#: override (the catalog is the same at every rung)
+RUNG_SETUPS = {"full": None, "reduced-k": "lis-k1"}
 
 
 def test_budget_policy_validation():
@@ -90,11 +85,9 @@ def test_budget_policy_validation():
 async def _run_pinned(suite, rung):
     """Serve every suite query once on a gateway pinned at ``rung``'s
     configuration; returns (episodes-by-qid, mean energy per request)."""
-    variant, scheme = RUNG_SETUPS[rung]
-    served = suite if variant == "full" else suite.with_catalog(
-        suite.catalog.at(variant))
+    scheme = RUNG_SETUPS[rung]
     sessions = SessionManager()
-    sessions.register("home", served)
+    sessions.register("home", suite)
     config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
     async with Gateway(sessions, config=config) as gateway:
         if scheme is not None:
@@ -118,16 +111,16 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
         pinned = {rung: await _run_pinned(suite, rung)
                   for rung in RUNG_SETUPS}
         means = {rung: mean for rung, (_, mean) in pinned.items()}
-        # sanity on the physics this test leans on: each rung is cheaper,
-        # and reduced-k is where the big token savings land
-        assert means["reduced-k"] < means["minimal"] < means["full"]
+        # sanity on the physics this test leans on: the rung down is
+        # cheaper (fewer tools presented, fewer prompt tokens)
+        assert means["reduced-k"] < means["full"]
 
-        # budget between minimal and reduced-k: the controller must
+        # budget between full and reduced-k: the controller must
         # descend exactly to reduced-k and hold there (the 5% headroom
         # keeps reduced-k inside the hysteresis band, not under
         # budget * recovery_margin, so it cannot climb back and flap)
         budget_j = means["reduced-k"] * 1.05
-        assert means["minimal"] > budget_j
+        assert means["full"] > budget_j
         spec = BudgetSpec(energy_budget_j=budget_j, window_requests=6,
                           settle_requests=6, recovery_ticks=2,
                           interval_ms=600_000.0)
@@ -151,24 +144,19 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
             status = gateway.budget.status()
             assert status["tenants"]["home"]["effective_rung"] == "reduced-k"
 
-        # one rung per full window, then a stable hold at reduced-k
-        assert [rung for rung, _ in waves] == [
-            "full", "compressed", "minimal",
-            "reduced-k", "reduced-k", "reduced-k"]
+        # one rung down after the first full window, then a stable hold
+        assert [rung for rung, _ in waves] == ["full"] + ["reduced-k"] * 5
 
         # goodput never hit zero: every submission was served
         n_requests = 6 * len(suite.queries)
         assert metrics["requests_completed"] == n_requests
         assert metrics["shed_requests"] == 0
 
-        # no oscillation: exactly three moves, all downward
-        assert metrics["budget_transitions"] == 3
+        # no oscillation: exactly one move, downward
+        assert metrics["budget_transitions"] == 1
         assert metrics["budget_transitions_detail"] == {
-            "home:down:compressed": 1,
-            "home:down:minimal": 1,
-            "home:down:reduced-k": 1,
-        }
-        assert metrics["degrade_transitions"] == 3
+            "home:down:reduced-k": 1}
+        assert metrics["degrade_transitions"] == 1
 
         # bitwise identity: every episode equals the one an uncontrolled
         # gateway pinned at that wave's rung produces for the same query
@@ -211,7 +199,7 @@ def test_budget_and_pressure_compose_without_oscillation():
                 await gateway.submit("home", query)
             # an impossible budget pins the tenant one rung down
             gateway.budget.tick(now_s=0.0)
-            assert gateway.rung("home") == "compressed"
+            assert gateway.rung("home") == "reduced-k"
             assert gateway.rung_source("home") == "budget"
             pinned = gateway.metrics()["degrade_transitions"]
 
@@ -219,23 +207,23 @@ def test_budget_and_pressure_compose_without_oscillation():
             pressure = gateway.degradation
             for _ in range(3):
                 pressure.tick(depth=100)   # pressure also wants rung 1
-                assert gateway.rung("home") == "compressed"
+                assert gateway.rung("home") == "reduced-k"
                 assert gateway.rung_source("home") == "budget+pressure"
                 pressure.tick(depth=0)     # …and recovers again
                 pressure.tick(depth=0)
-                assert gateway.rung("home") == "compressed"
+                assert gateway.rung("home") == "reduced-k"
                 assert gateway.rung_source("home") == "budget"
             assert gateway.metrics()["degrade_transitions"] == pinned
 
             # pressure pushing deeper than the budget still wins…
             pressure.tick(depth=100)
             pressure.tick(depth=100)
-            assert gateway.rung("home") == "minimal"
+            assert gateway.rung("home") == "shed"
             assert gateway.rung_source("home") == "pressure"
             # …and recovery stops at the budget's floor, not at full
             for _ in range(4):
                 pressure.tick(depth=0)
-            assert gateway.rung("home") == "compressed"
+            assert gateway.rung("home") == "reduced-k"
             assert gateway.rung_source("home") == "budget"
 
             # only when the budget releases does the tenant reach full
@@ -330,11 +318,11 @@ def test_shed_probation_recovers_a_shed_tenant():
         async with Gateway(sessions, config=config) as gateway:
             query = suite.queries[0]
             descent = []
-            for _ in range(4):
+            for _ in range(2):
                 await gateway.submit("home", query)
                 gateway.budget.tick(now_s=0.0)
                 descent.append(gateway.rung("home"))
-            assert descent == ["compressed", "minimal", "reduced-k", "shed"]
+            assert descent == ["reduced-k", "shed"]
             with pytest.raises(TenantShedError):
                 await gateway.submit("home", query)
 
@@ -370,7 +358,7 @@ def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
             for query in old.queries:
                 await gateway.submit("t", query)
             gateway.budget.tick(now_s=0.0)   # over budget: settle mark = 4
-            assert gateway.rung("t") == "compressed"
+            assert gateway.rung("t") == "reduced-k"
             lifetime_j = gateway.metrics()["energy_j_by_tenant"]["t"]
 
             gateway.remove_tenant("t")
@@ -393,7 +381,7 @@ def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
             await gateway.submit("t", new.queries[3])
             assert gateway.budget_status("t")["window_requests"] == 4
             gateway.budget.tick(now_s=0.0)
-            assert gateway.rung("t") == "compressed"
+            assert gateway.rung("t") == "reduced-k"
             assert gateway.rung_source("t") == "budget"
 
     asyncio.run(scenario())

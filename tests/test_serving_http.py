@@ -362,13 +362,13 @@ def test_delete_tenant(suite):
 
 
 def test_delete_then_put_resets_the_ladder(suite):
-    """A removed tenant's rung, ladder and base catalog must not outlive
-    it: the next tenant of that name starts at ``full`` and steps down
-    *its own* catalog (the stale edgehome base used to fail the swap)."""
+    """A removed tenant's rung must not outlive it: the next tenant of
+    that name starts at ``full`` and steps down from there, serving its
+    own catalog at every rung."""
 
     async def scenario(client, app):
         gateway = app.gateway
-        assert gateway.ladder.step("pressure", "home", +1) == "compressed"
+        assert gateway.ladder.step("pressure", "home", +1) == "reduced-k"
         await client.delete("/v1/tenants/home")
         created = await client.put(
             "/v1/tenants/home", {"suite": "geoengine", "n_queries": 4})
@@ -379,9 +379,9 @@ def test_delete_then_put_resets_the_ladder(suite):
     created, rung, stepped, new_suite = serve(suite, scenario)
     assert created.status == 201
     assert rung == "full"
-    assert stepped == "compressed"
+    assert stepped == "reduced-k"
     assert new_suite.catalog.name == "geoengine"
-    assert new_suite.catalog.variant == "compressed"
+    assert new_suite.catalog.variant == "full"
 
 
 def test_delete_then_put_unsheds_the_name(suite):
@@ -400,6 +400,31 @@ def test_delete_then_put_unsheds_the_name(suite):
     assert status.json()["shed"] is False
     assert status.json()["scheme_override"] is None
     assert served.status == 200
+
+
+def test_delete_then_put_restarts_trace_ids_and_plan_cache(suite):
+    """``remove_tenant`` clears everything kept under the name: the
+    successor's first request is repeat 0 (its trace id, hence its
+    sampling, must not depend on its predecessor's traffic) and a
+    plan-cache miss (same suite, same catalog version: the predecessor's
+    plans were reachable, so the new tenant's recommender was never
+    asked)."""
+    qid = suite.queries[0].qid
+
+    async def scenario(client, app):
+        for _ in range(2):
+            await client.post("/v1/call", {"tenant": "home", "qid": qid})
+        await client.delete("/v1/tenants/home")
+        await client.put("/v1/tenants/home",
+                         {"suite": "edgehome", "n_queries": 6})
+        before = app.gateway.metrics()
+        first = await client.post("/v1/call", {"tenant": "home", "qid": qid})
+        return before, first, app.gateway.metrics()
+
+    before, first, after = serve(suite, scenario, plan_cache_size=64)
+    assert (before["plan_cache_misses"], before["plan_cache_hits"]) == (1, 1)
+    assert first.trace_id == request_trace_id("home", qid, 0)
+    assert (after["plan_cache_misses"], after["plan_cache_hits"]) == (2, 1)
 
 
 def test_tenant_status_reports_rung_shed_and_cost(suite):
@@ -455,7 +480,7 @@ def test_tenant_status_reports_budget_and_power_fields(suite):
     assert status["budget"]["energy_budget_j"] == 1e-6
 
     degraded = after.json()
-    assert degraded["rung"] == "compressed"
+    assert degraded["rung"] == "reduced-k"
     assert degraded["rung_source"] == "budget"
     assert degraded["power_mode"] == "30W"
 
