@@ -27,7 +27,7 @@ test-process:
 test-chaos:
 	REPRO_PROCESS_WORKERS=2 $(PYTHON) -m pytest \
 		tests/test_serving_faults.py tests/test_serving_degrade.py -q
-	$(PYTHON) -m repro chaos --process --workers 2 --seed 0 \
+	$(PYTHON) -m repro chaos --workers 2 --seed 0 \
 		--crash-rate 0.25 --exception-rate 0 --requests 64 \
 		--concurrency 8 --trace-out /tmp/serving_chaos_trace.jsonl
 
@@ -99,7 +99,7 @@ loc:
 ## `make loc`, failing when the src/repro total exceeds LOC_CEILING (the
 ## total of the last PR that moved it): growth is a visible one-line edit
 ## here in the PR that causes it
-LOC_CEILING := 16820
+LOC_CEILING := 16640
 loc-check: loc
 	@if [ $(LOC_TOTAL) -gt $(LOC_CEILING) ]; then \
 		echo "src/repro is over LOC_CEILING=$(LOC_CEILING)"; exit 1; \

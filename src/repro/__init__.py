@@ -46,7 +46,6 @@ _LAZY_EXPORTS = {
     # plugin registries
     "register_scheme": ("repro.registry", "register_scheme"),
     "register_suite": ("repro.registry", "register_suite"),
-    "register_serving_backend": ("repro.registry", "register_serving_backend"),
     "register_catalog": ("repro.registry", "register_catalog"),
     "register_engine": ("repro.registry", "register_engine"),
     "register_carbon_signal": ("repro.registry", "register_carbon_signal"),

@@ -33,7 +33,7 @@ Examples::
     python -m repro catalog diff edgehome edgehome --against-variant minimal
     python -m repro profile --tools 46 --window 16384 --quant q4_K_M
     python -m repro metrics --suite edgehome --requests 16
-    python -m repro chaos --process --trace-out /tmp/chaos_trace.jsonl
+    python -m repro chaos --workers 2 --trace-out /tmp/chaos_trace.jsonl
     python -m repro carbon --suite edgehome --requests 48
     python -m repro serve --tenants edgehome,bfcl --port 8080 \
         --carbon-budget 180
@@ -261,7 +261,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     Exits 1 when a request was lost although the plan injected only
     recoverable faults (``--exception-rate 0`` and no ``--timeout-ms``:
-    worker kills and stalls are retried or run inline), or when the
+    a killed or stalled worker's slice runs inline), or when the
     trace artifact disagrees with telemetry about where faults fired.
     """
     from collections import Counter
@@ -273,15 +273,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     config = ServingSpec(
         max_batch_size=args.batch_size,
-        execution_backend="process" if args.process else "thread",
         execution_workers=args.workers,
         timeout_ms=args.timeout_ms,
-        retry_backoff_ms=20.0,
         obs=(ObsSpec(sink="jsonl", sink_path=args.trace_out)
              if args.trace_out else None),
     )
     plan = FaultPlan(seed=args.seed,
-                     worker_crash_rate=args.crash_rate if args.process else 0.0,
+                     worker_crash_rate=args.crash_rate if args.workers else 0.0,
                      slow_batch_rate=args.slow_rate, slow_batch_ms=250.0,
                      exception_rate=args.exception_rate)
     suites = {args.suite: load_suite(args.suite)}
@@ -292,8 +290,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"chaos seed {args.seed}: {report.n_requests} requests, "
           f"{report.n_errors} failed ({report.success_rate:.0%} served)")
     print(f"  faults injected: {metrics['faults_injected_by_hook'] or 'none'}")
-    print(f"  worker restarts {metrics['worker_restarts']} | slice retries "
-          f"{metrics['slice_retries']} | inline fallbacks "
+    print(f"  worker restarts {metrics['worker_restarts']} | inline fallbacks "
           f"{metrics['inline_fallbacks']} | quarantines "
           f"{metrics['batch_quarantines']} | deadline timeouts "
           f"{metrics['deadline_timeouts']}")
@@ -573,14 +570,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--requests", type=int, default=32)
     chaos_parser.add_argument("--concurrency", type=int, default=8)
     chaos_parser.add_argument("--batch-size", type=int, default=8)
-    chaos_parser.add_argument("--process", action="store_true",
-                              help="use the supervised process pool backend")
-    chaos_parser.add_argument("--workers", type=int, default=None)
+    chaos_parser.add_argument("--workers", type=int, default=0,
+                              help="supervised worker processes "
+                                   "(0: run episodes inline)")
     chaos_parser.add_argument("--timeout-ms", type=float, default=None,
                               help="end-to-end per-request deadline")
     chaos_parser.add_argument("--crash-rate", type=float, default=0.2,
                               help="worker SIGKILL probability per group "
-                                   "(process backend only)")
+                                   "(with --workers only)")
     chaos_parser.add_argument("--slow-rate", type=float, default=0.0)
     chaos_parser.add_argument("--exception-rate", type=float, default=0.1)
     chaos_parser.add_argument("--trace-out", default=None, metavar="PATH",

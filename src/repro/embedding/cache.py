@@ -151,7 +151,11 @@ class CachedEmbedder:
     # pickling (process-pool workers receive a warm snapshot)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
+        # a live embedder is pickled while other threads encode through
+        # it: the cache (reordered even by hits) is copied under the lock
+        with self._lock:
+            state = self.__dict__.copy()
+            state["_cache"] = self._cache.copy()
         del state["_lock"]
         del state["_compute_lock"]
         return state

@@ -123,8 +123,15 @@ class DirectionBank:
         """Ship keys only: direction values are pure functions of
         ``(namespace, dim, key)``, so regenerating them on the receiving
         side is bitwise identical and ~10x smaller on the wire than the
-        float64 matrix (the dominant cost of pickling a warm embedder)."""
-        state = self.__dict__.copy()
+        float64 matrix (the dominant cost of pickling a warm embedder).
+
+        Keys, row map and size are copied under the lock, so a bank
+        pickled while another thread interns ships one consistent prefix.
+        """
+        with self._lock:
+            state = self.__dict__.copy()
+            state["_row_of"] = dict(self._row_of)
+            state["_keys"] = list(self._keys)
         del state["_lock"]
         del state["_storage"]
         return state

@@ -76,10 +76,8 @@ FAMILIES: tuple[Family, ...] = (
            "Plan-cache misses."),
     Family("worker_restarts", "worker_restarts_total",
            "Worker-pool crashes detected and respawned."),
-    Family("slice_retries", "slice_retries_total",
-           "Failed worker slices resubmitted to the pool."),
     Family("inline_fallbacks", "inline_fallbacks_total",
-           "Failed worker slices executed inline after retries ran out."),
+           "Failed worker slices executed inline on the batch worker."),
     Family("batch_quarantines", "batch_quarantines_total",
            "Failed micro-batches re-processed request-by-request."),
     Family("quarantined_requests", "quarantined_requests_total",

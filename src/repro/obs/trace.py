@@ -10,7 +10,7 @@ One served request becomes one **trace**: a tree of timed spans —
 * ``execute`` — the episode run, with ``backend="inline"`` or
   ``"worker"``;
 * ``worker-slice`` / ``inline-slice`` — where the episode actually ran
-  when the process backend is active (created *inside* the worker
+  when a worker pool is configured (created *inside* the worker
   process and pickled back, so the two are always distinguishable).
 
 Trace ids are **deterministic**: derived with the repo's stable BLAKE2
@@ -31,7 +31,7 @@ Tracing never perturbs results: episodes are planned and executed by
 the exact same code paths, spans only observe — the bitwise-determinism
 contract (see ROADMAP.md) holds with tracing enabled.
 
-Events recorded against a trace between span boundaries (retries,
+Events recorded against a trace between span boundaries (inline
 fallbacks, quarantines, injected faults) are buffered and attached to
 the *next span of that trace to finish* — the span that owns the moment
 — with anything left over draining into the root span at reply time.
@@ -88,7 +88,7 @@ class TraceContext:
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """A point-in-time annotation on a span (retry, fault, quarantine)."""
+    """A point-in-time annotation on a span (fault, fallback, quarantine)."""
 
     name: str
     time_s: float
@@ -165,7 +165,7 @@ class Tracer:
     """Creates spans, buffers cross-stage events, writes to one sink.
 
     Thread-safe: spans are started on the event loop (``submit``), ended
-    on the batch worker, and events fire from retry/respawn threads.
+    on the batch worker, and events fire from the batch worker.
     The tracer itself holds no per-request state beyond the pending
     event buffer — span objects travel with the request.
     """

@@ -2,7 +2,7 @@
 
 Every name→implementation decision in the public surface goes through
 one of the registries below, so a third-party scheme, benchmark suite,
-execution backend or trace sink plugs in with a one-line decorator
+engine or trace sink plugs in with a one-line decorator
 instead of editing core files::
 
     from repro.registry import register_scheme
@@ -163,12 +163,6 @@ SCHEMES = Registry("scheme", builtin_modules=(
 #: suite name -> builder ``f(n_queries=..., seed=...) -> BenchmarkSuite``
 SUITES = Registry("suite", builtin_modules=("repro.suites",))
 
-#: serving execution backend name -> ``f(serving_spec) -> stage | None``
-#: (``None`` means "execute inline on the gateway's batch worker")
-SERVING_BACKENDS = Registry("serving execution backend", builtin_modules=(
-    "repro.serving.gateway", "repro.serving.process"),
-    builtin_names=("thread", "process"))
-
 #: catalog name -> zero-arg builder returning a
 #: :class:`~repro.tools.catalog.ToolCatalog` (full variant).  Resolve via
 #: :func:`repro.tools.catalog.load_catalog`, which also applies subsets
@@ -221,12 +215,6 @@ def register_suite(name: str, builder: Callable | None = None, *,
                    replace: bool = False):
     """Register a suite builder ``f(n_queries=..., seed=...)`` by name."""
     return SUITES.register(name, builder, replace=replace)
-
-
-def register_serving_backend(name: str, factory: Callable | None = None, *,
-                             replace: bool = False):
-    """Register a serving execution-stage factory ``f(serving_spec)``."""
-    return SERVING_BACKENDS.register(name, factory, replace=replace)
 
 
 def register_trace_sink(name: str, factory: Callable | None = None, *,

@@ -63,10 +63,7 @@ from repro.serving.http import (
     create_app,
     serve_gateway,
 )
-from repro.serving.process import (
-    ProcessEpisodeExecutor,
-    SupervisedEpisodeExecutor,
-)
+from repro.serving.process import SupervisedEpisodeExecutor
 from repro.serving.session import SessionManager, TenantSession, UnknownTenantError
 from repro.serving.telemetry import Telemetry, percentile
 
@@ -89,7 +86,6 @@ __all__ = [
     "LoadReport",
     "LoadSpec",
     "PendingRequest",
-    "ProcessEpisodeExecutor",
     "QueueFullError",
     "SchedulerStoppedError",
     "ServingResponse",

@@ -13,7 +13,7 @@ is the table), covering the layers a production gateway loses first:
 ``process.execute``
     before a planned group is dealt to the worker pool — a ``crash``
     decision SIGKILLs one pool worker, exercising the supervised
-    retry/respawn path.
+    inline-fallback/respawn path.
 ``batch.process``
     on the batch worker before the processor runs — a ``slow`` decision
     sleeps, exercising deadline enforcement and backpressure.
@@ -86,8 +86,8 @@ class FaultInjector:
     ``h`` draws from the stream ``("faults", h, n)`` under the plan's
     seed, so the decision sequence per hook is a pure function of the
     plan — independent of wall-clock time, thread scheduling or what the
-    other hooks saw.  The counter is lock-protected (hooks fire from the
-    event loop, the batch worker and retry paths).
+    other hooks saw.  The counter is lock-protected (hooks may fire from
+    more than one thread).
     """
 
     #: hook -> (rate field, action kind)

@@ -22,20 +22,14 @@ from repro.core.episode import EpisodeResult
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
 from repro.power import BudgetController, EnergyMeter, build_signal
-from repro.registry import SERVING_BACKENDS, register_serving_backend
 from repro.serving.batcher import BatchScheduler, PendingRequest
 from repro.serving.degrade import DegradationController, LadderArbiter
 from repro.serving.faults import InjectedFaultError, as_injector
+from repro.serving.process import SupervisedEpisodeExecutor
 from repro.serving.session import SessionManager
 from repro.serving.telemetry import Telemetry
 from repro.specs import ServingSpec
 from repro.suites.base import Query
-
-
-@register_serving_backend("thread")
-def _thread_stage(config: ServingSpec) -> None:
-    """Inline execution on the gateway's batch worker (no stage object)."""
-    return None
 
 
 class DeadlineExceededError(TimeoutError):
@@ -232,22 +226,16 @@ class Gateway:
         self.sessions.warm_all(self.config.default_scheme,
                                self.config.default_model,
                                self.config.default_quant)
-        stage_factory = SERVING_BACKENDS.get(self.config.execution_backend)
-        self._process_stage = stage_factory(self.config)
-        if self._process_stage is not None:
-            if hasattr(self._process_stage, "bind"):
-                # the supervised stage records restarts/retries in the
-                # gateway's telemetry, consults the fault injector, and
-                # re-primes respawned pools from the *current* runners
-                self._process_stage.bind(telemetry=self.telemetry,
-                                         faults=self._faults,
-                                         runners_fn=self.sessions.runners,
-                                         tracer=self.tracer)
-            # prime the worker pool with each tenant's warmed runner
-            # (suite + Search Levels + embedder snapshot) *before* the
-            # scheduler starts, so all process spawning happens while
-            # only this coroutine is active
-            self._process_stage.start(self.sessions.runners())
+        if self.config.execution_workers:
+            # the supervised stage records restarts/fallbacks in the
+            # gateway's telemetry, consults the fault injector, and
+            # re-primes respawned pools from the *current* runners.  The
+            # first pool is primed *before* the scheduler starts, so
+            # traffic never waits on it
+            self._process_stage = SupervisedEpisodeExecutor(
+                self.config.execution_workers, self.sessions.runners,
+                self.telemetry, faults=self._faults, tracer=self.tracer)
+            self._process_stage.start()
         await self.scheduler.start()
         if self._degradation_policy is not None:
             self.degradation = DegradationController(
@@ -404,24 +392,22 @@ class Gateway:
     def health(self) -> dict:
         """Liveness summary for the HTTP ``/healthz`` endpoint.
 
-        ``scheduler_running`` covers the event-loop side; with the
-        process execution backend, ``workers_running``/``worker_pids``
-        cover the pool (a supervised stage mid-respawn reports
+        ``scheduler_running`` covers the event-loop side; with a worker
+        pool (``execution_workers`` ≥ 1), ``workers_running``/
+        ``worker_pids`` cover the pool (mid-respawn it reports
         ``workers_running=False`` without failing the whole check —
-        episodes fall back inline meanwhile).
+        episodes run inline meanwhile).
         """
         health = {
             "scheduler_running": self.scheduler.running,
             "pending": self.scheduler.pending,
             "tenants": sorted(self.sessions.tenant_names),
-            "execution_backend": self.config.execution_backend,
+            "execution_workers": self.config.execution_workers,
         }
         stage = self._process_stage
         if stage is not None:
-            health["workers_running"] = bool(getattr(stage, "running", True))
-            worker_pids = getattr(stage, "worker_pids", None)
-            if worker_pids is not None:
-                health["worker_pids"] = list(worker_pids())
+            health["workers_running"] = stage.running
+            health["worker_pids"] = stage.worker_pids()
         return health
 
     def rung(self, tenant: str) -> str:
@@ -495,9 +481,9 @@ class Gateway:
         tool the tenant's queries still reference fails validation and
         leaves the tenant serving the old catalog.
 
-        With the ``"process"`` execution backend, worker processes hold
-        the old runner snapshot; the swapped tenant falls back to inline
-        execution (same results, bitwise) until the gateway restarts.
+        With a worker pool, the workers hold the old runner snapshot; the
+        swapped tenant runs inline (same results, bitwise) until the next
+        pool respawn re-primes the workers from the current runners.
         """
         from repro.tools.catalog import ToolCatalog, load_catalog
 
@@ -575,9 +561,9 @@ class Gateway:
         that tenant's agent, coalescing every request's embedding and
         Level-1/Level-2 retrieval into single kernel invocations.  The
         planned episodes then execute either inline on this batch-worker
-        thread (the default) or across the process pool when the config
-        selects the ``"process"`` execution backend — tenants registered
-        after the pool was primed fall back to inline execution.
+        thread (the default) or across the worker pool when the config
+        sets ``execution_workers`` — tenants the pool does not cover
+        (registered, swapped or removed since it was primed) run inline.
 
         Failures are contained per group: an invalid model name (or any
         agent error) fails only the requests sharing that grid cell —

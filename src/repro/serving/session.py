@@ -216,5 +216,9 @@ class SessionManager:
         pool rebuilt after a worker crash is primed with post-hot-swap
         runners, healing tenants that had been demoted to inline
         execution by :meth:`~repro.serving.gateway.Gateway.update_catalog`.
+        One lock acquisition: a tenant removed mid-snapshot is either in
+        it or not, never an :class:`UnknownTenantError` half-way through.
         """
-        return {name: self.get(name).runner for name in self.tenant_names}
+        with self._lock:
+            return {name: session.runner
+                    for name, session in self._tenants.items()}

@@ -139,13 +139,8 @@ class Telemetry:
         with self._lock:
             self._add("worker_restarts")
 
-    def record_slice_retry(self) -> None:
-        """One failed worker slice resubmitted to the (possibly new) pool."""
-        with self._lock:
-            self._add("slice_retries")
-
     def record_inline_fallback(self) -> None:
-        """One failed worker slice executed inline after retries ran out."""
+        """One failed worker slice executed inline on the batch worker."""
         with self._lock:
             self._add("inline_fallbacks")
 

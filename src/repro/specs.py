@@ -539,9 +539,8 @@ class HttpSpec(_SpecBase):
 class ServingSpec(_SpecBase):
     """Declarative gateway configuration: tenants + batching + execution.
 
-    The one serving config type — :class:`~repro.serving.gateway.Gateway`,
-    the micro-batch scheduler and the execution-backend factories read
-    it directly.
+    The one serving config type — :class:`~repro.serving.gateway.Gateway`
+    and the micro-batch scheduler read it directly.
 
     Parameters
     ----------
@@ -577,18 +576,14 @@ class ServingSpec(_SpecBase):
         the cell :meth:`~repro.serving.gateway.Gateway.update_catalog`
         warms against a hot-swapped tool catalog before the atomic swap,
         so default-cell traffic never pays the re-index on-path.
-    execution_backend:
-        Where the post-planning episode loop of a flushed batch runs.
-        Resolved through the serving-backend registry
-        (:data:`repro.registry.SERVING_BACKENDS`): ``"thread"`` (default)
-        keeps it on the gateway's batch worker; ``"process"`` fans it out
-        across a pool of worker processes
-        (:class:`~repro.serving.process.SupervisedEpisodeExecutor`) —
-        planning stays batched in the parent either way, and served
-        results are bitwise identical across backends.
     execution_workers:
-        Process count for the ``"process"`` backend (default: one per
-        CPU).  Ignored by the thread backend.
+        Where the post-planning episode loop of a flushed batch runs: 0
+        (the default) inline on the gateway's batch worker, N ≥ 1 across
+        a supervised pool of N worker processes
+        (:class:`~repro.serving.process.SupervisedEpisodeExecutor`: a
+        crashed or wedged slice runs inline at once while the pool
+        respawns).  Planning stays batched in the parent either way, and
+        served results are bitwise identical.
     timeout_ms:
         End-to-end deadline per request, enforced by
         :meth:`~repro.serving.gateway.Gateway.submit` from admission
@@ -598,25 +593,6 @@ class ServingSpec(_SpecBase):
         it is still queued — is dropped before the next batch is cut, so
         no client future can hang forever behind a stalled worker.
         ``None`` (the default) disables the deadline.
-    worker_init_timeout_s:
-        How long :meth:`~repro.serving.process.SupervisedEpisodeExecutor.start`
-        waits for every worker process to reach the init barrier before
-        declaring the pool dead (the error reports how many workers made
-        it).  Also bounds each respawn attempt after a worker crash.
-    execution_retries:
-        How many times the supervised process stage resubmits a failed
-        worker slice (bounded backoff between attempts) before running
-        it inline on the batch worker.  Results are bitwise identical
-        either way — episodes are deterministic from plan + seeds — so
-        this trades only latency against pool pressure.
-    retry_backoff_ms:
-        Base backoff between slice retries; attempt ``n`` waits
-        ``n * retry_backoff_ms``.
-    slice_timeout_s:
-        Upper bound on one worker slice; a slice that exceeds it is
-        treated like a worker crash (retried, then run inline) so a
-        wedged worker cannot strand its micro-batch.  ``None`` disables
-        the bound.
     plan_cache_size:
         When > 0, memoize up to this many ``(tenant, query, scheme,
         model, quant) -> plan`` results in an LRU cache, so a repeated
@@ -655,21 +631,14 @@ class ServingSpec(_SpecBase):
     default_scheme: str = "lis-k3"
     default_model: str = "hermes2-pro-8b"
     default_quant: str = "q4_K_M"
-    execution_backend: str = "thread"
-    execution_workers: int | None = None
+    execution_workers: int = 0
     plan_cache_size: int = 0
     timeout_ms: float | None = None
-    worker_init_timeout_s: float = 60.0
-    execution_retries: int = 2
-    retry_backoff_ms: float = 50.0
-    slice_timeout_s: float | None = 30.0
     obs: ObsSpec | None = None
     http: HttpSpec | None = None
     budget: BudgetSpec | None = None
 
     def __post_init__(self):
-        from repro.registry import SERVING_BACKENDS
-
         tenants = tuple(
             TenantSpec.from_dict(t) if isinstance(t, dict) else t
             for t in self.tenants)
@@ -681,16 +650,13 @@ class ServingSpec(_SpecBase):
         names = [tenant.name for tenant in tenants]
         _require(len(names) == len(set(names)),
                  f"ServingSpec.tenants names must be unique, got {names}")
-        _require_min(self, 1, "max_batch_size", "queue_capacity",
-                     "execution_workers")
+        _require_min(self, 1, "max_batch_size", "queue_capacity")
         _require_min(self, 0, "max_wait_ms", "plan_cache_size",
-                     "execution_retries", "retry_backoff_ms")
-        _require_min(self, 0, "timeout_ms", "worker_init_timeout_s",
-                     "slice_timeout_s", strict=True)
+                     "execution_workers")
+        _require_min(self, 0, "timeout_ms", strict=True)
         for field_name in ("default_scheme", "default_model", "default_quant"):
             _require(bool(getattr(self, field_name)),
                      f"ServingSpec.{field_name} must be a non-empty string")
-        _require_registered(SERVING_BACKENDS, self.execution_backend)
         _coerce(self, "obs", ObsSpec)
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)

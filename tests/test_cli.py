@@ -115,7 +115,7 @@ class TestChaosExitCode:
                 episodes={(load.tenant, load.query.qid, 0): None
                           for load in served},
                 gateway_metrics=dict.fromkeys(
-                    ("worker_restarts", "slice_retries", "inline_fallbacks",
+                    ("worker_restarts", "inline_fallbacks",
                      "batch_quarantines", "deadline_timeouts"), 0)
                 | {"faults_injected_by_hook": {}},
                 n_errors=n_requests - len(served))

@@ -160,9 +160,7 @@ def test_worker_slice_spans_cross_the_pickle_boundary():
     suite = load_suite("edgehome", n_queries=6)
     tracer, sink = _memory_tracer()
     config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
-                         execution_backend="process",
-                         execution_workers=WORKERS,
-                         slice_timeout_s=30.0)
+                         execution_workers=WORKERS)
     responses = _serve(suite, config, tracer)
     assert all(response.episode is not None for response in responses)
 
@@ -186,9 +184,8 @@ def test_worker_slice_spans_cross_the_pickle_boundary():
 
 
 def test_inline_fallback_slices_are_distinguishable():
-    """With every pool-dispatched group crashing a worker and zero
-    retries, episodes run through the inline fallback — named
-    ``inline-slice``, parent pid.
+    """With every pool-dispatched group crashing a worker, episodes run
+    through the inline fallback — named ``inline-slice``, parent pid.
 
     The SIGKILL races the slices: the surviving worker may finish its
     slice before the pool notices the death, so a crashed group can
@@ -202,10 +199,7 @@ def test_inline_fallback_slices_are_distinguishable():
     suite = load_suite("edgehome", n_queries=4)
     tracer, sink = _memory_tracer()
     config = ServingSpec(max_batch_size=2, max_wait_ms=2.0,
-                         execution_backend="process",
-                         execution_workers=WORKERS,
-                         execution_retries=0, retry_backoff_ms=10.0,
-                         slice_timeout_s=30.0)
+                         execution_workers=WORKERS)
     responses = _serve(suite, config, tracer,
                        faults=FaultPlan(seed=2, worker_crash_rate=1.0))
     assert all(response.episode is not None for response in responses)

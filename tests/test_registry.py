@@ -5,7 +5,6 @@ import pytest
 from repro.registry import (
     CATALOGS,
     SCHEMES,
-    SERVING_BACKENDS,
     SUITES,
     Registry,
     SchemeContext,
@@ -93,10 +92,6 @@ class TestBuiltins:
     def test_builtin_suites_present(self):
         for name in ("bfcl", "geoengine", "edgehome"):
             assert name in SUITES
-
-    def test_builtin_serving_backends_present(self):
-        for name in ("thread", "process"):
-            assert name in SERVING_BACKENDS
 
     def test_builtin_catalogs_present(self):
         for name in ("bfcl", "geoengine", "edgehome"):

@@ -215,7 +215,7 @@ def test_process_execution_stage_equals_sequential_runner(suite):
 
     Planning stays batched in the parent; the post-planning step loop of
     each flush runs across a 2-worker process pool
-    (``execution_backend="process"``) — and every served episode must
+    (``execution_workers=2``) — and every served episode must
     still equal the sequential :class:`ExperimentRunner` path bitwise.
     """
     import os
@@ -231,7 +231,6 @@ def test_process_execution_stage_equals_sequential_runner(suite):
         sessions = SessionManager()
         sessions.register("t", suite)
         config = ServingSpec(max_batch_size=8, max_wait_ms=5.0,
-                             execution_backend="process",
                              execution_workers=workers)
         async with Gateway(sessions, config=config) as gateway:
             return await asyncio.gather(*(
@@ -260,7 +259,6 @@ def test_late_registered_tenant_served_inline_with_process_stage():
         sessions = SessionManager()
         sessions.register("early", early)
         config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
-                             execution_backend="process",
                              execution_workers=2)
         async with Gateway(sessions, config=config) as gateway:
             assert gateway._process_stage.covers("early")
@@ -290,7 +288,6 @@ def test_removed_then_reregistered_tenant_leaves_the_stale_pool():
         sessions = SessionManager()
         sessions.register("t", old)
         config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
-                             execution_backend="process",
                              execution_workers=2)
         async with Gateway(sessions, config=config) as gateway:
             assert gateway._process_stage.covers("t")

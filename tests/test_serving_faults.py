@@ -5,19 +5,21 @@ nothing but latency — every in-flight request still completes with an
 episode bitwise identical to the sequential
 :class:`~repro.evaluation.runner.ExperimentRunner` path, the pool
 respawns, and the recovery is visible in telemetry
-(``worker_restarts``, ``slice_retries`` / ``inline_fallbacks``).
+(``worker_restarts``, ``inline_fallbacks``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import time
 
 import pytest
 
-from repro.embedding.cache import CachedEmbedder
+from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.evaluation.runner import ExperimentRunner
+from repro.obs import MemorySink, Tracer
 from repro.serving import (
     DeadlineExceededError,
     FaultInjector,
@@ -27,6 +29,7 @@ from repro.serving import (
     SessionManager,
     SupervisedEpisodeExecutor,
 )
+from repro.serving import process as process_module
 from repro.serving.faults import as_injector
 from repro.specs import ServingSpec
 from repro.suites import load_suite
@@ -127,10 +130,7 @@ def test_worker_sigkill_mid_load_recovers_bitwise():
         sessions = SessionManager()
         sessions.register("home", suite)
         config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
-                             execution_backend="process",
-                             execution_workers=WORKERS,
-                             execution_retries=2, retry_backoff_ms=20.0,
-                             slice_timeout_s=20.0)
+                             execution_workers=WORKERS)
         async with Gateway(sessions, config=config) as gateway:
             stage = gateway._process_stage
             assert isinstance(stage, SupervisedEpisodeExecutor)
@@ -157,8 +157,8 @@ def test_worker_sigkill_mid_load_recovers_bitwise():
     for response in responses:
         assert response.episode == reference[response.episode.qid]
     assert metrics["worker_restarts"] >= 1
-    # the failed slice was recovered one way or the other
-    assert metrics["slice_retries"] + metrics["inline_fallbacks"] >= 1
+    # every retired generation failed at least one slice, run inline
+    assert metrics["inline_fallbacks"] >= metrics["worker_restarts"] >= 1
     assert metrics["requests_failed"] == 0
 
 
@@ -175,10 +175,7 @@ def test_supervised_executor_survives_crash_fault_plan():
         sessions = SessionManager()
         sessions.register("home", suite)
         config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
-                             execution_backend="process",
-                             execution_workers=WORKERS,
-                             execution_retries=1, retry_backoff_ms=10.0,
-                             slice_timeout_s=20.0)
+                             execution_workers=WORKERS)
         faults = FaultPlan(seed=11, worker_crash_rate=0.5)
         async with Gateway(sessions, config=config, faults=faults) as gateway:
             responses = await asyncio.gather(*(
@@ -191,6 +188,185 @@ def test_supervised_executor_survives_crash_fault_plan():
         assert response.episode == reference[response.episode.qid]
     assert metrics["requests_failed"] == 0
     assert metrics["faults_injected_by_hook"].get("process.execute", 0) >= 1
+
+
+# ----------------------------------------------------------------------
+# chaos: what happens while a pool respawns
+# ----------------------------------------------------------------------
+def _reference(suite):
+    return {episode.qid: episode
+            for episode in ExperimentRunner(suite, embedder=CachedEmbedder())
+            .run("lis-k3", MODEL, QUANT).episodes}
+
+
+async def _force_respawn(gateway, tenant, query):
+    """Kill the one worker, then serve one request: its slice fails, runs
+    inline and starts the respawn."""
+    assert gateway._process_stage.kill_one_worker() is not None
+    await gateway.submit(tenant, query)
+
+
+async def _until_running(stage, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while not stage.running:
+        assert time.monotonic() < deadline, "pool did not respawn"
+        await asyncio.sleep(0.05)
+
+
+def test_uncover_during_respawn_survives_the_install(monkeypatch):
+    """DELETE + PUT of a tenant name while a respawn is in flight: the
+    replacement pool was primed from a snapshot taken *before* the
+    DELETE, so installing it must not cover the name again — otherwise
+    the workers serve the old suite, with no error."""
+    old, new = (load_suite("edgehome", n_queries=4),
+                load_suite("geoengine", n_queries=4))
+    reference = _reference(new)
+    spawned, release = threading.Event(), threading.Event()
+
+    async def scenario():
+        sessions = SessionManager()
+        sessions.register("t", old)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                             execution_workers=1)
+        async with Gateway(sessions, config=config) as gateway:
+            stage = gateway._process_stage
+            spawn = stage._spawn
+
+            def held_spawn(runners):
+                # hold the respawn between its snapshot and its install
+                pool = spawn(runners)
+                spawned.set()
+                release.wait(60.0)
+                return pool
+
+            monkeypatch.setattr(stage, "_spawn", held_spawn)
+            try:
+                await _force_respawn(gateway, "t", old.queries[0])
+                assert await asyncio.to_thread(spawned.wait, 60.0)
+                gateway.remove_tenant("t")
+                sessions.register("t", new)
+            finally:
+                release.set()
+            await _until_running(stage)
+            assert not stage.covers("t")
+            return await asyncio.gather(*(
+                gateway.submit("t", query) for query in new.queries))
+
+    for response in asyncio.run(scenario()):
+        assert response.episode == reference[response.episode.qid]
+
+
+class _ReleaseHook:
+    """Wraps a lock; the first release on the respawn thread runs
+    ``hook`` — a DELETE landing the instant the runner snapshot lets go
+    of the session manager's lock."""
+
+    def __init__(self, lock, hook):
+        self._lock, self._hook = lock, hook
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+        if (self._hook is not None
+                and threading.current_thread().name == "serving-pool-respawn"):
+            hook, self._hook = self._hook, None
+            hook()
+
+
+def test_tenant_removed_mid_snapshot_does_not_kill_the_respawn():
+    """A tenant removed while a respawn snapshots the runners is either
+    in the snapshot or not; the respawn must still install a pool."""
+    suite, other = (load_suite("edgehome", n_queries=4),
+                    load_suite("bfcl", n_queries=4))
+    reference = _reference(suite)
+
+    async def scenario():
+        sessions = SessionManager()
+        sessions.register("home", suite)
+        sessions.register("gone", other)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                             execution_workers=1)
+        async with Gateway(sessions, config=config) as gateway:
+            stage = gateway._process_stage
+            hook = _ReleaseHook(sessions._lock,
+                                lambda: sessions.deregister("gone"))
+            sessions._lock = hook
+            await _force_respawn(gateway, "home", suite.queries[0])
+            await _until_running(stage, timeout_s=30.0)
+            assert hook._hook is None, "the DELETE never landed"
+            assert stage.covers("home")
+            return await asyncio.gather(*(
+                gateway.submit("home", query) for query in suite.queries))
+
+    for response in asyncio.run(scenario()):
+        assert response.episode == reference[response.episode.qid]
+
+
+def test_respawn_while_a_parent_thread_holds_an_episode_lock(monkeypatch):
+    """Known answer for the hazard forkserver workers remove: a gateway
+    thread holds the process-wide embedder's lock (every episode takes
+    it) while a respawn starts the replacement pool.  A worker forked
+    from the gateway would inherit that lock held and wedge its first
+    slice into the slice timeout; a forkserver worker never sees it, so
+    the next requests come back as ``worker-slice`` spans with no new
+    inline fallback."""
+    monkeypatch.setattr(process_module, "SLICE_TIMEOUT_S", 3.0)
+    suite = load_suite("edgehome", n_queries=8)
+    reference = _reference(suite)
+    sink = MemorySink()
+    shared = shared_embedder()
+
+    async def scenario():
+        sessions = SessionManager()
+        sessions.register("home", suite)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+                             execution_workers=1)
+        async with Gateway(sessions, config=config,
+                           tracer=Tracer(sink)) as gateway:
+            stage = gateway._process_stage
+            spawn = stage._spawn
+
+            def spawn_under_held_lock(runners):
+                held, release = threading.Event(), threading.Event()
+
+                def hold():
+                    with shared._lock:
+                        held.set()
+                        release.wait(60.0)
+
+                holder = threading.Thread(target=hold)
+                holder.start()
+                assert held.wait(60.0)
+                try:
+                    return spawn(runners)
+                finally:
+                    release.set()
+                    holder.join(60.0)
+
+            monkeypatch.setattr(stage, "_spawn", spawn_under_held_lock)
+            try:
+                await _force_respawn(gateway, "home", suite.queries[0])
+                await _until_running(stage)
+                fallbacks = gateway.metrics()["inline_fallbacks"]
+                emitted = len(sink)
+                responses = await asyncio.gather(*(
+                    gateway.submit("home", query) for query in suite.queries))
+                return (responses, sink.spans()[emitted:], fallbacks,
+                        gateway.metrics()["inline_fallbacks"])
+            finally:
+                # a wedged worker (the hazard) must not hang shutdown
+                while stage.kill_one_worker() is not None:
+                    await asyncio.sleep(0.01)
+
+    responses, spans, before, after = asyncio.run(scenario())
+    for response in responses:
+        assert response.episode == reference[response.episode.qid]
+    slices = [span.name for span in spans if span.name.endswith("-slice")]
+    assert slices == ["worker-slice"] * len(suite.queries)
+    assert after == before
 
 
 # ----------------------------------------------------------------------
@@ -265,13 +441,5 @@ def test_injected_exception_fails_only_that_request():
 def test_config_validation_for_fault_tolerance_knobs():
     with pytest.raises(ValueError):
         ServingSpec(timeout_ms=0.0)
-    with pytest.raises(ValueError):
-        ServingSpec(worker_init_timeout_s=0.0)
-    with pytest.raises(ValueError):
-        ServingSpec(execution_retries=-1)
-    with pytest.raises(ValueError):
-        ServingSpec(retry_backoff_ms=-1.0)
-    with pytest.raises(ValueError):
-        ServingSpec(slice_timeout_s=0.0)
     assert ServingSpec(timeout_ms=250.0).timeout_s == 0.25
     assert ServingSpec().timeout_s is None

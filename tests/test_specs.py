@@ -44,8 +44,7 @@ ALL_SPECS = [
         tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),
                  TenantSpec(name="assist", suite=SuiteSpec(name="bfcl"))),
         max_batch_size=16, max_wait_ms=1.5, queue_capacity=64,
-        default_scheme="lis-k5", execution_backend="process",
-        execution_workers=2, plan_cache_size=256),
+        default_scheme="lis-k5", execution_workers=2, plan_cache_size=256),
     ExperimentSpec(
         suite=SuiteSpec(name="bfcl", n_queries=4),
         agent=AgentSpec(scheme="gorilla", model="qwen2-7b", quant="q4_0"),
@@ -133,8 +132,7 @@ class TestNormalization:
                         "max_batch_size": 4, "max_wait_ms": 1.0,
                         "queue_capacity": 8, "default_scheme": "lis-k3",
                         "default_model": "m", "default_quant": "q",
-                        "execution_backend": "thread",
-                        "execution_workers": None, "plan_cache_size": 2},
+                        "execution_workers": 0, "plan_cache_size": 2},
         })
         assert spec.suite.n_queries == 4
         assert spec.serving.tenants[0].suite.name == "bfcl"
@@ -215,9 +213,13 @@ class TestValidation:
             ServingSpec(tenants=(TenantSpec("t", "bfcl"),
                                  TenantSpec("t", "edgehome")))
 
-    def test_serving_unknown_backend_lists_names(self):
-        with pytest.raises(ValueError, match="thread.*process|process.*thread"):
+    def test_serving_stale_backend_key_fails_loudly(self):
+        """Selection is ``execution_workers`` alone: a backend name is a
+        stale key, and a negative worker count is rejected."""
+        with pytest.raises(TypeError, match="execution_backend"):
             ServingSpec(execution_backend="gpu")
+        with pytest.raises(ValueError, match="execution_workers"):
+            ServingSpec(execution_workers=-1)
 
     def test_serving_plan_cache_nonnegative(self):
         with pytest.raises(ValueError, match="plan_cache_size"):
@@ -274,7 +276,7 @@ class TestSpecImportsStayCheap:
             "from repro.specs import AgentSpec, BudgetSpec, GridSpec, "
             "ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
-            "plan_cache_size=8, execution_backend='process', "
+            "plan_cache_size=8, execution_workers=2, "
             "budget=BudgetSpec(energy_budget_j=50.0, signal='sinusoid'), "
             "obs=ObsSpec(), default_engine='simulated'); "
             "AgentSpec(); GridSpec(); "
@@ -334,14 +336,14 @@ class TestConversions:
 
 class TestWireCompat:
     """Spec JSON is an interface (``repro serve --spec``, ``bench_e2e``'s
-    generated spec): the key sets below are the PR 12 wire form."""
+    generated spec): the key sets below are the PR 12 wire form, minus
+    the five execution keys the supervised pool made constants."""
 
     SERVING_KEYS = {
         "tenants", "default_engine", "max_batch_size", "max_wait_ms",
         "queue_capacity", "default_scheme", "default_model", "default_quant",
-        "execution_backend", "execution_workers", "plan_cache_size",
-        "timeout_ms", "worker_init_timeout_s", "execution_retries",
-        "retry_backoff_ms", "slice_timeout_s", "obs", "http", "budget"}
+        "execution_workers", "plan_cache_size", "timeout_ms", "obs", "http",
+        "budget"}
     BUDGET_KEYS = {
         "energy_budget_j", "carbon_budget_g", "window_requests",
         "settle_requests", "recovery_ticks", "recovery_margin", "signal",
@@ -365,9 +367,17 @@ class TestWireCompat:
         import json
         from pathlib import Path
 
-        # written by the PR 12 commit's ServingSpec.to_dict()
+        # written by the PR 12 commit's ServingSpec.to_dict(): loaded
+        # as-is it fails loudly on a removed key; without them it is the
+        # same spec
         data = json.loads((Path(__file__).parent / "data"
                            / "serving_spec_parent.json").read_text())
+        removed = set(data) - self.SERVING_KEYS
+        assert len(removed) == 5
+        with pytest.raises(TypeError, match="|".join(removed)):
+            ServingSpec.from_dict(data)
+        for key in removed:
+            del data[key]
         spec = ServingSpec.from_dict(data)
         assert spec == ServingSpec(
             tenants=(
@@ -376,8 +386,7 @@ class TestWireCompat:
                            engine=EngineSpec("simulated")),
                 TenantSpec("assist", "bfcl")),
             default_engine="simulated", max_batch_size=16, max_wait_ms=1.5,
-            queue_capacity=64, default_scheme="lis-k5",
-            execution_backend="process", execution_workers=2,
+            queue_capacity=64, default_scheme="lis-k5", execution_workers=2,
             plan_cache_size=256, timeout_ms=500.0,
             obs=ObsSpec(sink="null", sample_rate=0.5, slow_span_ms=20.0),
             http=HttpSpec(port=0, api_key="k", rate_limit_rps=5.0),
