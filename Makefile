@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test golden-check test-process test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench-pair bench-trend bench-paper bench-selftest loc loc-check
+.PHONY: test golden-check test-chaos examples-smoke serve-smoke serve-smoke-uvicorn bench-pair bench-trend bench-paper bench-selftest loc loc-check
 
 ## tier-1 test suite (the CI gate)
 test:
@@ -14,22 +14,15 @@ test:
 golden-check:
 	$(PYTHON) scripts/make_golden_episodes.py --check
 
-## the pickling boundary the serving process backend ships runners and
-## agents across, then served == sequential with an explicit 2-worker pool
-test-process:
-	REPRO_PROCESS_WORKERS=2 $(PYTHON) -m pytest \
-		tests/test_runner_process.py tests/test_serving_equivalence.py -q
-
-## fault-injection suite (worker kills, deadlines, degradation ladder),
-## then the seeded worker-kill scenario end to end: only recoverable
-## faults are injected, so `repro chaos` exits 1 if a request is lost or
-## the trace artifact disagrees with telemetry about the fault hooks
+## fault-injection suite (stalled batches, deadlines, degradation
+## ladder), then the seeded stalled-batch scenario end to end: only
+## recoverable faults are injected, so `repro chaos` exits 1 if a request
+## is lost or the trace artifact disagrees with telemetry about the hooks
 test-chaos:
-	REPRO_PROCESS_WORKERS=2 $(PYTHON) -m pytest \
-		tests/test_serving_faults.py tests/test_serving_degrade.py -q
-	$(PYTHON) -m repro chaos --workers 2 --seed 0 \
-		--crash-rate 0.25 --exception-rate 0 --requests 64 \
-		--concurrency 8 --trace-out /tmp/serving_chaos_trace.jsonl
+	$(PYTHON) -m pytest tests/test_serving_faults.py tests/test_serving_degrade.py -q
+	$(PYTHON) -m repro chaos --seed 0 --slow-rate 0.25 \
+		--exception-rate 0 --requests 64 --concurrency 8 \
+		--trace-out /tmp/serving_chaos_trace.jsonl
 
 ## run the example scripts with a bounded batch (API breakage fails here)
 examples-smoke:
@@ -78,10 +71,10 @@ bench-pair:
 		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEEDS),--seeds $(SEEDS))
 
 ## the kept trajectory: print BENCH_history.jsonl (one line per PR, added
-## with `python3 -m bench_e2e --out report.json` then
-## `scripts/bench_history.py append report.json`) and fail when the newest
-## line is worse than the best of the last five comparable ones by more
-## than a metric's bound
+## with `python3 -m bench_e2e --out report.json`, `scripts/bench_pair.py
+## --ref <parent> --pairs 3 --out pair.json`, then `scripts/bench_history.py
+## append report.json pair.json`) and fail when the product of the last
+## five lines' tree/parent ratios is worse than a metric's bound
 bench-trend:
 	$(PYTHON) scripts/bench_history.py trend
 	$(PYTHON) scripts/bench_history.py check
@@ -99,7 +92,7 @@ loc:
 ## `make loc`, failing when the src/repro total exceeds LOC_CEILING (the
 ## total of the last PR that moved it): growth is a visible one-line edit
 ## here in the PR that causes it
-LOC_CEILING := 16640
+LOC_CEILING := 15992
 loc-check: loc
 	@if [ $(LOC_TOTAL) -gt $(LOC_CEILING) ]; then \
 		echo "src/repro is over LOC_CEILING=$(LOC_CEILING)"; exit 1; \

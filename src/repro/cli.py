@@ -33,7 +33,7 @@ Examples::
     python -m repro catalog diff edgehome edgehome --against-variant minimal
     python -m repro profile --tools 46 --window 16384 --quant q4_K_M
     python -m repro metrics --suite edgehome --requests 16
-    python -m repro chaos --workers 2 --trace-out /tmp/chaos_trace.jsonl
+    python -m repro chaos --slow-rate 0.25 --trace-out /tmp/chaos_trace.jsonl
     python -m repro carbon --suite edgehome --requests 48
     python -m repro serve --tenants edgehome,bfcl --port 8080 \
         --carbon-budget 180
@@ -237,7 +237,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Serve a short load and print the Prometheus text exposition.
 
-    What a scrape of the future ``/metrics`` endpoint would return:
+    What a scrape of ``repro serve``'s ``GET /metrics`` returns:
     ``Gateway.metrics_text()`` — telemetry snapshot plus the per-tenant
     cost ledger — after ``--requests`` closed-loop requests.
     """
@@ -261,8 +261,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     Exits 1 when a request was lost although the plan injected only
     recoverable faults (``--exception-rate 0`` and no ``--timeout-ms``:
-    a killed or stalled worker's slice runs inline), or when the
-    trace artifact disagrees with telemetry about where faults fired.
+    a stalled batch still finishes), or when the trace artifact
+    disagrees with telemetry about where faults fired.
     """
     from collections import Counter
 
@@ -273,13 +273,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     config = ServingSpec(
         max_batch_size=args.batch_size,
-        execution_workers=args.workers,
         timeout_ms=args.timeout_ms,
         obs=(ObsSpec(sink="jsonl", sink_path=args.trace_out)
              if args.trace_out else None),
     )
     plan = FaultPlan(seed=args.seed,
-                     worker_crash_rate=args.crash_rate if args.workers else 0.0,
                      slow_batch_rate=args.slow_rate, slow_batch_ms=250.0,
                      exception_rate=args.exception_rate)
     suites = {args.suite: load_suite(args.suite)}
@@ -290,10 +288,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"chaos seed {args.seed}: {report.n_requests} requests, "
           f"{report.n_errors} failed ({report.success_rate:.0%} served)")
     print(f"  faults injected: {metrics['faults_injected_by_hook'] or 'none'}")
-    print(f"  worker restarts {metrics['worker_restarts']} | inline fallbacks "
-          f"{metrics['inline_fallbacks']} | quarantines "
-          f"{metrics['batch_quarantines']} | deadline timeouts "
-          f"{metrics['deadline_timeouts']}")
+    print(f"  quarantines {metrics['batch_quarantines']} | deadline "
+          f"timeouts {metrics['deadline_timeouts']}")
     print(f"  p95 latency {report.latency_p95_ms:.1f} ms at "
           f"{report.throughput_rps:.1f} req/s")
     failed = False
@@ -570,14 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument("--requests", type=int, default=32)
     chaos_parser.add_argument("--concurrency", type=int, default=8)
     chaos_parser.add_argument("--batch-size", type=int, default=8)
-    chaos_parser.add_argument("--workers", type=int, default=0,
-                              help="supervised worker processes "
-                                   "(0: run episodes inline)")
     chaos_parser.add_argument("--timeout-ms", type=float, default=None,
                               help="end-to-end per-request deadline")
-    chaos_parser.add_argument("--crash-rate", type=float, default=0.2,
-                              help="worker SIGKILL probability per group "
-                                   "(with --workers only)")
     chaos_parser.add_argument("--slow-rate", type=float, default=0.0)
     chaos_parser.add_argument("--exception-rate", type=float, default=0.1)
     chaos_parser.add_argument("--trace-out", default=None, metavar="PATH",

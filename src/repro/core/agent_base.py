@@ -159,11 +159,8 @@ class FunctionCallingAgent:
                          plans: list[ToolPlan]) -> list[EpisodeResult]:
         """Execute a batch of already-planned episodes, in order.
 
-        The serial loop the serving layer runs after ``plan_batch`` —
-        inline on the gateway's batch worker, or inside a process-pool
-        worker (agents pickle cleanly: the embedder, direction bank and
-        tool executor recreate their locks on the receiving side), where
-        it is the unit of work shipped per worker slice.
+        The serial loop the gateway's batch worker runs after
+        ``plan_batch``, one planned group at a time.
         """
         if len(queries) != len(plans):
             raise ValueError(

@@ -147,24 +147,6 @@ class CachedEmbedder:
         with self._lock:
             self._cache.clear()
 
-    # ------------------------------------------------------------------
-    # pickling (process-pool workers receive a warm snapshot)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # a live embedder is pickled while other threads encode through
-        # it: the cache (reordered even by hits) is copied under the lock
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_cache"] = self._cache.copy()
-        del state["_lock"]
-        del state["_compute_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._compute_lock = threading.Lock()
-
     def reseed(self, seed_namespace: str) -> None:
         """Re-roll the underlying projection, coherently with the cache.
 

@@ -117,33 +117,6 @@ class DirectionBank:
             self._size = 0
 
     # ------------------------------------------------------------------
-    # pickling (process-pool workers receive a snapshot of the bank)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Ship keys only: direction values are pure functions of
-        ``(namespace, dim, key)``, so regenerating them on the receiving
-        side is bitwise identical and ~10x smaller on the wire than the
-        float64 matrix (the dominant cost of pickling a warm embedder).
-
-        Keys, row map and size are copied under the lock, so a bank
-        pickled while another thread interns ships one consistent prefix.
-        """
-        with self._lock:
-            state = self.__dict__.copy()
-            state["_row_of"] = dict(self._row_of)
-            state["_keys"] = list(self._keys)
-        del state["_lock"]
-        del state["_storage"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-        self._storage = np.empty((max(_INITIAL_CAPACITY, self._size), self.dim))
-        for row, key in enumerate(self._keys):
-            self._storage[row] = self._generate(key)
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _generate(self, key: FeatureKey) -> np.ndarray:

@@ -143,15 +143,6 @@ class SentenceEmbedder:
         self._bigram_memo = {}
         self._projection_generation += 1
 
-    def __getstate__(self) -> dict:
-        # a live embedder is pickled while other threads encode through
-        # it: the memos are copied now, before the bank snapshots itself,
-        # so every row they name is in the (later, grow-only) bank
-        state = self.__dict__.copy()
-        state["_word_memo"] = dict(self._word_memo)
-        state["_bigram_memo"] = dict(self._bigram_memo)
-        return state
-
     # ------------------------------------------------------------------
     # feature extraction
     # ------------------------------------------------------------------

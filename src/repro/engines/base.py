@@ -12,9 +12,9 @@ consume: ``model``/``quant``/``name``, ``recommend_tools``,
 default ``simulated`` engine stays exactly today's code path, while
 wire-backed engines wrap an :class:`Engine` in an adapter.
 
-Everything an engine needs to reconstruct itself lives in the picklable
-:class:`~repro.specs.EngineSpec`; live clients are rebuilt from the spec
-on each side of the process-pool boundary, never pickled.
+Everything an engine needs lives in the plain-data
+:class:`~repro.specs.EngineSpec`; a wire-backed engine opens its
+connections from the spec, one per request.
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ attempt count and the last error.  Malformed *successful* replies raise
 :class:`~repro.engines.base.EngineProtocolError` immediately — a
 dialect mismatch is a configuration bug retries will never fix.
 
-The engine and its agent-facing adapter hold only the picklable
+The engine and its agent-facing adapter hold only the
 :class:`~repro.specs.EngineSpec` plus model/quant specs; a fresh
-connection is opened per request, so nothing socket-shaped ever crosses
-the process-pool boundary.
+connection is opened per request, so no socket outlives its request.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class OpenAIHttpEngine:
     # transport
     # ------------------------------------------------------------------
     def _post(self, payload: dict):
-        """One request over a fresh connection (never pickled, never shared)."""
+        """One request over a fresh connection (never shared)."""
         headers = {}
         if self.spec.api_key:
             headers["Authorization"] = f"Bearer {self.spec.api_key}"
@@ -233,14 +232,6 @@ class ChatEngineLLM:
     @property
     def name(self) -> str:
         return f"{self.model.name}-{self.quant.name}"
-
-    # live sockets never persist on the instance (one connection per
-    # request), so default pickling works; keep the contract visible
-    def __getstate__(self) -> dict:
-        return dict(self.__dict__)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # recommender

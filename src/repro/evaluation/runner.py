@@ -40,10 +40,7 @@ class ExperimentRunner:
 
     ``engine`` (an :class:`~repro.specs.EngineSpec`, default ``None`` =
     the simulated engine) selects the LLM backend for every agent this
-    runner builds.  It is plain picklable data: the runner snapshot
-    carries it to process-pool workers, and each worker re-resolves the
-    engine factory by registry name — live HTTP clients never cross the
-    pool boundary.
+    runner builds; the engine factory is resolved by registry name.
     """
 
     suite: BenchmarkSuite

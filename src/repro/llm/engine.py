@@ -126,19 +126,6 @@ class SimulatedLLM:
     def name(self) -> str:
         return f"{self.model.name}-{self.quant.name}"
 
-    # the memo is derived state and the lock cannot cross a process
-    # boundary: agents ship to pool workers without either
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_similarity_memo"]
-        del state["_similarity_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._similarity_memo = {}
-        self._similarity_lock = threading.Lock()
-
     # ------------------------------------------------------------------
     # RNG plumbing
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Three layers, all opt-in through :class:`~repro.specs.ObsSpec`:
 
 * :mod:`repro.obs.trace` — span-based request tracing with deterministic
   trace ids and explicit context propagation across the batcher's thread
-  boundary and the process pool's pickle boundary;
+  boundary;
 * :mod:`repro.obs.sinks` — where finished spans go (in-memory ring,
   JSONL file, null), pluggable via :data:`repro.registry.TRACE_SINKS`;
 * :mod:`repro.obs.prometheus` + :mod:`repro.obs.cost` — Prometheus text
@@ -17,7 +17,7 @@ from repro.obs.prometheus import escape_label_value, render_prometheus
 from repro.obs.sinks import (JsonlSink, MemorySink, NullSink, TraceSink,
                              read_jsonl_spans)
 from repro.obs.trace import (Span, SpanEvent, TraceContext, Tracer,
-                             build_tracer, hex_id, worker_slice_span)
+                             build_tracer, hex_id)
 
 __all__ = [
     "CostLedger",
@@ -36,5 +36,4 @@ __all__ = [
     "plan_tool_tokens",
     "read_jsonl_spans",
     "render_prometheus",
-    "worker_slice_span",
 ]

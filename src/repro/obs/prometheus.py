@@ -6,8 +6,8 @@ into the `text exposition format
 ``# HELP`` / ``# TYPE`` headers, escaped label values, cumulative
 monotonic histogram buckets, summary quantiles.  It renders from the
 *snapshot*, not the live :class:`Telemetry`, so the same function serves
-``Gateway.metrics_text()``, the ``repro metrics`` CLI, offline
-``LoadReport`` dumps, and the future ASGI ``/metrics`` endpoint.
+``Gateway.metrics_text()`` (the HTTP edge's ``GET /metrics``), the
+``repro metrics`` CLI and offline ``LoadReport`` dumps.
 
 The latency and queue-wait percentiles are exported as ``summary``
 families with a ``window="ring"`` label: they come from Telemetry's
@@ -74,10 +74,6 @@ FAMILIES: tuple[Family, ...] = (
     Family("plan_cache_hits", "plan_cache_hits_total", "Plan-cache hits."),
     Family("plan_cache_misses", "plan_cache_misses_total",
            "Plan-cache misses."),
-    Family("worker_restarts", "worker_restarts_total",
-           "Worker-pool crashes detected and respawned."),
-    Family("inline_fallbacks", "inline_fallbacks_total",
-           "Failed worker slices executed inline on the batch worker."),
     Family("batch_quarantines", "batch_quarantines_total",
            "Failed micro-batches re-processed request-by-request."),
     Family("quarantined_requests", "quarantined_requests_total",

@@ -7,11 +7,7 @@ One served request becomes one **trace**: a tree of timed spans —
 * ``queue`` — time spent waiting in the micro-batch scheduler;
 * ``plan`` — the request's share of the group's vectorized planning
   pass (cache hits are attributed);
-* ``execute`` — the episode run, with ``backend="inline"`` or
-  ``"worker"``;
-* ``worker-slice`` / ``inline-slice`` — where the episode actually ran
-  when a worker pool is configured (created *inside* the worker
-  process and pickled back, so the two are always distinguishable).
+* ``execute`` — the episode run on the batch worker.
 
 Trace ids are **deterministic**: derived with the repo's stable BLAKE2
 hash from ``(tenant, qid, repeat)`` where ``repeat`` counts prior
@@ -20,9 +16,9 @@ trace ids on every run, so a failing load test names the exact traces to
 look at.  Sampling decisions derive from the trace id itself, so a
 sample rate keeps a reproducible subset.
 
-Context crosses the batcher's thread boundary and the process pool's
-pickle boundary as an explicit frozen :class:`TraceContext` attached to
-the request payload — no thread-locals, nothing ambient.  Span
+Context crosses the batcher's thread boundary as an explicit frozen
+:class:`TraceContext` attached to the request payload — no
+thread-locals, nothing ambient.  Span
 timestamps use ``time.monotonic()`` (the asyncio event loop's clock), so
 queue spans can be synthesized from the scheduler's own enqueue/dequeue
 stamps.
@@ -31,15 +27,14 @@ Tracing never perturbs results: episodes are planned and executed by
 the exact same code paths, spans only observe — the bitwise-determinism
 contract (see ROADMAP.md) holds with tracing enabled.
 
-Events recorded against a trace between span boundaries (inline
-fallbacks, quarantines, injected faults) are buffered and attached to
+Events recorded against a trace between span boundaries (quarantines,
+injected faults) are buffered and attached to
 the *next span of that trace to finish* — the span that owns the moment
 — with anything left over draining into the root span at reply time.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -73,8 +68,8 @@ class TraceContext:
     """The propagation handle: all a downstream stage needs to attach
     spans to a request's trace.
 
-    Frozen and made of two strings, so it pickles across the process
-    boundary untouched and rides in frozen payload dataclasses.
+    Frozen and made of two strings, so it rides in frozen payload
+    dataclasses.
     ``span_id`` names the span a downstream stage should parent to.
     """
 
@@ -88,7 +83,7 @@ class TraceContext:
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """A point-in-time annotation on a span (fault, fallback, quarantine)."""
+    """A point-in-time annotation on a span (fault, quarantine)."""
 
     name: str
     time_s: float
@@ -138,27 +133,6 @@ class Span:
             "attributes": dict(self.attributes),
             "events": [event.to_dict() for event in self.events],
         }
-
-
-def worker_slice_span(ctx: TraceContext, qid: str, start_s: float,
-                      end_s: float, inline: bool = False) -> Span:
-    """Build the span for one episode executed in a worker slice.
-
-    Called inside pool workers (and by the supervised executor's inline
-    fallback with ``inline=True``); the span object pickles back to the
-    parent, which emits it through the gateway's tracer.  The name alone
-    distinguishes where the episode ran.
-    """
-    name = "inline-slice" if inline else "worker-slice"
-    return Span(
-        trace_id=ctx.trace_id,
-        span_id=hex_id(ctx.trace_id, name, qid, start_s),
-        parent_id=ctx.span_id,
-        name=name,
-        start_s=start_s,
-        end_s=end_s,
-        attributes={"qid": qid, "pid": os.getpid()},
-    )
 
 
 class Tracer:
@@ -225,7 +199,8 @@ class Tracer:
 
     def end_span(self, span: Span, end_s: float | None = None,
                  status: str | None = None) -> None:
-        """Close a span, attach its buffered events, emit it.
+        """Close a span, attach its buffered events, write it to the sink
+        (slow-span marking applied).
 
         The root ``request`` span drains *all* remaining buffered events
         for its trace; other spans drain whatever fired since the last
@@ -238,10 +213,6 @@ class Tracer:
             pending = self._pending.pop(span.trace_id, None)
         if pending:
             span.events.extend(pending)
-        self.emit(span)
-
-    def emit(self, span: Span) -> None:
-        """Write a finished span to the sink (slow-span marking applied)."""
         if (self.slow_span_ms is not None
                 and span.duration_ms >= self.slow_span_ms):
             span.attributes.setdefault("slow", True)

@@ -249,10 +249,9 @@ def register_engine(name: str, factory: Callable | None = None, *,
     The factory receives the :class:`~repro.specs.EngineSpec` plus the
     repo-side model/quant names and returns an agent-facing LLM object
     exposing the ``SimulatedLLM`` surface (``model``, ``quant``,
-    ``name``, ``recommend_tools``, ``execute_step``).  Engines are
-    re-resolved by name on each side of the process-pool boundary, so
-    factories must build from the picklable spec alone — never capture
-    live sockets at registration time.
+    ``name``, ``recommend_tools``, ``execute_step``).  Factories build
+    from the plain-data spec alone — never capture live sockets at
+    registration time.
     """
     return ENGINES.register(name, factory, replace=replace)
 

@@ -63,7 +63,6 @@ from repro.serving.http import (
     create_app,
     serve_gateway,
 )
-from repro.serving.process import SupervisedEpisodeExecutor
 from repro.serving.session import SessionManager, TenantSession, UnknownTenantError
 from repro.serving.telemetry import Telemetry, percentile
 
@@ -90,7 +89,6 @@ __all__ = [
     "SchedulerStoppedError",
     "ServingResponse",
     "SessionManager",
-    "SupervisedEpisodeExecutor",
     "Telemetry",
     "TenantShedError",
     "TenantSession",

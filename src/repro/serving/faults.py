@@ -7,13 +7,9 @@ bit-reproducible decisions by drawing from named BLAKE2-derived RNG
 streams (:func:`repro.utils.rng.derive_rng`) — the same plan produces the
 same decision sequence at every hook on every platform.
 
-Faults fire at three **hook points** (:attr:`FaultInjector._HOOK_RATES`
+Faults fire at two **hook points** (:attr:`FaultInjector._HOOK_RATES`
 is the table), covering the layers a production gateway loses first:
 
-``process.execute``
-    before a planned group is dealt to the worker pool — a ``crash``
-    decision SIGKILLs one pool worker, exercising the supervised
-    inline-fallback/respawn path.
 ``batch.process``
     on the batch worker before the processor runs — a ``slow`` decision
     sleeps, exercising deadline enforcement and backpressure.
@@ -40,7 +36,7 @@ class InjectedFaultError(RuntimeError):
 
 @dataclass(frozen=True)
 class FaultAction:
-    """One fired fault: what to do (``crash`` | ``slow`` | ``raise``)."""
+    """One fired fault: what to do (``slow`` | ``raise``)."""
 
     hook: str
     kind: str
@@ -59,13 +55,12 @@ class FaultPlan:
     """
 
     seed: int = 0
-    worker_crash_rate: float = 0.0
     slow_batch_rate: float = 0.0
     slow_batch_ms: float = 0.0
     exception_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("worker_crash_rate", "slow_batch_rate", "exception_rate"):
+        for name in ("slow_batch_rate", "exception_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"FaultPlan.{name} must be in [0, 1], got {rate}")
@@ -75,8 +70,7 @@ class FaultPlan:
 
     @property
     def is_empty(self) -> bool:
-        return (self.worker_crash_rate == 0.0 and self.slow_batch_rate == 0.0
-                and self.exception_rate == 0.0)
+        return self.slow_batch_rate == 0.0 and self.exception_rate == 0.0
 
 
 class FaultInjector:
@@ -92,7 +86,6 @@ class FaultInjector:
 
     #: hook -> (rate field, action kind)
     _HOOK_RATES = {
-        "process.execute": ("worker_crash_rate", "crash"),
         "batch.process": ("slow_batch_rate", "slow"),
         "gateway.group": ("exception_rate", "raise"),
     }

@@ -25,7 +25,6 @@ from repro.power import BudgetController, EnergyMeter, build_signal
 from repro.serving.batcher import BatchScheduler, PendingRequest
 from repro.serving.degrade import DegradationController, LadderArbiter
 from repro.serving.faults import InjectedFaultError, as_injector
-from repro.serving.process import SupervisedEpisodeExecutor
 from repro.serving.session import SessionManager
 from repro.serving.telemetry import Telemetry
 from repro.specs import ServingSpec
@@ -192,7 +191,6 @@ class Gateway:
                                         telemetry=self.telemetry,
                                         faults=self._faults,
                                         tracer=self.tracer)
-        self._process_stage = None
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
         # degradation state, written by the LadderArbiter (or an
@@ -226,16 +224,6 @@ class Gateway:
         self.sessions.warm_all(self.config.default_scheme,
                                self.config.default_model,
                                self.config.default_quant)
-        if self.config.execution_workers:
-            # the supervised stage records restarts/fallbacks in the
-            # gateway's telemetry, consults the fault injector, and
-            # re-primes respawned pools from the *current* runners.  The
-            # first pool is primed *before* the scheduler starts, so
-            # traffic never waits on it
-            self._process_stage = SupervisedEpisodeExecutor(
-                self.config.execution_workers, self.sessions.runners,
-                self.telemetry, faults=self._faults, tracer=self.tracer)
-            self._process_stage.start()
         await self.scheduler.start()
         if self._degradation_policy is not None:
             self.degradation = DegradationController(
@@ -264,9 +252,6 @@ class Gateway:
                 pass
             self._degradation_task = None
         await self.scheduler.stop()
-        if self._process_stage is not None:
-            self._process_stage.shutdown()
-            self._process_stage = None
         if self._owns_tracer:
             close = getattr(self.tracer.sink, "close", None)
             if close is not None:
@@ -317,9 +302,9 @@ class Gateway:
         self._request_repeats[repeat_key] = repeat + 1
         trace_id = request_trace_id(tenant, resolved.qid, repeat)
         # the root "request" span: admission to reply.  Downstream spans
-        # (queue/plan/execute, worker slices) parent to it through the
-        # WorkItem's TraceContext; per-sampling ctx may be None, making
-        # every downstream tracing touch a single is-None branch.
+        # (queue/plan/execute) parent to it through the WorkItem's
+        # TraceContext; per-sampling ctx may be None, making every
+        # downstream tracing touch a single is-None branch.
         ctx = root_span = None
         if self.tracer is not None:
             ctx = self.tracer.sampled(trace_id)
@@ -390,25 +375,12 @@ class Gateway:
         return self.telemetry.snapshot()
 
     def health(self) -> dict:
-        """Liveness summary for the HTTP ``/healthz`` endpoint.
-
-        ``scheduler_running`` covers the event-loop side; with a worker
-        pool (``execution_workers`` ≥ 1), ``workers_running``/
-        ``worker_pids`` cover the pool (mid-respawn it reports
-        ``workers_running=False`` without failing the whole check —
-        episodes run inline meanwhile).
-        """
-        health = {
+        """Liveness summary for the HTTP ``/healthz`` endpoint."""
+        return {
             "scheduler_running": self.scheduler.running,
             "pending": self.scheduler.pending,
             "tenants": sorted(self.sessions.tenant_names),
-            "execution_workers": self.config.execution_workers,
         }
-        stage = self._process_stage
-        if stage is not None:
-            health["workers_running"] = stage.running
-            health["worker_pids"] = stage.worker_pids()
-        return health
 
     def rung(self, tenant: str) -> str:
         """The tenant's effective degradation rung (``"full"`` at rest)."""
@@ -449,8 +421,7 @@ class Gateway:
     def metrics_text(self) -> str:
         """Telemetry + cost ledger in Prometheus text exposition format.
 
-        The future ASGI ``/metrics`` endpoint is
-        ``PlainTextResponse(gateway.metrics_text())`` — rendering runs
+        What the HTTP edge's ``GET /metrics`` serves — rendering runs
         off the telemetry *snapshot*, so a scrape never holds the
         recording locks for longer than one dict copy.
         """
@@ -480,10 +451,6 @@ class Gateway:
         explicit cache flush, no stale replies.  A catalog missing a
         tool the tenant's queries still reference fails validation and
         leaves the tenant serving the old catalog.
-
-        With a worker pool, the workers hold the old runner snapshot; the
-        swapped tenant runs inline (same results, bitwise) until the next
-        pool respawn re-primes the workers from the current runners.
         """
         from repro.tools.catalog import ToolCatalog, load_catalog
 
@@ -495,10 +462,6 @@ class Gateway:
         warm_cell = (self.config.default_scheme, self.config.default_model,
                      self.config.default_quant)
         version = session.swap_catalog(catalog, warm_cell=warm_cell)
-        if self._process_stage is not None:
-            # workers were primed with the pre-swap runner snapshot;
-            # route this tenant's episodes inline from now on
-            self._process_stage.uncover(tenant)
         self.telemetry.record_catalog_swap(tenant)
         return version
 
@@ -507,9 +470,8 @@ class Gateway:
         under its name, so a tenant re-registered as ``tenant`` starts
         clean: not shed, no scheme override, rung ``full``, an empty
         energy window with no budget streaks, request repeats (trace
-        ids) from zero, no cached plans, and executed inline until the
-        next pool respawn re-primes the workers from the current
-        runners.  Lifetime counters (telemetry, cost ledger) do not reset.
+        ids) from zero and no cached plans.  Lifetime counters
+        (telemetry, cost ledger) do not reset.
         Unknown names raise
         :class:`~repro.serving.session.UnknownTenantError`.
         """
@@ -524,8 +486,6 @@ class Gateway:
             del self._request_repeats[key]
         if self._plan_cache is not None:
             self._plan_cache.forget(tenant)
-        if self._process_stage is not None:
-            self._process_stage.uncover(tenant)
 
     # ------------------------------------------------------------------
     # degradation controls (driven by the DegradationController, but
@@ -560,10 +520,8 @@ class Gateway:
         group's planning stage becomes one ``plan_batch`` call against
         that tenant's agent, coalescing every request's embedding and
         Level-1/Level-2 retrieval into single kernel invocations.  The
-        planned episodes then execute either inline on this batch-worker
-        thread (the default) or across the worker pool when the config
-        sets ``execution_workers`` — tenants the pool does not cover
-        (registered, swapped or removed since it was primed) run inline.
+        planned episodes then run on this batch-worker thread through
+        ``run_planned_many``.
 
         Failures are contained per group: an invalid model name (or any
         agent error) fails only the requests sharing that grid cell —
@@ -629,36 +587,16 @@ class Gateway:
                             attributes={"group_size": len(positions),
                                         "cache_hit": hit})
                         tracer.end_span(plan_span, end_s=plan_end)
-                stage = self._process_stage
-                use_worker = stage is not None and stage.covers(tenant)
-                execute_spans = [None] * len(positions)
-                if traced:
-                    backend = "worker" if use_worker else "inline"
-                    execute_traces: list[TraceContext | None] = []
-                    for index, trace in enumerate(group_traces):
-                        if trace is None:
-                            execute_traces.append(None)
-                            continue
-                        span = tracer.start_span(
-                            trace, "execute", attributes={"backend": backend})
-                        execute_spans[index] = span
-                        execute_traces.append(trace.child(span.span_id))
+                execute_spans = [tracer.start_span(trace, "execute")
+                                 for trace in traced]
                 try:
-                    if use_worker:
-                        episodes = stage.execute(
-                            tenant, scheme, model, quant, queries, plans,
-                            inline=agent.run_planned_many,
-                            traces=execute_traces if traced else None)
-                    else:
-                        episodes = agent.run_planned_many(queries, plans)
+                    episodes = agent.run_planned_many(queries, plans)
                 except Exception:
                     for span in execute_spans:
-                        if span is not None:
-                            tracer.end_span(span, status="error")
+                        tracer.end_span(span, status="error")
                     raise
                 for span in execute_spans:
-                    if span is not None:
-                        tracer.end_span(span)
+                    tracer.end_span(span)
                 variant = getattr(session.suite.catalog, "variant", "full")
                 for plan, position, episode in zip(plans, positions, episodes):
                     request = batch[position]

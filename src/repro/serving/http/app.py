@@ -13,7 +13,7 @@ GET    ``/v1/tenants/{name}``         One tenant's serving summary
 PUT    ``/v1/tenants/{name}``         Register a tenant / hot-swap catalog
 DELETE ``/v1/tenants/{name}``         Remove a tenant (``Gateway.remove_tenant``)
 GET    ``/v1/tenants/{name}/status``  Degradation rung + cost snapshot
-GET    ``/healthz``                   Gateway + worker-pool liveness
+GET    ``/healthz``                   Gateway liveness
 GET    ``/metrics``                   Prometheus text exposition
 ====== ============================== =======================================
 
@@ -365,8 +365,7 @@ class GatewayHTTPApp:
 
     async def _healthz(self, receive, send, params) -> None:
         health = self.gateway.health()
-        ok = health["scheduler_running"] and health.get("workers_running",
-                                                        True)
+        ok = health["scheduler_running"]
         health["status"] = "ok" if ok else "unavailable"
         await send_json(send, 200 if ok else 503, health)
 

@@ -208,17 +208,3 @@ class SessionManager:
         """Warm every registered tenant's default grid cell."""
         for name in self.tenant_names:
             self.get(name).warm(scheme, model, quant)
-
-    def runners(self) -> dict[str, "ExperimentRunner"]:
-        """Snapshot of each tenant's *current* runner, for pool priming.
-
-        Taken at pool start and again at every supervised respawn — so a
-        pool rebuilt after a worker crash is primed with post-hot-swap
-        runners, healing tenants that had been demoted to inline
-        execution by :meth:`~repro.serving.gateway.Gateway.update_catalog`.
-        One lock acquisition: a tenant removed mid-snapshot is either in
-        it or not, never an :class:`UnknownTenantError` half-way through.
-        """
-        with self._lock:
-            return {name: session.runner
-                    for name, session in self._tenants.items()}

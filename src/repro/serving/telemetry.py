@@ -134,16 +134,6 @@ class Telemetry:
         with self._lock:
             self._add("catalog_swaps", tenant)
 
-    def record_worker_restart(self) -> None:
-        """One worker-pool crash detected; an async respawn was kicked off."""
-        with self._lock:
-            self._add("worker_restarts")
-
-    def record_inline_fallback(self) -> None:
-        """One failed worker slice executed inline on the batch worker."""
-        with self._lock:
-            self._add("inline_fallbacks")
-
     def record_batch_quarantine(self, batch_size: int) -> None:
         """One failed micro-batch of ``batch_size`` requests re-processed
         request-by-request (both the batch and its requests are counted)."""

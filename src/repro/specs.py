@@ -9,9 +9,7 @@ by one of the frozen dataclasses below and executed through
 * **serializable** — ``to_dict()`` produces a plain JSON-compatible
   dict and ``from_dict()`` reconstructs an equal spec, nested specs
   included;
-* **picklable** — they cross the process-pool boundary untouched
-  (they hold only strings, numbers and tuples; see the pickling
-  boundary notes in ROADMAP.md).
+* **picklable** — they hold only strings, numbers and tuples.
 
 This module imports nothing heavy, so ``from repro import AgentSpec``
 stays cheap.
@@ -130,8 +128,8 @@ class EngineSpec(_SpecBase):
     Ollama, ...) and requires ``base_url``; ``wire_model`` is the model
     name sent on the wire when it differs from the repo's model id.
 
-    The spec holds only plain data — live HTTP clients are constructed
-    from it on each side of the process-pool boundary, never pickled.
+    The spec holds only plain data; the engine opens a fresh connection
+    per request from it.
     """
 
     name: str = "simulated"
@@ -537,7 +535,7 @@ class HttpSpec(_SpecBase):
 
 @dataclass(frozen=True)
 class ServingSpec(_SpecBase):
-    """Declarative gateway configuration: tenants + batching + execution.
+    """Declarative gateway configuration: tenants + batching + deadlines.
 
     The one serving config type — :class:`~repro.serving.gateway.Gateway`
     and the micro-batch scheduler read it directly.
@@ -576,14 +574,6 @@ class ServingSpec(_SpecBase):
         the cell :meth:`~repro.serving.gateway.Gateway.update_catalog`
         warms against a hot-swapped tool catalog before the atomic swap,
         so default-cell traffic never pays the re-index on-path.
-    execution_workers:
-        Where the post-planning episode loop of a flushed batch runs: 0
-        (the default) inline on the gateway's batch worker, N ≥ 1 across
-        a supervised pool of N worker processes
-        (:class:`~repro.serving.process.SupervisedEpisodeExecutor`: a
-        crashed or wedged slice runs inline at once while the pool
-        respawns).  Planning stays batched in the parent either way, and
-        served results are bitwise identical.
     timeout_ms:
         End-to-end deadline per request, enforced by
         :meth:`~repro.serving.gateway.Gateway.submit` from admission
@@ -631,7 +621,6 @@ class ServingSpec(_SpecBase):
     default_scheme: str = "lis-k3"
     default_model: str = "hermes2-pro-8b"
     default_quant: str = "q4_K_M"
-    execution_workers: int = 0
     plan_cache_size: int = 0
     timeout_ms: float | None = None
     obs: ObsSpec | None = None
@@ -651,8 +640,7 @@ class ServingSpec(_SpecBase):
         _require(len(names) == len(set(names)),
                  f"ServingSpec.tenants names must be unique, got {names}")
         _require_min(self, 1, "max_batch_size", "queue_capacity")
-        _require_min(self, 0, "max_wait_ms", "plan_cache_size",
-                     "execution_workers")
+        _require_min(self, 0, "max_wait_ms", "plan_cache_size")
         _require_min(self, 0, "timeout_ms", strict=True)
         for field_name in ("default_scheme", "default_model", "default_quant"):
             _require(bool(getattr(self, field_name)),

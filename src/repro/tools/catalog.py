@@ -2,10 +2,10 @@
 
 A :class:`ToolCatalog` is the unit the paper's method actually operates
 on — the pool of JSON-described tools a deployment presents to the LLM.
-It is frozen (safe to share across tenants, threads and process-pool
-workers), content-hash **versioned** (two catalogs with the same tools
-in the same order under the same variant have the same ``version``; any
-edit changes it, which is what lets the serving gateway's plan cache
+It is frozen (safe to share across tenants and threads), content-hash
+**versioned** (two catalogs with the same tools in the same order under
+the same variant have the same ``version``; any edit changes it, which
+is what lets the serving gateway's plan cache
 invalidate itself on hot-swap), and **variant-aware**: every tool
 carries ``full`` / ``compressed`` / ``minimal`` description variants
 (:data:`~repro.tools.schema.DESCRIPTION_VARIANTS`), and

@@ -62,17 +62,6 @@ class SimulatedToolExecutor:
     def __post_init__(self):
         self._log_lock = threading.Lock()
 
-    # executors ride along when agents/runners are pickled to process-pool
-    # workers; the log lock is recreated on the other side
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_log_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._log_lock = threading.Lock()
-
     def _record(self, outcome: ExecutionOutcome) -> ExecutionOutcome:
         if self.log_calls:
             with self._log_lock:

@@ -124,23 +124,11 @@ class VectorIndex:
                     np.zeros((n_queries, 0), dtype=np.int64))
         return self._search_arrays_impl(queries, min(k, len(self)))
 
-    # pickling ----------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # the operand is a function of the stored vectors: rebuilt on the
-        # receiving side, never shipped
-        state = self.__dict__.copy()
-        state.pop("_operand", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._refresh_operand()
-
     # hooks -------------------------------------------------------------
     def _refresh_operand(self) -> None:
         """Recompute what search needs of the stored vectors.
 
-        Called whenever they change (construction, ``add``, unpickling),
+        Called whenever they change (construction, ``add``),
         so a search never re-derives anything from data that did not
         change since the last one.
         """

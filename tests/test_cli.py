@@ -39,6 +39,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["grid", *stale])
 
+    def test_chaos_rejects_the_pool_flags(self):
+        # episodes run on the batch worker: no pool to size or to crash
+        for stale in (["--workers", "2"], ["--crash-rate", "0.25"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["chaos", *stale])
+
 
 class TestCommands:
     def test_run_command(self, capsys):
@@ -115,8 +121,7 @@ class TestChaosExitCode:
                 episodes={(load.tenant, load.query.qid, 0): None
                           for load in served},
                 gateway_metrics=dict.fromkeys(
-                    ("worker_restarts", "inline_fallbacks",
-                     "batch_quarantines", "deadline_timeouts"), 0)
+                    ("batch_quarantines", "deadline_timeouts"), 0)
                 | {"faults_injected_by_hook": {}},
                 n_errors=n_requests - len(served))
 

@@ -1,8 +1,6 @@
 """Tests for the vectorized embedding engine: batched-vs-sequential
 equivalence, the direction bank, and the batch-aware cache."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -133,16 +131,6 @@ class TestDirectionCache:
         fresh = DirectionBank(dim=16, namespace="t")
         fresh.intern(keys)
         np.testing.assert_array_equal(bank.matrix, fresh.matrix)
-
-    def test_pickle_ships_keys_not_the_reservation(self):
-        bank = DirectionBank(dim=16, namespace="t")
-        bank.intern([("token", str(i)) for i in range(50)])
-        assert "_storage" not in bank.__getstate__()
-        payload = pickle.dumps(bank)
-        assert len(payload) < 50 * 16 * 8     # smaller than the 50 rows alone
-        clone = pickle.loads(payload)
-        np.testing.assert_array_equal(clone.matrix, bank.matrix)
-        assert clone.intern([("token", "new")]) == [50]
 
 
 class TestCachedEmbedderBatch:

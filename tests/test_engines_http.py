@@ -10,6 +10,9 @@ nothing beyond the stdlib.
 
 from __future__ import annotations
 
+import asyncio
+import json
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -22,7 +25,7 @@ from repro.engines.testing import (
     tool_call_message,
 )
 from repro.session import open_session
-from repro.specs import AgentSpec, EngineSpec
+from repro.specs import AgentSpec, EngineSpec, ServingSpec
 from repro.suites import load_suite
 from repro.tools.schema import ToolCall
 
@@ -182,6 +185,47 @@ class TestEndToEnd:
         for episode in run.episodes:
             assert episode.tool_accuracy
             assert len(episode.steps) == gold[episode.qid].n_steps
+
+    def test_gateway_serves_an_engine_tenant_like_session_run(self):
+        """An ``openai_http`` tenant served through the gateway — batched
+        planning, then the batch worker — equals ``session.run`` over the
+        same backend bitwise, and asks it exactly as often.  The replies
+        are a pure function of the payload, so the two runs see the same
+        answers whatever order their requests arrive in."""
+
+        def reply_fn(payload):
+            prompt = payload["messages"][-1]["content"]
+            tools = payload.get("tools")
+            if not tools:  # the recommender: one description per query
+                return content_message(json.dumps([prompt[-80:]]))
+            tool = tools[len(prompt) % len(tools)]["function"]
+            return tool_call_message(tool["name"], {})
+
+        app = MockOpenAIApp(reply_fn=reply_fn)
+        with MockOpenAIServer(app) as server:
+            engine = _spec(server.base_url)
+            session = open_session("edgehome", n_queries=6)
+            sequential = session.run(AgentSpec(
+                scheme="lis-k3", model=MODEL, quant=QUANT, engine=engine))
+            asked = len(app.requests)
+
+            async def serve_all():
+                config = ServingSpec(default_engine=engine, max_batch_size=4,
+                                     max_wait_ms=5.0)
+                async with session.serve(config) as gateway:
+                    return await asyncio.gather(*(
+                        gateway.submit("edgehome", query)
+                        for query in session.suite.queries))
+
+            responses = asyncio.run(serve_all())
+
+        reference = {episode.qid: episode for episode in sequential.episodes}
+        assert asked >= len(reference)
+        assert len(app.requests) == 2 * asked
+        assert [r for r in responses if r.batch_size > 1], \
+            "no request was actually micro-batched"
+        for response in responses:
+            assert response.episode == reference[response.episode.qid]
 
     def test_cli_run_with_engine_url(self, capsys):
         app = MockOpenAIApp()

@@ -4,15 +4,14 @@
 sampling weights off one memoized query-vs-descriptions vector.  These
 tests pin the memo's contracts: the vector always belongs to the set
 actually presented (retries, Level-3 fallback, catalog variants, a
-reseeded shared embedder), it is bounded, it never crosses a process
-boundary, and concurrent episodes on one agent equal sequential ones.
+reseeded shared embedder), it is bounded, and concurrent episodes on
+one agent equal sequential ones.
 Episode bits against the parent commit live in
 ``tests/test_golden_episodes.py``.
 """
 
 from __future__ import annotations
 
-import pickle
 import sys
 import threading
 
@@ -143,19 +142,6 @@ def test_memo_is_bounded(monkeypatch):
     # oldest out: the last four queries are the ones still held
     held = {key[1] for key in llm._similarity_memo}
     assert held == {query.text for query in session.suite.queries[-4:]}
-
-
-def test_memo_and_lock_stay_out_of_the_pickle():
-    session = open_session("edgehome", n_queries=4, embedder=CachedEmbedder())
-    agent = session.build_agent(AgentSpec("lis-k3", "hermes2-pro-8b", "q4_K_M"))
-    expected = [agent.run(query).to_dict() for query in session.suite.queries]
-    assert agent.llm._similarity_memo
-    state = agent.llm.__getstate__()
-    assert "_similarity_memo" not in state and "_similarity_lock" not in state
-    clone = pickle.loads(pickle.dumps(agent))
-    assert clone.llm._similarity_memo == {}
-    assert [clone.run(query).to_dict()
-            for query in session.suite.queries] == expected
 
 
 def test_eight_threads_on_one_agent_equal_sequential(monkeypatch):

@@ -128,8 +128,9 @@ def test_colon_in_a_tenant_name_stays_in_the_tenant_label():
 # the family table
 # ----------------------------------------------------------------------
 #: the parent commit's Telemetry().snapshot() keys, written out, minus
-#: the slice-retry counter (the retry loop is gone): the table may be
-#: re-ordered or re-typed, the wire surface may not move
+#: the worker-restart and inline-fallback counters (the worker pool is
+#: gone): the table may be re-ordered or re-typed, the wire surface may
+#: not move
 SNAPSHOT_KEYS = {
     "uptime_s", "snapshot_seq", "requests_admitted", "requests_rejected",
     "requests_completed", "requests_failed", "n_batches", "mean_batch_size",
@@ -138,8 +139,7 @@ SNAPSHOT_KEYS = {
     "latency_mean_ms", "queue_wait_p50_ms", "queue_wait_p95_ms",
     "queue_wait_sum_s", "queue_wait_count", "plan_cache_hits",
     "plan_cache_misses", "plan_cache_hit_rate", "catalog_swaps",
-    "catalog_swaps_by_tenant", "worker_restarts", "inline_fallbacks",
-    "batch_quarantines", "quarantined_requests", "deadline_timeouts",
+    "catalog_swaps_by_tenant", "batch_quarantines", "quarantined_requests", "deadline_timeouts",
     "shed_requests", "shed_requests_by_tenant", "faults_injected",
     "faults_injected_by_hook", "degrade_transitions",
     "degrade_transitions_detail", "energy_j", "energy_j_by_tenant",
@@ -169,8 +169,8 @@ def _record_calls():
             yield name, {**fixed, **{flag: value for flag in flags}}
 
 
-def test_snapshot_keys_are_the_parents_42():
-    assert len(SNAPSHOT_KEYS) == 42
+def test_snapshot_keys_are_pinned():
+    assert len(SNAPSHOT_KEYS) == 40
     assert set(Telemetry().snapshot()) == SNAPSHOT_KEYS
 
 
@@ -217,13 +217,13 @@ def test_real_snapshot_renders_valid_exposition_text():
         telemetry.record_flush(size)
     telemetry.record_completion(0.010)
     telemetry.record_completion(0.030)
-    telemetry.record_fault("process.execute")
+    telemetry.record_fault("batch.process")
     telemetry.record_degradation("home", "compressed", "down")
     samples = _parse_exposition(render_prometheus(telemetry.snapshot()))
     assert samples["repro_requests_admitted_total"] == [({}, 3.0)]
     assert samples["repro_requests_completed_total"] == [({}, 2.0)]
     [(labels, value)] = samples["repro_faults_injected_total"]
-    assert (labels, value) == ({"hook": "process.execute"}, 1.0)
+    assert (labels, value) == ({"hook": "batch.process"}, 1.0)
     [(labels, value)] = samples["repro_degrade_transitions_total"]
     assert labels == {"tenant": "home", "direction": "down",
                       "rung": "compressed"}

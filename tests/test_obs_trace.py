@@ -1,17 +1,15 @@
 """Tracing acceptance: deterministic ids, complete span trees, and
-context propagation across the thread and process-pool boundaries.
+context propagation across the batcher's thread boundary.
 
-The contracts under test, in the order ISSUE/ROADMAP state them:
+The contracts under test:
 
 * trace ids are a pure function of ``(tenant, qid, repeat)`` — the same
-  workload names the same traces on every run, thread or process backend
-  alike, and a sample rate keeps a *reproducible* subset;
+  workload names the same traces on every run, and a sample rate keeps
+  a *reproducible* subset;
 * one served request yields one complete span tree (``request`` →
   ``queue`` / ``plan`` / ``execute``) retrievable by trace id from a
   :class:`~repro.obs.sinks.MemorySink`;
-* :class:`~repro.obs.trace.TraceContext` survives pickling, worker-slice
-  spans come back from pool workers carrying the worker's pid, and an
-  inline fallback is distinguishable by span name alone;
+* :class:`~repro.obs.trace.TraceContext` survives pickling;
 * tracing never perturbs results — episodes stay bitwise identical to
   the sequential runner with tracing enabled.
 """
@@ -19,7 +17,6 @@ The contracts under test, in the order ISSUE/ROADMAP state them:
 from __future__ import annotations
 
 import asyncio
-import os
 import pickle
 
 from repro.embedding.cache import CachedEmbedder
@@ -30,20 +27,13 @@ from repro.obs import (
     TraceContext,
     Tracer,
     read_jsonl_spans,
-    worker_slice_span,
 )
 from repro.obs.trace import request_trace_id
-from repro.serving import (
-    FaultPlan,
-    Gateway,
-    SessionManager,
-    run_load,
-)
+from repro.serving import Gateway, SessionManager, run_load
 from repro.specs import ObsSpec, ServingSpec
 from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
-WORKERS = int(os.environ.get("REPRO_PROCESS_WORKERS", "2"))
 
 
 def _memory_tracer(sample_rate: float = 1.0) -> tuple[Tracer, MemorySink]:
@@ -51,14 +41,13 @@ def _memory_tracer(sample_rate: float = 1.0) -> tuple[Tracer, MemorySink]:
     return Tracer(sink, sample_rate=sample_rate), sink
 
 
-def _serve(suite, config: ServingSpec, tracer: Tracer | None,
-           queries=None, faults=None):
+def _serve(suite, config: ServingSpec, tracer: Tracer | None, queries=None):
     """Submit ``queries`` through one gateway; return the responses."""
 
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=config, faults=faults,
+        async with Gateway(sessions, config=config,
                            tracer=tracer) as gateway:
             return await asyncio.gather(*(
                 gateway.submit("home", query)
@@ -135,7 +124,7 @@ def test_single_request_produces_complete_span_tree():
     for name in ("queue", "plan", "execute"):
         assert spans[name].parent_id == root.span_id, name
         assert spans[name].status == "ok"
-    assert spans["execute"].attributes["backend"] == "inline"
+    assert spans["execute"].attributes == {}
     # the tree renders (demo/debug aid) and names every span
     tree = sink.render_tree(trace_id)
     for name in spans:
@@ -151,97 +140,6 @@ def test_same_workload_names_the_same_traces_across_runs():
         _serve(suite, config, tracer)
         ids.append(set(sink.trace_ids()))
     assert ids[0] == ids[1]
-
-
-# ----------------------------------------------------------------------
-# the process-pool boundary
-# ----------------------------------------------------------------------
-def test_worker_slice_spans_cross_the_pickle_boundary():
-    suite = load_suite("edgehome", n_queries=6)
-    tracer, sink = _memory_tracer()
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
-                         execution_workers=WORKERS)
-    responses = _serve(suite, config, tracer)
-    assert all(response.episode is not None for response in responses)
-
-    slices = [span for span in sink.spans() if span.name == "worker-slice"]
-    executes = {span.span_id: span for span in sink.spans()
-                if span.name == "execute"}
-    qids = {query.qid for query in suite.queries}
-    assert len(slices) == len(suite.queries)
-    for span in slices:
-        # built inside the pool worker, pickled back to the parent
-        assert span.attributes["pid"] != os.getpid()
-        assert span.attributes["qid"] in qids
-        # parents to its request's execute span (id survived pickling)
-        assert span.parent_id in executes
-        assert executes[span.parent_id].trace_id == span.trace_id
-        assert executes[span.parent_id].attributes["backend"] == "worker"
-    # every trace id a worker saw is a trace the gateway started
-    gateway_ids = {span.trace_id for span in sink.spans()
-                   if span.name == "request"}
-    assert {span.trace_id for span in slices} <= gateway_ids
-
-
-def test_inline_fallback_slices_are_distinguishable():
-    """With every pool-dispatched group crashing a worker, episodes run
-    through the inline fallback — named ``inline-slice``, parent pid.
-
-    The SIGKILL races the slices: the surviving worker may finish its
-    slice before the pool notices the death, so a crashed group can
-    legitimately keep a ``worker-slice``.  The contract is therefore
-    checked per trace — a slice is ``inline-slice`` in the parent pid
-    exactly when its trace carries an ``inline_fallback`` event — which
-    holds however the race resolves.  (Some fallback always happens: a
-    first group that wholly outran its kill leaves the pool one worker
-    short, and the second group's kill takes the last one.)
-    """
-    suite = load_suite("edgehome", n_queries=4)
-    tracer, sink = _memory_tracer()
-    config = ServingSpec(max_batch_size=2, max_wait_ms=2.0,
-                         execution_workers=WORKERS)
-    responses = _serve(suite, config, tracer,
-                       faults=FaultPlan(seed=2, worker_crash_rate=1.0))
-    assert all(response.episode is not None for response in responses)
-
-    by_trace = {}
-    for span in sink.spans():
-        by_trace.setdefault(span.trace_id, []).append(span)
-    assert len(by_trace) == len(suite.queries)
-    fell_back_traces = 0
-    for spans in by_trace.values():
-        [execute] = [span for span in spans if span.name == "execute"]
-        slices = [span for span in spans
-                  if span.name in ("worker-slice", "inline-slice")]
-        events = {event.name for span in spans for event in span.events}
-        if execute.attributes["backend"] != "worker":
-            # served while the pool respawned: no slice on either side
-            assert not slices and "inline_fallback" not in events
-            continue
-        # every episode of a pool-dispatched group came from one slice
-        [slice_span] = slices
-        assert slice_span.parent_id == execute.span_id
-        if "inline_fallback" in events:
-            # the fallback decision is an event on the owning trace and
-            # its episode ran on this side of the pickle boundary
-            fell_back_traces += 1
-            assert slice_span.name == "inline-slice"
-            assert slice_span.attributes["pid"] == os.getpid()
-        else:
-            # the survivor outran the kill: a real worker-side slice
-            assert slice_span.name == "worker-slice"
-            assert slice_span.attributes["pid"] != os.getpid()
-    assert fell_back_traces, "crash-everything run produced no inline slices"
-
-
-def test_worker_slice_span_helper_names_both_sides():
-    ctx = TraceContext("feedfacefeedface", "0011223344556677")
-    worker = worker_slice_span(ctx, "q-1", 1.0, 2.0)
-    inline = worker_slice_span(ctx, "q-1", 1.0, 2.0, inline=True)
-    assert worker.name == "worker-slice"
-    assert inline.name == "inline-slice"
-    assert worker.parent_id == inline.parent_id == ctx.span_id
-    assert worker.duration_ms == inline.duration_ms == 1000.0
 
 
 # ----------------------------------------------------------------------

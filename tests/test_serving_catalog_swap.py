@@ -16,9 +16,8 @@ import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
-from repro.serving import Gateway, SessionManager, Telemetry
+from repro.serving import Gateway, SessionManager
 from repro.serving.gateway import _PlanCache
-from repro.serving.process import SupervisedEpisodeExecutor
 from repro.specs import CatalogSpec, ServingSpec
 from repro.suites import load_suite
 from repro.tools.catalog import load_catalog
@@ -209,12 +208,3 @@ def test_leased_agent_pairs_agent_with_version(suite):
     assert swapped_version == new_version == compressed.version
     assert swapped_agent is not agent
     assert swapped_agent.suite.catalog.variant == "compressed"
-
-
-def test_process_stage_uncover_routes_inline():
-    stage = SupervisedEpisodeExecutor(1, dict, Telemetry())
-    stage._tenants = frozenset({"home", "other"})
-    assert stage.covers("home")
-    stage.uncover("home")
-    assert not stage.covers("home")
-    assert stage.covers("other")

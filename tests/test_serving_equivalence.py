@@ -210,43 +210,9 @@ def test_http_call_equals_sequential_runner(suite):
         assert response.trace_id == payload["trace_id"] != ""
 
 
-def test_process_execution_stage_equals_sequential_runner(suite):
-    """Worker-process episode execution must not change served results.
-
-    Planning stays batched in the parent; the post-planning step loop of
-    each flush runs across a 2-worker process pool
-    (``execution_workers=2``) — and every served episode must
-    still equal the sequential :class:`ExperimentRunner` path bitwise.
-    """
-    import os
-
-    workers = int(os.environ.get("REPRO_PROCESS_WORKERS", "2"))
-    reference_runner = ExperimentRunner(suite, embedder=CachedEmbedder())
-    reference = {
-        episode.qid: episode
-        for episode in reference_runner.run("lis-k3", MODEL, QUANT).episodes
-    }
-
-    async def serve_all():
-        sessions = SessionManager()
-        sessions.register("t", suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0,
-                             execution_workers=workers)
-        async with Gateway(sessions, config=config) as gateway:
-            return await asyncio.gather(*(
-                gateway.submit("t", query) for query in suite.queries
-            ))
-
-    responses = asyncio.run(serve_all())
-    assert len(responses) == len(reference)
-    assert [r for r in responses if r.batch_size > 1], \
-        "no request was actually micro-batched"
-    for response in responses:
-        assert response.episode == reference[response.episode.qid]
-
-
-def test_late_registered_tenant_served_inline_with_process_stage():
-    """Tenants registered after the pool was primed still serve correctly."""
+def test_late_registered_tenant_serves_bitwise():
+    """A tenant registered after ``start`` — never warmed — still serves
+    exactly what the sequential runner returns."""
     early = load_suite("edgehome", n_queries=6)
     late = load_suite("bfcl", n_queries=6)
     reference = {
@@ -258,12 +224,9 @@ def test_late_registered_tenant_served_inline_with_process_stage():
     async def serve():
         sessions = SessionManager()
         sessions.register("early", early)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
-                             execution_workers=2)
+        config = ServingSpec(max_batch_size=4, max_wait_ms=5.0)
         async with Gateway(sessions, config=config) as gateway:
-            assert gateway._process_stage.covers("early")
-            sessions.register("late", late)  # workers never saw this one
-            assert not gateway._process_stage.covers("late")
+            sessions.register("late", late)
             return await asyncio.gather(*(
                 gateway.submit("late", query) for query in late.queries
             ))
@@ -272,10 +235,11 @@ def test_late_registered_tenant_served_inline_with_process_stage():
         assert response.episode == reference[response.episode.qid]
 
 
-def test_removed_then_reregistered_tenant_leaves_the_stale_pool():
-    """DELETE + PUT a tenant name with another suite under the process
-    backend: the workers hold the *old* suite's runner under that name,
-    so the stage must stop covering it — served == sequential bitwise."""
+def test_removed_then_reregistered_tenant_serves_its_new_suite():
+    """DELETE + PUT a tenant name with another suite after it served
+    traffic (its agents and cached plans live under that name): every
+    episode of the successor equals the sequential runner over the new
+    suite, bitwise."""
     old = load_suite("edgehome", n_queries=4)
     new = load_suite("geoengine", n_queries=4)
     reference = {
@@ -288,12 +252,12 @@ def test_removed_then_reregistered_tenant_leaves_the_stale_pool():
         sessions = SessionManager()
         sessions.register("t", old)
         config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
-                             execution_workers=2)
+                             plan_cache_size=64)
         async with Gateway(sessions, config=config) as gateway:
-            assert gateway._process_stage.covers("t")
+            await asyncio.gather(*(
+                gateway.submit("t", query) for query in old.queries))
             gateway.remove_tenant("t")
             sessions.register("t", new)
-            assert not gateway._process_stage.covers("t")
             return await asyncio.gather(*(
                 gateway.submit("t", query) for query in new.queries
             ))

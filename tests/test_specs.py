@@ -44,7 +44,7 @@ ALL_SPECS = [
         tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),
                  TenantSpec(name="assist", suite=SuiteSpec(name="bfcl"))),
         max_batch_size=16, max_wait_ms=1.5, queue_capacity=64,
-        default_scheme="lis-k5", execution_workers=2, plan_cache_size=256),
+        default_scheme="lis-k5", plan_cache_size=256),
     ExperimentSpec(
         suite=SuiteSpec(name="bfcl", n_queries=4),
         agent=AgentSpec(scheme="gorilla", model="qwen2-7b", quant="q4_0"),
@@ -132,7 +132,7 @@ class TestNormalization:
                         "max_batch_size": 4, "max_wait_ms": 1.0,
                         "queue_capacity": 8, "default_scheme": "lis-k3",
                         "default_model": "m", "default_quant": "q",
-                        "execution_workers": 0, "plan_cache_size": 2},
+                        "plan_cache_size": 2},
         })
         assert spec.suite.n_queries == 4
         assert spec.serving.tenants[0].suite.name == "bfcl"
@@ -214,12 +214,12 @@ class TestValidation:
                                  TenantSpec("t", "edgehome")))
 
     def test_serving_stale_backend_key_fails_loudly(self):
-        """Selection is ``execution_workers`` alone: a backend name is a
-        stale key, and a negative worker count is rejected."""
+        """Episodes run on the gateway's batch worker: neither a backend
+        name nor a worker count is a key any more."""
         with pytest.raises(TypeError, match="execution_backend"):
             ServingSpec(execution_backend="gpu")
-        with pytest.raises(ValueError, match="execution_workers"):
-            ServingSpec(execution_workers=-1)
+        with pytest.raises(TypeError, match="execution_workers"):
+            ServingSpec(execution_workers=2)
 
     def test_serving_plan_cache_nonnegative(self):
         with pytest.raises(ValueError, match="plan_cache_size"):
@@ -276,7 +276,7 @@ class TestSpecImportsStayCheap:
             "from repro.specs import AgentSpec, BudgetSpec, GridSpec, "
             "ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
-            "plan_cache_size=8, execution_workers=2, "
+            "plan_cache_size=8, "
             "budget=BudgetSpec(energy_budget_j=50.0, signal='sinusoid'), "
             "obs=ObsSpec(), default_engine='simulated'); "
             "AgentSpec(); GridSpec(); "
@@ -337,12 +337,12 @@ class TestConversions:
 class TestWireCompat:
     """Spec JSON is an interface (``repro serve --spec``, ``bench_e2e``'s
     generated spec): the key sets below are the PR 12 wire form, minus
-    the five execution keys the supervised pool made constants."""
+    the six execution keys that went with the worker pool."""
 
     SERVING_KEYS = {
         "tenants", "default_engine", "max_batch_size", "max_wait_ms",
         "queue_capacity", "default_scheme", "default_model", "default_quant",
-        "execution_workers", "plan_cache_size", "timeout_ms", "obs", "http",
+        "plan_cache_size", "timeout_ms", "obs", "http",
         "budget"}
     BUDGET_KEYS = {
         "energy_budget_j", "carbon_budget_g", "window_requests",
@@ -373,7 +373,7 @@ class TestWireCompat:
         data = json.loads((Path(__file__).parent / "data"
                            / "serving_spec_parent.json").read_text())
         removed = set(data) - self.SERVING_KEYS
-        assert len(removed) == 5
+        assert len(removed) == 6
         with pytest.raises(TypeError, match="|".join(removed)):
             ServingSpec.from_dict(data)
         for key in removed:
@@ -386,7 +386,7 @@ class TestWireCompat:
                            engine=EngineSpec("simulated")),
                 TenantSpec("assist", "bfcl")),
             default_engine="simulated", max_batch_size=16, max_wait_ms=1.5,
-            queue_capacity=64, default_scheme="lis-k5", execution_workers=2,
+            queue_capacity=64, default_scheme="lis-k5",
             plan_cache_size=256, timeout_ms=500.0,
             obs=ObsSpec(sink="null", sample_rate=0.5, slow_span_ms=20.0),
             http=HttpSpec(port=0, api_key="k", rate_limit_rps=5.0),
