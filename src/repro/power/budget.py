@@ -46,7 +46,8 @@ class BudgetController:
     :class:`~repro.power.meter.EnergyMeter` with the accounting layer.
     Every action lands in telemetry as a ``budget_transitions`` entry
     (``<tenant>:<direction>:<rung>`` for ladder moves,
-    ``device:<direction>:<mode>`` for power-mode moves).
+    ``device:<direction>:<mode>`` for power-mode moves).  The per-tenant
+    streaks and settle mark are the tenant session's.
     """
 
     SOURCE = "budget"
@@ -61,10 +62,6 @@ class BudgetController:
         self._mode_index = 0
         self._mode_floor = MODE_LADDER.index(spec.min_power_mode)
         self._mode_clear_streak = 0
-        self._tenant_clear_streak: dict[str, int] = {}
-        self._shed_streak: dict[str, int] = {}
-        #: per-tenant total_requests watermark at the last ladder move
-        self._settle_marks: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # introspection
@@ -77,20 +74,13 @@ class BudgetController:
         """Controller state for operators: mode plus per-tenant desires."""
         arbiter = self.gateway.ladder
         tenants = {}
-        for tenant in self.gateway.sessions.tenant_names:
-            tenants[tenant] = {
-                "desired_rung": arbiter.desired_rung(self.SOURCE, tenant),
-                "effective_rung": arbiter.rung(tenant),
-                "rung_source": arbiter.rung_source(tenant),
+        for session in self.gateway.sessions:
+            tenants[session.name] = {
+                "desired_rung": arbiter.desired_rung(self.SOURCE, session),
+                "effective_rung": arbiter.rung(session),
+                "rung_source": arbiter.rung_source(session),
             }
         return {"power_mode": self.power_mode, "tenants": tenants}
-
-    def forget(self, tenant: str) -> None:
-        """Drop a removed tenant's streaks and settle mark (a watermark
-        on the meter's count, which restarts at zero with it)."""
-        for table in (self._tenant_clear_streak, self._shed_streak,
-                      self._settle_marks):
-            table.pop(tenant, None)
 
     # ------------------------------------------------------------------
     # the feedback loop
@@ -102,8 +92,8 @@ class BudgetController:
         self._tick_power_mode(intensity)
         if (self.spec.energy_budget_j is not None
                 or self.spec.carbon_budget_g is not None):
-            for tenant in self.gateway.sessions.tenant_names:
-                self._tick_tenant(tenant)
+            for session in self.gateway.sessions:
+                self._tick_tenant(session)
 
     async def run(self) -> None:
         """Poll-and-tick loop; cancelled by ``Gateway.stop``.
@@ -150,24 +140,22 @@ class BudgetController:
     # ------------------------------------------------------------------
     # per-tenant budget ladder
     # ------------------------------------------------------------------
-    def _tick_tenant(self, tenant: str) -> None:
+    def _tick_tenant(self, session) -> None:
         spec = self.spec
-        desired = self.gateway.ladder.desired_rung(self.SOURCE, tenant)
+        desired = self.gateway.ladder.desired_rung(self.SOURCE, session)
         if desired == "shed":
             # a shed tenant generates no fresh evidence: probation —
             # after recovery_ticks quiet ticks, try one rung up
-            streak = self._shed_streak.get(tenant, 0) + 1
-            if streak >= spec.recovery_ticks:
-                self._shed_streak[tenant] = 0
-                self._step(tenant, -1)
-            else:
-                self._shed_streak[tenant] = streak
+            session.shed_streak += 1
+            if session.shed_streak >= spec.recovery_ticks:
+                session.shed_streak = 0
+                self._step(session, -1)
             return
-        self._shed_streak[tenant] = 0
-        stats = self.meter.window_stats(tenant)
+        session.shed_streak = 0
+        stats = self.meter.window_stats(session)
         if stats.requests == 0:
             return
-        fresh = stats.total_requests - self._settle_marks.get(tenant, 0)
+        fresh = stats.total_requests - session.settle_mark
         if fresh < min(spec.effective_settle_requests, spec.window_requests):
             return  # the window hasn't refilled since the last move
         over = False
@@ -183,30 +171,26 @@ class BudgetController:
                                <= spec.carbon_budget_g
                                * spec.recovery_margin)
         if over:
-            self._tenant_clear_streak[tenant] = 0
-            self._step(tenant, +1)
+            session.clear_streak = 0
+            self._step(session, +1)
         elif under and desired != "full":
-            streak = self._tenant_clear_streak.get(tenant, 0) + 1
-            if streak >= spec.recovery_ticks:
-                self._tenant_clear_streak[tenant] = 0
-                self._step(tenant, -1)
-            else:
-                self._tenant_clear_streak[tenant] = streak
+            session.clear_streak += 1
+            if session.clear_streak >= spec.recovery_ticks:
+                session.clear_streak = 0
+                self._step(session, -1)
         else:
             # within the hysteresis band: hold, restart the streak
-            self._tenant_clear_streak[tenant] = 0
+            session.clear_streak = 0
 
-    def _step(self, tenant: str, direction: int) -> None:
-        arbiter = self.gateway.ladder
-        new_rung = arbiter.step(self.SOURCE, tenant, direction)
+    def _step(self, session, direction: int) -> None:
+        new_rung = self.gateway.ladder.step(self.SOURCE, session, direction)
         if new_rung is None:
             return  # clamped at a ladder edge, nothing moved
-        self._settle_marks[tenant] = (
-            self.meter.window_stats(tenant).total_requests)
+        session.settle_mark = session.energy_requests
         direction_name = "down" if direction > 0 else "up"
         self.gateway.telemetry.record_budget_transition(
-            tenant, new_rung, direction_name)
+            session.name, new_rung, direction_name)
         tracer = getattr(self.gateway, "tracer", None)
         if tracer is not None:
-            tracer.marker("budget", {"scope": tenant, "rung": new_rung,
+            tracer.marker("budget", {"scope": session.name, "rung": new_rung,
                                      "direction": direction_name})

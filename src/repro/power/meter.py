@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from repro.hardware.device import JETSON_AGX_ORIN, DeviceProfile
@@ -80,18 +79,17 @@ class WindowStats:
     mean_carbon_g: float     #: gCO₂ per request inside the window
 
 
-_EMPTY_STATS = WindowStats(0, 0, 0.0, 0.0, 0.0, 0.0)
-
-
 class EnergyMeter:
     """Attributes estimated joules and gCO₂ per request and tenant.
 
-    One meter per gateway.  ``record`` runs on the gateway's batch
-    worker; the controller thread reads ``window_stats`` and swaps the
-    active ``power_mode`` — a lock keeps the window deques coherent
-    across the two.  The meter keeps rolling windows and request counts
-    only: lifetime joules/gCO₂ live in the gateway's ``Telemetry``
-    (``record_energy``), the one ledger ``/metrics`` reads.
+    One meter per gateway.  It costs episodes under the active
+    ``power_mode``; the rolling window and the request count it keeps are
+    the tenant session's (``energy_window``, ``energy_requests``), so
+    they die with the registration.  ``record`` runs on the gateway's
+    batch worker while the event loop reads ``window_stats`` and swaps
+    the power mode — one lock keeps the mode and every window coherent
+    across the two.  Lifetime joules/gCO₂ live in the gateway's
+    ``Telemetry`` (``record_energy``), the one ledger ``/metrics`` reads.
     """
 
     def __init__(self, signal=None, device: DeviceProfile = JETSON_AGX_ORIN,
@@ -108,8 +106,6 @@ class EnergyMeter:
         self._lock = threading.Lock()
         self._mode = "MAXN"
         self._mode_device = device  # MAXN == the base profile
-        self._counts: dict[str, int] = {}
-        self._windows: dict[str, deque[EnergyRecord]] = {}
 
     # ------------------------------------------------------------------
     # clock / power mode
@@ -137,10 +133,12 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     # attribution
     # ------------------------------------------------------------------
-    def record(self, tenant: str, episode, *, model: str, quant: str,
+    def record(self, session, episode, *, model: str, quant: str,
                context_window: int | None = None,
                now_s: float | None = None) -> EnergyRecord:
-        """Attribute one completed episode; returns the costed record."""
+        """Attribute one completed episode to the tenant ``session``;
+        returns the costed record."""
+        tenant = session.name
         params_b, bits = self._model_shape(model, quant)
         prompt = int(getattr(episode, "prompt_tokens", 0) or 0)
         completion = int(getattr(episode, "completion_tokens", 0) or 0)
@@ -166,20 +164,12 @@ class EnergyMeter:
                               carbon_g=carbon_g, power_mode=mode,
                               intensity_g_per_kwh=intensity)
         with self._lock:
-            self._counts[tenant] = self._counts.get(tenant, 0) + 1
-            window = self._windows.get(tenant)
-            if window is None:
-                window = deque(maxlen=self.window_requests)
-                self._windows[tenant] = window
+            session.energy_requests += 1
+            window = session.energy_window
             window.append(record)
+            if len(window) > self.window_requests:
+                window.popleft()
         return record
-
-    def forget(self, tenant: str) -> None:
-        """Drop a removed tenant's window and count: a later tenant of
-        the same name starts with an empty window."""
-        with self._lock:
-            self._windows.pop(tenant, None)
-            self._counts.pop(tenant, None)
 
     def _model_shape(self, model: str, quant: str) -> tuple[float, float]:
         from repro.llm import get_model_spec, get_quant_spec
@@ -197,20 +187,19 @@ class EnergyMeter:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def window_stats(self, tenant: str) -> WindowStats:
-        """Rolling stats over the tenant's last ``window_requests`` records."""
+    def window_stats(self, session) -> WindowStats:
+        """Stats over the session's last ``window_requests`` records."""
         with self._lock:
-            window = self._windows.get(tenant)
-            if not window:
-                total = self._counts.get(tenant, 0)
-                return (_EMPTY_STATS if not total
-                        else WindowStats(0, total, 0.0, 0.0, 0.0, 0.0))
+            window = session.energy_window
             n = len(window)
+            if not n:
+                return WindowStats(0, session.energy_requests,
+                                   0.0, 0.0, 0.0, 0.0)
             energy = sum(record.energy_j for record in window)
             carbon = sum(record.carbon_g for record in window)
             return WindowStats(
                 requests=n,
-                total_requests=self._counts.get(tenant, 0),
+                total_requests=session.energy_requests,
                 energy_j=energy,
                 carbon_g=carbon,
                 mean_energy_j=energy / n,

@@ -22,11 +22,11 @@ Two controllers can drive the same ladder: this module's queue-pressure
 :class:`DegradationController` and the carbon/power
 :class:`~repro.power.budget.BudgetController`.  They compose through a
 shared :class:`LadderArbiter` owned by the gateway: each controller
-records its *desired* rung per tenant under a source name
-(``"pressure"`` / ``"budget"``) and the arbiter applies the deepest
-request.  Side effects and telemetry transitions fire only when the
-effective rung actually moves, so two controllers that disagree hold
-the ladder steady instead of fighting over it.
+records its *desired* rung on the tenant's session under a source name
+(``"pressure"`` / ``"budget"``) and the deepest desire is the rung.
+Telemetry transitions fire only when the effective rung actually moves,
+so two controllers that disagree hold the ladder steady instead of
+fighting over it.
 
 The controller is deliberately synchronous at its core —
 :meth:`DegradationController.tick` takes pressure readings as plain
@@ -65,7 +65,7 @@ class DegradationPolicy:
         Consecutive clear ticks required before stepping tenants back
         up one rung.
     reduced_k_scheme:
-        Scheme override installed at the ``reduced-k`` rung (any
+        Scheme default traffic runs from the ``reduced-k`` rung down (any
         registered scheme; parameterized ``lis-k<N>`` names work).
     interval_ms:
         Poll period of the async :meth:`DegradationController.run` loop.
@@ -103,12 +103,15 @@ class LadderArbiter:
     """Arbitrates rung requests from several controllers onto one gateway.
 
     Each controller steps its own *desired* ladder index per tenant under
-    a stable source name; the arbiter applies ``max`` over sources as the
-    tenant's effective rung, walking one rung at a time so the recorded
+    a stable source name, kept on the tenant's session
+    (:attr:`~repro.serving.session.TenantSession.desired`); the effective
+    rung is the deepest desire (``session.rung``), so there is no applied
+    state to keep in step with it.  What a rung does is read off the rung
+    where it is used: ``submit`` reroutes default traffic to
+    :attr:`reduced_k_scheme` from ``reduced-k`` down and sheds at
+    ``shed``.  A move walks one rung at a time, so the recorded
     transitions are exactly the single-step sequence a lone controller
-    would produce.  A rung's side effects are a function of the rung
-    alone (scheme override from ``reduced-k`` down, shedding at
-    ``shed``).  Not thread-safe: every caller runs on the event loop.
+    would produce.  Not thread-safe: every caller runs on the event loop.
     Telemetry records one ``degrade_transitions`` entry per effective
     rung moved — a controller whose desire is already dominated by
     another source moves nothing and records nothing.
@@ -117,108 +120,81 @@ class LadderArbiter:
     def __init__(self, gateway, reduced_k_scheme: str = "lis-k1"):
         self.gateway = gateway
         self.reduced_k_scheme = reduced_k_scheme
-        self._desired: dict[str, dict[str, int]] = {}  # source -> tenant -> idx
-        self._applied: dict[str, int] = {}             # tenant -> effective idx
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def rung(self, tenant: str) -> str:
+    def rung(self, session) -> str:
         """The tenant's effective rung name (``"full"`` when undegraded)."""
-        return RUNGS[self._applied.get(tenant, 0)]
+        return RUNGS[session.rung]
 
-    def desired_rung(self, source: str, tenant: str) -> str:
-        """``source``'s current desired rung name for ``tenant``."""
-        return RUNGS[self._desired.get(source, {}).get(tenant, 0)]
+    def desired_rung(self, source: str, session) -> str:
+        """``source``'s current desired rung name for the tenant."""
+        return RUNGS[session.desired.get(source, 0)]
 
-    def rung_source(self, tenant: str) -> str:
+    def rung_source(self, session) -> str:
         """Which source(s) pin the tenant at its effective rung.
 
         ``"none"`` at the top rung; otherwise the source name
         (``"pressure"``, ``"budget"``), or ``"pressure+budget"`` when
         both desire exactly the effective rung.
         """
-        applied = self._applied.get(tenant, 0)
-        if applied == 0:
+        rung = session.rung
+        if rung == 0:
             return "none"
-        winners = sorted(source for source, desired in self._desired.items()
-                         if desired.get(tenant, 0) == applied)
-        return "+".join(winners) if winners else "none"
+        return "+".join(sorted(source for source, desired
+                               in session.desired.items() if desired == rung))
 
     # ------------------------------------------------------------------
     # rung transitions
     # ------------------------------------------------------------------
-    def step(self, source: str, tenant: str, direction: int) -> str | None:
-        """Move ``source``'s desired rung one step; apply the effective rung.
+    def step(self, source: str, session, direction: int) -> str | None:
+        """Move ``source``'s desired rung one step.
 
         Returns the source's new desired rung name, or ``None`` when the
         desire was already clamped at the ladder edge (no change).
         """
-        desires = self._desired.setdefault(source, {})
-        old = desires.get(tenant, 0)
+        old = session.desired.get(source, 0)
         new = min(max(old + direction, 0), len(RUNGS) - 1)
         if new == old:
             return None
-        desires[tenant] = new
-        self._apply(tenant)
+        self._desire(source, session, new)
         return RUNGS[new]
 
-    def release(self, source: str, tenant: str) -> None:
+    def release(self, source: str, session) -> None:
         """Drop ``source``'s desire back to the top rung."""
-        desires = self._desired.get(source)
-        if desires and desires.get(tenant, 0):
-            desires[tenant] = 0
-            self._apply(tenant)
+        if session.desired.get(source, 0):
+            self._desire(source, session, 0)
 
-    def forget(self, tenant: str) -> None:
-        """Drop a removed tenant's desires and rung (no side effects, no
-        telemetry): a later tenant of the same name starts at ``full``."""
-        for table in (*self._desired.values(), self._applied):
-            table.pop(tenant, None)
-
-    def _apply(self, tenant: str) -> None:
-        target = max((desires.get(tenant, 0)
-                      for desires in self._desired.values()), default=0)
-        old = self._applied.get(tenant, 0)
+    def _desire(self, source: str, session, index: int) -> None:
+        """Set ``source``'s desire; record each effective rung crossed."""
+        old = session.rung
+        session.desired[source] = index
+        target = session.rung
         tracer = getattr(self.gateway, "tracer", None)
         while old != target:
             new = old + (1 if target > old else -1)
-            self._enter(tenant, new)
-            self._applied[tenant] = new
             direction_name = "down" if new > old else "up"
             self.gateway.telemetry.record_degradation(
-                tenant, RUNGS[new], direction_name)
+                session.name, RUNGS[new], direction_name)
             if tracer is not None:
                 # control-plane transition: not owned by any one request,
                 # so it lands as a standalone marker span
-                tracer.marker("degrade", {"tenant": tenant,
+                tracer.marker("degrade", {"tenant": session.name,
                                           "rung": RUNGS[new],
                                           "from_rung": RUNGS[old],
                                           "direction": direction_name})
             old = new
-
-    def _enter(self, tenant: str, index: int) -> None:
-        """Put the gateway in rung ``index``'s state for ``tenant``: the
-        scheme override from ``reduced-k`` down, shedding at ``shed``."""
-        gateway = self.gateway
-        if index >= 1:
-            gateway.set_scheme_override(tenant, self.reduced_k_scheme)
-        else:
-            gateway.clear_scheme_override(tenant)
-        if index == 2:
-            gateway.shed_tenant(tenant)
-        else:
-            gateway.unshed_tenant(tenant)
 
 
 class DegradationController:
     """Steps tenants down/up the degradation ladder as pressure moves.
 
     One controller per gateway.  All rung mutations go through the
-    gateway's shared :class:`LadderArbiter` (source ``"pressure"``),
-    which in turn uses only the gateway's public degradation controls
-    (``set_scheme_override``, ``shed_tenant`` and their inverses), so an
-    operator can read the same state the controller writes.
+    gateway's shared :class:`LadderArbiter` (source ``"pressure"``) onto
+    each tenant's session; the shed flag and the scheme override an
+    operator reads (``Gateway.is_shed``, ``Gateway.scheme_override``) are
+    functions of the resulting rung.
     """
 
     SOURCE = "pressure"
@@ -235,12 +211,12 @@ class DegradationController:
     # ------------------------------------------------------------------
     def rung(self, tenant: str) -> str:
         """The tenant's current rung name (``"full"`` when undegraded)."""
-        return self.arbiter.rung(tenant)
+        return self.gateway.rung(tenant)
 
     def status(self) -> dict[str, str]:
         """``{tenant: rung}`` for every registered tenant."""
-        return {tenant: self.rung(tenant)
-                for tenant in self.gateway.sessions.tenant_names}
+        return {session.name: self.arbiter.rung(session)
+                for session in self.gateway.sessions}
 
     # ------------------------------------------------------------------
     # the feedback loop
@@ -262,14 +238,14 @@ class DegradationController:
                         and (p95_ms or 0.0) >= policy.p95_high_ms)
         if depth >= policy.queue_high or latency_high:
             self._clear_streak = 0
-            for tenant in self.gateway.sessions.tenant_names:
-                self.arbiter.step(self.SOURCE, tenant, +1)
+            for session in self.gateway.sessions:
+                self.arbiter.step(self.SOURCE, session, +1)
         elif depth <= policy.queue_low and not latency_high:
             self._clear_streak += 1
             if self._clear_streak >= policy.recovery_ticks:
                 self._clear_streak = 0
-                for tenant in self.gateway.sessions.tenant_names:
-                    self.arbiter.step(self.SOURCE, tenant, -1)
+                for session in self.gateway.sessions:
+                    self.arbiter.step(self.SOURCE, session, -1)
         else:
             # in-between zone: hold the ladder, restart the recovery
             # streak so a brief dip cannot mask sustained pressure
@@ -278,8 +254,8 @@ class DegradationController:
     async def run(self) -> None:
         """Poll-and-tick loop; cancelled by ``Gateway.stop``.
 
-        Ticks run on the event loop, where ``submit`` reads the shed set
-        and scheme overrides a rung move writes.  Only the optional p95
+        Ticks run on the event loop, where ``submit`` reads the rung a
+        move writes.  Only the optional p95
         reading — a telemetry snapshot, which sorts the sample ring — is
         taken on a worker thread first.
         """

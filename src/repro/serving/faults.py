@@ -92,7 +92,7 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self._counts: dict[str, int] = {}
+        self._draws: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def decide(self, hook: str) -> FaultAction | None:
@@ -107,8 +107,8 @@ class FaultInjector:
         if rate <= 0.0:
             return None
         with self._lock:
-            count = self._counts.get(hook, 0)
-            self._counts[hook] = count + 1
+            count = self._draws.get(hook, 0)
+            self._draws[hook] = count + 1
         draw = float(derive_rng("faults", hook, count,
                                 root_seed=self.plan.seed).random())
         if draw >= rate:

@@ -1,13 +1,14 @@
 """The serving front door: request intake, batching, episode execution.
 
-``Gateway.submit`` is the whole client API: it resolves the tenant,
-applies admission control, queues the request on the micro-batch
-scheduler and awaits the episode result.  Batches are planned through
-the agents' vectorized :meth:`plan_batch` (one ``encode`` and one
-multi-query search per index for the whole batch) and then executed
-per-episode with :meth:`run_planned` — so a served episode is bitwise
-identical to running the same query through the sequential
-:class:`~repro.evaluation.runner.ExperimentRunner` path.
+``Gateway.submit`` is the whole client API: it resolves the tenant's
+:class:`~repro.serving.session.TenantSession` (once — the request
+carries it to accounting), applies admission control, queues the
+request on the micro-batch scheduler and awaits the episode result.
+Batches are planned through the agents' vectorized :meth:`plan_batch`
+(one ``encode`` and one multi-query search per index for the whole
+batch) and then executed per-episode with :meth:`run_planned` — so a
+served episode is bitwise identical to running the same query through
+the sequential :class:`~repro.evaluation.runner.ExperimentRunner` path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.power import BudgetController, EnergyMeter, build_signal
 from repro.serving.batcher import BatchScheduler, PendingRequest
 from repro.serving.degrade import DegradationController, LadderArbiter
 from repro.serving.faults import InjectedFaultError, as_injector
-from repro.serving.session import SessionManager
+from repro.serving.session import SessionManager, TenantSession
 from repro.serving.telemetry import Telemetry
 from repro.specs import ServingSpec
 from repro.suites.base import Query
@@ -62,13 +63,18 @@ def _stamp_trace(exc: BaseException, trace_id: str) -> None:
 
 @dataclass(frozen=True)
 class WorkItem:
-    """Scheduler payload: the resolved query and its agent cell.
+    """Scheduler payload: the resolved session, query and agent cell.
 
+    ``session`` is the tenant registration ``submit`` resolved: the
+    batch worker plans, runs and accounts the request on it without
+    looking the name up again, so work queued before a DELETE + PUT
+    finishes on the removed tenant and never reaches its successor.
     ``trace`` carries the request's :class:`TraceContext` (parented to
     the root ``request`` span) across the scheduler's thread boundary;
     ``None`` for unsampled requests and untraced gateways.
     """
 
+    session: TenantSession
     query: Query
     scheme: str
     model: str
@@ -77,15 +83,17 @@ class WorkItem:
 
 
 class _PlanCache:
-    """Bounded LRU of ``(tenant, catalog version, query, cell) -> ToolPlan``.
+    """Bounded LRU of ``(incarnation, catalog version, query, cell)`` -> plan.
 
     Plans are deterministic per query — the recommender, the embedder
     and the batch-invariant retrieval kernels all draw from named
     streams — so replaying a memoized plan yields an episode bitwise
     identical to re-planning (asserted in
-    ``tests/test_serving_plan_cache.py``).  The query *text* rides in
-    the key alongside the qid so a tenant re-registered with different
-    content cannot alias a stale plan, and the tenant's **catalog
+    ``tests/test_serving_plan_cache.py``).  The tenant slot is the
+    session's :attr:`~repro.serving.session.TenantSession.incarnation`,
+    so a tenant re-registered under the same name never reaches its
+    predecessor's plans (they age out of the LRU); the query *text*
+    rides in the key alongside the qid, and the tenant's **catalog
     version** rides in it so :meth:`Gateway.update_catalog` implicitly
     invalidates every plan computed against the previous catalog — a
     stale plan can never be served across a hot-swap
@@ -101,9 +109,9 @@ class _PlanCache:
         self._lock = threading.Lock()
 
     @staticmethod
-    def key(tenant: str, query: Query, scheme: str, model: str, quant: str,
-            catalog_version: str = "") -> tuple:
-        return (tenant, catalog_version, query.qid, query.text,
+    def key(incarnation: int, query: Query, scheme: str, model: str,
+            quant: str, catalog_version: str = "") -> tuple:
+        return (incarnation, catalog_version, query.qid, query.text,
                 scheme, model, quant)
 
     def get(self, key: tuple):
@@ -123,12 +131,6 @@ class _PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def forget(self, tenant: str) -> None:
-        """Drop every plan cached under ``tenant`` (a removed name)."""
-        with self._lock:
-            for key in [key for key in self._entries if key[0] == tenant]:
-                del self._entries[key]
 
     def clear(self) -> None:
         with self._lock:
@@ -193,18 +195,11 @@ class Gateway:
                                         tracer=self.tracer)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
-        # degradation state, written by the LadderArbiter (or an
-        # operator) and read by submit(); event-loop-only, like submit()
-        # and both controllers' ticks
-        self._shed_tenants: frozenset[str] = frozenset()
-        self._scheme_overrides: dict[str, str] = {}
-        # per-(tenant, qid) repeat counter backing the deterministic
-        # trace ids; no lock — submit() runs on the event loop only
-        self._request_repeats: dict[tuple[str, str], int] = {}
         self._degradation_policy = degradation
         self.degradation = None  # controller, built in start() when enabled
         self._degradation_task: asyncio.Task | None = None
-        # the shared rung arbiter both controllers write through
+        # the shared rung arbiter both controllers (and operators) write
+        # through, onto the tenant sessions submit() reads the rung from
         self.ladder = LadderArbiter(self)
         # carbon/power accounting: the meter is always on (attribution
         # is cheap and read-only); the BudgetController only runs when a
@@ -288,18 +283,19 @@ class Gateway:
         :class:`DeadlineExceededError` when the deadline expires before
         a result lands.
         """
-        if tenant in self._shed_tenants:
+        session = self.sessions.get(tenant)
+        rung = self.ladder.rung(session)
+        if rung == "shed":
             self.telemetry.record_shed_request(tenant)
             raise TenantShedError(
                 f"tenant {tenant!r} is shed under overload; retry later")
-        session = self.sessions.get(tenant)
         resolved = session.resolve_query(query)
         # every request gets a deterministic trace id — a pure function
         # of (tenant, qid, repeat) — whether or not tracing is enabled;
-        # responses carry it and the HTTP edge surfaces it as X-Trace-Id
-        repeat_key = (tenant, resolved.qid)
-        repeat = self._request_repeats.get(repeat_key, 0)
-        self._request_repeats[repeat_key] = repeat + 1
+        # responses carry it and the HTTP edge surfaces it as X-Trace-Id.
+        # No lock: submit() runs on the event loop only
+        repeat = session.repeats.get(resolved.qid, 0)
+        session.repeats[resolved.qid] = repeat + 1
         trace_id = request_trace_id(tenant, resolved.qid, repeat)
         # the root "request" span: admission to reply.  Downstream spans
         # (queue/plan/execute) parent to it through the WorkItem's
@@ -315,11 +311,12 @@ class Gateway:
                                     {"queue_depth": self.scheduler.pending})
                 ctx = ctx.child(root_span.span_id)
         item = WorkItem(
+            session=session,
             query=resolved,
             # a degraded tenant's default traffic runs the reduced-k
             # scheme; explicit per-request schemes are honored as-is
-            scheme=scheme or self._scheme_overrides.get(tenant)
-            or self.config.default_scheme,
+            scheme=scheme or (self.ladder.reduced_k_scheme if rung != "full"
+                              else self.config.default_scheme),
             model=model or self.config.default_model,
             quant=quant or self.config.default_quant,
             trace=ctx,
@@ -384,12 +381,12 @@ class Gateway:
 
     def rung(self, tenant: str) -> str:
         """The tenant's effective degradation rung (``"full"`` at rest)."""
-        return self.ladder.rung(tenant)
+        return self.ladder.rung(self.sessions.get(tenant))
 
     def rung_source(self, tenant: str) -> str:
         """Which controller pins the tenant's rung (``"pressure"``,
         ``"budget"``, both, or ``"none"`` at the top rung)."""
-        return self.ladder.rung_source(tenant)
+        return self.ladder.rung_source(self.sessions.get(tenant))
 
     def power_mode(self) -> str:
         """The nvpmodel mode the accounting layer costs new work under."""
@@ -397,7 +394,7 @@ class Gateway:
 
     def budget_status(self, tenant: str) -> dict:
         """The tenant's rolling energy/carbon window plus any budgets."""
-        stats = self.power_meter.window_stats(tenant)
+        stats = self.power_meter.window_stats(self.sessions.get(tenant))
         status = {
             "window_requests": stats.requests,
             "window_energy_j": stats.energy_j,
@@ -412,11 +409,13 @@ class Gateway:
 
     def is_shed(self, tenant: str) -> bool:
         """Whether :meth:`submit` currently rejects this tenant."""
-        return tenant in self._shed_tenants
+        return self.rung(tenant) == "shed"
 
     def scheme_override(self, tenant: str) -> str | None:
         """The scheme the tenant's default traffic is degraded to, if any."""
-        return self._scheme_overrides.get(tenant)
+        if self.rung(tenant) == "full":
+            return None
+        return self.ladder.reduced_k_scheme
 
     def metrics_text(self) -> str:
         """Telemetry + cost ledger in Prometheus text exposition format.
@@ -465,49 +464,6 @@ class Gateway:
         self.telemetry.record_catalog_swap(tenant)
         return version
 
-    def remove_tenant(self, tenant: str) -> None:
-        """Deregister ``tenant`` and drop the control-plane state kept
-        under its name, so a tenant re-registered as ``tenant`` starts
-        clean: not shed, no scheme override, rung ``full``, an empty
-        energy window with no budget streaks, request repeats (trace
-        ids) from zero and no cached plans.  Lifetime counters
-        (telemetry, cost ledger) do not reset.
-        Unknown names raise
-        :class:`~repro.serving.session.UnknownTenantError`.
-        """
-        self.sessions.deregister(tenant)
-        self.unshed_tenant(tenant)
-        self.clear_scheme_override(tenant)
-        self.ladder.forget(tenant)
-        self.power_meter.forget(tenant)
-        if self.budget is not None:
-            self.budget.forget(tenant)
-        for key in [key for key in self._request_repeats if key[0] == tenant]:
-            del self._request_repeats[key]
-        if self._plan_cache is not None:
-            self._plan_cache.forget(tenant)
-
-    # ------------------------------------------------------------------
-    # degradation controls (driven by the DegradationController, but
-    # equally usable by an operator for manual load management)
-    # ------------------------------------------------------------------
-    def shed_tenant(self, tenant: str) -> None:
-        """Reject this tenant's submissions with :class:`TenantShedError`."""
-        self._shed_tenants = self._shed_tenants | {tenant}
-
-    def unshed_tenant(self, tenant: str) -> None:
-        """Resume accepting this tenant's submissions."""
-        self._shed_tenants = self._shed_tenants - {tenant}
-
-    def set_scheme_override(self, tenant: str, scheme: str) -> None:
-        """Route the tenant's default traffic to ``scheme`` (e.g. a
-        reduced-``k`` cell); requests naming an explicit scheme are
-        unaffected."""
-        self._scheme_overrides[tenant] = scheme
-
-    def clear_scheme_override(self, tenant: str) -> None:
-        self._scheme_overrides.pop(tenant, None)
-
     # ------------------------------------------------------------------
     # batch execution (worker thread)
     # ------------------------------------------------------------------
@@ -516,9 +472,10 @@ class Gateway:
     ) -> list[ServingResponse | Exception]:
         """Plan the whole micro-batch vectorized, then run each episode.
 
-        Requests are grouped by ``(tenant, scheme, model, quant)``; each
+        Requests are grouped by ``(session, scheme, model, quant)`` — the
+        session ``submit`` resolved, never a fresh lookup by name; each
         group's planning stage becomes one ``plan_batch`` call against
-        that tenant's agent, coalescing every request's embedding and
+        that session's agent, coalescing every request's embedding and
         Level-1/Level-2 retrieval into single kernel invocations.  The
         planned episodes then run on this batch-worker thread through
         ``run_planned_many``.
@@ -528,15 +485,16 @@ class Gateway:
         their slots carry the exception back to the scheduler — while the
         rest of the micro-batch is served normally.
         """
-        groups: dict[tuple[str, str, str, str], list[int]] = {}
+        groups: dict[tuple[TenantSession, str, str, str], list[int]] = {}
         for position, request in enumerate(batch):
             item: WorkItem = request.payload
-            key = (request.tenant, item.scheme, item.model, item.quant)
+            key = (item.session, item.scheme, item.model, item.quant)
             groups.setdefault(key, []).append(position)
 
         responses: list[ServingResponse | Exception | None] = [None] * len(batch)
         tracer = self.tracer
-        for (tenant, scheme, model, quant), positions in groups.items():
+        for (session, scheme, model, quant), positions in groups.items():
+            tenant = session.name
             group_traces = [batch[position].payload.trace
                             for position in positions]
             traced = ([trace for trace in group_traces if trace is not None]
@@ -555,7 +513,6 @@ class Gateway:
                 # agent and catalog version are leased together so a
                 # concurrent hot-swap cannot pair an old agent's plans
                 # with the new catalog's cache key (or vice versa)
-                session = self.sessions.get(tenant)
                 agent, catalog_version = session.leased_agent(
                     scheme, model, quant)
                 queries = [batch[position].payload.query for position in positions]
@@ -573,7 +530,7 @@ class Gateway:
                                         end_s=request.dequeued_at)
                 plan_start = time.monotonic()
                 plans, plan_hits = self._plan_group(
-                    agent, tenant, scheme, model, quant, queries,
+                    agent, session, scheme, model, quant, queries,
                     catalog_version)
                 if traced:
                     plan_end = time.monotonic()
@@ -614,7 +571,7 @@ class Gateway:
                     # token counts under the active power mode (never
                     # touches the live agents — episode bits are final)
                     energy = self.power_meter.record(
-                        tenant, episode, model=model, quant=quant,
+                        session, episode, model=model, quant=quant,
                         context_window=getattr(plan, "context_window", None))
                     self.telemetry.record_energy(
                         tenant, energy.energy_j, energy.carbon_g)
@@ -631,10 +588,10 @@ class Gateway:
                         responses[position] = exc
         return responses
 
-    def _plan_group(self, agent, tenant: str, scheme: str, model: str,
-                    quant: str, queries: list[Query],
+    def _plan_group(self, agent, session: TenantSession, scheme: str,
+                    model: str, quant: str, queries: list[Query],
                     catalog_version: str = "") -> tuple[list, list[bool]]:
-        """Plan one (tenant, cell) group, serving repeats from the cache.
+        """Plan one (session, cell) group, serving repeats from the cache.
 
         Returns ``(plans, cache_hits)`` — one plan and one hit flag per
         query (all flags ``False`` with the cache disabled), so plan
@@ -650,8 +607,8 @@ class Gateway:
         cache = self._plan_cache
         if cache is None:
             return agent.plan_batch(queries), [False] * len(queries)
-        keys = [cache.key(tenant, query, scheme, model, quant, catalog_version)
-                for query in queries]
+        keys = [cache.key(session.incarnation, query, scheme, model, quant,
+                          catalog_version) for query in queries]
         plans: list = [cache.get(key) for key in keys]
         hits = [plan is not None for plan in plans]
         for hit in hits:

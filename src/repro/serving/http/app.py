@@ -11,7 +11,7 @@ POST   ``/v1/call``                   Serve one request (qid or exact text)
 GET    ``/v1/tenants``                List registered tenants
 GET    ``/v1/tenants/{name}``         One tenant's serving summary
 PUT    ``/v1/tenants/{name}``         Register a tenant / hot-swap catalog
-DELETE ``/v1/tenants/{name}``         Remove a tenant (``Gateway.remove_tenant``)
+DELETE ``/v1/tenants/{name}``         Remove a tenant (``sessions.deregister``)
 GET    ``/v1/tenants/{name}/status``  Degradation rung + cost snapshot
 GET    ``/healthz``                   Gateway liveness
 GET    ``/metrics``                   Prometheus text exposition
@@ -225,6 +225,8 @@ class GatewayHTTPApp:
         payload = parse_json(await read_body(receive))
         check_fields(payload, _CALL_FIELDS)
         tenant = require_field(payload, "tenant")
+        # an unknown name is a 404 before it can cost a token bucket
+        session = self.gateway.sessions.get(tenant)
         if self.rate_limiter is not None:
             wait_s = self.rate_limiter.try_acquire(tenant)
             if wait_s > 0.0:
@@ -265,7 +267,7 @@ class GatewayHTTPApp:
             if not isinstance(text, str):
                 raise BadRequestError(
                     f"field 'query' must be a str, got {type(text).__name__}")
-            query = self.gateway.sessions.get(tenant).resolve_text(text)
+            query = session.resolve_text(text)
         response = await self.gateway.submit(
             tenant, query, timeout_ms=timeout_ms, **overrides)
         await send_json(send, 200, {
@@ -344,7 +346,7 @@ class GatewayHTTPApp:
 
     async def _delete_tenant(self, receive, send, params) -> None:
         name = params["name"]
-        self.gateway.remove_tenant(name)
+        self.gateway.sessions.deregister(name)
         await send_json(send, 200, {"name": name, "deleted": True})
 
     async def _tenant_status(self, receive, send, params) -> None:

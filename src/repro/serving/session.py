@@ -10,7 +10,9 @@ tenant first asked for it.
 
 from __future__ import annotations
 
+import itertools
 import threading
+from collections import deque
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
@@ -22,7 +24,8 @@ class UnknownTenantError(KeyError):
 
 
 class TenantSession:
-    """One tenant's serving state: suite, Search Levels, agent cache.
+    """One tenant's serving state: suite, Search Levels, agent cache, and
+    every piece of control-plane state the gateway keeps per tenant.
 
     Agents are constructed lazily per ``(scheme, model, quant)`` cell via
     the tenant's :class:`ExperimentRunner` (so Search Levels are built
@@ -37,6 +40,13 @@ class TenantSession:
     together with the agent by :meth:`leased_agent` — keys the gateway's
     plan cache so a plan computed against one catalog can never be
     replayed against another.
+
+    The control-plane state lives here too, so it lives exactly as long
+    as the registration: the gateway resolves the session once, at
+    ``submit``, and every later step of the request (planning, episode,
+    energy accounting) writes to that object.  A tenant re-registered
+    under the same name is a new session and starts clean, while the
+    removed one's late work lands on its own dead record.
     """
 
     def __init__(self, name: str, suite: BenchmarkSuite, embedder: CachedEmbedder,
@@ -48,11 +58,29 @@ class TenantSession:
         self._agents: dict[tuple[str, str, str], object] = {}
         self._lock = threading.Lock()
         self._index_queries(suite)
+        #: registration number, set by :meth:`SessionManager.register`;
+        #: the plan cache's tenant slot, so no successor reaches these plans
+        self.incarnation = 0
+        #: qid -> requests submitted so far (the trace ids' repeat)
+        self.repeats: dict[str, int] = {}
+        #: ladder source ("pressure", "budget") -> desired rung index
+        self.desired: dict[str, int] = {}
+        #: the EnergyMeter's rolling window and the records ever attributed
+        self.energy_window: deque = deque()
+        self.energy_requests = 0
+        #: the BudgetController's recovery and shed-probation streaks, and
+        #: ``energy_requests`` at its last ladder move
+        self.clear_streak = self.shed_streak = self.settle_mark = 0
 
     def _index_queries(self, suite: BenchmarkSuite) -> None:
         """(Re)build the qid and exact-text lookup maps for ``suite``."""
         self._queries_by_qid = {query.qid: query for query in suite.queries}
         self._queries_by_text = {query.text: query for query in suite.queries}
+
+    @property
+    def rung(self) -> int:
+        """The effective ladder index: the deepest desire of any source."""
+        return max(self.desired.values(), default=0)
 
     @property
     def catalog_version(self) -> str:
@@ -161,6 +189,7 @@ class SessionManager:
     def __init__(self, embedder: CachedEmbedder | None = None):
         self.embedder = embedder if embedder is not None else CachedEmbedder()
         self._tenants: dict[str, TenantSession] = {}
+        self._incarnations = itertools.count(1)
         self._lock = threading.Lock()
 
     def register(self, name: str, suite: BenchmarkSuite,
@@ -175,14 +204,20 @@ class SessionManager:
             if name in self._tenants:
                 raise ValueError(f"tenant {name!r} already registered")
             session = TenantSession(name, suite, self.embedder, engine=engine)
+            session.incarnation = next(self._incarnations)
             self._tenants[name] = session
             return session
 
     def deregister(self, name: str) -> None:
         """Remove a tenant; unknown names raise :class:`UnknownTenantError`.
 
-        In-flight requests that already resolved their session finish
-        normally; later submissions fail with the unknown-tenant error.
+        Everything kept for the tenant goes with its session: rung,
+        trace-id repeats, energy window, budget streaks and (by
+        incarnation) its cached plans, so a tenant registered again under
+        ``name`` starts clean.  Requests already submitted resolved their
+        session at ``submit`` and finish normally on it, accounted to it;
+        later submissions fail with the unknown-tenant error.  Lifetime
+        counters kept by name (telemetry, the cost ledger) do not reset.
         """
         with self._lock:
             if name not in self._tenants:
@@ -204,7 +239,12 @@ class SessionManager:
         with self._lock:
             return list(self._tenants)
 
+    def __iter__(self):
+        """Iterate over a snapshot of the registered sessions."""
+        with self._lock:
+            return iter(list(self._tenants.values()))
+
     def warm_all(self, scheme: str, model: str, quant: str) -> None:
         """Warm every registered tenant's default grid cell."""
-        for name in self.tenant_names:
-            self.get(name).warm(scheme, model, quant)
+        for session in self:
+            session.warm(scheme, model, quant)

@@ -269,6 +269,22 @@ class TestRateLimiting:
         assert throttled.status == 429
         assert recovered.status == 200
 
+    def test_unknown_tenants_cost_no_bucket(self, suite):
+        """The tenant is resolved before the limiter runs: a flood of
+        unregistered names gets 404s and leaves no bucket behind."""
+        qid = suite.queries[0].qid
+        http = HttpSpec(rate_limit_rps=1.0, rate_limit_burst=1)
+
+        async def scenario(client, app):
+            responses = [await client.post(
+                "/v1/call", {"tenant": f"ghost-{index}", "qid": qid})
+                for index in range(200)]
+            return responses, dict(app.rate_limiter._buckets)
+
+        responses, buckets = serve(suite, scenario, http=http)
+        assert [response.status for response in responses] == [404] * 200
+        assert buckets == {}
+
     def test_off_by_default(self, suite):
         qid = suite.queries[0].qid
 

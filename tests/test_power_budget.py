@@ -34,7 +34,7 @@ COMMITTED_TRACE = (Path(__file__).resolve().parent.parent
                    / "benchmarks" / "data" / "grid_intensity_day.csv")
 
 #: how an uncontrolled gateway reproduces each serving rung: the scheme
-#: override (the catalog is the same at every rung)
+#: its requests name (the catalog is the same at every rung)
 RUNG_SETUPS = {"full": None, "reduced-k": "lis-k1"}
 
 
@@ -90,11 +90,9 @@ async def _run_pinned(suite, rung):
     sessions.register("home", suite)
     config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
     async with Gateway(sessions, config=config) as gateway:
-        if scheme is not None:
-            gateway.set_scheme_override("home", scheme)
         episodes = {}
         for query in suite.queries:
-            response = await gateway.submit("home", query)
+            response = await gateway.submit("home", query, scheme=scheme)
             episodes[query.qid] = response.episode
         energy_j = gateway.metrics()["energy_j_by_tenant"]["home"]
     return episodes, energy_j / len(suite.queries)
@@ -227,7 +225,7 @@ def test_budget_and_pressure_compose_without_oscillation():
             assert gateway.rung_source("home") == "budget"
 
             # only when the budget releases does the tenant reach full
-            gateway.ladder.release("budget", "home")
+            gateway.ladder.release("budget", sessions.get("home"))
             assert gateway.rung("home") == "full"
             assert gateway.rung_source("home") == "none"
 
@@ -361,7 +359,7 @@ def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
             assert gateway.rung("t") == "reduced-k"
             lifetime_j = gateway.metrics()["energy_j_by_tenant"]["t"]
 
-            gateway.remove_tenant("t")
+            sessions.deregister("t")
             sessions.register("t", new)
             status = gateway.budget_status("t")
             assert status["window_requests"] == 0

@@ -17,7 +17,9 @@ from repro.power.signals import (
     dump_intensity_trace,
 )
 from repro.registry import CARBON_SIGNALS, register_carbon_signal
+from repro.serving import SessionManager
 from repro.specs import BudgetSpec
+from repro.suites import load_suite
 
 COMMITTED_TRACE = (Path(__file__).resolve().parent.parent
                    / "benchmarks" / "data" / "grid_intensity_day.csv")
@@ -210,19 +212,25 @@ class _Episode:
         self.completion_tokens = completion_tokens
 
 
+def _session(name):
+    """A registered tenant: the meter keeps its window on the session."""
+    return SessionManager().register(name, load_suite("edgehome", n_queries=1))
+
+
 def test_meter_attribution_is_deterministic():
     meter = EnergyMeter(signal=StaticSignal(500.0), clock=lambda: 0.0)
+    home = _session("home")
     episode = _Episode("q1", 1000, 120)
-    first = meter.record("home", episode, model="hermes2-pro-8b",
+    first = meter.record(home, episode, model="hermes2-pro-8b",
                          quant="q4_K_M")
-    second = meter.record("home", episode, model="hermes2-pro-8b",
+    second = meter.record(home, episode, model="hermes2-pro-8b",
                           quant="q4_K_M")
     assert first.energy_j > 0.0
     assert first.energy_j == second.energy_j  # same stream, same joules
     assert first.carbon_g == pytest.approx(
         first.energy_j / 3.6e6 * 500.0)
     assert first.power_mode == "MAXN"
-    stats = meter.window_stats("home")
+    stats = meter.window_stats(home)
     assert stats.requests == 2
     assert stats.total_requests == 2
     assert stats.mean_energy_j == pytest.approx(first.energy_j)
@@ -231,11 +239,12 @@ def test_meter_attribution_is_deterministic():
 def test_meter_power_mode_changes_accounting_only():
     episode = _Episode("q1", 1000, 120)
     meter = EnergyMeter(signal=StaticSignal(400.0), clock=lambda: 0.0)
-    maxn = meter.record("home", episode, model="hermes2-pro-8b",
+    home = _session("home")
+    maxn = meter.record(home, episode, model="hermes2-pro-8b",
                         quant="q4_K_M")
     meter.set_power_mode("30w")  # case-insensitive
     assert meter.power_mode == "30W"
-    capped = meter.record("home", episode, model="hermes2-pro-8b",
+    capped = meter.record(home, episode, model="hermes2-pro-8b",
                           quant="q4_K_M")
     assert capped.power_mode == "30W"
     # 30W trades longer runtime for lower board power: net joules drop
@@ -247,33 +256,35 @@ def test_meter_power_mode_changes_accounting_only():
 def test_meter_window_rolls_and_totals_accumulate():
     meter = EnergyMeter(signal=StaticSignal(400.0), clock=lambda: 0.0,
                         window_requests=2)
+    home, other = _session("home"), _session("other")
     small = _Episode("small", 100, 10)
     big = _Episode("big", 4000, 400)
-    meter.record("home", small, model="hermes2-pro-8b", quant="q4_K_M")
-    big_record = meter.record("home", big, model="hermes2-pro-8b",
+    meter.record(home, small, model="hermes2-pro-8b", quant="q4_K_M")
+    big_record = meter.record(home, big, model="hermes2-pro-8b",
                               quant="q4_K_M")
-    meter.record("home", big, model="hermes2-pro-8b", quant="q4_K_M")
-    stats = meter.window_stats("home")
+    meter.record(home, big, model="hermes2-pro-8b", quant="q4_K_M")
+    stats = meter.window_stats(home)
     assert stats.requests == 2           # the window dropped the first
     assert stats.total_requests == 3     # totals never forget
     assert stats.mean_energy_j == pytest.approx(big_record.energy_j)
-    meter.record("other", big, model="hermes2-pro-8b", quant="q4_K_M")
-    assert meter.window_stats("home").total_requests == 3
-    assert meter.window_stats("other").total_requests == 1
+    meter.record(other, big, model="hermes2-pro-8b", quant="q4_K_M")
+    assert meter.window_stats(home).total_requests == 3
+    assert meter.window_stats(other).total_requests == 1
 
 
 def test_meter_edge_cases():
     meter = EnergyMeter(clock=lambda: 0.0)
-    # unknown tenant: clean zero stats
-    assert meter.window_stats("ghost").requests == 0
+    home = _session("home")
+    # a tenant with nothing attributed yet: clean zero stats
+    assert meter.window_stats(_session("ghost")).requests == 0
     # a token-free episode costs nothing
-    empty = meter.record("home", _Episode("q0", 0, 0),
+    empty = meter.record(home, _Episode("q0", 0, 0),
                          model="hermes2-pro-8b", quant="q4_K_M")
     assert empty.energy_j == 0.0
     # unknown model/quant falls back to the reference 8B/q4 shape
-    fallback = meter.record("home", _Episode("q1", 500, 50),
+    fallback = meter.record(home, _Episode("q1", 500, 50),
                             model="mystery-model", quant="mystery-quant")
-    reference = meter.record("home", _Episode("q1", 500, 50),
+    reference = meter.record(home, _Episode("q1", 500, 50),
                              model="hermes2-pro-8b", quant="q4_K_M")
     assert fallback.energy_j == pytest.approx(reference.energy_j)
     with pytest.raises(ValueError):
@@ -283,10 +294,11 @@ def test_meter_edge_cases():
 def test_meter_signal_drives_carbon_through_time():
     signal = TraceSignal([(0.0, 100.0), (3600.0, 500.0)], period_s=7200.0)
     meter = EnergyMeter(signal=signal, clock=lambda: 0.0)
+    home = _session("home")
     episode = _Episode("q1", 1000, 100)
-    cheap = meter.record("home", episode, model="hermes2-pro-8b",
+    cheap = meter.record(home, episode, model="hermes2-pro-8b",
                          quant="q4_K_M", now_s=0.0)
-    dirty = meter.record("home", episode, model="hermes2-pro-8b",
+    dirty = meter.record(home, episode, model="hermes2-pro-8b",
                          quant="q4_K_M", now_s=3600.0)
     assert cheap.energy_j == dirty.energy_j        # joules ignore the grid
     assert dirty.carbon_g == pytest.approx(5 * cheap.carbon_g)

@@ -51,8 +51,8 @@ def reference_episodes(catalog, n_queries=N_QUERIES):
 class TestPlanCacheKey:
     def test_key_includes_catalog_version(self, suite):
         query = suite.queries[0]
-        a = _PlanCache.key("home", query, "lis-k3", MODEL, QUANT, "v1")
-        b = _PlanCache.key("home", query, "lis-k3", MODEL, QUANT, "v2")
+        a = _PlanCache.key(1, query, "lis-k3", MODEL, QUANT, "v1")
+        b = _PlanCache.key(1, query, "lis-k3", MODEL, QUANT, "v2")
         assert a != b
         assert "v1" in a
 

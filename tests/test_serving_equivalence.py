@@ -13,6 +13,7 @@ performance transform.  Three layers are pinned down —
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ def test_removed_then_reregistered_tenant_serves_its_new_suite():
         async with Gateway(sessions, config=config) as gateway:
             await asyncio.gather(*(
                 gateway.submit("t", query) for query in old.queries))
-            gateway.remove_tenant("t")
+            sessions.deregister("t")
             sessions.register("t", new)
             return await asyncio.gather(*(
                 gateway.submit("t", query) for query in new.queries
@@ -266,6 +267,109 @@ def test_removed_then_reregistered_tenant_serves_its_new_suite():
     assert len(responses) == len(reference) == 4
     for response in responses:
         assert response.episode == reference[response.episode.qid]
+
+
+def _hold_batch_worker(gateway, tenant):
+    """Park the batch worker inside the tenant's default agent's
+    ``run_planned_many``; returns ``(entered, release)`` events."""
+    config = gateway.config
+    agent = gateway.sessions.get(tenant).agent_for(
+        config.default_scheme, config.default_model, config.default_quant)
+    entered, release = threading.Event(), threading.Event()
+    run = agent.run_planned_many
+
+    def held(queries, plans):
+        entered.set()
+        release.wait(timeout=60)
+        return run(queries, plans)
+
+    agent.run_planned_many = held
+    return entered, release
+
+
+def _serve_geoengine_held(scenario):
+    """Serve ``t`` = geoengine over HTTP, the batch worker held inside
+    its first batch until ``release``; ``scenario(client, gateway,
+    entered, release, queries)`` runs the interleaving.  Returns
+    (scenario result, geoengine's sequential episodes by qid)."""
+    old = load_suite("geoengine", n_queries=4)
+    reference = {
+        episode.qid: episode
+        for episode in ExperimentRunner(old, embedder=CachedEmbedder())
+        .run("lis-k3", MODEL, QUANT).episodes
+    }
+
+    async def serve():
+        sessions = SessionManager(embedder=CachedEmbedder())
+        sessions.register("t", old)
+        gateway = Gateway(sessions, config=ServingSpec(
+            default_scheme="lis-k3", default_model=MODEL, default_quant=QUANT))
+        app = create_app(gateway)
+        async with app:
+            entered, release = _hold_batch_worker(gateway, "t")
+            try:
+                return await scenario(ASGITestClient(app), gateway, entered,
+                                      release, old.queries)
+            finally:
+                release.set()
+
+    return asyncio.run(serve()), reference
+
+
+async def _await_event(event: threading.Event) -> None:
+    assert await asyncio.get_running_loop().run_in_executor(
+        None, event.wait, 60)
+
+
+def test_in_flight_batch_accounts_to_the_removed_tenant():
+    """DELETE while a batch of ``t`` executes, then PUT ``t`` again: the
+    batch finishes on the removed session and is accounted there, so
+    the successor starts with an empty energy window."""
+
+    async def scenario(client, gateway, entered, release, queries):
+        in_flight = asyncio.ensure_future(client.post(
+            "/v1/call", {"tenant": "t", "qid": queries[0].qid}))
+        await _await_event(entered)
+        await client.delete("/v1/tenants/t")
+        release.set()
+        response = await in_flight
+        await client.put("/v1/tenants/t", {"suite": "browser", "n_queries": 4})
+        return response, gateway.budget_status("t")
+
+    (response, status), reference = _serve_geoengine_held(scenario)
+    assert response.status == 200
+    episode = EpisodeResult.from_dict(response.json()["episode"])
+    assert episode == reference[episode.qid]
+    assert set(status.values()) == {0}, status
+
+
+def test_queued_requests_finish_on_the_removed_tenant():
+    """Three requests queued behind a held batch when ``t`` is deleted
+    and re-created with another suite: each is served by the session it
+    was submitted to — bitwise the sequential run over the removed
+    suite — and none of them reaches the successor's energy window."""
+
+    async def scenario(client, gateway, entered, release, queries):
+        first = asyncio.ensure_future(client.post(
+            "/v1/call", {"tenant": "t", "qid": queries[0].qid}))
+        await _await_event(entered)
+        queued = [asyncio.ensure_future(client.post(
+            "/v1/call", {"tenant": "t", "qid": query.qid}))
+            for query in queries[1:4]]
+        while gateway.scheduler.pending < len(queued):
+            await asyncio.sleep(0.001)
+        await client.delete("/v1/tenants/t")
+        await client.put("/v1/tenants/t", {"suite": "browser", "n_queries": 4})
+        release.set()
+        responses = await asyncio.gather(first, *queued)
+        return responses, gateway.budget_status("t")
+
+    (responses, status), reference = _serve_geoengine_held(scenario)
+    assert [response.status for response in responses] == [200] * 4
+    for response in responses:
+        episode = EpisodeResult.from_dict(response.json()["episode"])
+        assert episode == reference[episode.qid]
+    assert status["window_requests"] == 0
 
 
 def test_served_results_independent_of_batch_composition(suite):

@@ -164,9 +164,12 @@ def test_shed_tenant_maps_to_503(suite):
     qid = suite.queries[0].qid
 
     async def scenario(client, app):
-        app.gateway.shed_tenant("home")
+        home = app.gateway.sessions.get("home")
+        app.gateway.ladder.step("operator", home, +1)
+        app.gateway.ladder.step("operator", home, +1)
         shed = await client.post("/v1/call", {"tenant": "home", "qid": qid})
-        app.gateway.unshed_tenant("home")
+        app.gateway.ladder.step("operator", home, -1)
+        app.gateway.ladder.step("operator", home, -1)
         recovered = await client.post("/v1/call",
                                       {"tenant": "home", "qid": qid})
         return shed, recovered
@@ -368,12 +371,14 @@ def test_delete_then_put_resets_the_ladder(suite):
 
     async def scenario(client, app):
         gateway = app.gateway
-        assert gateway.ladder.step("pressure", "home", +1) == "reduced-k"
+        assert gateway.ladder.step(
+            "pressure", gateway.sessions.get("home"), +1) == "reduced-k"
         await client.delete("/v1/tenants/home")
         created = await client.put(
             "/v1/tenants/home", {"suite": "geoengine", "n_queries": 4})
         rung = gateway.rung("home")
-        stepped = gateway.ladder.step("pressure", "home", +1)
+        stepped = gateway.ladder.step(
+            "pressure", gateway.sessions.get("home"), +1)
         return created, rung, stepped, gateway.sessions.get("home").suite
 
     created, rung, stepped, new_suite = serve(suite, scenario)
@@ -386,8 +391,9 @@ def test_delete_then_put_resets_the_ladder(suite):
 
 def test_delete_then_put_unsheds_the_name(suite):
     async def scenario(client, app):
-        app.gateway.shed_tenant("home")
-        app.gateway.set_scheme_override("home", "lis-k1")
+        home = app.gateway.sessions.get("home")
+        app.gateway.ladder.step("operator", home, +1)  # scheme override
+        app.gateway.ladder.step("operator", home, +1)  # shed
         await client.delete("/v1/tenants/home")
         await client.put("/v1/tenants/home",
                          {"suite": "edgehome", "n_queries": 4})
@@ -403,8 +409,8 @@ def test_delete_then_put_unsheds_the_name(suite):
 
 
 def test_delete_then_put_restarts_trace_ids_and_plan_cache(suite):
-    """``remove_tenant`` clears everything kept under the name: the
-    successor's first request is repeat 0 (its trace id, hence its
+    """DELETE drops everything kept for the tenant: the successor's
+    first request is repeat 0 (its trace id, hence its
     sampling, must not depend on its predecessor's traffic) and a
     plan-cache miss (same suite, same catalog version: the predecessor's
     plans were reachable, so the new tenant's recommender was never
@@ -433,7 +439,9 @@ def test_tenant_status_reports_rung_shed_and_cost(suite):
     async def scenario(client, app):
         await client.post("/v1/call", {"tenant": "home", "qid": qid})
         healthy = await client.get("/v1/tenants/home/status")
-        app.gateway.shed_tenant("home")
+        home = app.gateway.sessions.get("home")
+        app.gateway.ladder.step("operator", home, +1)
+        app.gateway.ladder.step("operator", home, +1)
         shed = await client.get("/v1/tenants/home/status")
         missing = await client.get("/v1/tenants/ghost/status")
         return healthy, shed, missing

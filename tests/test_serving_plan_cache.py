@@ -100,7 +100,7 @@ class TestPlanCacheLRU:
 
     def test_key_includes_query_text(self, suite):
         query = suite.queries[0]
-        key = _PlanCache.key("home", query, "lis-k3", "m", "q")
+        key = _PlanCache.key(1, query, "lis-k3", "m", "q")
         assert query.qid in key
         assert query.text in key
 
