@@ -74,10 +74,6 @@ FAMILIES: tuple[Family, ...] = (
     Family("plan_cache_hits", "plan_cache_hits_total", "Plan-cache hits."),
     Family("plan_cache_misses", "plan_cache_misses_total",
            "Plan-cache misses."),
-    Family("batch_quarantines", "batch_quarantines_total",
-           "Failed micro-batches re-processed request-by-request."),
-    Family("quarantined_requests", "quarantined_requests_total",
-           "Requests re-processed solo inside quarantined batches."),
     Family("deadline_timeouts", "deadline_timeouts_total",
            "Requests abandoned on an expired end-to-end deadline."),
     Family("catalog_swaps", "catalog_swaps_total",

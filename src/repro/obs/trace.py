@@ -7,7 +7,9 @@ One served request becomes one **trace**: a tree of timed spans —
 * ``queue`` — time spent waiting in the micro-batch scheduler;
 * ``plan`` — the request's share of the group's vectorized planning
   pass (cache hits are attributed);
-* ``execute`` — the episode run on the batch worker.
+* ``execute`` — the episode run on the batch worker;
+* ``fault`` — a zero-duration child of ``request`` per injected fault
+  that touched the request (chaos runs only).
 
 Trace ids are **deterministic**: derived with the repo's stable BLAKE2
 hash from ``(tenant, qid, repeat)`` where ``repeat`` counts prior
@@ -27,10 +29,9 @@ Tracing never perturbs results: episodes are planned and executed by
 the exact same code paths, spans only observe — the bitwise-determinism
 contract (see ROADMAP.md) holds with tracing enabled.
 
-Events recorded against a trace between span boundaries (quarantines,
-injected faults) are buffered and attached to
-the *next span of that trace to finish* — the span that owns the moment
-— with anything left over draining into the root span at reply time.
+:meth:`Tracer.event` writes its span the moment it fires: nothing is
+buffered, so a request abandoned on its deadline cannot orphan an event
+that fires later on the batch worker.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.utils.hashing import stable_hash64
-
-#: bound on traces with buffered-but-undrained events (leak guard)
-MAX_PENDING_TRACES = 4096
 
 
 def hex_id(*parts: str | int | float) -> str:
@@ -83,7 +81,7 @@ class TraceContext:
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """A point-in-time annotation on a span (fault, quarantine)."""
+    """A point-in-time annotation on a span (``admit``, ``reply``)."""
 
     name: str
     time_s: float
@@ -136,12 +134,12 @@ class Span:
 
 
 class Tracer:
-    """Creates spans, buffers cross-stage events, writes to one sink.
+    """Creates spans and writes them to one sink.
 
     Thread-safe: spans are started on the event loop (``submit``), ended
     on the batch worker, and events fire from the batch worker.
-    The tracer itself holds no per-request state beyond the pending
-    event buffer — span objects travel with the request.
+    The tracer holds no per-request state — span objects travel with
+    the request.
     """
 
     def __init__(self, sink, sample_rate: float = 1.0,
@@ -157,7 +155,6 @@ class Tracer:
         self.slow_span_ms = slow_span_ms
         self._lock = threading.Lock()
         self._span_seq = 0
-        self._pending: dict[str, list[SpanEvent]] = {}
 
     # ------------------------------------------------------------------
     # trace lifecycle
@@ -199,20 +196,11 @@ class Tracer:
 
     def end_span(self, span: Span, end_s: float | None = None,
                  status: str | None = None) -> None:
-        """Close a span, attach its buffered events, write it to the sink
-        (slow-span marking applied).
-
-        The root ``request`` span drains *all* remaining buffered events
-        for its trace; other spans drain whatever fired since the last
-        span of the trace finished — the moment they own.
-        """
+        """Close a span and write it to the sink (slow-span marking
+        applied)."""
         span.end_s = end_s if end_s is not None else time.monotonic()
         if status is not None:
             span.status = status
-        with self._lock:
-            pending = self._pending.pop(span.trace_id, None)
-        if pending:
-            span.events.extend(pending)
         if (self.slow_span_ms is not None
                 and span.duration_ms >= self.slow_span_ms):
             span.attributes.setdefault("slow", True)
@@ -223,18 +211,14 @@ class Tracer:
     # ------------------------------------------------------------------
     def event(self, ctx: TraceContext | None, name: str,
               attributes: dict | None = None) -> None:
-        """Record an event against ``ctx``'s trace, owned by the next
-        span of that trace to finish (no-op for unsampled requests)."""
+        """Write a zero-duration span named ``name`` under ``ctx``'s
+        parent span the moment it fires (no-op for unsampled requests),
+        whether or not that parent has already ended."""
         if ctx is None:
             return
-        event = SpanEvent(name=name, time_s=time.monotonic(),
-                          attributes=dict(attributes or {}))
-        with self._lock:
-            if (ctx.trace_id not in self._pending
-                    and len(self._pending) >= MAX_PENDING_TRACES):
-                # leak guard: drop the oldest buffered trace's events
-                self._pending.pop(next(iter(self._pending)))
-            self._pending.setdefault(ctx.trace_id, []).append(event)
+        now = time.monotonic()
+        self.end_span(self.start_span(ctx, name, start_s=now,
+                                      attributes=attributes), end_s=now)
 
     def marker(self, name: str, attributes: dict | None = None) -> None:
         """Emit a standalone zero-duration span for a control-plane event

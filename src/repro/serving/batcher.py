@@ -1,17 +1,15 @@
 """The micro-batch scheduler: bounded queue, fairness, backlog batching.
 
 Requests enter per-tenant FIFO queues and leave in micro-batches of at
-most ``max_batch_size``.  The scheduler is work-conserving: whenever
-the batch worker is free and anything is queued, a batch is cut and
-dispatched at once, so a batch is exactly the backlog that built up
-while the previous batch ran — the in-flight batch *is* the coalescing
-window.  Load therefore fills batches on its own and an idle worker
-never makes a request wait for company; ``max_wait_ms > 0`` opts back
-into holding the first request of an idle period for co-batchable
-traffic.  Batches are assembled round-robin across tenants so one
-chatty tenant cannot starve the others, and each batch is processed on
-a dedicated worker thread so the event loop keeps admitting traffic
-(the next batch's backlog) while the previous batch executes.
+most ``max_batch_size``.  The scheduler has one dispatch rule: whenever
+the batch worker is free and anything is queued, cut it, run it and
+deliver.  A batch is therefore exactly the backlog that built up while
+the previous batch ran — the in-flight batch *is* the coalescing window
+— so load fills batches on its own and an idle worker never makes a
+request wait for company.  Batches are assembled round-robin across
+tenants so one chatty tenant cannot starve the others, and each batch is
+processed on a dedicated worker thread so the event loop keeps admitting
+traffic (the next batch's backlog) while the previous batch executes.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -69,22 +66,14 @@ class BatchScheduler:
     ----------
     process:
         ``process(batch: list[PendingRequest]) -> list[Any]`` — runs on
-        the worker thread, must return one result per request in order.
-        Exceptions fail every request in the batch.
+        the worker thread, must return one result per request in order;
+        a slot holding an exception fails just that request.  A raised
+        exception, or the wrong number of results, fails every request
+        in the batch.
     config:
         Batch/queue tunables (:class:`~repro.specs.ServingSpec`).
     telemetry:
         Recorder for queue depth, batch sizes and rejections.
-    faults:
-        Optional :class:`~repro.serving.faults.FaultInjector`; when set,
-        the ``batch.process`` hook fires on the worker thread before each
-        batch runs (chaos testing only).
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; injected faults and
-        quarantine recoveries are recorded as events against each
-        affected request's trace (requests carry their
-        :class:`~repro.obs.trace.TraceContext` on the payload's
-        ``trace`` attribute).
     """
 
     def __init__(
@@ -92,14 +81,10 @@ class BatchScheduler:
         process: Callable[[list[PendingRequest]], list[Any]],
         config: ServingSpec,
         telemetry: Telemetry | None = None,
-        faults=None,
-        tracer=None,
     ):
         self._process = process
         self.config = config
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._faults = faults
-        self._tracer = tracer
         self._queues: dict[str, deque[PendingRequest]] = {}
         self._rr_offset = 0
         self._total_pending = 0
@@ -107,7 +92,6 @@ class BatchScheduler:
         self._task: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping = False
-        self._aborting = False
         # one worker: episodes are GIL-bound pure Python, so extra threads
         # only add contention; the win comes from batching the kernels
         self._worker = _SingleWorker()
@@ -121,24 +105,19 @@ class BatchScheduler:
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._stopping = False
-        self._aborting = False
         self._task = self._loop.create_task(self._run(), name="batch-scheduler")
 
-    async def stop(self, drain: bool = True) -> None:
-        """Stop the loop; finish or fail what is still waiting.
+    async def stop(self) -> None:
+        """Stop accepting, run what is still queued, then exit.
 
-        With ``drain=True`` (the default) queued requests are flushed in
-        final batches before the loop exits.  With ``drain=False`` —
-        emergency shutdown — every queued request fails fast with
-        :class:`SchedulerStoppedError` instead of being processed.
-        Either way no pending future is ever left hanging: anything
-        still queued when the loop exits (including after a scheduler
-        crash) is failed on the way out.
+        Queued requests are cut into final batches before the loop
+        exits.  No pending future is ever left hanging: anything still
+        queued when the loop exits (after a scheduler crash) is failed
+        on the way out.
         """
         if self._task is None:
             return
         self._stopping = True
-        self._aborting = not drain
         self._wake.set()
         try:
             await self._task
@@ -207,45 +186,21 @@ class BatchScheduler:
     # scheduler loop
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        """Cut and dispatch batches until stopped.
+        """Cut, run and deliver batches until stopped.
 
         One batch is in flight at a time (``run_in_executor`` is
         awaited), so every pass through the loop finds the worker free:
-        if anything is queued it is cut and dispatched right away —
-        the requests that arrived while the previous batch ran ride
-        together — and otherwise the loop sleeps on the wake event.
-        Only an explicit ``max_wait_ms > 0`` adds a wait in between.
+        whatever is queued is cut and run right away — the requests that
+        arrived while the previous batch ran ride together — and an
+        empty queue sleeps on the wake event.
         """
-        max_wait_s = self.config.max_wait_s
         while True:
-            if self._aborting:
-                return  # stop(drain=False): stop() fails what is queued
             if self._total_pending == 0:
                 if self._stopping:
                     return
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-
-            if max_wait_s > 0.0:
-                # opt-in coalescing window: hold for more traffic until
-                # the oldest request has waited max_wait_ms or the batch
-                # is full (a backlog older than the window skips it)
-                deadline = self._oldest_enqueue() + max_wait_s
-                while (self._total_pending < self.config.max_batch_size
-                       and not self._stopping):
-                    remaining = deadline - self._loop.time()
-                    if remaining <= 0.0:
-                        break
-                    self._wake.clear()
-                    try:
-                        await asyncio.wait_for(self._wake.wait(),
-                                               timeout=remaining)
-                    except asyncio.TimeoutError:
-                        break
-                if self._aborting:
-                    return
-
             batch = self._cut_batch()
             if not batch:
                 continue
@@ -254,10 +209,13 @@ class BatchScheduler:
                              for request in batch])
             try:
                 results = await self._loop.run_in_executor(
-                    self._worker, self._process_batch, batch)
-            except Exception as exc:  # noqa: BLE001 - quarantine, then fail
-                await self._quarantine(batch, exc)
-                continue
+                    self._worker, self._process, batch)
+                if len(results) != len(batch):
+                    raise RuntimeError(
+                        f"processor returned {len(results)} results for a "
+                        f"batch of {len(batch)}")
+            except Exception as exc:  # noqa: BLE001 - fails the whole batch
+                results = [exc] * len(batch)
             self._deliver(batch, results)
 
     def _deliver(self, batch: list[PendingRequest], results: list[Any]) -> None:
@@ -271,62 +229,6 @@ class BatchScheduler:
                 request.future.set_exception(result)
             else:
                 request.future.set_result(result)
-
-    async def _quarantine(self, batch: list[PendingRequest],
-                          exc: Exception) -> None:
-        """Failure isolation: re-run a failed batch request-by-request.
-
-        A processor exception for a multi-request batch says *something*
-        in the batch is poisoned — not that every co-batched request is.
-        Each request is re-processed alone (the kernels are
-        batch-invariant, so a singleton run returns the same result the
-        batch would have), and only the requests that still fail carry
-        the exception; a single-request batch fails directly.
-        """
-        if len(batch) == 1:
-            if not batch[0].future.done():
-                batch[0].future.set_exception(exc)
-            return
-        self.telemetry.record_batch_quarantine(len(batch))
-        if self._tracer is not None:
-            for request in batch:
-                self._tracer.event(
-                    getattr(request.payload, "trace", None), "quarantine",
-                    {"batch_size": len(batch),
-                     "error": type(exc).__name__})
-        for request in batch:
-            if request.future.done():
-                continue
-            try:
-                results = await self._loop.run_in_executor(
-                    self._worker, self._process_batch, [request])
-            except Exception as solo_exc:  # noqa: BLE001 - this one is poisoned
-                if not request.future.done():
-                    request.future.set_exception(solo_exc)
-            else:
-                self._deliver([request], results)
-
-    def _process_batch(self, batch: list[PendingRequest]) -> list[Any]:
-        if self._faults is not None:
-            action = self._faults.decide("batch.process")
-            if action is not None and action.kind == "slow":
-                self.telemetry.record_fault("batch.process")
-                if self._tracer is not None:
-                    for request in batch:
-                        self._tracer.event(
-                            getattr(request.payload, "trace", None), "fault",
-                            {"hook": "batch.process",
-                             "sleep_ms": action.sleep_s * 1e3})
-                time.sleep(action.sleep_s)
-        results = self._process(batch)
-        if len(results) != len(batch):
-            raise RuntimeError(
-                f"processor returned {len(results)} results for a batch of "
-                f"{len(batch)}")
-        return results
-
-    def _oldest_enqueue(self) -> float:
-        return min(queue[0].enqueued_at for queue in self._queues.values() if queue)
 
     def _cut_batch(self) -> list[PendingRequest]:
         """Drain up to ``max_batch_size`` requests, round-robin by tenant.

@@ -11,12 +11,11 @@ Faults fire at two **hook points** (:attr:`FaultInjector._HOOK_RATES`
 is the table), covering the layers a production gateway loses first:
 
 ``batch.process``
-    on the batch worker before the processor runs — a ``slow`` decision
-    sleeps, exercising deadline enforcement and backpressure.
+    on the batch worker before the batch is grouped — a ``slow``
+    decision sleeps, exercising deadline enforcement and backpressure.
 ``gateway.group``
     inside per-group planning/execution — a ``raise`` decision throws
-    :class:`InjectedFaultError`, exercising per-group failure isolation
-    and batch quarantine.
+    :class:`InjectedFaultError`, exercising per-group failure isolation.
 
 Injectors are *opt-in*: a gateway built without a plan never consults
 one, so the production hot path carries a single ``None`` check.

@@ -165,7 +165,7 @@ class Gateway:
             response = await gateway.submit("home", query)
 
     The gateway owns a :class:`BatchScheduler` (bounded queue, per-tenant
-    round-robin fairness, deadline-based flushing) and a
+    round-robin fairness, one batch in flight) and a
     :class:`Telemetry` recorder exposed through :meth:`metrics`.
     """
 
@@ -190,9 +190,7 @@ class Gateway:
         self._owns_tracer = tracer is None and self.tracer is not None
         self.costs_ledger = CostLedger()
         self.scheduler = BatchScheduler(self._process_batch, self.config,
-                                        telemetry=self.telemetry,
-                                        faults=self._faults,
-                                        tracer=self.tracer)
+                                        telemetry=self.telemetry)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
         self._degradation_policy = degradation
@@ -483,8 +481,22 @@ class Gateway:
         Failures are contained per group: an invalid model name (or any
         agent error) fails only the requests sharing that grid cell —
         their slots carry the exception back to the scheduler — while the
-        rest of the micro-batch is served normally.
+        rest of the micro-batch is served normally.  Past admission, this
+        is the one place a request's faults and spans are recorded: the
+        chaos hooks (``batch.process`` for the whole batch, then
+        ``gateway.group`` per group) fire here, on the batch worker.
         """
+        tracer = self.tracer
+        if self._faults is not None:
+            action = self._faults.decide("batch.process")
+            if action is not None:
+                self.telemetry.record_fault("batch.process")
+                if tracer is not None:
+                    for request in batch:
+                        tracer.event(request.payload.trace, "fault", {
+                            "hook": "batch.process",
+                            "sleep_ms": action.sleep_s * 1e3})
+                time.sleep(action.sleep_s)
         groups: dict[tuple[TenantSession, str, str, str], list[int]] = {}
         for position, request in enumerate(batch):
             item: WorkItem = request.payload
@@ -492,7 +504,6 @@ class Gateway:
             groups.setdefault(key, []).append(position)
 
         responses: list[ServingResponse | Exception | None] = [None] * len(batch)
-        tracer = self.tracer
         for (session, scheme, model, quant), positions in groups.items():
             tenant = session.name
             group_traces = [batch[position].payload.trace

@@ -189,7 +189,12 @@ def run_load(
     async def session() -> LoadReport:
         async with Gateway(sessions, config=config, faults=faults,
                            tracer=tracer) as gateway:
-            return await run_closed_loop(gateway, workload, concurrency,
-                                         tolerate_errors=tolerate_errors)
+            report = await run_closed_loop(gateway, workload, concurrency,
+                                           tolerate_errors=tolerate_errors)
+        # snapshot once stop() has drained: a batch whose requests all
+        # missed their deadline may still be running at the last reply
+        report.gateway_metrics = gateway.metrics()
+        report.cost = gateway.costs()
+        return report
 
     return asyncio.run(session())

@@ -134,13 +134,6 @@ class Telemetry:
         with self._lock:
             self._add("catalog_swaps", tenant)
 
-    def record_batch_quarantine(self, batch_size: int) -> None:
-        """One failed micro-batch of ``batch_size`` requests re-processed
-        request-by-request (both the batch and its requests are counted)."""
-        with self._lock:
-            self._add("batch_quarantines")
-            self._add("quarantined_requests", amount=int(batch_size))
-
     def record_deadline_timeout(self) -> None:
         """One request abandoned because its end-to-end deadline expired."""
         with self._lock:

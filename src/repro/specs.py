@@ -550,20 +550,13 @@ class ServingSpec(_SpecBase):
         :class:`EngineSpec` for tenants that do not pin their own;
         ``None`` is the simulated engine.
     max_batch_size:
-        Cap on one micro-batch (and, inside a ``max_wait_ms`` window,
-        the fill level that ends the wait early).  The planning stage of the whole batch runs through one vectorized
-        ``encode``/``search_arrays`` pass, so larger batches amortize
-        more kernel overhead at the cost of head-of-line latency.
-    max_wait_ms:
-        Opt-in coalescing window.  At the default ``0.0`` the scheduler
-        is work-conserving: a free worker dispatches whatever is queued
-        at once, and batches form only from the backlog that built up
-        while the previous batch ran.  A positive value lets an *idle*
-        worker hold the first request up to this long for co-batchable
-        traffic — worth it only when a larger batch saves more CPU than
-        the wait costs in latency (sparse arrivals that still come in
-        near-simultaneous clumps); under sustained load the backlog
-        fills batches without it.
+        Cap on one micro-batch.  The scheduler never waits for a batch
+        to fill: a free worker runs whatever is queued at once, so
+        batches are the backlog that built up while the previous batch
+        ran.  The planning stage of the whole batch runs through one
+        vectorized ``encode``/``search_arrays`` pass, so larger batches
+        amortize more kernel overhead at the cost of head-of-line
+        latency.
     queue_capacity:
         Admission control — total requests allowed to wait across all
         tenants.  Submissions beyond it fail fast with
@@ -616,7 +609,6 @@ class ServingSpec(_SpecBase):
     tenants: tuple[TenantSpec, ...] = ()
     default_engine: EngineSpec | None = None
     max_batch_size: int = 32
-    max_wait_ms: float = 0.0
     queue_capacity: int = 256
     default_scheme: str = "lis-k3"
     default_model: str = "hermes2-pro-8b"
@@ -640,7 +632,7 @@ class ServingSpec(_SpecBase):
         _require(len(names) == len(set(names)),
                  f"ServingSpec.tenants names must be unique, got {names}")
         _require_min(self, 1, "max_batch_size", "queue_capacity")
-        _require_min(self, 0, "max_wait_ms", "plan_cache_size")
+        _require_min(self, 0, "plan_cache_size")
         _require_min(self, 0, "timeout_ms", strict=True)
         for field_name in ("default_scheme", "default_model", "default_quant"):
             _require(bool(getattr(self, field_name)),
@@ -649,10 +641,6 @@ class ServingSpec(_SpecBase):
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)
         _coerce(self, "default_engine", EngineSpec)
-
-    @property
-    def max_wait_s(self) -> float:
-        return self.max_wait_ms / 1e3
 
     @property
     def timeout_s(self) -> float | None:

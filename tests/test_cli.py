@@ -120,9 +120,8 @@ class TestChaosExitCode:
                 latencies_s=[0.01] * len(served),
                 episodes={(load.tenant, load.query.qid, 0): None
                           for load in served},
-                gateway_metrics=dict.fromkeys(
-                    ("batch_quarantines", "deadline_timeouts"), 0)
-                | {"faults_injected_by_hook": {}},
+                gateway_metrics={"deadline_timeouts": 0,
+                                 "faults_injected_by_hook": {}},
                 n_errors=n_requests - len(served))
 
         monkeypatch.setattr(repro.serving, "run_load", run_load)

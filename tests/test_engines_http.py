@@ -210,8 +210,7 @@ class TestEndToEnd:
             asked = len(app.requests)
 
             async def serve_all():
-                config = ServingSpec(default_engine=engine, max_batch_size=4,
-                                     max_wait_ms=5.0)
+                config = ServingSpec(default_engine=engine, max_batch_size=4)
                 async with session.serve(config) as gateway:
                     return await asyncio.gather(*(
                         gateway.submit("edgehome", query)

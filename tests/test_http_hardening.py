@@ -33,7 +33,7 @@ def suite():
 def make_app(suite, http: HttpSpec | None = None):
     sessions = SessionManager(embedder=CachedEmbedder())
     sessions.register("home", suite)
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+    config = ServingSpec(max_batch_size=4,
                          default_scheme="lis-k3", default_model=MODEL,
                          default_quant=QUANT)
     return create_app(Gateway(sessions, config=config), http=http)

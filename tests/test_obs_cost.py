@@ -110,7 +110,7 @@ def test_plan_tool_tokens_matches_the_catalog_estimator():
 # ----------------------------------------------------------------------
 def test_load_report_carries_the_cost_snapshot():
     suite = load_suite("edgehome", n_queries=6)
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4)
     report = run_load({"home": suite}, config, n_requests=6, concurrency=3)
     cost = report.cost
     assert cost["total"]["requests"] == 6
@@ -138,7 +138,7 @@ def test_variant_downshift_shrinks_recorded_tool_tokens():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4)
         async with Gateway(sessions, config=config) as gateway:
             for query in suite.queries[:4]:
                 await gateway.submit("home", query)

@@ -129,8 +129,8 @@ def test_colon_in_a_tenant_name_stays_in_the_tenant_label():
 # ----------------------------------------------------------------------
 #: the parent commit's Telemetry().snapshot() keys, written out, minus
 #: the worker-restart and inline-fallback counters (the worker pool is
-#: gone): the table may be re-ordered or re-typed, the wire surface may
-#: not move
+#: gone) and the two batch-quarantine counters (the quarantine is gone):
+#: the table may be re-ordered or re-typed, the wire surface may not move
 SNAPSHOT_KEYS = {
     "uptime_s", "snapshot_seq", "requests_admitted", "requests_rejected",
     "requests_completed", "requests_failed", "n_batches", "mean_batch_size",
@@ -139,7 +139,7 @@ SNAPSHOT_KEYS = {
     "latency_mean_ms", "queue_wait_p50_ms", "queue_wait_p95_ms",
     "queue_wait_sum_s", "queue_wait_count", "plan_cache_hits",
     "plan_cache_misses", "plan_cache_hit_rate", "catalog_swaps",
-    "catalog_swaps_by_tenant", "batch_quarantines", "quarantined_requests", "deadline_timeouts",
+    "catalog_swaps_by_tenant", "deadline_timeouts",
     "shed_requests", "shed_requests_by_tenant", "faults_injected",
     "faults_injected_by_hook", "degrade_transitions",
     "degrade_transitions_detail", "energy_j", "energy_j_by_tenant",
@@ -170,7 +170,7 @@ def _record_calls():
 
 
 def test_snapshot_keys_are_pinned():
-    assert len(SNAPSHOT_KEYS) == 40
+    assert len(SNAPSHOT_KEYS) == 38
     assert set(Telemetry().snapshot()) == SNAPSHOT_KEYS
 
 
@@ -346,7 +346,7 @@ def test_gateway_metrics_text_is_valid_and_live():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4)
         async with Gateway(sessions, config=config) as gateway:
             await asyncio.gather(*(
                 gateway.submit("home", query) for query in suite.queries))

@@ -109,7 +109,7 @@ def test_trace_context_pickle_roundtrip():
 def test_single_request_produces_complete_span_tree():
     suite = load_suite("edgehome", n_queries=4)
     tracer, sink = _memory_tracer()
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4)
     [response] = _serve(suite, config, tracer, queries=[suite.queries[0]])
     assert response.episode is not None
 
@@ -133,7 +133,7 @@ def test_single_request_produces_complete_span_tree():
 
 def test_same_workload_names_the_same_traces_across_runs():
     suite = load_suite("edgehome", n_queries=6)
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4)
     ids = []
     for _ in range(2):
         tracer, sink = _memory_tracer()
@@ -153,7 +153,7 @@ def test_tracing_preserves_bitwise_equivalence():
         .run("lis-k3", MODEL, QUANT).episodes
     }
     tracer, sink = _memory_tracer()
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+    config = ServingSpec(max_batch_size=4)
     responses = _serve(suite, config, tracer)
     assert len(sink.trace_ids()) == len(suite.queries)
     for response in responses:
@@ -166,7 +166,7 @@ def test_obs_spec_wires_a_jsonl_artifact(tmp_path):
     path = tmp_path / "trace.jsonl"
     suite = load_suite("edgehome", n_queries=4)
     config = ServingSpec(
-        max_batch_size=4, max_wait_ms=2.0,
+        max_batch_size=4,
         obs=ObsSpec(sink="jsonl", sink_path=str(path)))
     report = run_load({"home": suite}, config, n_requests=4, concurrency=4)
     assert report.n_errors == 0
@@ -203,6 +203,22 @@ def test_stop_closes_the_sink_the_gateway_built(tmp_path):
         tracer=Tracer(JsonlSink(str(passed_path)))))
     assert not passed._file.closed
     passed.close()
+
+
+def test_event_after_the_request_ended_is_not_orphaned():
+    """A fault firing on the batch worker after its request was
+    abandoned (root span ended ``deadline_exceeded``) is still written,
+    as a zero-duration ``fault`` child of the request."""
+    tracer, sink = _memory_tracer()
+    ctx = tracer.sampled(request_trace_id("home", "q-1", 0))
+    root = tracer.start_span(ctx, "request")
+    tracer.end_span(root, status="deadline_exceeded")
+    tracer.event(ctx.child(root.span_id), "fault", {"hook": "gateway.group"})
+    [fault] = [span for span in sink.spans() if span.name == "fault"]
+    assert fault.trace_id == root.trace_id
+    assert fault.parent_id == root.span_id
+    assert fault.attributes == {"hook": "gateway.group"}
+    assert fault.duration_ms == 0.0
 
 
 def test_memory_sink_ring_evicts_oldest():

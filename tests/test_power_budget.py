@@ -88,7 +88,7 @@ async def _run_pinned(suite, rung):
     scheme = RUNG_SETUPS[rung]
     sessions = SessionManager()
     sessions.register("home", suite)
-    config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
+    config = ServingSpec(max_batch_size=4)
     async with Gateway(sessions, config=config) as gateway:
         episodes = {}
         for query in suite.queries:
@@ -124,7 +124,7 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
                           interval_ms=600_000.0)
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=4,
                              budget=spec)
         waves = []
         async with Gateway(sessions, config=config) as gateway:
@@ -189,7 +189,7 @@ def test_budget_and_pressure_compose_without_oscillation():
         spec = BudgetSpec(energy_budget_j=1e-6, window_requests=2,
                           settle_requests=2, recovery_ticks=2,
                           interval_ms=600_000.0)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=4,
                              budget=spec)
         async with Gateway(sessions, config=config,
                            degradation=degradation) as gateway:
@@ -249,7 +249,7 @@ def test_intensity_steps_power_mode_with_hysteresis():
                           recovery_ticks=2, signal="trace",
                           trace_path=str(COMMITTED_TRACE),
                           interval_ms=600_000.0)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=4,
                              budget=spec)
         async with Gateway(sessions, config=config) as gateway:
             controller = gateway.budget
@@ -311,7 +311,7 @@ def test_shed_probation_recovers_a_shed_tenant():
         spec = BudgetSpec(energy_budget_j=1e-6, window_requests=1,
                           settle_requests=1, recovery_ticks=2,
                           interval_ms=600_000.0)
-        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=2,
                              budget=spec)
         async with Gateway(sessions, config=config) as gateway:
             query = suite.queries[0]
@@ -395,7 +395,7 @@ def test_budget_status_surface():
         sessions.register("home", suite)
         spec = BudgetSpec(energy_budget_j=1e6, carbon_budget_g=1e6,
                           window_requests=4, interval_ms=600_000.0)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=4,
                              budget=spec)
         async with Gateway(sessions, config=config) as gateway:
             empty = gateway.budget_status("home")
@@ -423,7 +423,7 @@ def test_unbudgeted_gateway_still_meters():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0)
+        config = ServingSpec(max_batch_size=2)
         async with Gateway(sessions, config=config) as gateway:
             assert gateway.budget is None
             await gateway.submit("home", suite.queries[0])

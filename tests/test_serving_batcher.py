@@ -35,7 +35,7 @@ def test_flush_on_max_batch_size():
     async def scenario():
         telemetry = Telemetry()
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=4, max_wait_ms=10_000.0),
+            ServingSpec(max_batch_size=4),
             telemetry=telemetry)
         futures = [scheduler.submit("t", i) for i in range(4)]
         results = await asyncio.gather(*futures)
@@ -43,7 +43,7 @@ def test_flush_on_max_batch_size():
         return results, telemetry.snapshot()
 
     results, metrics = run(scenario())
-    # a full batch flushed long before the (huge) deadline
+    # submitted in one loop turn, the four leave as one full batch
     assert [payload for payload, _ in results] == [0, 1, 2, 3]
     assert all(size == 4 for _, size in results)
     assert metrics["batch_size_histogram"] == {"4": 1}
@@ -52,7 +52,7 @@ def test_flush_on_max_batch_size():
 def test_flush_on_deadline_with_partial_batch():
     async def scenario():
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=64, max_wait_ms=5.0))
+            ServingSpec(max_batch_size=64))
         futures = [scheduler.submit("t", i) for i in range(3)]
         results = await asyncio.wait_for(asyncio.gather(*futures), timeout=5.0)
         await scheduler.stop()
@@ -138,34 +138,10 @@ def test_default_dispatches_an_idle_trickle_at_once_with_no_timer(monkeypatch):
     assert captured == [["A"], ["B"], ["C"]]
 
 
-def test_explicit_window_still_coalesces_an_idle_trickle():
-    """``max_wait_ms > 0`` is the opt-in: an idle worker holds the first
-    request for company until the window closes or the batch fills."""
-    captured = []
-
-    async def scenario():
-        scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=3, max_wait_ms=10_000.0),
-            process=capturing_processor(captured))
-        futures = []
-        for count, payload in enumerate("ABC", start=1):
-            futures.append(scheduler.submit("t", payload))
-            if count < 3:
-                for _ in range(10):  # the scheduler gets its turns ...
-                    await asyncio.sleep(0)
-                # ... and keeps holding inside the (huge) window
-                assert scheduler.pending == count and not captured
-        await asyncio.gather(*futures)
-        await scheduler.stop()
-
-    run(scenario())
-    assert captured == [["A", "B", "C"]]
-
-
 def test_round_robin_fairness_across_tenants():
     async def scenario():
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=6, max_wait_ms=50.0))
+            ServingSpec(max_batch_size=6))
         # tenant "a" floods, tenant "b" sends one request
         futures = [scheduler.submit("a", f"a{i}") for i in range(5)]
         futures.append(scheduler.submit("b", "b0"))
@@ -188,7 +164,7 @@ def test_fairness_caps_flooding_tenant_in_cut_order():
 
     async def scenario():
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=4, max_wait_ms=50.0),
+            ServingSpec(max_batch_size=4),
             process=capturing_processor(captured))
         futures = [scheduler.submit("a", f"a{i}") for i in range(4)]
         futures.append(scheduler.submit("b", "b0"))
@@ -213,7 +189,7 @@ def test_admission_control_queue_full():
             return [None] * len(batch)
 
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=1, max_wait_ms=0.0, queue_capacity=2),
+            ServingSpec(max_batch_size=1, queue_capacity=2),
             process=slow, telemetry=telemetry)
         inflight = [scheduler.submit("t", 0)]
         await asyncio.sleep(0.05)  # let the first batch enter the worker
@@ -246,27 +222,36 @@ def test_submit_outside_lifecycle_raises():
 
 
 def test_processor_exception_fails_the_batch():
+    """A raised exception, or one result too few (the scheduler cannot
+    tell whose is missing), fails every request of the batch."""
     def broken(batch):
         raise RuntimeError("kaboom")
 
-    async def scenario():
+    def short(batch):
+        return echo_processor(batch)[:-1]
+
+    async def scenario(process):
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=2, max_wait_ms=1.0), process=broken)
+            ServingSpec(max_batch_size=2), process=process)
         futures = [scheduler.submit("t", i) for i in range(2)]
         outcomes = await asyncio.gather(*futures, return_exceptions=True)
         await scheduler.stop()
         return outcomes
 
-    outcomes = run(scenario())
-    assert all(isinstance(outcome, RuntimeError) for outcome in outcomes)
+    for process, match in ((broken, "kaboom"),
+                           (short, "returned 1 results for a batch of 2")):
+        outcomes = run(scenario(process))
+        assert len(outcomes) == 2
+        for outcome in outcomes:
+            assert isinstance(outcome, RuntimeError)
+            assert match in str(outcome)
 
 
 def test_stop_drains_pending_requests():
     async def scenario():
-        scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=8, max_wait_ms=10_000.0))
-        # fewer than a full batch with a far deadline; stop() must not
-        # strand them
+        scheduler = await start_scheduler(ServingSpec(max_batch_size=8))
+        # fewer than a full batch, still queued when stop() is called;
+        # stop() must not strand them
         futures = [scheduler.submit("t", i) for i in range(3)]
         stop_task = asyncio.get_running_loop().create_task(scheduler.stop())
         results = await asyncio.gather(*futures)
@@ -281,61 +266,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ServingSpec(max_batch_size=0)
     with pytest.raises(ValueError):
-        ServingSpec(max_wait_ms=-1.0)
-    with pytest.raises(ValueError):
         ServingSpec(queue_capacity=0)
-    assert ServingSpec(max_wait_ms=0.5).max_wait_s == 0.0005
-
-
-def test_abort_stop_fails_inflight_requests_fast():
-    """stop(drain=False) with queued traffic: every pending future fails
-    promptly with SchedulerStoppedError — none is processed, none hangs."""
-    async def scenario():
-        scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=64, max_wait_ms=10_000.0))
-        futures = [scheduler.submit("t", i) for i in range(5)]
-        await asyncio.wait_for(scheduler.stop(drain=False), timeout=2.0)
-        outcomes = await asyncio.wait_for(
-            asyncio.gather(*futures, return_exceptions=True), timeout=2.0)
-        # post-stop submissions are rejected too
-        with pytest.raises(SchedulerStoppedError):
-            scheduler.submit("t", 99)
-        return outcomes
-
-    outcomes = run(scenario())
-    assert len(outcomes) == 5
-    assert all(isinstance(outcome, SchedulerStoppedError)
-               for outcome in outcomes)
-
-
-def test_abort_stop_with_batch_midflight_fails_queued_requests():
-    """An abort while a batch is executing: the in-flight batch finishes,
-    everything still queued behind it fails fast — nothing hangs."""
-    async def scenario():
-        release = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        def slow(batch):
-            asyncio.run_coroutine_threadsafe(release.wait(), loop).result()
-            return [(request.payload, request.batch_size) for request in batch]
-
-        scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=1, max_wait_ms=0.0),
-            process=slow)
-        inflight = scheduler.submit("t", 0)
-        await asyncio.sleep(0.05)  # first batch is now inside the worker
-        queued = [scheduler.submit("t", i) for i in range(1, 4)]
-        stop_task = loop.create_task(scheduler.stop(drain=False))
-        release.set()
-        await asyncio.wait_for(stop_task, timeout=5.0)
-        first = await asyncio.wait_for(inflight, timeout=2.0)
-        rest = await asyncio.wait_for(
-            asyncio.gather(*queued, return_exceptions=True), timeout=2.0)
-        return first, rest
-
-    first, rest = run(scenario())
-    assert first == (0, 1)
-    assert all(isinstance(outcome, SchedulerStoppedError) for outcome in rest)
 
 
 def test_queue_full_error_reports_occupancy():
@@ -348,7 +279,7 @@ def test_queue_full_error_reports_occupancy():
             return [None] * len(batch)
 
         scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=1, max_wait_ms=0.0, queue_capacity=3),
+            ServingSpec(max_batch_size=1, queue_capacity=3),
             process=slow)
         inflight = [scheduler.submit("a", 0)]
         await asyncio.sleep(0.05)
@@ -368,33 +299,6 @@ def test_queue_full_error_reports_occupancy():
     assert error.per_tenant == {"a": 2, "b": 1}
     assert list(error.per_tenant) == ["a", "b"]
     assert "a=2" in str(error) and "b=1" in str(error)
-
-
-def test_quarantine_isolates_poisoned_request():
-    """One poisoned request in a batch fails alone; its co-batched
-    neighbors are re-run solo and still succeed."""
-    def poisonable(batch):
-        if any(request.payload == "bad" for request in batch):
-            raise RuntimeError("poisoned batch")
-        return [(request.payload, request.batch_size) for request in batch]
-
-    async def scenario():
-        telemetry = Telemetry()
-        scheduler = await start_scheduler(
-            ServingSpec(max_batch_size=4, max_wait_ms=10_000.0),
-            process=poisonable, telemetry=telemetry)
-        futures = [scheduler.submit("t", payload)
-                   for payload in ["ok0", "ok1", "bad", "ok2"]]
-        outcomes = await asyncio.wait_for(
-            asyncio.gather(*futures, return_exceptions=True), timeout=5.0)
-        await scheduler.stop()
-        return outcomes, telemetry.snapshot()
-
-    outcomes, metrics = run(scenario())
-    assert [payload for payload, _ in (outcomes[0], outcomes[1], outcomes[3])] \
-        == ["ok0", "ok1", "ok2"]
-    assert isinstance(outcomes[2], RuntimeError)
-    assert metrics["batch_quarantines"] == 1
 
 
 def test_worker_shutdown_raises_with_stack_when_stuck():

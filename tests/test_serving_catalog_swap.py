@@ -34,7 +34,7 @@ def suite():
 def make_gateway(suite, plan_cache_size=64):
     sessions = SessionManager(embedder=CachedEmbedder())
     sessions.register("home", suite)
-    config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+    config = ServingSpec(max_batch_size=4,
                          default_scheme="lis-k3", default_model=MODEL,
                          default_quant=QUANT,
                          plan_cache_size=plan_cache_size)

@@ -164,7 +164,7 @@ def test_ladder_down_to_shed_and_back_up():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
+        config = ServingSpec(max_batch_size=4)
         async with Gateway(sessions, config=config,
                            degradation=policy) as gateway:
             controller = gateway.degradation
@@ -221,7 +221,7 @@ def test_reduced_k_rung_reroutes_default_scheme():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingSpec(max_wait_ms=1.0),
+        async with Gateway(sessions, config=ServingSpec(),
                            degradation=policy) as gateway:
             controller = gateway.degradation
             controller.tick(depth=10)

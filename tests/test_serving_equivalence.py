@@ -100,7 +100,7 @@ def _assert_served_equals_sequential(suite, config: ServingSpec) -> None:
 def test_served_episodes_equal_sequential_runner(suite):
     """The acceptance criterion: gateway output == ExperimentRunner output."""
     _assert_served_equals_sequential(
-        suite, ServingSpec(max_batch_size=8, max_wait_ms=5.0))
+        suite, ServingSpec(max_batch_size=8))
 
 
 def test_served_episodes_equal_sequential_runner_at_default_spec(suite):
@@ -186,7 +186,7 @@ def test_http_call_equals_sequential_runner(suite):
     async def serve_all():
         sessions = SessionManager(embedder=CachedEmbedder())
         sessions.register("t", suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0,
+        config = ServingSpec(max_batch_size=8,
                              default_scheme="lis-k3", default_model=MODEL,
                              default_quant=QUANT)
         app = create_app(Gateway(sessions, config=config))
@@ -225,7 +225,7 @@ def test_late_registered_tenant_serves_bitwise():
     async def serve():
         sessions = SessionManager()
         sessions.register("early", early)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=5.0)
+        config = ServingSpec(max_batch_size=4)
         async with Gateway(sessions, config=config) as gateway:
             sessions.register("late", late)
             return await asyncio.gather(*(
@@ -252,7 +252,7 @@ def test_removed_then_reregistered_tenant_serves_its_new_suite():
     async def serve():
         sessions = SessionManager()
         sessions.register("t", old)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=5.0,
+        config = ServingSpec(max_batch_size=4,
                              plan_cache_size=64)
         async with Gateway(sessions, config=config) as gateway:
             await asyncio.gather(*(
@@ -386,7 +386,7 @@ def test_served_results_independent_of_batch_composition(suite):
 
     target = suite.queries[0]
     alone = asyncio.run(serve(
-        [target], ServingSpec(max_batch_size=1, max_wait_ms=0.0)))
+        [target], ServingSpec(max_batch_size=1)))
     crowded = asyncio.run(serve(
-        suite.queries[:10], ServingSpec(max_batch_size=10, max_wait_ms=20.0)))
+        suite.queries[:10], ServingSpec(max_batch_size=10)))
     assert alone[target.qid] == crowded[target.qid]

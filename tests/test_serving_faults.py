@@ -16,6 +16,7 @@ import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
+from repro.obs import MemorySink, Tracer
 from repro.serving import (
     DeadlineExceededError,
     FaultInjector,
@@ -23,6 +24,8 @@ from repro.serving import (
     Gateway,
     InjectedFaultError,
     SessionManager,
+    loadgen,
+    run_load,
 )
 from repro.serving.faults import as_injector
 from repro.specs import ServingSpec
@@ -122,7 +125,7 @@ def test_slow_batches_without_a_deadline_serve_bitwise():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4)
         faults = FaultPlan(seed=11, slow_batch_rate=0.5, slow_batch_ms=20.0)
         async with Gateway(sessions, config=config, faults=faults) as gateway:
             responses = await asyncio.gather(*(
@@ -143,7 +146,7 @@ def test_slow_batch_fault_trips_deadline():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=2,
                              timeout_ms=150.0)
         faults = FaultPlan(seed=1, slow_batch_rate=1.0, slow_batch_ms=600.0)
         async with Gateway(sessions, config=config, faults=faults) as gateway:
@@ -163,7 +166,7 @@ def test_per_request_timeout_overrides_config():
         sessions = SessionManager()
         sessions.register("home", suite)
         # config deadline is absurdly tight; the per-request override wins
-        config = ServingSpec(max_batch_size=2, max_wait_ms=1.0,
+        config = ServingSpec(max_batch_size=2,
                              timeout_ms=0.001)
         async with Gateway(sessions, config=config) as gateway:
             response = await gateway.submit("home", suite.queries[0],
@@ -183,7 +186,7 @@ def test_injected_exception_fails_only_that_request():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4)
         # every other group raises (the stream under seed 5 mixes hits
         # and misses); surviving requests must still complete
         faults = FaultPlan(seed=5, exception_rate=0.5)
@@ -201,6 +204,43 @@ def test_injected_exception_fails_only_that_request():
     assert metrics["faults_injected_by_hook"].get("gateway.group", 0) >= 1
     assert metrics["requests_completed"] == len(served)
     assert metrics["requests_failed"] == len(injected)
+
+
+def test_run_load_reports_after_the_gateway_drained(monkeypatch):
+    """The ``repro chaos --seed 3 ... --timeout-ms 100`` scenario: the
+    stalled batch outlives its requests' deadlines, so its
+    ``gateway.group`` fault fires after the last client returned.  The
+    report must still be the gateway's telemetry once stop() drained,
+    and every injected fault must surface as a ``fault`` span at its
+    hook."""
+    gateways = []
+
+    class RecordingGateway(Gateway):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            gateways.append(self)
+
+    monkeypatch.setattr(loadgen, "Gateway", RecordingGateway)
+    sink = MemorySink()
+    plan = FaultPlan(seed=3, slow_batch_rate=0.25, slow_batch_ms=250.0,
+                     exception_rate=0.3)
+    report = run_load({"edgehome": load_suite("edgehome")},
+                      ServingSpec(timeout_ms=100.0), n_requests=64,
+                      concurrency=8, faults=plan, tolerate_errors=True,
+                      tracer=Tracer(sink))
+
+    [gateway] = gateways
+
+    def counters(metrics):
+        return {key: value for key, value in metrics.items()
+                if key not in ("uptime_s", "snapshot_seq")}
+
+    assert report.gateway_metrics["deadline_timeouts"] >= 1
+    assert counters(report.gateway_metrics) == counters(gateway.metrics())
+    assert report.cost == gateway.costs()
+    fault_hooks = {span.attributes["hook"] for span in sink.spans()
+                   if span.name == "fault"}
+    assert fault_hooks == set(report.gateway_metrics["faults_injected_by_hook"])
 
 
 def test_config_validation_for_fault_tolerance_knobs():

@@ -80,7 +80,7 @@ def test_unknown_tenant_and_unknown_qid(edgehome_suite):
 def test_concurrent_requests_get_micro_batched(edgehome_suite):
     async def scenario():
         sessions = make_sessions(home=edgehome_suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=20.0)
+        config = ServingSpec(max_batch_size=8)
         async with Gateway(sessions, config=config) as gateway:
             responses = await asyncio.gather(*(
                 gateway.submit("home", query)
@@ -101,7 +101,7 @@ def test_concurrent_requests_get_micro_batched(edgehome_suite):
 def test_multi_tenant_routing_and_isolation(edgehome_suite, bfcl_suite):
     async def scenario():
         sessions = make_sessions(home=edgehome_suite, bfcl=bfcl_suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=20.0)
+        config = ServingSpec(max_batch_size=8)
         async with Gateway(sessions, config=config) as gateway:
             home_queries = edgehome_suite.queries[:4]
             bfcl_queries = bfcl_suite.queries[:4]
@@ -139,7 +139,7 @@ def test_bad_grid_cell_fails_only_its_own_requests(edgehome_suite):
 
     async def scenario():
         sessions = make_sessions(home=edgehome_suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=20.0)
+        config = ServingSpec(max_batch_size=8)
         async with Gateway(sessions, config=config) as gateway:
             good = [gateway.submit("home", query)
                     for query in edgehome_suite.queries[:3]]
@@ -172,7 +172,7 @@ def test_duplicate_tenant_registration_rejected(edgehome_suite):
 def test_closed_loop_loadgen_summary(edgehome_suite):
     async def scenario():
         sessions = make_sessions(home=edgehome_suite)
-        config = ServingSpec(max_batch_size=8, max_wait_ms=5.0)
+        config = ServingSpec(max_batch_size=8)
         async with Gateway(sessions, config=config) as gateway:
             workload = make_workload({"home": edgehome_suite}, n_requests=24)
             return await run_closed_loop(gateway, workload, concurrency=8)

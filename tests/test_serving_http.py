@@ -26,6 +26,7 @@ from repro.specs import BudgetSpec, ServingSpec
 from repro.suites import load_suite
 from repro.tools.catalog import load_catalog
 from test_obs_prometheus import _parse_exposition
+from test_serving_equivalence import _hold_batch_worker
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
 
@@ -38,7 +39,7 @@ def suite():
 def make_app(suite, **overrides):
     sessions = SessionManager(embedder=CachedEmbedder())
     sessions.register("home", suite)
-    kwargs = dict(max_batch_size=4, max_wait_ms=2.0,
+    kwargs = dict(max_batch_size=4,
                   default_scheme="lis-k3", default_model=MODEL,
                   default_quant=QUANT)
     kwargs.update(overrides)
@@ -138,15 +139,15 @@ def test_queue_full_maps_to_429(suite):
     qid = suite.queries[0].qid
 
     async def scenario(client, app):
-        # capacity 1: the first submit occupies the queue (the batch
-        # waits on max_wait_ms), the second bounces deterministically
+        # capacity 1: both submits land in the same loop turn, before
+        # the scheduler cuts the first, so the second bounces
         return await asyncio.gather(
             client.post("/v1/call", {"tenant": "home", "qid": qid}),
             client.post("/v1/call", {"tenant": "home",
                                      "qid": suite.queries[1].qid}))
 
     first, second = serve(suite, scenario, queue_capacity=1,
-                          max_batch_size=8, max_wait_ms=50.0)
+                          max_batch_size=8)
     assert first.status == 200
     assert second.status == 429
     error = second.json()["error"]
@@ -184,12 +185,16 @@ def test_deadline_maps_to_504(suite):
     qid = suite.queries[0].qid
 
     async def scenario(client, app):
-        # the batch window far exceeds the request deadline, so the
-        # request is still queued when its deadline expires
-        return await client.post(
-            "/v1/call", {"tenant": "home", "qid": qid, "timeout_ms": 5})
+        # the batch worker is held inside the episode run, so the
+        # request is still executing when its deadline expires
+        _, release = _hold_batch_worker(app.gateway, "home")
+        try:
+            return await client.post(
+                "/v1/call", {"tenant": "home", "qid": qid, "timeout_ms": 5})
+        finally:
+            release.set()
 
-    response = serve(suite, scenario, max_batch_size=64, max_wait_ms=5000.0)
+    response = serve(suite, scenario)
     assert response.status == 504
     error = response.json()["error"]
     assert error["type"] == "DeadlineExceededError"

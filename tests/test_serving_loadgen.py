@@ -116,7 +116,7 @@ def test_run_closed_loop_serves_whole_workload(suite):
     async def go():
         sessions = SessionManager()
         sessions.register("t", suite)
-        config = ServingSpec(max_batch_size=4, max_wait_ms=2.0)
+        config = ServingSpec(max_batch_size=4)
         async with Gateway(sessions, config=config) as gateway:
             return await run_closed_loop(gateway, workload, concurrency=4)
 

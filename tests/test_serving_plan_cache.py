@@ -33,7 +33,7 @@ def serve_queries(suite, config, queries, rounds=1):
 
 
 def test_cached_replies_bitwise_identical(suite):
-    config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+    config = ServingSpec(max_batch_size=4,
                          plan_cache_size=64)
     (first, second), metrics = serve_queries(
         suite, config, suite.queries, rounds=2)
@@ -44,9 +44,9 @@ def test_cached_replies_bitwise_identical(suite):
 
 def test_cache_matches_uncached_gateway(suite):
     queries = suite.queries[:6]
-    cached_config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+    cached_config = ServingSpec(max_batch_size=4,
                                 plan_cache_size=64)
-    plain_config = ServingSpec(max_batch_size=4, max_wait_ms=1.0)
+    plain_config = ServingSpec(max_batch_size=4)
     (cached_round,), _ = serve_queries(suite, cached_config, queries)
     (plain_round,), plain_metrics = serve_queries(suite, plain_config, queries)
     assert cached_round == plain_round
@@ -57,7 +57,7 @@ def test_cache_matches_uncached_gateway(suite):
 
 def test_hit_miss_accounting(suite):
     queries = suite.queries[:4]
-    config = ServingSpec(max_batch_size=4, max_wait_ms=1.0,
+    config = ServingSpec(max_batch_size=4,
                          plan_cache_size=64)
     _, metrics = serve_queries(suite, config, queries, rounds=3)
     assert metrics["plan_cache_misses"] == len(queries)
@@ -68,7 +68,7 @@ def test_hit_miss_accounting(suite):
 def test_serving_spec_enables_cache(suite):
     spec = ServingSpec(
         tenants=(TenantSpec("home", SuiteSpec("edgehome", n_queries=8)),),
-        max_batch_size=4, max_wait_ms=1.0, plan_cache_size=16)
+        max_batch_size=4, plan_cache_size=16)
     from repro.session import open_session
 
     session = open_session(spec)

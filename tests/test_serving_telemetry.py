@@ -161,16 +161,6 @@ def test_max_samples_must_be_positive():
         Telemetry(max_samples=0)
 
 
-def test_batch_quarantine_counts_both_batch_and_requests():
-    telemetry = Telemetry()
-    telemetry.record_batch_quarantine(4)
-    telemetry.record_batch_quarantine(2)
-    snapshot = telemetry.snapshot()
-    assert snapshot["batch_quarantines"] == 2
-    # the argument is the quarantined batch's size, not ignored
-    assert snapshot["quarantined_requests"] == 6
-
-
 def test_snapshot_seq_and_uptime_progress():
     telemetry = Telemetry()
     first = telemetry.snapshot()

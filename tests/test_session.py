@@ -122,7 +122,7 @@ class TestSessionServe:
     def test_serve_from_tenant_specs(self):
         spec = ServingSpec(
             tenants=(TenantSpec("home", SuiteSpec("edgehome", n_queries=4)),),
-            max_batch_size=4, max_wait_ms=1.0)
+            max_batch_size=4)
         session = open_session(spec)
 
         async def scenario():
@@ -138,8 +138,7 @@ class TestSessionServe:
         session = open_session("edgehome", n_queries=4)
 
         async def scenario():
-            async with session.serve(ServingSpec(max_batch_size=2,
-                                                 max_wait_ms=1.0)) as gateway:
+            async with session.serve(ServingSpec(max_batch_size=2)) as gateway:
                 query = session.suite.queries[0]
                 return await gateway.submit("edgehome", query)
 

@@ -106,7 +106,7 @@ class TestSimulatedEngineEquivalence:
         async def serve_all():
             sessions = SessionManager()
             sessions.register("t", suite, engine=EngineSpec("simulated"))
-            config = ServingSpec(max_batch_size=4, max_wait_ms=2.0,
+            config = ServingSpec(max_batch_size=4,
                                  default_scheme="lis-k3",
                                  default_model=MODEL, default_quant=QUANT)
             async with Gateway(sessions, config=config) as gateway:

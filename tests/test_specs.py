@@ -43,7 +43,7 @@ ALL_SPECS = [
     ServingSpec(
         tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),
                  TenantSpec(name="assist", suite=SuiteSpec(name="bfcl"))),
-        max_batch_size=16, max_wait_ms=1.5, queue_capacity=64,
+        max_batch_size=16, queue_capacity=64,
         default_scheme="lis-k5", plan_cache_size=256),
     ExperimentSpec(
         suite=SuiteSpec(name="bfcl", n_queries=4),
@@ -129,7 +129,7 @@ class TestNormalization:
                                      "suite": {"name": "bfcl",
                                                "n_queries": None,
                                                "seed": None}}],
-                        "max_batch_size": 4, "max_wait_ms": 1.0,
+                        "max_batch_size": 4,
                         "queue_capacity": 8, "default_scheme": "lis-k3",
                         "default_model": "m", "default_quant": "q",
                         "plan_cache_size": 2},
@@ -337,13 +337,13 @@ class TestConversions:
 class TestWireCompat:
     """Spec JSON is an interface (``repro serve --spec``, ``bench_e2e``'s
     generated spec): the key sets below are the PR 12 wire form, minus
-    the six execution keys that went with the worker pool."""
+    the six execution keys that went with the worker pool and the
+    ``max_wait_ms`` coalescing window."""
 
     SERVING_KEYS = {
-        "tenants", "default_engine", "max_batch_size", "max_wait_ms",
-        "queue_capacity", "default_scheme", "default_model", "default_quant",
-        "plan_cache_size", "timeout_ms", "obs", "http",
-        "budget"}
+        "tenants", "default_engine", "max_batch_size", "queue_capacity",
+        "default_scheme", "default_model", "default_quant", "plan_cache_size",
+        "timeout_ms", "obs", "http", "budget"}
     BUDGET_KEYS = {
         "energy_budget_j", "carbon_budget_g", "window_requests",
         "settle_requests", "recovery_ticks", "recovery_margin", "signal",
@@ -355,14 +355,6 @@ class TestWireCompat:
         assert set(ServingSpec().to_dict()) == self.SERVING_KEYS
         assert set(BudgetSpec(energy_budget_j=1).to_dict()) == self.BUDGET_KEYS
 
-    def test_max_wait_defaults_to_work_conserving(self):
-        # the key stays on the wire; only its default moved (2.0 -> 0.0),
-        # so a spec written without it now means "no idle-time window"
-        assert ServingSpec().max_wait_ms == 0.0
-        assert ServingSpec().to_dict()["max_wait_ms"] == 0.0
-        assert ServingSpec.from_dict({"max_batch_size": 4}).max_wait_ms == 0.0
-        assert ServingSpec.from_dict({"max_wait_ms": 1.5}).max_wait_ms == 1.5
-
     def test_parent_written_serving_spec_round_trips(self):
         import json
         from pathlib import Path
@@ -373,7 +365,7 @@ class TestWireCompat:
         data = json.loads((Path(__file__).parent / "data"
                            / "serving_spec_parent.json").read_text())
         removed = set(data) - self.SERVING_KEYS
-        assert len(removed) == 6
+        assert len(removed) == 7
         with pytest.raises(TypeError, match="|".join(removed)):
             ServingSpec.from_dict(data)
         for key in removed:
@@ -385,7 +377,7 @@ class TestWireCompat:
                            catalog=CatalogSpec("edgehome", variant="compressed"),
                            engine=EngineSpec("simulated")),
                 TenantSpec("assist", "bfcl")),
-            default_engine="simulated", max_batch_size=16, max_wait_ms=1.5,
+            default_engine="simulated", max_batch_size=16,
             queue_capacity=64, default_scheme="lis-k5",
             plan_cache_size=256, timeout_ms=500.0,
             obs=ObsSpec(sink="null", sample_rate=0.5, slow_span_ms=20.0),

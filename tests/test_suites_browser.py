@@ -214,7 +214,7 @@ class TestEndToEnd:
         async def serve_all():
             sessions = SessionManager()
             sessions.register("t", suite)
-            config = ServingSpec(max_batch_size=8, max_wait_ms=5.0)
+            config = ServingSpec(max_batch_size=8)
             async with Gateway(sessions, config=config) as gateway:
                 return await asyncio.gather(*(
                     gateway.submit("t", query) for query in suite.queries))
