@@ -78,12 +78,17 @@ class LessIsMoreAgent(FunctionCallingAgent):
         """Construct the full pipeline from registry names.
 
         ``levels`` may be passed to reuse an offline-built index across
-        agents (they are model-independent).
+        agents (they are model-independent).  The LLM, the Search Levels
+        and retrieval all encode through the one ``embedder``.
         """
-        llm = SimulatedLLM.from_registry(model, quant)
+        embedder = kwargs.pop("embedder", None)
+        if embedder is None:
+            embedder = shared_embedder()
+        llm = SimulatedLLM.from_registry(model, quant, embedder=embedder)
         if levels is None:
-            levels = SearchLevelBuilder().build(suite)
-        return cls(llm=llm, suite=suite, levels=levels, k=k, **kwargs)
+            levels = SearchLevelBuilder(embedder=embedder).build(suite)
+        return cls(llm=llm, suite=suite, levels=levels, k=k,
+                   embedder=embedder, **kwargs)
 
     def plan(self, query: Query) -> ToolPlan:
         return self.plan_batch([query])[0]
@@ -165,6 +170,5 @@ def _build_lis(model: str, quant: str, context: SchemeContext,
     the whole grid (the paper's one-time offline step).
     """
     llm = context.build_llm(model, quant)
-    embedder = context.embedder if context.embedder is not None else shared_embedder()
     return LessIsMoreAgent(llm=llm, suite=context.suite, levels=context.levels,
-                           k=k, embedder=embedder, **kwargs)
+                           k=k, embedder=context.embedder, **kwargs)

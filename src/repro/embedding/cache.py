@@ -73,12 +73,7 @@ class CachedEmbedder:
     # encoding
     # ------------------------------------------------------------------
     def encode_one(self, text: str) -> np.ndarray:
-        """Embed one string, reusing the cached vector when available."""
-        with self._lock:
-            self._check_generation()
-            vec = self._lookup(text)
-        if vec is not None:
-            return vec
+        """Embed one string: a batch of one, so a miss is counted once."""
         return self.encode([text])[0]
 
     def encode(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:

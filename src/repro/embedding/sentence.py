@@ -185,10 +185,6 @@ class SentenceEmbedder:
                 flats[i] = self._document_rows(word_lists[i])
         weights_of_row = self._sync_row_weights()
         directions = self._bank.matrix
-        # bincount is the faster unique-with-counts for compact row ids,
-        # but zeroes an array as large as the bank — fall back to
-        # np.unique (identical sorted output) for very large vocabularies
-        small_bank = len(self._bank) <= 65536
         out = np.zeros((len(texts), self.dim))
         for i, flat in enumerate(flats):
             if not flat:
@@ -197,12 +193,7 @@ class SentenceEmbedder:
             # weighted matmul — independent of batch composition, so the
             # same text embeds bitwise-identically at any batch size
             occurrences = np.fromiter(flat, dtype=np.intp, count=len(flat))
-            if small_bank:
-                by_row = np.bincount(occurrences)
-                row_ids = np.flatnonzero(by_row)
-                counts = by_row[row_ids]
-            else:
-                row_ids, counts = np.unique(occurrences, return_counts=True)
+            row_ids, counts = np.unique(occurrences, return_counts=True)
             weights = weights_of_row[row_ids] * (1.0 + np.log(counts))
             out[i] = weights @ directions[row_ids]
         return normalize_rows(out)

@@ -106,6 +106,8 @@ class SimulatedLLM:
 
     model: ModelSpec
     quant: QuantSpec
+    #: :meth:`_similarities` encodes through it; a session's agents get
+    #: the session's, whose planning and Search Levels cached the texts
     embedder: CachedEmbedder = field(default_factory=shared_embedder)
     calibration: BehaviorCalibration = DEFAULT_CALIBRATION
     root_seed: int = DEFAULT_ROOT_SEED

@@ -206,7 +206,7 @@ def register_scheme(name: str, factory: Callable | None = None, *,
 
     The factory signature is ``factory(model, quant, context, **kwargs)``
     where ``context`` is a :class:`SchemeContext` carrying the suite, the
-    shared embedder and lazily-built Search Levels.
+    embedder and lazily-built Search Levels.
     """
     return SCHEMES.register(name, factory, replace=replace)
 
@@ -286,6 +286,9 @@ class SchemeContext:
     index (the :class:`~repro.evaluation.runner.ExperimentRunner`) pass
     ``levels_fn`` to share it.
 
+    ``embedder`` is the one the Search Levels, the agent's retrieval and
+    a simulated LLM encode through (``None``: ``shared_embedder()``).
+
     ``engine`` (an :class:`~repro.specs.EngineSpec`, or ``None`` for the
     default simulated engine) names the LLM backend; scheme factories
     construct their LLM through :meth:`build_llm` so every scheme honors
@@ -302,16 +305,20 @@ class SchemeContext:
         """Build the agent-facing LLM for this context's engine.
 
         ``engine=None`` short-circuits to the simulated engine without
-        touching the registry — the default path stays exactly the
-        pre-engine-boundary code path.
+        touching the registry.  A simulated LLM, however it was built,
+        encodes through this context's embedder, so a query planning
+        already embedded is never embedded again for the model's turns.
         """
+        from repro.llm.engine import SimulatedLLM
+
         if self.engine is None:
-            from repro.llm.engine import SimulatedLLM
-
-            return SimulatedLLM.from_registry(model, quant)
-        from repro.engines import build_engine_llm
-
-        return build_engine_llm(self.engine, model, quant)
+            llm = SimulatedLLM.from_registry(model, quant)
+        else:
+            from repro.engines import build_engine_llm
+            llm = build_engine_llm(self.engine, model, quant)
+        if isinstance(llm, SimulatedLLM) and self.embedder is not None:
+            llm.embedder = self.embedder
+        return llm
 
     @property
     def levels(self):
@@ -321,9 +328,7 @@ class SchemeContext:
             else:
                 from repro.core.levels import SearchLevelBuilder
 
-                builder = (SearchLevelBuilder(embedder=self.embedder)
-                           if self.embedder is not None else SearchLevelBuilder())
-                self._levels = builder.build(self.suite)
+                self._levels = SearchLevelBuilder(self.embedder).build(self.suite)
         return self._levels
 
 

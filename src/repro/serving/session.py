@@ -170,11 +170,12 @@ class TenantSession:
 
         Serving latency should not pay the one-time offline cost on the
         first request, so the gateway warms every registered tenant's
-        default cell before accepting traffic.
+        default cell before accepting traffic.  The descriptions are
+        encoded on the session's embedder, which every agent's simulated
+        LLM reads them from when it scores a presented set, whatever the
+        scheme (the paper's baseline agent has no retrieval of its own).
         """
         self.agent_for(scheme, model, quant)
-        # the session's embedder, not the agent's: the paper's baseline
-        # agent has none
         self.runner.embedder.encode(self.suite.catalog.descriptions())
 
 

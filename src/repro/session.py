@@ -214,7 +214,8 @@ def open_session(spec: Any = None, *, suite: Any = None,
       bring-your-own-tools path — no registry entry needed).
 
     ``embedder`` overrides the shared process-wide embedding cache
-    (useful for isolation in benchmarks and tests).
+    (useful for isolation in benchmarks and tests); it is then the only
+    embedder the session's agents, simulated LLMs and Search Levels use.
     """
     suite_obj = None
     if spec is None and suite is not None and not isinstance(suite, (str, SuiteSpec)):

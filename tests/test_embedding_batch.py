@@ -149,6 +149,16 @@ class TestCachedEmbedderBatch:
         assert info["hits"] == 3
         assert info["size"] == 5
 
+    def test_encode_one_counts_a_miss_once(self):
+        single, batch = CachedEmbedder(), CachedEmbedder()
+        single.encode_one("turn on the lights")
+        batch.encode(["turn on the lights"])
+        assert single.cache_info() == batch.cache_info()
+        assert single.cache_info()["misses"] == 1
+        single.encode_one("turn on the lights")
+        assert single.cache_info()["hits"] == 1
+        assert single.cache_info()["misses"] == 1
+
     def test_duplicates_embedded_once(self):
         cache = CachedEmbedder()
         result = cache.encode(["same text", "same text", "other"])

@@ -1,0 +1,74 @@
+"""One embedder per session.
+
+An agent built from a session opened with ``embedder=E`` plans, builds
+its Search Levels and runs its simulated LLM's similarity vectors on
+``E`` alone, with the engine left implicit or named ``simulated``, and
+behind the serving gateway.  The process-wide ``shared_embedder()`` is
+the default only when no embedder is passed, so running such a session
+leaves it exactly as it was.
+"""
+
+import asyncio
+
+import pytest
+
+from repro import AgentSpec, ServingSpec, SuiteSpec, TenantSpec, open_session
+from repro.core.pipeline import LessIsMoreAgent
+from repro.embedding.cache import CachedEmbedder, shared_embedder
+from repro.specs import EngineSpec
+from repro.suites import load_suite
+
+SCHEMES = ("default", "gorilla", "toolllm", "lis-k3")
+MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
+
+
+def _shared_state():
+    shared = shared_embedder()
+    return shared.cache_info(), shared.embedder.direction_count
+
+
+@pytest.mark.parametrize("engine", [None, EngineSpec("simulated")],
+                         ids=["engine-none", "engine-simulated"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_session_agents_encode_only_on_the_session_embedder(scheme, engine):
+    before = _shared_state()
+    session = open_session("edgehome", n_queries=6, seed=29,
+                           embedder=CachedEmbedder())
+    agent = session.build_agent(AgentSpec(scheme, MODEL, QUANT, engine=engine))
+    assert agent.llm.embedder is session.embedder
+    assert getattr(agent, "embedder", session.embedder) is session.embedder
+    for query in session.suite.queries:
+        agent.run_planned(query, agent.plan(query))
+    assert _shared_state() == before
+
+
+def test_served_tenants_encode_only_on_the_session_embedder():
+    before = _shared_state()
+    embedder = CachedEmbedder()
+    session = open_session(ServingSpec(
+        tenants=(TenantSpec("home", SuiteSpec("edgehome", n_queries=4, seed=29)),),
+        max_batch_size=4), embedder=embedder)
+
+    async def scenario():
+        async with session.serve() as gateway:
+            tenant = gateway.sessions.get("home")
+            for scheme in SCHEMES:
+                await asyncio.gather(*(
+                    gateway.submit("home", query, scheme, MODEL, QUANT)
+                    for query in tenant.suite.queries))
+            return [tenant.agent_for(scheme, MODEL, QUANT) for scheme in SCHEMES]
+
+    agents = asyncio.run(scenario())
+    assert all(agent.llm.embedder is embedder for agent in agents)
+    assert _shared_state() == before
+
+
+def test_build_with_an_embedder_uses_it_throughout():
+    before = _shared_state()
+    embedder = CachedEmbedder()
+    suite = load_suite("edgehome", n_queries=4, seed=29)
+    agent = LessIsMoreAgent.build(MODEL, QUANT, suite, embedder=embedder)
+    assert agent.embedder is agent.llm.embedder is embedder
+    for query in suite.queries:
+        agent.run(query)
+    assert _shared_state() == before
