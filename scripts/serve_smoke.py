@@ -4,15 +4,17 @@ The one thing the in-process tier-1 tests cannot cover: the actual
 ``python -m repro serve`` process — argument parsing, gateway boot, the
 asyncio sockets server, signal handling.  This script launches it on an
 ephemeral port, drives ``/healthz``, ``POST /v1/call`` and ``/metrics``
-over a real connection, then SIGINTs the server and asserts a clean
-exit.  stdlib only (subprocess + http.client), like everything else on
+over a real connection, registers, reads and calls a tenant whose name
+travels percent-encoded in the path (``café``), then SIGINTs the server
+and asserts a clean exit.  stdlib only (subprocess + http.client), like everything else on
 the serving edge.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--uvicorn]
 
 ``--uvicorn`` smokes the same endpoints through the optional uvicorn
 mount (``repro serve --uvicorn``) instead of the builtin asyncio
-server — CI's http-extras job runs this leg after installing uvicorn.
+server — CI's http-extras job runs this leg after installing uvicorn,
+so uvicorn's path decoding referees the builtin server's.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ BANNER = re.compile(r"serving tenants \[(?P<tenants>[^\]]*)\] at "
 UVICORN_BANNER = re.compile(
     r"Uvicorn running on http://(?P<host>[\d.]+):(?P<port>\d+)")
 SUITE, N_QUERIES = "edgehome", 6
+#: a tenant name that is not plain ASCII, and its path segment on the wire
+ENCODED_TENANT, ENCODED_SEGMENT = "café", "caf%C3%A9"
 BOOT_TIMEOUT_S = 60.0
 
 
@@ -98,6 +102,19 @@ def main(argv: list[str] | None = None) -> int:
             assert "version=0.0.4" in metrics.headers["content-type"]
             assert "repro_requests_completed_total 1" in metrics.text
             print(f"  /metrics ok ({len(metrics.text.splitlines())} lines)")
+
+            path = f"/v1/tenants/{ENCODED_SEGMENT}"
+            put = conn.request("PUT", path,
+                               {"suite": SUITE, "n_queries": N_QUERIES})
+            assert put.status == 201, put.text
+            assert put.json()["name"] == ENCODED_TENANT
+            got = conn.get(path)
+            assert got.status == 200, got.text
+            assert got.json()["name"] == ENCODED_TENANT
+            call = conn.post("/v1/call", {"tenant": ENCODED_TENANT, "qid": qid})
+            assert call.status == 200, call.text
+            assert call.json()["tenant"] == ENCODED_TENANT
+            print(f"  PUT/GET {path} and /v1/call as {ascii(ENCODED_TENANT)} ok")
     except BaseException:
         process.kill()
         process.wait()

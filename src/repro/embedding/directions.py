@@ -17,8 +17,6 @@ the historical per-feature loop.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.utils.hashing import stable_hash64
@@ -27,8 +25,8 @@ from repro.utils.hashing import stable_hash64
 FeatureKey = tuple[str, str]
 
 #: Rows reserved up front: address space, not memory — ``np.empty`` pages
-#: become resident as rows are written.  Doubling copies every row under
-#: the bank lock; a two-suite build is ~6k rows and a served request adds
+#: become resident as rows are written.  Doubling copies every row in
+#: the request path; a two-suite build is ~6k rows and a served request adds
 #: ~2 bigrams, so this defers the first copy to about request 5 000.
 _INITIAL_CAPACITY = 16384
 
@@ -36,15 +34,14 @@ _INITIAL_CAPACITY = 16384
 class DirectionBank:
     """Grow-only matrix of per-feature unit directions with stable seeds.
 
-    Thread-safe for concurrent :meth:`intern` calls (a lock serializes
-    growth); reads through :attr:`matrix` snapshot the current storage,
-    which is never mutated in place for already-interned rows.
+    Single-writer: :meth:`intern` is the only mutation and takes no lock
+    (the owning :class:`~repro.embedding.cache.CachedEmbedder`'s lock
+    serializes its callers).  An interned row is never written again.
     """
 
     def __init__(self, dim: int, namespace: str):
         self.dim = int(dim)
         self.namespace = namespace
-        self._lock = threading.Lock()
         self._row_of: dict[FeatureKey, int] = {}
         self._keys: list[FeatureKey] = []
         self._storage = np.empty((_INITIAL_CAPACITY, self.dim))
@@ -55,9 +52,6 @@ class DirectionBank:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, key: FeatureKey) -> bool:
-        return key in self._row_of
 
     @property
     def matrix(self) -> np.ndarray:
@@ -77,44 +71,23 @@ class DirectionBank:
     # ------------------------------------------------------------------
     # interning
     # ------------------------------------------------------------------
-    def row(self, key: FeatureKey) -> int:
-        """Return the row id for one feature, interning it if new."""
-        existing = self._row_of.get(key)
-        if existing is not None:
-            return existing
-        return self.intern([key])[0]
-
     def intern(self, keys: list[FeatureKey]) -> list[int]:
         """Intern ``keys`` (generating all missing directions in one pass)
         and return their row ids in input order."""
-        missing = list(dict.fromkeys(key for key in keys if key not in self._row_of))
-        if missing:
-            with self._lock:
-                missing = [key for key in missing if key not in self._row_of]
-                if missing:
-                    self._grow_to(self._size + len(missing))
-                    for key in missing:
-                        vec = self._generate(key)
-                        self._storage[self._size] = vec
-                        self._keys.append(key)
-                        # publish the row id last: readers outside the lock
-                        # only ever see fully-written rows
-                        self._row_of[key] = self._size
-                        self._size += 1
         row_of = self._row_of
+        missing = list(dict.fromkeys(key for key in keys if key not in row_of))
+        if missing:
+            self._grow_to(self._size + len(missing))
+            for key in missing:
+                self._storage[self._size] = self._generate(key)
+                self._keys.append(key)
+                row_of[key] = self._size
+                self._size += 1
         return [row_of[key] for key in keys]
 
     def direction(self, key: FeatureKey) -> np.ndarray:
         """The unit direction for one feature (interning it if new)."""
-        return self._storage[self.row(key)]
-
-    def clear(self) -> None:
-        """Drop every interned direction (memory released)."""
-        with self._lock:
-            self._row_of = {}
-            self._keys = []
-            self._storage = np.empty((_INITIAL_CAPACITY, self.dim))
-            self._size = 0
+        return self._storage[self.intern([key])[0]]
 
     # ------------------------------------------------------------------
     # internals

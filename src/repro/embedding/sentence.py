@@ -63,8 +63,9 @@ class SentenceEmbedder:
     lexicon:
         Synonym→concept table; defaults to the shared domain lexicon.
     seed_namespace:
-        Distinct namespaces produce statistically independent projections,
-        used by ablations that re-roll the projection matrix.
+        Fixes the projection for the embedder's life; distinct namespaces
+        produce statistically independent projections (the projection
+        ablation builds one embedder per namespace).
 
     Notes
     -----
@@ -73,6 +74,10 @@ class SentenceEmbedder:
     ``encode_one`` calls on the same embedder at any batch size.  Across
     embedders that interned their vocabularies in different orders,
     values agree to float addition order (~1e-15).
+
+    Single-writer: encoding grows the word memos and the direction bank
+    without a lock of its own.  Share one across threads only behind
+    :class:`~repro.embedding.cache.CachedEmbedder`, whose lock covers it.
     """
 
     def __init__(
@@ -95,22 +100,10 @@ class SentenceEmbedder:
         #   stemmed bigram phrase -> bigram+concept row ids
         self._word_memo: dict[str, tuple[str | None, tuple[int, ...], tuple[int, ...]]] = {}
         self._bigram_memo: dict[str, tuple[int, ...]] = {}
-        #: bumped whenever the projection changes identity (reseed);
-        #: wrappers that cache vectors key their validity on this
-        self._projection_generation = 0
 
     # ------------------------------------------------------------------
-    # cache management
+    # introspection
     # ------------------------------------------------------------------
-    @property
-    def projection_generation(self) -> int:
-        """Monotonic id of the current projection; changes on :meth:`reseed`.
-
-        Vectors produced under different generations are not comparable
-        (different random directions), so caches layered on top of the
-        embedder must discard entries from older generations.
-        """
-        return self._projection_generation
     @property
     def direction_count(self) -> int:
         """Number of feature directions currently interned."""
@@ -120,28 +113,6 @@ class SentenceEmbedder:
     def cache_nbytes(self) -> int:
         """Resident bytes of the interned direction matrix."""
         return self._bank.nbytes
-
-    def clear_cache(self) -> None:
-        """Drop all interned directions and word-level feature memos.
-
-        Bounds memory for long-lived embedders that sweep many corpora
-        or namespaces (the direction matrix otherwise grows with every
-        distinct feature ever seen).
-        """
-        self._bank.clear()
-        self._row_weights = np.empty(0)
-        self._word_memo = {}
-        self._bigram_memo = {}
-
-    def reseed(self, seed_namespace: str) -> None:
-        """Re-roll the projection under a new namespace, releasing the old
-        direction matrix (used by projection-ablation sweeps)."""
-        self.seed_namespace = seed_namespace
-        self._bank = DirectionBank(self.dim, seed_namespace)
-        self._row_weights = np.empty(0)
-        self._word_memo = {}
-        self._bigram_memo = {}
-        self._projection_generation += 1
 
     # ------------------------------------------------------------------
     # feature extraction

@@ -111,8 +111,8 @@ class SimulatedLLM:
     embedder: CachedEmbedder = field(default_factory=shared_embedder)
     calibration: BehaviorCalibration = DEFAULT_CALIBRATION
     root_seed: int = DEFAULT_ROOT_SEED
-    #: (projection generation, query text, presented names, presented
-    #: descriptions) -> :class:`PresentedView`; see :meth:`_similarities`
+    #: (query text, presented names, presented descriptions) ->
+    #: :class:`PresentedView`; see :meth:`_similarities`
     _similarity_memo: dict = field(default_factory=dict, init=False,
                                    repr=False, compare=False)
     _similarity_lock: threading.Lock = field(default_factory=threading.Lock,
@@ -331,21 +331,19 @@ class SimulatedLLM:
                       included: list[ToolSpec]) -> PresentedView:
         """Query-vs-description dot products, one per tool in ``included``.
 
-        A pure function of the query text, the presented tools and the
-        embedder's projection, so every step and retry of an episode —
-        which present the same tools — shares one batched encode, one
-        matvec and one :class:`PresentedView` of the result.  Keyed on
-        the names and the description *texts*: a renamed tool never reads
-        another set's rows, catalog variants of one tool name never share
-        an entry, and a reseeded projection (another LLM may share the
-        embedder) starts over.  The memo is bounded (oldest entry out)
+        A pure function of the query text and the presented tools (the
+        embedder's projection is fixed), so every step and retry of an
+        episode — which present the same tools — shares one batched
+        encode, one matvec and one :class:`PresentedView` of the result.
+        Keyed on the names and the description *texts*: a renamed tool
+        never reads another set's rows, and catalog variants of one tool
+        name never share an entry.  The memo is bounded (oldest entry out)
         and lock-protected, since a gateway runs episodes on one LLM from
         several threads; the returned view is shared and read-only.
         """
         names = tuple([tool.name for tool in included])
         descriptions = tuple([tool.description for tool in included])
-        key = (self.embedder.projection_generation, query_text, names,
-               descriptions)
+        key = (query_text, names, descriptions)
         with self._similarity_lock:
             view = self._similarity_memo.get(key)
         if view is None:

@@ -228,7 +228,7 @@ class GatewayHTTPApp:
         # an unknown name is a 404 before it can cost a token bucket
         session = self.gateway.sessions.get(tenant)
         if self.rate_limiter is not None:
-            wait_s = self.rate_limiter.try_acquire(tenant)
+            wait_s = self.rate_limiter.try_acquire(session)
             if wait_s > 0.0:
                 await send_json(send, 429, {"error": {
                     "type": "RateLimited",

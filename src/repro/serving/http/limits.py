@@ -17,8 +17,12 @@ import time
 
 
 class RateLimiter:
-    """Per-key token buckets with a shared rate/burst policy.
+    """The token-bucket policy: one rate and burst for every tenant.
 
+    A bucket is the ``(tokens, last refill time)`` pair on the tenant's
+    :class:`~repro.serving.session.TenantSession` (``rate_bucket``), so it
+    lives exactly as long as the registration: a tenant removed and
+    registered again under the same name starts with a full bucket.
     ``clock`` is injectable (monotonic seconds) so tests refill buckets
     without sleeping.  Thread-safe: the HTTP edge may check limits from
     multiple event-loop callbacks or server threads.
@@ -34,21 +38,21 @@ class RateLimiter:
         if self.burst < 1:
             raise ValueError(f"burst must be >= 1, got {burst}")
         self._clock = clock
-        self._buckets: dict[str, tuple[float, float]] = {}  # key -> (tokens, t)
         self._lock = threading.Lock()
 
-    def try_acquire(self, key: str) -> float:
-        """Take one token for ``key``; returns seconds to wait (0.0 = admitted).
+    def try_acquire(self, session) -> float:
+        """Take one token from ``session.rate_bucket``; returns seconds to
+        wait (0.0 = admitted).
 
         A positive return means the bucket is drained: the caller should
         reject the request and surface the value as ``Retry-After``.
         """
         now = self._clock()
         with self._lock:
-            tokens, last = self._buckets.get(key, (float(self.burst), now))
+            tokens, last = session.rate_bucket or (float(self.burst), now)
             tokens = min(float(self.burst), tokens + (now - last) * self.rps)
             if tokens >= 1.0:
-                self._buckets[key] = (tokens - 1.0, now)
+                session.rate_bucket = (tokens - 1.0, now)
                 return 0.0
-            self._buckets[key] = (tokens, now)
+            session.rate_bucket = (tokens, now)
             return (1.0 - tokens) / self.rps

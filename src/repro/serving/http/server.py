@@ -1,7 +1,8 @@
 """Socket hosting for the ASGI app.
 
 :class:`AsgiServer` is a small asyncio HTTP/1.1 server — request line +
-headers + Content-Length bodies, keep-alive connections — just enough
+headers + Content-Length bodies, keep-alive connections, a
+percent-decoded ``scope["path"]`` as ASGI servers give — just enough
 wire protocol to put :class:`~.app.GatewayHTTPApp` on a real port
 without requiring uvicorn.  When uvicorn *is* installed,
 :func:`run_uvicorn` mounts the same app unchanged (it is plain ASGI);
@@ -9,13 +10,16 @@ without requiring uvicorn.  When uvicorn *is* installed,
 
 The server intentionally does not implement chunked transfer, TLS or
 HTTP/2: the front door is a reproduction-scale serving edge, and every
-byte of protocol here is a byte tier-1 has to keep working offline.
+byte of protocol here is a byte tier-1 has to keep working offline.  A
+request it cannot frame by ``Content-Length`` gets a 400 and a close.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 from http.client import responses as _REASONS
+from urllib.parse import unquote
 
 from repro.serving.http.app import create_app
 from repro.specs import HttpSpec
@@ -90,31 +94,24 @@ class AsgiServer:
             while True:
                 try:
                     head = await reader.readuntil(b"\r\n\r\n")
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return  # client closed between requests
                 except asyncio.LimitOverrunError:
                     raise _BadRequest("request head too large") from None
                 if len(head) > MAX_HEAD_BYTES:
                     raise _BadRequest("request head too large")
                 method, path, headers = _parse_head(head)
-                body = b""
-                length = int(headers.get("content-length", "0") or "0")
-                if length > MAX_BODY_BYTES:
-                    raise _BadRequest(f"request body too large ({length}B)")
-                if length:
-                    body = await reader.readexactly(length)
+                body = await reader.readexactly(_body_length(headers))
                 keep_alive = headers.get("connection", "").lower() != "close"
                 await self._dispatch(method, path, headers, body, writer,
                                      keep_alive)
                 if not keep_alive:
                     return
-        except asyncio.CancelledError:
-            return  # server torn down mid-read; nothing to answer
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return  # client gone between, inside or after a request
         except _BadRequest as exc:
-            _write_response(writer, 400, [],
-                            f'{{"error": {{"type": "BadRequest", '
-                            f'"message": "{exc}", "status": 400}}}}\n'
-                            .encode("utf-8"), keep_alive=False)
+            body = json.dumps({"error": {"type": "BadRequest",
+                                         "message": str(exc), "status": 400}})
+            _write_response(writer, 400, [], body.encode("utf-8") + b"\n",
+                            keep_alive=False)
             try:
                 await writer.drain()
             except ConnectionError:
@@ -147,7 +144,7 @@ class AsgiServer:
             "asgi": {"version": "3.0", "spec_version": "2.3"},
             "http_version": "1.1",
             "method": method,
-            "path": path,
+            "path": unquote(path),
             "raw_path": path.encode("latin-1"),
             "query_string": b"",
             "headers": [(key.encode("latin-1"), value.encode("latin-1"))
@@ -184,6 +181,20 @@ def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
         key, value = line.split(":", 1)
         headers[key.strip().lower()] = value.strip()
     return method.upper(), path, headers
+
+
+def _body_length(headers: dict[str, str]) -> int:
+    """The body size the head declares: ``Content-Length``, else 0.  Any
+    ``Transfer-Encoding`` is refused, not read as the next request."""
+    if "transfer-encoding" in headers:
+        raise _BadRequest("transfer-encoding is not supported")
+    value = headers.get("content-length", "0")
+    if not (value.isascii() and value.isdigit()):
+        raise _BadRequest(f"malformed content-length {value!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(f"request body too large ({length}B)")
+    return length
 
 
 def _write_response(writer: asyncio.StreamWriter, status: int,

@@ -71,6 +71,9 @@ class TenantSession:
         #: the BudgetController's recovery and shed-probation streaks, and
         #: ``energy_requests`` at its last ladder move
         self.clear_streak = self.shed_streak = self.settle_mark = 0
+        #: the HTTP edge's token bucket, ``(tokens, last refill)``, set
+        #: on the first rate-limited call (``http.limits.RateLimiter``)
+        self.rate_bucket: tuple[float, float] | None = None
 
     def _index_queries(self, suite: BenchmarkSuite) -> None:
         """(Re)build the qid and exact-text lookup maps for ``suite``."""
@@ -213,9 +216,9 @@ class SessionManager:
         """Remove a tenant; unknown names raise :class:`UnknownTenantError`.
 
         Everything kept for the tenant goes with its session: rung,
-        trace-id repeats, energy window, budget streaks and (by
-        incarnation) its cached plans, so a tenant registered again under
-        ``name`` starts clean.  Requests already submitted resolved their
+        trace-id repeats, energy window, budget streaks, rate-limit bucket
+        and (by incarnation) its cached plans, so a tenant registered
+        again under ``name`` starts clean.  Requests already submitted resolved their
         session at ``submit`` and finish normally on it, accounted to it;
         later submissions fail with the unknown-tenant error.  Lifetime
         counters kept by name (telemetry, the cost ledger) do not reset.

@@ -6,12 +6,14 @@ an existing deployment.  Auth is a Bearer check in front of routing
 (``/healthz`` stays open for probes); rate limiting is a per-tenant
 token bucket answering 429 with a ``Retry-After`` hint.  The
 :class:`~repro.serving.http.limits.RateLimiter` itself is tested with
-an injected clock — no sleeps, no flakes.
+an injected clock — no sleeps, no flakes — and buckets held by stand-ins
+for the tenant sessions that hold them in service.
 """
 
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,6 +64,11 @@ class FakeClock:
 # ----------------------------------------------------------------------
 # the token bucket itself
 # ----------------------------------------------------------------------
+def bucket() -> SimpleNamespace:
+    """A stand-in for the ``TenantSession`` that holds a bucket."""
+    return SimpleNamespace(rate_bucket=None)
+
+
 class TestRateLimiter:
     def test_burst_defaults_to_ceil_rps(self):
         assert RateLimiter(2.5).burst == 3
@@ -73,43 +80,43 @@ class TestRateLimiter:
             RateLimiter(0.0)
 
     def test_burst_admitted_then_throttled(self):
-        clock = FakeClock()
+        clock, t = FakeClock(), bucket()
         limiter = RateLimiter(1.0, burst=2, clock=clock)
-        assert limiter.try_acquire("t") == 0.0
-        assert limiter.try_acquire("t") == 0.0
-        wait = limiter.try_acquire("t")
+        assert limiter.try_acquire(t) == 0.0
+        assert limiter.try_acquire(t) == 0.0
+        wait = limiter.try_acquire(t)
         assert wait == pytest.approx(1.0)  # bucket empty: 1 token / 1 rps
 
     def test_refills_over_time(self):
-        clock = FakeClock()
+        clock, t = FakeClock(), bucket()
         limiter = RateLimiter(2.0, burst=1, clock=clock)
-        assert limiter.try_acquire("t") == 0.0
-        assert limiter.try_acquire("t") > 0.0
+        assert limiter.try_acquire(t) == 0.0
+        assert limiter.try_acquire(t) > 0.0
         clock.advance(0.5)  # 2 rps x 0.5 s = exactly one token back
-        assert limiter.try_acquire("t") == 0.0
+        assert limiter.try_acquire(t) == 0.0
 
     def test_refill_caps_at_burst(self):
-        clock = FakeClock()
+        clock, t = FakeClock(), bucket()
         limiter = RateLimiter(10.0, burst=2, clock=clock)
         clock.advance(3600.0)  # an hour idle never banks more than burst
-        assert limiter.try_acquire("t") == 0.0
-        assert limiter.try_acquire("t") == 0.0
-        assert limiter.try_acquire("t") > 0.0
+        assert limiter.try_acquire(t) == 0.0
+        assert limiter.try_acquire(t) == 0.0
+        assert limiter.try_acquire(t) > 0.0
 
     def test_keys_are_independent(self):
-        clock = FakeClock()
+        clock, tenant_a, tenant_b = FakeClock(), bucket(), bucket()
         limiter = RateLimiter(1.0, burst=1, clock=clock)
-        assert limiter.try_acquire("tenant-a") == 0.0
-        assert limiter.try_acquire("tenant-a") > 0.0
-        assert limiter.try_acquire("tenant-b") == 0.0  # own bucket
+        assert limiter.try_acquire(tenant_a) == 0.0
+        assert limiter.try_acquire(tenant_a) > 0.0
+        assert limiter.try_acquire(tenant_b) == 0.0  # own bucket
 
     def test_wait_hint_shrinks_as_bucket_refills(self):
-        clock = FakeClock()
+        clock, t = FakeClock(), bucket()
         limiter = RateLimiter(1.0, burst=1, clock=clock)
-        limiter.try_acquire("t")
-        long_wait = limiter.try_acquire("t")
+        limiter.try_acquire(t)
+        long_wait = limiter.try_acquire(t)
         clock.advance(0.6)
-        short_wait = limiter.try_acquire("t")
+        short_wait = limiter.try_acquire(t)
         assert 0.0 < short_wait < long_wait
 
 
@@ -279,11 +286,35 @@ class TestRateLimiting:
             responses = [await client.post(
                 "/v1/call", {"tenant": f"ghost-{index}", "qid": qid})
                 for index in range(200)]
-            return responses, dict(app.rate_limiter._buckets)
+            sessions = app.gateway.sessions
+            return responses, sessions.tenant_names, sessions.get("home")
 
-        responses, buckets = serve(suite, scenario, http=http)
+        responses, names, home = serve(suite, scenario, http=http)
         assert [response.status for response in responses] == [404] * 200
-        assert buckets == {}
+        assert names == ["home"] and home.rate_bucket is None
+
+    def test_delete_then_put_starts_a_full_bucket(self, suite):
+        """The bucket lives on the session: a tenant removed and
+        registered again under its name does not inherit a drained one."""
+        qid = suite.queries[0].qid
+        http = HttpSpec(rate_limit_rps=1.0, rate_limit_burst=1)
+
+        async def scenario(client, app):
+            app.rate_limiter = RateLimiter(1.0, burst=1, clock=FakeClock())
+            await client.post("/v1/call", {"tenant": "home", "qid": qid})
+            drained = await client.post("/v1/call",
+                                        {"tenant": "home", "qid": qid})
+            await client.delete("/v1/tenants/home")
+            put = await client.put("/v1/tenants/home", {
+                "suite": "edgehome", "n_queries": len(suite.queries)})
+            successor = await client.post("/v1/call",
+                                          {"tenant": "home", "qid": qid})
+            return drained, put, successor
+
+        drained, put, successor = serve(suite, scenario, http=http)
+        assert drained.status == 429
+        assert put.status == 201
+        assert successor.status == 200
 
     def test_off_by_default(self, suite):
         qid = suite.queries[0].qid
