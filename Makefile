@@ -15,8 +15,9 @@ golden-check:
 	$(PYTHON) scripts/make_golden_episodes.py --check
 
 ## fault-injection suite (stalled batches, deadlines, degradation
-## ladder), the gateway state machine under the longer randomized
-## `chaos` Hypothesis profile (tests/conftest.py), then two seeded
+## ladder), the gateway state machine and the bulk PCG64 seeding check
+## under the longer randomized `chaos` Hypothesis profile
+## (tests/conftest.py), then two seeded
 ## scenarios end to end.  `repro chaos` exits 1 if the trace artifact's
 ## fault spans disagree with telemetry about the hooks; the first
 ## injects only recoverable faults, so it also exits 1 if a request is
@@ -24,8 +25,8 @@ golden-check:
 ## last faults fire after every client has given up
 test-chaos:
 	$(PYTHON) -m pytest tests/test_serving_faults.py tests/test_serving_degrade.py -q
-	$(PYTHON) -m pytest tests/test_serving_state_machine.py -q \
-		--hypothesis-profile=chaos
+	$(PYTHON) -m pytest tests/test_serving_state_machine.py \
+		tests/test_utils_rng.py -q --hypothesis-profile=chaos
 	$(PYTHON) -m repro chaos --seed 0 --slow-rate 0.25 \
 		--exception-rate 0 --requests 64 --concurrency 8 \
 		--trace-out /tmp/serving_chaos_trace.jsonl
@@ -101,7 +102,7 @@ loc:
 ## `make loc`, failing when the src/repro total exceeds LOC_CEILING (the
 ## total of the last PR that moved it): growth is a visible one-line edit
 ## here in the PR that causes it
-LOC_CEILING := 15712
+LOC_CEILING := 15711
 loc-check: loc
 	@if [ $(LOC_TOTAL) -gt $(LOC_CEILING) ]; then \
 		echo "src/repro is over LOC_CEILING=$(LOC_CEILING)"; exit 1; \

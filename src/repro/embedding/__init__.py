@@ -23,7 +23,7 @@ model, fully deterministic across processes and platforms.
 
 from repro.embedding.directions import DirectionBank
 from repro.embedding.lexicon import ConceptLexicon, default_lexicon
-from repro.embedding.sentence import SentenceEmbedder, cosine_similarity
+from repro.embedding.sentence import SentenceEmbedder
 from repro.embedding.tokenizer import Tokenizer
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "DirectionBank",
     "SentenceEmbedder",
     "Tokenizer",
-    "cosine_similarity",
     "default_lexicon",
 ]
 

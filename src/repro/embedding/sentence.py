@@ -11,13 +11,11 @@ of a per-feature Python accumulation loop.
 
 ``encode()`` is the primary entry point; ``encode_one`` is a batch of
 one, so batched and one-at-a-time encoding are bitwise identical.  The
-historical per-feature loop survives as :meth:`encode_one_reference` for
-equivalence tests and the perf-tracking benchmarks.
+historical per-feature loop is the equivalence tests' oracle
+(``tests/embedding_oracle.py``).
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -33,23 +31,6 @@ FAMILY_WEIGHTS = {
     "bigram": 0.8,
     "trigram": 0.25,
 }
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two vectors (0.0 when either is all-zero).
-
-    Each vector is rescaled by its largest magnitude before the norms
-    are taken: squaring entries below ~1e-154 underflows, which would
-    shrink the norm (and inflate the cosine) of a tiny-but-nonzero
-    vector.
-    """
-    scale_a = float(np.max(np.abs(a), initial=0.0))
-    scale_b = float(np.max(np.abs(b), initial=0.0))
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0
-    a = np.asarray(a) / scale_a
-    b = np.asarray(b) / scale_b
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 class SentenceEmbedder:
@@ -112,24 +93,7 @@ class SentenceEmbedder:
     @property
     def cache_nbytes(self) -> int:
         """Resident bytes of the interned direction matrix."""
-        return self._bank.nbytes
-
-    # ------------------------------------------------------------------
-    # feature extraction
-    # ------------------------------------------------------------------
-    def features(self, text: str) -> Counter:
-        """Return the weighted feature multiset for ``text``.
-
-        Keys are ``(family, feature)`` tuples; values are raw counts.
-        """
-        words = self._tokenizer.words(text)
-        try:
-            rows = self._document_rows(words)
-        except KeyError:
-            self._warm_memos([words])
-            rows = self._document_rows(words)
-        keys = self._bank.keys
-        return Counter(keys[row] for row in rows)
+        return self._bank.matrix.nbytes
 
     # ------------------------------------------------------------------
     # encoding
@@ -172,52 +136,6 @@ class SentenceEmbedder:
     def encode_one(self, text: str) -> np.ndarray:
         """Embed a single string into a unit-norm ``dim``-vector."""
         return self.encode([text])[0]
-
-    def similarity(self, text_a: str, text_b: str) -> float:
-        """Cosine similarity between the embeddings of two strings."""
-        vectors = self.encode([text_a, text_b])
-        return cosine_similarity(vectors[0], vectors[1])
-
-    # ------------------------------------------------------------------
-    # reference implementation (pre-vectorization)
-    # ------------------------------------------------------------------
-    def _direction(self, family: str, feature: str) -> np.ndarray:
-        """Fixed pseudo-random unit direction for one feature id."""
-        return self._bank.direction((family, feature))
-
-    def features_reference(self, text: str) -> Counter:
-        """The historical feature-extraction loop (no word memos)."""
-        tokens = self._tokenizer.tokenize(text)
-        counts: Counter = Counter()
-        for token in tokens:
-            counts[("token", token)] += 1
-            for concept in self.lexicon.lookup(token):
-                counts[("concept", concept)] += 1
-        for first, second in zip(tokens, tokens[1:]):
-            counts[("bigram", f"{first} {second}")] += 1
-            for concept in self.lexicon.lookup_phrase(f"{first} {second}"):
-                counts[("concept", concept)] += 1
-        for trigram in self._tokenizer.char_trigrams(text):
-            counts[("trigram", trigram)] += 1
-        return counts
-
-    def encode_one_reference(self, text: str) -> np.ndarray:
-        """The historical per-feature accumulation loop.
-
-        Kept verbatim as the numerical reference for the vectorized
-        engine: equivalence tests assert ``encode`` matches it to float
-        precision, and the perf benchmarks measure the batched speedup
-        against it.
-        """
-        counts = self.features_reference(text)
-        vec = np.zeros(self.dim)
-        for (family, feature), count in counts.items():
-            weight = FAMILY_WEIGHTS[family] * (1.0 + np.log(count))
-            vec += weight * self._direction(family, feature)
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
 
     # ------------------------------------------------------------------
     # internals

@@ -1,4 +1,4 @@
-"""Word tokenizer with stopword removal and light suffix stemming."""
+"""Word splitting, the stopword list and light suffix stemming."""
 
 from __future__ import annotations
 
@@ -48,7 +48,8 @@ def stem(word: str) -> str:
 
 
 class Tokenizer:
-    """Lowercasing word tokenizer with optional stopword removal/stemming."""
+    """Lowercasing word splitter, with the stopword and stemming switches
+    the embedder applies to each word."""
 
     def __init__(self, remove_stopwords: bool = True, apply_stem: bool = True):
         self.remove_stopwords = remove_stopwords
@@ -57,22 +58,3 @@ class Tokenizer:
     def words(self, text: str) -> list[str]:
         """Return raw lowercase word tokens (no stopword removal)."""
         return _TOKEN_RE.findall(text.lower())
-
-    def tokenize(self, text: str) -> list[str]:
-        """Return normalised tokens ready for feature extraction."""
-        tokens = self.words(text)
-        if self.remove_stopwords:
-            tokens = [token for token in tokens if token not in STOPWORDS]
-        if self.apply_stem:
-            tokens = [stem(token) for token in tokens]
-        return tokens
-
-    def char_trigrams(self, text: str) -> list[str]:
-        """Return padded character trigrams of each raw word."""
-        trigrams: list[str] = []
-        for word in self.words(text):
-            padded = f"#{word}#"
-            if len(padded) < 3:
-                continue
-            trigrams.extend(padded[i : i + 3] for i in range(len(padded) - 2))
-        return trigrams

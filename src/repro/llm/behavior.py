@@ -20,7 +20,8 @@ of mechanisms in this module:
 
 Constants are grouped in :class:`BehaviorCalibration`; the defaults were
 fitted against the paper's Tables I/II and the Figure 2/3 narratives
-(see EXPERIMENTS.md for paper-vs-measured values).
+(``python scripts/make_experiments_md.py`` writes the paper-vs-measured
+table to ``EXPERIMENTS.md``).
 """
 
 from __future__ import annotations

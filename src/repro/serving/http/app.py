@@ -306,10 +306,14 @@ class GatewayHTTPApp:
         payload = parse_json(await read_body(receive))
         check_fields(payload, _TENANT_PUT_FIELDS)
         catalog = payload.get("catalog")
-        if catalog is not None and not isinstance(catalog, (str, dict)):
-            raise BadRequestError(
-                "field 'catalog' must be a catalog name or a CatalogSpec "
-                f"object, got {type(catalog).__name__}")
+        if catalog is not None:
+            try:   # a non-object, or a missing or unknown key: TypeError
+                catalog = (CatalogSpec(catalog) if isinstance(catalog, str)
+                           else CatalogSpec.from_dict(catalog))
+            except TypeError as exc:
+                raise BadRequestError(
+                    "field 'catalog' must be a catalog name or a CatalogSpec "
+                    f"object: {exc}") from None
         if name in self.gateway.sessions.tenant_names:
             # existing tenant: the only mutation is a catalog hot-swap
             if "suite" in payload:
@@ -320,9 +324,7 @@ class GatewayHTTPApp:
                 raise BadRequestError(
                     f"tenant {name!r} already registered; PUT with a "
                     f"'catalog' field to hot-swap its tool catalog")
-            spec = (CatalogSpec(catalog) if isinstance(catalog, str)
-                    else CatalogSpec.from_dict(catalog))
-            version = self.gateway.update_catalog(name, spec)
+            version = self.gateway.update_catalog(name, catalog)
             await send_json(send, 200, {
                 "name": name, "swapped": True, "catalog_version": version})
             return

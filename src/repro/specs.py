@@ -18,6 +18,7 @@ stays cheap.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -57,6 +58,15 @@ class _SpecBase:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _require_name(owner, *names: str) -> None:
+    """Each named field is a non-empty ``str``."""
+    for name in names:
+        value = getattr(owner, name)
+        _require(isinstance(value, str) and bool(value),
+                 f"{type(owner).__name__}.{name} must be a non-empty string, "
+                 f"got {value!r}")
 
 
 def _as_tuple(value) -> tuple:
@@ -145,7 +155,7 @@ class EngineSpec(_SpecBase):
     def __post_init__(self):
         from repro.registry import ENGINES
 
-        _require(bool(self.name), "EngineSpec.name must be a non-empty string")
+        _require_name(self, "name")
         _require_registered(ENGINES, self.name)
         _require(self.name != "openai_http" or bool(self.base_url),
                  "EngineSpec(name='openai_http') requires base_url "
@@ -171,7 +181,7 @@ class CatalogSpec(_SpecBase):
     include: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        _require(bool(self.name), "CatalogSpec.name must be a non-empty string")
+        _require_name(self, "name")
         _require(self.variant in CATALOG_VARIANTS,
                  f"CatalogSpec.variant must be one of "
                  f"{', '.join(CATALOG_VARIANTS)}, got {self.variant!r}")
@@ -209,7 +219,12 @@ class SuiteSpec(_SpecBase):
     catalog: CatalogSpec | None = None
 
     def __post_init__(self):
-        _require(bool(self.name), "SuiteSpec.name must be a non-empty string")
+        _require_name(self, "name")
+        for name in ("n_queries", "seed"):   # not a bool, float or str
+            value = getattr(self, name)
+            _require(value is None or (isinstance(value, numbers.Integral)
+                                       and not isinstance(value, bool)),
+                     f"SuiteSpec.{name} must be an integer, got {value!r}")
         _require_min(self, 1, "n_queries")
         _coerce(self, "catalog", CatalogSpec)
 
@@ -245,9 +260,7 @@ class AgentSpec(_SpecBase):
     engine: EngineSpec | None = None
 
     def __post_init__(self):
-        _require(bool(self.scheme), "AgentSpec.scheme must be a non-empty string")
-        _require(bool(self.model), "AgentSpec.model must be a non-empty string")
-        _require(bool(self.quant), "AgentSpec.quant must be a non-empty string")
+        _require_name(self, "scheme", "model", "quant")
         _coerce(self, "engine", EngineSpec)
         _require_min(self, 1, "k")
         _require(self.force_level is None or self.force_level in (1, 2, 3),
@@ -311,7 +324,7 @@ class TenantSpec(_SpecBase):
     engine: EngineSpec | None = None
 
     def __post_init__(self):
-        _require(bool(self.name), "TenantSpec.name must be a non-empty string")
+        _require_name(self, "name")
         _coerce(self, "suite", SuiteSpec, required=True)
         _coerce(self, "catalog", CatalogSpec)
         _coerce(self, "engine", EngineSpec)
@@ -347,7 +360,7 @@ class ObsSpec(_SpecBase):
     def __post_init__(self):
         from repro.registry import TRACE_SINKS
 
-        _require(bool(self.sink), "ObsSpec.sink must be a non-empty string")
+        _require_name(self, "sink")
         _require_registered(TRACE_SINKS, self.sink)
         _require(0.0 <= self.sample_rate <= 1.0,
                  f"ObsSpec.sample_rate must be in [0, 1], "
@@ -522,7 +535,7 @@ class HttpSpec(_SpecBase):
     rate_limit_burst: int | None = None
 
     def __post_init__(self):
-        _require(bool(self.host), "HttpSpec.host must be a non-empty string")
+        _require_name(self, "host")
         _require(0 <= self.port <= 65535,
                  f"HttpSpec.port must be in [0, 65535], got {self.port}")
         _require_min(self, 1, "backlog", "rate_limit_burst")

@@ -4,6 +4,8 @@ equivalence, the direction bank, and the batch-aware cache."""
 import numpy as np
 import pytest
 
+from embedding_oracle import (
+    direction, encode_one_reference, features_reference, memo_features)
 from repro.embedding import DirectionBank, SentenceEmbedder
 from repro.embedding import directions as directions_module
 from repro.embedding.cache import CachedEmbedder
@@ -39,18 +41,18 @@ class TestBatchedEquivalence:
 
     def test_matches_reference_loop(self, embedder):
         batch = embedder.encode(CORPUS)
-        reference = np.stack([embedder.encode_one_reference(text) for text in CORPUS])
+        reference = np.stack([encode_one_reference(embedder, text) for text in CORPUS])
         np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=1e-13)
 
     def test_edgehome_corpus_matches_reference(self, embedder):
         corpus = load_suite("edgehome").catalog.descriptions()
         batch = embedder.encode(corpus)
-        reference = np.stack([embedder.encode_one_reference(t) for t in corpus])
+        reference = np.stack([encode_one_reference(embedder, t) for t in corpus])
         np.testing.assert_allclose(batch, reference, rtol=1e-12, atol=1e-13)
 
     def test_features_match_reference(self, embedder):
         for text in CORPUS:
-            assert embedder.features(text) == embedder.features_reference(text)
+            assert memo_features(embedder, text) == features_reference(embedder, text)
 
     def test_cold_vs_warm_start_bitwise(self):
         text = "detect ships in satellite imagery"
@@ -77,7 +79,8 @@ class TestDirectionCache:
         assert len(bank) == 2
         again = bank.intern([("token", "b")])
         assert again == [1]
-        np.testing.assert_array_equal(bank.matrix[0], bank.direction(("token", "a")))
+        np.testing.assert_array_equal(bank.matrix[0],
+                                      direction("t", 16, ("token", "a")))
 
     def test_bank_directions_are_unit_norm(self):
         bank = DirectionBank(dim=32, namespace="t")
@@ -111,6 +114,23 @@ class TestDirectionCache:
         fresh = DirectionBank(dim=16, namespace="t")
         fresh.intern(keys)
         np.testing.assert_array_equal(bank.matrix, fresh.matrix)
+
+    def test_bulk_and_per_row_draws_equal_the_oracle_bitwise(self):
+        """One intern of 2 000 keys seeds in bulk; one key per call takes
+        the per-row path.  Both write the oracle's rows, bit for bit."""
+        keys = [("token", f"w{i}") for i in range(1994)] + [
+            ("trigram", "fé#"), ("bigram", "東京 天気"), ("concept", "naïve"),
+            ("token", "😀"), ("token", ""), ("bigram", "a\x00b")]
+        assert len(keys) >= 2000 > directions_module._BULK_MIN
+        bulk = DirectionBank(dim=768, namespace="mpnet-substitute")
+        bulk.intern(keys)
+        single = DirectionBank(dim=768, namespace="mpnet-substitute")
+        for key in keys:
+            single.intern([key])
+        oracle = np.stack([direction("mpnet-substitute", 768, key)
+                           for key in keys])
+        np.testing.assert_array_equal(bulk.matrix, oracle)
+        np.testing.assert_array_equal(single.matrix, oracle)
 
 
 class TestCachedEmbedderBatch:

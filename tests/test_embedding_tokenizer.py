@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from embedding_oracle import char_trigrams, tokenize
 from repro.embedding.tokenizer import STOPWORDS, Tokenizer, stem
 
 
@@ -37,21 +38,22 @@ class TestStem:
 
 class TestTokenizer:
     def test_lowercases_and_splits(self):
-        tokens = Tokenizer(remove_stopwords=False, apply_stem=False).tokenize("Hello WORLD-42")
+        tokens = tokenize(Tokenizer(remove_stopwords=False, apply_stem=False),
+                          "Hello WORLD-42")
         assert tokens == ["hello", "world", "42"]
 
     def test_stopwords_removed(self):
-        tokens = Tokenizer().tokenize("what is the weather in Paris")
+        tokens = tokenize(Tokenizer(), "what is the weather in Paris")
         assert "the" not in tokens
         assert "weather" in tokens
 
     def test_stemming_applied(self):
-        tokens = Tokenizer().tokenize("plotting datasets")
+        tokens = tokenize(Tokenizer(), "plotting datasets")
         assert "plot" in tokens
         assert "dataset" in tokens
 
     def test_empty_string(self):
-        assert Tokenizer().tokenize("") == []
+        assert tokenize(Tokenizer(), "") == []
 
     def test_stem_memo_is_bounded_and_transparent(self):
         assert stem.cache_info().maxsize is not None
@@ -60,14 +62,14 @@ class TestTokenizer:
             stem.__wrapped__(word) for word in words]
 
     def test_char_trigrams_padding(self):
-        trigrams = Tokenizer().char_trigrams("map")
+        trigrams = char_trigrams(Tokenizer(), "map")
         assert "#ma" in trigrams
         assert "ap#" in trigrams
 
     def test_char_trigrams_skip_tiny_words(self):
-        assert Tokenizer().char_trigrams("a") == ["#a#"]
+        assert char_trigrams(Tokenizer(), "a") == ["#a#"]
 
     @given(st.text())
     def test_tokenize_never_returns_stopwords(self, text):
-        tokens = Tokenizer(apply_stem=False).tokenize(text)
+        tokens = tokenize(Tokenizer(apply_stem=False), text)
         assert not set(tokens) & STOPWORDS

@@ -349,3 +349,43 @@ class TestRateLimiting:
         assert unauthed.status == 401  # auth wins before the bucket
         assert ok.status == 200
         assert throttled.status == 429
+
+
+class TestTenantPutValidation:
+    """A badly typed ``PUT /v1/tenants/{name}`` field is the client's
+    mistake: 400, and nothing registered or swapped."""
+
+    BAD_FIELDS = [
+        {"n_queries": "abc"},
+        {"n_queries": 1.5},
+        {"n_queries": True},
+        {"seed": "x"},
+        {"seed": 2.5},
+        {"catalog": {}},
+        {"catalog": {"name": 3}},
+    ]
+
+    @pytest.mark.parametrize("fields", BAD_FIELDS, ids=repr)
+    def test_new_tenant_is_400(self, suite, fields):
+        async def scenario(client, app):
+            response = await client.put("/v1/tenants/fresh",
+                                        {"suite": "edgehome", **fields})
+            return response, app.gateway.sessions.tenant_names
+
+        response, names = serve(suite, scenario)
+        assert response.status == 400, response.json()
+        assert names == ["home"]
+
+    @pytest.mark.parametrize("catalog", [{}, {"name": 3}, {"nam": "edgehome"},
+                                         ["edgehome"], 7], ids=repr)
+    def test_catalog_swap_is_400(self, suite, catalog):
+        async def scenario(client, app):
+            home = app.gateway.sessions.get("home")
+            before = home.catalog_version
+            response = await client.put("/v1/tenants/home",
+                                        {"catalog": catalog})
+            return response, before, home.catalog_version
+
+        response, before, after = serve(suite, scenario)
+        assert response.status == 400, response.json()
+        assert after == before

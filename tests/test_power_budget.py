@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.obs.sinks import MemorySink
+from repro.obs.trace import Tracer
 from repro.power import BudgetController, MODE_LADDER
 from repro.power.signals import StaticSignal
 from repro.serving import (
@@ -239,8 +242,17 @@ def test_budget_and_pressure_compose_without_oscillation():
 def test_intensity_steps_power_mode_with_hysteresis():
     """High grid intensity walks MAXN -> 30W -> 15W; climbing back needs
     ``recovery_ticks`` consecutive low readings, and the in-between band
-    restarts the streak."""
+    restarts the streak.  Every move is one ``budget`` marker span."""
     suite = load_suite("edgehome", n_queries=2)
+    sink = MemorySink()
+
+    def markers() -> Counter:
+        """``scope:direction:target`` of each budget marker, counted the
+        way ``budget_transitions_detail`` keys its moves."""
+        return Counter(
+            f"{a['scope']}:{a['direction']}:{a.get('power_mode', a.get('rung'))}"
+            for a in (span.attributes for span in sink.spans()
+                      if span.name == "budget"))
 
     async def scenario():
         sessions = SessionManager()
@@ -251,7 +263,8 @@ def test_intensity_steps_power_mode_with_hysteresis():
                           interval_ms=600_000.0)
         config = ServingSpec(max_batch_size=4,
                              budget=spec)
-        async with Gateway(sessions, config=config) as gateway:
+        async with Gateway(sessions, config=config,
+                           tracer=Tracer(sink)) as gateway:
             controller = gateway.budget
             evening = 20 * 3600.0   # duck-curve peak, > intensity_high
             midday = 13 * 3600.0    # solar dip, < intensity_low
@@ -284,6 +297,14 @@ def test_intensity_steps_power_mode_with_hysteresis():
                 "device:down:30W": 1, "device:down:15W": 1,
                 "device:up:30W": 1, "device:up:MAXN": 1,
             }
+            assert markers() == detail
+
+            # an over-budget tenant step is a tenant-scope marker
+            controller._step(sessions.get("home"), +1)
+            assert gateway.rung("home") == "reduced-k"
+            assert markers() == gateway.metrics()["budget_transitions_detail"]
+            assert markers()["home:down:reduced-k"] == 1
+            detail = gateway.metrics()["budget_transitions_detail"]
 
             # a MAXN-pinned policy never leaves the top mode
             pinned = BudgetController(

@@ -1,8 +1,17 @@
 """Tests for repro.utils.rng."""
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import DEFAULT_ROOT_SEED, RngFactory, derive_rng
+from repro.utils.rng import DEFAULT_ROOT_SEED, RngFactory, _pcg64_states, derive_rng
+
+#: tier-1 replays a fixed search; ``--hypothesis-profile=chaos`` (``make
+#: test-chaos``) draws fresh seeds every run, against whichever numpy is
+#: installed
+_SEED_SEARCH = (settings(max_examples=2000)
+                if settings.get_current_profile_name() == "chaos"
+                else settings(derandomize=True, max_examples=100, deadline=None))
 
 
 class TestDeriveRng:
@@ -51,3 +60,14 @@ class TestRngFactory:
         factory = RngFactory(0)
         rng = factory.stream("a", 1, 2.5)
         assert isinstance(rng, np.random.Generator)
+
+
+@_SEED_SEARCH
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@example([0, 2**32 - 1, 2**32, 2**64 - 1])
+@example([1, 2**31, 2**63, 2**64 - 2**32])
+def test_pcg64_states_equal_default_rng_seeding(seeds):
+    expected = [np.random.default_rng(seed).bit_generator.state["state"]
+                for seed in seeds]
+    assert _pcg64_states(seeds) == [(state["state"], state["inc"])
+                                    for state in expected]
