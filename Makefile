@@ -14,7 +14,7 @@ test:
 golden-check:
 	$(PYTHON) scripts/make_golden_episodes.py --check
 
-## fault-injection suite (stalled batches, deadlines, degradation
+## fault-injection suite (stalled batches, deadlines, the serving
 ## ladder), the gateway state machine and the bulk PCG64 seeding check
 ## under the longer randomized `chaos` Hypothesis profile
 ## (tests/conftest.py), then two seeded
@@ -43,6 +43,11 @@ examples-smoke:
 	REPRO_EXAMPLE_QUERIES=4 $(PYTHON) examples/carbon_demo.py
 	$(PYTHON) -m repro carbon --requests 16 --window 4 > /dev/null
 	$(PYTHON) -m repro metrics --requests 8 > /dev/null
+	$(PYTHON) -m repro run --suite edgehome -n 4 > /dev/null
+	$(PYTHON) -m repro grid --suite edgehome -n 4 > /dev/null
+	$(PYTHON) -m repro compare --suite edgehome -n 4 > /dev/null
+	$(PYTHON) -m repro levels --suite edgehome -n 4 > /dev/null
+	$(PYTHON) -m repro profile > /dev/null
 	$(PYTHON) -m repro catalog list
 	$(PYTHON) -m repro catalog show edgehome --variant compressed > /dev/null
 	$(PYTHON) -m repro catalog diff edgehome edgehome
@@ -102,7 +107,7 @@ loc:
 ## `make loc`, failing when the src/repro total exceeds LOC_CEILING (the
 ## total of the last PR that moved it): growth is a visible one-line edit
 ## here in the PR that causes it
-LOC_CEILING := 15711
+LOC_CEILING := 15405
 loc-check: loc
 	@if [ $(LOC_TOTAL) -gt $(LOC_CEILING) ]; then \
 		echo "src/repro is over LOC_CEILING=$(LOC_CEILING)"; exit 1; \

@@ -6,11 +6,14 @@ One tenant serves waves of smart-home traffic under a
 the committed day-long grid-intensity trace
 (``benchmarks/data/grid_intensity_day.csv``).  Between waves the budget
 controller ticks against a simulated clock walking through the day:
-over-budget windows step the tenant down the degradation ladder
+over-budget windows step the tenant down the serving ladder
 (full -> reduced-k -> shed), and the evening carbon peak steps the
 simulated Jetson down a power mode (MAXN -> 30W).  Both effects are
 visible in the per-wave status lines — and every served episode stays
 bitwise identical to running the same query uncontrolled at that rung.
+The gateway traces into an in-memory sink with no request sampled, so
+the trace holds exactly the controller's ``budget`` marker spans: one per
+counted budget transition, which the demo checks before it exits.
 
 Run:  PYTHONPATH=src python examples/carbon_demo.py
 (set REPRO_EXAMPLE_QUERIES to bound the wave size, e.g. in CI)
@@ -20,9 +23,17 @@ from __future__ import annotations
 
 import asyncio
 import os
+from collections import Counter
 from pathlib import Path
 
-from repro import BudgetSpec, ServingSpec, SuiteSpec, TenantSpec, open_session
+from repro import (
+    BudgetSpec,
+    ObsSpec,
+    ServingSpec,
+    SuiteSpec,
+    TenantSpec,
+    open_session,
+)
 from repro.serving import TenantShedError
 
 TRACE = Path(__file__).resolve().parent.parent / "benchmarks" / "data" / \
@@ -51,14 +62,15 @@ async def main() -> None:
             intensity_high=450.0,           # evening peak is 524 g/kWh
             intensity_low=400.0,            # overnight trough is ~370
         ),
+        obs=ObsSpec(sink="memory", sample_rate=0.0),  # markers only
     )
     session = open_session(spec)
 
     async with session.serve() as gateway:
         suite = gateway.sessions.get("smart-home").suite
-        print(f"{'hour':>5} {'rung':<10} {'source':<8} {'mode':<5} "
+        print(f"{'hour':>5} {'rung':<10} {'mode':<5} "
               f"{'J/req':>7} {'gCO2/req':>9}  served")
-        print("-" * 58)
+        print("-" * 49)
         for hour in HOURS:
             queries = [suite.queries[i % len(suite.queries)]
                        for i in range(wave)]
@@ -75,7 +87,6 @@ async def main() -> None:
             gateway.budget.tick(now_s=hour * 3600.0)
             status = gateway.budget_status("smart-home")
             print(f"{hour:>5.0f} {gateway.rung('smart-home'):<10} "
-                  f"{gateway.rung_source('smart-home'):<8} "
                   f"{gateway.power_mode():<5} "
                   f"{status['mean_energy_j']:>7.1f} "
                   f"{status['mean_carbon_g'] * 1e3:>8.2f}m  "
@@ -87,6 +98,16 @@ async def main() -> None:
               f"{metrics['carbon_g'] * 1e3:.1f} mg CO2 total")
         print(f"budget transitions: {metrics['budget_transitions']} "
               f"{metrics['budget_transitions_detail']}")
+        # each move is one marker span, keyed like the transition counter
+        markers = Counter(
+            f"{a['scope']}:{a['direction']}:{a.get('rung', a.get('power_mode'))}"
+            for a in (span.attributes for span in gateway.tracer.sink.spans()
+                      if span.name == "budget"))
+        assert markers == metrics["budget_transitions_detail"], markers
+        assert {key.split(":")[0] for key in markers} == {
+            "smart-home", "device"}, markers
+        print(f"budget marker spans: {sum(markers.values())}, one per "
+              f"transition")
         print("\nThe joule cap walks the tenant down the ladder (cheaper "
               "rungs spend fewer tokens, hence fewer joules) while the "
               "evening carbon peak independently steps the simulated board "

@@ -83,9 +83,6 @@ FAMILIES: tuple[Family, ...] = (
            ("tenant",)),
     Family("faults_injected", "faults_injected_total",
            "Chaos faults fired, per fault hook.", ("hook",)),
-    Family("degrade_transitions", "degrade_transitions_total",
-           "Degradation-ladder transitions, per tenant/direction/rung.",
-           ("tenant", "direction", "rung")),
     Family("energy_j", "energy_joules_total",
            "Estimated energy attributed to served requests, per tenant "
            "(joules; accounting-layer re-cost under the active power mode).",

@@ -3,7 +3,7 @@
 Joins three layers that already exist in this repo but did not talk:
 the per-request latency/energy model (:mod:`repro.hardware.inference`),
 the nvpmodel power modes (:mod:`repro.hardware.power_modes`) and the
-serving degradation ladder (:mod:`repro.serving.degrade`).
+gateway's admission path (:mod:`repro.serving.gateway`).
 
 * :mod:`repro.power.signals` — grid carbon-intensity signals (gCO₂/kWh
   as a pure function of time) behind the
@@ -11,9 +11,10 @@ serving degradation ladder (:mod:`repro.serving.degrade`).
 * :mod:`repro.power.meter` — the :class:`EnergyMeter`, attributing
   estimated joules and gCO₂ per request/tenant in the accounting layer
   (episode bits never change).
-* :mod:`repro.power.budget` — the :class:`BudgetController`, stepping
-  tenants down the serving ladder on a rolling joule/gCO₂ budget and
-  the simulated board down power modes while grid intensity is high.
+* :mod:`repro.power.budget` — the serving ladder (:data:`RUNGS`) and
+  its one controller, the :class:`BudgetController`, stepping tenants down
+  it on a rolling joule/gCO₂ budget and the simulated board down power
+  modes while grid intensity is high.
 """
 
 from repro.power.budget import MODE_LADDER, BudgetController

@@ -1,25 +1,28 @@
-"""Carbon/power budget control: drive the degradation ladder from joules.
+"""Carbon/power budget control: the one controller of the serving ladder.
 
-CarbonCall's (arXiv 2504.20348) other half: where
-:class:`~repro.serving.degrade.DegradationController` steps tenants down
-the serving ladder on *queue pressure*, the :class:`BudgetController`
-steps them down on a *power/carbon budget* — a rolling
-joules-per-request or gCO₂-per-request cap read from the
-:class:`~repro.power.meter.EnergyMeter` — and additionally steps the
-simulated board down nvpmodel power modes (MAXN → 30W → 15W) while the
-grid's carbon intensity is high, climbing back with hysteresis once it
-clears.
+CarbonCall's (arXiv 2504.20348) closed loop: the
+:class:`BudgetController` steps tenants down the serving ladder
 
-Both controllers write through the gateway's shared
-:class:`~repro.serving.degrade.LadderArbiter` under distinct source
-names, so they compose instead of fighting: the deeper desire wins, the
-effective rung moves at most when a desire changes, and transition
-counts cannot oscillate between two disagreeing controllers.
+``full`` → reduced-``k`` scheme → ``shed``
 
-Like the pressure controller, the core is a synchronous :meth:`tick`
-(pass ``now_s`` to drive the carbon signal without any clock);
-:meth:`run` is the thin async loop the gateway starts when configured
-with a :class:`~repro.specs.BudgetSpec`.
+on a *power/carbon budget* — a rolling joules-per-request or
+gCO₂-per-request cap read from the :class:`~repro.power.meter.EnergyMeter`
+— and additionally steps the simulated board down nvpmodel power modes
+(MAXN → 30W → 15W) while the grid's carbon intensity is high, climbing
+back with hysteresis once it clears.
+
+The reduced-``k`` rung reroutes default traffic through
+:data:`REDUCED_K_SCHEME` (fewer tools presented — the paper's lever);
+the last rung sheds the tenant at admission.  Each rung down costs
+strictly fewer joules and tool tokens per request on all four suites,
+pinned per rung in ``tests/test_serving_degrade.py``.  A tenant's rung is
+one integer on its session, which only :meth:`BudgetController._step`
+writes and ``Gateway.submit`` reads.
+
+The core is a synchronous :meth:`~BudgetController.tick` (pass
+``now_s`` to drive the carbon signal without any clock);
+:meth:`~BudgetController.run` is the thin async loop the gateway starts
+when configured with a :class:`~repro.specs.BudgetSpec`.
 
 The controller reads its knobs straight off the
 :class:`~repro.specs.BudgetSpec`, whose docstring is the one home of
@@ -35,22 +38,23 @@ from repro.specs import BudgetSpec
 
 #: the nvpmodel ladder, fastest first
 MODE_LADDER = tuple(POWER_MODES)
+#: the serving ladder, cheapest last, the same for every tenant
+RUNGS = ("full", "reduced-k", "shed")
+#: the scheme a tenant's default traffic runs from ``reduced-k`` down
+REDUCED_K_SCHEME = "lis-k1"
 
 
 class BudgetController:
     """Steps tenants down the ladder and the board down power modes.
 
     One controller per gateway, sharing the gateway's
-    :class:`~repro.serving.degrade.LadderArbiter` (source ``"budget"``)
-    with the queue-pressure controller and its
     :class:`~repro.power.meter.EnergyMeter` with the accounting layer.
-    Every action lands in telemetry as a ``budget_transitions`` entry
+    Every action lands in telemetry as one ``budget_transitions`` entry
     (``<tenant>:<direction>:<rung>`` for ladder moves,
-    ``device:<direction>:<mode>`` for power-mode moves).  The per-tenant
-    streaks and settle mark are the tenant session's.
+    ``device:<direction>:<mode>`` for power-mode moves) and, on a traced
+    gateway, one ``budget`` marker span.  The per-tenant rung, streaks
+    and settle mark are the tenant session's.
     """
-
-    SOURCE = "budget"
 
     def __init__(self, gateway, spec: BudgetSpec, meter=None,
                  signal=None, clock=None):
@@ -70,18 +74,6 @@ class BudgetController:
     def power_mode(self) -> str:
         return MODE_LADDER[self._mode_index]
 
-    def status(self) -> dict:
-        """Controller state for operators: mode plus per-tenant desires."""
-        arbiter = self.gateway.ladder
-        tenants = {}
-        for session in self.gateway.sessions:
-            tenants[session.name] = {
-                "desired_rung": arbiter.desired_rung(self.SOURCE, session),
-                "effective_rung": arbiter.rung(session),
-                "rung_source": arbiter.rung_source(session),
-            }
-        return {"power_mode": self.power_mode, "tenants": tenants}
-
     # ------------------------------------------------------------------
     # the feedback loop
     # ------------------------------------------------------------------
@@ -98,8 +90,8 @@ class BudgetController:
     async def run(self) -> None:
         """Poll-and-tick loop; cancelled by ``Gateway.stop``.
 
-        Ticks run on the event loop, like the pressure controller's: a
-        rung move writes the state ``submit`` reads there.
+        Ticks run on the event loop: a rung move writes the state
+        ``submit`` reads there.
         """
         while True:
             await asyncio.sleep(self.spec.interval_s)
@@ -142,8 +134,7 @@ class BudgetController:
     # ------------------------------------------------------------------
     def _tick_tenant(self, session) -> None:
         spec = self.spec
-        desired = self.gateway.ladder.desired_rung(self.SOURCE, session)
-        if desired == "shed":
+        if session.rung == len(RUNGS) - 1:
             # a shed tenant generates no fresh evidence: probation —
             # after recovery_ticks quiet ticks, try one rung up
             session.shed_streak += 1
@@ -173,7 +164,7 @@ class BudgetController:
         if over:
             session.clear_streak = 0
             self._step(session, +1)
-        elif under and desired != "full":
+        elif under and session.rung:
             session.clear_streak += 1
             if session.clear_streak >= spec.recovery_ticks:
                 session.clear_streak = 0
@@ -182,15 +173,23 @@ class BudgetController:
             # within the hysteresis band: hold, restart the streak
             session.clear_streak = 0
 
-    def _step(self, session, direction: int) -> None:
-        new_rung = self.gateway.ladder.step(self.SOURCE, session, direction)
-        if new_rung is None:
-            return  # clamped at a ladder edge, nothing moved
+    def _step(self, session, direction: int) -> str | None:
+        """Move the tenant one rung (``+1`` down, ``-1`` up).
+
+        Returns the new rung name, or ``None`` when the rung was already
+        clamped at the ladder edge (nothing moved, nothing recorded).
+        """
+        new = min(max(session.rung + direction, 0), len(RUNGS) - 1)
+        if new == session.rung:
+            return None
+        session.rung = new
         session.settle_mark = session.energy_requests
+        rung = RUNGS[new]
         direction_name = "down" if direction > 0 else "up"
         self.gateway.telemetry.record_budget_transition(
-            session.name, new_rung, direction_name)
+            session.name, rung, direction_name)
         tracer = getattr(self.gateway, "tracer", None)
         if tracer is not None:
-            tracer.marker("budget", {"scope": session.name, "rung": new_rung,
+            tracer.marker("budget", {"scope": session.name, "rung": rung,
                                      "direction": direction_name})
+        return rung

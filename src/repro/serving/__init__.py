@@ -31,11 +31,6 @@ from repro.serving.batcher import (
     SchedulerStoppedError,
 )
 from repro.power import BudgetController, EnergyMeter
-from repro.serving.degrade import (
-    DegradationController,
-    DegradationPolicy,
-    LadderArbiter,
-)
 from repro.serving.faults import (
     FaultInjector,
     FaultPlan,
@@ -72,13 +67,10 @@ __all__ = [
     "BatchScheduler",
     "BudgetController",
     "DeadlineExceededError",
-    "DegradationController",
-    "DegradationPolicy",
     "EnergyMeter",
     "FaultInjector",
     "FaultPlan",
     "Gateway",
-    "LadderArbiter",
     "GatewayHTTPApp",
     "HTTPConnection",
     "InjectedFaultError",

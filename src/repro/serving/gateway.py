@@ -23,8 +23,8 @@ from repro.core.episode import EpisodeResult
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
 from repro.power import BudgetController, EnergyMeter, build_signal
+from repro.power.budget import REDUCED_K_SCHEME, RUNGS
 from repro.serving.batcher import BatchScheduler, PendingRequest
-from repro.serving.degrade import DegradationController, LadderArbiter
 from repro.serving.faults import InjectedFaultError, as_injector
 from repro.serving.session import SessionManager, TenantSession
 from repro.serving.telemetry import Telemetry
@@ -43,12 +43,11 @@ class DeadlineExceededError(TimeoutError):
 
 
 class TenantShedError(RuntimeError):
-    """The tenant is shed by the degradation controller; retry later.
+    """The tenant is shed by the budget controller; retry later.
 
-    The final rung of the CarbonCall degradation ladder: under sustained
-    overload a tenant's requests are rejected at admission (cheapest
-    possible failure) until pressure clears and the controller steps the
-    tenant back up.
+    The final rung of the CarbonCall ladder: a tenant that stays over its
+    energy or carbon budget has its requests rejected at admission
+    (cheapest possible failure) until probation steps it back up.
     """
 
 
@@ -175,7 +174,6 @@ class Gateway:
         config: ServingSpec | None = None,
         telemetry: Telemetry | None = None,
         faults=None,
-        degradation=None,
         tracer=None,
     ):
         self.sessions = sessions
@@ -193,12 +191,6 @@ class Gateway:
                                         telemetry=self.telemetry)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
-        self._degradation_policy = degradation
-        self.degradation = None  # controller, built in start() when enabled
-        self._degradation_task: asyncio.Task | None = None
-        # the shared rung arbiter both controllers (and operators) write
-        # through, onto the tenant sessions submit() reads the rung from
-        self.ladder = LadderArbiter(self)
         # carbon/power accounting: the meter is always on (attribution
         # is cheap and read-only); the BudgetController only runs when a
         # BudgetSpec is configured
@@ -218,11 +210,6 @@ class Gateway:
                                self.config.default_model,
                                self.config.default_quant)
         await self.scheduler.start()
-        if self._degradation_policy is not None:
-            self.degradation = DegradationController(
-                self, self._degradation_policy)
-            self._degradation_task = asyncio.get_running_loop().create_task(
-                self.degradation.run(), name="degradation-controller")
         if self.config.budget is not None:
             self.budget = BudgetController(
                 self, self.config.budget, meter=self.power_meter)
@@ -237,13 +224,6 @@ class Gateway:
             except asyncio.CancelledError:
                 pass
             self._budget_task = None
-        if self._degradation_task is not None:
-            self._degradation_task.cancel()
-            try:
-                await self._degradation_task
-            except asyncio.CancelledError:
-                pass
-            self._degradation_task = None
         await self.scheduler.stop()
         if self._owns_tracer:
             close = getattr(self.tracer.sink, "close", None)
@@ -277,12 +257,12 @@ class Gateway:
         :class:`~repro.serving.session.UnknownTenantError` for unknown
         tenants, :class:`~repro.serving.batcher.QueueFullError` when
         admission control rejects the request, :class:`TenantShedError`
-        while the degradation controller sheds the tenant, and
+        while the budget controller sheds the tenant, and
         :class:`DeadlineExceededError` when the deadline expires before
         a result lands.
         """
         session = self.sessions.get(tenant)
-        rung = self.ladder.rung(session)
+        rung = RUNGS[session.rung]
         if rung == "shed":
             self.telemetry.record_shed_request(tenant)
             raise TenantShedError(
@@ -313,7 +293,7 @@ class Gateway:
             query=resolved,
             # a degraded tenant's default traffic runs the reduced-k
             # scheme; explicit per-request schemes are honored as-is
-            scheme=scheme or (self.ladder.reduced_k_scheme if rung != "full"
+            scheme=scheme or (REDUCED_K_SCHEME if rung != "full"
                               else self.config.default_scheme),
             model=model or self.config.default_model,
             quant=quant or self.config.default_quant,
@@ -378,13 +358,8 @@ class Gateway:
         }
 
     def rung(self, tenant: str) -> str:
-        """The tenant's effective degradation rung (``"full"`` at rest)."""
-        return self.ladder.rung(self.sessions.get(tenant))
-
-    def rung_source(self, tenant: str) -> str:
-        """Which controller pins the tenant's rung (``"pressure"``,
-        ``"budget"``, both, or ``"none"`` at the top rung)."""
-        return self.ladder.rung_source(self.sessions.get(tenant))
+        """The tenant's ladder rung (``"full"`` at rest)."""
+        return RUNGS[self.sessions.get(tenant).rung]
 
     def power_mode(self) -> str:
         """The nvpmodel mode the accounting layer costs new work under."""
@@ -413,7 +388,7 @@ class Gateway:
         """The scheme the tenant's default traffic is degraded to, if any."""
         if self.rung(tenant) == "full":
             return None
-        return self.ladder.reduced_k_scheme
+        return REDUCED_K_SCHEME
 
     def metrics_text(self) -> str:
         """Telemetry + cost ledger in Prometheus text exposition format.

@@ -12,7 +12,7 @@ GET    ``/v1/tenants``                List registered tenants
 GET    ``/v1/tenants/{name}``         One tenant's serving summary
 PUT    ``/v1/tenants/{name}``         Register a tenant / hot-swap catalog
 DELETE ``/v1/tenants/{name}``         Remove a tenant (``sessions.deregister``)
-GET    ``/v1/tenants/{name}/status``  Degradation rung + cost snapshot
+GET    ``/v1/tenants/{name}/status``  Ladder rung + cost snapshot
 GET    ``/healthz``                   Gateway liveness
 GET    ``/metrics``                   Prometheus text exposition
 ====== ============================== =======================================
@@ -253,11 +253,17 @@ class GatewayHTTPApp:
                     f"got {type(value).__name__}")
             overrides[name] = value
         timeout_ms = payload.get("timeout_ms")
-        if timeout_ms is not None and not isinstance(
-                timeout_ms, (int, float)):
-            raise BadRequestError(
-                f"field 'timeout_ms' must be a number, "
-                f"got {type(timeout_ms).__name__}")
+        if timeout_ms is not None:
+            if (isinstance(timeout_ms, bool)
+                    or not isinstance(timeout_ms, (int, float))):
+                raise BadRequestError(
+                    f"field 'timeout_ms' must be a number, "
+                    f"got {type(timeout_ms).__name__}")
+            if not 0 < timeout_ms < math.inf:
+                # the rule ServingSpec.timeout_ms enforces; NaN fails it too
+                raise BadRequestError(
+                    f"field 'timeout_ms' must be a finite number > 0, "
+                    f"got {timeout_ms}")
         if qid is not None:
             if not isinstance(qid, str):
                 raise BadRequestError(
@@ -359,7 +365,6 @@ class GatewayHTTPApp:
             "name": name,
             "catalog_version": session.catalog_version,
             "rung": self.gateway.rung(name),
-            "rung_source": self.gateway.rung_source(name),
             "power_mode": self.gateway.power_mode(),
             "shed": self.gateway.is_shed(name),
             "scheme_override": self.gateway.scheme_override(name),

@@ -41,6 +41,9 @@ def parse_json(body: bytes) -> dict:
         decoded = json.loads(body)
     except json.JSONDecodeError as exc:
         raise BadRequestError(f"request body is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise BadRequestError(
+            "request body nests deeper than the JSON decoder allows") from None
     if not isinstance(decoded, dict):
         raise BadRequestError(
             f"request body must be a JSON object, got {type(decoded).__name__}")

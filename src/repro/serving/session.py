@@ -63,8 +63,9 @@ class TenantSession:
         self.incarnation = 0
         #: qid -> requests submitted so far (the trace ids' repeat)
         self.repeats: dict[str, int] = {}
-        #: ladder source ("pressure", "budget") -> desired rung index
-        self.desired: dict[str, int] = {}
+        #: index into ``repro.power.budget.RUNGS``; only the
+        #: BudgetController moves it
+        self.rung = 0
         #: the EnergyMeter's rolling window and the records ever attributed
         self.energy_window: deque = deque()
         self.energy_requests = 0
@@ -79,11 +80,6 @@ class TenantSession:
         """(Re)build the qid and exact-text lookup maps for ``suite``."""
         self._queries_by_qid = {query.qid: query for query in suite.queries}
         self._queries_by_text = {query.text: query for query in suite.queries}
-
-    @property
-    def rung(self) -> int:
-        """The effective ladder index: the deepest desire of any source."""
-        return max(self.desired.values(), default=0)
 
     @property
     def catalog_version(self) -> str:

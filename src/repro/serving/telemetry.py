@@ -140,7 +140,7 @@ class Telemetry:
             self._add("deadline_timeouts")
 
     def record_shed_request(self, tenant: str) -> None:
-        """One request rejected because its tenant is shed (degradation)."""
+        """One request rejected because its tenant is shed (budget ladder)."""
         with self._lock:
             self._add("shed_requests", tenant)
 
@@ -148,11 +148,6 @@ class Telemetry:
         """One injected fault fired at ``hook`` (chaos harness only)."""
         with self._lock:
             self._add("faults_injected", hook)
-
-    def record_degradation(self, tenant: str, rung: str, direction: str) -> None:
-        """One degradation-ladder transition (``direction`` is down|up)."""
-        with self._lock:
-            self._add("degrade_transitions", tenant, direction, rung)
 
     def record_energy(self, tenant: str, energy_j: float,
                       carbon_g: float) -> None:

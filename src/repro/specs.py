@@ -387,7 +387,7 @@ class BudgetSpec(_SpecBase):
     Threading this through :class:`ServingSpec` makes the gateway build
     an :class:`~repro.power.budget.BudgetController`, which reads this
     spec directly: tenants whose rolling mean joules or gCO₂ per request
-    exceed the budget step down the degradation ladder, and while the
+    exceed the budget step down the serving ladder, and while the
     grid's carbon intensity is high the simulated board steps down
     nvpmodel power modes (MAXN → 30W → 15W), both climbing back with
     hysteresis.  Budget windows count requests (the last
@@ -612,7 +612,7 @@ class ServingSpec(_SpecBase):
     budget:
         Carbon/power budget (:class:`BudgetSpec`): when set, the gateway
         runs a :class:`~repro.power.budget.BudgetController` that steps
-        tenants down the degradation ladder on a rolling joule/gCO₂
+        tenants down the serving ladder on a rolling joule/gCO₂
         budget and the simulated board down nvpmodel power modes while
         grid carbon intensity is high.  ``None`` (the default) disables
         budget control; per-request energy/carbon attribution through

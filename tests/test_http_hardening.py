@@ -389,3 +389,37 @@ class TestTenantPutValidation:
         response, before, after = serve(suite, scenario)
         assert response.status == 400, response.json()
         assert after == before
+
+
+class TestCallBodyValidation:
+    """A ``POST /v1/call`` body the gateway cannot honour is a 400 before
+    anything is queued: nothing admitted, nothing timed out."""
+
+    @pytest.mark.parametrize("body", [b"[" * 200_000, b'{"a":' * 50_000],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_body_is_400(self, suite, body):
+        async def scenario(client, app):
+            return await client.post("/v1/call", body=body)
+
+        response = serve(suite, scenario)
+        assert response.status == 400, response.json()
+        assert response.json()["error"]["type"] == "BadRequestError"
+
+    # ServingSpec.timeout_ms must be > 0; a per-request value obeys the
+    # same rule, and neither a bool nor a non-finite value is a deadline
+    @pytest.mark.parametrize("timeout", ["true", "0", "-5", "NaN",
+                                         "Infinity"])
+    def test_bad_timeout_ms_is_400(self, suite, timeout):
+        qid = suite.queries[0].qid
+        body = (f'{{"tenant": "home", "qid": "{qid}", '
+                f'"timeout_ms": {timeout}}}').encode()
+
+        async def scenario(client, app):
+            response = await client.post("/v1/call", body=body)
+            return response, app.gateway.metrics()
+
+        response, metrics = serve(suite, scenario)
+        assert response.status == 400, response.json()
+        assert response.json()["error"]["type"] == "BadRequestError"
+        assert metrics["requests_admitted"] == 0
+        assert metrics["deadline_timeouts"] == 0

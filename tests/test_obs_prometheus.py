@@ -110,15 +110,11 @@ def test_colon_in_a_tenant_name_stays_in_the_tenant_label():
     """``org:home`` is a legal tenant name; only the first label of a
     joined snapshot key is free-form, so it is split from the right."""
     telemetry = Telemetry()
-    telemetry.record_degradation("org:home", "compressed", "down")
     telemetry.record_budget_transition("org:home", "minimal", "down")
     snapshot = telemetry.snapshot()
-    assert snapshot["degrade_transitions_detail"] == {
-        "org:home:down:compressed": 1}
+    assert snapshot["budget_transitions_detail"] == {
+        "org:home:down:minimal": 1}
     samples = _parse_exposition(render_prometheus(snapshot))
-    assert samples["repro_degrade_transitions_total"] == [
-        ({"tenant": "org:home", "direction": "down", "rung": "compressed"},
-         1.0)]
     assert samples["repro_budget_transitions_total"] == [
         ({"scope": "org:home", "direction": "down", "target": "minimal"},
          1.0)]
@@ -129,7 +125,8 @@ def test_colon_in_a_tenant_name_stays_in_the_tenant_label():
 # ----------------------------------------------------------------------
 #: the parent commit's Telemetry().snapshot() keys, written out, minus
 #: the worker-restart and inline-fallback counters (the worker pool is
-#: gone) and the two batch-quarantine counters (the quarantine is gone):
+#: gone), the two batch-quarantine counters (the quarantine is gone) and
+#: the degradation-ladder counter (a ladder move is a budget transition):
 #: the table may be re-ordered or re-typed, the wire surface may not move
 SNAPSHOT_KEYS = {
     "uptime_s", "snapshot_seq", "requests_admitted", "requests_rejected",
@@ -141,8 +138,7 @@ SNAPSHOT_KEYS = {
     "plan_cache_misses", "plan_cache_hit_rate", "catalog_swaps",
     "catalog_swaps_by_tenant", "deadline_timeouts",
     "shed_requests", "shed_requests_by_tenant", "faults_injected",
-    "faults_injected_by_hook", "degrade_transitions",
-    "degrade_transitions_detail", "energy_j", "energy_j_by_tenant",
+    "faults_injected_by_hook", "energy_j", "energy_j_by_tenant",
     "carbon_g", "carbon_g_by_tenant", "budget_transitions",
     "budget_transitions_detail",
 }
@@ -150,7 +146,7 @@ SNAPSHOT_KEYS = {
 #: one example value per ``record_*`` parameter name; booleans are swept
 _RECORD_ARGS = {
     "queue_depth": 1, "batch_size": 2, "queue_waits_s": [0.001],
-    "tenant": "t", "hook": "h", "rung": "compressed", "direction": "down",
+    "tenant": "t", "hook": "h", "direction": "down",
     "energy_j": 1.5, "carbon_g": 0.5, "scope": "t", "target": "minimal",
     "latency_s": 0.01,
 }
@@ -170,7 +166,7 @@ def _record_calls():
 
 
 def test_snapshot_keys_are_pinned():
-    assert len(SNAPSHOT_KEYS) == 38
+    assert len(SNAPSHOT_KEYS) == 36
     assert set(Telemetry().snapshot()) == SNAPSHOT_KEYS
 
 
@@ -218,15 +214,15 @@ def test_real_snapshot_renders_valid_exposition_text():
     telemetry.record_completion(0.010)
     telemetry.record_completion(0.030)
     telemetry.record_fault("batch.process")
-    telemetry.record_degradation("home", "compressed", "down")
+    telemetry.record_budget_transition("home", "reduced-k", "down")
     samples = _parse_exposition(render_prometheus(telemetry.snapshot()))
     assert samples["repro_requests_admitted_total"] == [({}, 3.0)]
     assert samples["repro_requests_completed_total"] == [({}, 2.0)]
     [(labels, value)] = samples["repro_faults_injected_total"]
     assert (labels, value) == ({"hook": "batch.process"}, 1.0)
-    [(labels, value)] = samples["repro_degrade_transitions_total"]
-    assert labels == {"tenant": "home", "direction": "down",
-                      "rung": "compressed"}
+    [(labels, value)] = samples["repro_budget_transitions_total"]
+    assert labels == {"scope": "home", "direction": "down",
+                      "target": "reduced-k"}
     # gauge satellites are present
     assert samples["repro_uptime_seconds"][0][1] >= 0.0
     assert samples["repro_snapshot_seq"][0][1] == 1.0

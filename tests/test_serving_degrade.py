@@ -1,4 +1,4 @@
-"""The degradation controller: down the CarbonCall ladder and back up.
+"""The serving ladder: the budget controller walks it down and back up.
 
 Also the law the ladder's shape was decided by: per-rung tool tokens,
 joules, success and Level-3 rate on all four suites, pinned exactly.
@@ -17,21 +17,15 @@ import pytest
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.obs.cost import plan_tool_tokens
-from repro.serving import (
-    DegradationController,
-    DegradationPolicy,
-    Gateway,
-    SessionManager,
-    TenantShedError,
-)
-from repro.serving.degrade import RUNGS
+from repro.power.budget import REDUCED_K_SCHEME, RUNGS
+from repro.serving import Gateway, SessionManager, TenantShedError
 from repro.specs import BudgetSpec, ServingSpec
 from repro.suites import load_suite
 
 _DEFAULTS = ServingSpec()
 MODEL, QUANT = _DEFAULTS.default_model, _DEFAULTS.default_quant
 FULL_SCHEME = _DEFAULTS.default_scheme                   # lis-k3
-REDUCED_SCHEME = DegradationPolicy().reduced_k_scheme    # lis-k1
+REDUCED_SCHEME = REDUCED_K_SCHEME                        # lis-k1
 
 #: what a tenant serves at each rung, as (catalog variant, scheme).  The
 #: first two are the ladder (``shed`` serves nothing); the rest are
@@ -139,43 +133,45 @@ def test_the_retired_catalog_rungs_fail_the_law():
         "browser": [("compressed", "minimal")]}
 
 
+#: budget readings: 1 µJ is below every served window's mean, 1 GJ above;
+#: one fresh request is evidence enough, one clear tick a recovery
+BUDGETS = {
+    reading: BudgetSpec(energy_budget_j=budget_j, window_requests=2,
+                        settle_requests=1, recovery_ticks=1,
+                        interval_ms=600_000.0)
+    for reading, budget_j in (("over", 1e-6), ("under", 1e9))}
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        DegradationPolicy(queue_high=0)
-    with pytest.raises(ValueError):
-        DegradationPolicy(queue_high=4, queue_low=4)
-    with pytest.raises(ValueError):
-        DegradationPolicy(p95_high_ms=0.0)
-    with pytest.raises(ValueError):
-        DegradationPolicy(recovery_ticks=0)
-    with pytest.raises(ValueError):
-        DegradationPolicy(interval_ms=0.0)
-    assert DegradationPolicy(interval_ms=250.0).interval_s == 0.25
+
+async def budget_move(gateway, reading: str, query) -> str:
+    """Serve ``query`` (the window's fresh evidence), then one budget
+    tick at ``reading``; returns the tenant's new rung."""
+    await gateway.submit("home", query)
+    gateway.budget.spec = BUDGETS[reading]
+    gateway.budget.tick(now_s=0.0)
+    return gateway.rung("home")
 
 
 def test_ladder_down_to_shed_and_back_up():
-    """Sustained pressure walks full→reduced-k→shed; sustained calm walks
-    back up — and no future ever hangs on the way."""
+    """Over budget walks full→reduced-k→shed; under budget walks back
+    up — through a shed tenant's probation — and no future ever hangs on
+    the way."""
     suite = load_suite("edgehome", n_queries=6)
-    policy = DegradationPolicy(queue_high=4, queue_low=0, recovery_ticks=2,
-                               reduced_k_scheme="lis-k1")
+    spec = BUDGETS["over"].replace(recovery_ticks=2)
 
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        config = ServingSpec(max_batch_size=4)
-        async with Gateway(sessions, config=config,
-                           degradation=policy) as gateway:
-            controller = gateway.degradation
-            assert isinstance(controller, DegradationController)
-            assert controller.rung("home") == "full"
+        config = ServingSpec(max_batch_size=4, budget=spec)
+        async with Gateway(sessions, config=config) as gateway:
+            controller = gateway.budget
+            assert gateway.rung("home") == "full"
 
-            # -- down the ladder, one rung per high-pressure tick
+            # -- down the ladder, one rung per over-budget window
             down = []
-            for _ in range(2):
-                controller.tick(depth=100)
-                down.append(controller.rung("home"))
+            for query in suite.queries[:2]:
+                await gateway.submit("home", query)
+                controller.tick(now_s=0.0)
+                down.append(gateway.rung("home"))
             assert down == ["reduced-k", "shed"]
             # the override outlives the step to shed; the catalog is
             # nobody's but the operator's
@@ -186,46 +182,49 @@ def test_ladder_down_to_shed_and_back_up():
             with pytest.raises(TenantShedError):
                 await gateway.submit("home", suite.queries[0])
 
-            # a further high tick holds at the bottom rung
-            controller.tick(depth=100)
-            assert controller.rung("home") == "shed"
+            # a step past the bottom rung is clamped: nothing moves
+            assert controller._step(sessions.get("home"), +1) is None
+            assert gateway.rung("home") == "shed"
 
-            # -- recovery: recovery_ticks clear ticks per upward step
+            # -- recovery: recovery_ticks ticks per upward step, a
+            # shed tenant's on probation, the others' under budget
+            controller.spec = spec.replace(energy_budget_j=1e9)
             up = []
-            for _ in range(4):
-                controller.tick(depth=0)
-                up.append(controller.rung("home"))
+            for _ in range(2):
+                controller.tick(now_s=0.0)
+                up.append(gateway.rung("home"))
+            await gateway.submit("home", suite.queries[2])
+            for _ in range(2):
+                controller.tick(now_s=0.0)
+                up.append(gateway.rung("home"))
             assert up == ["shed", "reduced-k", "reduced-k", "full"]
             assert gateway.scheme_override("home") is None
 
             # fully recovered: requests serve normally again
             response = await gateway.submit("home", suite.queries[0])
             assert response.episode is not None
-            return gateway.metrics(), controller.status()
+            return gateway.metrics(), gateway.rung("home")
 
-    metrics, status = asyncio.run(scenario())
-    assert status == {"home": "full"}
+    metrics, rung = asyncio.run(scenario())
+    assert rung == "full"
     assert metrics["shed_requests_by_tenant"] == {"home": 1}
     # 2 down + 2 up transitions, each one counted with its direction
-    assert metrics["degrade_transitions"] == 4
-    detail = metrics["degrade_transitions_detail"]
+    assert metrics["budget_transitions"] == 4
+    detail = metrics["budget_transitions_detail"]
     assert detail["home:down:shed"] == 1
     assert detail["home:up:full"] == 1
 
 
 def test_reduced_k_rung_reroutes_default_scheme():
     suite = load_suite("edgehome", n_queries=4)
-    policy = DegradationPolicy(queue_high=2, queue_low=0, recovery_ticks=1,
-                               reduced_k_scheme="lis-k1")
 
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingSpec(),
-                           degradation=policy) as gateway:
-            controller = gateway.degradation
-            controller.tick(depth=10)
-            assert controller.rung("home") == "reduced-k"
+        config = ServingSpec(budget=BUDGETS["over"])
+        async with Gateway(sessions, config=config) as gateway:
+            assert await budget_move(
+                gateway, "over", suite.queries[0]) == "reduced-k"
             # default traffic now rides the cheap scheme...
             captured = []
             original = gateway.scheduler.submit
@@ -244,81 +243,10 @@ def test_reduced_k_rung_reroutes_default_scheme():
     assert captured == ["lis-k1", "lis-k3"]
 
 
-def test_in_between_pressure_holds_ladder_and_resets_recovery():
-    suite = load_suite("edgehome", n_queries=4)
-    policy = DegradationPolicy(queue_high=8, queue_low=1, recovery_ticks=2)
-
-    async def scenario():
-        sessions = SessionManager()
-        sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingSpec(),
-                           degradation=policy) as gateway:
-            controller = gateway.degradation
-            controller.tick(depth=20)
-            assert controller.rung("home") == "reduced-k"
-            # alternating clear / middle ticks never complete a recovery
-            for _ in range(6):
-                controller.tick(depth=0)
-                controller.tick(depth=4)
-            assert controller.rung("home") == "reduced-k"
-            # two *consecutive* clear ticks do
-            controller.tick(depth=0)
-            controller.tick(depth=0)
-            assert controller.rung("home") == "full"
-
-    asyncio.run(scenario())
-
-
-def test_p95_latency_trigger():
-    suite = load_suite("edgehome", n_queries=4)
-    policy = DegradationPolicy(queue_high=100, queue_low=1, recovery_ticks=1,
-                               p95_high_ms=50.0)
-
-    async def scenario():
-        sessions = SessionManager()
-        sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingSpec(),
-                           degradation=policy) as gateway:
-            controller = gateway.degradation
-            # empty queue but terrible tail latency still degrades
-            controller.tick(depth=0, p95_ms=500.0)
-            assert controller.rung("home") == "reduced-k"
-            # recovery needs the latency back under the bar too
-            controller.tick(depth=0, p95_ms=500.0)
-            assert controller.rung("home") == "shed"
-            controller.tick(depth=0, p95_ms=1.0)
-            assert controller.rung("home") == "reduced-k"
-
-    asyncio.run(scenario())
-
-
-def test_background_loop_runs_and_cancels_cleanly():
-    """The async controller loop ticks on its own and stops with the
-    gateway — a registered-but-idle gateway must come down cleanly."""
-    suite = load_suite("edgehome", n_queries=4)
-    policy = DegradationPolicy(interval_ms=10.0)
-
-    async def scenario():
-        sessions = SessionManager()
-        sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingSpec(),
-                           degradation=policy) as gateway:
-            await asyncio.sleep(0.08)  # several control intervals
-            assert not gateway._degradation_task.done()
-            response = await gateway.submit("home", suite.queries[0])
-            assert response.episode is not None
-            task = gateway._degradation_task
-        assert task.cancelled() or task.done()
-
-    asyncio.run(scenario())
-
-
 def test_background_loops_tick_on_the_event_loop():
-    """Both controllers' ticks write state ``submit`` reads on the event
-    loop, so that is where they run; only the pressure controller's p95
-    reading (a telemetry snapshot) is taken off-loop and passed in."""
+    """The budget controller's ticks write the rung ``submit`` reads on
+    the event loop, so that is where they run."""
     suite = load_suite("edgehome", n_queries=4)
-    policy = DegradationPolicy(interval_ms=5.0, p95_high_ms=1e9)
     budget = BudgetSpec(energy_budget_j=1e9, interval_ms=5.0)
 
     async def scenario():
@@ -326,29 +254,21 @@ def test_background_loops_tick_on_the_event_loop():
         sessions.register("home", suite)
         seen = []
 
-        def spy_on(controller):
-            tick = controller.tick
+        async with Gateway(sessions,
+                           config=ServingSpec(budget=budget)) as gateway:
+            await gateway.submit("home", suite.queries[0])
+            tick = gateway.budget.tick
 
             def spy(**kwargs):
-                seen.append((type(controller).__name__,
-                             threading.get_ident(), kwargs))
+                seen.append(threading.get_ident())
                 return tick(**kwargs)
-            controller.tick = spy
-
-        async with Gateway(sessions, config=ServingSpec(budget=budget),
-                           degradation=policy) as gateway:
-            await gateway.submit("home", suite.queries[0])
-            spy_on(gateway.degradation)
-            spy_on(gateway.budget)
+            gateway.budget.tick = spy
             await asyncio.sleep(0.08)
         return seen
 
     seen = asyncio.run(scenario())
-    assert {name for name, _, _ in seen} == {"DegradationController",
-                                            "BudgetController"}
-    assert {ident for _, ident, _ in seen} == {threading.get_ident()}
-    assert all(isinstance(kwargs["p95_ms"], float)
-               for name, _, kwargs in seen if name == "DegradationController")
+    assert seen
+    assert set(seen) == {threading.get_ident()}
 
 
 def test_operator_catalog_survives_a_ladder_cycle():
@@ -368,19 +288,17 @@ def test_operator_catalog_survives_a_ladder_cycle():
         scheme: {episode.qid: dataclasses.asdict(episode)
                  for episode in runner.run(scheme, MODEL, QUANT).episodes}
         for scheme in (FULL_SCHEME, REDUCED_SCHEME)}
-    policy = DegradationPolicy(queue_high=4, queue_low=0, recovery_ticks=1)
 
     async def scenario(moves_before_swap, moves_after_swap):
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=ServingSpec(),
-                           degradation=policy) as gateway:
-            controller = gateway.degradation
-            for depth in moves_before_swap:
-                controller.tick(depth=depth)
+        config = ServingSpec(budget=BUDGETS["over"])
+        async with Gateway(sessions, config=config) as gateway:
+            for reading in moves_before_swap:
+                await budget_move(gateway, reading, suite.queries[0])
             gateway.update_catalog("home", operator)
-            for depth in moves_after_swap:
-                controller.tick(depth=depth)
+            for reading in moves_after_swap:
+                await budget_move(gateway, reading, suite.queries[0])
                 catalog = sessions.get("home").suite.catalog
                 assert (len(catalog), catalog.version) == (
                     21, operator.version)
@@ -389,12 +307,13 @@ def test_operator_catalog_survives_a_ladder_cycle():
                     response = await gateway.submit("home", query)
                     assert (dataclasses.asdict(response.episode)
                             == reference[scheme][query.qid])
-            return controller.rung("home")
+            return gateway.rung("home")
 
     # swapped while degraded, then recovered
-    assert asyncio.run(scenario([100], [0])) == "full"
+    assert asyncio.run(scenario(["over"], ["under"])) == "full"
     # down and up, swapped at rest, then down again and back
-    assert asyncio.run(scenario([100, 0], [100, 0])) == "full"
+    assert asyncio.run(scenario(["over", "under"],
+                                ["over", "under"])) == "full"
 
 
 def test_variant_catalog_tenant_walks_the_same_ladder():
@@ -402,18 +321,16 @@ def test_variant_catalog_tenant_walks_the_same_ladder():
     registered with — and the ladder leaves that catalog alone."""
     base = load_suite("edgehome", n_queries=4)
     compressed = base.with_catalog(base.catalog.at("compressed"))
-    policy = DegradationPolicy(queue_high=2, queue_low=0, recovery_ticks=1)
 
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", compressed)
-        async with Gateway(sessions, config=ServingSpec(),
-                           degradation=policy) as gateway:
-            controller = gateway.degradation
-            controller.tick(depth=10)
-            assert controller.rung("home") == "reduced-k"
-            controller.tick(depth=10)
-            assert controller.rung("home") == "shed"
+        config = ServingSpec(budget=BUDGETS["over"])
+        async with Gateway(sessions, config=config) as gateway:
+            assert await budget_move(
+                gateway, "over", compressed.queries[0]) == "reduced-k"
+            assert await budget_move(
+                gateway, "over", compressed.queries[1]) == "shed"
             # catalog untouched the whole way
             assert sessions.get("home").suite.catalog.variant == "compressed"
 

@@ -18,6 +18,7 @@ import pytest
 from repro.core.episode import EpisodeResult
 from repro.embedding.cache import CachedEmbedder
 from repro.obs.trace import request_trace_id
+from repro.power import BudgetController
 from repro.serving import Gateway, SessionManager
 from repro.serving.http import ASGITestClient, create_app
 from repro.serving.http.app import ERROR_STATUS, METRICS_CONTENT_TYPE
@@ -44,6 +45,12 @@ def make_app(suite, **overrides):
                   default_quant=QUANT)
     kwargs.update(overrides)
     return create_app(Gateway(sessions, config=ServingSpec(**kwargs)))
+
+
+def step_rung(gateway, direction: int, tenant: str = "home"):
+    """Move the tenant one rung, the way the budget controller does."""
+    controller = BudgetController(gateway, BudgetSpec(energy_budget_j=1.0))
+    return controller._step(gateway.sessions.get(tenant), direction)
 
 
 def serve(suite, scenario, **overrides):
@@ -165,12 +172,11 @@ def test_shed_tenant_maps_to_503(suite):
     qid = suite.queries[0].qid
 
     async def scenario(client, app):
-        home = app.gateway.sessions.get("home")
-        app.gateway.ladder.step("operator", home, +1)
-        app.gateway.ladder.step("operator", home, +1)
+        step_rung(app.gateway, +1)
+        step_rung(app.gateway, +1)
         shed = await client.post("/v1/call", {"tenant": "home", "qid": qid})
-        app.gateway.ladder.step("operator", home, -1)
-        app.gateway.ladder.step("operator", home, -1)
+        step_rung(app.gateway, -1)
+        step_rung(app.gateway, -1)
         recovered = await client.post("/v1/call",
                                       {"tenant": "home", "qid": qid})
         return shed, recovered
@@ -376,14 +382,12 @@ def test_delete_then_put_resets_the_ladder(suite):
 
     async def scenario(client, app):
         gateway = app.gateway
-        assert gateway.ladder.step(
-            "pressure", gateway.sessions.get("home"), +1) == "reduced-k"
+        assert step_rung(gateway, +1) == "reduced-k"
         await client.delete("/v1/tenants/home")
         created = await client.put(
             "/v1/tenants/home", {"suite": "geoengine", "n_queries": 4})
         rung = gateway.rung("home")
-        stepped = gateway.ladder.step(
-            "pressure", gateway.sessions.get("home"), +1)
+        stepped = step_rung(gateway, +1)
         return created, rung, stepped, gateway.sessions.get("home").suite
 
     created, rung, stepped, new_suite = serve(suite, scenario)
@@ -396,9 +400,8 @@ def test_delete_then_put_resets_the_ladder(suite):
 
 def test_delete_then_put_unsheds_the_name(suite):
     async def scenario(client, app):
-        home = app.gateway.sessions.get("home")
-        app.gateway.ladder.step("operator", home, +1)  # scheme override
-        app.gateway.ladder.step("operator", home, +1)  # shed
+        step_rung(app.gateway, +1)  # scheme override
+        step_rung(app.gateway, +1)  # shed
         await client.delete("/v1/tenants/home")
         await client.put("/v1/tenants/home",
                          {"suite": "edgehome", "n_queries": 4})
@@ -444,9 +447,8 @@ def test_tenant_status_reports_rung_shed_and_cost(suite):
     async def scenario(client, app):
         await client.post("/v1/call", {"tenant": "home", "qid": qid})
         healthy = await client.get("/v1/tenants/home/status")
-        home = app.gateway.sessions.get("home")
-        app.gateway.ladder.step("operator", home, +1)
-        app.gateway.ladder.step("operator", home, +1)
+        step_rung(app.gateway, +1)
+        step_rung(app.gateway, +1)
         shed = await client.get("/v1/tenants/home/status")
         missing = await client.get("/v1/tenants/ghost/status")
         return healthy, shed, missing
@@ -465,8 +467,8 @@ def test_tenant_status_reports_rung_shed_and_cost(suite):
 
 
 def test_tenant_status_reports_budget_and_power_fields(suite):
-    """The status endpoint surfaces the carbon/power subsystem: rung
-    source, active power mode and the spent window against the budgets."""
+    """The status endpoint surfaces the carbon/power subsystem: the
+    rung, active power mode and the spent window against the budgets."""
     qid = suite.queries[0].qid
     budget = BudgetSpec(energy_budget_j=1e-6, window_requests=1,
                         settle_requests=1, intensity_high=450.0,
@@ -485,7 +487,8 @@ def test_tenant_status_reports_budget_and_power_fields(suite):
     assert before.status == 200
     status = before.json()
     assert status["rung"] == "full"
-    assert status["rung_source"] == "none"
+    assert set(status) == {"name", "catalog_version", "rung", "power_mode",
+                           "shed", "scheme_override", "cost", "budget"}
     assert status["power_mode"] == "MAXN"
     assert status["budget"]["window_requests"] == 1
     assert status["budget"]["window_energy_j"] > 0.0
@@ -494,7 +497,6 @@ def test_tenant_status_reports_budget_and_power_fields(suite):
 
     degraded = after.json()
     assert degraded["rung"] == "reduced-k"
-    assert degraded["rung_source"] == "budget"
     assert degraded["power_mode"] == "30W"
 
 

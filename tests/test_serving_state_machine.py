@@ -3,17 +3,17 @@
 A Hypothesis ``RuleBasedStateMachine`` drives one live :class:`Gateway`
 (batch worker inline, one event loop owned by the machine) through
 DELETE + PUT of a tenant name, catalog hot-swaps, direct ladder moves
-and both controllers' ticks with chosen readings.  The bugs this hunts
+and budget-controller ticks with chosen readings.  The bugs this hunts
 have the shape "operation A, then B, then a request", so every step is
 one operation followed by a burst of requests (``then``, possibly
 empty), submitted without awaiting and then drained.  Every rule runs
 to completion, so each shrunk failure replays step by step.
 
 The model is the spec: per tenant its suite, registration, catalog
-variant, ladder desires, trace-id repeats, energy-window count and
+variant, ladder rung, trace-id repeats, energy-window count and
 budget streaks, plus the plan-cache keys served so far.  After every
-step the gateway's rung, rung source, shed flag, scheme override and
-budget window equal the model's; every burst resolves each future
+step the gateway's rung, shed flag, scheme override and budget window
+equal the model's; every burst resolves each future
 exactly once, every trace id carries the model's repeat, plan-cache hits
 and misses are the model's, and every served episode is bitwise the
 sequential run against the catalog it was leased with.
@@ -36,14 +36,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.obs.trace import request_trace_id
+from repro.power.budget import RUNGS
 from repro.serving import (
-    DegradationPolicy,
     Gateway,
     ServingResponse,
     SessionManager,
     TenantShedError,
 )
-from repro.serving.degrade import RUNGS
 from repro.specs import BudgetSpec, ServingSpec
 from repro.suites import load_suite
 
@@ -55,10 +54,6 @@ N_QUERIES = 4
 #: the scheme default traffic runs at each serving rung (shed serves none)
 SCHEMES = ("lis-k3", "lis-k1")
 SHED = len(RUNGS) - 1
-SOURCES = ("pressure", "budget")
-PRESSURE = DegradationPolicy(queue_high=8, queue_low=1, recovery_ticks=2,
-                             reduced_k_scheme=SCHEMES[1],
-                             interval_ms=600_000.0)
 #: budget readings: 1 µJ is below every served window's mean, 1 GJ above
 BUDGETS = {
     reading: BudgetSpec(energy_budget_j=budget_j, window_requests=2,
@@ -94,23 +89,20 @@ class Tenant:
     suite: str
     registration: int
     variant: str = "full"
-    desired: dict[str, int] = field(default_factory=dict)
+    rung: int = 0
     repeats: dict[str, int] = field(default_factory=dict)
     served: int = 0
     clear_streak: int = 0
     shed_streak: int = 0
     settle_mark: int = 0
 
-    @property
-    def rung(self) -> int:
-        return max(self.desired.values(), default=0)
-
-    def step(self, source: str, direction: int) -> int | None:
-        old = self.desired.get(source, 0)
-        new = min(max(old + direction, 0), SHED)
-        if new == old:
+    def step(self, direction: int) -> int | None:
+        """The controller's step: clamp at the edges, mark the window."""
+        new = min(max(self.rung + direction, 0), SHED)
+        if new == self.rung:
             return None
-        self.desired[source] = new
+        self.rung = new
+        self.settle_mark = self.served
         return new
 
 
@@ -125,11 +117,9 @@ class GatewayMachine(RuleBasedStateMachine):
             self._register(name, suite)
         self.gateway = Gateway(
             self.sessions, config=ServingSpec(plan_cache_size=256,
-                                              budget=BUDGETS["over"]),
-            degradation=PRESSURE)
+                                              budget=BUDGETS["over"]))
         self.loop.run_until_complete(self.gateway.start())
         self.plan_keys: set[tuple] = set()
-        self.pressure_streak = 0
 
     def teardown(self):
         self.loop.run_until_complete(self.gateway.stop())
@@ -202,42 +192,19 @@ class GatewayMachine(RuleBasedStateMachine):
         tenant.variant = variant
         self._drain(then)
 
-    @rule(name=st.sampled_from(NAMES), source=st.sampled_from(SOURCES),
-          direction=st.sampled_from((+1, -1, 0)), then=BURSTS)
-    def ladder(self, name, source, direction, then):
-        """Step a source's desire up or down a rung, or release it (0)."""
-        session = self.sessions.get(name)
-        if direction == 0:
-            self.gateway.ladder.release(source, session)
-            self.model[name].desired.pop(source, None)
-        else:
-            moved = self.model[name].step(source, direction)
-            assert self.gateway.ladder.step(source, session, direction) == (
-                None if moved is None else RUNGS[moved])
+    @rule(name=st.sampled_from(NAMES), direction=st.sampled_from((+1, -1)),
+          then=BURSTS)
+    def ladder(self, name, direction, then):
+        """Step the tenant a rung down or up, as the controller does."""
+        moved = self.model[name].step(direction)
+        assert self.gateway.budget._step(
+            self.sessions.get(name), direction) == (
+            None if moved is None else RUNGS[moved])
         self._drain(then)
 
     # ------------------------------------------------------------------
-    # controllers
+    # the controller
     # ------------------------------------------------------------------
-    @rule(depth=st.sampled_from((0, 4, 100)), then=BURSTS)
-    def pressure_tick(self, depth, then):
-        self.gateway.degradation.tick(depth=depth)
-        direction = 0
-        if depth >= PRESSURE.queue_high:
-            self.pressure_streak = 0
-            direction = +1
-        elif depth <= PRESSURE.queue_low:
-            self.pressure_streak += 1
-            if self.pressure_streak >= PRESSURE.recovery_ticks:
-                self.pressure_streak = 0
-                direction = -1
-        else:
-            self.pressure_streak = 0
-        if direction:
-            for tenant in self.model.values():
-                tenant.step("pressure", direction)
-        self._drain(then)
-
     @rule(reading=st.sampled_from(sorted(BUDGETS)), then=BURSTS)
     def budget_tick(self, reading, then):
         self.gateway.budget.spec = BUDGETS[reading]
@@ -249,29 +216,26 @@ class GatewayMachine(RuleBasedStateMachine):
     @staticmethod
     def _budget_tick(tenant: Tenant, over: bool) -> None:
         recovery = BUDGETS["over"].recovery_ticks
-        moved = None
-        if tenant.desired.get("budget", 0) == SHED:
+        if tenant.rung == SHED:
             # a shed tenant gets probation: a step up every few ticks
             tenant.shed_streak += 1
             if tenant.shed_streak >= recovery:
                 tenant.shed_streak = 0
-                moved = tenant.step("budget", -1)
+                tenant.step(-1)
+            return
+        tenant.shed_streak = 0
+        if not tenant.served or tenant.served == tenant.settle_mark:
+            return  # nothing in the window, or nothing since the move
+        if over:
+            tenant.clear_streak = 0
+            tenant.step(+1)
+        elif tenant.rung:
+            tenant.clear_streak += 1
+            if tenant.clear_streak >= recovery:
+                tenant.clear_streak = 0
+                tenant.step(-1)
         else:
-            tenant.shed_streak = 0
-            if not tenant.served or tenant.served == tenant.settle_mark:
-                return  # nothing in the window, or nothing since the move
-            if over:
-                tenant.clear_streak = 0
-                moved = tenant.step("budget", +1)
-            elif tenant.desired.get("budget", 0):
-                tenant.clear_streak += 1
-                if tenant.clear_streak >= recovery:
-                    tenant.clear_streak = 0
-                    moved = tenant.step("budget", -1)
-            else:
-                tenant.clear_streak = 0
-        if moved is not None:
-            tenant.settle_mark = tenant.served
+            tenant.clear_streak = 0
 
     # ------------------------------------------------------------------
     # the spec
@@ -282,11 +246,7 @@ class GatewayMachine(RuleBasedStateMachine):
         assert sorted(self.sessions.tenant_names) == sorted(self.model)
         for name, tenant in self.model.items():
             rung = RUNGS[tenant.rung]
-            sources = sorted(source for source, desired
-                             in tenant.desired.items()
-                             if desired == tenant.rung > 0)
             assert gateway.rung(name) == rung
-            assert gateway.rung_source(name) == ("+".join(sources) or "none")
             assert gateway.is_shed(name) == (rung == "shed")
             assert gateway.scheme_override(name) == (
                 None if rung == "full" else SCHEMES[1])
