@@ -8,14 +8,14 @@ Commands
 ``levels``     inspect the offline Search Levels built for a suite
 ``catalog``    list / show / diff registered tool catalogs and variants
 ``profile``    cost one hypothetical function-calling turn on the Orin
-``metrics``    serve a short load, print Prometheus text exposition
-``chaos``      serve a workload under seeded fault injection
-``carbon``     compare uncontrolled vs carbon/power-budgeted serving
-``serve``      boot the HTTP front door over registered tenant suites
+``load``       drive a closed-loop load through a serving spec's gateway
+``serve``      boot the HTTP front door over a serving spec's gateway
 
 Every evaluation command builds a typed spec (:mod:`repro.specs`) and
 drives it through one :func:`repro.open_session` session, so the CLI,
 the examples and the bench scripts all exercise the same entrypoint.
+``load`` and ``serve`` read one :class:`~repro.specs.ServingSpec` (a
+``--spec`` JSON file or a few flags): a fault plan is one of its sections.
 Suite and scheme names resolve through the plugin registries — a
 third-party suite registered via :func:`repro.registry.register_suite`
 is immediately addressable as ``--suite <name>``.
@@ -32,9 +32,8 @@ Examples::
     python -m repro catalog show edgehome --variant compressed
     python -m repro catalog diff edgehome edgehome --against-variant minimal
     python -m repro profile --tools 46 --window 16384 --quant q4_K_M
-    python -m repro metrics --suite edgehome --requests 16
-    python -m repro chaos --slow-rate 0.25 --trace-out /tmp/chaos_trace.jsonl
-    python -m repro carbon --suite edgehome --requests 48
+    python -m repro load --requests 16 --prometheus
+    python -m repro load --spec examples/specs/chaos_stall.json --requests 64
     python -m repro serve --tenants edgehome,bfcl --port 8080 \
         --carbon-budget 180
 """
@@ -45,7 +44,16 @@ import argparse
 
 from repro.registry import SUITES
 from repro.session import open_session
-from repro.specs import AgentSpec, EngineSpec, ExperimentSpec, GridSpec, SuiteSpec
+from repro.specs import (
+    CATALOG_VARIANTS,
+    POWER_MODE_NAMES,
+    AgentSpec,
+    EngineSpec,
+    ExperimentSpec,
+    GridSpec,
+    ServingSpec,
+    SuiteSpec,
+)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -54,6 +62,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quant", default="q4_K_M")
     parser.add_argument("-n", "--queries", type=int, default=60,
                         help="queries per batch (paper: 230)")
+
+
+def _add_serving(parser: argparse.ArgumentParser) -> None:
+    """The flags :func:`_serving_spec` builds a ServingSpec from."""
+    parser.add_argument("--spec", default=None, metavar="PATH",
+                        help="ServingSpec JSON file (excludes --tenants, -n "
+                             "and the batching flags)")
+    parser.add_argument("--tenants", default=None,
+                        help="comma-separated suite names; each becomes a "
+                             "tenant of the same name (default: edgehome)")
+    parser.add_argument("-n", "--queries", type=int, default=None,
+                        help="queries per tenant suite")
+    parser.add_argument("--batch-size", type=int, default=None,
+                        help="micro-batch cap (ServingSpec.max_batch_size)")
+    parser.add_argument("--plan-cache", type=int, default=None,
+                        help="plan-result memoization entries")
+    parser.add_argument("--timeout-ms", type=float, default=None,
+                        help="end-to-end per-request deadline")
+    parser.add_argument("--carbon-budget", type=float, default=None,
+                        metavar="J_PER_REQ",
+                        help="enable the carbon/power budget controller "
+                             "with this rolling joules-per-request cap")
+    parser.set_defaults(parser=parser)
 
 
 def _session(args: argparse.Namespace, agent: AgentSpec | None = None,
@@ -73,8 +104,8 @@ def _engine_spec(args: argparse.Namespace) -> EngineSpec | None:
     """
     if args.engine is None and args.engine_url is None:
         return None
-    name = args.engine or "openai_http"
-    return EngineSpec(name=name, base_url=args.engine_url)
+    return EngineSpec(name=args.engine or "openai_http",
+                      base_url=args.engine_url)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -217,15 +248,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.llm import get_quant_spec
     from repro.llm.tokens import AGENT_SYSTEM_TOKENS
 
-    spec = get_quant_spec(args.quant)
-    device = orin_in_mode(args.power_mode)
     prompt = AGENT_SYSTEM_TOKENS + args.tools * 150 + 40
     trace = simulate_inference(InferenceRequest(
-        params_b=args.params_b, bits_per_weight=spec.bits_per_weight,
+        params_b=args.params_b,
+        bits_per_weight=get_quant_spec(args.quant).bits_per_weight,
         prompt_tokens=min(prompt, args.window - 1024),
         generated_tokens=args.output_tokens, context_window=args.window,
         jitter_stream="cli-profile",
-    ), device=device)
+    ), device=orin_in_mode(args.power_mode))
     print(f"{args.tools} tools | {args.window} window | {args.quant} | "
           f"{args.power_mode}")
     print(f"  prefill {trace.prefill_s:.1f}s + decode {trace.decode_s:.1f}s "
@@ -234,216 +264,90 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Serve a short load and print the Prometheus text exposition.
+def _serving_spec(args: argparse.Namespace) -> ServingSpec:
+    """The :class:`~repro.specs.ServingSpec` ``serve`` and ``load`` run:
+    the ``--spec`` file, or one built from ``--tenants``, ``-n``,
+    ``--batch-size``, ``--plan-cache`` and ``--timeout-ms`` over the
+    spec's own defaults — never both, so no flag is dropped in silence.
+    ``--carbon-budget`` applies on top of either."""
+    import json
 
-    What a scrape of ``repro serve``'s ``GET /metrics`` returns:
-    ``Gateway.metrics_text()`` — telemetry snapshot plus the per-tenant
-    cost ledger — after ``--requests`` closed-loop requests.
+    from repro.specs import BudgetSpec, TenantSpec
+
+    given = [flag for dest, flag in (
+        ("tenants", "--tenants"), ("queries", "-n"),
+        ("batch_size", "--batch-size"), ("plan_cache", "--plan-cache"),
+        ("timeout_ms", "--timeout-ms")) if getattr(args, dest) is not None]
+    if args.spec:
+        if given:
+            args.parser.error(f"{', '.join(given)} cannot be combined "
+                              f"with --spec")
+        with open(args.spec) as handle:
+            serving = ServingSpec.from_dict(json.load(handle))
+    else:
+        fields = {"max_batch_size": args.batch_size,
+                  "plan_cache_size": args.plan_cache,
+                  "timeout_ms": args.timeout_ms}
+        serving = ServingSpec(
+            tenants=tuple(
+                TenantSpec(name, SuiteSpec(name, n_queries=args.queries))
+                for name in (args.tenants or "edgehome").split(",")),
+            **{name: value for name, value in fields.items()
+               if value is not None})
+    if args.carbon_budget is not None:
+        serving = serving.replace(
+            budget=BudgetSpec(energy_budget_j=args.carbon_budget))
+    return serving
+
+
+def cmd_load(args: argparse.Namespace) -> int:
+    """Drive ``--requests`` closed-loop requests through the gateway the
+    serving spec describes; exit 1 if the drained run breaks one of the
+    invariants of :meth:`~repro.serving.loadgen.LoadReport.failures`.
+
+    ``--prometheus`` prints what a scrape of ``repro serve``'s ``GET
+    /metrics`` returns instead of the summary.
     """
     from repro.obs.prometheus import render_prometheus
     from repro.serving import run_load
-    from repro.specs import ObsSpec, ServingSpec
-    from repro.suites import load_suite
 
-    config = ServingSpec(
-        max_batch_size=args.batch_size,
-        obs=ObsSpec(sink="memory", sample_rate=args.sample_rate))
-    report = run_load({args.suite: load_suite(args.suite)}, config,
-                      n_requests=args.requests, concurrency=args.concurrency)
-    print(render_prometheus(report.gateway_metrics, cost=report.cost),
-          end="")
-    return 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Replayable chaos run: serve a workload while injecting faults.
-
-    Exits 1 when a request was lost although the plan injected only
-    recoverable faults (``--exception-rate 0`` and no ``--timeout-ms``:
-    a stalled batch still finishes), or when the hooks of the trace
-    artifact's ``fault`` spans disagree with telemetry about where
-    faults fired.
-    """
-    from collections import Counter
-
-    from repro.obs.sinks import read_jsonl_spans
-    from repro.serving import FaultPlan, make_workload, run_load
-    from repro.specs import ObsSpec, ServingSpec
-    from repro.suites import load_suite
-
-    config = ServingSpec(
-        max_batch_size=args.batch_size,
-        timeout_ms=args.timeout_ms,
-        obs=(ObsSpec(sink="jsonl", sink_path=args.trace_out)
-             if args.trace_out else None),
-    )
-    plan = FaultPlan(seed=args.seed,
-                     slow_batch_rate=args.slow_rate, slow_batch_ms=250.0,
-                     exception_rate=args.exception_rate)
-    suites = {args.suite: load_suite(args.suite)}
-    report = run_load(suites, config,
-                      n_requests=args.requests, concurrency=args.concurrency,
-                      faults=plan, tolerate_errors=True)
+    spec = _serving_spec(args)
+    report = run_load(open_session(spec).serve(), args.requests,
+                      args.concurrency, tolerate_errors=True)
     metrics = report.gateway_metrics
-    print(f"chaos seed {args.seed}: {report.n_requests} requests, "
-          f"{report.n_errors} failed ({report.success_rate:.0%} served)")
-    print(f"  faults injected: {metrics['faults_injected_by_hook'] or 'none'}")
-    print(f"  deadline timeouts {metrics['deadline_timeouts']}")
-    print(f"  p95 latency {report.latency_p95_ms:.1f} ms at "
-          f"{report.throughput_rps:.1f} req/s")
-    failed = False
-    if (report.n_errors and args.exception_rate == 0
-            and args.timeout_ms is None):
-        # the report keeps every served episode, so what the workload
-        # offered and no episode answers is what was lost
-        lost = (Counter((load.tenant, load.query.qid)
-                        for load in make_workload(suites, args.requests))
-                - Counter(key[:2] for key in report.episodes))
-        print(f"  LOST: {report.n_errors} request(s) failed under "
-              f"recoverable faults only: " + ", ".join(
-                  f"{tenant}/{qid}" + (f" x{count}" if count > 1 else "")
-                  for (tenant, qid), count in sorted(lost.items())))
-        failed = True
-    if args.trace_out:
-        spans = read_jsonl_spans(args.trace_out)
-        traces = {span["trace_id"] for span in spans}
-        span_hooks = sorted({span["attributes"]["hook"] for span in spans
-                             if span["name"] == "fault"})
-        injected_hooks = sorted(metrics["faults_injected_by_hook"])
-        print(f"  trace artifact: {len(spans)} spans / {len(traces)} traces "
-              f"-> {args.trace_out}")
-        print(f"  fault spans at hooks: {span_hooks or 'none'}")
-        # every injected fault surfaces as a fault span at the same hook,
-        # deadline-abandoned requests included
-        if injected_hooks != span_hooks:
-            print(f"  MISMATCH: telemetry recorded faults at "
-                  f"{injected_hooks}, fault spans cover {span_hooks}")
-            failed = True
-    return 1 if failed else 0
-
-
-def cmd_carbon(args: argparse.Namespace) -> int:
-    """Serve the same load twice — uncontrolled, then under a joule
-    budget — and print the energy/carbon ledger of both.
-
-    Requests go through the gateway in waves of ``--window`` with one
-    controller tick between waves, so the descent down the ladder (full
-    → reduced-k → shed) is deterministic.  With no explicit ``--budget``
-    the cap self-calibrates to ``--budget-fraction`` of the uncontrolled
-    mean, so the command always demonstrates the controller controlling.
-    """
-    import asyncio
-    import time
-
-    from repro.obs.prometheus import split_labels
-    from repro.serving import Gateway, SessionManager, TenantShedError
-    from repro.specs import BudgetSpec, ServingSpec
-    from repro.suites import load_suite
-
-    suite = load_suite(args.suite)
-    queries = suite.queries
-
-    def run(spec: "BudgetSpec | None"):
-        async def scenario():
-            sessions = SessionManager()
-            sessions.register(args.suite, suite)
-            config = ServingSpec(max_batch_size=args.batch_size,
-                                 budget=spec)
-            async with Gateway(sessions, config=config) as gateway:
-                start = time.perf_counter()
-                served = 0
-                for wave in range(0, args.requests, args.window):
-                    n = min(args.window, args.requests - wave)
-                    batch = [queries[(wave + i) % len(queries)]
-                             for i in range(n)]
-                    outcomes = await asyncio.gather(*(
-                        gateway.submit(args.suite, query)
-                        for query in batch), return_exceptions=True)
-                    for outcome in outcomes:
-                        # a tight budget may legitimately shed; anything
-                        # else is a real failure
-                        if isinstance(outcome, TenantShedError):
-                            continue
-                        if isinstance(outcome, BaseException):
-                            raise outcome
-                        served += 1
-                    if gateway.budget is not None:
-                        gateway.budget.tick()
-                wall = time.perf_counter() - start
-                return served, served / wall, gateway.metrics()
-
-        served, goodput, metrics = asyncio.run(scenario())
-        return served, goodput, metrics, (metrics["energy_j"] / served,
-                                          metrics["carbon_g"] / served)
-
-    served, goodput, _, (base_j, base_g) = run(None)
-    print(f"uncontrolled: {served}/{args.requests} req at "
-          f"{goodput:.1f} req/s | "
-          f"{base_j:.1f} J/req | {base_g * 1e3:.2f} mgCO2/req")
-
-    budget_j = (args.budget if args.budget is not None
-                else base_j * args.budget_fraction)
-    spec = BudgetSpec(
-        energy_budget_j=budget_j,
-        window_requests=args.window, settle_requests=args.window,
-        recovery_ticks=2, interval_ms=3_600_000.0,
-        signal=args.signal, trace_path=args.trace_path,
-        intensity_g_per_kwh=args.intensity,
-        intensity_high=args.intensity_high)
-    served, goodput, metrics, (ctl_j, ctl_g) = run(spec)
-    saved = (1.0 - ctl_j / base_j) if base_j > 0 else 0.0
-    print(f"budget {budget_j:.1f} J/req: {served}/{args.requests} req at "
-          f"{goodput:.1f} req/s | {ctl_j:.1f} J/req | "
-          f"{ctl_g * 1e3:.2f} mgCO2/req ({saved:.0%} energy saved)")
-    ladder, modes = {}, {}
-    for key, count in sorted(metrics["budget_transitions_detail"].items()):
-        scope = split_labels(key, 3)[0]
-        (modes if scope == "device" else ladder)[key] = count
-    print(f"  ladder moves: {ladder or 'none'}")
-    print(f"  power-mode moves: {modes or 'none'}")
-    return 0
+    if args.prometheus:
+        print(render_prometheus(metrics, cost=report.cost), end="")
+    else:
+        print(f"load: {report.n_requests} requests, {report.n_errors} failed "
+              f"({report.success_rate:.0%} served), p95 latency "
+              f"{report.latency_p95_ms:.1f} ms at "
+              f"{report.throughput_rps:.1f} req/s")
+        print(f"  faults injected: {metrics['faults_injected_by_hook'] or 'none'}"
+              f" | deadline timeouts {metrics['deadline_timeouts']}"
+              f" | shed {metrics['shed_requests']}")
+    failures = report.failures(spec)
+    for failure in failures:
+        print(f"  {failure}")
+    return 1 if failures else 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the HTTP front door (``repro.serving.http``) and serve.
 
-    Tenants come from ``--tenants`` (each named suite becomes a tenant
-    of the same name) or from a full :class:`~repro.specs.ServingSpec`
-    JSON file via ``--spec``.  The builtin asyncio server needs nothing
-    beyond the stdlib; ``--uvicorn`` mounts the same ASGI app in uvicorn
-    when that optional extra is installed.  Stop with Ctrl-C — the
-    gateway drains and shuts down cleanly.
+    ``--host``/``--port`` apply on top of the spec's ``http`` section.
+    The builtin asyncio server needs nothing beyond the stdlib;
+    ``--uvicorn`` mounts the same ASGI app in uvicorn (optional extra).
+    Stop with Ctrl-C — the gateway drains and shuts down cleanly.
     """
     import asyncio
-    import json
 
     from repro.serving.http import create_app, run_uvicorn, serve_gateway
-    from repro.specs import HttpSpec, ServingSpec, TenantSpec
+    from repro.specs import HttpSpec
 
-    if args.spec:
-        with open(args.spec) as handle:
-            serving = ServingSpec.from_dict(json.load(handle))
-    else:
-        serving = ServingSpec(
-            tenants=tuple(
-                TenantSpec(name=name,
-                           suite=SuiteSpec(name, n_queries=args.queries))
-                for name in args.tenants.split(",")),
-            max_batch_size=args.batch_size,
-            plan_cache_size=args.plan_cache,
-            timeout_ms=args.timeout_ms,
-        )
-    if args.carbon_budget is not None:
-        from repro.specs import BudgetSpec
-
-        serving = serving.replace(
-            budget=BudgetSpec(energy_budget_j=args.carbon_budget))
-    http = serving.http if serving.http is not None else HttpSpec()
-    if args.host is not None:
-        http = http.replace(host=args.host)
-    if args.port is not None:
-        http = http.replace(port=args.port)
+    serving = _serving_spec(args)
+    http = (serving.http or HttpSpec()).replace(**{
+        name: getattr(args, name) for name in ("host", "port")
+        if getattr(args, name) is not None})
     serving = serving.replace(http=http)
     gateway = open_session(serving).serve()
     if args.uvicorn:
@@ -474,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run_parser)
     run_parser.add_argument("--scheme", default="lis-k3")
     run_parser.add_argument("--engine", default=None,
-                            help="LLM engine name (registered via "
-                                 "register_engine; default: the simulated "
-                                 "engine)")
+                            help="registered LLM engine (default: simulated)")
     run_parser.add_argument("--engine-url", default=None, metavar="URL",
                             help="base URL of an OpenAI-compatible server "
                                  "(e.g. http://127.0.0.1:8080/v1); implies "
@@ -512,24 +414,23 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="all registered catalogs with per-variant token totals")
     catalog_list.set_defaults(func=cmd_catalog_list)
 
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--variant", default="full", choices=CATALOG_VARIANTS,
+                         help="description variant (diff: of both sides)")
     catalog_show = catalog_sub.add_parser(
-        "show", help="one catalog's tools, grouped by category")
+        "show", parents=[variant],
+        help="one catalog's tools, grouped by category")
     catalog_show.add_argument("name", help="registered catalog name")
-    catalog_show.add_argument("--variant", default="full",
-                              choices=["full", "compressed", "minimal"],
-                              help="description variant to present")
     catalog_show.set_defaults(func=cmd_catalog_show)
 
     catalog_diff = catalog_sub.add_parser(
-        "diff", help="added/removed/changed tools between two catalogs "
-                     "(exit 1 when they differ, like diff(1))")
+        "diff", parents=[variant],
+        help="added/removed/changed tools between two catalogs "
+             "(exit 1 when they differ, like diff(1))")
     catalog_diff.add_argument("old", help="registered catalog name (before)")
     catalog_diff.add_argument("new", help="registered catalog name (after)")
-    catalog_diff.add_argument("--variant", default="full",
-                              choices=["full", "compressed", "minimal"],
-                              help="variant for both sides")
     catalog_diff.add_argument("--against-variant", default=None,
-                              choices=["full", "compressed", "minimal"],
+                              choices=CATALOG_VARIANTS,
                               help="variant for the 'after' side only "
                                    "(diff a catalog against its own "
                                    "compressed/minimal form)")
@@ -542,87 +443,26 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.add_argument("--params-b", type=float, default=8.0)
     profile_parser.add_argument("--output-tokens", type=int, default=130)
     profile_parser.add_argument("--power-mode", default="MAXN",
-                                choices=["MAXN", "30W", "15W"])
+                                choices=POWER_MODE_NAMES)
     profile_parser.set_defaults(func=cmd_profile)
 
-    metrics_parser = sub.add_parser(
-        "metrics", help="serve a short load, print Prometheus exposition")
-    metrics_parser.add_argument("--suite", default="edgehome")
-    metrics_parser.add_argument("--requests", type=int, default=16)
-    metrics_parser.add_argument("--concurrency", type=int, default=8)
-    metrics_parser.add_argument("--batch-size", type=int, default=8)
-    metrics_parser.add_argument("--sample-rate", type=float, default=1.0,
-                                help="trace sample rate for the run")
-    metrics_parser.set_defaults(func=cmd_metrics)
-
-    chaos_parser = sub.add_parser(
-        "chaos", help="serve a workload under seeded fault injection")
-    chaos_parser.add_argument("--suite", default="edgehome")
-    chaos_parser.add_argument("--seed", type=int, default=0,
-                              help="FaultPlan seed (same seed, same faults)")
-    chaos_parser.add_argument("--requests", type=int, default=32)
-    chaos_parser.add_argument("--concurrency", type=int, default=8)
-    chaos_parser.add_argument("--batch-size", type=int, default=8)
-    chaos_parser.add_argument("--timeout-ms", type=float, default=None,
-                              help="end-to-end per-request deadline")
-    chaos_parser.add_argument("--slow-rate", type=float, default=0.0)
-    chaos_parser.add_argument("--exception-rate", type=float, default=0.1)
-    chaos_parser.add_argument("--trace-out", default=None, metavar="PATH",
-                              help="write a JSONL trace artifact and verify "
-                                   "injected faults appear as fault spans")
-    chaos_parser.set_defaults(func=cmd_chaos)
-
-    carbon_parser = sub.add_parser(
-        "carbon", help="uncontrolled vs carbon/power-budgeted serving")
-    carbon_parser.add_argument("--suite", default="edgehome")
-    carbon_parser.add_argument("--requests", type=int, default=48)
-    carbon_parser.add_argument("--batch-size", type=int, default=8)
-    carbon_parser.add_argument("--window", type=int, default=8,
-                               help="rolling budget window (requests)")
-    carbon_parser.add_argument("--budget", type=float, default=None,
-                               metavar="J_PER_REQ",
-                               help="joules-per-request cap (default: "
-                                    "--budget-fraction of uncontrolled)")
-    carbon_parser.add_argument("--budget-fraction", type=float, default=0.6,
-                               help="self-calibrated cap as a fraction of "
-                                    "the uncontrolled mean")
-    carbon_parser.add_argument("--signal", default="static",
-                               help="registered carbon signal "
-                                    "(static, sinusoid, trace, ...)")
-    carbon_parser.add_argument("--trace-path", default=None, metavar="CSV",
-                               help="grid-intensity CSV for --signal trace")
-    carbon_parser.add_argument("--intensity", type=float, default=400.0,
-                               help="grid intensity in gCO2/kWh (static "
-                                    "signal / sinusoid mean)")
-    carbon_parser.add_argument("--intensity-high", type=float, default=None,
-                               help="step the board down power modes at or "
-                                    "above this intensity")
-    carbon_parser.set_defaults(func=cmd_carbon)
+    load_parser = sub.add_parser(
+        "load", help="closed-loop load on a serving spec, invariants checked")
+    _add_serving(load_parser)
+    load_parser.add_argument("--requests", type=int, default=32)
+    load_parser.add_argument("--concurrency", type=int, default=8)
+    load_parser.add_argument("--prometheus", action="store_true",
+                             help="print the run's Prometheus exposition "
+                                  "instead of the summary")
+    load_parser.set_defaults(func=cmd_load)
 
     serve_parser = sub.add_parser(
         "serve", help="boot the HTTP front door over tenant suites")
-    serve_parser.add_argument("--tenants", default="edgehome",
-                              help="comma-separated suite names; each "
-                                   "becomes a tenant of the same name")
-    serve_parser.add_argument("--spec", default=None, metavar="PATH",
-                              help="ServingSpec JSON file (overrides "
-                                   "--tenants and the batching flags)")
-    serve_parser.add_argument("-n", "--queries", type=int, default=None,
-                              help="queries per tenant suite")
+    _add_serving(serve_parser)
     serve_parser.add_argument("--host", default=None,
                               help="bind host (default 127.0.0.1)")
     serve_parser.add_argument("--port", type=int, default=None,
                               help="bind port (default 8080; 0 = ephemeral)")
-    serve_parser.add_argument("--batch-size", type=int, default=32)
-    serve_parser.add_argument("--plan-cache", type=int, default=0,
-                              help="plan-result memoization entries")
-    serve_parser.add_argument("--timeout-ms", type=float, default=None,
-                              help="end-to-end per-request deadline")
-    serve_parser.add_argument("--carbon-budget", type=float, default=None,
-                              metavar="J_PER_REQ",
-                              help="enable the carbon/power budget "
-                                   "controller with this rolling "
-                                   "joules-per-request cap")
     serve_parser.add_argument("--uvicorn", action="store_true",
                               help="serve through uvicorn (optional extra) "
                                    "instead of the builtin asyncio server")

@@ -31,6 +31,8 @@ class InferenceRequest:
     jitter_stream: str = ""
 
     def __post_init__(self):
+        if self.params_b <= 0 or self.bits_per_weight <= 0:
+            raise ValueError("params_b and bits_per_weight must be positive")
         if self.prompt_tokens < 0 or self.generated_tokens < 0:
             raise ValueError("token counts must be >= 0")
         if self.context_window <= 0:

@@ -7,7 +7,7 @@ into the `text exposition format
 monotonic histogram buckets, summary quantiles.  It renders from the
 *snapshot*, not the live :class:`Telemetry`, so the same function serves
 ``Gateway.metrics_text()`` (the HTTP edge's ``GET /metrics``), the
-``repro metrics`` CLI and offline ``LoadReport`` dumps.
+``repro load --prometheus`` CLI and offline ``LoadReport`` dumps.
 
 The latency and queue-wait percentiles are exported as ``summary``
 families with a ``window="ring"`` label: they come from Telemetry's

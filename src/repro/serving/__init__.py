@@ -31,11 +31,7 @@ from repro.serving.batcher import (
     SchedulerStoppedError,
 )
 from repro.power import BudgetController, EnergyMeter
-from repro.serving.faults import (
-    FaultInjector,
-    FaultPlan,
-    InjectedFaultError,
-)
+from repro.serving.faults import FaultInjector, InjectedFaultError
 from repro.serving.gateway import (
     DeadlineExceededError,
     Gateway,
@@ -69,7 +65,6 @@ __all__ = [
     "DeadlineExceededError",
     "EnergyMeter",
     "FaultInjector",
-    "FaultPlan",
     "Gateway",
     "GatewayHTTPApp",
     "HTTPConnection",

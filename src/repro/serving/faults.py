@@ -1,11 +1,11 @@
 """Deterministic fault injection for the serving runtime.
 
 Chaos testing the gateway only means something if a failing run can be
-replayed: a :class:`FaultPlan` is a frozen, seeded description of *which*
-faults fire *how often*, and a :class:`FaultInjector` built from it makes
-bit-reproducible decisions by drawing from named BLAKE2-derived RNG
-streams (:func:`repro.utils.rng.derive_rng`) — the same plan produces the
-same decision sequence at every hook on every platform.
+replayed: a :class:`~repro.specs.FaultPlan` (``ServingSpec.faults``) is
+a frozen, seeded description of *which* faults fire *how often*, and a
+:class:`FaultInjector` built from it draws bit-reproducible decisions
+from named BLAKE2-derived RNG streams (:func:`repro.utils.rng.derive_rng`):
+the same plan makes the same decisions at every hook on every platform.
 
 Faults fire at two **hook points** (:attr:`FaultInjector._HOOK_RATES`
 is the table), covering the layers a production gateway loses first:
@@ -17,7 +17,7 @@ is the table), covering the layers a production gateway loses first:
     inside per-group planning/execution — a ``raise`` decision throws
     :class:`InjectedFaultError`, exercising per-group failure isolation.
 
-Injectors are *opt-in*: a gateway built without a plan never consults
+Injectors are *opt-in*: a gateway whose spec has no plan never consults
 one, so the production hot path carries a single ``None`` check.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from repro.specs import FaultPlan
 from repro.utils.rng import derive_rng
 
 
@@ -41,35 +42,6 @@ class FaultAction:
     kind: str
     #: stall duration for ``slow`` actions (0 otherwise)
     sleep_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Seeded description of a chaos scenario.
-
-    Rates are per-invocation firing probabilities in ``[0, 1]`` for each
-    built-in hook; ``seed`` namespaces every decision stream, so two
-    plans differing only in seed inject at different (but individually
-    reproducible) points.
-    """
-
-    seed: int = 0
-    slow_batch_rate: float = 0.0
-    slow_batch_ms: float = 0.0
-    exception_rate: float = 0.0
-
-    def __post_init__(self):
-        for name in ("slow_batch_rate", "exception_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"FaultPlan.{name} must be in [0, 1], got {rate}")
-        if self.slow_batch_ms < 0.0:
-            raise ValueError(
-                f"FaultPlan.slow_batch_ms must be >= 0, got {self.slow_batch_ms}")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.slow_batch_rate == 0.0 and self.exception_rate == 0.0
 
 
 class FaultInjector:
@@ -115,22 +87,8 @@ class FaultInjector:
         sleep_s = self.plan.slow_batch_ms / 1e3 if kind == "slow" else 0.0
         return FaultAction(hook=hook, kind=kind, sleep_s=sleep_s)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultInjector({self.plan!r})"
 
-
-def as_injector(faults) -> FaultInjector | None:
-    """Normalize a plan/injector/None into an injector (or None).
-
-    Empty plans normalize to ``None`` so the serving hot path skips the
-    hook checks entirely when no fault can ever fire.
-    """
-    if faults is None:
-        return None
-    if isinstance(faults, FaultPlan):
-        return None if faults.is_empty else FaultInjector(faults)
-    if isinstance(faults, FaultInjector):
-        return None if faults.plan.is_empty else faults
-    raise TypeError(
-        f"faults must be a FaultPlan or FaultInjector, got "
-        f"{type(faults).__name__}")
+def as_injector(plan: FaultPlan | None) -> FaultInjector | None:
+    """The injector for ``plan``; ``None`` for no plan or an empty one,
+    so the serving hot path skips the hooks when no fault can fire."""
+    return None if plan is None or plan.is_empty else FaultInjector(plan)

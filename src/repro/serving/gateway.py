@@ -172,14 +172,12 @@ class Gateway:
         self,
         sessions: SessionManager,
         config: ServingSpec | None = None,
-        telemetry: Telemetry | None = None,
-        faults=None,
         tracer=None,
     ):
         self.sessions = sessions
         self.config = config if config is not None else ServingSpec()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._faults = as_injector(faults)
+        self.telemetry = Telemetry()
+        self._faults = as_injector(self.config.faults)
         # an explicit tracer (tests, embedding hosts) wins over the
         # config's ObsSpec; both absent means tracing is off entirely.
         # stop() closes only a sink the gateway built itself

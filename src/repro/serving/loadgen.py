@@ -4,19 +4,20 @@
 clients, each submitting the next request from a shared workload as soon
 as its previous one completes — the standard closed-loop model, whose
 offered load adapts to service throughput.  The sync :func:`run_load`
-wrapper owns the event loop and the gateway lifecycle, which is what the
-bench harness and tests call.
+wrapper owns the event loop and the gateway lifecycle, which is what
+``repro load`` and the tests call.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.episode import EpisodeResult
+from repro.obs.sinks import read_jsonl_spans
 from repro.serving.gateway import Gateway
-from repro.serving.session import SessionManager
 from repro.serving.telemetry import percentile
 from repro.specs import ServingSpec
 from repro.suites.base import BenchmarkSuite, Query
@@ -49,6 +50,8 @@ class LoadReport:
     cost: dict = field(default_factory=dict)
     #: requests that failed (only populated under ``tolerate_errors``)
     n_errors: int = 0
+    #: the offered requests, in order
+    workload: list[LoadSpec] = field(repr=False, default_factory=list)
 
     @property
     def throughput_rps(self) -> float:
@@ -75,6 +78,49 @@ class LoadReport:
             return 0.0
         return (self.n_requests - self.n_errors) / self.n_requests
 
+    def failures(self, config: ServingSpec) -> list[str]:
+        """One message per invariant the drained run breaks (empty: sound).
+
+        Telemetry accounts for every offered request (offered = admitted
+        + rejected + shed, admitted = completed + failed).  ``LOST``: no
+        request fails unless ``config`` makes a loss expected (fault-plan
+        exceptions, a deadline or a budget; a stalled batch still
+        finishes).  ``MISMATCH``: when every request was traced into a
+        ``jsonl`` artifact, its ``fault`` spans' hooks are the hooks
+        telemetry counted.
+        """
+        metrics, failures = self.gateway_metrics, []
+        admitted = metrics["requests_admitted"]
+        offered = (admitted + metrics["requests_rejected"]
+                   + metrics["shed_requests"])
+        settled = metrics["requests_completed"] + metrics["requests_failed"]
+        if offered != self.n_requests:
+            failures.append(f"{self.n_requests} requests offered, telemetry "
+                            f"admitted, rejected or shed {offered}")
+        if admitted != settled:
+            failures.append(f"{admitted} requests admitted, telemetry "
+                            f"completed or failed {settled}")
+        if (self.n_errors and config.timeout_ms is None and config.budget is None
+                and not (config.faults and config.faults.exception_rate)):
+            # every served episode is kept, so what the workload offered
+            # and no episode answers is what was lost
+            lost = (Counter((load.tenant, load.query.qid)
+                            for load in self.workload)
+                    - Counter(key[:2] for key in self.episodes))
+            failures.append(
+                f"LOST: {self.n_errors} request(s) failed under recoverable "
+                f"faults only: " + ", ".join(
+                    f"{tenant}/{qid}" + (f" x{count}" if count > 1 else "")
+                    for (tenant, qid), count in sorted(lost.items())))
+        span_hooks = _fault_span_hooks(config.obs)
+        injected_hooks = sorted(metrics["faults_injected_by_hook"])
+        if span_hooks is not None and span_hooks != injected_hooks:
+            # every injected fault surfaces as a fault span at the same
+            # hook, deadline-abandoned requests included
+            failures.append(f"MISMATCH: telemetry recorded faults at "
+                            f"{injected_hooks}, fault spans cover {span_hooks}")
+        return failures
+
     @property
     def latency_p50_ms(self) -> float:
         return percentile(self.latencies_s, 50.0) * 1e3
@@ -86,6 +132,16 @@ class LoadReport:
     @property
     def latency_p99_ms(self) -> float:
         return percentile(self.latencies_s, 99.0) * 1e3
+
+
+def _fault_span_hooks(obs) -> list[str] | None:
+    """Hooks of a run's ``fault`` spans, sorted — or ``None`` unless
+    every request was traced into a ``jsonl`` artifact."""
+    if obs is None or obs.sink != "jsonl" or obs.sample_rate < 1.0:
+        return None
+    return sorted({span["attributes"]["hook"]
+                   for span in read_jsonl_spans(obs.sink_path)
+                   if span["name"] == "fault"})
 
 
 async def run_closed_loop(gateway: Gateway, workload: list[LoadSpec],
@@ -137,6 +193,7 @@ async def run_closed_loop(gateway: Gateway, workload: list[LoadSpec],
         gateway_metrics=gateway.metrics(),
         cost=gateway.costs(),
         n_errors=errors[0],
+        workload=workload,
     )
 
 
@@ -161,34 +218,22 @@ def make_workload(suites: dict[str, BenchmarkSuite], n_requests: int) -> list[Lo
     return workload
 
 
-def run_load(
-    suites: dict[str, BenchmarkSuite],
-    config: ServingSpec,
-    n_requests: int,
-    concurrency: int,
-    embedder=None,
-    faults=None,
-    tolerate_errors: bool = False,
-    tracer=None,
-) -> LoadReport:
-    """Boot a gateway over ``suites``, drive it closed-loop, shut it down.
+def run_load(gateway: Gateway, n_requests: int, concurrency: int,
+             tolerate_errors: bool = False) -> LoadReport:
+    """Start ``gateway``, drive ``n_requests`` of its tenants' queries
+    (:func:`make_workload`) closed-loop, stop it, and report.
 
-    ``faults`` (a :class:`~repro.serving.faults.FaultPlan` or injector)
-    arms the gateway's chaos hooks for the run; pair it with
-    ``tolerate_errors`` so injected failures are counted, not raised.
-    ``tracer`` overrides the tracer ``config.obs`` would build — pass a
-    :class:`~repro.obs.trace.Tracer` over a
-    :class:`~repro.obs.sinks.MemorySink` you keep a handle on to inspect
-    the run's spans afterwards.
+    ``repro load`` passes the gateway :meth:`Session.serve
+    <repro.session.Session.serve>` builds, so a fault plan, a budget or
+    a tracer is whatever its ``ServingSpec`` says; pair a fault plan
+    with ``tolerate_errors`` so failed requests are counted, not raised.
     """
-    sessions = SessionManager(embedder=embedder)
-    for tenant, suite in suites.items():
-        sessions.register(tenant, suite)
-    workload = make_workload(suites, n_requests)
+    workload = make_workload(
+        {session.name: session.suite for session in gateway.sessions},
+        n_requests)
 
     async def session() -> LoadReport:
-        async with Gateway(sessions, config=config, faults=faults,
-                           tracer=tracer) as gateway:
+        async with gateway:
             report = await run_closed_loop(gateway, workload, concurrency,
                                            tolerate_errors=tolerate_errors)
         # snapshot once stop() has drained: a batch whose requests all

@@ -547,6 +547,32 @@ class HttpSpec(_SpecBase):
 
 
 @dataclass(frozen=True)
+class FaultPlan(_SpecBase):
+    """Seeded description of a chaos scenario (``ServingSpec.faults``).
+
+    Rates are per-invocation firing probabilities in ``[0, 1]`` at each
+    hook of :class:`~repro.serving.faults.FaultInjector`; ``seed``
+    namespaces every decision stream, so each plan replays exactly.
+    """
+
+    seed: int = 0
+    slow_batch_rate: float = 0.0
+    slow_batch_ms: float = 0.0
+    exception_rate: float = 0.0
+
+    def __post_init__(self):
+        for name in ("slow_batch_rate", "exception_rate"):
+            rate = getattr(self, name)
+            _require(0.0 <= rate <= 1.0,
+                     f"FaultPlan.{name} must be in [0, 1], got {rate}")
+        _require_min(self, 0, "slow_batch_ms")
+
+    @property
+    def is_empty(self) -> bool:
+        return self.slow_batch_rate == 0.0 and self.exception_rate == 0.0
+
+
+@dataclass(frozen=True)
 class ServingSpec(_SpecBase):
     """Declarative gateway configuration: tenants + batching + deadlines.
 
@@ -617,6 +643,10 @@ class ServingSpec(_SpecBase):
         grid carbon intensity is high.  ``None`` (the default) disables
         budget control; per-request energy/carbon attribution through
         the :class:`~repro.power.meter.EnergyMeter` is always on.
+    faults:
+        Seeded fault injection (:class:`FaultPlan`) for chaos runs:
+        batches stall and groups raise at the plan's rates.  ``None``
+        (the default) or an empty plan leaves the hooks unarmed.
     """
 
     tenants: tuple[TenantSpec, ...] = ()
@@ -631,6 +661,7 @@ class ServingSpec(_SpecBase):
     obs: ObsSpec | None = None
     http: HttpSpec | None = None
     budget: BudgetSpec | None = None
+    faults: FaultPlan | None = None
 
     def __post_init__(self):
         tenants = tuple(
@@ -653,6 +684,7 @@ class ServingSpec(_SpecBase):
         _coerce(self, "obs", ObsSpec)
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)
+        _coerce(self, "faults", FaultPlan)
         _coerce(self, "default_engine", EngineSpec)
 
     @property
@@ -690,6 +722,7 @@ __all__ = [
     "CatalogSpec",
     "EngineSpec",
     "ExperimentSpec",
+    "FaultPlan",
     "GridSpec",
     "HttpSpec",
     "ObsSpec",

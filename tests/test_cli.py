@@ -1,10 +1,19 @@
 """Tests for the command-line interface."""
 
+import itertools
+import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _serving_spec, build_parser, main
+from repro.serving import Gateway
+from repro.specs import BudgetSpec, FaultPlan, ServingSpec, SuiteSpec, TenantSpec
+from repro.suites import load_suite
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -40,10 +49,103 @@ class TestParser:
                 build_parser().parse_args(["grid", *stale])
 
     def test_chaos_rejects_the_pool_flags(self):
-        # episodes run on the batch worker: no pool to size or to crash
-        for stale in (["--workers", "2"], ["--crash-rate", "0.25"]):
+        # chaos runs are `repro load` over a fault plan; episodes run on
+        # the batch worker: no pool to size or to crash
+        for stale in (["--workers", "2"], ["--crash-rate", "0.25"],
+                      ["--seed", "3"], ["--slow-rate", "0.25"]):
             with pytest.raises(SystemExit):
-                build_parser().parse_args(["chaos", *stale])
+                build_parser().parse_args(["load", *stale])
+
+    @pytest.mark.parametrize("command", ["metrics", "chaos", "carbon"])
+    def test_load_replaced_the_per_scenario_commands(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
+
+def _spec_file(tmp_path, **fields) -> str:
+    path = tmp_path / "serving.json"
+    path.write_text(json.dumps(ServingSpec(
+        tenants=(TenantSpec("edgehome", SuiteSpec("edgehome")),),
+        **fields).to_dict()))
+    return str(path)
+
+
+class TestServingSpecFlags:
+    """``serve`` and ``load`` read one ServingSpec: a ``--spec`` file or
+    the flags that build one, never both."""
+
+    @pytest.mark.parametrize("command", ["serve", "load"])
+    @pytest.mark.parametrize("flag", [
+        ["--tenants", "bfcl"], ["-n", "3"], ["--batch-size", "2"],
+        ["--plan-cache", "8"], ["--timeout-ms", "5"]])
+    def test_a_spec_flag_beside_spec_is_a_usage_error(
+            self, tmp_path, capsys, command, flag):
+        args = build_parser().parse_args(
+            [command, "--spec", _spec_file(tmp_path), *flag])
+        with pytest.raises(SystemExit) as excinfo:
+            _serving_spec(args)
+        assert excinfo.value.code == 2
+        assert f"{flag[0]} cannot be combined with --spec" in (
+            capsys.readouterr().err)
+
+    def test_serve_names_every_dropped_flag_before_booting(
+            self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--spec", _spec_file(tmp_path), "--batch-size",
+                  "2", "-n", "3", "--timeout-ms", "5"])
+        assert excinfo.value.code == 2
+        assert ("-n, --batch-size, --timeout-ms cannot be combined with "
+                "--spec") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve", "load"])
+    def test_flags_default_to_the_spec_defaults(self, command):
+        assert _serving_spec(build_parser().parse_args([command])) == \
+            ServingSpec(tenants=(TenantSpec("edgehome", SuiteSpec("edgehome")),))
+
+    def test_flags_build_the_spec(self):
+        args = build_parser().parse_args([
+            "load", "--tenants", "edgehome,bfcl", "-n", "4", "--batch-size",
+            "2", "--plan-cache", "16", "--timeout-ms", "250"])
+        assert _serving_spec(args) == ServingSpec(
+            tenants=(TenantSpec("edgehome", SuiteSpec("edgehome", n_queries=4)),
+                     TenantSpec("bfcl", SuiteSpec("bfcl", n_queries=4))),
+            max_batch_size=2, plan_cache_size=16, timeout_ms=250.0)
+
+    def test_carbon_budget_host_and_port_apply_over_spec(self, tmp_path):
+        spec_path = _spec_file(tmp_path, max_batch_size=4)
+        args = build_parser().parse_args([
+            "serve", "--spec", spec_path, "--host", "0.0.0.0", "--port", "0",
+            "--carbon-budget", "180"])
+        assert (args.host, args.port) == ("0.0.0.0", 0)
+        spec = _serving_spec(args)
+        assert spec.max_batch_size == 4
+        assert spec.budget == BudgetSpec(energy_budget_j=180.0)
+
+
+def _documented_commands():
+    """Every ``-m repro …`` command in the README and the Makefile:
+    continuation lines joined, stopped at a comment, redirection or
+    ``;``, as the argv the CLI would receive."""
+    for name in ("README.md", "Makefile"):
+        text = (ROOT / name).read_text(encoding="utf-8").replace("\\\n", " ")
+        for match in re.finditer(r"-m repro\s+(.*)", text):
+            lexer = shlex.shlex(match.group(1), posix=True,
+                                punctuation_chars=True)
+            lexer.whitespace_split = True
+            argv = list(itertools.takewhile(
+                lambda token: not set(token) <= set("();<>|&"), lexer))
+            yield pytest.param(argv, id=f"{name}: {' '.join(argv)}")
+
+
+@pytest.mark.parametrize("argv", list(_documented_commands()))
+def test_documented_commands_parse(argv):
+    build_parser().parse_args(argv)
+
+
+def test_documented_commands_are_found():
+    commands = {argv[0] for argv in
+                (param.values[0] for param in _documented_commands())}
+    assert {"run", "grid", "compare", "load", "serve", "catalog"} <= commands
 
 
 class TestCommands:
@@ -75,80 +177,57 @@ class TestCommands:
         assert "15W" in out
 
 
-    def test_carbon_command_reproduces_committed_budget_scenario(self, capsys):
-        """The wave-driven budget scenario is deterministic (manual
-        controller ticks, seeded energy model), so its numbers are exact
-        (the uncontrolled row is the ``serving.budget`` value of the perf
-        baseline retired at c15e7b3; see CHANGES.md, PRs 16 and 23)."""
-        assert main(["carbon", "--requests", "96", "--window", "8"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows = [re.search(r"(\d+)/96 req at .* \| ([\d.]+) J/req", line)
-                for line in lines[:2]]
-        served = [int(row.group(1)) for row in rows]
-        j_per_req = [float(row.group(2)) for row in rows]
-        # the subsystem's stated invariants: less energy per served
-        # request than uncontrolled, with goodput left
-        assert j_per_req[1] < j_per_req[0]
-        assert served[1] > 0
-        # ... and the committed values (48 served means 48 shed)
-        assert served == [96, 48]
-        assert j_per_req == [234.6, 185.6]
-        assert lines[1].startswith("budget 140.7 J/req:")
-        assert "20.62 mgCO2/req (21% energy saved)" in lines[1]
-        assert lines[2].strip() == "ladder moves: " + str({
-            "edgehome:down:reduced-k": 1, "edgehome:down:shed": 4,
-            "edgehome:up:reduced-k": 3})
-        assert lines[3].strip() == "power-mode moves: none"
-
-
 class TestChaosExitCode:
-    """``repro chaos`` fails when a request was lost although every
-    injected fault was recoverable; with unrecoverable faults armed
-    (executor exceptions, a deadline) losses are the expected outcome."""
+    """A chaos run is ``repro load`` over a fault plan.  It fails when a
+    request was lost although nothing in the spec makes a loss expected;
+    with unrecoverable faults armed (executor exceptions, a deadline)
+    losses are the expected outcome."""
 
     @pytest.fixture
     def lossy_run(self, monkeypatch):
-        """Stub ``run_load`` with a report that served all but one of
-        the offered requests."""
-        import repro.serving
-        from repro.serving import LoadReport, make_workload
-
-        def run_load(suites, config, n_requests, concurrency, **_):
-            served = make_workload(suites, n_requests)[:-1]
-            return LoadReport(
-                n_requests=n_requests, concurrency=concurrency, wall_s=1.0,
-                latencies_s=[0.01] * len(served),
-                episodes={(load.tenant, load.query.qid, 0): None
-                          for load in served},
-                gateway_metrics={"deadline_timeouts": 0,
-                                 "faults_injected_by_hook": {}},
-                n_errors=n_requests - len(served))
-
-        monkeypatch.setattr(repro.serving, "run_load", run_load)
-
-    def test_loss_under_recoverable_faults_fails(self, lossy_run, capsys):
-        from repro.suites import load_suite
-
-        assert main(["chaos", "--requests", "4",
-                     "--exception-rate", "0"]) == 1
-        out = capsys.readouterr().out
+        """Fail the fourth offered request inside the batch worker, as a
+        bug that drops a request would."""
         lost = load_suite("edgehome").queries[3].qid
-        assert "LOST: 1 request(s)" in out
-        assert f"edgehome/{lost}" in out
+        process_batch = Gateway._process_batch
+
+        def lossy(self, batch):
+            return [RuntimeError("dropped") if request.payload.query.qid == lost
+                    else response
+                    for request, response in zip(batch, process_batch(self, batch))]
+
+        monkeypatch.setattr(Gateway, "_process_batch", lossy)
+        return lost
+
+    def test_loss_under_recoverable_faults_fails(self, lossy_run, tmp_path,
+                                                 capsys):
+        spec_path = _spec_file(tmp_path, faults=FaultPlan(
+            seed=0, slow_batch_rate=0.5, slow_batch_ms=1.0))
+        assert main(["load", "--spec", spec_path, "--requests", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "1 failed" in out
+        assert f"LOST: 1 request(s) failed under recoverable faults only: " \
+               f"edgehome/{lossy_run}" in out
 
     @pytest.mark.parametrize("unrecoverable", [
-        ["--exception-rate", "0.1"],
-        ["--exception-rate", "0", "--timeout-ms", "50"],
+        {"faults": FaultPlan(exception_rate=0.1)},
+        {"timeout_ms": 50.0},
     ])
     def test_loss_under_unrecoverable_faults_is_expected(
-            self, lossy_run, capsys, unrecoverable):
-        assert main(["chaos", "--requests", "4", *unrecoverable]) == 0
-        assert "LOST" not in capsys.readouterr().out
+            self, lossy_run, tmp_path, capsys, unrecoverable):
+        spec_path = _spec_file(tmp_path, **unrecoverable)
+        assert main(["load", "--spec", spec_path, "--requests", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "failed" in out and "LOST" not in out
 
     def test_clean_run_exits_zero(self, capsys):
-        assert main(["chaos", "--requests", "4", "--concurrency", "2",
-                     "--exception-rate", "0"]) == 0
+        assert main(["load", "--requests", "4", "--concurrency", "2"]) == 0
         assert "0 failed (100% served)" in capsys.readouterr().out
+
+    def test_prometheus_prints_the_scrape(self, capsys):
+        assert main(["load", "--requests", "8", "--prometheus"]) == 0
+        out = capsys.readouterr().out
+        assert "repro_requests_completed_total 8" in out
+        assert "load:" not in out
 
 
 class TestModuleEntry:

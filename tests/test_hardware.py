@@ -54,6 +54,10 @@ class TestMemoryModel:
             kv_cache_gb(-1)
         with pytest.raises(ValueError):
             footprint_gb(8.0, 4.0, 8192, n_parallel_contexts=0)
+        for field in ("params_b", "bits_per_weight"):
+            for value in (0.0, -1.0):
+                with pytest.raises(ValueError, match="must be positive"):
+                    request(**{field: value})
 
 
 class TestInferenceRequestValidation:

@@ -111,7 +111,10 @@ def test_plan_tool_tokens_matches_the_catalog_estimator():
 def test_load_report_carries_the_cost_snapshot():
     suite = load_suite("edgehome", n_queries=6)
     config = ServingSpec(max_batch_size=4)
-    report = run_load({"home": suite}, config, n_requests=6, concurrency=3)
+    sessions = SessionManager()
+    sessions.register("home", suite)
+    report = run_load(Gateway(sessions, config=config), n_requests=6,
+                      concurrency=3)
     cost = report.cost
     assert cost["total"]["requests"] == 6
     assert cost["by_tenant"]["home"]["tool_prompt_tokens"] > 0

@@ -168,7 +168,10 @@ def test_obs_spec_wires_a_jsonl_artifact(tmp_path):
     config = ServingSpec(
         max_batch_size=4,
         obs=ObsSpec(sink="jsonl", sink_path=str(path)))
-    report = run_load({"home": suite}, config, n_requests=4, concurrency=4)
+    sessions = SessionManager()
+    sessions.register("home", suite)
+    report = run_load(Gateway(sessions, config=config), n_requests=4,
+                      concurrency=4)
     assert report.n_errors == 0
     spans = read_jsonl_spans(str(path))
     assert {span["name"] for span in spans} == {

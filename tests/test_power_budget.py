@@ -169,6 +169,68 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
     asyncio.run(scenario())
 
 
+def _serve_waves(suite, budget: BudgetSpec | None, requests: int = 96,
+                 wave: int = 8) -> tuple[int, dict]:
+    """Serve ``requests`` of ``suite`` in waves of ``wave`` concurrent
+    requests, one controller tick between waves; returns the served
+    count and the drained gateway's metrics."""
+    queries = suite.queries
+
+    async def scenario():
+        sessions = SessionManager()
+        sessions.register("edgehome", suite)
+        config = ServingSpec(max_batch_size=8, budget=budget)
+        async with Gateway(sessions, config=config) as gateway:
+            served = 0
+            for start in range(0, requests, wave):
+                outcomes = await asyncio.gather(*(
+                    gateway.submit("edgehome", queries[(start + i) % len(queries)])
+                    for i in range(min(wave, requests - start))),
+                    return_exceptions=True)
+                for outcome in outcomes:
+                    # a tight budget may shed; anything else is a failure
+                    if isinstance(outcome, TenantShedError):
+                        continue
+                    if isinstance(outcome, BaseException):
+                        raise outcome
+                    served += 1
+                if gateway.budget is not None:
+                    gateway.budget.tick()
+        return served, gateway.metrics()
+
+    return asyncio.run(scenario())
+
+
+def test_wave_scenario_pins_the_budget_ladder():
+    """The deterministic budget comparison (manual controller ticks,
+    seeded energy model), so its numbers are exact: uncontrolled, then
+    capped at 60% of the uncontrolled mean (the uncontrolled row is the
+    ``serving.budget`` value of the perf baseline retired at c15e7b3)."""
+    suite = load_suite("edgehome")
+    served, metrics = _serve_waves(suite, None)
+    base_j = metrics["energy_j"] / served
+    budget = BudgetSpec(energy_budget_j=base_j * 0.6, window_requests=8,
+                        settle_requests=8, recovery_ticks=2,
+                        interval_ms=3_600_000.0)
+    capped, controlled = _serve_waves(suite, budget)
+    capped_j = controlled["energy_j"] / capped
+    # the subsystem's stated invariants: less energy per served request
+    # than uncontrolled, with goodput left
+    assert capped_j < base_j
+    assert capped > 0
+    # ... and the committed values (48 served means 48 shed)
+    assert [served, capped] == [96, 48]
+    assert controlled["shed_requests"] == 48
+    assert [f"{base_j:.1f}", f"{capped_j:.1f}"] == ["234.6", "185.6"]
+    assert f"{budget.energy_budget_j:.1f}" == "140.7"
+    assert f"{controlled['carbon_g'] / capped * 1e3:.2f}" == "20.62"
+    assert f"{1.0 - capped_j / base_j:.0%}" == "21%"
+    # ladder moves only: no device power-mode move
+    assert controlled["budget_transitions_detail"] == {
+        "edgehome:down:reduced-k": 1, "edgehome:down:shed": 4,
+        "edgehome:up:reduced-k": 3}
+
+
 def test_intensity_steps_power_mode_with_hysteresis():
     """High grid intensity walks MAXN -> 30W -> 15W; climbing back needs
     ``recovery_ticks`` consecutive low readings, and the in-between band

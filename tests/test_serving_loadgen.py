@@ -21,7 +21,7 @@ from repro.serving import (
     run_closed_loop,
     run_load,
 )
-from repro.specs import ServingSpec
+from repro.specs import BudgetSpec, FaultPlan, ObsSpec, ServingSpec
 from repro.suites import load_suite
 
 
@@ -144,8 +144,14 @@ def test_run_closed_loop_serves_whole_workload(suite):
     assert report.gateway_metrics["requests_completed"] == 8
 
 
+def _gateway(suite, config: ServingSpec) -> Gateway:
+    sessions = SessionManager()
+    sessions.register("t", suite)
+    return Gateway(sessions, config=config)
+
+
 def test_run_load_owns_gateway_lifecycle(suite):
-    report = run_load({"t": suite}, ServingSpec(max_batch_size=2),
+    report = run_load(_gateway(suite, ServingSpec(max_batch_size=2)),
                       n_requests=4, concurrency=2)
     assert report.n_requests == 4
     assert report.throughput_rps > 0.0
@@ -164,9 +170,57 @@ def test_run_load_episodes_match_direct_submission(suite):
         return {r.episode.qid: r.episode for r in responses}
 
     want = asyncio.run(direct())
-    report = run_load({"t": suite}, ServingSpec(max_batch_size=4),
+    report = run_load(_gateway(suite, ServingSpec(max_batch_size=4)),
                       n_requests=len(suite.queries), concurrency=3)
     assert len(report.episodes) == len(suite.queries)
     for (_, qid, repeat), episode in report.episodes.items():
         assert repeat == 0  # one pass over the pool: no repeats
         assert episode == want[qid]
+
+
+# ----------------------------------------------------------------------
+# LoadReport.failures: the invariants every `repro load` run asserts
+# ----------------------------------------------------------------------
+def test_a_sound_run_has_no_failures(suite, tmp_path):
+    config = ServingSpec(max_batch_size=2, obs=ObsSpec(
+        sink="jsonl", sink_path=str(tmp_path / "trace.jsonl")))
+    report = run_load(_gateway(suite, config), 6, concurrency=3)
+    assert report.n_requests == len(report.workload) == 6
+    assert report.failures(config) == []
+
+
+def test_failures_name_each_broken_invariant(suite, tmp_path):
+    """A report whose telemetry lost track of a request, that lost one
+    under recoverable faults only, and whose trace misses a fault."""
+    workload = make_workload({"t": suite}, 3)
+    report = LoadReport(
+        n_requests=3, concurrency=1, wall_s=1.0, n_errors=1,
+        workload=workload,
+        episodes={("t", load.query.qid, 0): None for load in workload[:2]},
+        gateway_metrics={
+            "requests_admitted": 2, "requests_rejected": 0,
+            "shed_requests": 0, "requests_completed": 2,
+            "requests_failed": 1,
+            "faults_injected_by_hook": {"batch.process": 1}})
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")  # a trace with no fault span
+    config = ServingSpec(
+        obs=ObsSpec(sink="jsonl", sink_path=str(trace)),
+        faults=FaultPlan(slow_batch_rate=0.5, slow_batch_ms=1.0))
+    failures = report.failures(config)
+    assert [failure.split(":")[0] for failure in failures] == [
+        "3 requests offered, telemetry admitted, rejected or shed 2",
+        "2 requests admitted, telemetry completed or failed 3",
+        "LOST", "MISMATCH"]
+    assert failures[2].endswith(f"t/{workload[2].query.qid}")
+    # a deadline, an exception rate or a budget make a loss expected;
+    # only a whole jsonl artifact is compared with telemetry
+    for expected_loss in ({"timeout_ms": 50.0},
+                          {"faults": FaultPlan(exception_rate=0.1)},
+                          {"budget": BudgetSpec(energy_budget_j=100.0)}):
+        assert "LOST" not in "".join(report.failures(
+            config.replace(**expected_loss)))
+    for untraced in (config.obs.replace(sample_rate=0.5),
+                     ObsSpec(sink="memory"), None):
+        assert "MISMATCH" not in "".join(
+            report.failures(config.replace(obs=untraced)))

@@ -10,6 +10,7 @@ from repro.specs import (
     CatalogSpec,
     EngineSpec,
     ExperimentSpec,
+    FaultPlan,
     GridSpec,
     HttpSpec,
     ObsSpec,
@@ -51,6 +52,12 @@ ALL_SPECS = [
         grid=GridSpec(schemes=("default",), models=("qwen2-7b",),
                       quants=("q4_0",)),
         serving=ServingSpec(plan_cache_size=8)),
+    FaultPlan(seed=3, slow_batch_rate=0.25, slow_batch_ms=250.0,
+              exception_rate=0.3),
+    ServingSpec(
+        tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),),
+        timeout_ms=100.0,
+        faults=FaultPlan(seed=1, slow_batch_rate=0.5, slow_batch_ms=20.0)),
 ]
 
 
@@ -273,12 +280,14 @@ class TestSpecImportsStayCheap:
 
         code = (
             "import sys; "
-            "from repro.specs import AgentSpec, BudgetSpec, GridSpec, "
-            "ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
+            "from repro.specs import AgentSpec, BudgetSpec, FaultPlan, "
+            "GridSpec, ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
             "plan_cache_size=8, "
             "budget=BudgetSpec(energy_budget_j=50.0, signal='sinusoid'), "
-            "obs=ObsSpec(), default_engine='simulated'); "
+            "obs=ObsSpec(), default_engine='simulated', "
+            "faults=FaultPlan(seed=3, slow_batch_rate=0.25, "
+            "slow_batch_ms=250.0, exception_rate=0.3)); "
             "AgentSpec(); GridSpec(); "
             "heavy = sorted(m for m in sys.modules if m.startswith("
             "('repro.serving', 'repro.evaluation', 'repro.core', "
@@ -343,7 +352,7 @@ class TestWireCompat:
     SERVING_KEYS = {
         "tenants", "default_engine", "max_batch_size", "queue_capacity",
         "default_scheme", "default_model", "default_quant", "plan_cache_size",
-        "timeout_ms", "obs", "http", "budget"}
+        "timeout_ms", "obs", "http", "budget", "faults"}
     BUDGET_KEYS = {
         "energy_budget_j", "carbon_budget_g", "window_requests",
         "settle_requests", "recovery_ticks", "recovery_margin", "signal",
@@ -384,4 +393,38 @@ class TestWireCompat:
             http=HttpSpec(port=0, api_key="k", rate_limit_rps=5.0),
             budget=BudgetSpec(energy_budget_j=90.0, window_requests=4,
                               intensity_high=450.0))
-        assert spec.to_dict() == data
+        assert spec.to_dict() == {**data, "faults": None}
+
+
+def test_fault_plan_threads_through_serving_spec_json():
+    import json
+
+    plan = FaultPlan(seed=3, slow_batch_rate=0.25, slow_batch_ms=250.0,
+                     exception_rate=0.3)
+    spec = ServingSpec.from_dict(json.loads(json.dumps(
+        ServingSpec(faults=plan).to_dict())))
+    assert spec.faults == plan
+    assert ServingSpec(faults=plan.to_dict()).faults == plan
+    with pytest.raises(ValueError, match="must be a FaultPlan"):
+        ServingSpec(faults="chaos")
+    with pytest.raises(ValueError, match=r"exception_rate must be in \[0, 1\]"):
+        ServingSpec(faults={"exception_rate": 1.5})
+
+
+def _example_specs():
+    from pathlib import Path
+
+    specs = sorted((Path(__file__).resolve().parent.parent / "examples"
+                    / "specs").glob("*.json"))
+    assert specs, "examples/specs/ holds no spec files"
+    return specs
+
+
+@pytest.mark.parametrize("path", _example_specs(), ids=lambda path: path.name)
+def test_example_specs_round_trip(path):
+    """Every committed ``examples/specs/*.json`` loads as a ServingSpec
+    and is written exactly as ``to_dict()`` writes it."""
+    import json
+
+    data = json.loads(path.read_text())
+    assert ServingSpec.from_dict(data).to_dict() == data
