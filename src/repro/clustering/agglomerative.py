@@ -2,7 +2,11 @@
 
 Starts from singleton clusters and repeatedly merges the closest pair,
 updating inter-cluster distances with the Lance-Williams formula so all
-four classic linkages share one O(n^2)-memory implementation.
+four classic linkages share one O(n^2)-memory implementation.  Each of
+the n-1 merges does O(n^2) work (the argmin over the distance matrix,
+then one row update), and all of it is numpy: the live slots are a
+boolean mask and the cluster sizes a per-slot array, so no Python loop
+runs over the slots.
 """
 
 from __future__ import annotations
@@ -136,29 +140,28 @@ class AgglomerativeClustering:
             raise ValueError("cannot cluster an empty dataset")
         dist = pairwise_distances(vectors, metric=self.metric)
         dendrogram = Dendrogram(n_points=n)
-        active: dict[int, int] = {i: 1 for i in range(n)}  # cluster id -> size
-        # distance matrix indexed by *current row slots*; slot -> cluster id
-        slot_of: dict[int, int] = {i: i for i in range(n)}
+        # the distance matrix is indexed by row slots; a merge keeps the
+        # lower slot for the new cluster and retires the higher one
+        live = np.ones(n, dtype=bool)
+        sizes = np.ones(n)  # slot -> cluster size
+        cluster_of = list(range(n))  # slot -> cluster id
         np.fill_diagonal(dist, np.inf)
 
-        next_id = n
-        for _ in range(n - 1):
-            flat = np.argmin(dist)
-            row, col = np.unravel_index(flat, dist.shape)
+        for next_id in range(n, 2 * n - 1):
+            row, col = divmod(int(np.argmin(dist)), n)
             if row > col:
                 row, col = col, row
             d_ij = float(dist[row, col])
-            left_id, right_id = slot_of[row], slot_of[col]
-            n_i, n_j = active[left_id], active[right_id]
+            left_id, right_id = cluster_of[row], cluster_of[col]
+            n_i, n_j = int(sizes[row]), int(sizes[col])
 
-            others = [slot for slot in range(dist.shape[0])
-                      if slot not in (row, col) and slot in slot_of]
-            if others:
-                other_idx = np.asarray(others)
-                n_k = np.asarray([active[slot_of[slot]] for slot in others], dtype=float)
+            live[row] = live[col] = False
+            other_idx = np.flatnonzero(live)
+            live[row] = True  # slot `row` now holds the merged cluster
+            if other_idx.size:
                 merged = _lance_williams(
                     self.linkage, dist[row, other_idx], dist[col, other_idx],
-                    d_ij, n_i, n_j, n_k,
+                    d_ij, n_i, n_j, sizes[other_idx],
                 )
                 dist[row, other_idx] = merged
                 dist[other_idx, row] = merged
@@ -166,13 +169,9 @@ class AgglomerativeClustering:
             dist[col, :] = np.inf
             dist[:, col] = np.inf
             dist[row, row] = np.inf
-            del slot_of[col]
-            del active[left_id]
-            del active[right_id]
-            slot_of[row] = next_id
-            active[next_id] = n_i + n_j
+            cluster_of[row] = next_id
+            sizes[row] = n_i + n_j
             dendrogram.merges.append(Merge(left_id, right_id, d_ij, n_i + n_j))
-            next_id += 1
         return dendrogram
 
     def fit(self, vectors: np.ndarray) -> "AgglomerativeClustering":

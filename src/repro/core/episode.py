@@ -20,7 +20,8 @@ class StepRecord:
     turn_index: int = 0
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # the fields in declaration order; all scalars, so no deep copy
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: dict) -> "StepRecord":

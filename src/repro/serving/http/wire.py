@@ -41,6 +41,9 @@ def parse_json(body: bytes) -> dict:
         decoded = json.loads(body)
     except json.JSONDecodeError as exc:
         raise BadRequestError(f"request body is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise BadRequestError("request body is not valid UTF-8 JSON: "
+                              f"{exc.reason} at byte {exc.start}") from None
     except RecursionError:
         raise BadRequestError(
             "request body nests deeper than the JSON decoder allows") from None

@@ -1,13 +1,14 @@
-"""ROUGE similarity scores.
+"""ROUGE-L similarity score.
 
 The paper measures augmented-query quality "based on a similarity score
-(i.e., ROUGE score following [12], [38])".  This module implements
-ROUGE-1 and ROUGE-L F-measures over whitespace/word tokens.
+(i.e., ROUGE score following [12], [38])".  This module implements the
+ROUGE-L F-measure over word tokens.  The longest common subsequence is
+the Allison–Dix/Hyyrö bit-parallel scan: one big-int bitmask per
+distinct token of the reference, so it costs O(|a|·⌈|b|/w⌉) big-int
+operations on w-bit machine words.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from repro.embedding.tokenizer import Tokenizer
 
@@ -22,28 +23,23 @@ def _f_measure(matches: int, candidate_len: int, reference_len: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_1(candidate: str, reference: str) -> float:
-    """Unigram-overlap ROUGE-1 F-measure in [0, 1]."""
-    cand = Counter(_tokenizer.words(candidate))
-    ref = Counter(_tokenizer.words(reference))
-    matches = sum((cand & ref).values())
-    return _f_measure(matches, sum(cand.values()), sum(ref.values()))
-
-
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of the longest common subsequence (O(len(a)*len(b)))."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b, start=1):
-            if token_a == token_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[-1]))
-        previous = current
-    return previous[-1]
+    """Length of the longest common subsequence of ``a`` and ``b``.
+
+    ``v`` is the dynamic programme's current row in difference form:
+    bit ``j`` is 0 where the row steps up by one at ``b[j]``, so the
+    LCS is the number of zero bits.  One token of ``a`` updates the
+    whole row with one addition's carries.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
+    for token in a:
+        u = v & masks.get(token, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: str, reference: str) -> float:

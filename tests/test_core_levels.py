@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from levels_oracle import levels_digest
 
+from repro.api import load_suite
 from repro.core.levels import SearchLevelBuilder
-from repro.embedding.cache import shared_embedder
+from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.suites.bfcl import build_bfcl_suite
 from repro.suites.geoengine import build_geoengine_suite
 
@@ -83,3 +85,26 @@ class TestBuilderOptions:
         levels = SearchLevelBuilder(embedder=shared_embedder()).build(suite)
         assert len(levels.tool_index) == 51
         assert levels.n_clusters >= 4
+
+
+#: ``levels_digest`` of each suite's default build (``load_suite(name,
+#: n_queries=4, seed=seed)``, a fresh ``CachedEmbedder``), written by the
+#: quadratic ROUGE-L and slot-scan merge loop that ``levels_oracle.py``
+#: keeps: the kernels that replaced them must not move a cluster or a bit
+PARENT_DIGESTS = {
+    (0, "bfcl"): "6163577d448dbc1418a2a7620ae242b6201a93db3732e933d07013eb324d2f8a",
+    (0, "geoengine"): "92de6c3dccf3e62100510adb6d12707eaf5950bce86b26cb111ca2b4f85fda8e",
+    (0, "edgehome"): "18363612bf8d2ff8afa498339f784bf83f6af9c0c944ff72724e2b719eacb574",
+    (0, "browser"): "31f341eb1f3cefc46e70e5678a11c8827fd281ee96519257b5852133224b14cd",
+    (7, "bfcl"): "d095dcc997024fab9e57ba5ccde84ba14a1e93c32fe3a1317770f5b879be977b",
+    (7, "geoengine"): "e6a36c3c832a9035cfd7b715dc291bfd7d0ab75ea87a1d7fde71af9edfac1f6a",
+    (7, "edgehome"): "6f3f546be1211c5e53ac08ae6c428c6e766dfd770836cec1fb1c6176b4ff24c8",
+    (7, "browser"): "30ed3298608b2f7af9e55b81f0973e25f602e6c9d400ce0f80f89e80c46b39eb",
+}
+
+
+@pytest.mark.parametrize("seed,suite", sorted(PARENT_DIGESTS))
+def test_built_levels_keep_their_digest(seed, suite):
+    levels = SearchLevelBuilder(embedder=CachedEmbedder()).build(
+        load_suite(suite, n_queries=4, seed=seed))
+    assert levels_digest(levels) == PARENT_DIGESTS[seed, suite]

@@ -3,7 +3,9 @@
 ``tests/test_serving_http.py`` drives the ASGI app in-process; this file
 puts :class:`~repro.serving.http.server.AsgiServer` on a loopback port
 and writes raw bytes at it.  The laws: a request the server cannot frame
-gets a 400 and a closed connection, never a desynchronised one; a client
+gets a 400 and a closed connection, never a desynchronised one; a framed
+body the app cannot decode (not UTF-8, not a JSON object) gets a 400 and
+the connection stays open for the next request; a client
 that vanishes mid-body is dropped quietly; no exception escapes the
 connection task (the loop's exception handler must stay silent); and
 ``scope["path"]`` arrives percent-decoded, as uvicorn gives it, so a
@@ -182,6 +184,38 @@ def test_percent_encoded_tenant_round_trips_over_a_socket():
     assert call[0] == 200 and call[1]["tenant"] == "café"
     assert call[1]["episode"]["qid"] == qid
     assert names == ["café"]
+
+
+# ----------------------------------------------------------------------
+# a well-framed body the app cannot decode is a 400 on a live connection
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("body,message", [
+    (b'{"tenant": "\xff"}', "request body is not valid UTF-8 JSON: "),
+    (b'["tenant", "home"]', "request body must be a JSON object, got list"),
+])
+def test_undecodable_body_is_400_and_keeps_the_connection(body, message):
+    app = create_app(Gateway(SessionManager(embedder=CachedEmbedder()),
+                             config=ServingSpec()))
+    raw = (f"POST /v1/call HTTP/1.1\r\ncontent-length: {len(body)}\r\n\r\n"
+           .encode("latin-1") + body
+           + b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+
+    async def go():
+        errors: list[dict] = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context))
+        async with app, AsgiServer(app, http=HttpSpec(port=0)) as server:
+            reply = await _exchange(server.port, raw)
+        return reply, errors
+
+    reply, errors = asyncio.run(go())
+    (status, headers, error), (health, _, _) = responses(reply)
+    assert status == 400
+    assert headers.get("connection") != "close"
+    assert json.loads(error)["error"]["type"] == "BadRequestError"
+    assert json.loads(error)["error"]["message"].startswith(message)
+    assert health == 200
+    assert errors == []
 
 
 # ----------------------------------------------------------------------

@@ -251,12 +251,17 @@ def test_malformed_json_maps_to_400(suite):
     async def scenario(client, app):
         broken = await client.post("/v1/call", body=b"{not json")
         non_object = await client.post("/v1/call", body=b"[1, 2]")
-        return broken, non_object
+        not_utf8 = await client.post("/v1/call", body=b'{"tenant": "\xff"}')
+        return broken, non_object, not_utf8
 
-    broken, non_object = serve(suite, scenario)
+    broken, non_object, not_utf8 = serve(suite, scenario)
     assert broken.status == 400
     assert non_object.status == 400
     assert "JSON object" in non_object.json()["error"]["message"]
+    assert not_utf8.status == 400
+    error = not_utf8.json()["error"]
+    assert error["type"] == "BadRequestError"
+    assert error["message"].startswith("request body is not valid UTF-8 JSON: ")
 
 
 def test_unrouted_path_maps_to_404(suite):
