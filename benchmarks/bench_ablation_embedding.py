@@ -19,7 +19,7 @@ import pytest
 from benchmarks.conftest import attach_rows
 from repro.embedding import SentenceEmbedder
 from repro.tools import load_catalog
-from repro.vectorstore import FlatIndex
+from repro.vectorstore import VectorIndex
 
 #: paraphrase probes: (query-style text, gold tool) pairs
 PROBES = [
@@ -53,7 +53,7 @@ def test_embedding_dimension_sweep(benchmark):
         rows = {}
         for dim in (32, 96, 256, 768):
             embedder = SentenceEmbedder(dim=dim)
-            index = FlatIndex(dim=dim, metric="cosine")
+            index = VectorIndex(dim=dim)
             index.add(embedder.encode(catalog.descriptions()))
             rows[dim] = _top1_hits(index, embedder, names)
         return rows
@@ -81,7 +81,7 @@ def test_projection_reroll_stability(benchmark):
         probe_vectors = {}
         for namespace in ("mpnet-substitute", "reroll-a", "reroll-b"):
             embedder = SentenceEmbedder(seed_namespace=namespace)
-            index = FlatIndex(dim=embedder.dim, metric="cosine")
+            index = VectorIndex(dim=embedder.dim)
             index.add(embedder.encode(catalog.descriptions()))
             rows[namespace] = _top1_hits(index, embedder, names)
             probe_vectors[namespace] = embedder.encode_one(PROBES[0][0])

@@ -2,12 +2,18 @@
 
 The one thing the in-process tier-1 tests cannot cover: the actual
 ``python -m repro serve`` process — argument parsing, gateway boot, the
-asyncio sockets server, signal handling.  This script launches it on an
-ephemeral port, drives ``/healthz``, ``POST /v1/call`` and ``/metrics``
-over a real connection, registers, reads and calls a tenant whose name
-travels percent-encoded in the path (``café``), then SIGINTs the server
-and asserts a clean exit.  stdlib only (subprocess + http.client), like everything else on
-the serving edge.
+asyncio sockets server, signal handling.  This script writes a serving
+spec with two tenants over the same suite — one on the simulated
+engine, one on the ``openai_http`` engine pointed at an in-process
+:class:`~repro.engines.testing.MockOpenAIServer` — launches the server
+on it on an ephemeral port, and drives ``/healthz``, ``POST /v1/call``
+and ``/metrics`` over a real connection.  It calls the engine-backed
+tenant and checks the mock saw the chat request, lists the tenants,
+reads one's status, deletes it and gets a 404 for it; registers, reads
+and calls a tenant whose name travels percent-encoded in the path
+(``café``); then SIGINTs the server and asserts a clean exit.  stdlib
+only (subprocess + http.client), like everything else on the serving
+edge.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--uvicorn]
 
@@ -20,18 +26,27 @@ so uvicorn's path decoding referees the builtin server's.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.engines.testing import MockOpenAIServer  # noqa: E402
 from repro.serving.http import HTTPConnection  # noqa: E402
+from repro.specs import (  # noqa: E402
+    EngineSpec,
+    ServingSpec,
+    SuiteSpec,
+    TenantSpec,
+)
 from repro.suites import load_suite  # noqa: E402
 
 BANNER = re.compile(r"serving tenants \[(?P<tenants>[^\]]*)\] at "
@@ -40,6 +55,8 @@ BANNER = re.compile(r"serving tenants \[(?P<tenants>[^\]]*)\] at "
 UVICORN_BANNER = re.compile(
     r"Uvicorn running on http://(?P<host>[\d.]+):(?P<port>\d+)")
 SUITE, N_QUERIES = "edgehome", 6
+#: the tenant served through the openai_http engine
+ENGINE_TENANT = f"{SUITE}-http"
 #: a tenant name that is not plain ASCII, and its path segment on the wire
 ENCODED_TENANT, ENCODED_SEGMENT = "café", "caf%C3%A9"
 BOOT_TIMEOUT_S = 60.0
@@ -59,9 +76,66 @@ def wait_for_banner(process: subprocess.Popen,
         match = pattern.search(line)
         if match:
             if not uvicorn:
-                assert match.group("tenants") == SUITE
+                assert match.group("tenants") == f"{SUITE}, {ENGINE_TENANT}"
             return match.group("host"), int(match.group("port"))
     raise SystemExit(f"no ready banner within {BOOT_TIMEOUT_S:.0f}s")
+
+
+def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
+    """Every request the smoke makes, over one keep-alive connection."""
+    health = conn.get("/healthz")
+    assert health.status == 200, health.text
+    assert health.json()["status"] == "ok"
+    print(f"  /healthz ok (tenants {health.json()['tenants']})")
+
+    call = conn.post("/v1/call", {"tenant": SUITE, "qid": qid})
+    assert call.status == 200, call.text
+    payload = call.json()
+    assert payload["episode"]["qid"] == qid
+    assert call.trace_id == payload["trace_id"] != ""
+    print(f"  /v1/call ok (trace {payload['trace_id']}, "
+          f"{payload['latency_s'] * 1e3:.1f} ms)")
+
+    metrics = conn.get("/metrics")
+    assert metrics.status == 200
+    assert "version=0.0.4" in metrics.headers["content-type"]
+    assert "repro_requests_completed_total 1" in metrics.text
+    print(f"  /metrics ok ({len(metrics.text.splitlines())} lines)")
+
+    call = conn.post("/v1/call", {"tenant": ENGINE_TENANT, "qid": qid})
+    assert call.status == 200, call.text
+    assert call.json()["episode"]["qid"] == qid
+    assert mock.app.requests and mock.app.requests[0]["messages"], \
+        "the openai_http tenant never reached the mock engine"
+    print(f"  /v1/call as {ENGINE_TENANT} ok "
+          f"({len(mock.app.requests)} chat requests to the mock engine)")
+
+    listed = conn.get("/v1/tenants")
+    assert listed.status == 200, listed.text
+    assert [tenant["name"] for tenant in listed.json()["tenants"]] == [
+        SUITE, ENGINE_TENANT]
+    status = conn.get(f"/v1/tenants/{ENGINE_TENANT}/status")
+    assert status.status == 200, status.text
+    assert status.json()["rung"] == "full"
+    deleted = conn.request("DELETE", f"/v1/tenants/{ENGINE_TENANT}")
+    assert deleted.status == 200, deleted.text
+    assert deleted.json() == {"name": ENGINE_TENANT, "deleted": True}
+    gone = conn.post("/v1/call", {"tenant": ENGINE_TENANT, "qid": qid})
+    assert gone.status == 404, gone.text
+    assert gone.json()["error"]["type"] == "UnknownTenantError"
+    print("  GET /v1/tenants, /status, DELETE and the 404 after it ok")
+
+    path = f"/v1/tenants/{ENCODED_SEGMENT}"
+    put = conn.request("PUT", path, {"suite": SUITE, "n_queries": N_QUERIES})
+    assert put.status == 201, put.text
+    assert put.json()["name"] == ENCODED_TENANT
+    got = conn.get(path)
+    assert got.status == 200, got.text
+    assert got.json()["name"] == ENCODED_TENANT
+    call = conn.post("/v1/call", {"tenant": ENCODED_TENANT, "qid": qid})
+    assert call.status == 200, call.text
+    assert call.json()["tenant"] == ENCODED_TENANT
+    print(f"  PUT/GET {path} and /v1/call as {ascii(ENCODED_TENANT)} ok")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,53 +146,31 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     qid = load_suite(SUITE, n_queries=N_QUERIES).queries[0].qid
-    command = [sys.executable, "-m", "repro", "serve", "--tenants", SUITE,
-               "-n", str(N_QUERIES), "--port", "0"]
-    if args.uvicorn:
-        command.append("--uvicorn")
-    process = subprocess.Popen(
-        command,
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
-    )
-    try:
-        host, port = wait_for_banner(process, uvicorn=args.uvicorn)
-        with HTTPConnection(host, port) as conn:
-            health = conn.get("/healthz")
-            assert health.status == 200, health.text
-            assert health.json()["status"] == "ok"
-            print(f"  /healthz ok (tenants {health.json()['tenants']})")
-
-            call = conn.post("/v1/call", {"tenant": SUITE, "qid": qid})
-            assert call.status == 200, call.text
-            payload = call.json()
-            assert payload["episode"]["qid"] == qid
-            assert call.trace_id == payload["trace_id"] != ""
-            print(f"  /v1/call ok (trace {payload['trace_id']}, "
-                  f"{payload['latency_s'] * 1e3:.1f} ms)")
-
-            metrics = conn.get("/metrics")
-            assert metrics.status == 200
-            assert "version=0.0.4" in metrics.headers["content-type"]
-            assert "repro_requests_completed_total 1" in metrics.text
-            print(f"  /metrics ok ({len(metrics.text.splitlines())} lines)")
-
-            path = f"/v1/tenants/{ENCODED_SEGMENT}"
-            put = conn.request("PUT", path,
-                               {"suite": SUITE, "n_queries": N_QUERIES})
-            assert put.status == 201, put.text
-            assert put.json()["name"] == ENCODED_TENANT
-            got = conn.get(path)
-            assert got.status == 200, got.text
-            assert got.json()["name"] == ENCODED_TENANT
-            call = conn.post("/v1/call", {"tenant": ENCODED_TENANT, "qid": qid})
-            assert call.status == 200, call.text
-            assert call.json()["tenant"] == ENCODED_TENANT
-            print(f"  PUT/GET {path} and /v1/call as {ascii(ENCODED_TENANT)} ok")
-    except BaseException:
-        process.kill()
-        process.wait()
-        raise
+    with MockOpenAIServer() as mock, tempfile.TemporaryDirectory() as scratch:
+        suite = SuiteSpec(SUITE, n_queries=N_QUERIES)
+        spec = ServingSpec(tenants=(
+            TenantSpec(SUITE, suite),
+            TenantSpec(ENGINE_TENANT, suite, engine=EngineSpec(
+                "openai_http", base_url=mock.base_url))))
+        spec_path = Path(scratch) / "serving.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        command = [sys.executable, "-m", "repro", "serve",
+                   "--spec", str(spec_path), "--port", "0"]
+        if args.uvicorn:
+            command.append("--uvicorn")
+        process = subprocess.Popen(
+            command,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
+        )
+        try:
+            host, port = wait_for_banner(process, uvicorn=args.uvicorn)
+            with HTTPConnection(host, port) as conn:
+                drive(conn, qid, mock)
+        except BaseException:
+            process.kill()
+            process.wait()
+            raise
 
     process.send_signal(signal.SIGINT)
     remainder = process.communicate(timeout=30.0)[0]

@@ -78,7 +78,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(module_name), attribute)
     globals()[name] = value  # cache: subsequent access skips __getattr__
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

@@ -26,7 +26,7 @@ from repro.core.agent_base import (
 )
 from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.suites.base import Query
-from repro.vectorstore import FlatIndex
+from repro.vectorstore import VectorIndex
 
 #: Exponent shaping the docs-to-call penalty: generating a call from
 #: retrieved documentation (instead of a native FC template) degrades
@@ -49,7 +49,7 @@ class GorillaAgent(FunctionCallingAgent):
         self.k = k
         self.context_window = context_window
         self.embedder = embedder if embedder is not None else shared_embedder()
-        self._index = FlatIndex(dim=self.embedder.dim, metric="cosine")
+        self._index = VectorIndex(dim=self.embedder.dim)
         self._index.add(self.embedder.encode(suite.catalog.descriptions()))
         self._names = suite.catalog.names
 

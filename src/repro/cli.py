@@ -56,11 +56,25 @@ from repro.specs import (
 )
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an int >= ``minimum``, else a usage error
+    (exit 2) that names the flag."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--suite", default="bfcl", choices=SUITES.names())
     parser.add_argument("--model", default="llama3.1-8b")
     parser.add_argument("--quant", default="q4_K_M")
-    parser.add_argument("-n", "--queries", type=int, default=60,
+    parser.add_argument("-n", "--queries", type=_at_least(1), default=60,
                         help="queries per batch (paper: 230)")
 
 
@@ -72,11 +86,11 @@ def _add_serving(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tenants", default=None,
                         help="comma-separated suite names; each becomes a "
                              "tenant of the same name (default: edgehome)")
-    parser.add_argument("-n", "--queries", type=int, default=None,
+    parser.add_argument("-n", "--queries", type=_at_least(1), default=None,
                         help="queries per tenant suite")
-    parser.add_argument("--batch-size", type=int, default=None,
+    parser.add_argument("--batch-size", type=_at_least(1), default=None,
                         help="micro-batch cap (ServingSpec.max_batch_size)")
-    parser.add_argument("--plan-cache", type=int, default=None,
+    parser.add_argument("--plan-cache", type=_at_least(0), default=None,
                         help="plan-result memoization entries")
     parser.add_argument("--timeout-ms", type=float, default=None,
                         help="end-to-end per-request deadline")
@@ -437,11 +451,14 @@ def build_parser() -> argparse.ArgumentParser:
     catalog_diff.set_defaults(func=cmd_catalog_diff)
 
     profile_parser = sub.add_parser("profile", help="cost one LLM turn")
-    profile_parser.add_argument("--tools", type=int, default=46)
-    profile_parser.add_argument("--window", type=int, default=16384)
+    profile_parser.add_argument("--tools", type=_at_least(0), default=46)
+    # cmd_profile reserves 1024 tokens of the window for the reply
+    profile_parser.add_argument("--window", type=_at_least(1024),
+                                default=16384)
     profile_parser.add_argument("--quant", default="q4_K_M")
     profile_parser.add_argument("--params-b", type=float, default=8.0)
-    profile_parser.add_argument("--output-tokens", type=int, default=130)
+    profile_parser.add_argument("--output-tokens", type=_at_least(0),
+                                default=130)
     profile_parser.add_argument("--power-mode", default="MAXN",
                                 choices=POWER_MODE_NAMES)
     profile_parser.set_defaults(func=cmd_profile)
@@ -449,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser = sub.add_parser(
         "load", help="closed-loop load on a serving spec, invariants checked")
     _add_serving(load_parser)
-    load_parser.add_argument("--requests", type=int, default=32)
-    load_parser.add_argument("--concurrency", type=int, default=8)
+    load_parser.add_argument("--requests", type=_at_least(0), default=32)
+    load_parser.add_argument("--concurrency", type=_at_least(1), default=8)
     load_parser.add_argument("--prometheus", action="store_true",
                              help="print the run's Prometheus exposition "
                                   "instead of the summary")

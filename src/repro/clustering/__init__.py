@@ -3,18 +3,16 @@
 Search Level 2 groups the augmented query latent space with agglomerative
 clustering (paper Section III-A).  This package implements the algorithm
 from scratch: pairwise distances, Lance-Williams linkage updates
-(single/complete/average/ward), dendrogram cuts by cluster count or
-distance threshold, and silhouette validation.
+(single/complete/average/ward) and dendrogram cuts by cluster count or
+distance threshold.
 """
 
 from repro.clustering.agglomerative import AgglomerativeClustering, Dendrogram, Merge
 from repro.clustering.distances import pairwise_distances
-from repro.clustering.silhouette import silhouette_score
 
 __all__ = [
     "AgglomerativeClustering",
     "Dendrogram",
     "Merge",
     "pairwise_distances",
-    "silhouette_score",
 ]

@@ -87,9 +87,10 @@ class ToolController:
         request.  All blocks are stacked into a single multi-query search
         per index and the arbitration runs on each request's score slice.
         The scoring kernels are batch-invariant (see
-        :mod:`repro.vectorstore.metrics`), so every decision is bitwise
-        identical to calling :meth:`decide` on that block alone — the
-        contract the serving gateway's micro-batcher relies on.
+        :func:`repro.vectorstore.base.batch_invariant_matmul`), so every
+        decision is bitwise identical to calling :meth:`decide` on that
+        block alone — the contract the serving gateway's micro-batcher
+        relies on.
         """
         blocks = [np.atleast_2d(np.asarray(block, dtype=float))
                   for block in vector_blocks]

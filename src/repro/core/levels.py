@@ -11,7 +11,7 @@ from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.suites.augmentation import AugmentationEngine
 from repro.suites.base import BenchmarkSuite
 from repro.utils.vectorops import normalize_rows
-from repro.vectorstore import FlatIndex
+from repro.vectorstore import VectorIndex
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class SearchLevels:
 
     suite_name: str
     tool_names: list[str]
-    tool_index: FlatIndex
+    tool_index: VectorIndex
     clusters: list[ToolCluster]
-    cluster_index: FlatIndex
+    cluster_index: VectorIndex
     all_tools: list[str] = field(default_factory=list)
 
     def tools_of_cluster(self, cluster_id: int) -> tuple[str, ...]:
@@ -63,9 +63,11 @@ class SearchLevelBuilder:
     embedder:
         Shared cached embedder (the "pretrained MPNet tokenizer").
     n_clusters:
-        Level-2 cluster count; default scales with the tool pool so
-        clusters stay small enough that the top-k union is a genuine
-        reduction (paper Table II passes 19 of 46 tools).
+        Level-2 cluster count, an int >= 1 (capped at the number of
+        augmented samples); ``None`` scales it with the tool pool
+        (:meth:`_default_cluster_count`) so clusters stay small enough
+        that the top-k union is a genuine reduction (paper Table II
+        passes 19 of 46 tools).
     linkage:
         Agglomerative linkage for the augmented space (paper uses
         scikit-learn's agglomerative clustering; average linkage on
@@ -75,12 +77,14 @@ class SearchLevelBuilder:
     def __init__(
         self,
         embedder: CachedEmbedder | None = None,
-        n_clusters: int | str | None = None,
+        n_clusters: int | None = None,
         linkage: str = "ward",
         augmentation_seed: int = 0,
     ):
-        if isinstance(n_clusters, str) and n_clusters != "auto":
-            raise ValueError(f"n_clusters must be an int, 'auto' or None, got {n_clusters!r}")
+        if n_clusters is not None and (
+                not isinstance(n_clusters, int) or n_clusters < 1):
+            raise ValueError(
+                f"n_clusters must be an int >= 1 or None, got {n_clusters!r}")
         self.embedder = embedder if embedder is not None else shared_embedder()
         self.n_clusters = n_clusters
         self.linkage = linkage
@@ -103,18 +107,18 @@ class SearchLevelBuilder:
     # ------------------------------------------------------------------
     # Level 1: individual tool embeddings
     # ------------------------------------------------------------------
-    def _build_level1(self, suite: BenchmarkSuite) -> FlatIndex:
+    def _build_level1(self, suite: BenchmarkSuite) -> VectorIndex:
         vectors = self.embedder.encode(suite.catalog.descriptions())
-        index = FlatIndex(dim=self.embedder.dim, metric="cosine")
+        index = VectorIndex(dim=self.embedder.dim)
         index.add(vectors)
         return index
 
     # ------------------------------------------------------------------
     # Level 2: clusters over the augmented query space
     # ------------------------------------------------------------------
-    def _build_level2(self, suite: BenchmarkSuite) -> tuple[list[ToolCluster], FlatIndex]:
+    def _build_level2(self, suite: BenchmarkSuite) -> tuple[list[ToolCluster], VectorIndex]:
         samples = AugmentationEngine(suite, seed=self.augmentation_seed).generate()
-        index = FlatIndex(dim=self.embedder.dim, metric="cosine")
+        index = VectorIndex(dim=self.embedder.dim)
         if not samples:
             return [], index
 
@@ -122,16 +126,7 @@ class SearchLevelBuilder:
         # ward needs euclidean, which is monotonic in cosine on unit-norm
         # sentence embeddings, so both linkages cluster the same geometry
         metric = "euclidean" if self.linkage == "ward" else "cosine"
-        if self.n_clusters == "auto":
-            from repro.clustering.model_selection import select_n_clusters
-
-            n_clusters, _ = select_n_clusters(
-                vectors, k_min=max(4, suite.n_tools // 6),
-                k_max=max(6, suite.n_tools // 2),
-                linkage=self.linkage, metric=metric,
-            )
-        else:
-            n_clusters = self.n_clusters or self._default_cluster_count(suite)
+        n_clusters = self.n_clusters or self._default_cluster_count(suite)
         n_clusters = min(n_clusters, len(samples))
         labels = AgglomerativeClustering(
             n_clusters=n_clusters, linkage=self.linkage, metric=metric,

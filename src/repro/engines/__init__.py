@@ -25,7 +25,6 @@ from repro.engines import simulated as _simulated  # noqa: F401 - registers
 from repro.engines.base import (
     Engine,
     EngineError,
-    EngineHarness,
     EngineProtocolError,
     EngineReply,
     build_engine_llm,
@@ -36,7 +35,6 @@ __all__ = [
     "ChatEngineLLM",
     "Engine",
     "EngineError",
-    "EngineHarness",
     "EngineProtocolError",
     "EngineReply",
     "OpenAIHttpEngine",

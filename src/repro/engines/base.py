@@ -19,7 +19,7 @@ connections from the spec, one per request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.llm.responses import TokenUsage
@@ -79,21 +79,6 @@ class Engine(Protocol):
 
     def generate(self, messages: list[dict],
                  tools: list[ToolSpec]) -> EngineReply: ...
-
-
-@dataclass
-class EngineHarness:
-    """Optional scripted engine for tests: replays canned replies."""
-
-    replies: list[EngineReply] = field(default_factory=list)
-    calls: list[tuple[list[dict], tuple[str, ...]]] = field(default_factory=list)
-
-    def generate(self, messages: list[dict],
-                 tools: list[ToolSpec]) -> EngineReply:
-        self.calls.append((messages, tuple(tool.name for tool in tools)))
-        if not self.replies:
-            return EngineReply(text="{}")
-        return self.replies.pop(0)
 
 
 def build_engine_llm(spec, model: str, quant: str):

@@ -49,12 +49,6 @@ def content_message(text: str) -> dict:
     return {"role": "assistant", "content": text}
 
 
-def fenced_call_message(name: str, arguments: dict) -> dict:
-    """A content-only reply embedding the call as JSON in prose."""
-    body = json.dumps({"name": name, "arguments": arguments}, sort_keys=True)
-    return content_message(f"Sure — calling the tool now:\n{body}\nDone.")
-
-
 class MockOpenAIApp:
     """Scripted OpenAI-compatible chat-completions endpoint (plain ASGI)."""
 

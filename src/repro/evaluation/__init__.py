@@ -1,6 +1,5 @@
 """Evaluation harness: metrics, sweep runner and table/figure rendering."""
 
-from repro.evaluation.export import dump_run, load_run
 from repro.evaluation.metrics import MetricSummary, NormalizedMetrics, summarize
 from repro.evaluation.reporting import render_metric_table, render_series
 from repro.evaluation.runner import EvaluationRun, ExperimentRunner
@@ -20,8 +19,6 @@ __all__ = [
     "NormalizedMetrics",
     "bootstrap_ci",
     "compare_runs",
-    "dump_run",
-    "load_run",
     "render_metric_table",
     "render_series",
     "success_rate_ci",

@@ -23,10 +23,6 @@ class MetricSummary:
     fallback_rate: float
     level_histogram: dict[int, int]
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return (f"success={self.success_rate:.1%} acc={self.tool_accuracy:.1%} "
-                f"time={self.mean_time_s:.1f}s power={self.avg_power_w:.1f}W")
-
 
 @dataclass(frozen=True)
 class NormalizedMetrics:

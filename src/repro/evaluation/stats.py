@@ -29,9 +29,6 @@ class ConfidenceInterval:
     def __contains__(self, value: float) -> bool:
         return self.low <= value <= self.high
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return f"{self.point:.3f} [{self.low:.3f}, {self.high:.3f}]"
-
 
 def bootstrap_ci(
     values: list[float] | np.ndarray,

@@ -28,7 +28,7 @@ import importlib
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 
 class Registry:
@@ -145,12 +145,6 @@ class Registry:
             return True
         self._ensure_builtins()
         return key in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({self.kind!r}, entries={self.names()})"
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.serving.loadgen import (
     run_load,
 )
 from repro.serving.http import (
-    ASGITestClient,
     AsgiServer,
     GatewayHTTPApp,
     HTTPConnection,
@@ -58,7 +57,6 @@ from repro.serving.session import SessionManager, TenantSession, UnknownTenantEr
 from repro.serving.telemetry import Telemetry, percentile
 
 __all__ = [
-    "ASGITestClient",
     "AsgiServer",
     "BatchScheduler",
     "BudgetController",

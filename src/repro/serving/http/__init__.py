@@ -1,16 +1,13 @@
-"""The gateway's HTTP front door: plain-ASGI app, clients, server.
+"""The gateway's HTTP front door: plain-ASGI app, client, server.
 
 See :mod:`repro.serving.http.app` for the endpoint and error-mapping
-tables.  Typical wiring::
+tables.  Typical wiring (what ``repro serve`` does)::
 
-    from repro import ServingSpec, TenantSpec, open_session
-    from repro.serving.http import create_app, ASGITestClient
+    from repro import ServingSpec, open_session
+    from repro.serving.http import serve_gateway
 
-    gateway = open_session(suite="edgehome").serve(ServingSpec(...))
-    app = create_app(gateway)
-    async with app:                       # starts/stops the gateway
-        client = ASGITestClient(app)
-        response = await client.post("/v1/call", json_body={...})
+    gateway = open_session(ServingSpec(...)).serve()
+    asyncio.run(serve_gateway(gateway))   # host/port: ServingSpec.http
 """
 
 from repro.serving.http.app import (
@@ -19,18 +16,11 @@ from repro.serving.http.app import (
     create_app,
     map_error,
 )
-from repro.serving.http.client import (
-    ASGITestClient,
-    HTTPConnection,
-    Response,
-    lifespan_shutdown,
-    lifespan_startup,
-)
+from repro.serving.http.client import HTTPConnection, Response
 from repro.serving.http.server import AsgiServer, run_uvicorn, serve_gateway
 from repro.serving.http.wire import BadRequestError
 
 __all__ = [
-    "ASGITestClient",
     "AsgiServer",
     "BadRequestError",
     "ERROR_STATUS",
@@ -38,8 +28,6 @@ __all__ = [
     "HTTPConnection",
     "Response",
     "create_app",
-    "lifespan_shutdown",
-    "lifespan_startup",
     "map_error",
     "run_uvicorn",
     "serve_gateway",

@@ -102,11 +102,6 @@ class Session:
         """The suite's offline-built Search Levels (built on first use)."""
         return self.runner.levels
 
-    @property
-    def catalog(self):
-        """The session suite's :class:`~repro.tools.catalog.ToolCatalog`."""
-        return self.suite.catalog
-
     # ------------------------------------------------------------------
     # agents
     # ------------------------------------------------------------------

@@ -291,10 +291,6 @@ class ToolCatalog:
             for t in data.get("tools", ()))
         return cls(**data)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ToolCatalog({self.name!r}, tools={len(self.tools)}, "
-                f"variant={self.variant!r}, version={self.version[:12]!r})")
-
 
 def load_catalog(name: str, variant: str = "full",
                  include: Iterable[str] | None = None) -> ToolCatalog:

@@ -110,6 +110,3 @@ class RngFactory:
     def spawn(self, *parts: str | int | float) -> "RngFactory":
         """Return a child factory whose streams are namespaced by ``parts``."""
         return RngFactory(stable_hash64(self.root_seed, "spawn", *parts))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngFactory(root_seed={self.root_seed})"

@@ -1,12 +1,51 @@
-"""Common interface for vector indexes."""
+"""The exact cosine k-NN index and its batch-invariant gemm."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vectorstore.metrics import Metric, get_metric
+from repro.utils.vectorops import normalize_rows
+
+#: Row-block size of the fixed-shape gemm.  Every block is padded to
+#: exactly this many rows, so each query row is computed by an
+#: identical-shape kernel regardless of batch composition.  8 balances
+#: the padding waste a single-query search pays (8x rows) against the
+#: Python-level block loop a large stacked batch pays (n/8 gemm calls);
+#: both ends measured within ~25% of their unpadded cost.
+QUERY_BLOCK = 8
+
+
+def batch_invariant_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.ndarray:
+    """``queries @ vectors_t`` with batch-composition-invariant rows.
+
+    BLAS picks different blocking (and therefore a different float
+    summation order) depending on the matrix shapes, so a plain
+    ``queries @ vectors.T`` gives *bitwise different* scores for the
+    same query depending on how many other queries share the batch.
+    Here the query rows are processed in blocks of exactly
+    :data:`QUERY_BLOCK` rows (zero-padded), so the per-row result is
+    bitwise identical whether a query is scored alone or stacked with
+    hundreds of others — the property the micro-batching scheduler
+    relies on for served results to equal sequential ones.
+    """
+    n_queries = queries.shape[0]
+    if n_queries == 0:
+        return np.zeros((0, vectors_t.shape[1]))
+    blocks = []
+    for start in range(0, n_queries, QUERY_BLOCK):
+        chunk = queries[start:start + QUERY_BLOCK]
+        rows = chunk.shape[0]
+        if rows < QUERY_BLOCK:
+            padded = np.zeros((QUERY_BLOCK, chunk.shape[1]))
+            padded[:rows] = chunk
+            blocks.append((padded @ vectors_t)[:rows])
+        else:
+            blocks.append(chunk @ vectors_t)
+    if len(blocks) == 1:
+        return blocks[0]
+    return np.vstack(blocks)
 
 
 @dataclass
@@ -38,19 +77,26 @@ class SearchResult:
 
 @dataclass
 class VectorIndex:
-    """Base class: id-addressed vector storage with exact k-NN search."""
+    """Id-addressed vector storage with exact cosine k-NN search.
+
+    The FAISS ``IndexFlatIP`` over unit-norm vectors that the
+    Less-is-More Tool Controller searches: tool pools are tiny (tens of
+    tools), so exact search is both the fastest and the most faithful
+    reproduction of the paper's FAISS usage.
+
+    Search is fully batched: one gemm against the row-normalised stored
+    vectors produces the whole ``(q, n)`` score matrix and one
+    vectorized selection pass ranks every query — no per-query Python
+    loop, nothing recomputed from the stored side per call.
+    """
 
     dim: int
-    metric: Metric = field(default_factory=lambda: get_metric("cosine"))
 
     def __post_init__(self):
         if self.dim <= 0:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        self.metric = get_metric(self.metric)
         self._vectors = np.zeros((0, self.dim))
         self._ids = np.zeros(0, dtype=np.int64)
-        # hoisted 0..n-1 row ids, maintained on add (not per search call)
-        self._rows = np.zeros(0, dtype=np.intp)
         self._refresh_operand()
 
     # ------------------------------------------------------------------
@@ -81,7 +127,6 @@ class VectorIndex:
                 raise ValueError("duplicate ids are not allowed")
         self._vectors = np.vstack([self._vectors, vectors])
         self._ids = np.concatenate([self._ids, ids])
-        self._rows = np.arange(self._vectors.shape[0], dtype=np.intp)
         self._refresh_operand()
 
     def reconstruct(self, vector_id: int) -> np.ndarray:
@@ -122,47 +167,35 @@ class VectorIndex:
             n_queries = queries.shape[0]
             return (np.zeros((n_queries, 0)),
                     np.zeros((n_queries, 0), dtype=np.int64))
-        return self._search_arrays_impl(queries, min(k, len(self)))
+        return self._rank_batch(
+            batch_invariant_matmul(normalize_rows(queries), self._operand.T),
+            min(k, len(self)))
 
-    # hooks -------------------------------------------------------------
     def _refresh_operand(self) -> None:
-        """Recompute what search needs of the stored vectors.
+        """Row-normalise the stored vectors for the gemm.
 
-        Called whenever they change (construction, ``add``),
-        so a search never re-derives anything from data that did not
-        change since the last one.
+        Called whenever they change (construction, ``add``), so a
+        search never re-derives anything from data that did not change
+        since the last one.
         """
-        self._operand = self.metric.prepare(self._vectors)
+        self._operand = normalize_rows(self._vectors)
 
-    def _search_arrays_impl(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rank validated ``queries`` against a non-empty index.
-
-        Returns ``(scores, ids)``: ``(q, k')`` matrices, best first.  The
-        one hook behind both :meth:`search` and :meth:`search_arrays`;
-        subclasses override this, never the public methods.
-        """
-        raise NotImplementedError
-
-    # shared helpers -----------------------------------------------------
-    def _rank_batch(self, score_matrix: np.ndarray, candidate_rows: np.ndarray,
+    def _rank_batch(self, score_matrix: np.ndarray,
                     k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` ``(scores, ids)`` of every score row in one pass.
 
-        ``score_matrix`` is ``(q, c)`` over the shared ``candidate_rows``.
         When ``k`` is a strict subset, an ``argpartition`` pass selects
-        the top block before only that block is sorted — O(c + k log k)
-        per query instead of O(c log c).
+        the top block before only that block is sorted — O(n + k log k)
+        per query instead of O(n log n).
         """
-        # argsort/argpartition pick minima; negate similarities so "best"
-        # is always the smallest key
-        keys = -score_matrix if self.metric.higher_is_better else score_matrix
-        n_candidates = score_matrix.shape[1]
-        if k < n_candidates:
+        # argsort/argpartition pick minima; negate the similarities so
+        # "best" is the smallest key
+        keys = -score_matrix
+        if k < score_matrix.shape[1]:
             block = np.argpartition(keys, k - 1, axis=1)[:, :k]
             block_keys = np.take_along_axis(keys, block, axis=1)
             order = np.argsort(block_keys, axis=1, kind="stable")
             top = np.take_along_axis(block, order, axis=1)
         else:
             top = np.argsort(keys, axis=1, kind="stable")
-        return (np.take_along_axis(score_matrix, top, axis=1),
-                self._ids[candidate_rows[top]])
+        return np.take_along_axis(score_matrix, top, axis=1), self._ids[top]

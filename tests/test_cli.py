@@ -142,6 +142,22 @@ def test_documented_commands_parse(argv):
     build_parser().parse_args(argv)
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["run", "--suite", "edgehome", "-n", "0"], "-n/--queries"),
+    (["load", "-n", "0"], "-n/--queries"),
+    (["load", "--concurrency", "0", "--requests", "2"], "--concurrency"),
+    (["load", "--batch-size", "0"], "--batch-size"),
+    (["profile", "--window", "512"], "--window"),
+    (["profile", "--tools", "-5"], "--tools"),
+])
+def test_size_flags_out_of_range_are_usage_errors(argv, flag, capsys):
+    """Exit 2 with argparse's message naming the flag, not a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
 def test_documented_commands_are_found():
     commands = {argv[0] for argv in
                 (param.values[0] for param in _documented_commands())}

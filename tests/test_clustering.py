@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.clustering import AgglomerativeClustering, pairwise_distances, silhouette_score
+from repro.clustering import AgglomerativeClustering, pairwise_distances
 from repro.utils.rng import derive_rng
 
 
@@ -133,30 +133,3 @@ class TestAgglomerative:
         assert labels.shape == (vectors.shape[0],)
         assert set(labels.tolist()) == set(range(len(np.unique(labels))))
 
-
-class TestSilhouette:
-    def test_well_separated_high_score(self):
-        vectors, truth = three_blobs()
-        assert silhouette_score(vectors, truth) > 0.8
-
-    def test_random_labels_lower_than_true(self):
-        vectors, truth = three_blobs()
-        shuffled = derive_rng("sil").permutation(truth)
-        assert silhouette_score(vectors, truth) > silhouette_score(vectors, shuffled)
-
-    def test_single_cluster_zero(self):
-        vectors, _ = three_blobs()
-        assert silhouette_score(vectors, np.zeros(len(vectors))) == 0.0
-
-    def test_all_singletons_zero(self):
-        vectors = np.arange(10.0).reshape(5, 2)
-        assert silhouette_score(vectors, np.arange(5)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            silhouette_score(np.ones((3, 2)), np.zeros(2))
-
-    def test_bounded(self):
-        vectors, truth = three_blobs(spread=3.0)
-        score = silhouette_score(vectors, truth)
-        assert -1.0 <= score <= 1.0

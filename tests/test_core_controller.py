@@ -70,10 +70,10 @@ class TestArbitration:
         """A negative Level-1 mean must not lose to an empty Level 2."""
         from dataclasses import replace
 
-        from repro.vectorstore import FlatIndex
+        from repro.vectorstore import VectorIndex
 
         no_clusters = replace(bfcl_levels, clusters=[],
-                              cluster_index=FlatIndex(dim=768, metric="cosine"))
+                              cluster_index=VectorIndex(dim=768))
         # a vector anti-correlated with the corpus: confident top-1 but
         # negative mean top-k
         anchor = embedder.encode_one(

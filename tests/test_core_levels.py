@@ -75,6 +75,15 @@ class TestBuilderOptions:
         levels = SearchLevelBuilder(embedder=shared_embedder(), n_clusters=5).build(geo_suite)
         assert levels.n_clusters == 5
 
+    def test_single_cluster(self, geo_suite):
+        levels = SearchLevelBuilder(embedder=shared_embedder(), n_clusters=1).build(geo_suite)
+        assert levels.n_clusters == 1
+
+    @pytest.mark.parametrize("n_clusters", [0, -1, "auto", "automatic", 2.5])
+    def test_invalid_cluster_count_rejected(self, n_clusters):
+        with pytest.raises(ValueError, match="n_clusters"):
+            SearchLevelBuilder(n_clusters=n_clusters)
+
     def test_deterministic_build(self, geo_suite):
         a = SearchLevelBuilder(embedder=shared_embedder()).build(geo_suite)
         b = SearchLevelBuilder(embedder=shared_embedder()).build(geo_suite)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import http.client
 import json
 import pickle
+from dataclasses import dataclass, field
 
 import pytest
 
 from repro.engines import (
     ChatEngineLLM,
     EngineError,
-    EngineHarness,
     EngineProtocolError,
     EngineReply,
     OpenAIHttpEngine,
@@ -31,9 +31,24 @@ from repro.llm.engine import SimulatedLLM
 from repro.registry import ENGINES, register_engine
 from repro.specs import AgentSpec, EngineSpec, ServingSpec, TenantSpec
 from repro.suites import load_suite
-from repro.tools.schema import ToolCall
+from repro.tools.schema import ToolCall, ToolSpec
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
+
+
+@dataclass
+class EngineHarness:
+    """A scripted engine: replays canned replies, records every call."""
+
+    replies: list[EngineReply] = field(default_factory=list)
+    calls: list[tuple[list[dict], tuple[str, ...]]] = field(default_factory=list)
+
+    def generate(self, messages: list[dict],
+                 tools: list[ToolSpec]) -> EngineReply:
+        self.calls.append((messages, tuple(tool.name for tool in tools)))
+        if not self.replies:
+            return EngineReply(text="{}")
+        return self.replies.pop(0)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.engines.testing import (
     MockOpenAIApp,
     MockOpenAIServer,
     content_message,
-    fenced_call_message,
     tool_call_message,
 )
 from repro.session import open_session
@@ -37,6 +36,12 @@ def _spec(base_url: str, **overrides) -> EngineSpec:
                     timeout_s=10.0, retries=2, retry_backoff_ms=1.0)
     defaults.update(overrides)
     return EngineSpec(**defaults)
+
+
+def fenced_call_message(name: str, arguments: dict) -> dict:
+    """A content-only reply embedding the call as JSON in prose."""
+    body = json.dumps({"name": name, "arguments": arguments}, sort_keys=True)
+    return content_message(f"Sure — calling the tool now:\n{body}\nDone.")
 
 
 def _quiet(engine: OpenAIHttpEngine) -> OpenAIHttpEngine:

@@ -1,4 +1,4 @@
-"""Tests for evaluation statistics and JSON export."""
+"""Tests for evaluation statistics."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.episode import EpisodeResult, StepRecord
-from repro.evaluation.export import dump_run, episode_from_dict, episode_to_dict, load_run
-from repro.evaluation.runner import EvaluationRun
-from repro.evaluation.metrics import summarize
 from repro.evaluation.stats import (
     bootstrap_ci,
     compare_runs,
@@ -106,30 +103,3 @@ class TestCompareRuns:
         assert report["rate_a"].point == 1.0
         assert report["rate_b"].point == 0.0
 
-
-class TestExport:
-    def test_episode_round_trip(self):
-        original = episode(success=False, qid="q42")
-        restored = episode_from_dict(episode_to_dict(original))
-        assert restored.qid == "q42"
-        assert restored.success == original.success
-        assert restored.steps == original.steps
-        assert restored.prompt_tokens == original.prompt_tokens
-
-    def test_run_round_trip(self):
-        episodes = [episode(True, "a"), episode(False, "b")]
-        run = EvaluationRun("lis", "m", "q", episodes, summarize(episodes))
-        restored = load_run(dump_run(run))
-        assert restored.key == run.key
-        assert restored.summary.success_rate == run.summary.success_rate
-        assert len(restored.episodes) == 2
-
-    def test_real_pipeline_round_trip(self):
-        from repro.evaluation.runner import ExperimentRunner
-        from repro.suites import load_suite
-
-        runner = ExperimentRunner(load_suite("bfcl", n_queries=5))
-        run = runner.run("lis-k3", "qwen2-7b", "q4_K_M")
-        restored = load_run(dump_run(run))
-        assert restored.summary.success_rate == run.summary.success_rate
-        assert restored.summary.mean_time_s == pytest.approx(run.summary.mean_time_s)

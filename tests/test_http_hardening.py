@@ -17,9 +17,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from asgi_client import ASGITestClient
 from repro.embedding.cache import CachedEmbedder
 from repro.serving import Gateway, SessionManager
-from repro.serving.http import ASGITestClient, create_app
+from repro.serving.http import create_app
 from repro.serving.http.limits import RateLimiter
 from repro.specs import HttpSpec, ServingSpec
 from repro.suites import load_suite

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from repro import open_session
+from asgi_client import ASGITestClient
 from repro.core.episode import EpisodeResult
 from repro.embedding import cache as cache_module
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.serving import Gateway, SessionManager
-from repro.serving.http import ASGITestClient, create_app
+from repro.serving.http import create_app
 from repro.specs import ServingSpec
 from repro.suites import load_suite
 

@@ -1,8 +1,8 @@
 """Integration tests for the HTTP front door (``repro.serving.http``).
 
 Every endpoint is exercised through the in-process
-:class:`~repro.serving.http.ASGITestClient` — the app coroutine runs
-directly on the test's event loop, no sockets — plus each row of the
+:class:`asgi_client.ASGITestClient` — the app coroutine runs directly on
+the test's event loop, no sockets — plus each row of the
 :data:`~repro.serving.http.app.ERROR_STATUS` table: 429 (queue full),
 503 (shed tenant), 504 (deadline), 404 (unknown tenant / qid / route)
 and 400 (validation).  ``/metrics`` output goes through the same strict
@@ -15,14 +15,14 @@ import asyncio
 
 import pytest
 
+from asgi_client import ASGITestClient, lifespan_shutdown, lifespan_startup
 from repro.core.episode import EpisodeResult
 from repro.embedding.cache import CachedEmbedder
 from repro.obs.trace import request_trace_id
 from repro.power import BudgetController
 from repro.serving import Gateway, SessionManager
-from repro.serving.http import ASGITestClient, create_app
+from repro.serving.http import create_app
 from repro.serving.http.app import ERROR_STATUS, METRICS_CONTENT_TYPE
-from repro.serving.http.client import lifespan_shutdown, lifespan_startup
 from repro.specs import BudgetSpec, ServingSpec
 from repro.suites import load_suite
 from repro.tools.catalog import load_catalog

@@ -1,10 +1,12 @@
-"""Batched-vs-per-query search equivalence for the flat index, per metric."""
+"""Batched-vs-per-query search equivalence for the exact cosine index."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import derive_rng
-from repro.vectorstore import FlatIndex
+from repro.utils.vectorops import normalize_rows
+from repro.vectorstore import VectorIndex
+from repro.vectorstore.base import QUERY_BLOCK, batch_invariant_matmul
 
 
 @pytest.fixture(scope="module")
@@ -18,18 +20,13 @@ def queries():
 
 
 def build_flat_cosine(vectors):
-    index = FlatIndex(dim=16, metric="cosine")
+    index = VectorIndex(dim=16)
     index.add(vectors)
     return index
 
 
-def build_flat_l2(vectors):
-    index = FlatIndex(dim=16, metric="l2")
-    index.add(vectors)
-    return index
-
-
-BUILDERS = [build_flat_cosine, build_flat_l2]
+#: one builder; still a parameter because it names the tests' ids
+BUILDERS = [build_flat_cosine]
 
 
 @pytest.mark.parametrize("builder", BUILDERS)
@@ -50,14 +47,14 @@ def test_batched_equals_per_query(builder, k, vectors, queries):
 def test_batched_scores_sorted_best_first(builder, vectors, queries):
     index = builder(vectors)
     for result in index.search(queries, 7):
-        ordered = sorted(result.scores, reverse=index.metric.higher_is_better)
+        ordered = sorted(result.scores, reverse=True)
         assert list(result.scores) == ordered
 
 
 def test_flat_batched_matches_bruteforce(vectors, queries):
     index = build_flat_cosine(vectors)
     results = index.search(queries, 5)
-    scores = index.metric.score_prepared(queries, index.metric.prepare(vectors))
+    scores = normalize_rows(queries) @ normalize_rows(vectors).T
     for qi, result in enumerate(results):
         expected_rows = np.argsort(-scores[qi], kind="stable")[:5]
         np.testing.assert_array_equal(result.ids, expected_rows)
@@ -78,13 +75,6 @@ def test_search_arrays_clamps_k(vectors):
     index = build_flat_cosine(vectors)
     scores, ids = index.search_arrays(np.ones((2, 16)), 999)
     assert scores.shape == (2, 60)
-
-
-def test_rows_hoisted_and_maintained(vectors):
-    index = build_flat_cosine(vectors)
-    np.testing.assert_array_equal(index._rows, np.arange(60))
-    index.add(np.ones((2, 16)))
-    np.testing.assert_array_equal(index._rows, np.arange(62))
 
 
 def test_scores_invariant_across_batch_compositions(vectors, queries):
@@ -111,8 +101,6 @@ def test_scores_invariant_across_batch_compositions(vectors, queries):
 
 
 def test_batch_invariant_matmul_handles_empty_and_blocked_shapes():
-    from repro.vectorstore.metrics import QUERY_BLOCK, batch_invariant_matmul
-
     rng = np.random.default_rng(3)
     stored = rng.standard_normal((9, 8))
     empty = batch_invariant_matmul(np.zeros((0, 8)), stored.T)

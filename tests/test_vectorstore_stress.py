@@ -14,8 +14,8 @@ import pytest
 
 from repro.utils.rng import derive_rng
 from repro.utils.vectorops import normalize_rows
-from repro.vectorstore import FlatIndex
-from repro.vectorstore.metrics import QUERY_BLOCK, batch_invariant_matmul
+from repro.vectorstore import VectorIndex
+from repro.vectorstore.base import QUERY_BLOCK, batch_invariant_matmul
 
 DIM = 24
 #: batch sizes straddling the QUERY_BLOCK=8 padding boundary
@@ -28,8 +28,8 @@ BATCH_SIZES = [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1,
 FAMILIES = ["flat"]
 
 
-def _build(vectors: np.ndarray, metric: str = "cosine") -> FlatIndex:
-    index = FlatIndex(dim=DIM, metric=metric)
+def _build(vectors: np.ndarray) -> VectorIndex:
+    index = VectorIndex(dim=DIM)
     index.add(vectors)
     return index
 
@@ -101,9 +101,9 @@ def test_search_arrays_matches_search(family):
 # ----------------------------------------------------------------------
 # prepared operands == the per-call formulas they replaced, bitwise
 # ----------------------------------------------------------------------
-# The index keeps the metric's prepared form of its stored vectors
-# (row-normalised matrix, squared norms) instead of deriving it on every
-# search.  The references below are the per-call formulas as they stood
+# The index keeps its stored vectors row-normalised instead of deriving
+# them on every search.  The references below are the per-call formulas
+# as they stood
 # before that, kept here so that "same bits" is asserted against them
 # and not against the code under test.
 def _reference_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.ndarray:
@@ -119,31 +119,17 @@ def _reference_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _reference_l2(queries, vectors):
-    dists = (np.sum(queries**2, axis=1, keepdims=True)
-             - 2.0 * _reference_matmul(queries, vectors.T)
-             + np.sum(vectors**2, axis=1)[None, :])
-    return np.maximum(dists, 0.0)
+def _reference_scores(queries, vectors) -> np.ndarray:
+    return _reference_matmul(normalize_rows(queries), normalize_rows(vectors).T)
 
 
-def _reference_scores(metric: str, queries, vectors) -> np.ndarray:
-    if metric == "ip":
-        return _reference_matmul(queries, vectors.T)
-    if metric == "cosine":
-        return _reference_matmul(normalize_rows(queries),
-                                 normalize_rows(vectors).T)
-    return _reference_l2(queries, vectors)
-
-
-def _assert_matches_reference(index, metric, queries, k) -> None:
+def _assert_matches_reference(index, queries, k) -> None:
     results = index.search(queries, k)
     position = {int(stored_id): row_of
                 for row_of, stored_id in enumerate(index._ids)}
     for row, result in enumerate(results):
-        scores = _reference_scores(metric, queries[row][None, :],
-                                   index._vectors)[0]
-        keys = -scores if index.metric.higher_is_better else scores
-        best = np.argsort(keys, kind="stable")[:k]
+        scores = _reference_scores(queries[row][None, :], index._vectors)[0]
+        best = np.argsort(-scores, kind="stable")[:k]
         np.testing.assert_array_equal(result.scores, scores[best],
                                       err_msg=f"row {row}")
         # ids are pinned through their scores, which tolerates exact ties
@@ -158,21 +144,22 @@ def _assert_matches_reference(index, metric, queries, k) -> None:
         ids, np.stack([result.ids for result in results]))
 
 
-FAMILY_METRICS = [(family, metric) for family in FAMILIES
-                  for metric in ("cosine", "ip", "l2")]
+#: the one metric; still a parameter because it names the test's rng
+#: stream and id (``[flat-cosine]``)
+FAMILY_METRICS = [(family, "cosine") for family in FAMILIES]
 REFERENCE_BATCHES = [1, QUERY_BLOCK - 1, QUERY_BLOCK, QUERY_BLOCK + 1, 33]
 
 
 @pytest.mark.parametrize("family,metric", FAMILY_METRICS)
 def test_prepared_operand_matches_per_call_formula(family, metric):
     rng = derive_rng("vectorstore-stress", "operand", family, metric)
-    index = _build(rng.normal(size=(40, DIM)), metric)
+    index = _build(rng.normal(size=(40, DIM)))
     batches = [rng.normal(size=(size, DIM)) for size in REFERENCE_BATCHES]
 
     def check(candidate):
         for queries in batches:
             for k in (1, 3, len(candidate) + 2):
-                _assert_matches_reference(candidate, metric, queries, k)
+                _assert_matches_reference(candidate, queries, k)
 
     check(index)
     # interleaved adds: the operand may never lag the stored vectors
