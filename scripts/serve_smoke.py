@@ -7,7 +7,8 @@ spec with two tenants over the same suite — one on the simulated
 engine, one on the ``openai_http`` engine pointed at an in-process
 :class:`~repro.engines.testing.MockOpenAIServer` — launches the server
 on it on an ephemeral port, and drives ``/healthz``, ``POST /v1/call``
-and ``/metrics`` over a real connection.  It calls the engine-backed
+and ``/metrics`` (whose two process-memory gauges must be positive)
+over a real connection.  It calls the engine-backed
 tenant and checks the mock saw the chat request, lists the tenants,
 reads one's status, deletes it and gets a 404 for it; registers, reads
 and calls a tenant whose name travels percent-encoded in the path
@@ -100,6 +101,12 @@ def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
     assert metrics.status == 200
     assert "version=0.0.4" in metrics.headers["content-type"]
     assert "repro_requests_completed_total 1" in metrics.text
+    memory = {line.split()[0]: float(line.split()[1])
+              for line in metrics.text.splitlines()
+              if line.startswith("repro_process_")}
+    assert sorted(memory) == ["repro_process_peak_resident_bytes",
+                              "repro_process_resident_bytes"], memory
+    assert all(value > 0 for value in memory.values()), memory
     print(f"  /metrics ok ({len(metrics.text.splitlines())} lines)")
 
     call = conn.post("/v1/call", {"tenant": ENGINE_TENANT, "qid": qid})

@@ -322,15 +322,15 @@ def cmd_load(args: argparse.Namespace) -> int:
     ``--prometheus`` prints what a scrape of ``repro serve``'s ``GET
     /metrics`` returns instead of the summary.
     """
-    from repro.obs.prometheus import render_prometheus
     from repro.serving import run_load
 
     spec = _serving_spec(args)
-    report = run_load(open_session(spec).serve(), args.requests,
-                      args.concurrency, tolerate_errors=True)
+    gateway = open_session(spec).serve()
+    report = run_load(gateway, args.requests, args.concurrency,
+                      tolerate_errors=True)
     metrics = report.gateway_metrics
     if args.prometheus:
-        print(render_prometheus(metrics, cost=report.cost), end="")
+        print(gateway.metrics_text(), end="")
     else:
         print(f"load: {report.n_requests} requests, {report.n_errors} failed "
               f"({report.success_rate:.0%} served), p95 latency "

@@ -110,6 +110,12 @@ FAMILIES: tuple[Family, ...] = (
            "Plan-cache hit rate over all lookups.", kind="gauge"),
     Family("mean_batch_size", "mean_batch_size",
            "Mean size of dispatched micro-batches.", kind="gauge"),
+    Family("process_resident_bytes", "process_resident_bytes",
+           "Resident set size of the serving process (VmRSS), read when "
+           "the exposition renders.", kind="gauge"),
+    Family("process_peak_resident_bytes", "process_peak_resident_bytes",
+           "Peak resident set size of the serving process (VmHWM), read "
+           "when the exposition renders.", kind="gauge"),
 )
 
 #: The cost ledger's families: ``key`` is a field of

@@ -49,6 +49,7 @@ class BudgetController:
 
     One controller per gateway, sharing the gateway's
     :class:`~repro.power.meter.EnergyMeter` with the accounting layer.
+    It holds the sessions, meter, telemetry and tracer, never the gateway.
     Every action lands in telemetry as one ``budget_transitions`` entry
     (``<tenant>:<direction>:<rung>`` for ladder moves,
     ``device:<direction>:<mode>`` for power-mode moves) and, on a traced
@@ -56,13 +57,14 @@ class BudgetController:
     and settle mark are the tenant session's.
     """
 
-    def __init__(self, gateway, spec: BudgetSpec, meter=None,
-                 signal=None, clock=None):
-        self.gateway = gateway
+    def __init__(self, sessions, spec: BudgetSpec, *, meter, telemetry,
+                 tracer=None, signal=None):
+        self.sessions = sessions
         self.spec = spec
-        self.meter = meter if meter is not None else gateway.power_meter
+        self.meter = meter
+        self.telemetry = telemetry
+        self.tracer = tracer
         self.signal = signal if signal is not None else self.meter.signal
-        self._clock = clock if clock is not None else self.meter.now
         self._mode_index = 0
         self._mode_floor = MODE_LADDER.index(spec.min_power_mode)
         self._mode_clear_streak = 0
@@ -79,12 +81,12 @@ class BudgetController:
     # ------------------------------------------------------------------
     def tick(self, now_s: float | None = None) -> None:
         """One control step; pass ``now_s`` to drive it without a clock."""
-        t_s = self._clock() if now_s is None else now_s
+        t_s = self.meter.now() if now_s is None else now_s
         intensity = self.signal.intensity(t_s)
         self._tick_power_mode(intensity)
         if (self.spec.energy_budget_j is not None
                 or self.spec.carbon_budget_g is not None):
-            for session in self.gateway.sessions:
+            for session in self.sessions:
                 self._tick_tenant(session)
 
     async def run(self) -> None:
@@ -122,12 +124,10 @@ class BudgetController:
         self._mode_index = index
         mode = MODE_LADDER[index]
         self.meter.set_power_mode(mode)
-        self.gateway.telemetry.record_budget_transition(
-            "device", mode, direction)
-        tracer = getattr(self.gateway, "tracer", None)
-        if tracer is not None:
-            tracer.marker("budget", {"scope": "device", "power_mode": mode,
-                                     "direction": direction})
+        self.telemetry.record_budget_transition("device", mode, direction)
+        if self.tracer is not None:
+            self.tracer.marker("budget", {
+                "scope": "device", "power_mode": mode, "direction": direction})
 
     # ------------------------------------------------------------------
     # per-tenant budget ladder
@@ -186,10 +186,10 @@ class BudgetController:
         session.settle_mark = session.energy_requests
         rung = RUNGS[new]
         direction_name = "down" if direction > 0 else "up"
-        self.gateway.telemetry.record_budget_transition(
+        self.telemetry.record_budget_transition(
             session.name, rung, direction_name)
-        tracer = getattr(self.gateway, "tracer", None)
-        if tracer is not None:
-            tracer.marker("budget", {"scope": session.name, "rung": rung,
-                                     "direction": direction_name})
+        if self.tracer is not None:
+            self.tracer.marker("budget", {
+                "scope": session.name, "rung": rung,
+                "direction": direction_name})
         return rung

@@ -17,9 +17,10 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.serving.telemetry import Telemetry
 from repro.specs import ServingSpec
@@ -64,25 +65,23 @@ class BatchScheduler:
 
     Parameters
     ----------
-    process:
-        ``process(batch: list[PendingRequest]) -> list[Any]`` — runs on
-        the worker thread, must return one result per request in order;
-        a slot holding an exception fails just that request.  A raised
-        exception, or the wrong number of results, fails every request
-        in the batch.
     config:
         Batch/queue tunables (:class:`~repro.specs.ServingSpec`).
     telemetry:
         Recorder for queue depth, batch sizes and rejections.
+
+    :meth:`start` takes the processor, ``process(batch) -> results``,
+    and only the running loop holds it.  It runs on the worker thread
+    and must return one result per request in order; a slot holding an
+    exception fails just that request.  A raised exception, or the wrong
+    number of results, fails every request in the batch.
     """
 
     def __init__(
         self,
-        process: Callable[[list[PendingRequest]], list[Any]],
         config: ServingSpec,
         telemetry: Telemetry | None = None,
     ):
-        self._process = process
         self.config = config
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._queues: dict[str, deque[PendingRequest]] = {}
@@ -99,13 +98,14 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
+    async def start(self, process) -> None:
         if self._task is not None:
             raise RuntimeError("scheduler already started")
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._stopping = False
-        self._task = self._loop.create_task(self._run(), name="batch-scheduler")
+        self._task = self._loop.create_task(self._run(process),
+                                            name="batch-scheduler")
 
     async def stop(self) -> None:
         """Stop accepting, run what is still queued, then exit.
@@ -185,7 +185,7 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     # scheduler loop
     # ------------------------------------------------------------------
-    async def _run(self) -> None:
+    async def _run(self, process) -> None:
         """Cut, run and deliver batches until stopped.
 
         One batch is in flight at a time (``run_in_executor`` is
@@ -209,7 +209,7 @@ class BatchScheduler:
                              for request in batch])
             try:
                 results = await self._loop.run_in_executor(
-                    self._worker, self._process, batch)
+                    self._worker, process, batch)
                 if len(results) != len(batch):
                     raise RuntimeError(
                         f"processor returned {len(results)} results for a "
@@ -217,17 +217,18 @@ class BatchScheduler:
             except Exception as exc:  # noqa: BLE001 - fails the whole batch
                 results = [exc] * len(batch)
             self._deliver(batch, results)
+            del batch, results  # a removed tenant must not wait for traffic
 
     def _deliver(self, batch: list[PendingRequest], results: list[Any]) -> None:
         for request, result in zip(batch, results):
-            if request.future.done():
-                continue
-            # processors may fail a subset of the batch by returning
-            # an exception in that request's slot (see the gateway's
-            # per-group containment)
+            # a processor may fail part of a batch by an exception in a
+            # slot (the gateway's per-group containment); the frames it
+            # left have returned, and their locals would reach it again
             if isinstance(result, BaseException):
-                request.future.set_exception(result)
-            else:
+                traceback.clear_frames(result.__traceback__)
+                if not request.future.done():
+                    request.future.set_exception(result)
+            elif not request.future.done():
                 request.future.set_result(result)
 
     def _cut_batch(self) -> list[PendingRequest]:
@@ -300,12 +301,12 @@ class _SingleWorker:
             if self._shutdown:
                 return
             future, fn, args = self._items.popleft()
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # noqa: BLE001 - propagate via future
-                future.set_exception(exc)
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:  # noqa: BLE001 - via future
+                    future.set_exception(exc)
+            del future, fn, args  # an idle worker holds no batch
 
     def shutdown(self, join_timeout_s: float = 5.0):
         """Stop the worker thread; raise if it fails to join.
@@ -323,7 +324,6 @@ class _SingleWorker:
             thread.join(timeout=join_timeout_s)
             if thread.is_alive():
                 import sys
-                import traceback
 
                 frame = sys._current_frames().get(thread.ident)
                 stack = ("".join(traceback.format_stack(frame))

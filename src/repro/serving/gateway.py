@@ -185,8 +185,7 @@ class Gateway:
             self.config.obs)
         self._owns_tracer = tracer is None and self.tracer is not None
         self.costs_ledger = CostLedger()
-        self.scheduler = BatchScheduler(self._process_batch, self.config,
-                                        telemetry=self.telemetry)
+        self.scheduler = BatchScheduler(self.config, telemetry=self.telemetry)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
         # carbon/power accounting: the meter is always on (attribution
@@ -207,10 +206,11 @@ class Gateway:
         self.sessions.warm_all(self.config.default_scheme,
                                self.config.default_model,
                                self.config.default_quant)
-        await self.scheduler.start()
+        await self.scheduler.start(self._process_batch)
         if self.config.budget is not None:
             self.budget = BudgetController(
-                self, self.config.budget, meter=self.power_meter)
+                self.sessions, self.config.budget, meter=self.power_meter,
+                telemetry=self.telemetry, tracer=self.tracer)
             self._budget_task = asyncio.get_running_loop().create_task(
                 self.budget.run(), name="budget-controller")
 
@@ -332,6 +332,7 @@ class Gateway:
             if root_span is not None:
                 root_span.attributes["error"] = type(exc).__name__
                 self.tracer.end_span(root_span, status="error")
+            del future  # exc's traceback holds this frame; future holds exc
             raise
         response.trace_id = trace_id
         response.latency_s = time.perf_counter() - started
@@ -393,10 +394,12 @@ class Gateway:
 
         What the HTTP edge's ``GET /metrics`` serves — rendering runs
         off the telemetry *snapshot*, so a scrape never holds the
-        recording locks for longer than one dict copy.
+        recording locks for longer than one dict copy.  The process's
+        resident memory is read fresh for each render.
         """
         from repro.obs.prometheus import render_prometheus
 
+        self.telemetry.record_process_memory()
         return render_prometheus(self.telemetry.snapshot(),
                                  cost=self.costs_ledger.snapshot())
 

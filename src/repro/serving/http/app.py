@@ -115,15 +115,6 @@ class GatewayHTTPApp:
         self.rate_limiter = (
             RateLimiter(rps, getattr(http, "rate_limit_burst", None))
             if rps is not None else None)
-        self.router = Router()
-        self.router.add("POST", "/v1/call", self._call)
-        self.router.add("GET", "/v1/tenants", self._list_tenants)
-        self.router.add("GET", "/v1/tenants/{name}", self._get_tenant)
-        self.router.add("PUT", "/v1/tenants/{name}", self._put_tenant)
-        self.router.add("DELETE", "/v1/tenants/{name}", self._delete_tenant)
-        self.router.add("GET", "/v1/tenants/{name}/status", self._tenant_status)
-        self.router.add("GET", "/healthz", self._healthz)
-        self.router.add("GET", "/metrics", self._metrics)
 
     # ------------------------------------------------------------------
     # ASGI entry
@@ -163,7 +154,7 @@ class GatewayHTTPApp:
                     "status": 404}})
             return
         try:
-            await handler(receive, send, params)
+            await handler(self, receive, send, params)
         except Exception as exc:  # noqa: BLE001 - mapped, never a socket drop
             status, payload = map_error(exc)
             headers = {}
@@ -381,6 +372,17 @@ class GatewayHTTPApp:
     async def _metrics(self, receive, send, params) -> None:
         await send_text(send, 200, self.gateway.metrics_text(),
                         content_type=METRICS_CONTENT_TYPE)
+
+    #: one table per class, over plain functions: no app holds itself
+    router = Router()
+    router.add("POST", "/v1/call", _call)
+    router.add("GET", "/v1/tenants", _list_tenants)
+    router.add("GET", "/v1/tenants/{name}", _get_tenant)
+    router.add("PUT", "/v1/tenants/{name}", _put_tenant)
+    router.add("DELETE", "/v1/tenants/{name}", _delete_tenant)
+    router.add("GET", "/v1/tenants/{name}/status", _tenant_status)
+    router.add("GET", "/healthz", _healthz)
+    router.add("GET", "/metrics", _metrics)
 
 
 def create_app(gateway: Gateway, http=None) -> GatewayHTTPApp:

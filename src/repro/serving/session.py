@@ -30,9 +30,7 @@ class TenantSession:
     Agents are constructed lazily per ``(scheme, model, quant)`` cell via
     the tenant's :class:`ExperimentRunner` (so Search Levels are built
     once and shared, exactly like the offline evaluation path) and cached
-    for reuse across requests.  Serving agents keep their executor's
-    per-call log disabled: episodes from many users would otherwise
-    accumulate in one unbounded list.
+    for reuse across requests.
 
     The tool catalog is hot-swappable: :meth:`swap_catalog` re-tools the
     suite, re-indexes the Search Levels and drops the agent cache in one
@@ -104,7 +102,6 @@ class TenantSession:
             agent = self._agents.get(key)
             if agent is None:
                 agent = self.runner.make_agent(scheme, model, quant)
-                agent.executor.log_calls = False
                 self._agents[key] = agent
             return agent, self.suite.catalog.version
 
@@ -130,9 +127,7 @@ class TenantSession:
         new_runner.embedder.encode(new_suite.catalog.descriptions())
         new_agents: dict[tuple[str, str, str], object] = {}
         if warm_cell is not None:
-            agent = new_runner.make_agent(*warm_cell)
-            agent.executor.log_calls = False
-            new_agents[warm_cell] = agent
+            new_agents[warm_cell] = new_runner.make_agent(*warm_cell)
         with self._lock:
             self.suite = new_suite
             self.runner = new_runner

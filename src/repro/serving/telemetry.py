@@ -37,6 +37,19 @@ def percentile(values: list[float], q: float) -> float:
     return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
 
 
+def _process_memory() -> tuple[int, int]:
+    """``(resident, peak resident)`` bytes of this process from
+    ``/proc/self/status``; ``(0, 0)`` where that file does not exist."""
+    try:
+        with open("/proc/self/status", "rb") as status:
+            text = status.read()
+    except OSError:
+        return 0, 0
+    # each line reads "VmRSS:\t  123456 kB"
+    return tuple(int(text.split(key, 1)[1].split(None, 1)[0]) * 1024
+                 for key in (b"VmRSS:", b"VmHWM:"))
+
+
 class _Ring:
     """Fixed-capacity sample buffer: overwrites oldest once full."""
 
@@ -92,6 +105,7 @@ class Telemetry:
         self._queue_waits_s = _Ring(max_samples)
         self._queue_wait_sum_s = 0.0
         self._queue_wait_count = 0
+        self._memory_bytes = (0, 0)
 
     # ------------------------------------------------------------------
     # recording
@@ -165,6 +179,13 @@ class Telemetry:
         with self._lock:
             self._add("budget_transitions", scope, direction, target)
 
+    def record_process_memory(self) -> None:
+        """Read the process's resident and peak resident bytes now (what
+        ``Gateway.metrics_text`` does before each render)."""
+        memory = _process_memory()
+        with self._lock:
+            self._memory_bytes = memory
+
     def record_completion(self, latency_s: float, ok: bool = True) -> None:
         """One request finished (``latency_s`` is submit-to-response)."""
         with self._lock:
@@ -209,6 +230,8 @@ class Telemetry:
             out["queue_wait_count"] = self._queue_wait_count
             depths = self._queue_depths.values()
             sizes = dict(sorted(self._batch_sizes.items()))
+            (out["process_resident_bytes"],
+             out["process_peak_resident_bytes"]) = self._memory_bytes
         # sort each ring once; percentile() re-sorting a sorted list is linear
         latencies.sort()
         queue_waits.sort()

@@ -47,17 +47,17 @@ class SimulatedToolExecutor:
         dominated by LLM inference; API latency is kept small but nonzero
         so the hardware traces stay realistic.
     log_calls:
-        Whether to append every outcome to :attr:`executed`.  The log is
-        handy for single-episode debugging but grows without bound, so
-        long-lived serving workers sharing one executor switch it off.
-        Appends are lock-protected either way, making one executor safe
-        to share across concurrent episodes.
+        Whether to append every outcome to :attr:`executed`.  Off by
+        default: the log is for single-episode debugging and grows
+        without bound across the episodes an executor serves.  Appends
+        are lock-protected, making one logging executor safe to share
+        across concurrent episodes.
     """
 
     catalog: ToolCatalog
     api_latency_mean_s: float = 0.15
     executed: list[ExecutionOutcome] = field(default_factory=list)
-    log_calls: bool = True
+    log_calls: bool = False
 
     def __post_init__(self):
         self._log_lock = threading.Lock()

@@ -418,6 +418,7 @@ def test_operation_counts_per_episode(monkeypatch):
     session = open_session("geoengine", n_queries=100, seed=1507,
                            embedder=CachedEmbedder())
     agent = session.build_agent(AgentSpec("lis-k3", "qwen2-1.5b", "q4_0"))
+    agent.executor.log_calls = True
     plans = agent.plan_batch(session.suite.queries)
 
     counts = Counter()

@@ -126,8 +126,9 @@ def test_colon_in_a_tenant_name_stays_in_the_tenant_label():
 #: the parent commit's Telemetry().snapshot() keys, written out, minus
 #: the worker-restart and inline-fallback counters (the worker pool is
 #: gone), the two batch-quarantine counters (the quarantine is gone) and
-#: the degradation-ladder counter (a ladder move is a budget transition):
-#: the table may be re-ordered or re-typed, the wire surface may not move
+#: the degradation-ladder counter (a ladder move is a budget transition),
+#: plus the two process-memory gauges: the table may be re-ordered or
+#: re-typed, the wire surface may not move
 SNAPSHOT_KEYS = {
     "uptime_s", "snapshot_seq", "requests_admitted", "requests_rejected",
     "requests_completed", "requests_failed", "n_batches", "mean_batch_size",
@@ -140,7 +141,8 @@ SNAPSHOT_KEYS = {
     "shed_requests", "shed_requests_by_tenant", "faults_injected",
     "faults_injected_by_hook", "energy_j", "energy_j_by_tenant",
     "carbon_g", "carbon_g_by_tenant", "budget_transitions",
-    "budget_transitions_detail",
+    "budget_transitions_detail", "process_resident_bytes",
+    "process_peak_resident_bytes",
 }
 
 #: one example value per ``record_*`` parameter name; booleans are swept
@@ -166,7 +168,7 @@ def _record_calls():
 
 
 def test_snapshot_keys_are_pinned():
-    assert len(SNAPSHOT_KEYS) == 36
+    assert len(SNAPSHOT_KEYS) == 38
     assert set(Telemetry().snapshot()) == SNAPSHOT_KEYS
 
 
@@ -365,3 +367,7 @@ def test_gateway_metrics_text_is_valid_and_live():
     [(labels, value)] = samples["repro_carbon_grams_total"]
     assert labels == {"tenant": "home"}
     assert value > 0.0
+    # the process's memory is read for the render itself
+    [(_, resident)] = samples["repro_process_resident_bytes"]
+    [(_, peak)] = samples["repro_process_peak_resident_bytes"]
+    assert 0.0 < resident <= peak

@@ -302,9 +302,10 @@ def test_intensity_steps_power_mode_with_hysteresis():
 
             # a MAXN-pinned policy never leaves the top mode
             pinned = BudgetController(
-                gateway,
+                gateway.sessions,
                 BudgetSpec(intensity_high=450.0, min_power_mode="MAXN"),
-                meter=gateway.power_meter, signal=StaticSignal(999.0))
+                meter=gateway.power_meter, telemetry=gateway.telemetry,
+                tracer=gateway.tracer, signal=StaticSignal(999.0))
             pinned.tick(now_s=0.0)
             assert pinned.power_mode == "MAXN"
             assert gateway.power_mode() == "MAXN"

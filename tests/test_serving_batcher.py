@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import weakref
 
 import pytest
 
@@ -26,8 +27,8 @@ def echo_processor(batch):
 
 
 async def start_scheduler(config, process=echo_processor, telemetry=None):
-    scheduler = BatchScheduler(process, config, telemetry=telemetry)
-    await scheduler.start()
+    scheduler = BatchScheduler(config, telemetry=telemetry)
+    await scheduler.start(process)
     return scheduler
 
 
@@ -208,17 +209,45 @@ def test_admission_control_queue_full():
 
 def test_submit_outside_lifecycle_raises():
     config = ServingSpec()
-    scheduler = BatchScheduler(echo_processor, config)
+    scheduler = BatchScheduler(config)
     with pytest.raises(SchedulerStoppedError):
         scheduler.submit("t", 0)
 
     async def scenario():
-        await scheduler.start()
+        await scheduler.start(echo_processor)
         await scheduler.stop()
         with pytest.raises(SchedulerStoppedError):
             scheduler.submit("t", 0)
 
     run(scenario())
+
+
+def test_processor_is_held_only_while_running():
+    """The processor arrives at ``start`` and leaves with the loop: a
+    stopped scheduler keeps neither it nor its last batch, and the next
+    ``start`` takes a new one."""
+    class Owner:
+        def process(self, batch):
+            return echo_processor(batch)
+
+    owner = Owner()
+    owner_ref = weakref.ref(owner)
+
+    async def scenario():
+        scheduler = BatchScheduler(ServingSpec())
+        await scheduler.start(owner.process)
+        first = await scheduler.submit("t", "a")
+        await scheduler.stop()
+        await scheduler.start(echo_processor)
+        second = await scheduler.submit("t", "b")
+        await scheduler.stop()
+        return scheduler, first, second
+
+    scheduler, first, second = run(scenario())
+    del owner
+    assert owner_ref() is None
+    assert (first, second) == (("a", 1), ("b", 1))
+    assert scheduler.pending == 0
 
 
 def test_processor_exception_fails_the_batch():

@@ -162,6 +162,29 @@ def test_empty_plan_batch_returns_empty(edgehome_suite):
     assert agent.plan_batch([]) == []
 
 
+def test_restarted_gateway_serves_the_same_episodes(edgehome_suite):
+    """``start → stop → start`` on one gateway: the scheduler gets its
+    processor again at each start, and the second run serves every
+    query bit for bit as the first did."""
+    async def scenario():
+        gateway = Gateway(make_sessions(home=edgehome_suite),
+                          config=ServingSpec(max_batch_size=4))
+        runs = []
+        for _ in range(2):
+            async with gateway:
+                responses = await asyncio.gather(*(
+                    gateway.submit("home", query)
+                    for query in edgehome_suite.queries))
+            assert not gateway.scheduler.running
+            runs.append([response.episode.to_dict()
+                         for response in responses])
+        return runs
+
+    first, second = asyncio.run(scenario())
+    assert len(first) == len(edgehome_suite.queries)
+    assert first == second
+
+
 def test_duplicate_tenant_registration_rejected(edgehome_suite):
     sessions = SessionManager()
     sessions.register("home", edgehome_suite)

@@ -49,7 +49,10 @@ def make_app(suite, **overrides):
 
 def step_rung(gateway, direction: int, tenant: str = "home"):
     """Move the tenant one rung, the way the budget controller does."""
-    controller = BudgetController(gateway, BudgetSpec(energy_budget_j=1.0))
+    controller = BudgetController(
+        gateway.sessions, BudgetSpec(energy_budget_j=1.0),
+        meter=gateway.power_meter, telemetry=gateway.telemetry,
+        tracer=gateway.tracer)
     return controller._step(gateway.sessions.get(tenant), direction)
 
 

@@ -19,7 +19,7 @@ def _calls(suite, n):
 
 def test_concurrent_executions_do_not_lose_log_entries():
     suite = load_suite("edgehome", n_queries=16)
-    executor = SimulatedToolExecutor(suite.catalog)
+    executor = SimulatedToolExecutor(suite.catalog, log_calls=True)
     calls = _calls(suite, 400)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -61,7 +61,7 @@ def test_outcomes_deterministic_under_concurrency():
 
 def test_failed_calls_are_logged_and_reset_clears():
     suite = load_suite("edgehome", n_queries=4)
-    executor = SimulatedToolExecutor(suite.catalog)
+    executor = SimulatedToolExecutor(suite.catalog, log_calls=True)
     bad = ToolCall("not_a_real_tool", {})
     outcome = executor.execute(bad)
     assert not outcome.ok

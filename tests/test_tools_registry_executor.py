@@ -90,7 +90,7 @@ class TestSimulatedToolExecutor:
         assert a.value == b.value
 
     def test_execution_log_and_reset(self, catalog):
-        executor = SimulatedToolExecutor(catalog)
+        executor = SimulatedToolExecutor(catalog, log_calls=True)
         executor.execute(ToolCall("beta"))
         executor.execute(ToolCall("delta"))
         assert len(executor.executed) == 2
