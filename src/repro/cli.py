@@ -1,59 +1,126 @@
-"""Command-line interface: ``python -m repro <command>``.
-
-Commands
---------
-``run``        evaluate one (scheme, model, quant) batch on a suite
-``grid``       sweep a scheme x model x quant grid, cell by cell
-``compare``    default vs Gorilla vs LiS side-by-side with error bars
-``levels``     inspect the offline Search Levels built for a suite
-``catalog``    list / show / diff registered tool catalogs and variants
-``profile``    cost one hypothetical function-calling turn on the Orin
-``load``       drive a closed-loop load through a serving spec's gateway
-``serve``      boot the HTTP front door over a serving spec's gateway
+"""Command-line interface: ``python -m repro <command>`` (``-h`` lists them).
 
 Every evaluation command builds a typed spec (:mod:`repro.specs`) and
 drives it through one :func:`repro.open_session` session, so the CLI,
 the examples and the bench scripts all exercise the same entrypoint.
 ``load`` and ``serve`` read one :class:`~repro.specs.ServingSpec` (a
 ``--spec`` JSON file or a few flags): a fault plan is one of its sections.
+A flag that sets a spec field is one :data:`FLAGS` row: the field gives
+its type, default and help, and the spec's own validation vets it.
 Suite and scheme names resolve through the plugin registries — a
 third-party suite registered via :func:`repro.registry.register_suite`
 is immediately addressable as ``--suite <name>``.
 
 Examples::
 
-    python -m repro run --suite bfcl --scheme lis-k3 --model llama3.1-8b
     python -m repro run --suite browser --engine-url http://127.0.0.1:8080/v1
-    python -m repro grid --suite bfcl --schemes default,lis-k3 \
-        --quants q4_K_M,q8_0
-    python -m repro compare --suite geoengine --model hermes2-pro-8b -n 60
-    python -m repro levels --suite geoengine
-    python -m repro catalog list
-    python -m repro catalog show edgehome --variant compressed
+    python -m repro grid --suite bfcl --schemes default,lis-k3 --quants q8_0
     python -m repro catalog diff edgehome edgehome --against-variant minimal
-    python -m repro profile --tools 46 --window 16384 --quant q4_K_M
-    python -m repro load --requests 16 --prometheus
     python -m repro load --spec examples/specs/chaos_stall.json --requests 64
-    python -m repro serve --tenants edgehome,bfcl --port 8080 \
-        --carbon-budget 180
+    python -m repro serve --tenants edgehome,bfcl --carbon-budget 180
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import MISSING
 
 from repro.registry import SUITES
 from repro.session import open_session
 from repro.specs import (
-    CATALOG_VARIANTS,
     POWER_MODE_NAMES,
     AgentSpec,
+    BudgetSpec,
+    CatalogSpec,
     EngineSpec,
     ExperimentSpec,
     GridSpec,
+    HttpSpec,
     ServingSpec,
     SuiteSpec,
 )
+
+#: which spec field each flag sets, plus any argparse keywords of its
+#: own; ``_spec`` turns the spec's ValueError into a usage error naming
+#: the flag
+FLAGS = {
+    "--suite": (SuiteSpec, "name", {"default": "bfcl",
+                                    "choices": SUITES.names}),
+    "-n/--queries": (SuiteSpec, "n_queries", {"default": 60}),
+    "--scheme": (AgentSpec, "scheme"),
+    "--model": (AgentSpec, "model"),
+    "--quant": (AgentSpec, "quant"),
+    "--engine": (EngineSpec, "name", {"default": None}),
+    "--engine-url": (EngineSpec, "base_url"),
+    "--schemes": (GridSpec, "schemes"),
+    "--models": (GridSpec, "models"),
+    "--quants": (GridSpec, "quants"),
+    "--variant": (CatalogSpec, "variant"),
+    "name": (CatalogSpec, "name"),
+    "old": (CatalogSpec, "name"),
+    "new": (CatalogSpec, "name"),
+    "--against-variant": (CatalogSpec, "variant", {
+        "default": None, "help": "variant of the 'after' side only"}),
+    "--batch-size": (ServingSpec, "max_batch_size"),
+    "--plan-cache": (ServingSpec, "plan_cache_size"),
+    "--timeout-ms": (ServingSpec, "timeout_ms"),
+    "--carbon-budget": (BudgetSpec, "energy_budget_j"),
+    "--host": (HttpSpec, "host"),
+    "--port": (HttpSpec, "port"),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *flags: str,
+               unset: bool = False) -> None:
+    """Add the :data:`FLAGS` rows ``flags`` to ``parser``.  With ``unset``
+    (over a ``--spec`` file) every flag defaults to None, so only a
+    given one sets its field."""
+    rows = []
+    for flag in flags:
+        spec, name, *own = FLAGS[flag]
+        field = spec.__dataclass_fields__[name]
+        default = None if field.default is MISSING else field.default
+        default = ",".join(default) if isinstance(default, tuple) else default
+        kwargs = {"default": default, "help": field.metadata["help"],
+                  "type": {"int": int, "float": float}.get(
+                      field.type.split(" | ")[0], str),
+                  **(own[0] if own else {})}
+        if callable(kwargs.get("choices")):   # a registry, read late
+            kwargs["choices"] = kwargs["choices"]()
+        shown = default if unset else kwargs["default"]
+        if shown is not None:
+            kwargs["help"] += f" (default: {shown})"
+        if unset:
+            kwargs["default"] = None
+        rows.append((parser.add_argument(*flag.split("/"), **kwargs),
+                     spec, name))
+    parser.set_defaults(parser=parser, rows=tuple(rows))
+
+
+def _given(args: argparse.Namespace, *specs: type) -> list:
+    """This command's ``(action, field)`` rows for ``specs`` with a value."""
+    return [(action, name) for action, spec, name in args.rows
+            if spec in specs and getattr(args, action.dest) is not None]
+
+
+def _spec(args: argparse.Namespace, cls: type, base=None,
+          only: tuple[str, ...] | None = None, **fields):
+    """``base`` with the fields its flags set (those whose dest is in
+    ``only``, default all) and ``fields``; a new ``cls`` of them without
+    a base, and ``base`` itself when nothing is set."""
+    rows = [(action, name) for action, name in _given(args, cls)
+            if only is None or action.dest in only]
+    fields.update((name, getattr(args, action.dest)) for action, name in rows)
+    if not fields:
+        return base
+    try:
+        return base.replace(**fields) if base is not None else cls(**fields)
+    except ValueError as error:   # "<Spec>.<field> must ..." names a row
+        field, _, rest = str(error).partition(" ")
+        action = {f"{cls.__name__}.{name}": action
+                  for action, name in rows}.get(field.rstrip(":"))
+        args.parser.error(str(argparse.ArgumentError(action, rest)) if action
+                          else str(error))
 
 
 def _at_least(minimum: int):
@@ -70,65 +137,18 @@ def _at_least(minimum: int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", default="bfcl", choices=SUITES.names())
-    parser.add_argument("--model", default="llama3.1-8b")
-    parser.add_argument("--quant", default="q4_K_M")
-    parser.add_argument("-n", "--queries", type=_at_least(1), default=60,
-                        help="queries per batch (paper: 230)")
-
-
-def _add_serving(parser: argparse.ArgumentParser) -> None:
-    """The flags :func:`_serving_spec` builds a ServingSpec from."""
-    parser.add_argument("--spec", default=None, metavar="PATH",
-                        help="ServingSpec JSON file (excludes --tenants, -n "
-                             "and the batching flags)")
-    parser.add_argument("--tenants", default=None,
-                        help="comma-separated suite names; each becomes a "
-                             "tenant of the same name (default: edgehome)")
-    parser.add_argument("-n", "--queries", type=_at_least(1), default=None,
-                        help="queries per tenant suite")
-    parser.add_argument("--batch-size", type=_at_least(1), default=None,
-                        help="micro-batch cap (ServingSpec.max_batch_size)")
-    parser.add_argument("--plan-cache", type=_at_least(0), default=None,
-                        help="plan-result memoization entries")
-    parser.add_argument("--timeout-ms", type=float, default=None,
-                        help="end-to-end per-request deadline")
-    parser.add_argument("--carbon-budget", type=float, default=None,
-                        metavar="J_PER_REQ",
-                        help="enable the carbon/power budget controller "
-                             "with this rolling joules-per-request cap")
-    parser.set_defaults(parser=parser)
-
-
-def _session(args: argparse.Namespace, agent: AgentSpec | None = None,
-             grid: GridSpec | None = None):
-    return open_session(ExperimentSpec(
-        suite=SuiteSpec(name=args.suite, n_queries=args.queries),
-        agent=agent, grid=grid,
-    ))
-
-
-def _engine_spec(args: argparse.Namespace) -> EngineSpec | None:
-    """Build the run's :class:`EngineSpec` from ``--engine``/``--engine-url``.
-
-    ``--engine-url`` alone implies ``openai_http``; ``--engine`` alone
-    names any registered engine; neither keeps the simulated default
-    (engine=None — the zero-overhead direct path).
-    """
-    if args.engine is None and args.engine_url is None:
-        return None
-    return EngineSpec(name=args.engine or "openai_http",
-                      base_url=args.engine_url)
+def _session(args: argparse.Namespace, **specs):
+    return open_session(ExperimentSpec(suite=_spec(args, SuiteSpec), **specs))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.evaluation.reporting import render_metric_table
     from repro.evaluation.stats import success_rate_ci
 
-    session = _session(args, agent=AgentSpec(
-        scheme=args.scheme, model=args.model, quant=args.quant,
-        engine=_engine_spec(args)))
+    # --engine-url alone implies openai_http; neither keeps engine=None
+    args.engine = args.engine or (args.engine_url and "openai_http")
+    session = _session(args, agent=_spec(
+        args, AgentSpec, engine=_spec(args, EngineSpec)))
     run = session.run()
     label = f"{args.scheme} {args.model}-{args.quant}"
     print(render_metric_table({label: run.summary},
@@ -143,12 +163,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     from repro.evaluation.reporting import render_metric_table
 
-    grid = GridSpec(
-        schemes=args.schemes,
-        models=args.models or args.model,
-        quants=args.quants or args.quant,
-    )
-    session = _session(args, grid=grid)
+    session = _session(args, grid=_spec(args, GridSpec))
     start = time.perf_counter()
     results = session.run_grid()
     wall_s = time.perf_counter() - start
@@ -164,10 +179,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro.evaluation.metrics import normalize
     from repro.evaluation.reporting import render_metric_table
 
-    session = _session(args)
+    session, agent = _session(args), _spec(args, AgentSpec)
     schemes = ["default", "gorilla", "lis-k3", "lis-k5"]
-    runs = {scheme: session.run(AgentSpec(
-                scheme=scheme, model=args.model, quant=args.quant))
+    runs = {scheme: session.run(agent.replace(scheme=scheme))
             for scheme in schemes}
     print(render_metric_table(
         {scheme: run.summary for scheme, run in runs.items()},
@@ -219,9 +233,8 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
 
 def cmd_catalog_show(args: argparse.Namespace) -> int:
     from repro.llm.tokens import tool_prompt_tokens
-    from repro.tools.catalog import load_catalog
 
-    catalog = load_catalog(args.name, variant=args.variant)
+    catalog = _spec(args, CatalogSpec).load()
     print(f"catalog {catalog.name!r} | variant {catalog.variant} | "
           f"{len(catalog)} tools | {_catalog_tokens(catalog)} prompt tokens | "
           f"version {catalog.version[:12]}")
@@ -234,10 +247,9 @@ def cmd_catalog_show(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog_diff(args: argparse.Namespace) -> int:
-    from repro.tools.catalog import load_catalog
-
-    old = load_catalog(args.old, variant=args.variant)
-    new = load_catalog(args.new, variant=args.against_variant or args.variant)
+    old = _spec(args, CatalogSpec, only=("old", "variant")).load()
+    new = _spec(args, CatalogSpec,
+                only=("new", "variant", "against_variant")).load()
     diff = old.diff(new)
     old_tokens, new_tokens = _catalog_tokens(old), _catalog_tokens(new)
     print(f"{old.name}@{old.variant} ({old.version[:12]}) -> "
@@ -279,48 +291,36 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _serving_spec(args: argparse.Namespace) -> ServingSpec:
-    """The :class:`~repro.specs.ServingSpec` ``serve`` and ``load`` run:
-    the ``--spec`` file, or one built from ``--tenants``, ``-n``,
-    ``--batch-size``, ``--plan-cache`` and ``--timeout-ms`` over the
-    spec's own defaults — never both, so no flag is dropped in silence.
-    ``--carbon-budget`` applies on top of either."""
+    """The ServingSpec ``serve`` and ``load`` run: the ``--spec`` file or
+    one built from ``--tenants``, ``-n`` and the ServingSpec flags, never
+    both; the ``budget`` and ``http`` flags set their fields on either."""
     import json
 
-    from repro.specs import BudgetSpec, TenantSpec
+    from repro.specs import TenantSpec
 
-    given = [flag for dest, flag in (
-        ("tenants", "--tenants"), ("queries", "-n"),
-        ("batch_size", "--batch-size"), ("plan_cache", "--plan-cache"),
-        ("timeout_ms", "--timeout-ms")) if getattr(args, dest) is not None]
     if args.spec:
-        if given:
-            args.parser.error(f"{', '.join(given)} cannot be combined "
+        building = ["--tenants"] * bool(args.tenants) + [
+            action.option_strings[0]
+            for action, _ in _given(args, ServingSpec, SuiteSpec)]
+        if building:
+            args.parser.error(f"{', '.join(building)} cannot be combined "
                               f"with --spec")
         with open(args.spec) as handle:
-            serving = ServingSpec.from_dict(json.load(handle))
+            base = ServingSpec.from_dict(json.load(handle))
     else:
-        fields = {"max_batch_size": args.batch_size,
-                  "plan_cache_size": args.plan_cache,
-                  "timeout_ms": args.timeout_ms}
-        serving = ServingSpec(
-            tenants=tuple(
-                TenantSpec(name, SuiteSpec(name, n_queries=args.queries))
-                for name in (args.tenants or "edgehome").split(",")),
-            **{name: value for name, value in fields.items()
-               if value is not None})
-    if args.carbon_budget is not None:
-        serving = serving.replace(
-            budget=BudgetSpec(energy_budget_j=args.carbon_budget))
-    return serving
+        base = ServingSpec(tenants=tuple(
+            TenantSpec(name, _spec(args, SuiteSpec, name=name))
+            for name in (args.tenants or "edgehome").split(",")))
+    return _spec(args, ServingSpec, base,
+                 budget=_spec(args, BudgetSpec, base.budget),
+                 http=_spec(args, HttpSpec, base.http))
 
 
 def cmd_load(args: argparse.Namespace) -> int:
     """Drive ``--requests`` closed-loop requests through the gateway the
     serving spec describes; exit 1 if the drained run breaks one of the
     invariants of :meth:`~repro.serving.loadgen.LoadReport.failures`.
-
-    ``--prometheus`` prints what a scrape of ``repro serve``'s ``GET
-    /metrics`` returns instead of the summary.
+    ``--prometheus`` prints what ``repro serve``'s ``GET /metrics`` would.
     """
     from repro.serving import run_load
 
@@ -348,7 +348,6 @@ def cmd_load(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Boot the HTTP front door (``repro.serving.http``) and serve.
 
-    ``--host``/``--port`` apply on top of the spec's ``http`` section.
     The builtin asyncio server needs nothing beyond the stdlib;
     ``--uvicorn`` mounts the same ASGI app in uvicorn (optional extra).
     Stop with Ctrl-C — the gateway drains and shuts down cleanly.
@@ -356,12 +355,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serving.http import create_app, run_uvicorn, serve_gateway
-    from repro.specs import HttpSpec
 
     serving = _serving_spec(args)
-    http = (serving.http or HttpSpec()).replace(**{
-        name: getattr(args, name) for name in ("host", "port")
-        if getattr(args, name) is not None})
+    http = serving.http or HttpSpec()
     serving = serving.replace(http=http)
     gateway = open_session(serving).serve()
     if args.uvicorn:
@@ -387,103 +383,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Less-is-More reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
+    catalog = sub.add_parser(
+        "catalog", help="inspect registered tool catalogs").add_subparsers(
+        dest="catalog_command", required=True)
+    evaluation = ("--suite", "-n/--queries")
+    serving = ("-n/--queries", "--batch-size", "--plan-cache", "--timeout-ms",
+               "--carbon-budget")
+    for group, name, func, help, flags in (
+            (sub, "run", cmd_run, "evaluate one batch", (*evaluation,
+             "--model", "--quant", "--scheme", "--engine", "--engine-url")),
+            (sub, "grid", cmd_grid, "sweep a grid, cell by cell",
+             (*evaluation, "--schemes", "--models", "--quants")),
+            (sub, "compare", cmd_compare, "all schemes side by side",
+             (*evaluation, "--model", "--quant")),
+            (sub, "levels", cmd_levels, "inspect Search Levels", evaluation),
+            (catalog, "list", cmd_catalog_list,
+             "all registered catalogs with per-variant token totals", ()),
+            (catalog, "show", cmd_catalog_show,
+             "one catalog's tools by category", ("--variant", "name")),
+            (catalog, "diff", cmd_catalog_diff, "added/removed/changed tools "
+             "between two catalogs (exit 1 when they differ, like diff(1))",
+             ("--variant", "old", "new", "--against-variant")),
+            (sub, "profile", cmd_profile, "cost one LLM turn", ("--quant",)),
+            (sub, "load", cmd_load,
+             "closed-loop load on a serving spec, invariants checked",
+             serving),
+            (sub, "serve", cmd_serve, "boot the HTTP front door over tenant "
+             "suites", (*serving, "--host", "--port"))):
+        command = group.add_parser(name, help=help)
+        _add_flags(command, *flags, unset=func in (cmd_load, cmd_serve))
+        command.set_defaults(func=func)
 
-    run_parser = sub.add_parser("run", help="evaluate one batch")
-    _add_common(run_parser)
-    run_parser.add_argument("--scheme", default="lis-k3")
-    run_parser.add_argument("--engine", default=None,
-                            help="registered LLM engine (default: simulated)")
-    run_parser.add_argument("--engine-url", default=None, metavar="URL",
-                            help="base URL of an OpenAI-compatible server "
-                                 "(e.g. http://127.0.0.1:8080/v1); implies "
-                                 "--engine openai_http")
-    run_parser.set_defaults(func=cmd_run)
-
-    grid_parser = sub.add_parser("grid", help="sweep a grid, cell by cell")
-    _add_common(grid_parser)
-    grid_parser.add_argument("--schemes", default="default,gorilla,lis-k3",
-                             help="comma-separated scheme names")
-    grid_parser.add_argument("--models", default=None,
-                             help="comma-separated model names "
-                                  "(default: the --model value)")
-    grid_parser.add_argument("--quants", default=None,
-                             help="comma-separated quantizations "
-                                  "(default: the --quant value)")
-    grid_parser.set_defaults(func=cmd_grid)
-
-    compare_parser = sub.add_parser("compare", help="all schemes side by side")
-    _add_common(compare_parser)
-    compare_parser.set_defaults(func=cmd_compare)
-
-    levels_parser = sub.add_parser("levels", help="inspect Search Levels")
-    _add_common(levels_parser)
-    levels_parser.set_defaults(func=cmd_levels)
-
-    catalog_parser = sub.add_parser(
-        "catalog", help="inspect registered tool catalogs")
-    catalog_sub = catalog_parser.add_subparsers(dest="catalog_command",
-                                                required=True)
-
-    catalog_list = catalog_sub.add_parser(
-        "list", help="all registered catalogs with per-variant token totals")
-    catalog_list.set_defaults(func=cmd_catalog_list)
-
-    variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--variant", default="full", choices=CATALOG_VARIANTS,
-                         help="description variant (diff: of both sides)")
-    catalog_show = catalog_sub.add_parser(
-        "show", parents=[variant],
-        help="one catalog's tools, grouped by category")
-    catalog_show.add_argument("name", help="registered catalog name")
-    catalog_show.set_defaults(func=cmd_catalog_show)
-
-    catalog_diff = catalog_sub.add_parser(
-        "diff", parents=[variant],
-        help="added/removed/changed tools between two catalogs "
-             "(exit 1 when they differ, like diff(1))")
-    catalog_diff.add_argument("old", help="registered catalog name (before)")
-    catalog_diff.add_argument("new", help="registered catalog name (after)")
-    catalog_diff.add_argument("--against-variant", default=None,
-                              choices=CATALOG_VARIANTS,
-                              help="variant for the 'after' side only "
-                                   "(diff a catalog against its own "
-                                   "compressed/minimal form)")
-    catalog_diff.set_defaults(func=cmd_catalog_diff)
-
-    profile_parser = sub.add_parser("profile", help="cost one LLM turn")
-    profile_parser.add_argument("--tools", type=_at_least(0), default=46)
+    profile, load, serve = map(sub.choices.get, ("profile", "load", "serve"))
     # cmd_profile reserves 1024 tokens of the window for the reply
-    profile_parser.add_argument("--window", type=_at_least(1024),
-                                default=16384)
-    profile_parser.add_argument("--quant", default="q4_K_M")
-    profile_parser.add_argument("--params-b", type=float, default=8.0)
-    profile_parser.add_argument("--output-tokens", type=_at_least(0),
-                                default=130)
-    profile_parser.add_argument("--power-mode", default="MAXN",
-                                choices=POWER_MODE_NAMES)
-    profile_parser.set_defaults(func=cmd_profile)
-
-    load_parser = sub.add_parser(
-        "load", help="closed-loop load on a serving spec, invariants checked")
-    _add_serving(load_parser)
-    load_parser.add_argument("--requests", type=_at_least(0), default=32)
-    load_parser.add_argument("--concurrency", type=_at_least(1), default=8)
-    load_parser.add_argument("--prometheus", action="store_true",
-                             help="print the run's Prometheus exposition "
-                                  "instead of the summary")
-    load_parser.set_defaults(func=cmd_load)
-
-    serve_parser = sub.add_parser(
-        "serve", help="boot the HTTP front door over tenant suites")
-    _add_serving(serve_parser)
-    serve_parser.add_argument("--host", default=None,
-                              help="bind host (default 127.0.0.1)")
-    serve_parser.add_argument("--port", type=int, default=None,
-                              help="bind port (default 8080; 0 = ephemeral)")
-    serve_parser.add_argument("--uvicorn", action="store_true",
-                              help="serve through uvicorn (optional extra) "
-                                   "instead of the builtin asyncio server")
-    serve_parser.set_defaults(func=cmd_serve)
+    for flag, kind, default in (
+            ("--tools", _at_least(0), 46), ("--params-b", float, 8.0),
+            ("--window", _at_least(1024), 16384),
+            ("--output-tokens", _at_least(0), 130)):
+        profile.add_argument(flag, type=kind, default=default)
+    profile.add_argument("--power-mode", default="MAXN",
+                         choices=POWER_MODE_NAMES)
+    for command in (load, serve):
+        command.add_argument("--spec", metavar="PATH", help=(
+            "ServingSpec JSON file (excludes --tenants, -n and the batching "
+            "flags)"))
+        command.add_argument("--tenants", help=(
+            "comma-separated suite names; each becomes a tenant of the same "
+            "name (default: edgehome)"))
+    load.add_argument("--requests", type=_at_least(0), default=32)
+    load.add_argument("--concurrency", type=_at_least(1), default=8)
+    load.add_argument("--prometheus", action="store_true",
+                      help="print the run's Prometheus exposition instead of "
+                           "the summary")
+    serve.add_argument("--uvicorn", action="store_true",
+                       help="serve through uvicorn (optional extra) instead "
+                            "of the builtin asyncio server")
     return parser
 
 

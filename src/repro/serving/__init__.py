@@ -4,11 +4,11 @@ The serving layer turns the repo's batched kernels (vectorized
 ``encode``, multi-query ``search_arrays``) into cross-request
 throughput: an asyncio :class:`Gateway` accepts requests from many
 tenants, a :class:`BatchScheduler` coalesces concurrently-waiting
-requests into micro-batches (flushed on max-batch-size or deadline), the
-whole batch is planned through one vectorized pass per tenant, and each
-episode then runs through the unchanged agent machinery.  Because every
-kernel involved is batch-invariant, a served episode is identical to the
-same query run sequentially through the
+requests into micro-batches (a free worker cuts whatever is queued; no
+flush timer), the whole batch is planned through one vectorized pass per
+tenant, and each episode then runs through the unchanged agent
+machinery.  Because every kernel involved is batch-invariant, a served
+episode is identical to the same query run sequentially through the
 :class:`~repro.evaluation.runner.ExperimentRunner`.
 
 Quickstart::

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Any
 
 
@@ -53,6 +53,12 @@ class _SpecBase:
     def replace(self, **changes):
         """A modified copy (frozen specs are edited by replacement)."""
         return dataclasses.replace(self, **changes)
+
+
+def _field(default, help: str):
+    """A field with its one-line ``help``, which ``repro.cli.FLAGS`` shows
+    for the flag that sets it (``default=MISSING``: a required field)."""
+    return dataclasses.field(default=default, metadata={"help": help})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -91,15 +97,20 @@ def _require_min(owner, bound, *names: str, strict: bool = False) -> None:
             f"{' (or None)' if optional else ''}, got {value}")
 
 
-def _require_registered(registry, name: str) -> None:
-    """``name`` resolves through ``registry``.
+def _require_registered(owner, name: str, registry) -> None:
+    """Field ``name`` resolves through ``registry``.
 
     Membership is import-free for the builtin names a registry declares;
     only an unknown name loads the implementing modules — through
     ``get``, whose error lists what *is* registered.
     """
-    if name not in registry:
-        registry.get(name)
+    value = getattr(owner, name)
+    if value not in registry:
+        try:
+            registry.get(value)
+        except ValueError as error:   # name the field, as _require_* do
+            raise ValueError(
+                f"{type(owner).__name__}.{name}: {error}") from None
 
 
 def _coerce(owner, name: str, spec_cls, required: bool = False) -> None:
@@ -142,8 +153,12 @@ class EngineSpec(_SpecBase):
     per request from it.
     """
 
-    name: str = "simulated"
-    base_url: str | None = None
+    name: str = _field("simulated", "registered LLM engine: simulated (the "
+                       "in-process recommender) or openai_http")
+    base_url: str | None = _field(
+        None, "base URL of an OpenAI-compatible server, e.g. "
+              "http://127.0.0.1:8080/v1 (alone on the command line, it "
+              "selects openai_http)")
     wire_model: str | None = None
     api_key: str | None = None
     timeout_s: float = 30.0
@@ -156,7 +171,7 @@ class EngineSpec(_SpecBase):
         from repro.registry import ENGINES
 
         _require_name(self, "name")
-        _require_registered(ENGINES, self.name)
+        _require_registered(self, "name", ENGINES)
         _require(self.name != "openai_http" or bool(self.base_url),
                  "EngineSpec(name='openai_http') requires base_url "
                  "(e.g. 'http://127.0.0.1:8080/v1')")
@@ -176,12 +191,16 @@ class CatalogSpec(_SpecBase):
     the named tools, preserving the catalog's registration order.
     """
 
-    name: str
-    variant: str = "full"
+    name: str = _field(MISSING, "registered catalog name")
+    variant: str = _field("full", "description variant: full, compressed "
+                                  "or minimal")
     include: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        from repro.registry import CATALOGS
+
         _require_name(self, "name")
+        _require_registered(self, "name", CATALOGS)
         _require(self.variant in CATALOG_VARIANTS,
                  f"CatalogSpec.variant must be one of "
                  f"{', '.join(CATALOG_VARIANTS)}, got {self.variant!r}")
@@ -205,16 +224,17 @@ class SuiteSpec(_SpecBase):
 
     ``name`` resolves through the suite registry
     (:data:`repro.registry.SUITES`), so registered third-party suites
-    work everywhere built-ins do.  ``n_queries``/``seed`` default to the
-    builder's own defaults (the paper's 230-query mini-batch, seed 0).
-    ``catalog`` optionally re-tools the suite onto a
+    work everywhere built-ins do.  ``seed`` defaults to the builder's
+    own (0).  ``catalog`` optionally re-tools the suite onto a
     :class:`CatalogSpec` (e.g. a compressed-variant pool); it is only
     forwarded to builders when set, so suite builders without a
     ``catalog`` parameter keep working.
     """
 
-    name: str
-    n_queries: int | None = None
+    name: str = _field(MISSING, "registered benchmark suite")
+    n_queries: int | None = _field(
+        None, "queries in the pool; the builder's own default is the "
+              "paper's 230-query mini-batch")
     seed: int | None = None
     catalog: CatalogSpec | None = None
 
@@ -250,9 +270,10 @@ class AgentSpec(_SpecBase):
     ``TypeError``.
     """
 
-    scheme: str = "lis-k3"
-    model: str = "llama3.1-8b"
-    quant: str = "q4_K_M"
+    scheme: str = _field("lis-k3", "registered scheme: default, gorilla, "
+                                   "toolllm, lis or lis-k<N>")
+    model: str = _field("llama3.1-8b", "model id")
+    quant: str = _field("q4_K_M", "weight quantization, e.g. q8_0")
     k: int | None = None
     confidence_threshold: float | None = None
     force_level: int | None = None
@@ -286,9 +307,12 @@ class GridSpec(_SpecBase):
     picklable.
     """
 
-    schemes: tuple[str, ...] = ("default", "gorilla", "lis-k3")
-    models: tuple[str, ...] = ("llama3.1-8b",)
-    quants: tuple[str, ...] = ("q4_K_M",)
+    schemes: tuple[str, ...] = _field(("default", "gorilla", "lis-k3"),
+                                      "comma-separated scheme names")
+    models: tuple[str, ...] = _field(("llama3.1-8b",),
+                                     "comma-separated model ids")
+    quants: tuple[str, ...] = _field(("q4_K_M",),
+                                     "comma-separated quantizations")
     n_queries: int | None = None
 
     def __post_init__(self):
@@ -361,7 +385,7 @@ class ObsSpec(_SpecBase):
         from repro.registry import TRACE_SINKS
 
         _require_name(self, "sink")
-        _require_registered(TRACE_SINKS, self.sink)
+        _require_registered(self, "sink", TRACE_SINKS)
         _require(0.0 <= self.sample_rate <= 1.0,
                  f"ObsSpec.sample_rate must be in [0, 1], "
                  f"got {self.sample_rate}")
@@ -396,9 +420,6 @@ class BudgetSpec(_SpecBase):
 
     Parameters
     ----------
-    energy_budget_j:
-        Rolling-mean joules per request a tenant may spend before being
-        stepped down a rung; ``None`` disables the energy budget.
     carbon_budget_g:
         Rolling-mean gCO₂ per request cap; ``None`` disables it.  At
         least one of the two budgets or ``intensity_high`` must be set.
@@ -441,7 +462,9 @@ class BudgetSpec(_SpecBase):
         <repro.power.budget.BudgetController.run>` loop.
     """
 
-    energy_budget_j: float | None = None
+    energy_budget_j: float | None = _field(
+        None, "rolling-mean joules per request a tenant may spend before it "
+              "steps down a rung (unset: no energy budget)")
     carbon_budget_g: float | None = None
     window_requests: int = 32
     settle_requests: int | None = None
@@ -474,7 +497,7 @@ class BudgetSpec(_SpecBase):
         _require(0.0 < self.recovery_margin <= 1.0,
                  f"BudgetSpec.recovery_margin must be in (0, 1], "
                  f"got {self.recovery_margin}")
-        _require_registered(CARBON_SIGNALS, self.signal)
+        _require_registered(self, "signal", CARBON_SIGNALS)
         _require(self.signal != "trace" or bool(self.trace_path),
                  "BudgetSpec(signal='trace') requires trace_path to name "
                  "the grid-intensity CSV")
@@ -513,8 +536,8 @@ class BudgetSpec(_SpecBase):
 class HttpSpec(_SpecBase):
     """Where the HTTP front door listens.
 
-    ``port=0`` asks the OS for an ephemeral port (tests and benches bind
-    this way and read the bound port back from the server).  ``backlog``
+    Tests and benches bind ``port=0`` and read the bound port back from
+    the server.  ``backlog``
     is the listen-socket accept queue — connections beyond it are
     refused by the kernel before they ever reach the gateway's own
     admission control.
@@ -527,8 +550,8 @@ class HttpSpec(_SpecBase):
     refill) answering 429 with a ``Retry-After`` header when drained.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8080
+    host: str = _field("127.0.0.1", "bind host")
+    port: int = _field(8080, "bind port (0: an ephemeral one)")
     backlog: int = 128
     api_key: str | None = None
     rate_limit_rps: float | None = None
@@ -588,14 +611,6 @@ class ServingSpec(_SpecBase):
     default_engine:
         :class:`EngineSpec` for tenants that do not pin their own;
         ``None`` is the simulated engine.
-    max_batch_size:
-        Cap on one micro-batch.  The scheduler never waits for a batch
-        to fill: a free worker runs whatever is queued at once, so
-        batches are the backlog that built up while the previous batch
-        ran.  The planning stage of the whole batch runs through one
-        vectorized ``encode``/``search_arrays`` pass, so larger batches
-        amortize more kernel overhead at the cost of head-of-line
-        latency.
     queue_capacity:
         Admission control — total requests allowed to wait across all
         tenants.  Submissions beyond it fail fast with
@@ -606,23 +621,6 @@ class ServingSpec(_SpecBase):
         the cell :meth:`~repro.serving.gateway.Gateway.update_catalog`
         warms against a hot-swapped tool catalog before the atomic swap,
         so default-cell traffic never pays the re-index on-path.
-    timeout_ms:
-        End-to-end deadline per request, enforced by
-        :meth:`~repro.serving.gateway.Gateway.submit` from admission
-        through execution: a request that has not completed within this
-        budget fails with
-        :class:`~repro.serving.gateway.DeadlineExceededError` and — if
-        it is still queued — is dropped before the next batch is cut, so
-        no client future can hang forever behind a stalled worker.
-        ``None`` (the default) disables the deadline.
-    plan_cache_size:
-        When > 0, memoize up to this many ``(tenant, query, scheme,
-        model, quant) -> plan`` results in an LRU cache, so a repeated
-        identical request skips the recommender + retrieval stage
-        entirely.  Plans are deterministic per query, so cached replies
-        are bitwise identical to freshly planned ones.  0 (the default)
-        disables memoization; hit/miss counts surface in
-        :meth:`~repro.serving.telemetry.Telemetry.snapshot`.
     obs:
         Observability configuration (:class:`ObsSpec`): which trace sink
         to build, the sampling rate and the slow-span threshold.
@@ -651,13 +649,19 @@ class ServingSpec(_SpecBase):
 
     tenants: tuple[TenantSpec, ...] = ()
     default_engine: EngineSpec | None = None
-    max_batch_size: int = 32
+    max_batch_size: int = _field(
+        32, "cap on one micro-batch: a free worker runs whatever is queued, "
+            "so a batch is the backlog behind the running one")
     queue_capacity: int = 256
     default_scheme: str = "lis-k3"
     default_model: str = "hermes2-pro-8b"
     default_quant: str = "q4_K_M"
-    plan_cache_size: int = 0
-    timeout_ms: float | None = None
+    plan_cache_size: int = _field(
+        0, "entries of the LRU cache of (tenant, query, scheme, model, "
+           "quant) plans; a cached reply is bitwise a fresh one (0: off)")
+    timeout_ms: float | None = _field(
+        None, "end-to-end deadline per request; past it the request fails "
+              "and leaves the queue, so no client hangs (unset: none)")
     obs: ObsSpec | None = None
     http: HttpSpec | None = None
     budget: BudgetSpec | None = None

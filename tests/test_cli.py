@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import itertools
 import json
 import re
@@ -10,7 +11,14 @@ import pytest
 
 from repro.cli import _serving_spec, build_parser, main
 from repro.serving import Gateway
-from repro.specs import BudgetSpec, FaultPlan, ServingSpec, SuiteSpec, TenantSpec
+from repro.specs import (
+    BudgetSpec,
+    FaultPlan,
+    HttpSpec,
+    ServingSpec,
+    SuiteSpec,
+    TenantSpec,
+)
 from repro.suites import load_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +68,55 @@ class TestParser:
     def test_load_replaced_the_per_scenario_commands(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
+
+    def test_option_strings_are_pinned(self):
+        """Deriving flags from spec fields adds and renames none: each
+        subcommand's option strings, as they were before the flag table,
+        minus ``levels --model/--quant`` (never read) and ``grid
+        --model/--quant`` (they duplicated ``--models``/``--quants``)."""
+        eval_flags = {"-h", "--help", "--suite", "-n", "--queries"}
+        serving = {"-h", "--help", "--spec", "--tenants", "-n", "--queries",
+                   "--batch-size", "--plan-cache", "--timeout-ms",
+                   "--carbon-budget"}
+        assert _option_strings(build_parser()) == {
+            "run": eval_flags | {"--model", "--quant", "--scheme", "--engine",
+                                 "--engine-url"},
+            "grid": eval_flags | {"--schemes", "--models", "--quants"},
+            "compare": eval_flags | {"--model", "--quant"},
+            "levels": eval_flags,
+            "catalog": {"-h", "--help"},
+            "catalog list": {"-h", "--help"},
+            "catalog show": {"-h", "--help", "--variant", "name"},
+            "catalog diff": {"-h", "--help", "--variant", "old", "new",
+                             "--against-variant"},
+            "profile": {"-h", "--help", "--tools", "--window", "--quant",
+                        "--params-b", "--output-tokens", "--power-mode"},
+            "load": serving | {"--requests", "--concurrency", "--prometheus"},
+            "serve": serving | {"--host", "--port", "--uvicorn"},
+        }
+
+    def test_flag_type_default_and_help_come_from_the_field(self, capsys):
+        args = build_parser().parse_args(["serve", "--port", "0"])
+        assert args.port == 0 and args.host is None   # unset over --spec
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "bind port (0: an ephemeral one) (default: 8080)" in " ".join(
+            capsys.readouterr().out.split())
+
+
+def _option_strings(parser, prefix=()) -> dict:
+    """``{"sub command": {option strings, positional dests}}``."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found.update(_option_strings(child, (*prefix, name)))
+    if prefix:
+        found[" ".join(prefix)] = {
+            option for action in parser._actions
+            if not isinstance(action, argparse._SubParsersAction)
+            for option in action.option_strings or [action.dest]}
+    return found
 
 
 def _spec_file(tmp_path, **fields) -> str:
@@ -121,6 +178,27 @@ class TestServingSpecFlags:
         assert spec.max_batch_size == 4
         assert spec.budget == BudgetSpec(energy_budget_j=180.0)
 
+    @pytest.mark.parametrize("command", ["serve", "load"])
+    def test_carbon_budget_keeps_the_spec_files_budget(self, tmp_path,
+                                                       command):
+        """``--carbon-budget`` sets one field of the file's BudgetSpec, as
+        ``--host``/``--port`` set fields of its HttpSpec: the window and
+        the power-mode threshold survive."""
+        spec_path = _spec_file(tmp_path, budget=BudgetSpec(
+            window_requests=4, intensity_high=450.0))
+        spec = _serving_spec(build_parser().parse_args(
+            [command, "--spec", spec_path, "--carbon-budget", "150"]))
+        assert spec.budget == BudgetSpec(
+            energy_budget_j=150.0, window_requests=4, intensity_high=450.0)
+
+    def test_host_and_port_keep_the_spec_files_http(self, tmp_path):
+        spec_path = _spec_file(tmp_path, http=HttpSpec(
+            port=9000, api_key="k", rate_limit_rps=5.0))
+        spec = _serving_spec(build_parser().parse_args(
+            ["serve", "--spec", spec_path, "--host", "0.0.0.0"]))
+        assert spec.http == HttpSpec(host="0.0.0.0", port=9000, api_key="k",
+                                     rate_limit_rps=5.0)
+
 
 def _documented_commands():
     """Every ``-m repro …`` command in the README and the Makefile:
@@ -142,20 +220,50 @@ def test_documented_commands_parse(argv):
     build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("argv,flag", [
-    (["run", "--suite", "edgehome", "-n", "0"], "-n/--queries"),
-    (["load", "-n", "0"], "-n/--queries"),
-    (["load", "--concurrency", "0", "--requests", "2"], "--concurrency"),
-    (["load", "--batch-size", "0"], "--batch-size"),
-    (["profile", "--window", "512"], "--window"),
-    (["profile", "--tools", "-5"], "--tools"),
-])
-def test_size_flags_out_of_range_are_usage_errors(argv, flag, capsys):
+#: one bad value per bounded flag: the spec's own validation (or
+#: ``_at_least`` for a flag no spec has) refuses it
+_BAD_VALUES = [
+    (["run", "--suite", "edgehome", "-n", "0"], "-n/--queries", "must be >= 1"),
+    (["load", "-n", "0"], "-n/--queries", "must be >= 1"),
+    (["load", "--concurrency", "0", "--requests", "2"], "--concurrency",
+     "must be >= 1"),
+    (["load", "--batch-size", "0"], "--batch-size", "must be >= 1"),
+    (["profile", "--window", "512"], "--window", "must be >= 1024"),
+    (["profile", "--tools", "-5"], "--tools", "must be >= 0"),
+    (["load", "--requests", "-1"], "--requests", "must be >= 0"),
+    (["profile", "--output-tokens", "-1"], "--output-tokens", "must be >= 0"),
+    (["load", "--plan-cache", "-1"], "--plan-cache", "must be >= 0"),
+    (["load", "--timeout-ms", "0"], "--timeout-ms", "must be > 0"),
+    (["serve", "--carbon-budget", "-5"], "--carbon-budget", "must be > 0"),
+    (["serve", "--port", "-1"], "--port", "must be in [0, 65535]"),
+    (["serve", "--port", "70000"], "--port", "must be in [0, 65535]"),
+    (["serve", "--host", ""], "--host", "must be a non-empty string"),
+    (["grid", "--schemes", ","], "--schemes", "must name at least one entry"),
+    (["grid", "--models", ","], "--models", "must name at least one entry"),
+    (["grid", "--quants", ","], "--quants", "must name at least one entry"),
+    (["run", "--scheme", ""], "--scheme", "must be a non-empty string"),
+    (["compare", "--model", ""], "--model", "must be a non-empty string"),
+    (["run", "--quant", ""], "--quant", "must be a non-empty string"),
+    (["run", "--engine", "nosuch"], "--engine", "unknown engine 'nosuch'"),
+    (["catalog", "show", "nosuch"], "name", "unknown catalog 'nosuch'"),
+    (["catalog", "diff", "edgehome", "nosuch"], "new",
+     "unknown catalog 'nosuch'"),
+    (["catalog", "show", "edgehome", "--variant", "tiny"], "--variant",
+     "must be one of full, compressed, minimal"),
+    (["catalog", "diff", "edgehome", "edgehome", "--variant", "compressed",
+      "--against-variant", "tiny"], "--against-variant",
+     "must be one of full, compressed, minimal"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,message", _BAD_VALUES, ids=[
+    f"argv{index}-{flag}" for index, (_, flag, _) in enumerate(_BAD_VALUES)])
+def test_size_flags_out_of_range_are_usage_errors(argv, flag, message, capsys):
     """Exit 2 with argparse's message naming the flag, not a traceback."""
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 def test_documented_commands_are_found():

@@ -154,6 +154,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             CatalogSpec(name="")
 
+    def test_catalog_name_resolves_through_the_registry(self):
+        with pytest.raises(ValueError, match="CatalogSpec.name: unknown "
+                                             "catalog 'nosuch'; registered "
+                                             "catalogs: .*edgehome"):
+            CatalogSpec(name="nosuch")
+
     def test_catalog_variant_domain(self):
         with pytest.raises(ValueError, match="full, compressed, minimal"):
             CatalogSpec(name="edgehome", variant="tiny")
@@ -280,7 +286,8 @@ class TestSpecImportsStayCheap:
 
         code = (
             "import sys; "
-            "from repro.specs import AgentSpec, BudgetSpec, FaultPlan, "
+            "from repro.specs import AgentSpec, BudgetSpec, CatalogSpec, "
+            "FaultPlan, "
             "GridSpec, ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
             "plan_cache_size=8, "
@@ -288,7 +295,7 @@ class TestSpecImportsStayCheap:
             "obs=ObsSpec(), default_engine='simulated', "
             "faults=FaultPlan(seed=3, slow_batch_rate=0.25, "
             "slow_batch_ms=250.0, exception_rate=0.3)); "
-            "AgentSpec(); GridSpec(); "
+            "AgentSpec(); GridSpec(); CatalogSpec('edgehome', 'compressed'); "
             "heavy = sorted(m for m in sys.modules if m.startswith("
             "('repro.serving', 'repro.evaluation', 'repro.core', "
             "'repro.power', 'repro.obs', 'repro.engines', 'numpy'))); "
