@@ -171,10 +171,6 @@ ALLOWLIST: dict[str, str] = {
     "repro.serving.http.app:GatewayHTTPApp._lifespan":
         "the ASGI lifespan protocol, driven by uvicorn in CI's uvicorn job; "
         "the builtin server uses the app's async-context form",
-    "repro.serving.http.limits:RateLimiter.__init__":
-        "HttpSpec.rate_limit_rps, which no shipped spec sets",
-    "repro.serving.http.limits:RateLimiter.try_acquire":
-        "HttpSpec.rate_limit_rps, which no shipped spec sets",
     "repro.serving.http.server:run_uvicorn":
         "reached only by CI's uvicorn job (make serve-smoke-uvicorn); "
         "uvicorn is an optional extra",

@@ -7,14 +7,18 @@ spec with two tenants over the same suite — one on the simulated
 engine, one on the ``openai_http`` engine pointed at an in-process
 :class:`~repro.engines.testing.MockOpenAIServer` — launches the server
 on it on an ephemeral port, and drives ``/healthz``, ``POST /v1/call``
-and ``/metrics`` (whose two process-memory gauges must be positive)
-over a real connection.  It calls the engine-backed
+and ``/metrics`` (whose two process-memory gauges must be positive, and
+whose embedder-cache gauges must be within the cache's bound) over a
+real connection.  It calls the engine-backed
 tenant and checks the mock saw the chat request, lists the tenants,
 reads one's status, deletes it and gets a 404 for it; registers, reads
 and calls a tenant whose name travels percent-encoded in the path
-(``café``); then SIGINTs the server and asserts a clean exit.  stdlib
-only (subprocess + http.client), like everything else on the serving
-edge.
+(``café``).  The spec sets a per-tenant rate limit of one call per
+``1 / RATE_LIMIT_RPS`` seconds, so each tenant's one call above is
+admitted and a second call to the first tenant gets a 429 with a
+``Retry-After``.  Then it SIGINTs the server and asserts a clean exit.
+stdlib only (subprocess + http.client), like everything else on the
+serving edge.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--uvicorn]
 
@@ -44,6 +48,7 @@ from repro.engines.testing import MockOpenAIServer  # noqa: E402
 from repro.serving.http import HTTPConnection  # noqa: E402
 from repro.specs import (  # noqa: E402
     EngineSpec,
+    HttpSpec,
     ServingSpec,
     SuiteSpec,
     TenantSpec,
@@ -61,6 +66,9 @@ ENGINE_TENANT = f"{SUITE}-http"
 #: a tenant name that is not plain ASCII, and its path segment on the wire
 ENCODED_TENANT, ENCODED_SEGMENT = "café", "caf%C3%A9"
 BOOT_TIMEOUT_S = 60.0
+#: one token per 100 s and a burst of one: a tenant's second call inside
+#: the smoke is always refused
+RATE_LIMIT_RPS = 0.01
 
 
 def wait_for_banner(process: subprocess.Popen,
@@ -107,6 +115,11 @@ def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
     assert sorted(memory) == ["repro_process_peak_resident_bytes",
                               "repro_process_resident_bytes"], memory
     assert all(value > 0 for value in memory.values()), memory
+    gauges = {line.split()[0]: float(line.split()[1])
+              for line in metrics.text.splitlines()
+              if line.startswith("repro_embedder_cache_")}
+    assert 0 < gauges["repro_embedder_cache_entries"] <= 1024, gauges
+    assert 0 < gauges["repro_embedder_cache_hit_rate"] <= 1, gauges
     print(f"  /metrics ok ({len(metrics.text.splitlines())} lines)")
 
     call = conn.post("/v1/call", {"tenant": ENGINE_TENANT, "qid": qid})
@@ -144,6 +157,13 @@ def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
     assert call.json()["tenant"] == ENCODED_TENANT
     print(f"  PUT/GET {path} and /v1/call as {ascii(ENCODED_TENANT)} ok")
 
+    limited = conn.post("/v1/call", {"tenant": SUITE, "qid": qid})
+    assert limited.status == 429, limited.text
+    assert limited.json()["error"]["type"] == "RateLimited"
+    assert int(limited.headers["retry-after"]) >= 1, limited.headers
+    print(f"  second /v1/call as {SUITE} rate-limited "
+          f"(Retry-After {limited.headers['retry-after']} s)")
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -158,7 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         spec = ServingSpec(tenants=(
             TenantSpec(SUITE, suite),
             TenantSpec(ENGINE_TENANT, suite, engine=EngineSpec(
-                "openai_http", base_url=mock.base_url))))
+                "openai_http", base_url=mock.base_url))),
+            http=HttpSpec(rate_limit_rps=RATE_LIMIT_RPS, rate_limit_burst=1))
         spec_path = Path(scratch) / "serving.json"
         spec_path.write_text(json.dumps(spec.to_dict()))
         command = [sys.executable, "-m", "repro", "serve",

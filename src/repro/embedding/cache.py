@@ -8,10 +8,11 @@ embedder is deterministic).
 The cache is batch-aware: one pass partitions a batch into hits and
 misses, the misses are embedded in a single vectorized
 :meth:`SentenceEmbedder.encode` call, and the results are merged back in
-order.  An optional ``max_entries`` bound turns the cache into an LRU so
-long-lived services cannot grow without limit.  One lock covers the
-whole stack, so one embedder can be shared by concurrent callers (the
-serving gateway's event loop and batch worker).
+order.  Every cache is an LRU of ``max_entries`` texts, so a long-lived
+service does not grow with the texts its requests bring; an evicted text
+re-encodes to bitwise the same vector.  One lock covers the whole stack,
+so one embedder can be shared by concurrent callers (the serving
+gateway's event loop and batch worker).
 """
 
 from __future__ import annotations
@@ -34,8 +35,12 @@ class CachedEmbedder:
         created when omitted).  Its projection is fixed at construction,
         so a cached vector never goes stale.
     max_entries:
-        When set, the cache evicts least-recently-used entries beyond
-        this bound; ``None`` (the default) keeps every vector.
+        The cache evicts least-recently-used entries beyond this bound.
+        The default, 1024 vectors (~6 KB each, ~6 MB full), holds every
+        tenant's presented tool descriptions plus several 32-request
+        micro-batches of query and recommendation texts.  An evicted
+        text re-encodes from the wrapped embedder's interned directions,
+        so its vector is bitwise the same on every encode.
 
     One lock is held across lookup, compute and store.  It guards the
     cache and, because nothing else reaches the wrapped embedder, that
@@ -43,9 +48,10 @@ class CachedEmbedder:
     """
 
     def __init__(self, embedder: SentenceEmbedder | None = None,
-                 max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+                 max_entries: int = 1024):
+        if not isinstance(max_entries, int) or max_entries < 1:
+            raise ValueError(
+                f"max_entries must be an int >= 1, got {max_entries!r}")
         self.embedder = embedder if embedder is not None else SentenceEmbedder()
         self.max_entries = max_entries
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -101,7 +107,7 @@ class CachedEmbedder:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def cache_info(self) -> dict[str, int | None]:
+    def cache_info(self) -> dict[str, int]:
         """Hit/miss/eviction counters plus current and maximum size."""
         return {
             "hits": self._hits,
@@ -120,8 +126,7 @@ class CachedEmbedder:
             self._misses += 1
             return None
         self._hits += 1
-        if self.max_entries is not None:
-            self._cache.move_to_end(text)
+        self._cache.move_to_end(text)
         return vec
 
     def _store(self, text: str, vec: np.ndarray) -> np.ndarray:
@@ -130,16 +135,11 @@ class CachedEmbedder:
         if vec.base is not None:
             vec = vec.copy()
         self._cache[text] = vec
-        if self.max_entries is not None and len(self._cache) > self.max_entries:
+        if len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)
             self._evictions += 1
         return vec
 
-
-#: LRU bound of the process-wide embedder (~6 KB a vector, ~50 MB full):
-#: `repro serve` lives on it and every request brings new texts.  An
-#: evicted text re-encodes to bitwise the same vector.
-SHARED_MAX_ENTRIES = 8192
 
 _SHARED: CachedEmbedder | None = None
 
@@ -148,5 +148,5 @@ def shared_embedder() -> CachedEmbedder:
     """Process-wide cached embedder (the default for agents/pipelines)."""
     global _SHARED
     if _SHARED is None:
-        _SHARED = CachedEmbedder(max_entries=SHARED_MAX_ENTRIES)
+        _SHARED = CachedEmbedder()
     return _SHARED

@@ -116,6 +116,12 @@ FAMILIES: tuple[Family, ...] = (
     Family("process_peak_resident_bytes", "process_peak_resident_bytes",
            "Peak resident set size of the serving process (VmHWM), read "
            "when the exposition renders.", kind="gauge"),
+    Family("embedder_cache_entries", "embedder_cache_entries",
+           "Texts held in the session embedder's LRU cache, read when the "
+           "exposition renders.", kind="gauge"),
+    Family("embedder_cache_hit_rate", "embedder_cache_hit_rate",
+           "Session embedder cache hits over all lookups, read when the "
+           "exposition renders.", kind="gauge"),
 )
 
 #: The cost ledger's families: ``key`` is a field of

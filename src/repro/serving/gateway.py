@@ -395,11 +395,14 @@ class Gateway:
         What the HTTP edge's ``GET /metrics`` serves — rendering runs
         off the telemetry *snapshot*, so a scrape never holds the
         recording locks for longer than one dict copy.  The process's
-        resident memory is read fresh for each render.
+        resident memory and the session embedder's cache are read fresh
+        for each render.
         """
         from repro.obs.prometheus import render_prometheus
 
         self.telemetry.record_process_memory()
+        self.telemetry.record_embedder_cache(
+            self.sessions.embedder.cache_info())
         return render_prometheus(self.telemetry.snapshot(),
                                  cost=self.costs_ledger.snapshot())
 

@@ -106,6 +106,7 @@ class Telemetry:
         self._queue_wait_sum_s = 0.0
         self._queue_wait_count = 0
         self._memory_bytes = (0, 0)
+        self._embedder_cache = (0, 0.0)
 
     # ------------------------------------------------------------------
     # recording
@@ -186,6 +187,14 @@ class Telemetry:
         with self._lock:
             self._memory_bytes = memory
 
+    def record_embedder_cache(self, cache_info: dict) -> None:
+        """The session embedder's :meth:`CachedEmbedder.cache_info` now
+        (what ``Gateway.metrics_text`` does before each render)."""
+        lookups = cache_info["hits"] + cache_info["misses"]
+        hit_rate = cache_info["hits"] / lookups if lookups else 0.0
+        with self._lock:
+            self._embedder_cache = (cache_info["size"], hit_rate)
+
     def record_completion(self, latency_s: float, ok: bool = True) -> None:
         """One request finished (``latency_s`` is submit-to-response)."""
         with self._lock:
@@ -232,6 +241,8 @@ class Telemetry:
             sizes = dict(sorted(self._batch_sizes.items()))
             (out["process_resident_bytes"],
              out["process_peak_resident_bytes"]) = self._memory_bytes
+            (out["embedder_cache_entries"],
+             out["embedder_cache_hit_rate"]) = self._embedder_cache
         # sort each ring once; percentile() re-sorting a sorted list is linear
         latencies.sort()
         queue_waits.sort()

@@ -84,17 +84,17 @@ def _as_tuple(value) -> tuple:
 def _require_min(owner, bound, *names: str, strict: bool = False) -> None:
     """Each named numeric field is ``>= bound`` (``> bound`` if strict).
 
-    ``None`` passes: optional fields use it for "unset".
+    ``None`` passes: optional fields use it for "unset".  The message
+    names no ``None``: it is also the CLI's usage error for the field's
+    flag, where the flag left out is the unset value.
     """
     for name in names:
         value = getattr(owner, name)
         if value is None or (value > bound if strict else value >= bound):
             continue
-        optional = type(owner).__dataclass_fields__[name].default is None
         raise ValueError(
             f"{type(owner).__name__}.{name} must be "
-            f"{'>' if strict else '>='} {bound}"
-            f"{' (or None)' if optional else ''}, got {value}")
+            f"{'>' if strict else '>='} {bound}, got {value}")
 
 
 def _require_registered(owner, name: str, registry) -> None:

@@ -253,6 +253,9 @@ _BAD_VALUES = [
     (["catalog", "diff", "edgehome", "edgehome", "--variant", "compressed",
       "--against-variant", "tiny"], "--against-variant",
      "must be one of full, compressed, minimal"),
+    # an optional field's bound reads as a usage error: no "(or None)"
+    (["run", "--suite", "edgehome", "-n", "0"], "-n/--queries",
+     "must be >= 1, got 0\n"),
 ]
 
 

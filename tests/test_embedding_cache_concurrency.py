@@ -6,7 +6,9 @@ from many threads with overlapping hit/miss workloads plus texts only
 one thread sends, and assert that every vector ever served is the one
 canonical embedding of its text, and that the wrapped embedder's
 direction bank, which the cache's one lock guards, drew each feature's
-row exactly once.
+row exactly once.  A cache bounded below the texts it is sent evicts
+under the same contention and re-encodes each evicted text to the bytes
+it first served.
 
 Reference vectors come from an independent embedder, which interns its
 vocabulary in a different order — bitwise-identical results are only
@@ -100,3 +102,39 @@ def test_many_threads_mixed_hits_and_misses_serve_canonical_vectors():
     assert cache.embedder.direction_count == single.direction_count
     for text, vec in zip(sent[-len(private):], single_vectors[-len(private):]):
         assert close(private[text], vec), text
+
+
+def test_evicted_texts_re_encode_bitwise_under_contention():
+    bound = 8
+    cache = CachedEmbedder(max_entries=bound)
+    first = {text: cache.encode_one(text).tobytes() for text in TEXTS}
+    directions = cache.embedder.direction_count
+    served: list[tuple[str, bytes]] = []
+    served_lock = threading.Lock()
+
+    def worker(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            picks = [TEXTS[int(i)] for i in rng.integers(0, len(TEXTS), size=5)]
+            if rng.random() < 0.3:
+                got = [(picks[0], cache.encode_one(picks[0]))]
+            else:
+                got = list(zip(picks, cache.encode(picks)))
+            with served_lock:
+                served.extend((text, vec.tobytes()) for text, vec in got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(worker, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert len(cache) <= bound
+    info = cache.cache_info()
+    assert info["evictions"] > len(TEXTS) and info["misses"] > len(TEXTS)
+    for text, data in served:
+        assert data == first[text], text
+    # a re-encode reads the interned rows: the bank drew nothing new
+    assert cache.embedder.direction_count == directions

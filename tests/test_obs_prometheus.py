@@ -142,7 +142,8 @@ SNAPSHOT_KEYS = {
     "faults_injected_by_hook", "energy_j", "energy_j_by_tenant",
     "carbon_g", "carbon_g_by_tenant", "budget_transitions",
     "budget_transitions_detail", "process_resident_bytes",
-    "process_peak_resident_bytes",
+    "process_peak_resident_bytes", "embedder_cache_entries",
+    "embedder_cache_hit_rate",
 }
 
 #: one example value per ``record_*`` parameter name; booleans are swept
@@ -151,6 +152,7 @@ _RECORD_ARGS = {
     "tenant": "t", "hook": "h", "direction": "down",
     "energy_j": 1.5, "carbon_g": 0.5, "scope": "t", "target": "minimal",
     "latency_s": 0.01,
+    "cache_info": {"hits": 3, "misses": 1, "size": 4},
 }
 
 
@@ -168,7 +170,7 @@ def _record_calls():
 
 
 def test_snapshot_keys_are_pinned():
-    assert len(SNAPSHOT_KEYS) == 38
+    assert len(SNAPSHOT_KEYS) == 40
     assert set(Telemetry().snapshot()) == SNAPSHOT_KEYS
 
 
@@ -371,3 +373,7 @@ def test_gateway_metrics_text_is_valid_and_live():
     [(_, resident)] = samples["repro_process_resident_bytes"]
     [(_, peak)] = samples["repro_process_peak_resident_bytes"]
     assert 0.0 < resident <= peak
+    # so is the session embedder's cache: within its bound, warm by now
+    [(_, entries)] = samples["repro_embedder_cache_entries"]
+    [(_, hit_rate)] = samples["repro_embedder_cache_hit_rate"]
+    assert 0.0 < entries <= 1024 and 0.0 < hit_rate <= 1.0

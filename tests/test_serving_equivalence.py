@@ -140,8 +140,8 @@ def test_serve_keeps_the_shared_embedder_bounded(monkeypatch):
     bound.  Evicted texts (tool descriptions included, at this size)
     re-encode to the same bits, so the episodes do not move."""
     bound = 48
-    monkeypatch.setattr(cache_module, "SHARED_MAX_ENTRIES", bound)
-    monkeypatch.setattr(cache_module, "_SHARED", None)
+    monkeypatch.setattr(cache_module, "_SHARED",
+                        CachedEmbedder(max_entries=bound))
     suite = load_suite("edgehome", n_queries=96)
     assert len({query.text for query in suite.queries}) > bound
     reference = {
