@@ -8,9 +8,11 @@ the committed day-long grid-intensity trace
 controller ticks against a simulated clock walking through the day:
 over-budget windows step the tenant down the serving ladder
 (full -> reduced-k -> shed), and the evening carbon peak steps the
-simulated Jetson down a power mode (MAXN -> 30W).  Both effects are
-visible in the per-wave status lines — and every served episode stays
-bitwise identical to running the same query uncontrolled at that rung.
+simulated Jetson down power modes (MAXN -> 30W -> 15W).  Both effects
+are visible in the per-wave status lines.  Every served episode runs on
+the board in the mode of its batch, so it is bitwise identical to
+running the same query uncontrolled at that rung on that mode's device,
+and the J/req column is the mean of those episodes' own joules.
 The gateway traces into an in-memory sink with no request sampled, so
 the trace holds exactly the controller's ``budget`` marker spans: one per
 counted budget transition, which the demo checks before it exits.
@@ -53,8 +55,8 @@ async def main() -> None:
         ),
         max_batch_size=8,
         budget=BudgetSpec(
-            energy_budget_j=150.0,          # well under the ~230 J/req
-            window_requests=wave,           # full-catalog traffic costs
+            energy_budget_j=135.0,          # under the first full-rung
+            window_requests=wave,           # wave: ~141 J/req at 4, ~171 at 6
             settle_requests=wave,
             recovery_ticks=2,
             interval_ms=3_600_000.0,        # dormant loop: we tick manually

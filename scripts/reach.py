@@ -141,9 +141,6 @@ ALLOWLIST: dict[str, str] = {
         "Protocol stub: the signature sinks implement, never called itself",
     "repro.obs.sinks:_null_sink":
         "registry factory of the `null` trace sink (see NullSink.emit)",
-    "repro.power.budget:BudgetController.power_mode":
-        "the controller's current nvpmodel mode, for operators; tests read "
-        "it",
     "repro.power.meter:EnergyMeter.now":
         "the meter's clock; tests drive the carbon signal through it",
     "repro.power.signals:SinusoidSignal.__post_init__":

@@ -105,16 +105,20 @@ class FunctionCallingAgent:
         """Execute one full episode and measure it on the device model."""
         return self.run_planned(query, self.plan(query))
 
-    def run_planned(self, query: Query, plan: ToolPlan) -> EpisodeResult:
+    def run_planned(self, query: Query, plan: ToolPlan,
+                    device: DeviceProfile | None = None) -> EpisodeResult:
         """Execute one episode from an already-computed plan.
 
         Split from :meth:`run` so a serving layer can plan a whole
         micro-batch in one vectorized pass and then execute each episode
-        individually.  The method touches no agent-level mutable state,
-        so one agent instance can execute episodes concurrently as long
-        as its executor/embedder are thread-safe (they are by default).
+        individually.  ``device`` is the board the episode is measured
+        on (default: the agent's); the gateway passes its power mode's.
+        The method touches no agent-level mutable state, so one agent
+        instance can execute episodes concurrently as long as its
+        executor/embedder are thread-safe (they are by default).
         """
-        session = MeasurementSession(device=self.device)
+        session = MeasurementSession(
+            device=self.device if device is None else device)
         session.add_overhead(plan.overhead_s)
 
         result = EpisodeResult(
@@ -155,17 +159,19 @@ class FunctionCallingAgent:
         result.peak_memory_gb = session.peak_memory_gb
         return result
 
-    def run_planned_many(self, queries: list[Query],
-                         plans: list[ToolPlan]) -> list[EpisodeResult]:
+    def run_planned_many(self, queries: list[Query], plans: list[ToolPlan],
+                         device: DeviceProfile | None = None,
+                         ) -> list[EpisodeResult]:
         """Execute a batch of already-planned episodes, in order.
 
         The serial loop the gateway's batch worker runs after
-        ``plan_batch``, one planned group at a time.
+        ``plan_batch``, one planned group at a time, every episode on
+        ``device`` (see :meth:`run_planned`).
         """
         if len(queries) != len(plans):
             raise ValueError(
                 f"{len(queries)} queries but {len(plans)} plans")
-        return [self.run_planned(query, plan)
+        return [self.run_planned(query, plan, device)
                 for query, plan in zip(queries, plans)]
 
     # ------------------------------------------------------------------
@@ -246,7 +252,7 @@ class FunctionCallingAgent:
                 kv_cached_tokens=usage.kv_cached_tokens,
                 jitter_stream=f"{self.scheme}-{self.llm.name}-{stream}",
             ),
-            device=self.device,
+            device=session.device,
         )
         session.add_trace(trace)
         result.n_llm_calls += 1

@@ -85,7 +85,8 @@ FAMILIES: tuple[Family, ...] = (
            "Chaos faults fired, per fault hook.", ("hook",)),
     Family("energy_j", "energy_joules_total",
            "Estimated energy attributed to served requests, per tenant "
-           "(joules; accounting-layer re-cost under the active power mode).",
+           "(joules; the sum of the served episodes' energy_j, each on the "
+           "board in the power mode it ran in).",
            ("tenant",)),
     Family("carbon_g", "carbon_grams_total",
            "Estimated operational carbon attributed to served requests, "

@@ -8,9 +8,9 @@ gateway's admission path (:mod:`repro.serving.gateway`).
 * :mod:`repro.power.signals` — grid carbon-intensity signals (gCO₂/kWh
   as a pure function of time) behind the
   :data:`repro.registry.CARBON_SIGNALS` registry.
-* :mod:`repro.power.meter` — the :class:`EnergyMeter`, attributing
-  estimated joules and gCO₂ per request/tenant in the accounting layer
-  (episode bits never change).
+* :mod:`repro.power.meter` — the :class:`EnergyMeter`, holding the
+  board's power mode and attributing each episode's joules (and their
+  gCO₂) per request/tenant.
 * :mod:`repro.power.budget` — the serving ladder (:data:`RUNGS`) and
   its one controller, the :class:`BudgetController`, stepping tenants down
   it on a rolling joule/gCO₂ budget and the simulated board down power

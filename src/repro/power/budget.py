@@ -9,7 +9,9 @@ on a *power/carbon budget* — a rolling joules-per-request or
 gCO₂-per-request cap read from the :class:`~repro.power.meter.EnergyMeter`
 — and additionally steps the simulated board down nvpmodel power modes
 (MAXN → 30W → 15W) while the grid's carbon intensity is high, climbing
-back with hysteresis once it clears.
+back with hysteresis once it clears.  The mode lives on the meter; the
+gateway runs each batch's episodes on that mode's device, so a step
+changes the latency and joules of every episode served after it.
 
 The reduced-``k`` rung reroutes default traffic through
 :data:`REDUCED_K_SCHEME` (fewer tools presented — the paper's lever);
@@ -48,7 +50,9 @@ class BudgetController:
     """Steps tenants down the ladder and the board down power modes.
 
     One controller per gateway, sharing the gateway's
-    :class:`~repro.power.meter.EnergyMeter` with the accounting layer.
+    :class:`~repro.power.meter.EnergyMeter`, whose ``power_mode`` is the
+    one home of the board's mode: the controller reads its place on
+    :data:`MODE_LADDER` from there and writes only there.
     It holds the sessions, meter, telemetry and tracer, never the gateway.
     Every action lands in telemetry as one ``budget_transitions`` entry
     (``<tenant>:<direction>:<rung>`` for ladder moves,
@@ -65,16 +69,8 @@ class BudgetController:
         self.telemetry = telemetry
         self.tracer = tracer
         self.signal = signal if signal is not None else self.meter.signal
-        self._mode_index = 0
         self._mode_floor = MODE_LADDER.index(spec.min_power_mode)
         self._mode_clear_streak = 0
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def power_mode(self) -> str:
-        return MODE_LADDER[self._mode_index]
 
     # ------------------------------------------------------------------
     # the feedback loop
@@ -106,22 +102,22 @@ class BudgetController:
         spec = self.spec
         if spec.intensity_high is None:
             return
+        index = MODE_LADDER.index(self.meter.power_mode)
         if intensity >= spec.intensity_high:
             self._mode_clear_streak = 0
-            if self._mode_index < self._mode_floor:
-                self._set_mode(self._mode_index + 1, "down")
+            if index < self._mode_floor:
+                self._set_mode(index + 1, "down")
         elif intensity <= spec.effective_intensity_low:
             self._mode_clear_streak += 1
             if self._mode_clear_streak >= spec.recovery_ticks:
                 self._mode_clear_streak = 0
-                if self._mode_index > 0:
-                    self._set_mode(self._mode_index - 1, "up")
+                if index > 0:
+                    self._set_mode(index - 1, "up")
         else:
             # in-between band: hold the mode, restart the recovery streak
             self._mode_clear_streak = 0
 
     def _set_mode(self, index: int, direction: str) -> None:
-        self._mode_index = index
         mode = MODE_LADDER[index]
         self.meter.set_power_mode(mode)
         self.telemetry.record_budget_transition("device", mode, direction)

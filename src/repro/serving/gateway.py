@@ -6,9 +6,10 @@ carries it to accounting), applies admission control, queues the
 request on the micro-batch scheduler and awaits the episode result.
 Batches are planned through the agents' vectorized :meth:`plan_batch`
 (one ``encode`` and one multi-query search per index for the whole
-batch) and then executed per-episode with :meth:`run_planned` — so a
-served episode is bitwise identical to running the same query through
-the sequential :class:`~repro.evaluation.runner.ExperimentRunner` path.
+batch) and then executed per-episode with :meth:`run_planned` on the
+device of the gateway's power mode — so a served episode is bitwise
+identical to running the same query through the sequential
+:class:`~repro.evaluation.runner.ExperimentRunner` path on that device.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.episode import EpisodeResult
+from repro.hardware.power_modes import orin_in_mode
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
 from repro.power import BudgetController, EnergyMeter, build_signal
@@ -188,9 +190,9 @@ class Gateway:
         self.scheduler = BatchScheduler(self.config, telemetry=self.telemetry)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
-        # carbon/power accounting: the meter is always on (attribution
-        # is cheap and read-only); the BudgetController only runs when a
-        # BudgetSpec is configured
+        # carbon/power accounting: the meter is always on (it holds the
+        # power mode and reads each episode's joules); the
+        # BudgetController only runs when a BudgetSpec is configured
         budget = self.config.budget
         self.power_meter = EnergyMeter(
             signal=build_signal(budget),
@@ -361,7 +363,7 @@ class Gateway:
         return RUNGS[self.sessions.get(tenant).rung]
 
     def power_mode(self) -> str:
-        """The nvpmodel mode the accounting layer costs new work under."""
+        """The nvpmodel mode the next batch's episodes run under."""
         return self.power_meter.power_mode
 
     def budget_status(self, tenant: str) -> dict:
@@ -455,7 +457,8 @@ class Gateway:
         that session's agent, coalescing every request's embedding and
         Level-1/Level-2 retrieval into single kernel invocations.  The
         planned episodes then run on this batch-worker thread through
-        ``run_planned_many``.
+        ``run_planned_many``, on the device of the power mode read once
+        for the whole batch (the agent's own device at MAXN).
 
         Failures are contained per group: an invalid model name (or any
         agent error) fails only the requests sharing that grid cell —
@@ -476,6 +479,9 @@ class Gateway:
                             "hook": "batch.process",
                             "sleep_ms": action.sleep_s * 1e3})
                 time.sleep(action.sleep_s)
+        # the whole batch runs on the board in one power mode, read once
+        mode = self.power_meter.power_mode
+        device = None if mode == "MAXN" else orin_in_mode(mode)
         groups: dict[tuple[TenantSession, str, str, str], list[int]] = {}
         for position, request in enumerate(batch):
             item: WorkItem = request.payload
@@ -534,10 +540,12 @@ class Gateway:
                             attributes={"group_size": len(positions),
                                         "cache_hit": hit})
                         tracer.end_span(plan_span, end_s=plan_end)
-                execute_spans = [tracer.start_span(trace, "execute")
-                                 for trace in traced]
+                execute_spans = [
+                    tracer.start_span(trace, "execute",
+                                      attributes={"power_mode": mode})
+                    for trace in traced]
                 try:
-                    episodes = agent.run_planned_many(queries, plans)
+                    episodes = agent.run_planned_many(queries, plans, device)
                 except Exception:
                     for span in execute_spans:
                         tracer.end_span(span, status="error")
@@ -557,12 +565,7 @@ class Gateway:
                         llm_calls=getattr(episode, "n_llm_calls", 0),
                         catalog_version=catalog_version,
                     ))
-                    # carbon/power accounting: re-cost the episode's
-                    # token counts under the active power mode (never
-                    # touches the live agents — episode bits are final)
-                    energy = self.power_meter.record(
-                        session, episode, model=model, quant=quant,
-                        context_window=getattr(plan, "context_window", None))
+                    energy = self.power_meter.record(session, episode)
                     self.telemetry.record_energy(
                         tenant, energy.energy_j, energy.carbon_g)
                     responses[position] = ServingResponse(

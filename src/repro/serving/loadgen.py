@@ -11,6 +11,7 @@ wrapper owns the event loop and the gateway lifecycle, which is what
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -85,9 +86,12 @@ class LoadReport:
         + rejected + shed, admitted = completed + failed).  ``LOST``: no
         request fails unless ``config`` makes a loss expected (fault-plan
         exceptions, a deadline or a budget; a stalled batch still
-        finishes).  ``MISMATCH``: when every request was traced into a
-        ``jsonl`` artifact, its ``fault`` spans' hooks are the hooks
-        telemetry counted.
+        finishes).  ``ENERGY``: under the same preconditions, each
+        tenant's metered joules are the sum of its kept episodes'
+        ``energy_j`` (a request abandoned at its deadline is metered
+        but its episode is not kept).  ``MISMATCH``: when every request
+        was traced into a ``jsonl`` artifact, its ``fault`` spans' hooks
+        are the hooks telemetry counted.
         """
         metrics, failures = self.gateway_metrics, []
         admitted = metrics["requests_admitted"]
@@ -100,8 +104,10 @@ class LoadReport:
         if admitted != settled:
             failures.append(f"{admitted} requests admitted, telemetry "
                             f"completed or failed {settled}")
-        if (self.n_errors and config.timeout_ms is None and config.budget is None
-                and not (config.faults and config.faults.exception_rate)):
+        loss_expected = (config.timeout_ms is not None
+                         or config.budget is not None
+                         or (config.faults and config.faults.exception_rate))
+        if self.n_errors and not loss_expected:
             # every served episode is kept, so what the workload offered
             # and no episode answers is what was lost
             lost = (Counter((load.tenant, load.query.qid)
@@ -112,6 +118,18 @@ class LoadReport:
                 f"faults only: " + ", ".join(
                     f"{tenant}/{qid}" + (f" x{count}" if count > 1 else "")
                     for (tenant, qid), count in sorted(lost.items())))
+        metered = metrics["energy_j_by_tenant"]
+        tenants = set(metered) | {key[0] for key in self.episodes}
+        for tenant in [] if loss_expected else sorted(tenants):
+            # telemetry adds in arrival order, fsum exactly: they agree
+            # to rounding, never by a whole episode
+            served = math.fsum(episode.energy_j for key, episode
+                               in self.episodes.items() if key[0] == tenant)
+            spent = metered.get(tenant, 0.0)
+            if not math.isclose(spent, served, rel_tol=1e-9):
+                failures.append(f"ENERGY: tenant {tenant!r} metered "
+                                f"{spent!r} J, its episodes report "
+                                f"{served!r} J")
         span_hooks = _fault_span_hooks(config.obs)
         injected_hooks = sorted(metrics["faults_injected_by_hook"])
         if span_hooks is not None and span_hooks != injected_hooks:

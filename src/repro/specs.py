@@ -457,6 +457,9 @@ class BudgetSpec(_SpecBase):
     min_power_mode:
         Deepest mode the controller may select (``"15W"`` allows the
         full MAXN → 30W → 15W descent; ``"MAXN"`` pins the board).
+        Served episodes run on the mode's device: 30W spends slightly
+        fewer joules per request than MAXN, 15W slightly more (its
+        runtime doubles), so 15W lowers power, not joules.
     interval_ms:
         Poll period of the async :meth:`BudgetController.run
         <repro.power.budget.BudgetController.run>` loop.

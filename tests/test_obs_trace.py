@@ -124,7 +124,7 @@ def test_single_request_produces_complete_span_tree():
     for name in ("queue", "plan", "execute"):
         assert spans[name].parent_id == root.span_id, name
         assert spans[name].status == "ok"
-    assert spans["execute"].attributes == {}
+    assert spans["execute"].attributes == {"power_mode": "MAXN"}
     # the tree renders (demo/debug aid) and names every span
     tree = sink.render_tree(trace_id)
     for name in spans:

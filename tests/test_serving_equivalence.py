@@ -279,10 +279,10 @@ def _hold_batch_worker(gateway, tenant):
     entered, release = threading.Event(), threading.Event()
     run = agent.run_planned_many
 
-    def held(queries, plans):
+    def held(*args):
         entered.set()
         release.wait(timeout=60)
-        return run(queries, plans)
+        return run(*args)
 
     agent.run_planned_many = held
     return entered, release

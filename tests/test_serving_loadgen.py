@@ -9,6 +9,7 @@ validation.
 from __future__ import annotations
 
 import asyncio
+from types import SimpleNamespace
 
 import pytest
 
@@ -191,16 +192,18 @@ def test_a_sound_run_has_no_failures(suite, tmp_path):
 
 def test_failures_name_each_broken_invariant(suite, tmp_path):
     """A report whose telemetry lost track of a request, that lost one
-    under recoverable faults only, and whose trace misses a fault."""
+    under recoverable faults only, that metered joules no kept episode
+    reports, and whose trace misses a fault."""
     workload = make_workload({"t": suite}, 3)
     report = LoadReport(
         n_requests=3, concurrency=1, wall_s=1.0, n_errors=1,
         workload=workload,
-        episodes={("t", load.query.qid, 0): None for load in workload[:2]},
+        episodes={("t", load.query.qid, 0): SimpleNamespace(energy_j=10.0)
+                  for load in workload[:2]},
         gateway_metrics={
             "requests_admitted": 2, "requests_rejected": 0,
             "shed_requests": 0, "requests_completed": 2,
-            "requests_failed": 1,
+            "requests_failed": 1, "energy_j_by_tenant": {"t": 30.0},
             "faults_injected_by_hook": {"batch.process": 1}})
     trace = tmp_path / "trace.jsonl"
     trace.write_text("")  # a trace with no fault span
@@ -211,15 +214,17 @@ def test_failures_name_each_broken_invariant(suite, tmp_path):
     assert [failure.split(":")[0] for failure in failures] == [
         "3 requests offered, telemetry admitted, rejected or shed 2",
         "2 requests admitted, telemetry completed or failed 3",
-        "LOST", "MISMATCH"]
+        "LOST", "ENERGY", "MISMATCH"]
     assert failures[2].endswith(f"t/{workload[2].query.qid}")
+    assert failures[3] == ("ENERGY: tenant 't' metered 30.0 J, its "
+                           "episodes report 20.0 J")
     # a deadline, an exception rate or a budget make a loss expected;
     # only a whole jsonl artifact is compared with telemetry
     for expected_loss in ({"timeout_ms": 50.0},
                           {"faults": FaultPlan(exception_rate=0.1)},
                           {"budget": BudgetSpec(energy_budget_j=100.0)}):
-        assert "LOST" not in "".join(report.failures(
-            config.replace(**expected_loss)))
+        expected = "".join(report.failures(config.replace(**expected_loss)))
+        assert "LOST" not in expected and "ENERGY" not in expected
     for untraced in (config.obs.replace(sample_rate=0.5),
                      ObsSpec(sink="memory"), None):
         assert "MISMATCH" not in "".join(
