@@ -22,8 +22,9 @@ An ``ast`` walk of every ``def`` under ``src/repro`` then classifies
 each one as *shipped* (a consumer called it), *test-only* (only tier-1
 did) or *reached by nothing*.  A def that is not shipped must be on
 :data:`ALLOWLIST` with a one-line reason.  Exit status 1 when one is
-not, or when an entry is stale (it names no def); an entry whose def a
-consumer now reaches is printed as a note.
+not, when an entry is stale (it names no def) or when the allowlist
+outgrows :data:`ALLOWLIST_CEILING`; an entry whose def a consumer now
+reaches is printed as a note.
 
 Run:  python scripts/reach.py   (= make reach; ~5 min)
 """
@@ -62,37 +63,14 @@ TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
 #: ``module:qualname`` of every def no shipped path reaches, and why it
 #: stays
 ALLOWLIST: dict[str, str] = {
-    "repro.api:load_model":
-        "public top-level loader (`repro.load_model`) for library users; "
-        "tests pin it",
-    "repro.api:load_suite":
-        "public top-level loader (`repro.load_suite`) for library users; "
-        "tests pin it",
     "repro.baselines:_build_toolllm":
         "the `toolllm` scheme: the paper's ToolLLM memory-overflow "
         "baseline, which no shipped command runs",
-    "repro.baselines:build_baseline":
-        "public builder of a baseline agent outside a session; tests pin it",
     "repro.core.agent_base:FunctionCallingAgent.plan":
         "abstract hook every agent overrides",
     "repro.core.agent_base:FunctionCallingAgent.plan_batch":
         "the looping fallback for agents without a batched planner; shipped "
         "runs serve lis-k3, which has one",
-    "repro.core.controller:ControllerDecision.n_tools":
-        "a decision's presented-pool size, for library users; tests read it",
-    "repro.core.controller:ToolController.decide":
-        "the single-request form of decide_batch; tests pin their "
-        "equivalence",
-    "repro.core.pipeline:LessIsMoreAgent.build":
-        "standalone constructor outside a session, for library users; tests "
-        "pin it",
-    "repro.embedding.cache:CachedEmbedder.__len__":
-        "cache size, a probe tests read",
-    "repro.embedding.lexicon:ConceptLexicon.__len__":
-        "lexicon size, a probe tests read",
-    "repro.embedding.lexicon:ConceptLexicon.extended":
-        "extends the lexicon with a new domain's concepts; the built-in "
-        "suites need none",
     "repro.embedding.sentence:SentenceEmbedder.cache_nbytes":
         "resident bytes of the direction bank, a probe tests read",
     "repro.embedding.sentence:SentenceEmbedder.direction_count":
@@ -121,19 +99,11 @@ ALLOWLIST: dict[str, str] = {
         "ROADMAP 'Which claims are the method and which are the fit' "
         "decides the stats helpers",
     "repro.llm.chat:ChatTranscript.prompt_tokens":
-        "token count of a rendered transcript; tests pin it against the "
-        "simulator's accounting",
+        "token count of a rendered transcript, the reference tests hold the "
+        "simulator's token accounting to",
     "repro.llm.chat:ChatTranscript.render":
-        "renders a transcript for a chat backend that takes one prompt "
-        "string; the OpenAI wire sends messages",
-    "repro.llm.chat:render_error_signal":
-        "the error-turn text the simulator's retry protocol uses; tests pin "
-        "the format",
-    "repro.llm.chat:render_tool_call":
-        "the assistant-turn text of a tool call, for replaying a "
-        "transcript; tests pin the format",
-    "repro.obs.sinks:MemorySink.__len__":
-        "spans held, a probe tests read",
+        "the rendered transcript prompt_tokens counts, the reference tests "
+        "hold the simulator's token accounting to",
     "repro.obs.sinks:NullSink.emit":
         "the `null` trace sink, named in the pinned wire fixture of "
         "ObsSpec; no shipped spec selects it",
@@ -143,107 +113,39 @@ ALLOWLIST: dict[str, str] = {
         "registry factory of the `null` trace sink (see NullSink.emit)",
     "repro.power.meter:EnergyMeter.now":
         "the meter's clock; tests drive the carbon signal through it",
-    "repro.power.signals:SinusoidSignal.__post_init__":
-        "BudgetSpec(signal='sinusoid'), a day-cycle carbon signal no "
-        "shipped spec selects",
-    "repro.power.signals:SinusoidSignal.intensity":
-        "BudgetSpec(signal='sinusoid'), a day-cycle carbon signal no "
-        "shipped spec selects",
-    "repro.power.signals:_sinusoid_signal":
-        "registry factory of the `sinusoid` carbon signal",
-    "repro.power.signals:dump_intensity_trace":
-        "writes a TraceSignal back to the CSV its loader reads; tests "
-        "round-trip it",
     "repro.registry:Registry.unregister":
         "removes a plugin; tests tear their plugins down with it",
     "repro.serving.batcher:QueueFullError.__init__":
         "admission control's 429: shipped runs stay under queue_capacity",
-    "repro.serving.gateway:_PlanCache.__len__":
-        "plan-cache size, a probe tests read",
-    "repro.serving.gateway:_PlanCache.clear":
-        "empties the plan cache; tests reset it between phases",
-    "repro.serving.http.app:GatewayHTTPApp._bearer_token":
-        "API-key auth, active only when HttpSpec.api_key is set; no shipped "
-        "spec sets it",
     "repro.serving.http.app:GatewayHTTPApp._lifespan":
         "the ASGI lifespan protocol, driven by uvicorn in CI's uvicorn job; "
         "the builtin server uses the app's async-context form",
     "repro.serving.http.server:run_uvicorn":
         "reached only by CI's uvicorn job (make serve-smoke-uvicorn); "
         "uvicorn is an optional extra",
-    "repro.serving.loadgen:LoadReport.goodput_rps":
-        "served requests per second, for library users of run_load; tests "
-        "pin it",
-    "repro.serving.loadgen:LoadReport.latency_p50_ms":
-        "a LoadReport percentile for library users; the CLI prints p95",
-    "repro.serving.loadgen:LoadReport.latency_p99_ms":
-        "a LoadReport percentile for library users; the CLI prints p95",
-    "repro.serving.session:TenantSession.resolve_text":
-        "POST /v1/call by exact query text instead of qid; the smokes call "
-        "by qid",
     "repro.serving.telemetry:Telemetry.record_rejection":
         "admission control's 429: shipped runs stay under queue_capacity",
     "repro.serving.telemetry:Telemetry.record_shed_request":
         "a request to a shed tenant; shipped budgets do not shed an "
         "admitted request",
-    "repro.specs:GridSpec.cells":
-        "a grid's (scheme, model, quant) cells in run order, for library "
-        "users; tests pin the order",
-    "repro.suites.base:BenchmarkSuite.__repr__":
-        "debugging aid; a test prints it",
-    "repro.suites.base:BenchmarkSuite.categories":
-        "a suite's query categories, for library users; tests read it",
-    "repro.suites.base:Query.n_turns":
-        "turns of a multi-turn query, for library users; tests read it",
-    "repro.tools.catalog:ToolCatalog.from_dict":
-        "a CatalogSpec-free catalog round-trip; tests pin to_dict/from_dict",
-    "repro.tools.catalog:ToolCatalog.merge":
-        "catalog algebra for hot-swaps (PUT a merged catalog); tests pin it",
-    "repro.tools.catalog:ToolCatalog.prompt_text":
-        "the catalog's tool schemas as prompt text, for library users; "
-        "tests pin it",
     "repro.tools.catalog:ToolCatalog.subset":
-        "catalog algebra for hot-swaps (PUT a smaller catalog); tests build "
-        "their swaps with it",
+        "backs CatalogSpec.include (load_catalog(include=...)), which no "
+        "shipped spec sets; tests build their hot-swaps with it",
     "repro.tools.catalog:suggest_names":
         "the 'did you mean' tail of unknown catalog-name errors; tests "
         "provoke one",
-    "repro.tools.executor:SimulatedToolExecutor.reset":
-        "clears the execution log; tests reuse one executor",
-    "repro.tools.schema:ToolCall.matches_tool":
-        "tool-only comparison of two calls, for library users; tests pin it",
-    "repro.tools.schema:ToolParameter.from_dict":
-        "half of the tool-schema round-trip (see ToolCatalog.from_dict)",
     "repro.tools.schema:ToolSpec.__getstate__":
         "pickling drops the cached hash; tests pickle specs",
-    "repro.tools.schema:ToolSpec.from_dict":
-        "half of the tool-schema round-trip (see ToolCatalog.from_dict)",
-    "repro.utils.rng:RngFactory.__init__":
-        "the named-stream RNG factory, for library users; tests pin its "
-        "determinism",
-    "repro.utils.rng:RngFactory.spawn":
-        "the named-stream RNG factory, for library users; tests pin its "
-        "determinism",
-    "repro.utils.rng:RngFactory.stream":
-        "the named-stream RNG factory, for library users; tests pin its "
-        "determinism",
-    "repro.utils.text:sentence_case":
-        "text helper for catalog authors; tests pin it",
-    "repro.utils.text:snake_to_words":
-        "text helper for catalog authors; tests pin it",
-    "repro.utils.text:words_to_snake":
-        "text helper for catalog authors; tests pin it",
-    "repro.vectorstore.base:SearchResult.__len__":
-        "result size, for library users of search(); tests read it",
-    "repro.vectorstore.base:SearchResult.mean_score":
-        "the paper's average top-k score over one result; the controller "
-        "computes it on the stacked arrays",
     "repro.vectorstore.base:VectorIndex.ids":
         "stored ids in insertion order, for library users; tests read them",
     "repro.vectorstore.base:VectorIndex.reconstruct":
         "a stored vector by id, FAISS's reconstruct; tests read centroids "
         "back with it",
 }
+
+#: the allowlist may only shrink: a new excuse is a visible one-line
+#: edit here, as ``LOC_CEILING`` in the Makefile makes LoC growth
+ALLOWLIST_CEILING = 30
 
 HOOK = '''\
 """Record the src/repro code objects this process calls (scripts/reach.py)."""
@@ -389,7 +291,10 @@ def report(defs: list[Def], shipped: set, tested: set) -> int:
     print(f"    (allowlisted: {allowed_tested} test-only, "
           f"{len(groups['allowlisted']) - allowed_tested} reached by nothing)")
     print(f"  stale entries       {len(stale):5d}")
-    failed = groups["test-only"] or groups["reached by nothing"] or stale
+    print(f"  allowlist           {len(ALLOWLIST):5d} entries "
+          f"(ceiling {ALLOWLIST_CEILING})")
+    failed = (groups["test-only"] or groups["reached by nothing"] or stale
+              or len(ALLOWLIST) > ALLOWLIST_CEILING)
     return 1 if failed else 0
 
 

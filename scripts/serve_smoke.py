@@ -17,8 +17,13 @@ and calls a tenant whose name travels percent-encoded in the path
 ``1 / RATE_LIMIT_RPS`` seconds, so each tenant's one call above is
 admitted and a second call to the first tenant gets a 429 with a
 ``Retry-After``.  Then it SIGINTs the server and asserts a clean exit.
-stdlib only (subprocess + http.client), like everything else on the
-serving edge.
+
+A second server boots on a spec that sets ``HttpSpec.api_key``: a
+call without the key or with a wrong one gets a 401 with
+``WWW-Authenticate``, ``/healthz`` stays open, and with the key a call
+by the query's exact text returns the episode the same call by qid
+returns.  stdlib only (subprocess + http.client), like everything else
+on the serving edge.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py [--uvicorn]
 
@@ -69,9 +74,11 @@ BOOT_TIMEOUT_S = 60.0
 #: one token per 100 s and a burst of one: a tenant's second call inside
 #: the smoke is always refused
 RATE_LIMIT_RPS = 0.01
+#: the bearer key of the authenticated leg
+API_KEY = "sk-smoke"
 
 
-def wait_for_banner(process: subprocess.Popen,
+def wait_for_banner(process: subprocess.Popen, tenants: str,
                     uvicorn: bool = False) -> tuple[str, int]:
     """Read server stdout until the ready banner names the bound port."""
     pattern = UVICORN_BANNER if uvicorn else BANNER
@@ -85,7 +92,7 @@ def wait_for_banner(process: subprocess.Popen,
         match = pattern.search(line)
         if match:
             if not uvicorn:
-                assert match.group("tenants") == f"{SUITE}, {ENGINE_TENANT}"
+                assert match.group("tenants") == tenants
             return match.group("host"), int(match.group("port"))
     raise SystemExit(f"no ready banner within {BOOT_TIMEOUT_S:.0f}s")
 
@@ -101,6 +108,7 @@ def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
     assert call.status == 200, call.text
     payload = call.json()
     assert payload["episode"]["qid"] == qid
+    assert payload["power_mode"] == "MAXN"
     assert call.trace_id == payload["trace_id"] != ""
     print(f"  /v1/call ok (trace {payload['trace_id']}, "
           f"{payload['latency_s'] * 1e3:.1f} ms)")
@@ -165,26 +173,37 @@ def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
           f"(Retry-After {limited.headers['retry-after']} s)")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--uvicorn", action="store_true",
-                        help="smoke through the uvicorn mount (requires the "
-                             "optional uvicorn extra)")
-    args = parser.parse_args(argv)
+def drive_auth(conn: HTTPConnection, query) -> None:
+    """The authenticated leg: 401s without the key, calls with it."""
+    health = conn.get("/healthz")
+    assert health.status == 200, health.text
+    body = {"tenant": SUITE, "qid": query.qid}
+    for headers in ({}, {"Authorization": "Bearer wrong-key"}):
+        refused = conn.post("/v1/call", body, headers=headers)
+        assert refused.status == 401, refused.text
+        assert refused.headers["www-authenticate"] == "Bearer"
+    print("  /healthz open; /v1/call without or with a wrong key: 401")
 
-    qid = load_suite(SUITE, n_queries=N_QUERIES).queries[0].qid
-    with MockOpenAIServer() as mock, tempfile.TemporaryDirectory() as scratch:
-        suite = SuiteSpec(SUITE, n_queries=N_QUERIES)
-        spec = ServingSpec(tenants=(
-            TenantSpec(SUITE, suite),
-            TenantSpec(ENGINE_TENANT, suite, engine=EngineSpec(
-                "openai_http", base_url=mock.base_url))),
-            http=HttpSpec(rate_limit_rps=RATE_LIMIT_RPS, rate_limit_burst=1))
+    auth = {"Authorization": f"Bearer {API_KEY}"}
+    by_qid = conn.post("/v1/call", body, headers=auth)
+    assert by_qid.status == 200, by_qid.text
+    by_text = conn.post("/v1/call", {"tenant": SUITE, "query": query.text},
+                        headers=auth)
+    assert by_text.status == 200, by_text.text
+    assert by_text.json()["episode"] == by_qid.json()["episode"]
+    print("  with the key: /v1/call by qid and by exact text, "
+          "one episode")
+
+
+def serve(spec: ServingSpec, uvicorn: bool, drive_server) -> None:
+    """Boot ``repro serve`` on ``spec``, run ``drive_server(conn)``, then
+    SIGINT the server and assert a clean shutdown."""
+    with tempfile.TemporaryDirectory() as scratch:
         spec_path = Path(scratch) / "serving.json"
         spec_path.write_text(json.dumps(spec.to_dict()))
         command = [sys.executable, "-m", "repro", "serve",
                    "--spec", str(spec_path), "--port", "0"]
-        if args.uvicorn:
+        if uvicorn:
             command.append("--uvicorn")
         process = subprocess.Popen(
             command,
@@ -192,9 +211,10 @@ def main(argv: list[str] | None = None) -> int:
             cwd=REPO_ROOT, env={**os.environ, "PYTHONPATH": "src"},
         )
         try:
-            host, port = wait_for_banner(process, uvicorn=args.uvicorn)
+            tenants = ", ".join(sorted(tenant.name for tenant in spec.tenants))
+            host, port = wait_for_banner(process, tenants, uvicorn=uvicorn)
             with HTTPConnection(host, port) as conn:
-                drive(conn, qid, mock)
+                drive_server(conn)
         except BaseException:
             process.kill()
             process.wait()
@@ -207,7 +227,30 @@ def main(argv: list[str] | None = None) -> int:
     assert process.returncode == 0, \
         f"server exited {process.returncode} on SIGINT"
     assert "shutdown complete" in remainder
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--uvicorn", action="store_true",
+                        help="smoke through the uvicorn mount (requires the "
+                             "optional uvicorn extra)")
+    args = parser.parse_args(argv)
+
+    query = load_suite(SUITE, n_queries=N_QUERIES).queries[0]
+    suite = SuiteSpec(SUITE, n_queries=N_QUERIES)
+    with MockOpenAIServer() as mock:
+        spec = ServingSpec(tenants=(
+            TenantSpec(SUITE, suite),
+            TenantSpec(ENGINE_TENANT, suite, engine=EngineSpec(
+                "openai_http", base_url=mock.base_url))),
+            http=HttpSpec(rate_limit_rps=RATE_LIMIT_RPS, rate_limit_burst=1))
+        serve(spec, args.uvicorn, lambda conn: drive(conn, query.qid, mock))
     print("OK: served, scraped, and shut down cleanly")
+
+    spec = ServingSpec(tenants=(TenantSpec(SUITE, suite),),
+                       http=HttpSpec(api_key=API_KEY))
+    serve(spec, args.uvicorn, lambda conn: drive_auth(conn, query))
+    print("OK: authenticated by key, served by text, and shut down cleanly")
     return 0
 
 

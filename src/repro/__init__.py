@@ -58,8 +58,6 @@ _LAZY_EXPORTS = {
     "create_app": ("repro.serving.http", "create_app"),
     "serve_gateway": ("repro.serving.http", "serve_gateway"),
     # loaders
-    "load_suite": ("repro.api", "load_suite"),
-    "load_model": ("repro.api", "load_model"),
     "load_catalog": ("repro.tools.catalog", "load_catalog"),
     "__version__": ("repro.version", "__version__"),
 }

@@ -36,17 +36,9 @@ def _build_toolllm(model: str, quant: str, context: SchemeContext, **kwargs):
                         embedder=context.embedder, **kwargs)
 
 
-def build_baseline(scheme: str, model: str, quant: str, suite, **kwargs):
-    """Construct a baseline agent by scheme name (registry-dispatched)."""
-    from repro.registry import build_scheme
-
-    return build_scheme(scheme, model, quant, SchemeContext(suite=suite), **kwargs)
-
-
 __all__ = [
     "DefaultAgent",
     "GorillaAgent",
     "ToolLLMAgent",
     "ToolLLMMemoryError",
-    "build_baseline",
 ]

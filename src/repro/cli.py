@@ -333,9 +333,11 @@ def cmd_load(args: argparse.Namespace) -> int:
         print(gateway.metrics_text(), end="")
     else:
         print(f"load: {report.n_requests} requests, {report.n_errors} failed "
-              f"({report.success_rate:.0%} served), p95 latency "
-              f"{report.latency_p95_ms:.1f} ms at "
-              f"{report.throughput_rps:.1f} req/s")
+              f"({report.success_rate:.0%} served), "
+              f"{report.goodput_rps:.1f} served req/s of "
+              f"{report.throughput_rps:.1f} offered, latency p50/p95/p99 "
+              f"{report.latency_p50_ms:.1f}/{report.latency_p95_ms:.1f}/"
+              f"{report.latency_p99_ms:.1f} ms")
         print(f"  faults injected: {metrics['faults_injected_by_hook'] or 'none'}"
               f" | deadline timeouts {metrics['deadline_timeouts']}"
               f" | shed {metrics['shed_requests']}")

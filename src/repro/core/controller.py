@@ -30,10 +30,6 @@ class ControllerDecision:
     level1_score: float
     level2_score: float
 
-    @property
-    def n_tools(self) -> int:
-        return len(self.tools)
-
 
 class ToolController:
     """k-NN search over the Search Levels with the paper's arbitration.
@@ -72,14 +68,6 @@ class ToolController:
         # ablation hook: bypass arbitration and always use one level
         self.force_level = force_level
 
-    def decide(self, recommendation_vectors: np.ndarray) -> ControllerDecision:
-        """Arbitrate levels for a batch of recommender embeddings (``E``).
-
-        Both levels are searched with one multi-query call per index; the
-        score aggregates are computed on the stacked ``(q, k)`` matrices.
-        """
-        return self.decide_batch([recommendation_vectors])[0]
-
     def decide_batch(self, vector_blocks: list[np.ndarray]) -> list[ControllerDecision]:
         """Arbitrate many requests' recommendation blocks in one search pass.
 
@@ -88,9 +76,8 @@ class ToolController:
         per index and the arbitration runs on each request's score slice.
         The scoring kernels are batch-invariant (see
         :func:`repro.vectorstore.base.batch_invariant_matmul`), so every
-        decision is bitwise identical to calling :meth:`decide` on that
-        block alone — the contract the serving gateway's micro-batcher
-        relies on.
+        decision is bitwise identical to deciding that block alone — the
+        contract the serving gateway's micro-batcher relies on.
         """
         blocks = [np.atleast_2d(np.asarray(block, dtype=float))
                   for block in vector_blocks]

@@ -13,7 +13,7 @@ from repro.core.agent_base import (
     ToolPlan,
 )
 from repro.core.controller import ToolController
-from repro.core.levels import SearchLevelBuilder, SearchLevels
+from repro.core.levels import SearchLevels
 from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.hardware import JETSON_AGX_ORIN, DeviceProfile
 from repro.llm import SimulatedLLM
@@ -64,31 +64,6 @@ class LessIsMoreAgent(FunctionCallingAgent):
             controller_kwargs["confidence_threshold"] = confidence_threshold
         self.controller = ToolController(levels, **controller_kwargs)
         self._corpus = suite.catalog.descriptions()
-
-    @classmethod
-    def build(
-        cls,
-        model: str,
-        quant: str,
-        suite: BenchmarkSuite,
-        k: int = 3,
-        levels: SearchLevels | None = None,
-        **kwargs,
-    ) -> "LessIsMoreAgent":
-        """Construct the full pipeline from registry names.
-
-        ``levels`` may be passed to reuse an offline-built index across
-        agents (they are model-independent).  The LLM, the Search Levels
-        and retrieval all encode through the one ``embedder``.
-        """
-        embedder = kwargs.pop("embedder", None)
-        if embedder is None:
-            embedder = shared_embedder()
-        llm = SimulatedLLM.from_registry(model, quant, embedder=embedder)
-        if levels is None:
-            levels = SearchLevelBuilder(embedder=embedder).build(suite)
-        return cls(llm=llm, suite=suite, levels=levels, k=k,
-                   embedder=embedder, **kwargs)
 
     def plan(self, query: Query) -> ToolPlan:
         return self.plan_batch([query])[0]

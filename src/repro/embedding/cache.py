@@ -104,9 +104,6 @@ class CachedEmbedder:
     # ------------------------------------------------------------------
     # cache introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._cache)
-
     def cache_info(self) -> dict[str, int]:
         """Hit/miss/eviction counters plus current and maximum size."""
         return {

@@ -7,8 +7,8 @@ lexicon maps domain synonyms onto shared *concept ids*, and the vectorizer
 gives concept features a large weight.  The table below was written to
 cover the vocabulary of the two tool catalogs shipped with this package
 (:mod:`repro.suites.bfcl_catalog`, :mod:`repro.suites.geoengine_catalog`)
-plus general agent phrasing, but it is plain data — users can extend it
-with :meth:`ConceptLexicon.extended`.
+plus general agent phrasing, but it is plain data — a lexicon over a
+larger table is ``ConceptLexicon({**DEFAULT_CONCEPTS, ...})``.
 """
 
 from __future__ import annotations
@@ -269,8 +269,8 @@ DEFAULT_CONCEPTS: dict[str, tuple[str, ...]] = {
 class ConceptLexicon:
     """Mapping from stemmed tokens (and two-word phrases) to concept ids.
 
-    The lexicon is immutable after construction; :meth:`extended` returns a
-    new lexicon with extra concepts merged in.
+    The lexicon is immutable after construction; a lexicon with more
+    concepts is a new one built from a larger table.
     """
 
     def __init__(self, concepts: dict[str, tuple[str, ...]] | None = None):
@@ -300,9 +300,6 @@ class ConceptLexicon:
         """The concept table this lexicon was built from."""
         return dict(self._concepts)
 
-    def __len__(self) -> int:
-        return len(self._concepts)
-
     def lookup(self, stemmed_token: str) -> list[str]:
         """Return concept ids for a stemmed token ([] when unknown)."""
         return list(self._token_map.get(stemmed_token, ()))
@@ -310,13 +307,6 @@ class ConceptLexicon:
     def lookup_phrase(self, stemmed_bigram: str) -> list[str]:
         """Return concept ids for a stemmed two-word phrase."""
         return list(self._phrase_map.get(stemmed_bigram, ()))
-
-    def extended(self, extra: dict[str, tuple[str, ...]]) -> "ConceptLexicon":
-        """Return a new lexicon with ``extra`` concepts merged in."""
-        merged = dict(self._concepts)
-        for name, terms in extra.items():
-            merged[name] = tuple(dict.fromkeys(merged.get(name, ()) + tuple(terms)))
-        return ConceptLexicon(merged)
 
 
 _DEFAULT: ConceptLexicon | None = None

@@ -134,13 +134,3 @@ def parse_tool_response(text: str) -> ParsedResponse:
     if not isinstance(name, str) or not isinstance(arguments, dict):
         return ParsedResponse(malformed=True)
     return ParsedResponse(call=ToolCall(name, arguments))
-
-
-def render_tool_call(call: ToolCall) -> str:
-    """The canonical assistant-side serialization of a call."""
-    return call.to_json()
-
-
-def render_error_signal(reason: str) -> str:
-    """The canonical failure-signal response (paper Section III-C)."""
-    return json.dumps({"error": reason})

@@ -65,10 +65,6 @@ class MemorySink:
         with self._lock:
             self._spans.append(span)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
-
     def spans(self) -> list[Span]:
         """Every retained span, oldest first."""
         with self._lock:

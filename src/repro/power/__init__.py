@@ -21,11 +21,9 @@ from repro.power.budget import MODE_LADDER, BudgetController
 from repro.power.meter import EnergyMeter, EnergyRecord, WindowStats
 from repro.power.signals import (
     DEFAULT_INTENSITY_G_PER_KWH,
-    SinusoidSignal,
     StaticSignal,
     TraceSignal,
     build_signal,
-    dump_intensity_trace,
     load_intensity_trace,
 )
 
@@ -35,11 +33,9 @@ __all__ = [
     "EnergyMeter",
     "EnergyRecord",
     "MODE_LADDER",
-    "SinusoidSignal",
     "StaticSignal",
     "TraceSignal",
     "WindowStats",
     "build_signal",
-    "dump_intensity_trace",
     "load_intensity_trace",
 ]

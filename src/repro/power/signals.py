@@ -8,15 +8,12 @@ the same value (the determinism contract).  Whoever consumes a signal
 :class:`~repro.power.budget.BudgetController`) owns the injectable
 clock that produces ``t_s``.
 
-Three builtins ship behind the :data:`repro.registry.CARBON_SIGNALS`
+Two builtins ship behind the :data:`repro.registry.CARBON_SIGNALS`
 registry:
 
 ``static``
     A constant intensity — the simplest budget scenario, and what a
     deployment without a grid feed would configure.
-``sinusoid``
-    A synthetic diurnal curve: mean ± amplitude over a configurable
-    period, a stand-in for the day/night swing of a solar-heavy grid.
 ``trace``
     Replays a committed grid-intensity CSV
     (``benchmarks/data/grid_intensity_day.csv`` ships a real-shaped
@@ -30,7 +27,6 @@ signals register with :func:`repro.registry.register_carbon_signal`.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,37 +57,6 @@ class StaticSignal:
 
     def intensity(self, t_s: float) -> float:
         return self.intensity_g_per_kwh
-
-
-@dataclass(frozen=True)
-class SinusoidSignal:
-    """A synthetic diurnal curve: ``mean + amplitude * sin(...)``.
-
-    ``t_s = phase_s`` sits at the mean on the way up; the curve peaks a
-    quarter period later.  Values clamp at zero (a grid cannot emit
-    negative carbon).
-    """
-
-    mean_g_per_kwh: float = DEFAULT_INTENSITY_G_PER_KWH
-    amplitude_g_per_kwh: float = 150.0
-    period_s: float = DAY_S
-    phase_s: float = 0.0
-
-    def __post_init__(self):
-        if self.mean_g_per_kwh < 0.0:
-            raise ValueError(
-                f"mean_g_per_kwh must be >= 0, got {self.mean_g_per_kwh}")
-        if self.amplitude_g_per_kwh < 0.0:
-            raise ValueError(
-                f"amplitude_g_per_kwh must be >= 0, "
-                f"got {self.amplitude_g_per_kwh}")
-        if self.period_s <= 0.0:
-            raise ValueError(f"period_s must be > 0, got {self.period_s}")
-
-    def intensity(self, t_s: float) -> float:
-        angle = 2.0 * math.pi * (t_s - self.phase_s) / self.period_s
-        return max(0.0, self.mean_g_per_kwh
-                   + self.amplitude_g_per_kwh * math.sin(angle))
 
 
 class TraceSignal:
@@ -190,16 +155,6 @@ def load_intensity_trace(path: str | Path) -> TraceSignal:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def dump_intensity_trace(signal: TraceSignal, path: str | Path) -> None:
-    """Write a :class:`TraceSignal` back to the CSV format the loader reads."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRACE_HEADER)
-        for t_s, value in signal.points:
-            writer.writerow([f"{t_s / 3600.0:g}", f"{value:g}"])
-
-
 def build_signal(spec) -> object:
     """Construct the carbon signal named by ``spec.signal``.
 
@@ -219,14 +174,6 @@ def build_signal(spec) -> object:
 @register_carbon_signal("static")
 def _static_signal(spec) -> StaticSignal:
     return StaticSignal(intensity_g_per_kwh=spec.intensity_g_per_kwh)
-
-
-@register_carbon_signal("sinusoid")
-def _sinusoid_signal(spec) -> SinusoidSignal:
-    return SinusoidSignal(mean_g_per_kwh=spec.intensity_g_per_kwh,
-                          amplitude_g_per_kwh=spec.intensity_amplitude,
-                          period_s=spec.period_s,
-                          phase_s=spec.phase_s)
 
 
 @register_carbon_signal("trace")

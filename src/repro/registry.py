@@ -191,7 +191,7 @@ ENGINES = Registry("engine", builtin_modules=("repro.engines",),
 #: configured with a :class:`~repro.specs.BudgetSpec`.
 CARBON_SIGNALS = Registry("carbon signal", builtin_modules=(
     "repro.power.signals",),
-    builtin_names=("static", "sinusoid", "trace"))
+    builtin_names=("static", "trace"))
 
 
 def register_scheme(name: str, factory: Callable | None = None, *,

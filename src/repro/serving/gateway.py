@@ -100,8 +100,7 @@ class _PlanCache:
     stale plan can never be served across a hot-swap
     (``tests/test_serving_catalog_swap.py``).
 
-    Lock-protected: lookups run on the batch worker while ``clear`` may
-    be called from anywhere.
+    Lock-protected, so a lookup is safe from any thread.
     """
 
     def __init__(self, capacity: int):
@@ -129,13 +128,6 @@ class _PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 @dataclass
@@ -148,6 +140,8 @@ class ServingResponse:
     batch_size: int
     #: seconds spent waiting in the queue before the batch was cut
     queued_s: float
+    #: the nvpmodel power mode the episode ran in (read once per batch)
+    power_mode: str
     #: total client-observed seconds, stamped by :meth:`Gateway.submit`
     latency_s: float = 0.0
     #: deterministic request id (:func:`repro.obs.trace.request_trace_id`),
@@ -574,6 +568,7 @@ class Gateway:
                         batch_size=request.batch_size,
                         queued_s=max(0.0,
                                      request.dequeued_at - request.enqueued_at),
+                        power_mode=mode,
                     )
             except Exception as exc:  # noqa: BLE001 - contained per group
                 for position in positions:

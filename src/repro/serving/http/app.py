@@ -273,6 +273,7 @@ class GatewayHTTPApp:
             "batch_size": response.batch_size,
             "queued_s": response.queued_s,
             "latency_s": response.latency_s,
+            "power_mode": response.power_mode,
             "episode": response.episode.to_dict(),
         }, headers={"x-trace-id": response.trace_id})
 

@@ -322,14 +322,6 @@ class GridSpec(_SpecBase):
                      f"GridSpec.{axis} must name at least one entry")
         _require_min(self, 1, "n_queries")
 
-    @property
-    def cells(self) -> tuple[tuple[str, str, str], ...]:
-        """Every (scheme, model, quant) cell, in execution order."""
-        return tuple((scheme, model, quant)
-                     for model in self.models
-                     for quant in self.quants
-                     for scheme in self.schemes)
-
 
 @dataclass(frozen=True)
 class TenantSpec(_SpecBase):
@@ -443,10 +435,8 @@ class BudgetSpec(_SpecBase):
     signal:
         A registered carbon signal
         (:data:`repro.registry.CARBON_SIGNALS`): ``static`` holds
-        ``intensity_g_per_kwh`` flat, ``sinusoid`` swings ±
-        ``intensity_amplitude`` around it over ``period_s`` (shifted by
-        ``phase_s``), ``trace`` replays the grid-intensity CSV at
-        ``trace_path``.
+        ``intensity_g_per_kwh`` flat, ``trace`` replays the
+        grid-intensity CSV at ``trace_path``.
     intensity_high / intensity_low:
         gCO₂/kWh thresholds for the power-mode ladder: at or above
         ``intensity_high`` each tick steps the simulated board down one
@@ -475,9 +465,6 @@ class BudgetSpec(_SpecBase):
     recovery_margin: float = 0.8
     signal: str = "static"
     intensity_g_per_kwh: float = 400.0
-    intensity_amplitude: float = 150.0
-    period_s: float = 86400.0
-    phase_s: float = 0.0
     trace_path: str | None = None
     intensity_high: float | None = None
     intensity_low: float | None = None
@@ -492,11 +479,11 @@ class BudgetSpec(_SpecBase):
                  or self.intensity_high is not None,
                  "BudgetSpec needs at least one control: energy_budget_j, "
                  "carbon_budget_g or intensity_high")
-        _require_min(self, 0, "energy_budget_j", "carbon_budget_g", "period_s",
+        _require_min(self, 0, "energy_budget_j", "carbon_budget_g",
                      "intensity_high", "interval_ms", strict=True)
         _require_min(self, 1, "window_requests", "settle_requests",
                      "recovery_ticks")
-        _require_min(self, 0, "intensity_g_per_kwh", "intensity_amplitude")
+        _require_min(self, 0, "intensity_g_per_kwh")
         _require(0.0 < self.recovery_margin <= 1.0,
                  f"BudgetSpec.recovery_margin must be in (0, 1], "
                  f"got {self.recovery_margin}")
@@ -565,8 +552,8 @@ class HttpSpec(_SpecBase):
         _require(0 <= self.port <= 65535,
                  f"HttpSpec.port must be in [0, 65535], got {self.port}")
         _require_min(self, 1, "backlog", "rate_limit_burst")
-        _require(self.api_key is None or bool(self.api_key),
-                 "HttpSpec.api_key must be a non-empty string (or None)")
+        if self.api_key is not None:
+            _require_name(self, "api_key")
         _require_min(self, 0, "rate_limit_rps", strict=True)
         _require(self.rate_limit_burst is None or self.rate_limit_rps is not None,
                  "HttpSpec.rate_limit_burst requires rate_limit_rps")
@@ -685,9 +672,7 @@ class ServingSpec(_SpecBase):
         _require_min(self, 1, "max_batch_size", "queue_capacity")
         _require_min(self, 0, "plan_cache_size")
         _require_min(self, 0, "timeout_ms", strict=True)
-        for field_name in ("default_scheme", "default_model", "default_quant"):
-            _require(bool(getattr(self, field_name)),
-                     f"ServingSpec.{field_name} must be a non-empty string")
+        _require_name(self, "default_scheme", "default_model", "default_quant")
         _coerce(self, "obs", ObsSpec)
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)

@@ -77,11 +77,6 @@ class Query:
     def n_steps(self) -> int:
         return len(self.gold_calls)
 
-    @property
-    def n_turns(self) -> int:
-        """Conversation turns (1 for single-shot queries)."""
-        return len(self.turns) if self.turns else 1
-
     def turn_of_step(self, step_index: int) -> int:
         """The turn a chain step belongs to (0 for single-shot queries)."""
         if not self.turns:
@@ -94,7 +89,7 @@ class Query:
         return len(self.turns) - 1
 
 
-@dataclass
+@dataclass(repr=False)
 class BenchmarkSuite:
     """A tool catalog plus deterministic eval/train query sets.
 
@@ -149,22 +144,7 @@ class BenchmarkSuite:
     def n_tools(self) -> int:
         return len(self.catalog)
 
-    @property
-    def categories(self) -> list[str]:
-        """Query categories present in the eval split, first-appearance order."""
-        seen: dict[str, None] = {}
-        for query in self.queries:
-            seen.setdefault(query.category, None)
-        return list(seen)
-
     def queries_by_category(self, category: str, split: str = "eval") -> list[Query]:
         """Queries of one category from the ``eval`` or ``train`` split."""
         pool = self.queries if split == "eval" else self.train_queries
         return [query for query in pool if query.category == category]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BenchmarkSuite({self.name!r}, tools={self.n_tools}, "
-            f"eval={len(self.queries)}, train={len(self.train_queries)}, "
-            f"sequential={self.sequential})"
-        )

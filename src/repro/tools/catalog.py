@@ -26,7 +26,7 @@ and load anywhere via :func:`load_catalog` — the CLI
 (``repro catalog list|show|diff``), suite builders, ``CatalogSpec`` and
 ``Gateway.update_catalog`` all resolve names through the same registry.
 
-Iteration order is registration order everywhere (``subset``/``merge``
+Iteration order is registration order everywhere (``subset``
 included): prompt layouts and embedding-index row ids depend on it.
 """
 
@@ -77,11 +77,9 @@ class ToolCatalog:
     """A frozen, named, versioned collection of :class:`ToolSpec` tools.
 
     Supports the whole read API agents need (lookup, iteration,
-    category views, description corpus, prompt text) plus the algebra
-    the serving layer builds on: :meth:`subset`, :meth:`merge`,
-    :meth:`diff`, :meth:`at` (variant selection) and
-    ``to_dict``/``from_dict`` round-tripping in the style of
-    :mod:`repro.specs`.
+    category views, description corpus) plus the algebra the serving
+    layer builds on: :meth:`subset`, :meth:`diff`, :meth:`at` (variant
+    selection) and the :meth:`to_dict` form its :attr:`version` hashes.
 
     ``subset`` returns a *catalog in registration order*; rank-ordered
     plan assembly (a list in the given order) is :meth:`select`.
@@ -169,11 +167,6 @@ class ToolCatalog:
         """Description corpus in registration order (for embedding)."""
         return [tool.description for tool in self.tools]
 
-    def prompt_text(self, names: Iterable[str] | None = None) -> str:
-        """Concatenated JSON schemas as they appear in an LLM prompt."""
-        tools = self.tools if names is None else self.select(names)
-        return "\n".join(tool.json_text() for tool in tools)
-
     # ------------------------------------------------------------------
     # catalog algebra
     # ------------------------------------------------------------------
@@ -192,34 +185,6 @@ class ToolCatalog:
         return ToolCatalog(
             name=name if name is not None else self.name,
             tools=tuple(tool for tool in self.tools if tool.name in wanted),
-            variant=self.variant,
-        )
-
-    def merge(self, other: "ToolCatalog", name: str | None = None) -> "ToolCatalog":
-        """This catalog plus ``other``'s tools, registration order kept.
-
-        ``self``'s tools come first, then ``other``'s new ones.  A name
-        present in both with an *identical* spec is deduplicated (first
-        position wins); conflicting specs under one name are an error —
-        silently picking one would change prompts behind the caller's
-        back.
-        """
-        if self.variant != other.variant:
-            raise ValueError(
-                f"cannot merge catalog {other.name!r} ({other.variant}) into "
-                f"{self.name!r} ({self.variant}): variants differ — reload "
-                f"both full catalogs (load_catalog(name)) and apply one "
-                f".at(...) variant to the merged result")
-        conflicts = [tool.name for tool in other.tools
-                     if tool.name in self and self.get(tool.name) != tool]
-        if conflicts:
-            raise ValueError(
-                f"cannot merge catalog {other.name!r} into {self.name!r}: "
-                f"conflicting specs for {', '.join(sorted(conflicts))}")
-        extra = tuple(tool for tool in other.tools if tool.name not in self)
-        return ToolCatalog(
-            name=name if name is not None else f"{self.name}+{other.name}",
-            tools=self.tools + extra,
             variant=self.variant,
         )
 
@@ -281,15 +246,6 @@ class ToolCatalog:
             "variant": self.variant,
             "tools": [tool.to_dict() for tool in self.tools],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ToolCatalog":
-        """Rebuild a catalog equal to the :meth:`to_dict` source."""
-        data = dict(data)
-        data["tools"] = tuple(
-            ToolSpec.from_dict(t) if isinstance(t, dict) else t
-            for t in data.get("tools", ()))
-        return cls(**data)
 
 
 def load_catalog(name: str, variant: str = "full",

@@ -140,8 +140,3 @@ class SimulatedToolExecutor:
             "status": "ok",
             "ref": f"{call.tool}#{token:04d}",
         }
-
-    def reset(self) -> None:
-        """Clear the execution log."""
-        with self._log_lock:
-            self.executed.clear()

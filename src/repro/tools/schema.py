@@ -107,7 +107,7 @@ class ToolParameter:
         return schema
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form; :meth:`from_dict` reconstructs an equal parameter."""
+        """Plain-dict form (what a catalog's content hash covers)."""
         return {
             "name": self.name,
             "type": self.type,
@@ -116,14 +116,6 @@ class ToolParameter:
             "enum": list(self.enum) if self.enum is not None else None,
             "item_type": self.item_type,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ToolParameter":
-        """Rebuild a parameter from :meth:`to_dict` output."""
-        data = dict(data)
-        if data.get("enum") is not None:
-            data["enum"] = tuple(data["enum"])
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -249,7 +241,7 @@ class ToolSpec:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form; :meth:`from_dict` reconstructs an equal spec."""
+        """Plain-dict form (what a catalog's content hash covers)."""
         return {
             "name": self.name,
             "description": self.description,
@@ -259,15 +251,6 @@ class ToolSpec:
             "compressed_description": self.compressed_description,
             "minimal_description": self.minimal_description,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ToolSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        data = dict(data)
-        data["parameters"] = tuple(
-            ToolParameter.from_dict(p) if isinstance(p, dict) else p
-            for p in data.get("parameters", ()))
-        return cls(**data)
 
     def to_json_schema(self) -> dict[str, Any]:
         """OpenAI-style function schema (what gets appended to prompts)."""
@@ -311,10 +294,6 @@ class ToolCall:
     def __post_init__(self):
         # dataclass is frozen but the dict is shared; freeze a private copy
         object.__setattr__(self, "arguments", dict(self.arguments))
-
-    def matches_tool(self, other: "ToolCall") -> bool:
-        """Whether both calls target the same tool (ignoring arguments)."""
-        return self.tool == other.tool
 
     def to_json(self) -> str:
         # memoized: the executor serializes the call several times per

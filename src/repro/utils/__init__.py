@@ -1,22 +1,16 @@
 """Shared low-level helpers: stable hashing, seeded RNG streams, text, vectors."""
 
 from repro.utils.hashing import stable_hash64, stable_hash_bytes
-from repro.utils.rng import RngFactory, derive_rng
-from repro.utils.text import (
-    normalize_whitespace,
-    sentence_case,
-    truncate_words,
-)
+from repro.utils.rng import derive_rng
+from repro.utils.text import normalize_whitespace, truncate_words
 from repro.utils.vectorops import blend_and_normalize, normalize_rows, safe_norms
 
 __all__ = [
-    "RngFactory",
     "blend_and_normalize",
     "derive_rng",
     "normalize_rows",
     "normalize_whitespace",
     "safe_norms",
-    "sentence_case",
     "stable_hash64",
     "stable_hash_bytes",
     "truncate_words",

@@ -87,26 +87,3 @@ def _pcg64_states(seeds: list[int]) -> list[tuple[int, int]]:
         state = (((s_hi << 64) | s_lo) + inc) * _PCG64_MULT + inc
         states.append((state & mask, inc))
     return states
-
-
-class RngFactory:
-    """Factory bound to a root seed, handing out named sub-streams.
-
-    Example::
-
-        rngs = RngFactory(root_seed=7)
-        a = rngs.stream("llm", "llama3.1-8b", "query-12")
-        b = rngs.stream("llm", "llama3.1-8b", "query-12")
-        # a and b generate the same sequence
-    """
-
-    def __init__(self, root_seed: int = DEFAULT_ROOT_SEED):
-        self.root_seed = int(root_seed)
-
-    def stream(self, *parts: str | int | float) -> np.random.Generator:
-        """Return the generator for a named sub-stream."""
-        return derive_rng(*parts, root_seed=self.root_seed)
-
-    def spawn(self, *parts: str | int | float) -> "RngFactory":
-        """Return a child factory whose streams are namespaced by ``parts``."""
-        return RngFactory(stable_hash64(self.root_seed, "spawn", *parts))

@@ -20,22 +20,3 @@ def truncate_words(text: str, max_words: int) -> str:
     if len(words) <= max_words:
         return text.strip()
     return " ".join(words[:max_words])
-
-
-def sentence_case(text: str) -> str:
-    """Capitalise the first character, leaving the rest untouched."""
-    stripped = text.strip()
-    if not stripped:
-        return stripped
-    return stripped[0].upper() + stripped[1:]
-
-
-def snake_to_words(name: str) -> str:
-    """Turn ``snake_case_name`` into ``snake case name``."""
-    return name.replace("_", " ").strip()
-
-
-def words_to_snake(text: str) -> str:
-    """Turn free text into a ``snake_case`` identifier."""
-    cleaned = re.sub(r"[^a-zA-Z0-9]+", "_", text.strip().lower())
-    return cleaned.strip("_")

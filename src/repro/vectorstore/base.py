@@ -55,24 +55,11 @@ class SearchResult:
     scores: np.ndarray
     ids: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def top(self) -> tuple[float, int]:
         """Return the single best ``(score, id)`` pair."""
         if len(self.ids) == 0:
             raise ValueError("empty search result")
         return float(self.scores[0]), int(self.ids[0])
-
-    def mean_score(self) -> float:
-        """Average score of the retrieved neighbours (0.0 when empty).
-
-        This is the quantity the paper's Tool Controller compares across
-        Search Levels ("average top-k score", Section III-C).
-        """
-        if len(self.scores) == 0:
-            return 0.0
-        return float(np.mean(self.scores))
 
 
 @dataclass

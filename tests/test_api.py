@@ -1,9 +1,11 @@
-"""Tests for the top-level convenience API (repro.api)."""
+"""Tests for the package's public entry points: ``repro.suites.load_suite``
+and ``open_session`` (the only loaders and builders)."""
 
 import pytest
 
 import repro
-from repro import AgentSpec, load_model, load_suite, open_session
+from repro import AgentSpec, open_session
+from repro.suites import load_suite
 
 
 class TestLoadSuite:
@@ -19,12 +21,19 @@ class TestLoadSuite:
 
 
 class TestLoadModel:
-    def test_default_quant(self):
-        llm = load_model("hermes2-pro-8b")
+    """An agent's LLM comes from its ``AgentSpec`` model and quant."""
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        return open_session("bfcl", n_queries=2)
+
+    def test_default_quant(self, session):
+        llm = session.build_agent(AgentSpec("lis", "hermes2-pro-8b")).llm
         assert llm.quant.name == "q4_K_M"
 
-    def test_explicit_quant(self):
-        assert load_model("qwen2-7b", "q8_0").quant.name == "q8_0"
+    def test_explicit_quant(self, session):
+        agent = session.build_agent(AgentSpec("lis", "qwen2-7b", "q8_0"))
+        assert agent.llm.quant.name == "q8_0"
 
 
 class TestBuildAgents:

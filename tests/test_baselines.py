@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro import AgentSpec, open_session
 from repro.baselines import (
     DefaultAgent,
     GorillaAgent,
     ToolLLMAgent,
     ToolLLMMemoryError,
-    build_baseline,
 )
 from repro.llm import SimulatedLLM
 from repro.suites.bfcl import build_bfcl_suite
@@ -30,14 +30,19 @@ def llm():
 
 
 class TestBuildBaseline:
+    """Baselines are built by scheme name through the session."""
+
     def test_schemes(self, bfcl):
-        assert isinstance(build_baseline("default", "qwen2-7b", "q4_0", bfcl), DefaultAgent)
-        assert isinstance(build_baseline("gorilla", "qwen2-7b", "q4_0", bfcl), GorillaAgent)
-        assert isinstance(build_baseline("toolllm", "qwen2-7b", "q4_0", bfcl), ToolLLMAgent)
+        session = open_session(suite=bfcl)
+        for scheme, cls in (("default", DefaultAgent), ("gorilla", GorillaAgent),
+                            ("toolllm", ToolLLMAgent)):
+            agent = session.build_agent(AgentSpec(scheme, "qwen2-7b", "q4_0"))
+            assert isinstance(agent, cls)
 
     def test_unknown_scheme(self, bfcl):
         with pytest.raises(ValueError):
-            build_baseline("react", "qwen2-7b", "q4_0", bfcl)
+            open_session(suite=bfcl).build_agent(
+                AgentSpec("react", "qwen2-7b", "q4_0"))
 
 
 class TestDefaultAgent:

@@ -348,7 +348,12 @@ class TestChaosExitCode:
 
     def test_clean_run_exits_zero(self, capsys):
         assert main(["load", "--requests", "4", "--concurrency", "2"]) == 0
-        assert "0 failed (100% served)" in capsys.readouterr().out
+        summary = capsys.readouterr().out.splitlines()[0]
+        line = re.fullmatch(
+            r"load: 4 requests, 0 failed \(100% served\), "
+            r"(?P<good>[\d.]+) served req/s of (?P<offered>[\d.]+) offered, "
+            r"latency p50/p95/p99 [\d.]+/[\d.]+/[\d.]+ ms", summary)
+        assert line and line["good"] == line["offered"]  # nothing failed
 
     def test_prometheus_prints_the_scrape(self, capsys):
         assert main(["load", "--requests", "8", "--prometheus"]) == 0

@@ -31,38 +31,38 @@ class TestArbitration:
         controller = ToolController(bfcl_levels, k=3)
         vec = embedder.encode_one(
             "Get the current weather conditions and temperature for a city.")
-        decision = controller.decide(vec[None, :])
+        decision = controller.decide_batch([vec[None, :]])[0]
         assert decision.level == 1
         assert "get_current_weather" in decision.tools
-        assert decision.n_tools <= 3
+        assert len(decision.tools) <= 3
 
     def test_multi_tool_needs_prefer_level2(self, embedder, geo_levels):
         texts = [
             "Load a satellite imagery archive and filter scenes by country region.",
             "Generate captions for the scenes and plot them on a map viewer.",
         ]
-        decision = ToolController(geo_levels, k=3).decide(embedder.encode(texts))
+        decision = ToolController(geo_levels, k=3).decide_batch([embedder.encode(texts)])[0]
         assert decision.level == 2
-        assert decision.n_tools > 3  # cluster union, not single tools
+        assert len(decision.tools) > 3  # cluster union, not single tools
 
     def test_gibberish_falls_back_to_level3(self, embedder, bfcl_levels):
         controller = ToolController(bfcl_levels, k=3)
         vec = embedder.encode_one("zz qq xx yy www vv")
-        decision = controller.decide(vec[None, :])
+        decision = controller.decide_batch([vec[None, :]])[0]
         assert decision.level == 3
-        assert decision.n_tools == len(bfcl_levels.all_tools)
+        assert len(decision.tools) == len(bfcl_levels.all_tools)
 
     def test_empty_recommendations_level3(self, bfcl_levels):
-        decision = ToolController(bfcl_levels, k=3).decide(np.zeros((0, 768)))
+        decision = ToolController(bfcl_levels, k=3).decide_batch([np.zeros((0, 768))])[0]
         assert decision.level == 3
 
     def test_zero_vector_level3(self, bfcl_levels):
-        decision = ToolController(bfcl_levels, k=3).decide(np.zeros((1, 768)))
+        decision = ToolController(bfcl_levels, k=3).decide_batch([np.zeros((1, 768))])[0]
         assert decision.level == 3
 
     def test_scores_reported(self, embedder, bfcl_levels):
         vec = embedder.encode_one("Translate text into another language.")
-        decision = ToolController(bfcl_levels, k=3).decide(vec[None, :])
+        decision = ToolController(bfcl_levels, k=3).decide_batch([vec[None, :]])[0]
         assert decision.level1_score > 0.3
         assert decision.level2_score >= 0.0
 
@@ -80,9 +80,9 @@ class TestArbitration:
             "Get the current weather conditions and temperature for a city.")
         controller = ToolController(no_clusters, k=len(no_clusters.all_tools),
                                     confidence_threshold=-2.0)
-        decision = controller.decide(-anchor[None, :])
+        decision = controller.decide_batch([-anchor[None, :]])[0]
         assert decision.level in (1, 3)
-        assert decision.n_tools > 0
+        assert len(decision.tools) > 0
 
 
 class TestConfiguration:
@@ -93,33 +93,33 @@ class TestConfiguration:
     def test_k_bounds_level1_tools(self, embedder, bfcl_levels):
         vec = embedder.encode_one("Evaluate a mathematical expression and return the value.")
         for k in (1, 2, 5):
-            decision = ToolController(bfcl_levels, k=k).decide(vec[None, :])
+            decision = ToolController(bfcl_levels, k=k).decide_batch([vec[None, :]])[0]
             if decision.level == 1:
-                assert decision.n_tools <= k
+                assert len(decision.tools) <= k
 
     def test_threshold_one_forces_level3(self, embedder, bfcl_levels):
         controller = ToolController(bfcl_levels, k=3, confidence_threshold=1.01)
         vec = embedder.encode_one("Get the weather forecast for a city.")
-        assert controller.decide(vec[None, :]).level == 3
+        assert controller.decide_batch([vec[None, :]])[0].level == 3
 
     def test_threshold_zero_never_level3(self, embedder, bfcl_levels):
         controller = ToolController(bfcl_levels, k=3, confidence_threshold=0.0)
         vec = embedder.encode_one("Translate a short sentence.")
-        assert controller.decide(vec[None, :]).level in (1, 2)
+        assert controller.decide_batch([vec[None, :]])[0].level in (1, 2)
 
     def test_max_level2_clusters_caps_union(self, embedder, geo_levels):
         texts = [
             "Load a satellite imagery archive and filter scenes by country region.",
             "Generate captions for the scenes and plot them on a map viewer.",
         ]
-        small = ToolController(geo_levels, k=3, max_level2_clusters=1).decide(
-            embedder.encode(texts))
-        large = ToolController(geo_levels, k=3, max_level2_clusters=3).decide(
-            embedder.encode(texts))
+        small = ToolController(geo_levels, k=3, max_level2_clusters=1).decide_batch([
+            embedder.encode(texts)])[0]
+        large = ToolController(geo_levels, k=3, max_level2_clusters=3).decide_batch([
+            embedder.encode(texts)])[0]
         if small.level == 2 and large.level == 2:
-            assert small.n_tools <= large.n_tools
+            assert len(small.tools) <= len(large.tools)
 
     def test_decision_tools_unique(self, embedder, geo_levels):
         texts = ["Detect ships in coastal imagery and count them per scene."]
-        decision = ToolController(geo_levels, k=5).decide(embedder.encode(texts))
+        decision = ToolController(geo_levels, k=5).decide_batch([embedder.encode(texts)])[0]
         assert len(decision.tools) == len(set(decision.tools))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from levels_oracle import levels_digest
 
-from repro.api import load_suite
 from repro.core.levels import SearchLevelBuilder
 from repro.embedding.cache import CachedEmbedder, shared_embedder
+from repro.suites import load_suite
 from repro.suites.bfcl import build_bfcl_suite
 from repro.suites.geoengine import build_geoengine_suite
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import AgentSpec, open_session
 from repro.core import LessIsMoreAgent
 from repro.core.levels import SearchLevelBuilder
 from repro.embedding.cache import shared_embedder
@@ -71,7 +72,9 @@ class TestEpisodeStructure:
                 assert episode.tool_accuracy
 
     def test_build_classmethod(self, bfcl):
-        agent = LessIsMoreAgent.build("qwen2-7b", "q8_0", bfcl, k=5)
+        agent = open_session(suite=bfcl).build_agent(
+            AgentSpec("lis", "qwen2-7b", "q8_0", k=5))
+        assert isinstance(agent, LessIsMoreAgent)
         assert agent.k == 5
         episode = agent.run(bfcl.queries[0])
         assert episode.steps

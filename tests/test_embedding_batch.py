@@ -162,7 +162,7 @@ class TestCachedEmbedderBatch:
     def test_duplicates_embedded_once(self):
         cache = CachedEmbedder()
         result = cache.encode(["same text", "same text", "other"])
-        assert len(cache) == 2
+        assert cache.cache_info()["size"] == 2
         np.testing.assert_array_equal(result[0], result[1])
 
     def test_matches_uncached_embedder(self):
@@ -178,8 +178,8 @@ class TestCachedEmbedderBatch:
         cache.encode(["a", "b", "c"])
         cache.encode_one("a")          # refresh "a"
         cache.encode_one("d")          # evicts "b"
-        assert len(cache) == 3
         info = cache.cache_info()
+        assert info["size"] == 3
         assert info["evictions"] == 1
         assert info["max_entries"] == 3
         calls = []

@@ -39,16 +39,19 @@ class TestConceptLexicon:
             assert concept in lexicon.lookup(stem(term)), term
 
     def test_len_counts_concepts(self):
-        assert len(default_lexicon()) == len(DEFAULT_CONCEPTS)
+        assert len(default_lexicon().concepts) == len(DEFAULT_CONCEPTS)
 
     def test_extended_adds_concept(self):
-        extended = default_lexicon().extended({"quantum": ("qubit", "entangle")})
+        extended = ConceptLexicon({**DEFAULT_CONCEPTS,
+                                   "quantum": ("qubit", "entangle")})
         assert "quantum" in extended.lookup(stem("qubit"))
         # base lexicon untouched
         assert default_lexicon().lookup(stem("qubit")) == []
 
     def test_extended_merges_terms_into_existing_concept(self):
-        extended = default_lexicon().extended({"weather": ("barometer",)})
+        extended = ConceptLexicon({
+            **DEFAULT_CONCEPTS,
+            "weather": DEFAULT_CONCEPTS["weather"] + ("barometer",)})
         assert "weather" in extended.lookup(stem("barometer"))
         assert "weather" in extended.lookup(stem("forecast"))
 

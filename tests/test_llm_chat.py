@@ -9,9 +9,7 @@ from repro.llm.chat import (
     ChatTurn,
     parse_tool_response,
     render_agent_prompt,
-    render_error_signal,
     render_recommender_prompt,
-    render_tool_call,
 )
 from repro.llm.tokens import AGENT_SYSTEM_TOKENS, plan_agent_prompt
 from repro.tools import load_catalog
@@ -96,8 +94,8 @@ class TestParser:
 
     def test_round_trip_with_renderers(self):
         call = ToolCall("lock_door", {"door": "front"})
-        assert parse_tool_response(render_tool_call(call)).call == call
-        assert parse_tool_response(render_error_signal("stuck")).is_error_signal
+        assert parse_tool_response(call.to_json()).call == call
+        assert parse_tool_response('{"error": "stuck"}').is_error_signal
 
     @given(st.text(max_size=200))
     @settings(max_examples=60, deadline=None)

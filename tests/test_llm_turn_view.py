@@ -473,7 +473,7 @@ def test_operation_counts_per_episode(monkeypatch):
     for query, plan in zip(session.suite.queries, plans):
         counts.clear()
         presented.clear()
-        agent.executor.reset()
+        agent.executor.executed.clear()
         episode = agent.run_planned(query, plan)
 
         accepted = sum(outcome.ok for outcome in agent.executor.executed)

@@ -229,5 +229,5 @@ def test_memory_sink_ring_evicts_oldest():
     for i in range(5):
         ctx = TraceContext(trace_id=f"{i:016x}")
         tracer.end_span(tracer.start_span(ctx, "request"))
-    assert len(sink) == 3
+    assert len(sink.spans()) == 3
     assert sink.trace_ids() == [f"{i:016x}" for i in (2, 3, 4)]

@@ -3,7 +3,8 @@ and the energy meter.
 
 (a) An episode served while the meter holds power mode *M* equals the
     sequential runner's episode on ``orin_in_mode(M)``, bit for bit, for
-    every suite and every mode of ``MODE_LADDER``.
+    every suite and every mode of ``MODE_LADDER``, and its response
+    records *M*.
 (b) Every ``EnergyRecord.energy_j`` is its episode's ``energy_j`` bit for
     bit, and a tenant's ``/metrics`` joules are the sum of its episodes'.
 (c) ``LoadReport.failures`` holds (b) as its ``ENERGY`` check; a request
@@ -47,7 +48,8 @@ def _suite(name: str):
 def _served(name: str, mode: str):
     """Serve every query of ``name`` once, concurrently, with the meter
     in ``mode``; returns (episodes by qid, the tenant's energy records,
-    the drained metrics snapshot, the ``/metrics`` text)."""
+    the drained metrics snapshot, the ``/metrics`` text, the responses'
+    power modes)."""
     suite = _suite(name)
 
     async def serve():
@@ -60,7 +62,8 @@ def _served(name: str, mode: str):
         return ({response.episode.qid: response.episode
                  for response in responses},
                 list(session.energy_window), gateway.metrics(),
-                gateway.metrics_text())
+                gateway.metrics_text(),
+                [response.power_mode for response in responses])
 
     return asyncio.run(serve())
 
@@ -70,7 +73,8 @@ def _served(name: str, mode: str):
 def test_served_in_a_mode_equals_the_runner_on_that_modes_device(name, mode):
     """Law (a): the power mode reaches the episode, and only through the
     device it runs on."""
-    episodes, _, _, _ = _served(name, mode)
+    episodes, _, _, _, modes = _served(name, mode)
+    assert modes == [mode] * N_QUERIES
     reference = ExperimentRunner(_suite(name), embedder=CachedEmbedder()).run(
         SCHEME, MODEL, QUANT, device=orin_in_mode(mode)).episodes
     assert len(episodes) == len(reference) == N_QUERIES
@@ -83,7 +87,7 @@ def test_served_in_a_mode_equals_the_runner_on_that_modes_device(name, mode):
 @pytest.mark.parametrize("name", sorted(SUITES.names()))
 def test_the_meter_reads_each_episodes_joules(name, mode):
     """Law (b): one joule ledger, from the episode to ``/metrics``."""
-    episodes, records, metrics, text = _served(name, mode)
+    episodes, records, metrics, text, _ = _served(name, mode)
     assert sorted(record.qid for record in records) == sorted(episodes)
     for record in records:
         assert record.energy_j == episodes[record.qid].energy_j

@@ -10,11 +10,9 @@ import pytest
 from repro.power import EnergyMeter, load_intensity_trace
 from repro.power.signals import (
     DAY_S,
-    SinusoidSignal,
     StaticSignal,
     TraceSignal,
     build_signal,
-    dump_intensity_trace,
 )
 from repro.registry import CARBON_SIGNALS, register_carbon_signal
 from repro.serving import SessionManager
@@ -34,25 +32,6 @@ def test_static_signal():
     assert signal.intensity(1e9) == 123.0
     with pytest.raises(ValueError):
         StaticSignal(intensity_g_per_kwh=-1.0)
-
-
-def test_sinusoid_signal():
-    signal = SinusoidSignal(mean_g_per_kwh=400.0, amplitude_g_per_kwh=100.0,
-                            period_s=86400.0, phase_s=3600.0)
-    # at the phase origin the curve sits on the mean, heading up
-    assert signal.intensity(3600.0) == pytest.approx(400.0)
-    # a quarter period later it peaks; three quarters later it troughs
-    assert signal.intensity(3600.0 + 21600.0) == pytest.approx(500.0)
-    assert signal.intensity(3600.0 + 64800.0) == pytest.approx(300.0)
-    # purity: the same t always gives the same value
-    assert signal.intensity(12345.0) == signal.intensity(12345.0)
-    # a trough below zero clamps (a grid cannot emit negative carbon)
-    deep = SinusoidSignal(mean_g_per_kwh=50.0, amplitude_g_per_kwh=150.0)
-    assert deep.intensity(0.75 * DAY_S) == 0.0
-    with pytest.raises(ValueError):
-        SinusoidSignal(period_s=0.0)
-    with pytest.raises(ValueError):
-        SinusoidSignal(amplitude_g_per_kwh=-1.0)
 
 
 def test_trace_signal_interpolation_and_wrap():
@@ -103,7 +82,8 @@ def test_committed_trace_loads_and_replays():
 def test_trace_round_trip(tmp_path):
     original = load_intensity_trace(COMMITTED_TRACE)
     copy_path = tmp_path / "copy.csv"
-    dump_intensity_trace(original, copy_path)
+    copy_path.write_text("hour,intensity_g_per_kwh\n" + "".join(
+        f"{t_s / 3600.0:g},{value:g}\n" for t_s, value in original.points))
     reloaded = load_intensity_trace(copy_path)
     assert reloaded.points == original.points
     assert reloaded.period_s == original.period_s
@@ -160,8 +140,7 @@ def test_loader_tolerates_blank_lines_and_fractional_hours(tmp_path):
 # the CARBON_SIGNALS registry and build_signal
 # ----------------------------------------------------------------------
 def test_builtin_signals_registered():
-    for name in ("static", "sinusoid", "trace"):
-        assert name in CARBON_SIGNALS
+    assert CARBON_SIGNALS.names() == ["static", "trace"]
 
 
 def test_build_signal_from_spec():
@@ -169,13 +148,6 @@ def test_build_signal_from_spec():
     static = build_signal(BudgetSpec(energy_budget_j=100.0,
                                      intensity_g_per_kwh=222.0))
     assert static.intensity(0.0) == 222.0
-    sinusoid = build_signal(BudgetSpec(energy_budget_j=100.0,
-                                       signal="sinusoid",
-                                       intensity_g_per_kwh=300.0,
-                                       intensity_amplitude=50.0,
-                                       period_s=1000.0, phase_s=10.0))
-    assert isinstance(sinusoid, SinusoidSignal)
-    assert sinusoid.intensity(10.0) == pytest.approx(300.0)
     trace = build_signal(BudgetSpec(energy_budget_j=100.0, signal="trace",
                                     trace_path=str(COMMITTED_TRACE)))
     assert isinstance(trace, TraceSignal)
@@ -186,13 +158,12 @@ def test_custom_signal_registration():
     def _square(spec):
         class Square:
             def intensity(self, t_s):
-                return (100.0 if math.sin(2 * math.pi * t_s / spec.period_s)
+                return (100.0 if math.sin(2 * math.pi * t_s / 100.0)
                         >= 0.0 else 500.0)
         return Square()
 
     try:
-        spec = BudgetSpec(energy_budget_j=1.0, signal="test-square",
-                          period_s=100.0)
+        spec = BudgetSpec(energy_budget_j=1.0, signal="test-square")
         signal = build_signal(spec)
         assert signal.intensity(10.0) == 100.0
         assert signal.intensity(60.0) == 500.0

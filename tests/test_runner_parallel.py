@@ -2,7 +2,8 @@
 
 The grid's one referee: every cell of ``run_grid`` must equal the
 ``runner.run`` call of the same arguments on full :class:`EpisodeResult`
-and :class:`MetricSummary` equality, in ``GridSpec.cells`` order — for a
+and :class:`MetricSummary` equality, in the grid's run order (model,
+then quant, then scheme) — for a
 stateless suite and for the stateful multi-turn ``browser`` suite.
 """
 
@@ -10,13 +11,16 @@ import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
-from repro.specs import GridSpec
 from repro.suites import load_suite
 
 SCHEMES = ["default", "lis-k3"]
 MODELS = ["hermes2-pro-8b"]
 QUANTS = ["q4_K_M", "q8_0"]
-CELLS = GridSpec(schemes=SCHEMES, models=MODELS, quants=QUANTS).cells
+#: the grid's cells in run order: schemes vary fastest, models slowest
+CELLS = (("default", "hermes2-pro-8b", "q4_K_M"),
+         ("lis-k3", "hermes2-pro-8b", "q4_K_M"),
+         ("default", "hermes2-pro-8b", "q8_0"),
+         ("lis-k3", "hermes2-pro-8b", "q8_0"))
 
 
 @pytest.fixture(scope="module")

@@ -67,7 +67,7 @@ def test_decide_batch_matches_decide(suite):
 
     batched = controller.decide_batch(blocks)
     for block, decision in zip(blocks, batched):
-        single = controller.decide(block)
+        single = controller.decide_batch([block])[0]
         assert decision == single  # frozen dataclass: scores compare bitwise
 
 
@@ -160,7 +160,7 @@ def test_serve_keeps_the_shared_embedder_bounded(monkeypatch):
                 responses += await asyncio.gather(*(
                     gateway.submit(suite.name, query)
                     for query in suite.queries[start:start + 16]))
-                sizes.append(len(session.embedder))
+                sizes.append(session.embedder.cache_info()["size"])
         return responses
 
     responses = asyncio.run(serve_all())

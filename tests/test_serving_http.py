@@ -83,6 +83,7 @@ def test_call_by_qid(suite):
     assert payload["tenant"] == "home"
     assert payload["batch_size"] >= 1
     assert payload["latency_s"] > 0.0
+    assert payload["power_mode"] == "MAXN"
     # the deterministic trace id rides in body and header alike
     assert payload["trace_id"] == request_trace_id("home", qid, 0)
     assert response.trace_id == payload["trace_id"]

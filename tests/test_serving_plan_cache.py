@@ -93,7 +93,6 @@ class TestPlanCacheLRU:
         cache.put(("b",), 2)
         assert cache.get(("a",)) == 1  # refresh "a": "b" is now oldest
         cache.put(("c",), 3)
-        assert len(cache) == 2
         assert cache.get(("b",)) is None
         assert cache.get(("a",)) == 1
         assert cache.get(("c",)) == 3
@@ -103,9 +102,3 @@ class TestPlanCacheLRU:
         key = _PlanCache.key(1, query, "lis-k3", "m", "q")
         assert query.qid in key
         assert query.text in key
-
-    def test_clear(self):
-        cache = _PlanCache(capacity=4)
-        cache.put(("a",), 1)
-        cache.clear()
-        assert len(cache) == 0

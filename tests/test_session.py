@@ -168,7 +168,7 @@ class TestLazyPackageImport:
 
     def test_public_names_import_from_package_root(self):
         code = (
-            "from repro import open_session, AgentSpec, load_suite; "
+            "from repro import open_session, AgentSpec, load_catalog; "
             "print('ok')"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -15,7 +15,6 @@ import asyncio
 import pytest
 
 from repro import AgentSpec, ServingSpec, SuiteSpec, TenantSpec, open_session
-from repro.core.pipeline import LessIsMoreAgent
 from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.serving.gateway import Gateway
@@ -72,7 +71,8 @@ def test_build_with_an_embedder_uses_it_throughout():
     before = _shared_state()
     embedder = CachedEmbedder()
     suite = load_suite("edgehome", n_queries=4, seed=29)
-    agent = LessIsMoreAgent.build(MODEL, QUANT, suite, embedder=embedder)
+    agent = open_session(suite=suite, embedder=embedder).build_agent(
+        AgentSpec("lis", MODEL, QUANT))
     assert agent.embedder is agent.llm.embedder is embedder
     for query in suite.queries:
         agent.run(query)
@@ -110,7 +110,8 @@ def test_served_episodes_equal_sequential_while_the_cache_evicts(monkeypatch):
         try:
             return process_batch(self, batch)
         finally:
-            sizes.append((len(embedder), embedder.cache_info()["evictions"]))
+            info = embedder.cache_info()
+            sizes.append((info["size"], info["evictions"]))
 
     monkeypatch.setattr(Gateway, "_process_batch", recording)
 

@@ -8,7 +8,8 @@ episodes field for field, float for float.
 
 import pytest
 
-from repro import AgentSpec, EngineSpec, load_suite, open_session
+from repro import AgentSpec, EngineSpec, open_session
+from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
 N_QUERIES = 8
@@ -118,17 +119,18 @@ class TestSimulatedEngineEquivalence:
 
 
 class TestDeprecationShims:
-    """The ``repro.api.build_*`` deprecation shims are deleted, not
-    aliased; what they pinned about agent construction now holds on the
-    one remaining path, ``Session.build_agent``."""
+    """The ``repro.api`` module and its shims are deleted, not aliased;
+    what they pinned about agent construction now holds on the one
+    remaining path, ``Session.build_agent``."""
 
     def test_shims_are_gone(self):
-        import repro
-        import repro.api
+        import importlib.util
 
-        assert not [name for name in vars(repro.api)
-                    if name.startswith("build_")]
-        assert not hasattr(repro, "build_agent")
+        import repro
+
+        assert importlib.util.find_spec("repro.api") is None
+        for name in ("build_agent", "load_suite", "load_model"):
+            assert not hasattr(repro, name)
 
     def test_build_agent_kwargs_pass_through(self, suite):
         agent = open_session(suite=suite).build_agent(

@@ -1,6 +1,7 @@
 """Spec dataclasses: validation, dict round-trip, pickle round-trip."""
 
 import pickle
+import re
 
 import pytest
 
@@ -34,9 +35,10 @@ ALL_SPECS = [
              quants=("q4_K_M", "q8_0"), n_queries=8),
     TenantSpec(name="home", suite=SuiteSpec(name="edgehome", n_queries=6)),
     BudgetSpec(energy_budget_j=120.0, carbon_budget_g=0.02,
-               window_requests=8, recovery_ticks=2, signal="sinusoid",
-               intensity_g_per_kwh=380.0, intensity_amplitude=120.0,
-               intensity_high=480.0, min_power_mode="30W"),
+               window_requests=8, recovery_ticks=2, signal="trace",
+               trace_path="benchmarks/data/grid_intensity_day.csv",
+               intensity_g_per_kwh=380.0, intensity_high=480.0,
+               min_power_mode="30W"),
     ServingSpec(
         tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),),
         plan_cache_size=16,
@@ -86,11 +88,6 @@ class TestNormalization:
     def test_grid_axes_accept_lists(self):
         grid = GridSpec(schemes=["default"], models=["m"], quants=["q"])
         assert grid.schemes == ("default",)
-
-    def test_grid_cells_order(self):
-        grid = GridSpec(schemes=("a", "b"), models=("m",), quants=("q1", "q2"))
-        assert grid.cells == (("a", "m", "q1"), ("b", "m", "q1"),
-                              ("a", "m", "q2"), ("b", "m", "q2"))
 
     def test_tenant_accepts_suite_name_string(self):
         tenant = TenantSpec(name="home", suite="edgehome")
@@ -146,6 +143,25 @@ class TestNormalization:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("spec_cls,field,value", [
+        (ServingSpec, "default_scheme", 5),
+        (ServingSpec, "default_model", ["x"]),
+        (ServingSpec, "default_quant", 3.0),
+        (ServingSpec, "default_scheme", ""),
+        (HttpSpec, "api_key", 7),
+        (HttpSpec, "api_key", ""),
+    ])
+    def test_name_fields_must_be_non_empty_strings(self, spec_cls, field,
+                                                   value):
+        """A non-string name fails at construction, not at warm-up (a
+        scheme) or on every request (a key no bearer string equals)."""
+        message = (f"{spec_cls.__name__}.{field} must be a non-empty "
+                   f"string, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec_cls(**{field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec_cls.from_dict({field: value})
+
     def test_suite_name_required(self):
         with pytest.raises(ValueError, match="non-empty"):
             SuiteSpec(name="")
@@ -247,7 +263,7 @@ class TestValidation:
             BudgetSpec(energy_budget_j=1.0, signal="trace")
 
     def test_budget_unknown_signal_lists_names(self):
-        with pytest.raises(ValueError, match="sinusoid.*static.*trace"):
+        with pytest.raises(ValueError, match="static.*trace"):
             BudgetSpec(energy_budget_j=1.0, signal="lunar")
 
     def test_budget_power_mode_domain(self):
@@ -291,7 +307,8 @@ class TestSpecImportsStayCheap:
             "GridSpec, ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
             "plan_cache_size=8, "
-            "budget=BudgetSpec(energy_budget_j=50.0, signal='sinusoid'), "
+            "budget=BudgetSpec(energy_budget_j=50.0, signal='trace', "
+            "trace_path='grid.csv'), "
             "obs=ObsSpec(), default_engine='simulated', "
             "faults=FaultPlan(seed=3, slow_batch_rate=0.25, "
             "slow_batch_ms=250.0, exception_rate=0.3)); "
@@ -353,8 +370,9 @@ class TestConversions:
 class TestWireCompat:
     """Spec JSON is an interface (``repro serve --spec``, ``bench_e2e``'s
     generated spec): the key sets below are the PR 12 wire form, minus
-    the six execution keys that went with the worker pool and the
-    ``max_wait_ms`` coalescing window."""
+    the six execution keys that went with the worker pool, the
+    ``max_wait_ms`` coalescing window and the budget's three ``sinusoid``
+    signal keys."""
 
     SERVING_KEYS = {
         "tenants", "default_engine", "max_batch_size", "queue_capacity",
@@ -363,9 +381,8 @@ class TestWireCompat:
     BUDGET_KEYS = {
         "energy_budget_j", "carbon_budget_g", "window_requests",
         "settle_requests", "recovery_ticks", "recovery_margin", "signal",
-        "intensity_g_per_kwh", "intensity_amplitude", "period_s", "phase_s",
-        "trace_path", "intensity_high", "intensity_low", "min_power_mode",
-        "interval_ms"}
+        "intensity_g_per_kwh", "trace_path", "intensity_high",
+        "intensity_low", "min_power_mode", "interval_ms"}
 
     def test_key_sets_unchanged(self):
         assert set(ServingSpec().to_dict()) == self.SERVING_KEYS
@@ -375,17 +392,26 @@ class TestWireCompat:
         import json
         from pathlib import Path
 
-        # written by the PR 12 commit's ServingSpec.to_dict(): loaded
-        # as-is it fails loudly on a removed key; without them it is the
-        # same spec
+        # written by the PR 12 commit's ServingSpec.to_dict(): each
+        # removed key, top-level or in the budget, fails loudly by name;
+        # without them it is the same spec
         data = json.loads((Path(__file__).parent / "data"
                            / "serving_spec_parent.json").read_text())
         removed = set(data) - self.SERVING_KEYS
-        assert len(removed) == 7
-        with pytest.raises(TypeError, match="|".join(removed)):
-            ServingSpec.from_dict(data)
+        removed_budget = set(data["budget"]) - self.BUDGET_KEYS
+        assert (len(removed), len(removed_budget)) == (7, 3)
+        clean = {key: value for key, value in data.items()
+                 if key not in removed}
+        clean["budget"] = {key: value for key, value in data["budget"].items()
+                           if key not in removed_budget}
         for key in removed:
-            del data[key]
+            with pytest.raises(TypeError, match=key):
+                ServingSpec.from_dict({**clean, key: data[key]})
+        for key in removed_budget:
+            with pytest.raises(TypeError, match=key):
+                ServingSpec.from_dict({**clean, "budget": {
+                    **clean["budget"], key: data["budget"][key]}})
+        data = clean
         spec = ServingSpec.from_dict(data)
         assert spec == ServingSpec(
             tenants=(

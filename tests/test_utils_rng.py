@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.utils.rng import DEFAULT_ROOT_SEED, RngFactory, _pcg64_states, derive_rng
+from repro.utils.rng import DEFAULT_ROOT_SEED, _pcg64_states, derive_rng
 
 #: tier-1 replays a fixed search; ``--hypothesis-profile=chaos`` (``make
 #: test-chaos``) draws fresh seeds every run, against whichever numpy is
@@ -34,32 +34,6 @@ class TestDeriveRng:
         a = derive_rng("s").standard_normal(4)
         b = derive_rng("s", root_seed=DEFAULT_ROOT_SEED).standard_normal(4)
         np.testing.assert_array_equal(a, b)
-
-
-class TestRngFactory:
-    def test_stream_reproducible(self):
-        factory = RngFactory(7)
-        a = factory.stream("x").integers(0, 1000, size=5)
-        b = factory.stream("x").integers(0, 1000, size=5)
-        np.testing.assert_array_equal(a, b)
-
-    def test_spawn_namespacing(self):
-        parent = RngFactory(7)
-        child_a = parent.spawn("worker", 1)
-        child_b = parent.spawn("worker", 2)
-        seq_a = child_a.stream("s").standard_normal(4)
-        seq_b = child_b.stream("s").standard_normal(4)
-        assert not np.array_equal(seq_a, seq_b)
-
-    def test_spawn_deterministic(self):
-        a = RngFactory(7).spawn("w", 1).stream("s").standard_normal(4)
-        b = RngFactory(7).spawn("w", 1).stream("s").standard_normal(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_numeric_and_string_parts_mix(self):
-        factory = RngFactory(0)
-        rng = factory.stream("a", 1, 2.5)
-        assert isinstance(rng, np.random.Generator)
 
 
 @_SEED_SEARCH

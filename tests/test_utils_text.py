@@ -3,13 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.text import (
-    normalize_whitespace,
-    sentence_case,
-    snake_to_words,
-    truncate_words,
-    words_to_snake,
-)
+from repro.utils.text import normalize_whitespace, truncate_words
 
 
 class TestNormalizeWhitespace:
@@ -41,20 +35,3 @@ class TestTruncateWords:
     @given(st.text(), st.integers(min_value=0, max_value=20))
     def test_never_longer_than_limit(self, text, limit):
         assert len(truncate_words(text, limit).split()) <= limit
-
-
-class TestCaseHelpers:
-    def test_sentence_case(self):
-        assert sentence_case("hello world") == "Hello world"
-
-    def test_sentence_case_empty(self):
-        assert sentence_case("   ") == ""
-
-    def test_snake_to_words(self):
-        assert snake_to_words("get_weather_info") == "get weather info"
-
-    def test_words_to_snake(self):
-        assert words_to_snake("Get the Weather!") == "get_the_weather"
-
-    def test_round_trip_simple(self):
-        assert words_to_snake(snake_to_words("plot_vqa_captions")) == "plot_vqa_captions"

@@ -61,7 +61,7 @@ class TestSearch:
 
     def test_k_larger_than_index_clamped(self, small_index):
         result = small_index.search_one(np.ones(3), k=10)
-        assert len(result) == 3
+        assert len(result.ids) == 3
 
     def test_scores_sorted_best_first(self, small_index):
         result = small_index.search_one(np.array([0.7, 0.5, 0.1]), k=3)
@@ -74,8 +74,7 @@ class TestSearch:
 
     def test_empty_index_returns_empty_results(self):
         result = VectorIndex(dim=2).search_one(np.ones(2), k=3)
-        assert len(result) == 0
-        assert result.mean_score() == 0.0
+        assert len(result.ids) == len(result.scores) == 0
 
     def test_invalid_k(self, small_index):
         with pytest.raises(ValueError):
@@ -84,10 +83,6 @@ class TestSearch:
     def test_batch_search(self, small_index):
         results = small_index.search(np.eye(3), k=1)
         assert [r.top()[1] for r in results] == [10, 20, 30]
-
-    def test_mean_score(self, small_index):
-        result = small_index.search_one(np.array([1.0, 0.0, 0.0]), k=2)
-        assert result.mean_score() == pytest.approx(float(np.mean(result.scores)))
 
     def test_top_on_empty_raises(self):
         result = VectorIndex(dim=2).search_one(np.ones(2), k=1)

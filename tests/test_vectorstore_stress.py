@@ -82,7 +82,7 @@ def test_single_row_index(family):
     queries = rng.normal(size=(QUERY_BLOCK + 1, DIM))
     for k in (1, 5):  # k clamps to the one stored vector
         results = index.search(queries, k)
-        assert all(len(result) == 1 for result in results)
+        assert all(len(result.ids) == 1 for result in results)
         _assert_batch_matches_stacked(index, queries, k)
 
 
@@ -136,7 +136,7 @@ def _assert_matches_reference(index, queries, k) -> None:
         # whichever way they break
         np.testing.assert_array_equal(
             scores[[position[int(i)] for i in result.ids]], result.scores)
-        assert len(set(result.ids.tolist())) == len(result)
+        assert len(set(result.ids.tolist())) == len(result.ids)
     scores, ids = index.search_arrays(queries, k)
     np.testing.assert_array_equal(
         scores, np.stack([result.scores for result in results]))
