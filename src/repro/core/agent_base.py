@@ -22,6 +22,7 @@ from repro.llm import SimulatedLLM, TokenUsage
 from repro.suites.base import BenchmarkSuite, Query
 from repro.tools import SimulatedToolExecutor
 from repro.tools.schema import ToolSpec
+from repro.utils.rng import _BULK_MIN, DEFAULT_ROOT_SEED, prefetched
 
 #: Host-side overhead of embedding one short text on the Orin CPU/GPU
 #: (the "inexpensive pretrained embedding tokenizer" of the paper).
@@ -130,7 +131,7 @@ class FunctionCallingAgent:
         )
         for usage in plan.pre_usages:
             self._account(usage, plan.context_window, session, result,
-                          stream=f"{query.qid}-pre")
+                          self._jitter_stream(query.qid))
 
         tools = plan.tools
         window = plan.context_window
@@ -166,13 +167,27 @@ class FunctionCallingAgent:
 
         The serial loop the gateway's batch worker runs after
         ``plan_batch``, one planned group at a time, every episode on
-        ``device`` (see :meth:`run_planned`).
+        ``device`` (see :meth:`run_planned`), certain streams seeded in bulk
+        (not when their bound, ``2 * n_steps + 1`` a query, is too few).
         """
         if len(queries) != len(plans):
             raise ValueError(
                 f"{len(queries)} queries but {len(plans)} plans")
-        return [self.run_planned(query, plan, device)
-                for query, plan in zip(queries, plans)]
+        few = sum(2 * query.n_steps + 1 for query in queries) < _BULK_MIN
+        with prefetched(() if few else self._certain_streams(queries, plans)):
+            return [self.run_planned(query, plan, device)
+                    for query, plan in zip(queries, plans)]
+
+    def _certain_streams(self, queries: list[Query], plans: list[ToolPlan]):
+        """Streams every episode draws: pre-calls' jitter, each first turn's two."""
+        simulated = isinstance(self.llm, SimulatedLLM)
+        for query, plan in zip(queries, plans):
+            if plan.pre_usages:
+                yield (DEFAULT_ROOT_SEED, "hw-jitter", self._jitter_stream(query.qid))
+            for step in range(query.n_steps):
+                if simulated:
+                    yield self.llm.stream_name(query.qid, "step", step, "attempt", 0)
+                yield (DEFAULT_ROOT_SEED, "hw-jitter", self._jitter_stream(query.qid, step, 0))
 
     # ------------------------------------------------------------------
     # internals
@@ -235,12 +250,17 @@ class FunctionCallingAgent:
             arg_multiplier=self.arg_multiplier,
         )
         self._account(turn.usage, window, session, result,
-                      stream=f"{query.qid}-s{step_index}-a{attempt}")
+                      self._jitter_stream(query.qid, step_index, attempt))
         return turn
+
+    def _jitter_stream(self, qid: str, step: int | None = None, attempt: int = 0) -> str:
+        """``hw-jitter`` stream of the pre-calls (no ``step``) or a turn."""
+        suffix = "pre" if step is None else f"s{step}-a{attempt}"
+        return f"{self.scheme}-{self.llm.name}-{qid}-{suffix}"
 
     def _account(self, usage: TokenUsage, window: int,
                  session: MeasurementSession, result: EpisodeResult,
-                 stream: str) -> None:
+                 jitter_stream: str) -> None:
         """Convert token usage into a hardware trace and tally it."""
         trace = simulate_inference(
             InferenceRequest(
@@ -250,7 +270,7 @@ class FunctionCallingAgent:
                 generated_tokens=usage.completion_tokens,
                 context_window=window,
                 kv_cached_tokens=usage.kv_cached_tokens,
-                jitter_stream=f"{self.scheme}-{self.llm.name}-{stream}",
+                jitter_stream=jitter_stream,
             ),
             device=session.device,
         )

@@ -19,6 +19,7 @@ from repro.hardware import JETSON_AGX_ORIN, DeviceProfile
 from repro.llm import SimulatedLLM
 from repro.registry import SchemeContext, register_scheme
 from repro.suites.base import BenchmarkSuite, Query
+from repro.utils.rng import prefetched
 from repro.utils.vectorops import blend_and_normalize
 
 
@@ -82,11 +83,13 @@ class LessIsMoreAgent(FunctionCallingAgent):
         """
         if not queries:
             return []
-        recommendations = [
-            self.llm.recommend_tools(
-                query, self.suite.catalog, corpus_descriptions=self._corpus)
-            for query in queries
-        ]
+        with prefetched(self.llm.stream_name(query.qid, "recommend")
+                        for query in queries if isinstance(self.llm, SimulatedLLM)):
+            recommendations = [
+                self.llm.recommend_tools(
+                    query, self.suite.catalog, corpus_descriptions=self._corpus)
+                for query in queries
+            ]
         # paper Section III-B: the recommended descriptions are embedded
         # "alongside the corresponding user task" — realised as a convex
         # blend so the description still dominates the match while the

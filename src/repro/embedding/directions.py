@@ -16,9 +16,9 @@ the historical per-feature loop.
 
 Rows are drawn straight into the bank's storage.  An :meth:`intern` call
 with at least :data:`_BULK_MIN` new rows (building the Search Levels:
-hundreds to thousands) computes every row's starting PCG64 state at once
-(:func:`~repro.utils.rng._pcg64_states`) and draws through one reused
-generator; a smaller one (a served request's 1-3 new bigrams) builds
+hundreds to thousands) seeds them in one vectorised pass
+(:func:`~repro.utils.rng._seed_words`, shared with a micro-batch's
+prefetched streams); a served request's 1-3 new bigrams build
 ``default_rng(seed)`` per row.  Both paths write the same bits.
 """
 
@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from repro.utils.hashing import stable_hash64
-from repro.utils.rng import _pcg64_states
+from repro.utils.rng import _BULK_MIN, _from_words, _seed_words
 
 #: Feature key: ``(family, feature)``, e.g. ``("token", "weather")``.
 FeatureKey = tuple[str, str]
@@ -39,12 +39,6 @@ FeatureKey = tuple[str, str]
 #: the request path; a two-suite build is ~6k rows and a served request adds
 #: ~2 bigrams, so this defers the first copy to about request 5 000.
 _INITIAL_CAPACITY = 16384
-
-#: New rows from which one :meth:`DirectionBank.intern` seeds in bulk.
-#: ``_pcg64_states`` costs a fixed ~60-90 µs and saves ~5 µs a row over
-#: ``default_rng(seed)``: at dim 768 on a 2-vCPU Xeon VM (numpy 2.4)
-#: bulk breaks even at ~10 rows, and 16-24 was measured on another host.
-_BULK_MIN = 16
 
 
 class DirectionBank:
@@ -62,9 +56,6 @@ class DirectionBank:
         self._keys: list[FeatureKey] = []
         self._storage = np.empty((_INITIAL_CAPACITY, self.dim))
         self._size = 0
-        # the bulk path re-seeds this one generator per row
-        self._bitgen = np.random.PCG64()
-        self._normal = np.random.Generator(self._bitgen).standard_normal
 
     # ------------------------------------------------------------------
     # introspection
@@ -107,16 +98,10 @@ class DirectionBank:
         """Write the unit direction of ``keys[i]`` into ``rows[i]``."""
         seeds = [stable_hash64(self.namespace, self.dim, family, feature)
                  for family, feature in keys]
-        if len(seeds) >= _BULK_MIN:
-            bitgen, normal = self._bitgen, self._normal
-            for (state, inc), row in zip(_pcg64_states(seeds), rows):
-                bitgen.state = {"bit_generator": "PCG64",
-                                "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                normal(out=row)
-        else:
-            for seed, row in zip(seeds, rows):
-                np.random.default_rng(seed).standard_normal(out=row)
+        rngs = (map(_from_words, _seed_words(seeds)) if len(seeds) >= _BULK_MIN
+                else map(np.random.default_rng, seeds))
+        for rng, row in zip(rngs, rows):
+            rng.standard_normal(out=row)
         for row in rows:
             # the dot np.linalg.norm takes: bit-identical to vec / norm(vec)
             row /= math.sqrt(row.dot(row))

@@ -131,9 +131,12 @@ class SimulatedLLM:
     # ------------------------------------------------------------------
     # RNG plumbing
     # ------------------------------------------------------------------
+    def stream_name(self, *parts) -> tuple:
+        """``(root_seed, *stream)`` of :meth:`_rng`: agents prefetch it."""
+        return (self.root_seed, "llm", self.model.name, self.quant.name, *parts)
+
     def _rng(self, *parts) -> np.random.Generator:
-        return derive_rng("llm", self.model.name, self.quant.name, *parts,
-                          root_seed=self.root_seed)
+        return derive_rng(*self.stream_name(*parts)[1:], root_seed=self.root_seed)
 
     # ------------------------------------------------------------------
     # Tool Recommender (paper Section III-B)

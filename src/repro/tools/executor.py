@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from repro.tools.catalog import ToolCatalog
 from repro.tools.schema import ToolCall, ValidationIssue
 from repro.utils.hashing import stable_hash64
 from repro.utils.rng import derive_rng
+
+
+@lru_cache(maxsize=4096)
+def _latency_factor(call_json: str) -> float:
+    """A call's lognormal API-latency factor: a pure function of its JSON."""
+    return derive_rng("tool-exec", call_json).lognormal(mean=0.0, sigma=0.35)
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,7 @@ class SimulatedToolExecutor:
             return self._record(ExecutionOutcome(
                 call=call, ok=False, error=state_error))
 
-        rng = derive_rng("tool-exec", call.to_json())
-        latency = float(self.api_latency_mean_s * rng.lognormal(mean=0.0, sigma=0.35))
+        latency = float(self.api_latency_mean_s * _latency_factor(call.to_json()))
         return self._record(ExecutionOutcome(
             call=call, ok=True,
             value=self._fabricate_result(call, state),

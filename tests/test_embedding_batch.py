@@ -10,6 +10,7 @@ from repro.embedding import DirectionBank, SentenceEmbedder
 from repro.embedding import directions as directions_module
 from repro.embedding.cache import CachedEmbedder
 from repro.suites import load_suite
+from repro.utils.rng import _BULK_MIN
 
 CORPUS = [
     "turn on the smart light in the kitchen",
@@ -121,7 +122,7 @@ class TestDirectionCache:
         keys = [("token", f"w{i}") for i in range(1994)] + [
             ("trigram", "fé#"), ("bigram", "東京 天気"), ("concept", "naïve"),
             ("token", "😀"), ("token", ""), ("bigram", "a\x00b")]
-        assert len(keys) >= 2000 > directions_module._BULK_MIN
+        assert len(keys) >= 2000 > _BULK_MIN
         bulk = DirectionBank(dim=768, namespace="mpnet-substitute")
         bulk.intern(keys)
         single = DirectionBank(dim=768, namespace="mpnet-substitute")

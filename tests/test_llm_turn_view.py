@@ -8,14 +8,16 @@ with numpy calls and an O(n_tools) loop; those expressions live on
 *here*, verbatim, as the reference every property compares against —
 bit for bit, since the arithmetic did not change.
 
-The last test pins what a turn still costs as operation counts per
-episode (seeded streams derived, encode computes, views built); it
-times nothing.
+The last two tests pin what a turn still costs as operation counts
+(seeded streams derived, encode computes, views built per episode; the
+streams a batch seeds one by one); they time nothing.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AgentSpec, open_session
+from repro.core import agent_base as agent_base_module
+from repro.core import pipeline as pipeline_module
 from repro.embedding.cache import CachedEmbedder
 from repro.hardware import inference as inference_module
 from repro.llm import SimulatedLLM, behavior
@@ -42,7 +46,9 @@ from repro.llm.tokens import (
 from repro.suites.base import Query
 from repro.tools import executor as executor_module
 from repro.tools.schema import ToolCall, ToolParameter, ToolSpec
-from repro.utils.rng import derive_rng
+from repro.utils import rng as rng_module
+from repro.utils.hashing import stable_hash64
+from repro.utils.rng import _BULK_MIN, DEFAULT_ROOT_SEED, derive_rng, prefetched
 
 GOLD = "gold"
 NAME_POOL = (GOLD, "alpha", "beta", "gamma", "delta")
@@ -412,9 +418,10 @@ def test_argument_clip_equals_np_clip(deployment, n_params, pressure,
 # ----------------------------------------------------------------------
 def test_operation_counts_per_episode(monkeypatch):
     """Per episode: one seeded stream per LLM turn (+1 for the
-    recommender), one per accounted call, one per accepted tool call;
-    one view per presented set and no encode compute inside
-    ``execute_step`` — across steps, retries and the Level-3 fallback."""
+    recommender), one per accounted call, one per distinct accepted tool
+    call whose latency draw is not memoized yet; one view per presented
+    set and no encode compute inside ``execute_step`` — across steps,
+    retries and the Level-3 fallback."""
     session = open_session("geoengine", n_queries=100, seed=1507,
                            embedder=CachedEmbedder())
     agent = session.build_agent(AgentSpec("lis-k3", "qwen2-1.5b", "q4_0"))
@@ -470,17 +477,21 @@ def test_operation_counts_per_episode(monkeypatch):
 
     seen = Counter()
     built = set()   # the pool repeats some query texts: those hit the memo
+    executor_module._latency_factor.cache_clear()
+    drawn = set()   # accepted calls whose latency factor is memoized
     for query, plan in zip(session.suite.queries, plans):
         counts.clear()
         presented.clear()
         agent.executor.executed.clear()
         episode = agent.run_planned(query, plan)
 
-        accepted = sum(outcome.ok for outcome in agent.executor.executed)
+        accepted = {outcome.call.to_json()
+                    for outcome in agent.executor.executed if outcome.ok}
         assert counts["llm"] == counts["turns"]
         assert counts["hw-jitter"] == episode.n_llm_calls
         assert episode.n_llm_calls == counts["turns"] + len(plan.pre_usages)
-        assert counts["tool-exec"] == accepted
+        assert counts["tool-exec"] == len(accepted - drawn)
+        drawn |= accepted
         assert len(presented) <= 2
         assert counts["views"] == len(presented - built)
         # planning and the Search Levels encoded the query and every
@@ -499,3 +510,65 @@ def test_operation_counts_per_episode(monkeypatch):
     counts.clear()
     agent.plan(session.suite.queries[0])
     assert counts["llm"] == 1 and counts["turns"] == 0
+
+
+def _why_seeded_singly(stream: tuple) -> str:
+    """``retry``/``first`` for a turn's streams, else the stream kind."""
+    if stream[0] == "llm" and "attempt" in stream:
+        return "retry" if stream[-1] >= 1 else "first"
+    if stream[0] == "hw-jitter":
+        attempt = re.search(r"-s\d+-a(\d+)$", stream[1])
+        if attempt:
+            return "retry" if int(attempt.group(1)) >= 1 else "first"
+    return stream[0] if stream[0] == "tool-exec" else stream[-1]
+
+
+def test_a_batch_seeds_singly_only_retries_and_memo_misses(monkeypatch):
+    """One 32-query ``plan_batch`` + ``run_planned_many`` batch: every
+    stream it prefetched is consumed, and ``default_rng(seed)`` runs only
+    for retry attempts and ``tool-exec`` latency-memo misses."""
+    session = open_session("geoengine", n_queries=32, seed=1507,
+                           embedder=CachedEmbedder())
+    agent = session.build_agent(AgentSpec("lis-k3", "qwen2-1.5b", "q4_0"))
+    agent.executor.log_calls = True
+    executor_module._latency_factor.cache_clear()
+
+    streams = {}  # seed -> the stream parts derive_rng was asked for
+
+    def naming_derive_rng(*stream, root_seed=DEFAULT_ROOT_SEED):
+        streams[stable_hash64(root_seed, *stream)] = stream
+        return derive_rng(*stream, root_seed=root_seed)
+
+    for module in (engine_module, inference_module, executor_module):
+        monkeypatch.setattr(module, "derive_rng", naming_derive_rng)
+
+    singly = []
+    default_rng = rng_module.default_rng
+    monkeypatch.setattr(rng_module, "default_rng",
+                        lambda seed: singly.append(seed) or default_rng(seed))
+
+    prefetches = []  # (distinct names, still unconsumed at the block's end)
+
+    @contextmanager
+    def checking_prefetched(names):
+        names = list(names)
+        with prefetched(names):
+            yield
+            prefetches.append((len(set(names)),
+                               len(getattr(rng_module._prefetch, "table", None) or ())))
+
+    monkeypatch.setattr(agent_base_module, "prefetched", checking_prefetched)
+    monkeypatch.setattr(pipeline_module, "prefetched", checking_prefetched)
+
+    queries = session.suite.queries
+    agent.run_planned_many(queries, agent.plan_batch(queries))
+
+    assert len(prefetches) == 2  # the recommender's, then the episodes'
+    assert all(names >= _BULK_MIN and left == 0 for names, left in prefetches)
+    # seeds no episode stream names are an encode's few new direction rows
+    reasons = Counter(_why_seeded_singly(streams[seed]) for seed in singly
+                      if seed in streams)
+    accepted = {outcome.call.to_json()
+                for outcome in agent.executor.executed if outcome.ok}
+    assert reasons == {"retry": reasons["retry"], "tool-exec": len(accepted)}
+    assert reasons["retry"] > 0

@@ -13,6 +13,8 @@ performance transform.  Three layers are pinned down —
 from __future__ import annotations
 
 import asyncio
+import json
+import sys
 import threading
 
 import numpy as np
@@ -20,14 +22,23 @@ import pytest
 
 from repro import open_session
 from asgi_client import ASGITestClient
+from repro.core import agent_base as agent_base_module
+from repro.core import pipeline as pipeline_module
 from repro.core.episode import EpisodeResult
 from repro.embedding import cache as cache_module
 from repro.embedding.cache import CachedEmbedder
+from repro.engines.testing import (
+    MockOpenAIApp,
+    MockOpenAIServer,
+    content_message,
+    tool_call_message,
+)
 from repro.evaluation.runner import ExperimentRunner
 from repro.serving import Gateway, SessionManager
 from repro.serving.http import create_app
-from repro.specs import ServingSpec
+from repro.specs import EngineSpec, ServingSpec
 from repro.suites import load_suite
+from repro.utils.rng import _BULK_MIN, prefetched
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
 
@@ -391,3 +402,129 @@ def test_served_results_independent_of_batch_composition(suite):
     crowded = asyncio.run(serve(
         suite.queries[:10], ServingSpec(max_batch_size=10)))
     assert alone[target.qid] == crowded[target.qid]
+
+
+# ----------------------------------------------------------------------
+# bulk-seeded streams (repro.utils.rng.prefetched) change no bits
+# ----------------------------------------------------------------------
+@pytest.fixture
+def prefetches(monkeypatch):
+    """Every ``prefetched`` call the agents make, as its list of names."""
+    calls = []
+
+    def recording(names):
+        names = list(names)
+        calls.append(names)
+        return prefetched(names)
+
+    monkeypatch.setattr(agent_base_module, "prefetched", recording)
+    monkeypatch.setattr(pipeline_module, "prefetched", recording)
+    return calls
+
+
+def _sequential(suite, scheme, queries, **kwargs):
+    agent = ExperimentRunner(suite, embedder=CachedEmbedder()).make_agent(
+        scheme, MODEL, QUANT, **kwargs)
+    return [agent.run(query) for query in queries]
+
+
+def test_bulk_seeded_micro_batch_equals_sequential_run(prefetches):
+    """One micro-batch above the bulk-seeding threshold, holding one qid
+    twice under two schemes (ToolLLM accounts several pre-calls on one
+    stream), serves what ``agent.run`` returns."""
+    suite = load_suite("geoengine", n_queries=24)
+    queries = suite.queries[:20] + suite.queries[:1]
+    schemes = {"lis-k3": {}, "toolllm": {"enforce_memory": False}}
+
+    async def serve():
+        sessions = SessionManager(embedder=CachedEmbedder())
+        sessions.register("t", suite)
+        config = ServingSpec(default_scheme="lis-k3", default_model=MODEL,
+                             default_quant=QUANT, max_batch_size=64)
+        async with Gateway(sessions, config=config) as gateway:
+            entered, release = _hold_batch_worker(gateway, "t")
+            first = asyncio.ensure_future(
+                gateway.submit("t", suite.queries[-1]))
+            await _await_event(entered)
+            queued = [asyncio.ensure_future(gateway.submit("t", query, scheme))
+                      for scheme in schemes for query in queries]
+            while gateway.scheduler.pending < len(queued):
+                await asyncio.sleep(0.001)
+            release.set()
+            await first
+            return await asyncio.gather(*queued)
+
+    responses = asyncio.run(serve())
+    assert {response.batch_size for response in responses} == {len(responses)}
+    assert sum(len(set(names)) >= _BULK_MIN for names in prefetches) >= 3
+    for scheme, kwargs in schemes.items():
+        served = [response.episode for response in responses
+                  if response.episode.scheme == _scheme_label(scheme)]
+        assert served == _sequential(suite, scheme, queries, **kwargs)
+
+
+def _scheme_label(scheme: str) -> str:
+    return "lis" if scheme.startswith("lis") else scheme
+
+
+def test_concurrent_run_planned_many_on_one_agent_equals_sequential():
+    """Four threads (more than the cores) executing bulk-seeded batches on
+    one agent at once each get the sequential episodes: the prefetch table
+    is per thread."""
+    suite = load_suite("geoengine", n_queries=48)
+    agent = ExperimentRunner(suite, embedder=CachedEmbedder()).make_agent(
+        "lis-k3", MODEL, QUANT)
+    parts = [suite.queries[start:start + 12] for start in range(0, 48, 12)]
+    plans = [agent.plan_batch(part) for part in parts]
+    start = threading.Barrier(len(parts))
+    served = [None] * len(parts)
+
+    def execute(index):
+        start.wait(timeout=60)
+        served[index] = [agent.run_planned_many(parts[index], plans[index])
+                         for _ in range(3)]
+
+    threads = [threading.Thread(target=execute, args=(index,))
+               for index in range(len(parts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for part, runs in zip(parts, served):
+        expected = _sequential(suite, "lis-k3", part)
+        assert all(run == expected for run in runs)
+
+
+def test_engine_llm_streams_are_not_prefetched(prefetches):
+    """With a wire engine (``engines/testing.py``'s mock server) only the
+    jitter streams are prefetched — the engine draws no ``llm`` stream —
+    and the batch equals ``agent.run``."""
+
+    def reply_fn(payload):
+        prompt = payload["messages"][-1]["content"]
+        tools = payload.get("tools")
+        if not tools:
+            return content_message(json.dumps([prompt[-80:]]))
+        tool = tools[len(prompt) % len(tools)]["function"]
+        return tool_call_message(tool["name"], {})
+
+    suite = load_suite("edgehome", n_queries=16)
+    with MockOpenAIServer(MockOpenAIApp(reply_fn=reply_fn)) as server:
+        engine = EngineSpec(name="openai_http", base_url=server.base_url)
+        agent = ExperimentRunner(suite, embedder=CachedEmbedder(),
+                                 engine=engine).make_agent(
+            "lis-k3", MODEL, QUANT)
+        batched = agent.run_planned_many(suite.queries,
+                                         agent.plan_batch(suite.queries))
+        sequential = [agent.run(query) for query in suite.queries]
+
+    assert batched == sequential
+    names = [name for call in prefetches for name in call]
+    assert len(names) >= _BULK_MIN
+    assert {name[1] for name in names} == {"hw-jitter"}
