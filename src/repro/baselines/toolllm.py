@@ -34,6 +34,8 @@ from repro.core.agent_base import (
 )
 from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.hardware.memory import fits_on_device, footprint_gb
+from repro.llm.responses import TokenUsage
+from repro.llm.tokens import estimate_tokens
 from repro.suites.base import Query
 
 
@@ -124,9 +126,6 @@ class ToolLLMAgent(FunctionCallingAgent):
             group_vec = self.embedder.encode_one(group_text)
             scores.append(float(np.dot(query_vec, group_vec)))
             # one short LLM call per expanded node
-            from repro.llm.responses import TokenUsage
-            from repro.llm.tokens import estimate_tokens
-
             pre_usages.append(TokenUsage(
                 prompt_tokens=220 + estimate_tokens(group_text) // 2,
                 completion_tokens=24,

@@ -129,9 +129,9 @@ class FunctionCallingAgent:
             quant=self.llm.quant.name,
             selected_level=plan.level,
         )
-        for usage in plan.pre_usages:
+        for index, usage in enumerate(plan.pre_usages):
             self._account(usage, plan.context_window, session, result,
-                          self._jitter_stream(query.qid))
+                          self._jitter_stream(query.qid, pre=index))
 
         tools = plan.tools
         window = plan.context_window
@@ -168,12 +168,14 @@ class FunctionCallingAgent:
         The serial loop the gateway's batch worker runs after
         ``plan_batch``, one planned group at a time, every episode on
         ``device`` (see :meth:`run_planned`), certain streams seeded in bulk
-        (not when their bound, ``2 * n_steps + 1`` a query, is too few).
+        (not when their bound, ``2 * n_steps`` a query plus its pre-calls,
+        is too few).
         """
         if len(queries) != len(plans):
             raise ValueError(
                 f"{len(queries)} queries but {len(plans)} plans")
-        few = sum(2 * query.n_steps + 1 for query in queries) < _BULK_MIN
+        few = sum(2 * query.n_steps + len(plan.pre_usages)
+                  for query, plan in zip(queries, plans)) < _BULK_MIN
         with prefetched(() if few else self._certain_streams(queries, plans)):
             return [self.run_planned(query, plan, device)
                     for query, plan in zip(queries, plans)]
@@ -182,8 +184,9 @@ class FunctionCallingAgent:
         """Streams every episode draws: pre-calls' jitter, each first turn's two."""
         simulated = isinstance(self.llm, SimulatedLLM)
         for query, plan in zip(queries, plans):
-            if plan.pre_usages:
-                yield (DEFAULT_ROOT_SEED, "hw-jitter", self._jitter_stream(query.qid))
+            for index in range(len(plan.pre_usages)):
+                yield (DEFAULT_ROOT_SEED, "hw-jitter",
+                       self._jitter_stream(query.qid, pre=index))
             for step in range(query.n_steps):
                 if simulated:
                     yield self.llm.stream_name(query.qid, "step", step, "attempt", 0)
@@ -253,9 +256,14 @@ class FunctionCallingAgent:
                       self._jitter_stream(query.qid, step_index, attempt))
         return turn
 
-    def _jitter_stream(self, qid: str, step: int | None = None, attempt: int = 0) -> str:
-        """``hw-jitter`` stream of the pre-calls (no ``step``) or a turn."""
-        suffix = "pre" if step is None else f"s{step}-a{attempt}"
+    def _jitter_stream(self, qid: str, step: int | None = None, attempt: int = 0,
+                       pre: int = 0) -> str:
+        """``hw-jitter`` stream of pre-call ``pre`` (no ``step``) or a turn.
+
+        Pre-call 0 is ``pre`` and pre-call *i* is ``pre{i}``, so a
+        one-pre-call plan (Less-is-More's recommender) keeps its name.
+        """
+        suffix = f"pre{pre or ''}" if step is None else f"s{step}-a{attempt}"
         return f"{self.scheme}-{self.llm.name}-{qid}-{suffix}"
 
     def _account(self, usage: TokenUsage, window: int,

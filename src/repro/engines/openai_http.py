@@ -12,7 +12,7 @@ message content (:func:`~repro.llm.chat.parse_tool_response`), which is
 how llama.cpp models without grammar-constrained tool support answer.
 
 Transport failures (connection refused, socket timeout, 5xx/429) retry
-``spec.retries`` times with exponential backoff before raising an
+:data:`RETRIES` times with exponential backoff before raising an
 :class:`~repro.engines.base.EngineError` that names the endpoint, the
 attempt count and the last error.  Malformed *successful* replies raise
 :class:`~repro.engines.base.EngineProtocolError` immediately — a
@@ -43,6 +43,15 @@ from repro.tools.schema import ToolCall, ToolSpec
 #: response statuses worth retrying: transient server trouble and
 #: rate-limit pushback; any other 4xx is the client's bug and fails fast
 RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+#: socket timeout of one attempt, in seconds
+TIMEOUT_S = 30.0
+#: attempts after the first; the n-th retry waits RETRY_BACKOFF_MS *
+#: 2**(n-1) first
+RETRIES = 2
+RETRY_BACKOFF_MS = 100.0
+#: sampling sent with every request: greedy, with room for one tool call
+MAX_TOKENS = 512
+TEMPERATURE = 0.0
 
 
 def _messages_from_transcript(transcript) -> list[dict]:
@@ -87,18 +96,17 @@ class OpenAIHttpEngine:
         if self.spec.api_key:
             headers["Authorization"] = f"Bearer {self.spec.api_key}"
         with HTTPConnection(self.host, self.port,
-                            timeout_s=self.spec.timeout_s) as conn:
+                            timeout_s=TIMEOUT_S) as conn:
             return conn.post(f"{self.prefix}/chat/completions", payload,
                              headers=headers)
 
     def _request(self, payload: dict) -> dict:
         """POST with the retry budget; return the decoded JSON body."""
-        attempts = self.spec.retries + 1
+        attempts = RETRIES + 1
         last_error: str | None = None
         for attempt in range(attempts):
             if attempt:
-                self._sleep(self.spec.retry_backoff_ms / 1000.0
-                            * 2.0 ** (attempt - 1))
+                self._sleep(RETRY_BACKOFF_MS / 1000.0 * 2.0 ** (attempt - 1))
             try:
                 response = self._post(payload)
             except (OSError, http.client.HTTPException) as exc:
@@ -121,7 +129,7 @@ class OpenAIHttpEngine:
                     f"{exc}") from None
         raise EngineError(
             f"engine at {self.endpoint} failed after {attempts} attempt(s) "
-            f"(timeout_s={self.spec.timeout_s}, retries={self.spec.retries}); "
+            f"(timeout_s={TIMEOUT_S}, retries={RETRIES}); "
             f"last error: {last_error}")
 
     # ------------------------------------------------------------------
@@ -132,8 +140,8 @@ class OpenAIHttpEngine:
         payload = {
             "model": self.wire_model,
             "messages": messages,
-            "temperature": self.spec.temperature,
-            "max_tokens": self.spec.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }
         if tools:
             payload["tools"] = [tool.to_json_schema() for tool in tools]

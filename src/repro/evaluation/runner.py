@@ -90,8 +90,8 @@ class ExperimentRunner:
             episodes=episodes, summary=summarize(episodes),
         )
 
-    def run_grid(self, schemes: list[str], models: list[str], quants: list[str],
-                 n_queries: int | None = None) -> dict[tuple[str, str, str], EvaluationRun]:
+    def run_grid(self, schemes: list[str], models: list[str],
+                 quants: list[str]) -> dict[tuple[str, str, str], EvaluationRun]:
         """Run the full scheme x model x quant grid, cell by cell.
 
         The model-independent offline state — Search Levels and the
@@ -105,6 +105,6 @@ class ExperimentRunner:
         """
         _ = self.levels
         self.embedder.encode(self.suite.catalog.descriptions())
-        runs = [self.run(scheme, model, quant, n_queries=n_queries)
+        runs = [self.run(scheme, model, quant)
                 for model in models for quant in quants for scheme in schemes]
         return {run.key: run for run in runs}

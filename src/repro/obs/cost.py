@@ -126,5 +126,4 @@ def plan_tool_tokens(plan) -> int:
     """
     from repro.llm.tokens import tool_prompt_tokens
 
-    tools = getattr(plan, "tools", None) or ()
-    return sum(tool_prompt_tokens(tool) for tool in tools)
+    return sum(tool_prompt_tokens(tool) for tool in plan.tools)

@@ -160,7 +160,7 @@ def read_jsonl_spans(path: str) -> list[dict]:
 
 @register_trace_sink("memory")
 def _memory_sink(obs) -> MemorySink:
-    return MemorySink(capacity=obs.ring_capacity)
+    return MemorySink()
 
 
 @register_trace_sink("jsonl")

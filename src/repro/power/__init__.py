@@ -13,7 +13,7 @@ gateway's admission path (:mod:`repro.serving.gateway`).
   gCO₂) per request/tenant.
 * :mod:`repro.power.budget` — the serving ladder (:data:`RUNGS`) and
   its one controller, the :class:`BudgetController`, stepping tenants down
-  it on a rolling joule/gCO₂ budget and the simulated board down power
+  it on a rolling joule budget and the simulated board down power
   modes while grid intensity is high.
 """
 

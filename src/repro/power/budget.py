@@ -5,11 +5,11 @@ CarbonCall's (arXiv 2504.20348) closed loop: the
 
 ``full`` → reduced-``k`` scheme → ``shed``
 
-on a *power/carbon budget* — a rolling joules-per-request or
-gCO₂-per-request cap read from the :class:`~repro.power.meter.EnergyMeter`
-— and additionally steps the simulated board down nvpmodel power modes
-(MAXN → 30W → 15W) while the grid's carbon intensity is high, climbing
-back with hysteresis once it clears.  The mode lives on the meter; the
+on a *power budget* — a rolling joules-per-request cap read from the
+:class:`~repro.power.meter.EnergyMeter` — and additionally steps the
+simulated board down nvpmodel power modes (MAXN → 30W → 15W) while
+the grid's carbon intensity is high, climbing back with hysteresis once
+it clears.  The mode lives on the meter; the
 gateway runs each batch's episodes on that mode's device, so a step
 changes the latency and joules of every episode served after it.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.hardware.power_modes import POWER_MODES
-from repro.specs import BudgetSpec
+from repro.specs import RECOVERY_MARGIN, BudgetSpec
 
 #: the nvpmodel ladder, fastest first
 MODE_LADDER = tuple(POWER_MODES)
@@ -80,8 +80,7 @@ class BudgetController:
         t_s = self.meter.now() if now_s is None else now_s
         intensity = self.signal.intensity(t_s)
         self._tick_power_mode(intensity)
-        if (self.spec.energy_budget_j is not None
-                or self.spec.carbon_budget_g is not None):
+        if self.spec.energy_budget_j is not None:
             for session in self.sessions:
                 self._tick_tenant(session)
 
@@ -145,18 +144,8 @@ class BudgetController:
         fresh = stats.total_requests - session.settle_mark
         if fresh < min(spec.effective_settle_requests, spec.window_requests):
             return  # the window hasn't refilled since the last move
-        over = False
-        under = True
-        if spec.energy_budget_j is not None:
-            over = over or stats.mean_energy_j > spec.energy_budget_j
-            under = under and (stats.mean_energy_j
-                               <= spec.energy_budget_j
-                               * spec.recovery_margin)
-        if spec.carbon_budget_g is not None:
-            over = over or stats.mean_carbon_g > spec.carbon_budget_g
-            under = under and (stats.mean_carbon_g
-                               <= spec.carbon_budget_g
-                               * spec.recovery_margin)
+        over = stats.mean_energy_j > spec.energy_budget_j
+        under = stats.mean_energy_j <= spec.energy_budget_j * RECOVERY_MARGIN
         if over:
             session.clear_streak = 0
             self._step(session, +1)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 # to simulate_inference and looks this one up with vars(module)
 from repro.hardware.inference import simulate_inference  # noqa: F401
 from repro.hardware.power_modes import POWER_MODES
+from repro.specs import BudgetSpec
 
 #: joules per kWh (converts attributed energy to grid-intensity units)
 J_PER_KWH = 3.6e6
@@ -75,7 +76,8 @@ class EnergyMeter:
     ``Telemetry`` (``record_energy``), the one ledger ``/metrics`` reads.
     """
 
-    def __init__(self, signal=None, clock=None, window_requests: int = 32):
+    def __init__(self, signal=None, clock=None,
+                 window_requests: int = BudgetSpec.window_requests):
         from repro.power.signals import StaticSignal
 
         if window_requests < 1:

@@ -159,8 +159,8 @@ SUITES = Registry("suite", builtin_modules=("repro.suites",))
 
 #: catalog name -> zero-arg builder returning a
 #: :class:`~repro.tools.catalog.ToolCatalog` (full variant).  Resolve via
-#: :func:`repro.tools.catalog.load_catalog`, which also applies subsets
-#: and description variants.
+#: :func:`repro.tools.catalog.load_catalog`, which also applies
+#: description variants.
 CATALOGS = Registry("catalog", builtin_modules=(
     "repro.suites.bfcl_catalog", "repro.suites.geoengine_catalog",
     "repro.suites.edgehome", "repro.suites.browser"),
@@ -354,8 +354,8 @@ def build_scheme(name: str, model: str, quant: str,
     """Construct the agent for ``name`` through the scheme registry.
 
     A parameter implied by the scheme name (``lis-k5`` → ``k=5``) and an
-    explicit kwarg must agree — a silent override would let an
-    ``AgentSpec(scheme="lis-k3", k=5)`` run with ``k=5`` while every
+    explicit kwarg must agree — a silent override would let a
+    ``session.build_agent("lis-k3", k=5)`` run with ``k=5`` while every
     report labels it ``lis-k3``.
     """
     factory, implied = resolve_scheme(name)

@@ -30,7 +30,7 @@ from repro.serving.batcher import BatchScheduler, PendingRequest
 from repro.serving.faults import InjectedFaultError, as_injector
 from repro.serving.session import SessionManager, TenantSession
 from repro.serving.telemetry import Telemetry
-from repro.specs import ServingSpec
+from repro.specs import BudgetSpec, ServingSpec
 from repro.suites.base import Query
 
 
@@ -48,7 +48,7 @@ class TenantShedError(RuntimeError):
     """The tenant is shed by the budget controller; retry later.
 
     The final rung of the CarbonCall ladder: a tenant that stays over its
-    energy or carbon budget has its requests rejected at admission
+    energy budget has its requests rejected at admission
     (cheapest possible failure) until probation steps it back up.
     """
 
@@ -190,7 +190,8 @@ class Gateway:
         budget = self.config.budget
         self.power_meter = EnergyMeter(
             signal=build_signal(budget),
-            window_requests=budget.window_requests if budget is not None else 32)
+            window_requests=(budget.window_requests if budget is not None
+                             else BudgetSpec.window_requests))
         self.budget = None  # controller, built in start() when enabled
         self._budget_task: asyncio.Task | None = None
 
@@ -361,7 +362,7 @@ class Gateway:
         return self.power_meter.power_mode
 
     def budget_status(self, tenant: str) -> dict:
-        """The tenant's rolling energy/carbon window plus any budgets."""
+        """The tenant's rolling energy/carbon window plus its energy budget."""
         stats = self.power_meter.window_stats(self.sessions.get(tenant))
         status = {
             "window_requests": stats.requests,
@@ -372,7 +373,6 @@ class Gateway:
         }
         if self.config.budget is not None:
             status["energy_budget_j"] = self.config.budget.energy_budget_j
-            status["carbon_budget_g"] = self.config.budget.carbon_budget_g
         return status
 
     def is_shed(self, tenant: str) -> bool:
@@ -412,7 +412,7 @@ class Gateway:
         ``catalog`` may be a ready
         :class:`~repro.tools.catalog.ToolCatalog`, a registered catalog
         name (resolved through :data:`repro.registry.CATALOGS`), or a
-        :class:`~repro.specs.CatalogSpec` (name + variant + subset).
+        :class:`~repro.specs.CatalogSpec` (name + variant).
 
         The tenant's Search Levels are re-indexed and its default agent
         cell warmed against the new catalog *before* the atomic swap, so
@@ -546,17 +546,16 @@ class Gateway:
                     raise
                 for span in execute_spans:
                     tracer.end_span(span)
-                variant = getattr(session.suite.catalog, "variant", "full")
+                variant = session.suite.catalog.variant
                 for plan, position, episode in zip(plans, positions, episodes):
                     request = batch[position]
                     self.costs_ledger.record(CostRecord(
                         tenant=tenant,
                         variant=variant,
                         tool_prompt_tokens=plan_tool_tokens(plan),
-                        prompt_tokens=getattr(episode, "prompt_tokens", 0),
-                        completion_tokens=getattr(
-                            episode, "completion_tokens", 0),
-                        llm_calls=getattr(episode, "n_llm_calls", 0),
+                        prompt_tokens=episode.prompt_tokens,
+                        completion_tokens=episode.completion_tokens,
+                        llm_calls=episode.n_llm_calls,
                         catalog_version=catalog_version,
                     ))
                     energy = self.power_meter.record(session, episode)

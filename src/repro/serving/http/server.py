@@ -27,6 +27,9 @@ from repro.specs import HttpSpec
 #: bound on request head (request line + headers) and body sizes
 MAX_HEAD_BYTES = 64 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: listen-socket accept queue: connections beyond it are refused by the
+#: kernel before they reach the gateway's own admission control
+BACKLOG = 128
 
 
 class _BadRequest(Exception):
@@ -58,7 +61,7 @@ class AsgiServer:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.http.host,
-            port=self.http.port, backlog=self.http.backlog)
+            port=self.http.port, backlog=BACKLOG)
 
     async def stop(self) -> None:
         if self._server is None:
@@ -248,4 +251,4 @@ def run_uvicorn(app, http: HttpSpec) -> None:
             "uvicorn is not installed; run without --uvicorn to use the "
             "builtin asyncio server") from None
     uvicorn.run(app, host=http.host, port=http.port,
-                backlog=http.backlog, log_level="info")
+                backlog=BACKLOG, log_level="info")

@@ -156,8 +156,7 @@ class Session:
                 "no GridSpec: pass one to run_grid or put one in the "
                 "session's ExperimentSpec")
         return self.runner.run_grid(
-            list(grid.schemes), list(grid.models), list(grid.quants),
-            n_queries=grid.n_queries)
+            list(grid.schemes), list(grid.models), list(grid.quants))
 
     def serve(self, serving: "ServingSpec | None" = None) -> "Gateway":
         """Wire the serving gateway this spec describes (unstarted).
@@ -179,16 +178,10 @@ class Session:
         sessions = SessionManager(embedder=self.embedder)
         if serving.tenants:
             for tenant in serving.tenants:
-                # the tenant's CatalogSpec override (variant / subset /
-                # replacement pool) is applied declaratively at load time;
-                # a tenant-level engine wins over the serving default
-                engine = (tenant.engine if tenant.engine is not None
-                          else serving.default_engine)
-                sessions.register(tenant.name, tenant.effective_suite().load(),
-                                  engine=engine)
+                sessions.register(tenant.name, tenant.suite.load(),
+                                  engine=tenant.engine)
         else:
-            sessions.register(self.suite.name, self.suite,
-                              engine=serving.default_engine)
+            sessions.register(self.suite.name, self.suite)
         return Gateway(sessions, config=serving)
 
 

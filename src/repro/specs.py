@@ -150,7 +150,8 @@ class EngineSpec(_SpecBase):
     name sent on the wire when it differs from the repo's model id.
 
     The spec holds only plain data; the engine opens a fresh connection
-    per request from it.
+    per request from it.  Timeouts, retries and sampling are the
+    constants of :mod:`repro.engines.openai_http`.
     """
 
     name: str = _field("simulated", "registered LLM engine: simulated (the "
@@ -161,11 +162,6 @@ class EngineSpec(_SpecBase):
               "selects openai_http)")
     wire_model: str | None = None
     api_key: str | None = None
-    timeout_s: float = 30.0
-    retries: int = 2
-    retry_backoff_ms: float = 100.0
-    max_tokens: int = 512
-    temperature: float = 0.0
 
     def __post_init__(self):
         from repro.registry import ENGINES
@@ -175,9 +171,6 @@ class EngineSpec(_SpecBase):
         _require(self.name != "openai_http" or bool(self.base_url),
                  "EngineSpec(name='openai_http') requires base_url "
                  "(e.g. 'http://127.0.0.1:8080/v1')")
-        _require_min(self, 0, "timeout_s", strict=True)
-        _require_min(self, 0, "retries", "retry_backoff_ms", "temperature")
-        _require_min(self, 1, "max_tokens")
 
 
 @dataclass(frozen=True)
@@ -187,14 +180,12 @@ class CatalogSpec(_SpecBase):
     ``name`` resolves through the catalog registry
     (:data:`repro.registry.CATALOGS`).  ``variant`` selects the per-tool
     description variant (``full`` | ``compressed`` | ``minimal`` — the
-    paper's description-length lever); ``include`` optionally subsets to
-    the named tools, preserving the catalog's registration order.
+    paper's description-length lever).
     """
 
     name: str = _field(MISSING, "registered catalog name")
     variant: str = _field("full", "description variant: full, compressed "
                                   "or minimal")
-    include: tuple[str, ...] | None = None
 
     def __post_init__(self):
         from repro.registry import CATALOGS
@@ -204,18 +195,12 @@ class CatalogSpec(_SpecBase):
         _require(self.variant in CATALOG_VARIANTS,
                  f"CatalogSpec.variant must be one of "
                  f"{', '.join(CATALOG_VARIANTS)}, got {self.variant!r}")
-        if self.include is not None:
-            object.__setattr__(self, "include", _as_tuple(self.include))
-            _require(bool(self.include),
-                     "CatalogSpec.include must name at least one tool "
-                     "(or be None for the whole catalog)")
 
     def load(self):
         """Build the :class:`~repro.tools.catalog.ToolCatalog`."""
         from repro.tools.catalog import load_catalog
 
-        return load_catalog(self.name, variant=self.variant,
-                            include=self.include)
+        return load_catalog(self.name, variant=self.variant)
 
 
 @dataclass(frozen=True)
@@ -263,48 +248,41 @@ class AgentSpec(_SpecBase):
 
     ``scheme`` resolves through the scheme registry — ``default``,
     ``gorilla``, ``toolllm``, ``lis`` and the parameterized
-    ``lis-k<N>`` forms out of the box.  The optional knobs are forwarded
-    to the scheme factory only when set, so a spec carrying just
-    ``(scheme, model, quant)`` builds every scheme with its own
-    defaults; knobs a scheme does not accept raise its constructor's
-    ``TypeError``.
+    ``lis-k<N>`` forms out of the box (the scheme name is the one way to
+    say k).  The optional knobs are forwarded to the scheme factory only
+    when set, so a spec carrying just ``(scheme, model, quant)`` builds
+    every scheme with its own defaults; knobs a scheme does not accept
+    raise its constructor's ``TypeError``.
     """
 
     scheme: str = _field("lis-k3", "registered scheme: default, gorilla, "
                                    "toolllm, lis or lis-k<N>")
     model: str = _field("llama3.1-8b", "model id")
     quant: str = _field("q4_K_M", "weight quantization, e.g. q8_0")
-    k: int | None = None
     confidence_threshold: float | None = None
     force_level: int | None = None
-    context_window: int | None = None
     engine: EngineSpec | None = None
 
     def __post_init__(self):
         _require_name(self, "scheme", "model", "quant")
         _coerce(self, "engine", EngineSpec)
-        _require_min(self, 1, "k")
         _require(self.force_level is None or self.force_level in (1, 2, 3),
                  f"AgentSpec.force_level must be 1, 2 or 3, got {self.force_level}")
-        _require_min(self, 1024, "context_window")
 
     def agent_kwargs(self) -> dict:
         """The scheme-factory kwargs this spec pins (unset knobs omitted)."""
-        kwargs = {}
-        for name in ("k", "confidence_threshold", "force_level", "context_window"):
-            value = getattr(self, name)
-            if value is not None:
-                kwargs[name] = value
-        return kwargs
+        return {name: getattr(self, name)
+                for name in ("confidence_threshold", "force_level")
+                if getattr(self, name) is not None}
 
 
 @dataclass(frozen=True)
 class GridSpec(_SpecBase):
-    """A scheme x model x quant sweep.
+    """A scheme x model x quant sweep over the session's suite.
 
     Axis fields accept any iterable of names (or a comma-separated
     string) and normalize to tuples so the spec stays hashable and
-    picklable.
+    picklable.  The query pool is the suite's (``SuiteSpec.n_queries``).
     """
 
     schemes: tuple[str, ...] = _field(("default", "gorilla", "lis-k3"),
@@ -313,43 +291,31 @@ class GridSpec(_SpecBase):
                                      "comma-separated model ids")
     quants: tuple[str, ...] = _field(("q4_K_M",),
                                      "comma-separated quantizations")
-    n_queries: int | None = None
 
     def __post_init__(self):
         for axis in ("schemes", "models", "quants"):
             object.__setattr__(self, axis, _as_tuple(getattr(self, axis)))
             _require(bool(getattr(self, axis)),
                      f"GridSpec.{axis} must name at least one entry")
-        _require_min(self, 1, "n_queries")
 
 
 @dataclass(frozen=True)
 class TenantSpec(_SpecBase):
-    """One serving tenant: a name bound to a suite and its tool catalog.
+    """One serving tenant: a name bound to a suite and its LLM engine.
 
-    ``catalog`` overrides the suite's own catalog spec for this tenant —
-    the declarative form of per-tenant tooling (e.g. one tenant on the
-    ``compressed`` variant while another serves ``full``); it is also
-    the baseline :meth:`~repro.serving.gateway.Gateway.update_catalog`
-    hot-swaps away from.
+    Per-tenant tooling (e.g. one tenant on the ``compressed`` variant
+    while another serves ``full``) is the suite's ``catalog``;
+    ``engine=None`` is the simulated engine.
     """
 
     name: str
     suite: SuiteSpec
-    catalog: CatalogSpec | None = None
     engine: EngineSpec | None = None
 
     def __post_init__(self):
         _require_name(self, "name")
         _coerce(self, "suite", SuiteSpec, required=True)
-        _coerce(self, "catalog", CatalogSpec)
         _coerce(self, "engine", EngineSpec)
-
-    def effective_suite(self) -> SuiteSpec:
-        """The suite spec with this tenant's catalog override applied."""
-        if self.catalog is None:
-            return self.suite
-        return self.suite.replace(catalog=self.catalog)
 
 
 @dataclass(frozen=True)
@@ -358,7 +324,7 @@ class ObsSpec(_SpecBase):
 
     ``sink`` names a registered trace sink
     (:data:`repro.registry.TRACE_SINKS`): ``memory`` retains the last
-    ``ring_capacity`` spans queryable by trace id, ``jsonl`` streams one
+    2048 spans queryable by trace id, ``jsonl`` streams one
     JSON span per line to ``sink_path``, ``null`` discards spans (for
     measuring tracer overhead).  ``sample_rate`` selects the fraction of
     requests traced; the decision is derived from the deterministic
@@ -371,7 +337,6 @@ class ObsSpec(_SpecBase):
     sink_path: str | None = None
     sample_rate: float = 1.0
     slow_span_ms: float | None = None
-    ring_capacity: int = 2048
 
     def __post_init__(self):
         from repro.registry import TRACE_SINKS
@@ -382,7 +347,6 @@ class ObsSpec(_SpecBase):
                  f"ObsSpec.sample_rate must be in [0, 1], "
                  f"got {self.sample_rate}")
         _require_min(self, 0, "slow_span_ms", strict=True)
-        _require_min(self, 1, "ring_capacity")
         _require(self.sink != "jsonl" or bool(self.sink_path),
                  "ObsSpec(sink='jsonl') requires sink_path to name the "
                  "output file")
@@ -396,25 +360,30 @@ class ObsSpec(_SpecBase):
 POWER_MODE_NAMES = ("MAXN", "30W", "15W")
 
 
+#: the hysteresis band: a tenant climbs back a rung only with its rolling
+#: mean under ``energy_budget_j * RECOVERY_MARGIN``, and the board a mode
+#: only with the grid under ``intensity_high * RECOVERY_MARGIN`` (unless
+#: ``intensity_low`` is set), so a tenant hovering at its cap never flaps
+RECOVERY_MARGIN = 0.8
+
+
 @dataclass(frozen=True)
 class BudgetSpec(_SpecBase):
-    """Carbon/power budget: the knobs of the gateway's budget loop.
+    """Energy/power budget: the knobs of the gateway's budget loop.
 
     Threading this through :class:`ServingSpec` makes the gateway build
     an :class:`~repro.power.budget.BudgetController`, which reads this
-    spec directly: tenants whose rolling mean joules or gCO₂ per request
-    exceed the budget step down the serving ladder, and while the
-    grid's carbon intensity is high the simulated board steps down
-    nvpmodel power modes (MAXN → 30W → 15W), both climbing back with
-    hysteresis.  Budget windows count requests (the last
+    spec directly: tenants whose rolling mean joules per request exceed
+    the budget step down the serving ladder, and while the grid's carbon
+    intensity is high the simulated board steps down nvpmodel power
+    modes (MAXN → 30W → 15W), both climbing back with hysteresis
+    (:data:`RECOVERY_MARGIN`).  gCO₂ is attributed and exported, never
+    budgeted.  Budget windows count requests (the last
     ``window_requests`` attributed per tenant), not seconds, so the
     whole loop is drivable deterministically without a clock.
 
     Parameters
     ----------
-    carbon_budget_g:
-        Rolling-mean gCO₂ per request cap; ``None`` disables it.  At
-        least one of the two budgets or ``intensity_high`` must be set.
     window_requests:
         How many recent requests the rolling means cover.
     settle_requests:
@@ -428,10 +397,6 @@ class BudgetSpec(_SpecBase):
         Consecutive under-budget ticks required before stepping a tenant
         back up (and low-intensity ticks before stepping the power mode
         back up).
-    recovery_margin:
-        Recovery additionally requires the rolling mean below
-        ``budget * recovery_margin`` — the hysteresis band that keeps a
-        tenant hovering at the cap from flapping.
     signal:
         A registered carbon signal
         (:data:`repro.registry.CARBON_SIGNALS`): ``static`` holds
@@ -441,7 +406,7 @@ class BudgetSpec(_SpecBase):
         gCO₂/kWh thresholds for the power-mode ladder: at or above
         ``intensity_high`` each tick steps the simulated board down one
         nvpmodel mode; at or below ``intensity_low`` (default
-        ``intensity_high * recovery_margin``, resolved by
+        ``intensity_high * RECOVERY_MARGIN``, resolved by
         :attr:`effective_intensity_low`) ticks count toward climbing
         back.  ``intensity_high=None`` disables mode stepping.
     min_power_mode:
@@ -458,11 +423,9 @@ class BudgetSpec(_SpecBase):
     energy_budget_j: float | None = _field(
         None, "rolling-mean joules per request a tenant may spend before it "
               "steps down a rung (unset: no energy budget)")
-    carbon_budget_g: float | None = None
     window_requests: int = 32
     settle_requests: int | None = None
     recovery_ticks: int = 3
-    recovery_margin: float = 0.8
     signal: str = "static"
     intensity_g_per_kwh: float = 400.0
     trace_path: str | None = None
@@ -475,18 +438,14 @@ class BudgetSpec(_SpecBase):
         from repro.registry import CARBON_SIGNALS
 
         _require(self.energy_budget_j is not None
-                 or self.carbon_budget_g is not None
                  or self.intensity_high is not None,
-                 "BudgetSpec needs at least one control: energy_budget_j, "
-                 "carbon_budget_g or intensity_high")
-        _require_min(self, 0, "energy_budget_j", "carbon_budget_g",
-                     "intensity_high", "interval_ms", strict=True)
+                 "BudgetSpec needs at least one control: energy_budget_j "
+                 "or intensity_high")
+        _require_min(self, 0, "energy_budget_j", "intensity_high",
+                     "interval_ms", strict=True)
         _require_min(self, 1, "window_requests", "settle_requests",
                      "recovery_ticks")
         _require_min(self, 0, "intensity_g_per_kwh")
-        _require(0.0 < self.recovery_margin <= 1.0,
-                 f"BudgetSpec.recovery_margin must be in (0, 1], "
-                 f"got {self.recovery_margin}")
         _require_registered(self, "signal", CARBON_SIGNALS)
         _require(self.signal != "trace" or bool(self.trace_path),
                  "BudgetSpec(signal='trace') requires trace_path to name "
@@ -494,8 +453,6 @@ class BudgetSpec(_SpecBase):
         _require(self.intensity_low is None
                  or self.intensity_high is not None,
                  "BudgetSpec.intensity_low requires intensity_high")
-        # the *resolved* threshold is what must leave a hysteresis band
-        # (recovery_margin=1.0 with no explicit intensity_low would not)
         _require(self.intensity_high is None
                  or 0.0 <= self.effective_intensity_low < self.intensity_high,
                  f"BudgetSpec.intensity_low must be in [0, intensity_high), "
@@ -515,7 +472,7 @@ class BudgetSpec(_SpecBase):
     def effective_intensity_low(self) -> float | None:
         if self.intensity_low is not None or self.intensity_high is None:
             return self.intensity_low
-        return self.intensity_high * self.recovery_margin
+        return self.intensity_high * RECOVERY_MARGIN
 
     @property
     def interval_s(self) -> float:
@@ -527,10 +484,7 @@ class HttpSpec(_SpecBase):
     """Where the HTTP front door listens.
 
     Tests and benches bind ``port=0`` and read the bound port back from
-    the server.  ``backlog``
-    is the listen-socket accept queue — connections beyond it are
-    refused by the kernel before they ever reach the gateway's own
-    admission control.
+    the server.
 
     The edge-hardening knobs are off by default: ``api_key`` requires
     ``Authorization: Bearer <key>`` on every endpoint except
@@ -542,7 +496,6 @@ class HttpSpec(_SpecBase):
 
     host: str = _field("127.0.0.1", "bind host")
     port: int = _field(8080, "bind port (0: an ephemeral one)")
-    backlog: int = 128
     api_key: str | None = None
     rate_limit_rps: float | None = None
     rate_limit_burst: int | None = None
@@ -551,7 +504,7 @@ class HttpSpec(_SpecBase):
         _require_name(self, "host")
         _require(0 <= self.port <= 65535,
                  f"HttpSpec.port must be in [0, 65535], got {self.port}")
-        _require_min(self, 1, "backlog", "rate_limit_burst")
+        _require_min(self, 1, "rate_limit_burst")
         if self.api_key is not None:
             _require_name(self, "api_key")
         _require_min(self, 0, "rate_limit_rps", strict=True)
@@ -597,10 +550,8 @@ class ServingSpec(_SpecBase):
     tenants:
         The :class:`TenantSpec` entries :meth:`Session.serve
         <repro.session.Session.serve>` registers (names unique).  Empty
-        serves the session's own suite as a single tenant.
-    default_engine:
-        :class:`EngineSpec` for tenants that do not pin their own;
-        ``None`` is the simulated engine.
+        serves the session's own suite as a single tenant on the
+        simulated engine.
     queue_capacity:
         Admission control — total requests allowed to wait across all
         tenants.  Submissions beyond it fail fast with
@@ -619,16 +570,16 @@ class ServingSpec(_SpecBase):
         changes served results; spans only observe.
     http:
         Bind address for the HTTP front door (:class:`HttpSpec`: host,
-        port, listen backlog), used by ``repro serve`` and
+        port and edge hardening), used by ``repro serve`` and
         :func:`repro.serving.http.serve_gateway`.  ``None`` (the
         default) means the gateway is in-process only — the ASGI app
         itself works regardless (tests call it directly).
     budget:
-        Carbon/power budget (:class:`BudgetSpec`): when set, the gateway
+        Energy/power budget (:class:`BudgetSpec`): when set, the gateway
         runs a :class:`~repro.power.budget.BudgetController` that steps
-        tenants down the serving ladder on a rolling joule/gCO₂
-        budget and the simulated board down nvpmodel power modes while
-        grid carbon intensity is high.  ``None`` (the default) disables
+        tenants down the serving ladder on a rolling joule budget and
+        the simulated board down nvpmodel power modes while grid carbon
+        intensity is high.  ``None`` (the default) disables
         budget control; per-request energy/carbon attribution through
         the :class:`~repro.power.meter.EnergyMeter` is always on.
     faults:
@@ -638,7 +589,6 @@ class ServingSpec(_SpecBase):
     """
 
     tenants: tuple[TenantSpec, ...] = ()
-    default_engine: EngineSpec | None = None
     max_batch_size: int = _field(
         32, "cap on one micro-batch: a free worker runs whatever is queued, "
             "so a batch is the backlog behind the running one")
@@ -677,7 +627,6 @@ class ServingSpec(_SpecBase):
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)
         _coerce(self, "faults", FaultPlan)
-        _coerce(self, "default_engine", EngineSpec)
 
     @property
     def timeout_s(self) -> float | None:

@@ -26,8 +26,8 @@ and load anywhere via :func:`load_catalog` — the CLI
 (``repro catalog list|show|diff``), suite builders, ``CatalogSpec`` and
 ``Gateway.update_catalog`` all resolve names through the same registry.
 
-Iteration order is registration order everywhere (``subset``
-included): prompt layouts and embedding-index row ids depend on it.
+Iteration order is registration order everywhere: prompt layouts and
+embedding-index row ids depend on it.
 """
 
 from __future__ import annotations
@@ -78,10 +78,8 @@ class ToolCatalog:
 
     Supports the whole read API agents need (lookup, iteration,
     category views, description corpus) plus the algebra the serving
-    layer builds on: :meth:`subset`, :meth:`diff`, :meth:`at` (variant
-    selection) and the :meth:`to_dict` form its :attr:`version` hashes.
-
-    ``subset`` returns a *catalog in registration order*; rank-ordered
+    layer builds on: :meth:`diff`, :meth:`at` (variant selection) and
+    the :meth:`to_dict` form its :attr:`version` hashes.  Rank-ordered
     plan assembly (a list in the given order) is :meth:`select`.
 
     ``variant`` records which description variant the held specs embody;
@@ -158,8 +156,7 @@ class ToolCatalog:
         """Resolve ``names`` to specs, preserving the *given* order.
 
         This is the plan-assembly primitive (an agent's retrieval stage
-        ranks tools, and rank order matters in the prompt); use
-        :meth:`subset` for a catalog-shaped slice in registration order.
+        ranks tools, and rank order matters in the prompt).
         """
         return [self.get(name) for name in names]
 
@@ -170,24 +167,6 @@ class ToolCatalog:
     # ------------------------------------------------------------------
     # catalog algebra
     # ------------------------------------------------------------------
-    def subset(self, names: Iterable[str], name: str | None = None) -> "ToolCatalog":
-        """A catalog holding only ``names``, in *registration* order.
-
-        Registration order (not the order of ``names``) is preserved so
-        prompt layouts and embedding-index ids stay stable no matter how
-        the subset was expressed.  Unknown names raise the same
-        suggestion-bearing KeyError as :meth:`get`.
-        """
-        wanted = set()
-        for requested in names:
-            self.get(requested)  # unknown names fail with suggestions
-            wanted.add(requested)
-        return ToolCatalog(
-            name=name if name is not None else self.name,
-            tools=tuple(tool for tool in self.tools if tool.name in wanted),
-            variant=self.variant,
-        )
-
     def diff(self, other: "ToolCatalog") -> CatalogDiff:
         """What changes going from ``self`` to ``other``.
 
@@ -248,13 +227,11 @@ class ToolCatalog:
         }
 
 
-def load_catalog(name: str, variant: str = "full",
-                 include: Iterable[str] | None = None) -> ToolCatalog:
-    """Build a registered catalog by name, optionally sliced and shrunk.
+def load_catalog(name: str, variant: str = "full") -> ToolCatalog:
+    """Build a registered catalog by name under description ``variant``.
 
-    ``include`` subsets to the given tool names (registration order is
-    preserved); ``variant`` then re-presents the descriptions.  Unknown
-    catalog names raise the registry's actionable :class:`ValueError`.
+    Unknown catalog names raise the registry's actionable
+    :class:`ValueError`.
     """
     from repro.registry import CATALOGS
 
@@ -263,8 +240,6 @@ def load_catalog(name: str, variant: str = "full",
         raise TypeError(
             f"catalog builder {name!r} returned "
             f"{type(catalog).__name__}, expected ToolCatalog")
-    if include is not None:
-        catalog = catalog.subset(include)
     return catalog.at(variant)
 
 

@@ -44,8 +44,7 @@ class TestBuildAgents:
         return open_session(suite=load_suite("bfcl", n_queries=4))
 
     def test_build_lis_with_explicit_k(self, session):
-        agent = session.build_agent(
-            AgentSpec("lis", "llama3.1-8b", "q4_0", k=5))
+        agent = session.build_agent(AgentSpec("lis-k5", "llama3.1-8b", "q4_0"))
         assert agent.scheme == "lis"
         assert agent.k == 5
 

@@ -111,6 +111,62 @@ class TestToolLLMAgent:
         # tree search spends extra LLM calls on node expansions
         assert episode.n_llm_calls > 2
 
+    def test_each_pre_call_draws_its_own_jitter(self, llm, bfcl, monkeypatch):
+        """A plan's pre-call *i* is accounted on its own ``hw-jitter``
+        stream (``pre``, then ``pre1``, ``pre2``, ...), so the tree
+        search's node expansions do not all share one jitter scale."""
+        from repro.core import agent_base
+        from repro.utils.rng import derive_rng
+
+        agent = ToolLLMAgent(llm=llm, suite=bfcl, n_branches=2,
+                             context_window=4096)
+        query = bfcl.queries[0]
+        plan = agent.plan(query)
+        assert len(plan.pre_usages) > 2
+        streams = []
+        simulate = agent_base.simulate_inference
+
+        def recording(request, device):
+            streams.append(request.jitter_stream)
+            return simulate(request, device)
+
+        monkeypatch.setattr(agent_base, "simulate_inference", recording)
+        agent.run_planned(query, plan)
+        pre = streams[:len(plan.pre_usages)]
+        prefix = f"toolllm-{llm.name}-{query.qid}-"
+        assert pre == [prefix + "pre"] + [
+            f"{prefix}pre{index}" for index in range(1, len(pre))]
+        scales = {float(derive_rng("hw-jitter", stream).standard_normal())
+                  for stream in pre}
+        assert len(scales) == len(pre)
+        # the bulk path seeds exactly those names
+        certain = [name[2] for name in agent._certain_streams([query], [plan])]
+        assert certain[:len(pre)] == pre
+
+    def test_one_pre_call_plans_keep_their_stream(self, llm, bfcl,
+                                                  monkeypatch):
+        """Pre-call 0 keeps the name every pre-call used to share: a
+        Less-is-More episode (one recommender pre-call) is bitwise what
+        the shared stream gave, a ToolLLM episode is not."""
+        from repro.core.agent_base import FunctionCallingAgent
+
+        session = open_session(suite=bfcl)
+        lis = session.build_agent(AgentSpec("lis-k3", "hermes2-pro-8b",
+                                            "q4_K_M"))
+        toolllm = ToolLLMAgent(llm=llm, suite=bfcl, n_branches=2,
+                               context_window=4096)
+        queries = bfcl.queries[:4]
+        now = {agent.scheme: [agent.run(query) for query in queries]
+               for agent in (lis, toolllm)}
+
+        def shared(self, qid, step=None, attempt=0, pre=0):
+            suffix = "pre" if step is None else f"s{step}-a{attempt}"
+            return f"{self.scheme}-{self.llm.name}-{qid}-{suffix}"
+
+        monkeypatch.setattr(FunctionCallingAgent, "_jitter_stream", shared)
+        assert [lis.run(query) for query in queries] == now["lis"]
+        assert [toolllm.run(query) for query in queries] != now["toolllm"]
+
     def test_memory_enforcement_can_be_disabled(self, llm, bfcl):
         agent = ToolLLMAgent(llm=llm, suite=bfcl, enforce_memory=False)
         episode = agent.run(bfcl.queries[0])

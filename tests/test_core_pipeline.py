@@ -73,7 +73,7 @@ class TestEpisodeStructure:
 
     def test_build_classmethod(self, bfcl):
         agent = open_session(suite=bfcl).build_agent(
-            AgentSpec("lis", "qwen2-7b", "q8_0", k=5))
+            AgentSpec("lis-k5", "qwen2-7b", "q8_0"))
         assert isinstance(agent, LessIsMoreAgent)
         assert agent.k == 5
         episode = agent.run(bfcl.queries[0])

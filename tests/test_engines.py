@@ -26,6 +26,7 @@ from repro.engines import (
     OpenAIHttpEngine,
     build_engine_llm,
 )
+from repro.engines import openai_http
 from repro.engines.testing import tool_call_message
 from repro.llm.engine import SimulatedLLM
 from repro.registry import ENGINES, register_engine
@@ -106,8 +107,7 @@ class TestEngineSpec:
 
     def test_dict_roundtrip(self):
         spec = EngineSpec(name="openai_http", base_url="http://127.0.0.1:1/v1",
-                          wire_model="qwen2.5-3b", api_key="sk-x",
-                          timeout_s=5.0, retries=4, max_tokens=128)
+                          wire_model="qwen2.5-3b", api_key="sk-x")
         assert EngineSpec.from_dict(spec.to_dict()) == spec
 
     def test_agent_spec_coerces_engine_dict_and_str(self):
@@ -123,24 +123,26 @@ class TestEngineSpec:
     @pytest.mark.parametrize("build", [
         lambda e: AgentSpec(engine=e),
         lambda e: TenantSpec(name="t", suite="edgehome", engine=e),
-        lambda e: ServingSpec(default_engine=e),
+        lambda e: ServingSpec(tenants=(
+            TenantSpec(name="t", suite="edgehome", engine=e),)),
     ])
     def test_engine_bearing_specs_pickle_roundtrip(self, build):
         engine = EngineSpec(name="openai_http",
                             base_url="http://127.0.0.1:9999/v1",
-                            retries=3)
+                            wire_model="qwen2.5-3b")
         spec = build(engine)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert clone.engine == engine if hasattr(clone, "engine") \
-            else clone.default_engine == engine
+            else clone.tenants[0].engine == engine
 
     def test_serving_spec_dict_roundtrip_with_engines(self):
         spec = ServingSpec(
             tenants=(TenantSpec(name="t", suite="edgehome",
-                                engine=EngineSpec("simulated")),),
-            default_engine=EngineSpec(
-                name="openai_http", base_url="http://127.0.0.1:9999/v1"))
+                                engine=EngineSpec("simulated")),
+                     TenantSpec(name="u", suite="edgehome", engine=EngineSpec(
+                         name="openai_http",
+                         base_url="http://127.0.0.1:9999/v1"))))
         clone = ServingSpec.from_dict(spec.to_dict())
         assert clone == spec
 
@@ -164,10 +166,15 @@ class _Response:
         return self._body
 
 
-def _engine(retries: int = 2, backoff_ms: float = 40.0) -> OpenAIHttpEngine:
-    spec = EngineSpec(name="openai_http", base_url="http://127.0.0.1:1/v1",
-                      timeout_s=0.5, retries=retries,
-                      retry_backoff_ms=backoff_ms)
+def _engine(monkeypatch=None, retries: int = 2,
+            backoff_ms: float = 40.0) -> OpenAIHttpEngine:
+    """An engine over a stub transport; with ``monkeypatch``, the
+    ``openai_http`` timeout and retry constants are set for the test."""
+    if monkeypatch is not None:
+        monkeypatch.setattr(openai_http, "TIMEOUT_S", 0.5)
+        monkeypatch.setattr(openai_http, "RETRIES", retries)
+        monkeypatch.setattr(openai_http, "RETRY_BACKOFF_MS", backoff_ms)
+    spec = EngineSpec(name="openai_http", base_url="http://127.0.0.1:1/v1")
     engine = OpenAIHttpEngine(spec, wire_model="m")
     engine._sleep = lambda s: engine.sleeps.append(s)
     engine.sleeps = []
@@ -181,8 +188,8 @@ def _completion(message: dict) -> dict:
 
 
 class TestRetryLoop:
-    def test_timeout_retries_then_actionable_error(self):
-        engine = _engine(retries=2, backoff_ms=40.0)
+    def test_timeout_retries_then_actionable_error(self, monkeypatch):
+        engine = _engine(monkeypatch, retries=2, backoff_ms=40.0)
         attempts = []
 
         def post(payload):
@@ -204,8 +211,8 @@ class TestRetryLoop:
         # exponential backoff between attempts: 40ms then 80ms
         assert engine.sleeps == [0.04, 0.08]
 
-    def test_retryable_status_then_success(self):
-        engine = _engine(retries=2)
+    def test_retryable_status_then_success(self, monkeypatch):
+        engine = _engine(monkeypatch, retries=2)
         responses = [_Response(503, {"error": "warming up"}),
                      _Response(200, _completion(tool_call_message(
                          "turn_on_light", {"room": "kitchen"})))]
@@ -215,8 +222,8 @@ class TestRetryLoop:
             ToolCall("turn_on_light", {"room": "kitchen"}),)
         assert engine.sleeps == [0.04]  # one backoff before the retry
 
-    def test_non_retryable_4xx_fails_fast(self):
-        engine = _engine(retries=5)
+    def test_non_retryable_4xx_fails_fast(self, monkeypatch):
+        engine = _engine(monkeypatch, retries=5)
         calls = []
 
         def post(payload):
@@ -229,8 +236,8 @@ class TestRetryLoop:
         assert len(calls) == 1  # no retry budget spent on a client bug
         assert engine.sleeps == []
 
-    def test_torn_response_is_retried(self):
-        engine = _engine(retries=1)
+    def test_torn_response_is_retried(self, monkeypatch):
+        engine = _engine(monkeypatch, retries=1)
 
         def post(payload):
             raise http.client.BadStatusLine("garbage")

@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engines import EngineError, OpenAIHttpEngine
+from repro.engines import EngineError, OpenAIHttpEngine, openai_http
 from repro.engines.testing import (
     MockOpenAIApp,
     MockOpenAIServer,
@@ -24,18 +24,25 @@ from repro.engines.testing import (
     tool_call_message,
 )
 from repro.session import open_session
-from repro.specs import AgentSpec, EngineSpec, ServingSpec
+from repro.specs import AgentSpec, EngineSpec, ServingSpec, SuiteSpec, \
+    TenantSpec
 from repro.suites import load_suite
 from repro.tools.schema import ToolCall
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
 
 
+@pytest.fixture(autouse=True)
+def _fast_engine(monkeypatch):
+    """Every engine here gives a silent socket 10 s and backs off 1 ms
+    between its (two) retries."""
+    monkeypatch.setattr(openai_http, "TIMEOUT_S", 10.0)
+    monkeypatch.setattr(openai_http, "RETRIES", 2)
+    monkeypatch.setattr(openai_http, "RETRY_BACKOFF_MS", 1.0)
+
+
 def _spec(base_url: str, **overrides) -> EngineSpec:
-    defaults = dict(name="openai_http", base_url=base_url,
-                    timeout_s=10.0, retries=2, retry_backoff_ms=1.0)
-    defaults.update(overrides)
-    return EngineSpec(**defaults)
+    return EngineSpec(name="openai_http", base_url=base_url, **overrides)
 
 
 def fenced_call_message(name: str, arguments: dict) -> dict:
@@ -126,19 +133,20 @@ class TestRetries:
         assert len(app.requests) == 3  # two 503s burned, third served
         assert reply.text == "[]"
 
-    def test_budget_exhausted_is_actionable(self):
+    def test_budget_exhausted_is_actionable(self, monkeypatch):
+        monkeypatch.setattr(openai_http, "RETRIES", 1)
         app = MockOpenAIApp(fail_first=99, fail_status=500)
         with MockOpenAIServer(app) as server:
-            engine = _quiet(OpenAIHttpEngine(_spec(server.base_url,
-                                                   retries=1)))
+            engine = _quiet(OpenAIHttpEngine(_spec(server.base_url)))
             with pytest.raises(EngineError, match="2 attempt"):
                 engine.generate([{"role": "user", "content": "hi"}], tools=[])
         assert len(app.requests) == 2
 
-    def test_connection_refused_retries_then_fails(self):
+    def test_connection_refused_retries_then_fails(self, monkeypatch):
         # an ephemeral port nothing listens on — pure OSError path
-        engine = _quiet(OpenAIHttpEngine(
-            _spec("http://127.0.0.1:9/v1", retries=1, timeout_s=0.5)))
+        monkeypatch.setattr(openai_http, "RETRIES", 1)
+        monkeypatch.setattr(openai_http, "TIMEOUT_S", 0.5)
+        engine = _quiet(OpenAIHttpEngine(_spec("http://127.0.0.1:9/v1")))
         with pytest.raises(EngineError, match="last error"):
             engine.generate([{"role": "user", "content": "hi"}], tools=[])
 
@@ -215,7 +223,9 @@ class TestEndToEnd:
             asked = len(app.requests)
 
             async def serve_all():
-                config = ServingSpec(default_engine=engine, max_batch_size=4)
+                config = ServingSpec(tenants=(TenantSpec(
+                    "edgehome", SuiteSpec("edgehome", n_queries=6),
+                    engine=engine),), max_batch_size=4)
                 async with session.serve(config) as gateway:
                     return await asyncio.gather(*(
                         gateway.submit("edgehome", query)

@@ -82,7 +82,7 @@ class TestExperimentRunner:
             runner.make_agent("react", "qwen2-7b", "q4_K_M")
 
     def test_run_grid_keys(self, runner):
-        grid = runner.run_grid(["default", "lis-k3"], ["qwen2-7b"], ["q4_0"], n_queries=4)
+        grid = runner.run_grid(["default", "lis-k3"], ["qwen2-7b"], ["q4_0"])
         assert set(grid) == {("default", "qwen2-7b", "q4_0"), ("lis-k3", "qwen2-7b", "q4_0")}
 
 

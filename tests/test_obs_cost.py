@@ -12,6 +12,7 @@ import asyncio
 
 import pytest
 
+from repro.core.agent_base import ToolPlan
 from repro.llm.tokens import tool_prompt_tokens
 from repro.obs import CostLedger, CostRecord, plan_tool_tokens
 from repro.serving import Gateway, SessionManager, run_load
@@ -91,16 +92,10 @@ def test_snapshot_total_equals_sum_of_tenants_under_concurrent_records():
 def test_plan_tool_tokens_matches_the_catalog_estimator():
     catalog = load_catalog("edgehome")
     tools = list(catalog)[:5]
-
-    class _Plan:
-        pass
-
-    plan = _Plan()
-    plan.tools = tools
+    plan = ToolPlan(tools=tools, context_window=8192)
     assert plan_tool_tokens(plan) == sum(
         tool_prompt_tokens(tool) for tool in tools)
-    # plans without a tool list (or with an empty one) cost zero
-    assert plan_tool_tokens(object()) == 0
+    # a plan with an empty tool list costs zero
     plan.tools = []
     assert plan_tool_tokens(plan) == 0
 

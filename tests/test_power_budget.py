@@ -43,15 +43,11 @@ def test_budget_policy_validation():
     with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=0.0)
     with pytest.raises(ValueError):
-        BudgetSpec(carbon_budget_g=-1.0)
-    with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=1.0, window_requests=0)
     with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=1.0, settle_requests=0)
     with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=1.0, recovery_ticks=0)
-    with pytest.raises(ValueError):
-        BudgetSpec(energy_budget_j=1.0, recovery_margin=1.5)
     with pytest.raises(ValueError):
         BudgetSpec(intensity_high=-10.0)
     with pytest.raises(ValueError, match="requires intensity_high"):
@@ -63,8 +59,8 @@ def test_budget_policy_validation():
     with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=1.0, interval_ms=0.0)
     with pytest.raises(ValueError, match=r"intensity_low must be in \[0"):
-        # the derived threshold (high * margin) must leave a band too
-        BudgetSpec(intensity_high=400.0, recovery_margin=1.0)
+        # an explicit threshold must leave a band too
+        BudgetSpec(intensity_high=400.0, intensity_low=400.0)
     # defaults: settle window fills, intensity_low derives from the margin
     spec = BudgetSpec(energy_budget_j=5.0, window_requests=16,
                       intensity_high=500.0)
@@ -115,7 +111,7 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
         # budget between full and reduced-k: the controller must
         # descend exactly to reduced-k and hold there (the 5% headroom
         # keeps reduced-k inside the hysteresis band, not under
-        # budget * recovery_margin, so it cannot climb back and flap)
+        # budget * RECOVERY_MARGIN, so it cannot climb back and flap)
         budget_j = means["reduced-k"] * 1.05
         assert means["full"] > budget_j
         spec = BudgetSpec(energy_budget_j=budget_j, window_requests=6,
@@ -406,7 +402,7 @@ def test_budget_status_surface():
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        spec = BudgetSpec(energy_budget_j=1e6, carbon_budget_g=1e6,
+        spec = BudgetSpec(energy_budget_j=1e6,
                           window_requests=4, interval_ms=600_000.0)
         config = ServingSpec(max_batch_size=4,
                              budget=spec)
@@ -422,7 +418,8 @@ def test_budget_status_surface():
             assert status["mean_energy_j"] == pytest.approx(
                 status["window_energy_j"] / 2)
             assert status["energy_budget_j"] == 1e6
-            assert status["carbon_budget_g"] == 1e6
+            # gCO₂ is attributed, never budgeted
+            assert "carbon_budget_g" not in status
             # a budget-less gateway still meters, but advertises no caps
             assert MODE_LADDER[0] == gateway.power_mode() == "MAXN"
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from test_tools_catalog import subset
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
@@ -167,7 +168,7 @@ def test_swap_accepts_name_and_catalog_spec(suite):
 def test_swap_rejecting_broken_catalog_leaves_tenant_running(suite):
     """A catalog that drops a gold tool fails validation; the tenant keeps
     serving the old catalog and the version does not move."""
-    broken = suite.catalog.subset(suite.catalog.names[:5])
+    broken = subset(suite.catalog, suite.catalog.names[:5])
 
     async def scenario():
         gateway = make_gateway(suite)

@@ -13,6 +13,7 @@ import dataclasses
 import threading
 
 import pytest
+from test_tools_catalog import subset
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
@@ -280,7 +281,7 @@ def test_operator_catalog_survives_a_ladder_cycle():
     referenced = {call.tool
                   for query in (*suite.queries, *suite.train_queries)
                   for call in query.gold_calls}
-    operator = suite.catalog.subset(referenced)
+    operator = subset(suite.catalog, referenced)
     assert (len(operator), len(suite.catalog)) == (21, 32)
     runner = ExperimentRunner(suite.with_catalog(operator),
                               embedder=CachedEmbedder())

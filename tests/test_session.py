@@ -94,12 +94,11 @@ class TestSessionRuns:
 
     def test_run_grid_matches_individual_runs(self, session):
         grid = GridSpec(schemes=("default", "lis-k3"),
-                        models=("hermes2-pro-8b",), quants=("q4_K_M",),
-                        n_queries=3)
+                        models=("hermes2-pro-8b",), quants=("q4_K_M",))
         results = session.run_grid(grid)
         assert set(results) == {("default", "hermes2-pro-8b", "q4_K_M"),
                                 ("lis-k3", "hermes2-pro-8b", "q4_K_M")}
-        solo = session.run(AgentSpec(scheme="lis-k3", **MODEL), n_queries=3)
+        solo = session.run(AgentSpec(scheme="lis-k3", **MODEL))
         assert results[("lis-k3", "hermes2-pro-8b", "q4_K_M")].episodes \
             == solo.episodes
 

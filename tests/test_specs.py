@@ -15,6 +15,7 @@ from repro.specs import (
     GridSpec,
     HttpSpec,
     ObsSpec,
+    RECOVERY_MARGIN,
     ServingSpec,
     SuiteSpec,
     TenantSpec,
@@ -24,17 +25,16 @@ ALL_SPECS = [
     SuiteSpec(name="edgehome", n_queries=12, seed=3),
     SuiteSpec(name="edgehome", n_queries=12,
               catalog=CatalogSpec(name="edgehome", variant="compressed")),
-    CatalogSpec(name="bfcl", variant="minimal",
-                include=("calculate_expression", "web_search")),
-    TenantSpec(name="home", suite=SuiteSpec(name="edgehome", n_queries=6),
-               catalog=CatalogSpec(name="edgehome", variant="minimal")),
-    AgentSpec(scheme="lis-k3", model="hermes2-pro-8b", quant="q4_K_M",
-              k=4, confidence_threshold=0.2, force_level=2,
-              context_window=8192),
+    CatalogSpec(name="bfcl", variant="minimal"),
+    TenantSpec(name="home", suite=SuiteSpec(
+        name="edgehome", n_queries=6,
+        catalog=CatalogSpec(name="edgehome", variant="minimal"))),
+    AgentSpec(scheme="lis-k4", model="hermes2-pro-8b", quant="q4_K_M",
+              confidence_threshold=0.2, force_level=2),
     GridSpec(schemes=("default", "lis-k3"), models=("llama3.1-8b",),
-             quants=("q4_K_M", "q8_0"), n_queries=8),
+             quants=("q4_K_M", "q8_0")),
     TenantSpec(name="home", suite=SuiteSpec(name="edgehome", n_queries=6)),
-    BudgetSpec(energy_budget_j=120.0, carbon_budget_g=0.02,
+    BudgetSpec(energy_budget_j=120.0,
                window_requests=8, recovery_ticks=2, signal="trace",
                trace_path="benchmarks/data/grid_intensity_day.csv",
                intensity_g_per_kwh=380.0, intensity_high=480.0,
@@ -98,25 +98,14 @@ class TestNormalization:
         assert suite.catalog == CatalogSpec(name="edgehome")
 
     def test_tenant_accepts_catalog_string_and_dict(self):
-        tenant = TenantSpec(name="home", suite="edgehome", catalog="edgehome")
-        assert tenant.catalog == CatalogSpec(name="edgehome")
-        tenant = TenantSpec(name="home", suite="edgehome",
-                            catalog={"name": "edgehome", "variant": "minimal",
-                                     "include": None})
-        assert tenant.catalog.variant == "minimal"
-
-    def test_tenant_effective_suite_applies_catalog_override(self):
-        catalog = CatalogSpec(name="edgehome", variant="compressed")
-        tenant = TenantSpec(name="home", suite=SuiteSpec(name="edgehome"),
-                            catalog=catalog)
-        assert tenant.effective_suite().catalog == catalog
-        # no override: the suite spec passes through untouched
-        plain = TenantSpec(name="home", suite=SuiteSpec(name="edgehome"))
-        assert plain.effective_suite() is plain.suite
-
-    def test_catalog_include_accepts_comma_string(self):
-        spec = CatalogSpec(name="edgehome", include="set_alarm,turn_on_light")
-        assert spec.include == ("set_alarm", "turn_on_light")
+        """A tenant's tooling is its suite's catalog, named or spelled out."""
+        tenant = TenantSpec(name="home",
+                            suite={"name": "edgehome", "catalog": "edgehome"})
+        assert tenant.suite.catalog == CatalogSpec(name="edgehome")
+        tenant = TenantSpec(name="home", suite={
+            "name": "edgehome",
+            "catalog": {"name": "edgehome", "variant": "minimal"}})
+        assert tenant.suite.catalog.variant == "minimal"
 
     def test_experiment_accepts_suite_name_string(self):
         spec = ExperimentSpec(suite="bfcl")
@@ -126,8 +115,7 @@ class TestNormalization:
         spec = ExperimentSpec.from_dict({
             "suite": {"name": "edgehome", "n_queries": 4, "seed": None},
             "agent": {"scheme": "lis-k3", "model": "m", "quant": "q",
-                      "k": None, "confidence_threshold": None,
-                      "force_level": None, "context_window": None},
+                      "confidence_threshold": None, "force_level": None},
             "grid": None,
             "serving": {"tenants": [{"name": "t",
                                      "suite": {"name": "bfcl",
@@ -188,10 +176,6 @@ class TestValidation:
 
         assert CATALOG_VARIANTS == DESCRIPTION_VARIANTS
 
-    def test_catalog_empty_include_rejected(self):
-        with pytest.raises(ValueError, match="at least one tool"):
-            CatalogSpec(name="edgehome", include=())
-
     def test_catalog_spec_load_builds_variant_catalog(self):
         catalog = CatalogSpec(name="edgehome", variant="compressed").load()
         assert catalog.variant == "compressed"
@@ -209,24 +193,21 @@ class TestValidation:
             SuiteSpec(name="bfcl", n_queries=0)
 
     def test_agent_k_positive(self):
+        """k is said by the scheme name alone, and checked where the
+        agent is built."""
+        from repro import open_session
+
         with pytest.raises(ValueError, match="k must be >= 1"):
-            AgentSpec(k=0)
+            open_session("edgehome", n_queries=2).build_agent(
+                AgentSpec("lis-k0"))
 
     def test_agent_force_level_domain(self):
         with pytest.raises(ValueError, match="force_level"):
             AgentSpec(force_level=4)
 
-    def test_agent_window_floor(self):
-        with pytest.raises(ValueError, match="context_window"):
-            AgentSpec(context_window=100)
-
     def test_grid_needs_axes(self):
         with pytest.raises(ValueError, match="schemes"):
             GridSpec(schemes=())
-
-    def test_grid_n_queries_positive(self):
-        with pytest.raises(ValueError, match="n_queries"):
-            GridSpec(n_queries=0)
 
     def test_grid_stale_backend_key_fails_loudly(self):
         """A dict serialized before the grid lost its worker pools still
@@ -234,8 +215,7 @@ class TestValidation:
         stale = dict(GridSpec().to_dict(), backend="process")
         with pytest.raises(TypeError, match="backend"):
             GridSpec.from_dict(stale)
-        assert set(GridSpec().to_dict()) == {
-            "schemes", "models", "quants", "n_queries"}
+        assert set(GridSpec().to_dict()) == {"schemes", "models", "quants"}
 
     def test_serving_duplicate_tenants(self):
         with pytest.raises(ValueError, match="unique"):
@@ -305,11 +285,12 @@ class TestSpecImportsStayCheap:
             "from repro.specs import AgentSpec, BudgetSpec, CatalogSpec, "
             "FaultPlan, "
             "GridSpec, ObsSpec, ServingSpec, SuiteSpec, TenantSpec; "
-            "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome')),), "
+            "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome'), "
+            "engine='simulated'),), "
             "plan_cache_size=8, "
             "budget=BudgetSpec(energy_budget_j=50.0, signal='trace', "
             "trace_path='grid.csv'), "
-            "obs=ObsSpec(), default_engine='simulated', "
+            "obs=ObsSpec(), "
             "faults=FaultPlan(seed=3, slow_batch_rate=0.25, "
             "slow_batch_ms=250.0, exception_rate=0.3)); "
             "AgentSpec(); GridSpec(); CatalogSpec('edgehome', 'compressed'); "
@@ -353,9 +334,9 @@ class TestConversions:
             ServingSpec(budget="tight")
 
     def test_budget_spec_resolves_late_defaults(self):
-        spec = BudgetSpec(energy_budget_j=5.0, intensity_high=500.0,
-                          recovery_margin=0.9)
-        assert spec.effective_intensity_low == pytest.approx(450.0)
+        spec = BudgetSpec(energy_budget_j=5.0, intensity_high=500.0)
+        assert spec.effective_intensity_low == pytest.approx(
+            500.0 * RECOVERY_MARGIN) == pytest.approx(400.0)
         assert spec.effective_settle_requests == spec.window_requests == 32
         # resolved on read, so a replaced window re-resolves the default
         assert spec.replace(window_requests=64).effective_settle_requests == 64
@@ -363,63 +344,145 @@ class TestConversions:
 
     def test_agent_kwargs_only_set_fields(self):
         assert AgentSpec().agent_kwargs() == {}
-        assert AgentSpec(k=5, force_level=1).agent_kwargs() == {
-            "k": 5, "force_level": 1}
+        assert AgentSpec(confidence_threshold=0.3,
+                         force_level=1).agent_kwargs() == {
+            "confidence_threshold": 0.3, "force_level": 1}
+
+
+#: every spec class's fields, in declaration order: a new knob is a
+#: visible one-line edit here
+FIELDS = {
+    EngineSpec: ("name", "base_url", "wire_model", "api_key"),
+    CatalogSpec: ("name", "variant"),
+    SuiteSpec: ("name", "n_queries", "seed", "catalog"),
+    AgentSpec: ("scheme", "model", "quant", "confidence_threshold",
+                "force_level", "engine"),
+    GridSpec: ("schemes", "models", "quants"),
+    TenantSpec: ("name", "suite", "engine"),
+    ObsSpec: ("sink", "sink_path", "sample_rate", "slow_span_ms"),
+    BudgetSpec: ("energy_budget_j", "window_requests", "settle_requests",
+                 "recovery_ticks", "signal", "intensity_g_per_kwh",
+                 "trace_path", "intensity_high", "intensity_low",
+                 "min_power_mode", "interval_ms"),
+    HttpSpec: ("host", "port", "api_key", "rate_limit_rps",
+               "rate_limit_burst"),
+    FaultPlan: ("seed", "slow_batch_rate", "slow_batch_ms", "exception_rate"),
+    ServingSpec: ("tenants", "max_batch_size", "queue_capacity",
+                  "default_scheme", "default_model", "default_quant",
+                  "plan_cache_size", "timeout_ms", "obs", "http", "budget",
+                  "faults"),
+    ExperimentSpec: ("suite", "agent", "grid", "serving"),
+}
+
+#: the keys the one-knob-per-idea cut removed, by class (a second way to
+#: say what another field says, a single-value tuning knob, or a
+#: capability no shipped path used)
+REMOVED = {
+    EngineSpec: ("timeout_s", "retries", "retry_backoff_ms", "max_tokens",
+                 "temperature"),
+    CatalogSpec: ("include",),
+    AgentSpec: ("k", "context_window"),
+    GridSpec: ("n_queries",),
+    TenantSpec: ("catalog",),
+    ObsSpec: ("ring_capacity",),
+    BudgetSpec: ("carbon_budget_g", "recovery_margin"),
+    HttpSpec: ("backlog",),
+    ServingSpec: ("default_engine",),
+}
+
+#: a valid dict form of each class that has required fields or a
+#: cross-field rule, for the removed-key checks below
+_VALID = {
+    CatalogSpec: {"name": "edgehome"},
+    TenantSpec: {"name": "t", "suite": "edgehome"},
+    BudgetSpec: {"energy_budget_j": 1.0},
+}
 
 
 class TestWireCompat:
     """Spec JSON is an interface (``repro serve --spec``, ``bench_e2e``'s
-    generated spec): the key sets below are the PR 12 wire form, minus
-    the six execution keys that went with the worker pool, the
-    ``max_wait_ms`` coalescing window and the budget's three ``sinusoid``
-    signal keys."""
-
-    SERVING_KEYS = {
-        "tenants", "default_engine", "max_batch_size", "queue_capacity",
-        "default_scheme", "default_model", "default_quant", "plan_cache_size",
-        "timeout_ms", "obs", "http", "budget", "faults"}
-    BUDGET_KEYS = {
-        "energy_budget_j", "carbon_budget_g", "window_requests",
-        "settle_requests", "recovery_ticks", "recovery_margin", "signal",
-        "intensity_g_per_kwh", "trace_path", "intensity_high",
-        "intensity_low", "min_power_mode", "interval_ms"}
+    generated spec): :data:`FIELDS` pins every class's keys, and each key
+    a PR removes fails ``from_dict`` by name."""
 
     def test_key_sets_unchanged(self):
-        assert set(ServingSpec().to_dict()) == self.SERVING_KEYS
-        assert set(BudgetSpec(energy_budget_j=1).to_dict()) == self.BUDGET_KEYS
+        import dataclasses
+        import repro.specs
+
+        assert set(FIELDS) == {getattr(repro.specs, name)
+                               for name in repro.specs.__all__}
+        for spec_cls, names in FIELDS.items():
+            assert tuple(field.name for field in
+                         dataclasses.fields(spec_cls)) == names, spec_cls
+        assert sum(map(len, FIELDS.values())) == 62
+
+    @pytest.mark.parametrize(
+        "spec_cls,key", [(spec_cls, key) for spec_cls, keys in REMOVED.items()
+                         for key in keys],
+        ids=lambda value: getattr(value, "__name__", value))
+    def test_removed_key_fails_by_name(self, spec_cls, key):
+        assert key not in FIELDS[spec_cls]
+        with pytest.raises(TypeError, match=rf"\b{key}\b"):
+            spec_cls.from_dict({**_VALID.get(spec_cls, {}), key: None})
 
     def test_parent_written_serving_spec_round_trips(self):
         import json
         from pathlib import Path
 
         # written by the PR 12 commit's ServingSpec.to_dict(): each
-        # removed key, top-level or in the budget, fails loudly by name;
+        # removed key — top-level, in the budget, the obs and http
+        # sections, a tenant or a tenant's engine — fails loudly by name;
         # without them it is the same spec
         data = json.loads((Path(__file__).parent / "data"
                            / "serving_spec_parent.json").read_text())
-        removed = set(data) - self.SERVING_KEYS
-        removed_budget = set(data["budget"]) - self.BUDGET_KEYS
-        assert (len(removed), len(removed_budget)) == (7, 3)
+        sections = {"obs": ObsSpec, "http": HttpSpec, "budget": BudgetSpec}
+        removed = set(data) - set(FIELDS[ServingSpec])
+        removed_in = {name: set(data[name]) - set(FIELDS[spec_cls])
+                      for name, spec_cls in sections.items()}
+        home = data["tenants"][0]
+        removed_tenant = set(home) - set(FIELDS[TenantSpec])
+        removed_engine = set(home["engine"]) - set(FIELDS[EngineSpec])
+        assert (len(removed), {name: len(keys) for name, keys
+                               in removed_in.items()},
+                removed_tenant, len(removed_engine)) == (
+            8, {"obs": 1, "http": 1, "budget": 5}, {"catalog"}, 5)
         clean = {key: value for key, value in data.items()
                  if key not in removed}
-        clean["budget"] = {key: value for key, value in data["budget"].items()
-                           if key not in removed_budget}
+        for name in sections:
+            clean[name] = {key: value for key, value in data[name].items()
+                           if key not in removed_in[name]}
+        clean["tenants"] = [
+            {key: value for key, value in tenant.items()
+             if key not in removed_tenant}
+            for tenant in data["tenants"]]
+        clean["tenants"][0]["engine"] = {
+            key: value for key, value in home["engine"].items()
+            if key not in removed_engine}
         for key in removed:
             with pytest.raises(TypeError, match=key):
                 ServingSpec.from_dict({**clean, key: data[key]})
-        for key in removed_budget:
+        for name, keys in removed_in.items():
+            for key in keys:
+                with pytest.raises(TypeError, match=key):
+                    ServingSpec.from_dict({**clean, name: {
+                        **clean[name], key: data[name][key]}})
+        for key in removed_tenant:
             with pytest.raises(TypeError, match=key):
-                ServingSpec.from_dict({**clean, "budget": {
-                    **clean["budget"], key: data["budget"][key]}})
+                ServingSpec.from_dict({**clean, "tenants": [
+                    {**clean["tenants"][0], key: home[key]}]})
+        for key in removed_engine:
+            with pytest.raises(TypeError, match=key):
+                ServingSpec.from_dict({**clean, "tenants": [
+                    {**clean["tenants"][0], "engine": {
+                        **clean["tenants"][0]["engine"],
+                        key: home["engine"][key]}}]})
         data = clean
         spec = ServingSpec.from_dict(data)
         assert spec == ServingSpec(
             tenants=(
                 TenantSpec("home", SuiteSpec("edgehome", n_queries=6, seed=1),
-                           catalog=CatalogSpec("edgehome", variant="compressed"),
                            engine=EngineSpec("simulated")),
                 TenantSpec("assist", "bfcl")),
-            default_engine="simulated", max_batch_size=16,
+            max_batch_size=16,
             queue_capacity=64, default_scheme="lis-k5",
             plan_cache_size=256, timeout_ms=500.0,
             obs=ObsSpec(sink="null", sample_rate=0.5, slow_span_ms=20.0),

@@ -247,9 +247,9 @@ def test_http_app_is_freed():
 # ----------------------------------------------------------------------
 def test_openai_http_tenant_is_freed():
     with MockOpenAIServer() as server:
-        engine = EngineSpec(name="openai_http", base_url=server.base_url,
-                            timeout_s=10.0, retries=2, retry_backoff_ms=1.0)
-        assert_freed(serve_and_drop(_serving_spec(default_engine=engine)))
+        engine = EngineSpec(name="openai_http", base_url=server.base_url)
+        assert_freed(serve_and_drop(_serving_spec(tenants=(TenantSpec(
+            TENANT, SuiteSpec(TENANT, n_queries=4), engine=engine),))))
 
 
 # ----------------------------------------------------------------------
