@@ -44,8 +44,7 @@ class GorillaAgent(FunctionCallingAgent):
                  embedder: CachedEmbedder | None = None, **kwargs):
         penalty = llm.model.reasoning ** _DOCS_PENALTY_EXPONENT
         super().__init__(llm=llm, suite=suite,
-                         skill_multiplier=penalty, arg_multiplier=penalty,
-                         **kwargs)
+                         skill_multiplier=penalty, **kwargs)
         self.k = k
         self.context_window = context_window
         self.embedder = embedder if embedder is not None else shared_embedder()

@@ -38,6 +38,9 @@ from repro.llm.responses import TokenUsage
 from repro.llm.tokens import estimate_tokens
 from repro.suites.base import Query
 
+#: tools per leaf group of the offline tool tree
+GROUP_SIZE = 6
+
 
 class ToolLLMMemoryError(RuntimeError):
     """The configured tree search does not fit in device memory."""
@@ -50,13 +53,11 @@ class ToolLLMAgent(FunctionCallingAgent):
 
     def __init__(self, llm, suite, n_branches: int = 12,
                  context_window: int = DEFAULT_CONTEXT_WINDOW,
-                 group_size: int = 6,
                  embedder: CachedEmbedder | None = None,
                  enforce_memory: bool = True, **kwargs):
         super().__init__(llm=llm, suite=suite, **kwargs)
         self.n_branches = n_branches
         self.context_window = context_window
-        self.group_size = group_size
         self.enforce_memory = enforce_memory
         self.embedder = embedder if embedder is not None else shared_embedder()
         self._groups = self._build_tree()
@@ -81,10 +82,10 @@ class ToolLLMAgent(FunctionCallingAgent):
     # offline tool tree
     # ------------------------------------------------------------------
     def _build_tree(self) -> list[tuple[str, ...]]:
-        """Cluster tools into leaf groups of ~``group_size``."""
+        """Cluster tools into leaf groups of ~:data:`GROUP_SIZE`."""
         descriptions = self.suite.catalog.descriptions()
         vectors = self.embedder.encode(descriptions)
-        n_groups = max(2, math.ceil(len(descriptions) / self.group_size))
+        n_groups = max(2, math.ceil(len(descriptions) / GROUP_SIZE))
         labels = AgglomerativeClustering(
             n_clusters=n_groups, linkage="average", metric="cosine",
         ).fit_predict(vectors)

@@ -359,11 +359,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving.http import create_app, run_uvicorn, serve_gateway
 
     serving = _serving_spec(args)
-    http = serving.http or HttpSpec()
-    serving = serving.replace(http=http)
+    serving = serving.replace(http=serving.http or HttpSpec())
     gateway = open_session(serving).serve()
     if args.uvicorn:
-        run_uvicorn(create_app(gateway, http=http), http)
+        run_uvicorn(create_app(gateway), serving.http)
         return 0
 
     async def serve() -> None:
@@ -372,7 +371,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"serving tenants [{tenants}] at {server.address} "
                   f"(Ctrl-C to stop)", flush=True)
 
-        await serve_gateway(gateway, http=http, ready=ready)
+        await serve_gateway(gateway, ready=ready)
 
     try:
         asyncio.run(serve())

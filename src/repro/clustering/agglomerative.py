@@ -41,21 +41,14 @@ class Dendrogram:
     n_points: int
     merges: list[Merge] = field(default_factory=list)
 
-    def cut(self, n_clusters: int | None = None, distance_threshold: float | None = None) -> np.ndarray:
-        """Return flat labels, cutting by cluster count or distance.
+    def cut(self, n_clusters: int) -> np.ndarray:
+        """Return flat labels for ``n_clusters`` clusters.
 
-        Exactly one of ``n_clusters`` / ``distance_threshold`` must be
-        given.  Labels are relabelled to ``0..k-1`` in order of first
-        appearance.
+        Labels are relabelled to ``0..k-1`` in order of first appearance.
         """
-        if (n_clusters is None) == (distance_threshold is None):
-            raise ValueError("specify exactly one of n_clusters or distance_threshold")
-        if n_clusters is not None:
-            if not 1 <= n_clusters <= self.n_points:
-                raise ValueError(f"n_clusters must be in [1, {self.n_points}], got {n_clusters}")
-            n_merges = self.n_points - n_clusters
-        else:
-            n_merges = sum(1 for merge in self.merges if merge.distance <= distance_threshold)
+        if not 1 <= n_clusters <= self.n_points:
+            raise ValueError(f"n_clusters must be in [1, {self.n_points}], got {n_clusters}")
+        n_merges = self.n_points - n_clusters
 
         parent = list(range(self.n_points + len(self.merges)))
 
@@ -103,8 +96,7 @@ class AgglomerativeClustering:
     Parameters
     ----------
     n_clusters:
-        Number of flat clusters to cut (mutually exclusive with
-        ``distance_threshold``).
+        Number of flat clusters to cut.
     linkage:
         ``single`` | ``complete`` | ``average`` | ``ward``.  Ward requires
         the euclidean metric (as in scikit-learn).
@@ -114,8 +106,7 @@ class AgglomerativeClustering:
 
     def __init__(
         self,
-        n_clusters: int | None = None,
-        distance_threshold: float | None = None,
+        n_clusters: int,
         linkage: str = "average",
         metric: str = "euclidean",
     ):
@@ -123,10 +114,7 @@ class AgglomerativeClustering:
             raise ValueError(f"unknown linkage {linkage!r}; choose from {_LINKAGES}")
         if linkage == "ward" and metric != "euclidean":
             raise ValueError("ward linkage requires the euclidean metric")
-        if (n_clusters is None) == (distance_threshold is None):
-            raise ValueError("specify exactly one of n_clusters or distance_threshold")
         self.n_clusters = n_clusters
-        self.distance_threshold = distance_threshold
         self.linkage = linkage
         self.metric = metric
         self.dendrogram_: Dendrogram | None = None
@@ -177,11 +165,8 @@ class AgglomerativeClustering:
     def fit(self, vectors: np.ndarray) -> "AgglomerativeClustering":
         """Cluster ``vectors``; labels land in :attr:`labels_`."""
         self.dendrogram_ = self.build_dendrogram(vectors)
-        n = self.dendrogram_.n_points
-        if self.n_clusters is not None:
-            self.labels_ = self.dendrogram_.cut(n_clusters=min(self.n_clusters, n))
-        else:
-            self.labels_ = self.dendrogram_.cut(distance_threshold=self.distance_threshold)
+        self.labels_ = self.dendrogram_.cut(
+            min(self.n_clusters, self.dendrogram_.n_points))
         return self
 
     def fit_predict(self, vectors: np.ndarray) -> np.ndarray:

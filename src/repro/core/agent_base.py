@@ -48,7 +48,11 @@ class ToolPlan:
 
 
 class FunctionCallingAgent:
-    """Base agent: subclass and implement :meth:`plan`."""
+    """Base agent: subclass and implement :meth:`plan`.
+
+    ``skill_multiplier`` scales the model's tool-choice and argument
+    skill alike on every turn (Gorilla's docs-to-call penalty).
+    """
 
     scheme = "base"
     #: whether a repeated error signal escalates to all tools at 16K
@@ -60,13 +64,11 @@ class FunctionCallingAgent:
         suite: BenchmarkSuite,
         device: DeviceProfile = JETSON_AGX_ORIN,
         skill_multiplier: float = 1.0,
-        arg_multiplier: float = 1.0,
     ):
         self.llm = llm
         self.suite = suite
         self.device = device
         self.skill_multiplier = skill_multiplier
-        self.arg_multiplier = arg_multiplier
         factory = suite.executor_factory
         self.executor = (factory(suite.catalog) if factory is not None
                          else SimulatedToolExecutor(suite.catalog))
@@ -250,7 +252,7 @@ class FunctionCallingAgent:
         turn = self.llm.execute_step(
             query, step_index, tools, window, attempt=attempt,
             skill_multiplier=self.skill_multiplier,
-            arg_multiplier=self.arg_multiplier,
+            arg_multiplier=self.skill_multiplier,
         )
         self._account(turn.usage, window, session, result,
                       self._jitter_stream(query.qid, step_index, attempt))

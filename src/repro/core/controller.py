@@ -14,6 +14,11 @@ from repro.core.levels import SearchLevels
 #: ~0.3-0.5; our lexical-semantic embedder is colder (unrelated pairs
 #: score near 0), so the equivalent low-confidence cutoff is ~0.30.
 DEFAULT_CONFIDENCE_THRESHOLD = 0.30
+#: Paper Section III-C intuition: "LLM recommendations involving
+#: multiple tools are more likely to match a tool cluster" — when the
+#: recommender emitted several tool needs, Level 2 wins as long as its
+#: score is within this fraction of Level 1's.
+MULTI_NEED_MARGIN = 0.85
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,10 @@ class ToolController:
     For every recommender embedding the controller retrieves the top-k
     individual tools (Level 1) and top-k clusters (Level 2), compares the
     average top-k scores, and presents the union of the winning level's
-    retrievals.  Confidence below ``threshold`` on both levels falls back
-    to the entire tool set (Level 3).
+    retrievals; Level 2 unions the member tools of at most ``k``
+    clusters, the paper's "top-k ... clusters".  Confidence below
+    ``threshold`` on both levels falls back to the entire tool set
+    (Level 3).
     """
 
     def __init__(
@@ -46,8 +53,6 @@ class ToolController:
         levels: SearchLevels,
         k: int = 3,
         confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-        max_level2_clusters: int | None = None,
-        multi_need_margin: float = 0.85,
         force_level: int | None = None,
     ):
         if k < 1:
@@ -57,14 +62,6 @@ class ToolController:
         self.levels = levels
         self.k = k
         self.confidence_threshold = confidence_threshold
-        # how many clusters may contribute tools; defaults to k (the
-        # retrieved set), matching the paper's "top-k ... clusters"
-        self.max_level2_clusters = max_level2_clusters or k
-        # paper Section III-C intuition: "LLM recommendations involving
-        # multiple tools are more likely to match a tool cluster" — when
-        # the recommender emitted several tool needs, prefer Level 2 as
-        # long as its score is within this fraction of Level 1's
-        self.multi_need_margin = multi_need_margin
         # ablation hook: bypass arbitration and always use one level
         self.force_level = force_level
 
@@ -147,7 +144,7 @@ class ToolController:
         level2_preferred = has_level2 and (
             level2_score > level1_score
             or (multi_need
-                and level2_score >= self.multi_need_margin * level1_score)
+                and level2_score >= MULTI_NEED_MARGIN * level1_score)
         )
         if self.force_level is not None:
             level2_preferred = self.force_level == 2 and has_level2
@@ -166,7 +163,7 @@ class ToolController:
                                              float(score))
         ranked = sorted(cluster_scores, key=lambda cid: cluster_scores[cid], reverse=True)
         tools = {}
-        for cluster_id in ranked[: self.max_level2_clusters]:
+        for cluster_id in ranked[: self.k]:
             for tool in self.levels.tools_of_cluster(cluster_id):
                 tools.setdefault(tool, None)
         return ControllerDecision(2, tuple(tools), level1_score, level2_score)

@@ -58,37 +58,16 @@ class SearchLevels:
 class SearchLevelBuilder:
     """Builds :class:`SearchLevels` for a suite (one-time offline step).
 
-    Parameters
-    ----------
-    embedder:
-        Shared cached embedder (the "pretrained MPNet tokenizer").
-    n_clusters:
-        Level-2 cluster count, an int >= 1 (capped at the number of
-        augmented samples); ``None`` scales it with the tool pool
-        (:meth:`_default_cluster_count`) so clusters stay small enough
-        that the top-k union is a genuine reduction (paper Table II
-        passes 19 of 46 tools).
-    linkage:
-        Agglomerative linkage for the augmented space (paper uses
-        scikit-learn's agglomerative clustering; average linkage on
-        cosine distance suits unit-norm sentence embeddings).
+    ``embedder`` is the shared cached embedder (the "pretrained MPNet
+    tokenizer"; default :func:`shared_embedder`).  Level 2 clusters the
+    augmented query space with ward linkage on euclidean distance, which
+    is monotonic in cosine on unit-norm sentence embeddings (the paper
+    uses scikit-learn's agglomerative clustering), into
+    :meth:`_default_cluster_count` clusters.
     """
 
-    def __init__(
-        self,
-        embedder: CachedEmbedder | None = None,
-        n_clusters: int | None = None,
-        linkage: str = "ward",
-        augmentation_seed: int = 0,
-    ):
-        if n_clusters is not None and (
-                not isinstance(n_clusters, int) or n_clusters < 1):
-            raise ValueError(
-                f"n_clusters must be an int >= 1 or None, got {n_clusters!r}")
+    def __init__(self, embedder: CachedEmbedder | None = None):
         self.embedder = embedder if embedder is not None else shared_embedder()
-        self.n_clusters = n_clusters
-        self.linkage = linkage
-        self.augmentation_seed = augmentation_seed
 
     def build(self, suite: BenchmarkSuite) -> SearchLevels:
         """Populate all search levels for ``suite``."""
@@ -117,19 +96,15 @@ class SearchLevelBuilder:
     # Level 2: clusters over the augmented query space
     # ------------------------------------------------------------------
     def _build_level2(self, suite: BenchmarkSuite) -> tuple[list[ToolCluster], VectorIndex]:
-        samples = AugmentationEngine(suite, seed=self.augmentation_seed).generate()
+        samples = AugmentationEngine(suite).generate()
         index = VectorIndex(dim=self.embedder.dim)
         if not samples:
             return [], index
 
         vectors = self.embedder.encode([sample.text for sample in samples])
-        # ward needs euclidean, which is monotonic in cosine on unit-norm
-        # sentence embeddings, so both linkages cluster the same geometry
-        metric = "euclidean" if self.linkage == "ward" else "cosine"
-        n_clusters = self.n_clusters or self._default_cluster_count(suite)
-        n_clusters = min(n_clusters, len(samples))
+        n_clusters = min(self._default_cluster_count(suite), len(samples))
         labels = AgglomerativeClustering(
-            n_clusters=n_clusters, linkage=self.linkage, metric=metric,
+            n_clusters=n_clusters, linkage="ward", metric="euclidean",
         ).fit_predict(vectors)
 
         clusters: list[ToolCluster] = []

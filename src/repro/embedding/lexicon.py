@@ -7,8 +7,7 @@ lexicon maps domain synonyms onto shared *concept ids*, and the vectorizer
 gives concept features a large weight.  The table below was written to
 cover the vocabulary of the two tool catalogs shipped with this package
 (:mod:`repro.suites.bfcl_catalog`, :mod:`repro.suites.geoengine_catalog`)
-plus general agent phrasing, but it is plain data — a lexicon over a
-larger table is ``ConceptLexicon({**DEFAULT_CONCEPTS, ...})``.
+plus general agent phrasing.
 """
 
 from __future__ import annotations
@@ -269,13 +268,12 @@ DEFAULT_CONCEPTS: dict[str, tuple[str, ...]] = {
 class ConceptLexicon:
     """Mapping from stemmed tokens (and two-word phrases) to concept ids.
 
-    The lexicon is immutable after construction; a lexicon with more
-    concepts is a new one built from a larger table.
+    Built from :data:`DEFAULT_CONCEPTS`, and immutable after construction.
     """
 
-    def __init__(self, concepts: dict[str, tuple[str, ...]] | None = None):
-        concepts = DEFAULT_CONCEPTS if concepts is None else concepts
-        self._concepts = {name: tuple(terms) for name, terms in concepts.items()}
+    def __init__(self):
+        self._concepts = {name: tuple(terms)
+                          for name, terms in DEFAULT_CONCEPTS.items()}
         self._token_map: dict[str, list[str]] = {}
         self._phrase_map: dict[str, list[str]] = {}
         tokenizer = Tokenizer(remove_stopwords=False, apply_stem=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.embedding.directions import DirectionBank, FeatureKey
-from repro.embedding.lexicon import ConceptLexicon, default_lexicon
+from repro.embedding.lexicon import default_lexicon
 from repro.embedding.tokenizer import STOPWORDS, Tokenizer, stem
 from repro.utils.vectorops import normalize_rows
 
@@ -41,8 +41,6 @@ class SentenceEmbedder:
     dim:
         Output dimensionality.  The paper uses 768 (Section III-A; the
         text also mentions "728" once — we treat that as a typo).
-    lexicon:
-        Synonym→concept table; defaults to the shared domain lexicon.
     seed_namespace:
         Fixes the projection for the embedder's life; distinct namespaces
         produce statistically independent projections (the projection
@@ -64,13 +62,12 @@ class SentenceEmbedder:
     def __init__(
         self,
         dim: int = 768,
-        lexicon: ConceptLexicon | None = None,
         seed_namespace: str = "mpnet-substitute",
     ):
         if dim < 8:
             raise ValueError(f"embedding dim must be >= 8, got {dim}")
         self.dim = int(dim)
-        self.lexicon = lexicon if lexicon is not None else default_lexicon()
+        self.lexicon = default_lexicon()
         self.seed_namespace = seed_namespace
         self._tokenizer = Tokenizer()
         self._bank = DirectionBank(self.dim, seed_namespace)

@@ -12,7 +12,7 @@ monotonic histogram buckets, summary quantiles.  It renders from the
 The latency and queue-wait percentiles are exported as ``summary``
 families with a ``window="ring"`` label: they come from Telemetry's
 fixed-capacity sample rings, i.e. they describe the most recent
-``max_samples`` observations, not the process lifetime.
+``MAX_SAMPLES`` observations, not the process lifetime.
 """
 
 from __future__ import annotations

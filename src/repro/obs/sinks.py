@@ -46,20 +46,21 @@ class TraceSink(Protocol):
         ...
 
 
+#: spans a :class:`MemorySink` retains
+MEMORY_SINK_CAPACITY = 2048
+
+
 class MemorySink:
-    """Fixed-capacity in-memory ring of finished spans.
+    """In-memory ring of the last :data:`MEMORY_SINK_CAPACITY` spans.
 
     Once full, the oldest spans fall off — a long-lived gateway keeps
     the most recent traffic's traces without growing.  Readers get
     copies; the ring itself is never exposed.
     """
 
-    def __init__(self, capacity: int = 2048):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self):
         self._lock = threading.Lock()
-        self._spans: deque[Span] = deque(maxlen=capacity)
+        self._spans: deque[Span] = deque(maxlen=MEMORY_SINK_CAPACITY)
 
     def emit(self, span: Span) -> None:
         with self._lock:

@@ -51,8 +51,9 @@ class BudgetController:
 
     One controller per gateway, sharing the gateway's
     :class:`~repro.power.meter.EnergyMeter`, whose ``power_mode`` is the
-    one home of the board's mode: the controller reads its place on
-    :data:`MODE_LADDER` from there and writes only there.
+    one home of the board's mode and of the carbon signal: the
+    controller reads its place on :data:`MODE_LADDER` from there and
+    writes only there.
     It holds the sessions, meter, telemetry and tracer, never the gateway.
     Every action lands in telemetry as one ``budget_transitions`` entry
     (``<tenant>:<direction>:<rung>`` for ladder moves,
@@ -62,13 +63,12 @@ class BudgetController:
     """
 
     def __init__(self, sessions, spec: BudgetSpec, *, meter, telemetry,
-                 tracer=None, signal=None):
+                 tracer=None):
         self.sessions = sessions
         self.spec = spec
         self.meter = meter
         self.telemetry = telemetry
         self.tracer = tracer
-        self.signal = signal if signal is not None else self.meter.signal
         self._mode_floor = MODE_LADDER.index(spec.min_power_mode)
         self._mode_clear_streak = 0
 
@@ -78,7 +78,7 @@ class BudgetController:
     def tick(self, now_s: float | None = None) -> None:
         """One control step; pass ``now_s`` to drive it without a clock."""
         t_s = self.meter.now() if now_s is None else now_s
-        intensity = self.signal.intensity(t_s)
+        intensity = self.meter.signal.intensity(t_s)
         self._tick_power_mode(intensity)
         if self.spec.energy_budget_j is not None:
             for session in self.sessions:

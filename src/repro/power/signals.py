@@ -63,44 +63,40 @@ class TraceSignal:
     """Cyclic replay of ``(t_s, intensity)`` breakpoints.
 
     Intensity between breakpoints is linearly interpolated; past the
-    last breakpoint the curve wraps to the first one ``period_s``
+    last breakpoint the curve wraps to the first one :data:`DAY_S`
     seconds after it started, so a 24-hour trace replays forever.
     """
 
-    def __init__(self, points: list[tuple[float, float]],
-                 period_s: float = DAY_S):
+    def __init__(self, points: list[tuple[float, float]]):
         if not points:
             raise ValueError("TraceSignal needs at least one (t, intensity) point")
-        if period_s <= 0.0:
-            raise ValueError(f"period_s must be > 0, got {period_s}")
         times = [float(t) for t, _ in points]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("TraceSignal times must be strictly increasing")
-        if times[0] < 0.0 or times[-1] >= period_s:
+        if times[0] < 0.0 or times[-1] >= DAY_S:
             raise ValueError(
-                f"TraceSignal times must lie in [0, period_s), got "
-                f"[{times[0]}, {times[-1]}] against period {period_s}")
+                f"TraceSignal times must lie in [0, {DAY_S:g}), got "
+                f"[{times[0]}, {times[-1]}]")
         for t, value in points:
             if value < 0.0:
                 raise ValueError(
                     f"intensity must be >= 0, got {value} at t={t}")
         self.points = [(float(t), float(v)) for t, v in points]
-        self.period_s = float(period_s)
 
     def intensity(self, t_s: float) -> float:
         points = self.points
         if len(points) == 1:
             return points[0][1]
-        t = t_s % self.period_s
+        t = t_s % DAY_S
         # find the segment [points[i], points[i+1]) containing t, with
         # the wrap segment [last, first + period) closing the cycle
         for (t0, v0), (t1, v1) in zip(points, points[1:]):
             if t0 <= t < t1:
                 return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
         t0, v0 = points[-1]
-        t1, v1 = points[0][0] + self.period_s, points[0][1]
+        t1, v1 = points[0][0] + DAY_S, points[0][1]
         if t < t0:  # before the first breakpoint: still the wrap segment
-            t += self.period_s
+            t += DAY_S
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
@@ -150,7 +146,7 @@ def load_intensity_trace(path: str | Path) -> TraceSignal:
     if not points:
         raise ValueError(f"{path}: no data rows after the header")
     try:
-        return TraceSignal(points, period_s=DAY_S)
+        return TraceSignal(points)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -152,7 +152,8 @@ class Registry:
 # ----------------------------------------------------------------------
 #: scheme name -> agent factory ``f(model, quant, context, **kwargs)``
 SCHEMES = Registry("scheme", builtin_modules=(
-    "repro.baselines", "repro.core.pipeline"))
+    "repro.baselines", "repro.core.pipeline"),
+    builtin_names=("default", "gorilla", "toolllm", "lis"))
 
 #: suite name -> builder ``f(n_queries=..., seed=...) -> BenchmarkSuite``
 SUITES = Registry("suite", builtin_modules=("repro.suites",))
@@ -329,20 +330,32 @@ class SchemeContext:
 _PARAMETERIZED = re.compile(r"^(?P<base>.+)-k(?P<k>\d+)$")
 
 
+def split_scheme(name: str) -> tuple[str, int | None]:
+    """Split a scheme name into ``(base, k)``: ``lis-k5`` → ``("lis", 5)``.
+
+    A name without a ``-k<N>`` suffix, or one registered whole (an exact
+    registration wins over the suffix), is its own base with ``k``
+    ``None``.  Nothing is imported: the builtin names carry no suffix,
+    and a plugin is registered before its name is used.
+    """
+    key = name.lower()
+    match = _PARAMETERIZED.match(key)
+    if match is None or key in SCHEMES._entries:
+        return key, None
+    return match.group("base"), int(match.group("k"))
+
+
 def resolve_scheme(name: str) -> tuple[Callable, dict]:
     """Resolve a scheme name to ``(factory, implied_kwargs)``.
 
-    Exact registered names win; otherwise a ``<scheme>-k<N>`` suffix
-    parameterizes a registered base scheme with ``k=N`` (the idiom
-    behind ``lis-k3`` / ``lis-k5``).  Unknown names raise a
-    :class:`ValueError` listing every registered scheme.
+    A ``<scheme>-k<N>`` suffix (:func:`split_scheme`) parameterizes a
+    registered base scheme with ``k=N`` (the idiom behind ``lis-k3`` /
+    ``lis-k5``).  Unknown names raise a :class:`ValueError` listing
+    every registered scheme.
     """
-    key = name.lower()
-    if key in SCHEMES:
-        return SCHEMES.get(key), {}
-    match = _PARAMETERIZED.match(key)
-    if match and match.group("base") in SCHEMES:
-        return SCHEMES.get(match.group("base")), {"k": int(match.group("k"))}
+    base, k = split_scheme(name)
+    if base in SCHEMES:
+        return SCHEMES.get(base), ({} if k is None else {"k": k})
     raise ValueError(
         f"unknown scheme {name!r}; registered schemes: "
         f"{', '.join(SCHEMES.names()) or '(none)'} "

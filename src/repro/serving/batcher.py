@@ -270,6 +270,10 @@ class BatchScheduler:
         return batch
 
 
+#: seconds ``_SingleWorker.shutdown`` waits for the worker thread
+JOIN_TIMEOUT_S = 5.0
+
+
 class _SingleWorker:
     """Minimal one-thread executor compatible with ``run_in_executor``.
 
@@ -308,7 +312,7 @@ class _SingleWorker:
                     future.set_exception(exc)
             del future, fn, args  # an idle worker holds no batch
 
-    def shutdown(self, join_timeout_s: float = 5.0):
+    def shutdown(self):
         """Stop the worker thread; raise if it fails to join.
 
         A worker that outlives the join timeout is stuck inside a
@@ -321,7 +325,7 @@ class _SingleWorker:
         self._available.release()
         thread = self._thread
         if thread is not None:
-            thread.join(timeout=join_timeout_s)
+            thread.join(timeout=JOIN_TIMEOUT_S)
             if thread.is_alive():
                 import sys
 
@@ -330,6 +334,6 @@ class _SingleWorker:
                          if frame is not None else "<stack unavailable>")
                 raise RuntimeError(
                     f"serving batch worker failed to join within "
-                    f"{join_timeout_s:g}s; it is stuck at:\n{stack}")
+                    f"{JOIN_TIMEOUT_S:g}s; it is stuck at:\n{stack}")
             self._thread = None
         self._shutdown = False

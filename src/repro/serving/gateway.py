@@ -168,18 +168,14 @@ class Gateway:
         self,
         sessions: SessionManager,
         config: ServingSpec | None = None,
-        tracer=None,
     ):
         self.sessions = sessions
         self.config = config if config is not None else ServingSpec()
         self.telemetry = Telemetry()
         self._faults = as_injector(self.config.faults)
-        # an explicit tracer (tests, embedding hosts) wins over the
-        # config's ObsSpec; both absent means tracing is off entirely.
-        # stop() closes only a sink the gateway built itself
-        self.tracer = tracer if tracer is not None else build_tracer(
-            self.config.obs)
-        self._owns_tracer = tracer is None and self.tracer is not None
+        # built from the config's ObsSpec (None: tracing off entirely);
+        # stop() closes its sink
+        self.tracer = build_tracer(self.config.obs)
         self.costs_ledger = CostLedger()
         self.scheduler = BatchScheduler(self.config, telemetry=self.telemetry)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
@@ -220,7 +216,7 @@ class Gateway:
                 pass
             self._budget_task = None
         await self.scheduler.stop()
-        if self._owns_tracer:
+        if self.tracer is not None:
             close = getattr(self.tracer.sink, "close", None)
             if close is not None:
                 close()

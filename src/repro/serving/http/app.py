@@ -41,7 +41,7 @@ from repro.serving.http.wire import (
     send_text,
 )
 from repro.serving.session import UnknownTenantError
-from repro.specs import CatalogSpec, SuiteSpec
+from repro.specs import CatalogSpec, HttpSpec, SuiteSpec
 
 #: The error-mapping table: first matching row wins, so subclasses
 #: (``BadRequestError`` < ``ValueError``, ``UnknownTenantError`` <
@@ -96,8 +96,8 @@ class GatewayHTTPApp:
     client (``async with app: ...``), or served over real sockets by
     :func:`repro.serving.http.serve_gateway`.
 
-    ``http`` (an :class:`~repro.specs.HttpSpec`, default the gateway
-    config's) carries the edge-hardening knobs: with ``api_key`` set,
+    The gateway config's ``http`` (an :class:`~repro.specs.HttpSpec`)
+    carries the edge-hardening knobs: with ``api_key`` set,
     every route except ``/healthz`` demands ``Authorization: Bearer
     <key>`` (401 otherwise); with ``rate_limit_rps`` set, ``POST
     /v1/call`` runs each tenant through a token bucket and answers 429
@@ -105,16 +105,13 @@ class GatewayHTTPApp:
     default — the edge stays a transparent wire.
     """
 
-    def __init__(self, gateway: Gateway, http=None):
+    def __init__(self, gateway: Gateway):
         self.gateway = gateway
-        if http is None:
-            http = getattr(gateway.config, "http", None)
-        self.http = http
-        self.api_key = getattr(http, "api_key", None)
-        rps = getattr(http, "rate_limit_rps", None)
-        self.rate_limiter = (
-            RateLimiter(rps, getattr(http, "rate_limit_burst", None))
-            if rps is not None else None)
+        self.http = gateway.config.http or HttpSpec()
+        self.api_key = self.http.api_key
+        rps = self.http.rate_limit_rps
+        self.rate_limiter = (RateLimiter(rps, self.http.rate_limit_burst)
+                             if rps is not None else None)
 
     # ------------------------------------------------------------------
     # ASGI entry
@@ -386,12 +383,11 @@ class GatewayHTTPApp:
     router.add("GET", "/metrics", _metrics)
 
 
-def create_app(gateway: Gateway, http=None) -> GatewayHTTPApp:
+def create_app(gateway: Gateway) -> GatewayHTTPApp:
     """Build the ASGI app over ``gateway`` (the factory servers mount).
 
-    ``http`` (an :class:`~repro.specs.HttpSpec`) supplies the edge
-    hardening knobs — API-key auth and per-tenant rate limiting;
-    ``None`` falls back to the spec stored on the gateway config, and a
-    config without one leaves both off.
+    The gateway config's ``http`` supplies the edge hardening knobs —
+    API-key auth and per-tenant rate limiting; a config without one
+    leaves both off.
     """
-    return GatewayHTTPApp(gateway, http=http)
+    return GatewayHTTPApp(gateway)

@@ -218,19 +218,18 @@ def _write_response(writer: asyncio.StreamWriter, status: int,
     writer.write(b"".join(parts))
 
 
-async def serve_gateway(gateway, http: HttpSpec | None = None,
-                        ready=None, shutdown=None) -> None:
-    """Boot ``gateway`` behind an :class:`AsgiServer` and serve until
+async def serve_gateway(gateway, ready=None, shutdown=None) -> None:
+    """Boot ``gateway`` behind an :class:`AsgiServer` on its config's
+    ``http`` (an ephemeral loopback port without one) and serve until
     ``shutdown`` (an :class:`asyncio.Event`) is set — forever without one.
 
     ``ready`` (optional callable) receives the server once it is bound —
     how callers learn an ephemeral port.  The gateway starts through the
     app's idempotent startup, so a pre-started gateway works too.
     """
-    http = http if http is not None else gateway.config.http
-    app = create_app(gateway, http=http)
+    app = create_app(gateway)
     async with app:
-        async with AsgiServer(app, http=http) as server:
+        async with AsgiServer(app, http=gateway.config.http) as server:
             if ready is not None:
                 ready(server)
             if shutdown is None:

@@ -69,30 +69,24 @@ class _Ring:
         return list(self._samples)
 
 
+#: Bound on each retained latency / queue-wait / queue-depth sample
+#: list, so a long-lived gateway cannot grow without limit; once full,
+#: new samples overwrite the oldest (each list is its own ring buffer).
+MAX_SAMPLES = 100_000
+
+
 class Telemetry:
     """Thread-safe counters and samples for one gateway instance.
 
-    Parameters
-    ----------
-    max_samples:
-        Bound on the retained latency / queue-wait / queue-depth sample
-        lists so a long-lived gateway cannot grow without limit; once
-        full, new samples overwrite the oldest (each list is its own
-        ring buffer).  Counters and the batch-size histogram are exact
-        regardless.
-
-    Because the sample lists are rings, the latency/queue-wait/queue-depth
-    percentiles in :meth:`snapshot` are **windowed** over the most
-    recent ``max_samples`` observations — they are not lifetime
-    statistics.  Counters, by contrast, are lifetime-exact; pair them
-    with the snapshot's ``uptime_s`` (or deltas across ``snapshot_seq``)
-    to derive rates.
+    The sample lists are rings of :data:`MAX_SAMPLES`, so the
+    latency/queue-wait/queue-depth percentiles in :meth:`snapshot` are
+    **windowed** over the most recent observations — they are not
+    lifetime statistics.  Counters and the batch-size histogram, by
+    contrast, are lifetime-exact; pair them with the snapshot's
+    ``uptime_s`` (or deltas across ``snapshot_seq``) to derive rates.
     """
 
-    def __init__(self, max_samples: int = 100_000):
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-        self.max_samples = max_samples
+    def __init__(self):
         self._started_at = time.monotonic()
         self._snapshot_seq = 0
         self._lock = threading.Lock()
@@ -100,9 +94,9 @@ class Telemetry:
         self._counters: dict[str, dict[tuple[str, ...], float]] = {
             family.key: {} for family in FAMILIES if family.kind == "counter"}
         self._batch_sizes: Counter[int] = Counter()
-        self._queue_depths = _Ring(max_samples)
-        self._latencies_s = _Ring(max_samples)
-        self._queue_waits_s = _Ring(max_samples)
+        self._queue_depths = _Ring(MAX_SAMPLES)
+        self._latencies_s = _Ring(MAX_SAMPLES)
+        self._queue_waits_s = _Ring(MAX_SAMPLES)
         self._queue_wait_sum_s = 0.0
         self._queue_wait_count = 0
         self._memory_bytes = (0, 0)
@@ -211,8 +205,8 @@ class Telemetry:
         """Point-in-time metrics dict (JSON-serializable).
 
         Latency, queue-wait and queue-depth percentiles are **windowed**
-        over the most recent ``max_samples`` observations (the sample
-        rings), not the process lifetime; counters (and
+        over the most recent :data:`MAX_SAMPLES` observations (the
+        sample rings), not the process lifetime; counters (and
         ``queue_wait_sum_s`` / ``queue_wait_count``) are lifetime-exact.
         ``uptime_s`` (monotonic seconds since construction) and
         ``snapshot_seq`` (incremented per snapshot) let scrapers compute

@@ -97,20 +97,33 @@ def _require_min(owner, bound, *names: str, strict: bool = False) -> None:
             f"{'>' if strict else '>='} {bound}, got {value}")
 
 
-def _require_registered(owner, name: str, registry) -> None:
-    """Field ``name`` resolves through ``registry``.
+def _require_registered(owner, name: str, registry, value=None) -> None:
+    """Field ``name`` (or ``value``, a name derived from it) resolves
+    through ``registry``.
 
     Membership is import-free for the builtin names a registry declares;
     only an unknown name loads the implementing modules — through
     ``get``, whose error lists what *is* registered.
     """
-    value = getattr(owner, name)
+    value = getattr(owner, name) if value is None else value
     if value not in registry:
         try:
             registry.get(value)
         except ValueError as error:   # name the field, as _require_* do
             raise ValueError(
                 f"{type(owner).__name__}.{name}: {error}") from None
+
+
+def _require_scheme(owner, name: str, scheme: str) -> None:
+    """``scheme`` (field ``name``, or one entry of it) is a registered
+    scheme, bare or with a ``-k<N>`` suffix naming k >= 1."""
+    from repro.registry import SCHEMES, split_scheme
+
+    base, k = split_scheme(scheme)
+    _require_registered(owner, name, SCHEMES, base)
+    _require(k is None or k >= 1,
+             f"{type(owner).__name__}.{name} -k<N> suffix must be >= 1, "
+             f"got {scheme!r}")
 
 
 def _coerce(owner, name: str, spec_cls, required: bool = False) -> None:
@@ -265,6 +278,7 @@ class AgentSpec(_SpecBase):
 
     def __post_init__(self):
         _require_name(self, "scheme", "model", "quant")
+        _require_scheme(self, "scheme", self.scheme)
         _coerce(self, "engine", EngineSpec)
         _require(self.force_level is None or self.force_level in (1, 2, 3),
                  f"AgentSpec.force_level must be 1, 2 or 3, got {self.force_level}")
@@ -297,6 +311,8 @@ class GridSpec(_SpecBase):
             object.__setattr__(self, axis, _as_tuple(getattr(self, axis)))
             _require(bool(getattr(self, axis)),
                      f"GridSpec.{axis} must name at least one entry")
+        for scheme in self.schemes:
+            _require_scheme(self, "schemes", scheme)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """Benchmark-suite substrate: tool catalogs, query generators, augmentation.
 
-Two suites mirror the paper's evaluation targets:
+Four suites; the first two mirror the paper's evaluation targets:
 
 * ``bfcl`` — a BFCL-like general function-calling suite: 51 tools, one
   gold call per query (sub-questions are independent);
 * ``geoengine`` — a GeoLLM-Engine-like geospatial suite: 46 tools,
-  *sequential* gold call chains where each call feeds the next.
+  *sequential* gold call chains where each call feeds the next;
+* ``edgehome`` — an on-device assistant: 32 smart-home, assistant and
+  media tools, single calls and short routines;
+* ``browser`` — multi-turn web automation: 14 tools, chains spanning
+  2-3 user turns over a stateful executor.
 
-Both generate deterministic query pools with gold tool calls, split into
+Each generates deterministic query pools with gold tool calls, split into
 ``train`` (used only for Level-2 augmentation/clustering, as in the
 paper) and ``eval`` (the 230-query mini-batches the paper reports on).
 """

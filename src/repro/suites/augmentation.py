@@ -24,12 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.embedding.lexicon import ConceptLexicon, default_lexicon
+from repro.embedding.lexicon import default_lexicon
 from repro.embedding.tokenizer import Tokenizer, stem
 from repro.suites.base import BenchmarkSuite, Query
 from repro.suites.rouge import rouge_l
 from repro.utils.rng import derive_rng
 from repro.utils.text import normalize_whitespace, truncate_words
+
+#: the paper's "~10 training queries per category" prompted per category
+QUERIES_PER_CATEGORY = 10
+#: one paraphrase, one permutation and one combination per picked query
+VARIANTS_PER_QUERY = 3
+#: ROUGE-L to the source query a kept sample must fall within: near-1
+#: scores are redundant copies, near-0 scores lost the task context
+ROUGE_BAND = (0.05, 0.95)
 
 
 @dataclass(frozen=True)
@@ -46,21 +54,9 @@ class AugmentedQuery:
 class AugmentationEngine:
     """Deterministic generator of contextually-proximate query variants."""
 
-    def __init__(
-        self,
-        suite: BenchmarkSuite,
-        lexicon: ConceptLexicon | None = None,
-        queries_per_category: int = 10,
-        variants_per_query: int = 3,
-        rouge_band: tuple[float, float] = (0.05, 0.95),
-        seed: int = 0,
-    ):
+    def __init__(self, suite: BenchmarkSuite):
         self.suite = suite
-        self.lexicon = lexicon if lexicon is not None else default_lexicon()
-        self.queries_per_category = queries_per_category
-        self.variants_per_query = variants_per_query
-        self.rouge_band = rouge_band
-        self.seed = seed
+        self.lexicon = default_lexicon()
         self._tokenizer = Tokenizer(remove_stopwords=False, apply_stem=False)
         # reverse map: concept -> terms, for synonym substitution
         self._terms_of: dict[str, tuple[str, ...]] = {
@@ -74,20 +70,19 @@ class AugmentationEngine:
     def generate(self) -> list[AugmentedQuery]:
         """Produce the augmented pool from the suite's *train* split.
 
-        Output is filtered to the configured ROUGE-L band: near-1 scores
-        are redundant copies, near-0 scores lost the task context (the
-        paper's "diverse tool combinations without redundancy").
+        Output is filtered to :data:`ROUGE_BAND` (the paper's "diverse
+        tool combinations without redundancy").
         """
-        rng = derive_rng("augment", self.suite.name, self.seed)
+        rng = derive_rng("augment", self.suite.name, 0)
         samples: list[AugmentedQuery] = []
         for category in self._categories():
             pool = self.suite.queries_by_category(category, split="train")
             if not pool:
                 continue
-            picks = rng.permutation(len(pool))[: self.queries_per_category]
+            picks = rng.permutation(len(pool))[:QUERIES_PER_CATEGORY]
             chosen = [pool[int(i)] for i in picks]
             for query in chosen:
-                for variant_idx in range(self.variants_per_query):
+                for variant_idx in range(VARIANTS_PER_QUERY):
                     sample = self._one_variant(query, chosen, variant_idx, rng)
                     if sample is not None and self._in_band(sample):
                         samples.append(sample)
@@ -188,5 +183,5 @@ class AugmentationEngine:
         return list(seen)
 
     def _in_band(self, sample: AugmentedQuery) -> bool:
-        low, high = self.rouge_band
+        low, high = ROUGE_BAND
         return low <= sample.rouge_to_source <= high

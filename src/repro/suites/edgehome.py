@@ -186,25 +186,8 @@ EDGEHOME_TEMPLATES: tuple[QueryTemplate, ...] = (
                   )),
 )
 
-# extra slot pools used only by this suite
-_EXTRA_POOLS = {
-    "room": ("kitchen", "living room", "bedroom", "study", "hallway"),
-    "door": ("front", "back", "garage", "patio"),
-    "contact": ("Alex", "Sam", "Maria", "Dad"),
-    "playlist": ("jazz", "morning hits", "focus beats", "classics"),
-    "temperature": (19, 20, 21, 22, 23),
-    "volume": (10, 15, 20, 30, 45),
-}
-
-
 def generate_edgehome_queries(n_queries: int, seed: int, split: str) -> list[Query]:
     """Deterministic query pool mixing single calls and routines."""
-    from repro.suites import templating
-
-    # register the suite-local pools (idempotent)
-    for name, pool in _EXTRA_POOLS.items():
-        templating.SLOT_POOLS.setdefault(name, pool)
-
     rng = derive_rng("edgehome", split, seed)
     order = rng.permutation(len(EDGEHOME_TEMPLATES))
     queries: list[Query] = []

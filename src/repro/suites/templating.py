@@ -12,7 +12,8 @@ from repro.tools.schema import ToolCall
 
 _SLOT_RE = re.compile(r"\{(\w+)\}")
 
-#: Value pools for template slots, shared by both suites.
+#: Value pools for template slots, shared by the bfcl, geoengine and
+#: edgehome suites.
 SLOT_POOLS: dict[str, tuple] = {
     "city": ("New York", "London", "Paris", "Tokyo", "Chicago", "Berlin",
              "Madrid", "Sydney", "Toronto", "Mumbai", "Cairo", "Seoul"),
@@ -66,6 +67,13 @@ SLOT_POOLS: dict[str, tuple] = {
     "number": (7, 12, 36, 54, 120, 256),
     "x_value": (2.0, 3.0, 4.5, 6.0),
     "mode": ("driving", "walking", "transit"),
+    # edgehome
+    "room": ("kitchen", "living room", "bedroom", "study", "hallway"),
+    "door": ("front", "back", "garage", "patio"),
+    "contact": ("Alex", "Sam", "Maria", "Dad"),
+    "playlist": ("jazz", "morning hits", "focus beats", "classics"),
+    "temperature": (19, 20, 21, 22, 23),
+    "volume": (10, 15, 20, 30, 45),
 }
 
 

@@ -256,6 +256,12 @@ _BAD_VALUES = [
     # an optional field's bound reads as a usage error: no "(or None)"
     (["run", "--suite", "edgehome", "-n", "0"], "-n/--queries",
      "must be >= 1, got 0\n"),
+    # the scheme name is vetted before the suite loads
+    (["run", "--scheme", "nosuch"], "--scheme", "unknown scheme 'nosuch'"),
+    (["run", "--scheme", "lis-k0"], "--scheme",
+     "-k<N> suffix must be >= 1, got 'lis-k0'"),
+    (["grid", "--schemes", "default,nosuch"], "--schemes",
+     "unknown scheme 'nosuch'"),
 ]
 
 

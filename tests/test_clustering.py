@@ -67,12 +67,6 @@ class TestAgglomerative:
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
-    def test_distance_threshold_cut(self):
-        vectors, _ = three_blobs()
-        model = AgglomerativeClustering(distance_threshold=3.0)
-        labels = model.fit_predict(vectors)
-        assert len(np.unique(labels)) == 3
-
     def test_n_clusters_one(self):
         vectors, _ = three_blobs()
         labels = AgglomerativeClustering(n_clusters=1).fit_predict(vectors)
@@ -91,12 +85,8 @@ class TestAgglomerative:
         with pytest.raises(ValueError):
             AgglomerativeClustering(n_clusters=2, linkage="ward", metric="cosine")
 
-    def test_both_cut_criteria_rejected(self):
-        with pytest.raises(ValueError):
-            AgglomerativeClustering(n_clusters=2, distance_threshold=1.0)
-
     def test_neither_cut_criterion_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="n_clusters"):
             AgglomerativeClustering()
 
     def test_unknown_linkage(self):
@@ -117,12 +107,12 @@ class TestAgglomerative:
     def test_dendrogram_cut_validates_input(self):
         vectors, _ = three_blobs(points_per_blob=3)
         dendrogram = AgglomerativeClustering(n_clusters=2).build_dendrogram(vectors)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="n_clusters"):
             dendrogram.cut()
         with pytest.raises(ValueError):
             dendrogram.cut(n_clusters=0)
         with pytest.raises(ValueError):
-            dendrogram.cut(n_clusters=2, distance_threshold=1.0)
+            dendrogram.cut(n_clusters=dendrogram.n_points + 1)
 
     @given(npst.arrays(np.float64, st.tuples(st.integers(2, 12), st.just(3)),
                        elements=st.floats(-10, 10)))

@@ -112,12 +112,15 @@ class TestConfiguration:
             "Load a satellite imagery archive and filter scenes by country region.",
             "Generate captions for the scenes and plot them on a map viewer.",
         ]
-        small = ToolController(geo_levels, k=3, max_level2_clusters=1).decide_batch([
-            embedder.encode(texts)])[0]
-        large = ToolController(geo_levels, k=3, max_level2_clusters=3).decide_batch([
-            embedder.encode(texts)])[0]
-        if small.level == 2 and large.level == 2:
-            assert len(small.tools) <= len(large.tools)
+        small, large = (
+            ToolController(geo_levels, k=k, force_level=2).decide_batch([
+                embedder.encode(texts)])[0]
+            for k in (1, 3))
+        assert small.level == large.level == 2
+        # k=1 presents the one best cluster, which leads the k=3 union
+        assert small.tools in {cluster.tools for cluster in geo_levels.clusters}
+        assert large.tools[:len(small.tools)] == small.tools
+        assert len(small.tools) < len(large.tools)
 
     def test_decision_tools_unique(self, embedder, geo_levels):
         texts = ["Detect ships in coastal imagery and count them per scene."]

@@ -71,18 +71,22 @@ class TestLevel2:
 
 
 class TestBuilderOptions:
-    def test_explicit_cluster_count(self, geo_suite):
-        levels = SearchLevelBuilder(embedder=shared_embedder(), n_clusters=5).build(geo_suite)
+    """The Level-2 cluster count is what ``_default_cluster_count`` returns."""
+
+    @staticmethod
+    def _count(monkeypatch, n_clusters):
+        monkeypatch.setattr(SearchLevelBuilder, "_default_cluster_count",
+                            staticmethod(lambda suite: n_clusters))
+
+    def test_explicit_cluster_count(self, geo_suite, monkeypatch):
+        self._count(monkeypatch, 5)
+        levels = SearchLevelBuilder(embedder=shared_embedder()).build(geo_suite)
         assert levels.n_clusters == 5
 
-    def test_single_cluster(self, geo_suite):
-        levels = SearchLevelBuilder(embedder=shared_embedder(), n_clusters=1).build(geo_suite)
+    def test_single_cluster(self, geo_suite, monkeypatch):
+        self._count(monkeypatch, 1)
+        levels = SearchLevelBuilder(embedder=shared_embedder()).build(geo_suite)
         assert levels.n_clusters == 1
-
-    @pytest.mark.parametrize("n_clusters", [0, -1, "auto", "automatic", 2.5])
-    def test_invalid_cluster_count_rejected(self, n_clusters):
-        with pytest.raises(ValueError, match="n_clusters"):
-            SearchLevelBuilder(n_clusters=n_clusters)
 
     def test_deterministic_build(self, geo_suite):
         a = SearchLevelBuilder(embedder=shared_embedder()).build(geo_suite)

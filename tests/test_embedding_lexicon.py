@@ -1,7 +1,16 @@
 """Tests for repro.embedding.lexicon."""
 
+from repro.embedding import lexicon as lexicon_module
 from repro.embedding.lexicon import DEFAULT_CONCEPTS, ConceptLexicon, default_lexicon
 from repro.embedding.tokenizer import stem
+
+
+def _lexicon_over(monkeypatch, concepts) -> ConceptLexicon:
+    """A lexicon built from ``concepts`` in place of the module table
+    (the shared default is built first, so it never sees the patch)."""
+    default_lexicon()
+    monkeypatch.setattr(lexicon_module, "DEFAULT_CONCEPTS", concepts)
+    return ConceptLexicon()
 
 
 class TestConceptLexicon:
@@ -41,15 +50,15 @@ class TestConceptLexicon:
     def test_len_counts_concepts(self):
         assert len(default_lexicon().concepts) == len(DEFAULT_CONCEPTS)
 
-    def test_extended_adds_concept(self):
-        extended = ConceptLexicon({**DEFAULT_CONCEPTS,
-                                   "quantum": ("qubit", "entangle")})
+    def test_extended_adds_concept(self, monkeypatch):
+        extended = _lexicon_over(monkeypatch, {
+            **DEFAULT_CONCEPTS, "quantum": ("qubit", "entangle")})
         assert "quantum" in extended.lookup(stem("qubit"))
         # base lexicon untouched
         assert default_lexicon().lookup(stem("qubit")) == []
 
-    def test_extended_merges_terms_into_existing_concept(self):
-        extended = ConceptLexicon({
+    def test_extended_merges_terms_into_existing_concept(self, monkeypatch):
+        extended = _lexicon_over(monkeypatch, {
             **DEFAULT_CONCEPTS,
             "weather": DEFAULT_CONCEPTS["weather"] + ("barometer",)})
         assert "weather" in extended.lookup(stem("barometer"))
@@ -62,7 +71,7 @@ class TestConceptLexicon:
         for concept, terms in DEFAULT_CONCEPTS.items():
             assert terms, f"concept {concept} has no terms"
 
-    def test_custom_lexicon_isolated(self):
-        tiny = ConceptLexicon({"pets": ("dog", "cat")})
+    def test_custom_lexicon_isolated(self, monkeypatch):
+        tiny = _lexicon_over(monkeypatch, {"pets": ("dog", "cat")})
         assert "pets" in tiny.lookup("dog")
         assert tiny.lookup(stem("weather")) == []

@@ -38,8 +38,8 @@ def make_app(suite, http: HttpSpec | None = None):
     sessions.register("home", suite)
     config = ServingSpec(max_batch_size=4,
                          default_scheme="lis-k3", default_model=MODEL,
-                         default_quant=QUANT)
-    return create_app(Gateway(sessions, config=config), http=http)
+                         default_quant=QUANT, http=http)
+    return create_app(Gateway(sessions, config=config))
 
 
 def serve(suite, scenario, http: HttpSpec | None = None):

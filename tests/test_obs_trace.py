@@ -22,11 +22,11 @@ import pickle
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
 from repro.obs import (
-    JsonlSink,
     MemorySink,
     TraceContext,
     Tracer,
     read_jsonl_spans,
+    sinks,
 )
 from repro.obs.trace import request_trace_id
 from repro.serving import Gateway, SessionManager, run_load
@@ -41,17 +41,19 @@ def _memory_tracer(sample_rate: float = 1.0) -> tuple[Tracer, MemorySink]:
     return Tracer(sink, sample_rate=sample_rate), sink
 
 
-def _serve(suite, config: ServingSpec, tracer: Tracer | None, queries=None):
-    """Submit ``queries`` through one gateway; return the responses."""
+def _serve(suite, config: ServingSpec, queries=None):
+    """Submit ``queries`` through one gateway tracing into a memory
+    sink; return the responses and the sink."""
 
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, config=config,
-                           tracer=tracer) as gateway:
-            return await asyncio.gather(*(
+        async with Gateway(sessions,
+                           config=config.replace(obs=ObsSpec())) as gateway:
+            responses = await asyncio.gather(*(
                 gateway.submit("home", query)
                 for query in (queries or suite.queries)))
+        return responses, gateway.tracer.sink
 
     return asyncio.run(scenario())
 
@@ -108,9 +110,8 @@ def test_trace_context_pickle_roundtrip():
 # ----------------------------------------------------------------------
 def test_single_request_produces_complete_span_tree():
     suite = load_suite("edgehome", n_queries=4)
-    tracer, sink = _memory_tracer()
     config = ServingSpec(max_batch_size=4)
-    [response] = _serve(suite, config, tracer, queries=[suite.queries[0]])
+    [response], sink = _serve(suite, config, queries=[suite.queries[0]])
     assert response.episode is not None
 
     [trace_id] = sink.trace_ids()
@@ -136,8 +137,7 @@ def test_same_workload_names_the_same_traces_across_runs():
     config = ServingSpec(max_batch_size=4)
     ids = []
     for _ in range(2):
-        tracer, sink = _memory_tracer()
-        _serve(suite, config, tracer)
+        _, sink = _serve(suite, config)
         ids.append(set(sink.trace_ids()))
     assert ids[0] == ids[1]
 
@@ -152,17 +152,16 @@ def test_tracing_preserves_bitwise_equivalence():
         for episode in ExperimentRunner(suite, embedder=CachedEmbedder())
         .run("lis-k3", MODEL, QUANT).episodes
     }
-    tracer, sink = _memory_tracer()
     config = ServingSpec(max_batch_size=4)
-    responses = _serve(suite, config, tracer)
+    responses, sink = _serve(suite, config)
     assert len(sink.trace_ids()) == len(suite.queries)
     for response in responses:
         assert response.episode == reference[response.episode.qid]
 
 
 def test_obs_spec_wires_a_jsonl_artifact(tmp_path):
-    """``ServingSpec.obs`` alone (no explicit tracer) builds the tracer
-    and the JSONL sink writes one span per line, readable back."""
+    """``ServingSpec.obs`` builds the tracer and the JSONL sink writes
+    one span per line, readable back."""
     path = tmp_path / "trace.jsonl"
     suite = load_suite("edgehome", n_queries=4)
     config = ServingSpec(
@@ -183,29 +182,23 @@ def test_obs_spec_wires_a_jsonl_artifact(tmp_path):
 
 
 def test_stop_closes_the_sink_the_gateway_built(tmp_path):
-    """``Gateway.stop`` closes a sink it built from ``config.obs`` (the
-    JSONL file used to stay open: ``ResourceWarning``); a tracer the
-    caller passed in stays the caller's to close."""
+    """``Gateway.stop`` closes the sink it built from ``config.obs`` (the
+    JSONL file used to stay open: ``ResourceWarning``)."""
     suite = load_suite("edgehome", n_queries=1)
 
-    async def one_request(**gateway_kwargs):
+    async def one_request(config):
         sessions = SessionManager()
         sessions.register("home", suite)
-        async with Gateway(sessions, **gateway_kwargs) as gateway:
+        async with Gateway(sessions, config=config) as gateway:
             await gateway.submit("home", suite.queries[0])
         return gateway.tracer.sink
 
-    built_path, passed_path = tmp_path / "built.jsonl", tmp_path / "own.jsonl"
-    built = asyncio.run(one_request(config=ServingSpec(
+    built_path = tmp_path / "built.jsonl"
+    built = asyncio.run(one_request(ServingSpec(
         obs=ObsSpec(sink="jsonl", sink_path=str(built_path)))))
     assert built._file.closed
     assert sorted(span["name"] for span in read_jsonl_spans(
         str(built_path))) == ["execute", "plan", "queue", "request"]
-
-    passed = asyncio.run(one_request(
-        tracer=Tracer(JsonlSink(str(passed_path)))))
-    assert not passed._file.closed
-    passed.close()
 
 
 def test_event_after_the_request_ended_is_not_orphaned():
@@ -224,8 +217,9 @@ def test_event_after_the_request_ended_is_not_orphaned():
     assert fault.duration_ms == 0.0
 
 
-def test_memory_sink_ring_evicts_oldest():
-    tracer = Tracer(sink := MemorySink(capacity=3))
+def test_memory_sink_ring_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(sinks, "MEMORY_SINK_CAPACITY", 3)
+    tracer = Tracer(sink := MemorySink())
     for i in range(5):
         ctx = TraceContext(trace_id=f"{i:016x}")
         tracer.end_span(tracer.start_span(ctx, "request"))

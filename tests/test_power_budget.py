@@ -21,12 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.sinks import MemorySink
-from repro.obs.trace import Tracer
 from repro.power import BudgetController, MODE_LADDER
-from repro.power.signals import StaticSignal
 from repro.serving import Gateway, SessionManager, TenantShedError
-from repro.specs import BudgetSpec, ServingSpec
+from repro.specs import BudgetSpec, ObsSpec, ServingSpec
 from repro.suites import load_suite
 
 COMMITTED_TRACE = (Path(__file__).resolve().parent.parent
@@ -233,15 +230,6 @@ def test_intensity_steps_power_mode_with_hysteresis():
     ``recovery_ticks`` consecutive low readings, and the in-between band
     restarts the streak.  Every move is one ``budget`` marker span."""
     suite = load_suite("edgehome", n_queries=2)
-    sink = MemorySink()
-
-    def markers() -> Counter:
-        """``scope:direction:target`` of each budget marker, counted the
-        way ``budget_transitions_detail`` keys its moves."""
-        return Counter(
-            f"{a['scope']}:{a['direction']}:{a.get('power_mode', a.get('rung'))}"
-            for a in (span.attributes for span in sink.spans()
-                      if span.name == "budget"))
 
     async def scenario():
         sessions = SessionManager()
@@ -251,9 +239,20 @@ def test_intensity_steps_power_mode_with_hysteresis():
                           trace_path=str(COMMITTED_TRACE),
                           interval_ms=600_000.0)
         config = ServingSpec(max_batch_size=4,
-                             budget=spec)
-        async with Gateway(sessions, config=config,
-                           tracer=Tracer(sink)) as gateway:
+                             budget=spec, obs=ObsSpec())
+        async with Gateway(sessions, config=config) as gateway:
+            sink = gateway.tracer.sink
+
+            def markers() -> Counter:
+                """``scope:direction:target`` of each budget marker,
+                counted the way ``budget_transitions_detail`` keys its
+                moves."""
+                return Counter(
+                    f"{a['scope']}:{a['direction']}:"
+                    f"{a.get('power_mode', a.get('rung'))}"
+                    for a in (span.attributes for span in sink.spans()
+                              if span.name == "budget"))
+
             controller = gateway.budget
             evening = 20 * 3600.0   # duck-curve peak, > intensity_high
             midday = 13 * 3600.0    # solar dip, < intensity_low
@@ -301,8 +300,8 @@ def test_intensity_steps_power_mode_with_hysteresis():
                 gateway.sessions,
                 BudgetSpec(intensity_high=450.0, min_power_mode="MAXN"),
                 meter=gateway.power_meter, telemetry=gateway.telemetry,
-                tracer=gateway.tracer, signal=StaticSignal(999.0))
-            pinned.tick(now_s=0.0)
+                tracer=gateway.tracer)
+            pinned.tick(now_s=evening)
             assert gateway.power_mode() == "MAXN"
             assert (gateway.metrics()["budget_transitions_detail"]
                     == detail)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.power import EnergyMeter, load_intensity_trace
+from repro.power import EnergyMeter, load_intensity_trace, signals
 from repro.power.signals import (
     DAY_S,
     StaticSignal,
@@ -34,8 +34,14 @@ def test_static_signal():
         StaticSignal(intensity_g_per_kwh=-1.0)
 
 
-def test_trace_signal_interpolation_and_wrap():
-    signal = TraceSignal([(0.0, 100.0), (3600.0, 200.0)], period_s=7200.0)
+@pytest.fixture
+def two_hour_day(monkeypatch):
+    """Trace signals built under it replay a 7200 s cycle."""
+    monkeypatch.setattr(signals, "DAY_S", 7200.0)
+
+
+def test_trace_signal_interpolation_and_wrap(two_hour_day):
+    signal = TraceSignal([(0.0, 100.0), (3600.0, 200.0)])
     assert signal.intensity(0.0) == 100.0
     assert signal.intensity(1800.0) == pytest.approx(150.0)
     assert signal.intensity(3600.0) == 200.0
@@ -48,17 +54,15 @@ def test_trace_signal_interpolation_and_wrap():
     assert TraceSignal([(0.0, 321.0)]).intensity(1e6) == 321.0
 
 
-def test_trace_signal_validation():
+def test_trace_signal_validation(two_hour_day):
     with pytest.raises(ValueError):
         TraceSignal([])
     with pytest.raises(ValueError):
         TraceSignal([(0.0, 1.0), (0.0, 2.0)])  # not strictly increasing
     with pytest.raises(ValueError):
-        TraceSignal([(0.0, 1.0), (9000.0, 2.0)], period_s=7200.0)
+        TraceSignal([(0.0, 1.0), (9000.0, 2.0)])
     with pytest.raises(ValueError):
         TraceSignal([(0.0, -1.0)])
-    with pytest.raises(ValueError):
-        TraceSignal([(0.0, 1.0)], period_s=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +71,6 @@ def test_trace_signal_validation():
 def test_committed_trace_loads_and_replays():
     signal = load_intensity_trace(COMMITTED_TRACE)
     assert len(signal.points) == 24
-    assert signal.period_s == DAY_S
     # duck-curve shape: midday solar dip well below the evening peak
     midday = signal.intensity(13 * 3600.0)
     evening = signal.intensity(20 * 3600.0)
@@ -86,7 +89,6 @@ def test_trace_round_trip(tmp_path):
         f"{t_s / 3600.0:g},{value:g}\n" for t_s, value in original.points))
     reloaded = load_intensity_trace(copy_path)
     assert reloaded.points == original.points
-    assert reloaded.period_s == original.period_s
 
 
 def _write(tmp_path, text):
@@ -243,8 +245,8 @@ def test_meter_edge_cases():
         EnergyMeter(window_requests=0)
 
 
-def test_meter_signal_drives_carbon_through_time():
-    signal = TraceSignal([(0.0, 100.0), (3600.0, 500.0)], period_s=7200.0)
+def test_meter_signal_drives_carbon_through_time(two_hour_day):
+    signal = TraceSignal([(0.0, 100.0), (3600.0, 500.0)])
     meter = EnergyMeter(signal=signal, clock=lambda: 0.0)
     home = _session("home")
     episode = _Episode("q1", 150.0)

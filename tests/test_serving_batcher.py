@@ -330,9 +330,10 @@ def test_queue_full_error_reports_occupancy():
     assert "a=2" in str(error) and "b=1" in str(error)
 
 
-def test_worker_shutdown_raises_with_stack_when_stuck():
+def test_worker_shutdown_raises_with_stack_when_stuck(monkeypatch):
     """A batch worker that cannot join is a hang, not a detail to swallow:
     shutdown must raise and point at the stuck frame."""
+    from repro.serving import batcher
     from repro.serving.batcher import _SingleWorker
 
     worker = _SingleWorker()
@@ -345,10 +346,12 @@ def test_worker_shutdown_raises_with_stack_when_stuck():
 
     future = worker.submit(wedge)
     assert started.wait(timeout=5.0)
+    monkeypatch.setattr(batcher, "JOIN_TIMEOUT_S", 0.1)
     with pytest.raises(RuntimeError, match="failed to join") as excinfo:
-        worker.shutdown(join_timeout_s=0.1)
+        worker.shutdown()
     # the error carries the worker's stack, naming the stuck function
     assert "wedge" in str(excinfo.value)
     release.set()
     future.result(timeout=5.0)
-    worker.shutdown(join_timeout_s=5.0)
+    monkeypatch.setattr(batcher, "JOIN_TIMEOUT_S", 5.0)
+    worker.shutdown()

@@ -16,7 +16,6 @@ import pytest
 
 from repro.embedding.cache import CachedEmbedder
 from repro.evaluation.runner import ExperimentRunner
-from repro.obs import MemorySink, Tracer
 from repro.serving import (
     DeadlineExceededError,
     FaultInjector,
@@ -26,7 +25,7 @@ from repro.serving import (
     run_load,
 )
 from repro.serving.faults import as_injector
-from repro.specs import FaultPlan, ServingSpec
+from repro.specs import FaultPlan, ObsSpec, ServingSpec
 from repro.suites import load_suite
 
 MODEL, QUANT = "hermes2-pro-8b", "q4_K_M"
@@ -208,13 +207,12 @@ def test_run_load_reports_after_the_gateway_drained():
     report must still be the gateway's telemetry once stop() drained,
     and every injected fault must surface as a ``fault`` span at its
     hook."""
-    sink = MemorySink()
     config = ServingSpec(timeout_ms=100.0, faults=FaultPlan(
         seed=3, slow_batch_rate=0.25, slow_batch_ms=250.0,
-        exception_rate=0.3))
+        exception_rate=0.3), obs=ObsSpec())
     sessions = SessionManager()
     sessions.register("edgehome", load_suite("edgehome"))
-    gateway = Gateway(sessions, config=config, tracer=Tracer(sink))
+    gateway = Gateway(sessions, config=config)
     report = run_load(gateway, n_requests=64, concurrency=8,
                       tolerate_errors=True)
 
@@ -225,7 +223,8 @@ def test_run_load_reports_after_the_gateway_drained():
     assert report.gateway_metrics["deadline_timeouts"] >= 1
     assert counters(report.gateway_metrics) == counters(gateway.metrics())
     assert report.cost == gateway.costs()
-    fault_hooks = {span.attributes["hook"] for span in sink.spans()
+    fault_hooks = {span.attributes["hook"]
+                   for span in gateway.tracer.sink.spans()
                    if span.name == "fault"}
     assert fault_hooks == set(report.gateway_metrics["faults_injected_by_hook"])
     assert report.failures(config) == []

@@ -221,11 +221,12 @@ def test_percentile_math():
         percentile(values, 101.0)
 
 
-def test_telemetry_snapshot_counts():
-    from repro.serving import Telemetry
+def test_telemetry_snapshot_counts(monkeypatch):
+    from repro.serving import Telemetry, telemetry as telemetry_module
 
-    telemetry = Telemetry(max_samples=4)
-    for depth in range(6):  # exceeds max_samples: ring buffer, not growth
+    monkeypatch.setattr(telemetry_module, "MAX_SAMPLES", 4)
+    telemetry = Telemetry()
+    for depth in range(6):  # exceeds MAX_SAMPLES: ring buffer, not growth
         telemetry.record_admission(depth)
     telemetry.record_rejection()
     telemetry.record_flush(3)

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.serving import telemetry as telemetry_module
 from repro.serving.telemetry import Telemetry, _Ring, percentile
+
+
+def _telemetry(monkeypatch, max_samples: int) -> Telemetry:
+    """A recorder whose sample rings hold ``max_samples`` each."""
+    monkeypatch.setattr(telemetry_module, "MAX_SAMPLES", max_samples)
+    return Telemetry()
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +127,8 @@ def test_batch_histogram_boundaries_and_mean():
     assert snapshot["mean_batch_size"] == pytest.approx((1 + 1 + 8 + 32) / 4)
 
 
-def test_flush_feeds_queue_wait_percentiles_and_exact_sum():
-    telemetry = Telemetry(max_samples=4)
+def test_flush_feeds_queue_wait_percentiles_and_exact_sum(monkeypatch):
+    telemetry = _telemetry(monkeypatch, 4)
     telemetry.record_flush(1)  # waits are optional: histogram-only callers
     telemetry.record_flush(2, [0.001, 0.003])
     telemetry.record_flush(4, [0.002, 0.002, 0.004, 0.008])
@@ -146,19 +153,14 @@ def test_queue_depth_tracking_and_rejections():
     assert snapshot["queue_depth_mean"] == pytest.approx(2.0)
 
 
-def test_max_samples_bounds_latency_ring_but_not_counters():
-    telemetry = Telemetry(max_samples=2)
+def test_max_samples_bounds_latency_ring_but_not_counters(monkeypatch):
+    telemetry = _telemetry(monkeypatch, 2)
     for i in range(5):
         telemetry.record_completion(float(i))
     snapshot = telemetry.snapshot()
     assert snapshot["requests_completed"] == 5  # counters stay exact
     # ring keeps only the 2 newest samples
     assert snapshot["latency_p50_ms"] == pytest.approx(3.5 * 1e3)
-
-
-def test_max_samples_must_be_positive():
-    with pytest.raises(ValueError, match="max_samples"):
-        Telemetry(max_samples=0)
 
 
 def test_snapshot_seq_and_uptime_progress():

@@ -193,13 +193,22 @@ class TestValidation:
             SuiteSpec(name="bfcl", n_queries=0)
 
     def test_agent_k_positive(self):
-        """k is said by the scheme name alone, and checked where the
-        agent is built."""
-        from repro import open_session
+        """k is said by the scheme name alone, and checked with it."""
+        with pytest.raises(ValueError, match="-k<N> suffix must be >= 1"):
+            AgentSpec("lis-k0")
+        assert AgentSpec("lis-k1").scheme == "lis-k1"
 
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            open_session("edgehome", n_queries=2).build_agent(
-                AgentSpec("lis-k0"))
+    def test_agent_scheme_is_registered(self):
+        with pytest.raises(ValueError,
+                           match="AgentSpec.scheme: unknown scheme 'nosuch'"):
+            AgentSpec("nosuch")
+        with pytest.raises(ValueError, match="unknown scheme 'nosuch'"):
+            AgentSpec("nosuch-k3")
+        with pytest.raises(ValueError,
+                           match="GridSpec.schemes: unknown scheme 'nosuch'"):
+            GridSpec(schemes="default,nosuch")
+        with pytest.raises(ValueError, match="GridSpec.schemes -k<N> suffix"):
+            GridSpec(schemes="lis-k0")
 
     def test_agent_force_level_domain(self):
         with pytest.raises(ValueError, match="force_level"):
@@ -373,6 +382,60 @@ FIELDS = {
                   "faults"),
     ExperimentSpec: ("suite", "agent", "grid", "serving"),
 }
+
+#: the parameter names (``self`` aside) of every constructor and
+#: function whose settable surface the constructor cut decided, as
+#: ``module:qualname``: like :data:`FIELDS`, a new knob is a visible
+#: one-line edit here.  Each value a shipped path never set is a named
+#: constant at its one reader.
+SIGNATURES = {
+    "repro.core.controller:ToolController": (
+        "levels", "k", "confidence_threshold", "force_level"),
+    "repro.core.levels:SearchLevelBuilder": ("embedder",),
+    "repro.suites.augmentation:AugmentationEngine": ("suite",),
+    "repro.core.agent_base:FunctionCallingAgent": (
+        "llm", "suite", "device", "skill_multiplier"),
+    "repro.baselines.gorilla:GorillaAgent": (
+        "llm", "suite", "k", "context_window", "embedder", "kwargs"),
+    "repro.baselines.toolllm:ToolLLMAgent": (
+        "llm", "suite", "n_branches", "context_window", "embedder",
+        "enforce_memory", "kwargs"),
+    "repro.embedding.sentence:SentenceEmbedder": ("dim", "seed_namespace"),
+    "repro.embedding.lexicon:ConceptLexicon": (),
+    "repro.clustering.agglomerative:AgglomerativeClustering": (
+        "n_clusters", "linkage", "metric"),
+    "repro.clustering.agglomerative:Dendrogram.cut": ("n_clusters",),
+    "repro.serving.gateway:Gateway": ("sessions", "config"),
+    "repro.serving.http.app:GatewayHTTPApp": ("gateway",),
+    "repro.serving.http.app:create_app": ("gateway",),
+    "repro.serving.http.server:serve_gateway": (
+        "gateway", "ready", "shutdown"),
+    "repro.serving.http.server:AsgiServer": ("app", "http"),
+    "repro.serving.telemetry:Telemetry": (),
+    "repro.serving.batcher:_SingleWorker.shutdown": (),
+    "repro.obs.sinks:MemorySink": (),
+    "repro.power.signals:TraceSignal": ("points",),
+    "repro.power.budget:BudgetController": (
+        "sessions", "spec", "meter", "telemetry", "tracer"),
+    "repro.registry:resolve_scheme": ("name",),
+    "repro.registry:split_scheme": ("name",),
+    "repro.suites.edgehome:generate_edgehome_queries": (
+        "n_queries", "seed", "split"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SIGNATURES))
+def test_constructor_parameters_are_pinned(target):
+    import importlib
+    import inspect
+
+    module, _, qualname = target.partition(":")
+    obj = importlib.import_module(module)
+    for name in qualname.split("."):
+        obj = getattr(obj, name)
+    assert tuple(name for name in inspect.signature(obj).parameters
+                 if name != "self") == SIGNATURES[target]
+
 
 #: the keys the one-knob-per-idea cut removed, by class (a second way to
 #: say what another field says, a single-value tuning knob, or a
