@@ -71,11 +71,9 @@ ALLOWLIST: dict[str, str] = {
     "repro.core.agent_base:FunctionCallingAgent.plan_batch":
         "the looping fallback for agents without a batched planner; shipped "
         "runs serve lis-k3, which has one",
-    "repro.embedding.sentence:SentenceEmbedder.cache_nbytes":
-        "resident bytes of the direction bank, a probe tests read",
     "repro.embedding.sentence:SentenceEmbedder.direction_count":
-        "directions drawn so far, the probe the embedder-sharing tests "
-        "count with",
+        "corpus directions interned, the probe the bounded-memory law and "
+        "the embedder-sharing tests count with",
     "repro.engines.base:Engine.generate":
         "Protocol stub: the signature engines implement, never called "
         "itself",
@@ -142,7 +140,7 @@ ALLOWLIST: dict[str, str] = {
 
 #: the allowlist may only shrink: a new excuse is a visible one-line
 #: edit here, as ``LOC_CEILING`` in the Makefile makes LoC growth
-ALLOWLIST_CEILING = 29
+ALLOWLIST_CEILING = 28
 
 HOOK = '''\
 """Record the src/repro code objects this process calls (scripts/reach.py)."""

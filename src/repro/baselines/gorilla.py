@@ -49,7 +49,7 @@ class GorillaAgent(FunctionCallingAgent):
         self.context_window = context_window
         self.embedder = embedder if embedder is not None else shared_embedder()
         self._index = VectorIndex(dim=self.embedder.dim)
-        self._index.add(self.embedder.encode(suite.catalog.descriptions()))
+        self._index.add(self.embedder.encode_corpus(suite.catalog.descriptions()))
         self._names = suite.catalog.names
 
     def _k_for(self, query: Query) -> int:

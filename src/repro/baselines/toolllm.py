@@ -84,7 +84,7 @@ class ToolLLMAgent(FunctionCallingAgent):
     def _build_tree(self) -> list[tuple[str, ...]]:
         """Cluster tools into leaf groups of ~:data:`GROUP_SIZE`."""
         descriptions = self.suite.catalog.descriptions()
-        vectors = self.embedder.encode(descriptions)
+        vectors = self.embedder.encode_corpus(descriptions)
         n_groups = max(2, math.ceil(len(descriptions) / GROUP_SIZE))
         labels = AgglomerativeClustering(
             n_clusters=n_groups, linkage="average", metric="cosine",

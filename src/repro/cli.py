@@ -306,7 +306,13 @@ def _serving_spec(args: argparse.Namespace) -> ServingSpec:
             args.parser.error(f"{', '.join(building)} cannot be combined "
                               f"with --spec")
         with open(args.spec) as handle:
-            base = ServingSpec.from_dict(json.load(handle))
+            try:
+                base = ServingSpec.from_dict(json.load(handle))
+            except ValueError as error:
+                args.parser.error(f"argument --spec: {error}")
+        if not base.tenants:
+            args.parser.error(f"argument --spec: must name at least one "
+                              f"tenant, got none in {args.spec}")
     else:
         base = ServingSpec(tenants=tuple(
             TenantSpec(name, _spec(args, SuiteSpec, name=name))

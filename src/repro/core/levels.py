@@ -87,7 +87,7 @@ class SearchLevelBuilder:
     # Level 1: individual tool embeddings
     # ------------------------------------------------------------------
     def _build_level1(self, suite: BenchmarkSuite) -> VectorIndex:
-        vectors = self.embedder.encode(suite.catalog.descriptions())
+        vectors = self.embedder.encode_corpus(suite.catalog.descriptions())
         index = VectorIndex(dim=self.embedder.dim)
         index.add(vectors)
         return index
@@ -101,7 +101,7 @@ class SearchLevelBuilder:
         if not samples:
             return [], index
 
-        vectors = self.embedder.encode([sample.text for sample in samples])
+        vectors = self.embedder.encode_corpus([sample.text for sample in samples])
         n_clusters = min(self._default_cluster_count(suite), len(samples))
         labels = AgglomerativeClustering(
             n_clusters=n_clusters, linkage="ward", metric="euclidean",
@@ -133,7 +133,7 @@ class SearchLevelBuilder:
         descriptions at query time (the same space Level 1 lives in).
         """
         descriptions = [suite.catalog.get(name).description for name in tools]
-        vectors = self.embedder.encode(descriptions)
+        vectors = self.embedder.encode_corpus(descriptions)
         return normalize_rows(vectors.mean(axis=0, keepdims=True))[0]
 
     @staticmethod

@@ -8,11 +8,15 @@ embedder is deterministic).
 The cache is batch-aware: one pass partitions a batch into hits and
 misses, the misses are embedded in a single vectorized
 :meth:`SentenceEmbedder.encode` call, and the results are merged back in
-order.  Every cache is an LRU of ``max_entries`` texts, so a long-lived
-service does not grow with the texts its requests bring; an evicted text
-re-encodes to bitwise the same vector.  One lock covers the whole stack,
-so one embedder can be shared by concurrent callers (the serving
-gateway's event loop and batch worker).
+order.  Every cache is an LRU of ``max_entries`` texts, and the wrapped
+embedder keeps its request-time directions and plans under the same
+bound, so a long-lived service does not grow with the texts its requests
+bring; an evicted text re-encodes to bitwise the same vector.  Build
+sites hand their corpus (tool descriptions, the augmentation corpus) to
+:meth:`CachedEmbedder.encode_corpus`, the one way the embedder's
+permanent directions grow.  One lock covers the whole stack, so one
+embedder can be shared by concurrent callers (the serving gateway's
+event loop and batch worker).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.embedding.directions import MAX_ENTRIES
 from repro.embedding.sentence import SentenceEmbedder
 
 
@@ -36,19 +41,20 @@ class CachedEmbedder:
         so a cached vector never goes stale.
     max_entries:
         The cache evicts least-recently-used entries beyond this bound.
-        The default, 1024 vectors (~6 KB each, ~6 MB full), holds every
-        tenant's presented tool descriptions plus several 32-request
-        micro-batches of query and recommendation texts.  An evicted
-        text re-encodes from the wrapped embedder's interned directions,
-        so its vector is bitwise the same on every encode.
+        The default, :data:`~repro.embedding.directions.MAX_ENTRIES`
+        (1024 vectors, ~6 KB each, ~6 MB full), holds every tenant's
+        presented tool descriptions plus several 32-request micro-batches
+        of query and recommendation texts.  An evicted text re-encodes in
+        the wrapped embedder's canonical feature order, so its vector is
+        bitwise the same on every encode.
 
     One lock is held across lookup, compute and store.  It guards the
     cache and, because nothing else reaches the wrapped embedder, that
-    embedder's single-writer word memos and direction bank too.
+    embedder's single-writer plans and direction bank too.
     """
 
     def __init__(self, embedder: SentenceEmbedder | None = None,
-                 max_entries: int = 1024):
+                 max_entries: int = MAX_ENTRIES):
         if not isinstance(max_entries, int) or max_entries < 1:
             raise ValueError(
                 f"max_entries must be an int >= 1, got {max_entries!r}")
@@ -100,6 +106,22 @@ class CachedEmbedder:
                     for i in miss_positions[text]:
                         out[i] = stored
         return np.stack(out)
+
+    def encode_corpus(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:
+        """Embed corpus texts, whose features become permanent directions.
+
+        Build sites call this for what every request is matched against:
+        tool descriptions, the augmentation corpus, a catalog warmed or
+        swapped in.  When the corpus grows after request-time features
+        were planned, a cached text may hold a feature that is now a
+        corpus row, so the cache starts over rather than keep a vector a
+        re-encode would sum in another order.
+        """
+        texts = list(texts)
+        with self._lock:
+            if self.embedder.add_corpus(texts):
+                self._cache.clear()
+        return self.encode(texts)
 
     # ------------------------------------------------------------------
     # cache introspection

@@ -4,22 +4,27 @@ The embedding model is unchanged from the original implementation —
 every ``(family, feature)`` id maps to a fixed seeded unit direction,
 features are summed with family/log-count weights and the result is
 L2-normalized — but the execution is vectorized: feature directions live
-in a persistent :class:`~repro.embedding.directions.DirectionBank`
-matrix, per-word feature sets are memoized as interned row ids, and a
-document embedding is one ``weights @ directions[rows]`` matmul instead
-of a per-feature Python accumulation loop.
+in a :class:`~repro.embedding.directions.DirectionBank`, per-word feature
+sets are memoized as plans over it, and a document embedding is one
+``weights @ operand`` matmul instead of a per-feature Python
+accumulation loop.
 
 ``encode()`` is the primary entry point; ``encode_one`` is a batch of
-one, so batched and one-at-a-time encoding are bitwise identical.  The
-historical per-feature loop is the equivalence tests' oracle
-(``tests/embedding_oracle.py``).
+one, so batched and one-at-a-time encoding are bitwise identical.
+:meth:`SentenceEmbedder.add_corpus` is the one way features become
+permanent corpus rows; everything else ``encode`` meets lives under the
+bank's request-time bound.  The historical per-feature loop is the
+equivalence tests' oracle (``tests/embedding_oracle.py``).
 """
 
 from __future__ import annotations
 
+from collections import Counter, OrderedDict
+from itertools import chain
+
 import numpy as np
 
-from repro.embedding.directions import DirectionBank, FeatureKey
+from repro.embedding.directions import DirectionBank, FeatureKey, trim
 from repro.embedding.lexicon import default_lexicon
 from repro.embedding.tokenizer import STOPWORDS, Tokenizer, stem
 from repro.utils.vectorops import normalize_rows
@@ -48,14 +53,22 @@ class SentenceEmbedder:
 
     Notes
     -----
-    The per-document computation depends only on the document's own
-    feature set, so ``encode(texts)`` is bitwise equal to stacking
-    ``encode_one`` calls on the same embedder at any batch size.  Across
-    embedders that interned their vocabularies in different orders,
-    values agree to float addition order (~1e-15).
+    A document's features are summed in one canonical order: its corpus
+    rows in row-id order, then its request-time features in order of
+    first appearance in the document.  The order depends only on the
+    document and the corpus, so ``encode(texts)`` is bitwise equal to
+    stacking ``encode_one`` calls at any batch size, after any eviction
+    and whatever was encoded before.  Across embedders whose corpora
+    were interned in different orders, values agree to float addition
+    order (~1e-15).
 
-    Single-writer: encoding grows the word memos and the direction bank
-    without a lock of its own.  Share one across threads only behind
+    Memory: corpus rows and corpus word/bigram plans grow only with
+    :meth:`add_corpus`.  Request-time directions and request-time word
+    and bigram plans are LRUs under
+    :data:`~repro.embedding.directions.MAX_ENTRIES` each.
+
+    Single-writer: encoding updates the plans and the LRUs without a lock
+    of its own.  Share one across threads only behind
     :class:`~repro.embedding.cache.CachedEmbedder`, whose lock covers it.
     """
 
@@ -71,26 +84,49 @@ class SentenceEmbedder:
         self.seed_namespace = seed_namespace
         self._tokenizer = Tokenizer()
         self._bank = DirectionBank(self.dim, seed_namespace)
-        #: per-row family weight, kept parallel to the bank rows
+        #: per-row family weight, kept parallel to the corpus rows
         self._row_weights = np.empty(0)
-        # word-level memos over interned direction rows:
-        #   raw word -> (stem | None, token+concept row ids, trigram row ids)
-        #   stemmed bigram phrase -> bigram+concept row ids
-        self._word_memo: dict[str, tuple[str | None, tuple[int, ...], tuple[int, ...]]] = {}
-        self._bigram_memo: dict[str, tuple[int, ...]] = {}
+        # word plans: raw word -> (stem | None, token+concept rows, trigram
+        # rows); bigram plans: stemmed phrase -> bigram+concept rows.
+        # Corpus plans (every feature a corpus row) are permanent:
+        self._word_memo: dict[str, tuple] = {}
+        self._bigram_memo: dict[str, tuple] = {}
+        # request-time plans also carry the keys that are not corpus rows
+        # (a word's token+concept keys, then its trigram keys; a bigram's
+        # keys); they are LRUs, dropped whenever the corpus grows
+        self._request_words: OrderedDict[str, tuple] = OrderedDict()
+        self._request_bigrams: OrderedDict[str, tuple] = OrderedDict()
+        #: request-time plans were made since the corpus last grew
+        self._request_planned = False
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
     def direction_count(self) -> int:
-        """Number of feature directions currently interned."""
+        """Number of corpus directions interned."""
         return len(self._bank)
 
-    @property
-    def cache_nbytes(self) -> int:
-        """Resident bytes of the interned direction matrix."""
-        return self._bank.matrix.nbytes
+    # ------------------------------------------------------------------
+    # corpus
+    # ------------------------------------------------------------------
+    def add_corpus(self, texts: list[str] | tuple[str, ...]) -> bool:
+        """Intern every feature of ``texts`` as a permanent corpus row.
+
+        Returns whether a vector encoded before may have moved: the
+        corpus grew after request-time features were planned, so a
+        feature an earlier text summed as request-time may be a corpus
+        row now, which takes another place in the canonical order.
+        """
+        n_rows = len(self._bank)
+        self._plan([self._tokenizer.words(text) for text in texts], corpus=True)
+        if len(self._bank) == n_rows:
+            return False
+        # request-time plans may name a key that is now a corpus row
+        self._request_words.clear()
+        self._request_bigrams.clear()
+        moved, self._request_planned = self._request_planned, False
+        return moved
 
     # ------------------------------------------------------------------
     # encoding
@@ -103,32 +139,22 @@ class SentenceEmbedder:
         if not texts:
             return np.zeros((0, self.dim))
         word_lists = [self._tokenizer.words(text) for text in texts]
-        flats: list[list[int] | None] = [None] * len(texts)
+        features: list = [None] * len(texts)
         cold: list[int] = []
         for i, words in enumerate(word_lists):
             try:
-                flats[i] = self._document_rows(words)
+                features[i] = self._document_features(words)
             except KeyError:
                 cold.append(i)
         if cold:
-            # one direction-generation pass for the batch's new vocabulary
-            self._warm_memos([word_lists[i] for i in cold])
+            # one planning pass for the batch's new vocabulary
+            self._plan([word_lists[i] for i in cold], corpus=False)
             for i in cold:
-                flats[i] = self._document_rows(word_lists[i])
-        weights_of_row = self._sync_row_weights()
-        directions = self._bank.matrix
-        out = np.zeros((len(texts), self.dim))
-        for i, flat in enumerate(flats):
-            if not flat:
-                continue
-            # canonical per-document computation: sorted unique rows, one
-            # weighted matmul — independent of batch composition, so the
-            # same text embeds bitwise-identically at any batch size
-            occurrences = np.fromiter(flat, dtype=np.intp, count=len(flat))
-            row_ids, counts = np.unique(occurrences, return_counts=True)
-            weights = weights_of_row[row_ids] * (1.0 + np.log(counts))
-            out[i] = weights @ directions[row_ids]
-        return normalize_rows(out)
+                features[i] = self._document_features(word_lists[i])
+        out = self._embed(features)
+        trim(self._request_words)
+        trim(self._request_bigrams)
+        return out
 
     def encode_one(self, text: str) -> np.ndarray:
         """Embed a single string into a unit-norm ``dim``-vector."""
@@ -137,39 +163,66 @@ class SentenceEmbedder:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _document_rows(self, words: list[str]) -> list[int]:
-        """Flat direction-row ids (with multiplicity) for one document.
+    def _document_features(self, words: list[str]
+                           ) -> tuple[list[int], list[FeatureKey]]:
+        """Corpus row ids and request-time keys (both with multiplicity)
+        of one document: each word's token/concept features, then the
+        bigrams', then every word's trigrams.
 
-        Raises ``KeyError`` when a word or bigram is not memoized yet;
-        callers fall back to :meth:`_warm_memos`.
+        Raises ``KeyError`` when a word or bigram has no plan yet;
+        callers fall back to :meth:`_plan`.
         """
         flat: list[int] = []
+        keys: list[FeatureKey] = []
         trigram_rows: list[int] = []
+        trigram_keys: list[FeatureKey] = []
         stems: list[str] = []
         word_memo = self._word_memo
+        request_words = self._request_words
         for word in words:
-            stemmed, rows, tri = word_memo[word]
+            plan = word_memo.get(word)
+            if plan is None:
+                stemmed, rows, tri, request, tri_request = request_words[word]
+                request_words.move_to_end(word)
+                keys += request
+                trigram_keys += tri_request
+            else:
+                stemmed, rows, tri = plan
             if stemmed is not None:
                 stems.append(stemmed)
                 flat += rows
             trigram_rows += tri
         bigram_memo = self._bigram_memo
+        request_bigrams = self._request_bigrams
         for first, second in zip(stems, stems[1:]):
-            flat += bigram_memo[f"{first} {second}"]
+            phrase = f"{first} {second}"
+            rows = bigram_memo.get(phrase)
+            if rows is None:
+                rows, request = request_bigrams[phrase]
+                request_bigrams.move_to_end(phrase)
+                keys += request
+            flat += rows
         flat += trigram_rows
-        return flat
+        keys += trigram_keys
+        return flat, keys
 
-    def _warm_memos(self, word_lists: list[list[str]]) -> None:
-        """Memoize every word/bigram of a batch, generating new feature
-        directions in one :meth:`DirectionBank.intern` pass."""
+    def _plan(self, word_lists: list[list[str]], corpus: bool) -> None:
+        """Plan every word and bigram of ``word_lists`` that has none.
+
+        ``corpus`` plans are permanent and intern all their features as
+        corpus rows in one :meth:`DirectionBank.intern` pass (words'
+        features in order of appearance, then bigrams'); request-time
+        plans go to the LRUs and draw nothing: a key that is not a
+        corpus row is left for :meth:`DirectionBank.request`.
+        """
         word_memo = self._word_memo
-        new_keys: list[FeatureKey] = []
-        word_plans: dict[str, tuple[str | None, list[FeatureKey], list[FeatureKey]]] = {}
+        known_words = word_memo if corpus else self._request_words
+        word_keys: dict[str, tuple[str | None, list[FeatureKey], list[FeatureKey]]] = {}
         remove_stop = self._tokenizer.remove_stopwords
         apply_stem = self._tokenizer.apply_stem
         for words in word_lists:
             for word in words:
-                if word in word_memo or word in word_plans:
+                if word in word_memo or word in known_words or word in word_keys:
                     continue
                 if remove_stop and word in STOPWORDS:
                     stemmed, keys = None, []
@@ -180,38 +233,111 @@ class SentenceEmbedder:
                 padded = f"#{word}#"
                 tri_keys = [("trigram", padded[i:i + 3])
                             for i in range(len(padded) - 2)]
-                word_plans[word] = (stemmed, keys, tri_keys)
-                new_keys.extend(keys)
-                new_keys.extend(tri_keys)
+                word_keys[word] = (stemmed, keys, tri_keys)
 
         def stem_of(word: str) -> str | None:
-            memo = word_memo.get(word)
-            return memo[0] if memo is not None else word_plans[word][0]
+            plan = word_keys.get(word) or word_memo.get(word) or known_words[word]
+            return plan[0]
 
         # bigrams need the stems, which are now all known
         bigram_memo = self._bigram_memo
-        bigram_plans: dict[str, list[FeatureKey]] = {}
+        known_bigrams = bigram_memo if corpus else self._request_bigrams
+        bigram_keys: dict[str, list[FeatureKey]] = {}
         for words in word_lists:
             stems = [s for s in map(stem_of, words) if s is not None]
             for first, second in zip(stems, stems[1:]):
                 phrase = f"{first} {second}"
-                if phrase in bigram_memo or phrase in bigram_plans:
+                if (phrase in bigram_memo or phrase in known_bigrams
+                        or phrase in bigram_keys):
                     continue
                 keys = [("bigram", phrase)]
                 keys.extend(("concept", c) for c in self.lexicon.lookup_phrase(phrase))
-                bigram_plans[phrase] = keys
-                new_keys.extend(keys)
+                bigram_keys[phrase] = keys
 
-        if new_keys:
+        if corpus:
+            new_keys = [key for _, keys, tri_keys in word_keys.values()
+                        for key in chain(keys, tri_keys)]
+            new_keys += chain.from_iterable(bigram_keys.values())
             self._bank.intern(list(dict.fromkeys(new_keys)))
-        resolve = self._bank.intern
-        for word, (stemmed, keys, tri_keys) in word_plans.items():
-            word_memo[word] = (stemmed, tuple(resolve(keys)), tuple(resolve(tri_keys)))
-        for phrase, keys in bigram_plans.items():
-            bigram_memo[phrase] = tuple(resolve(keys))
+        elif word_keys or bigram_keys:
+            self._request_planned = True
+        row_of = self._bank.row_of
+
+        def rows(keys: list[FeatureKey]) -> tuple[int, ...]:
+            return tuple([row_of[key] for key in keys if key in row_of])
+
+        def novel(keys: list[FeatureKey]) -> tuple[FeatureKey, ...]:
+            return tuple([key for key in keys if key not in row_of])
+
+        for word, (stemmed, keys, tri_keys) in word_keys.items():
+            plan = (stemmed, rows(keys), rows(tri_keys))
+            known_words[word] = plan if corpus else (
+                *plan, novel(keys), novel(tri_keys))
+        for phrase, keys in bigram_keys.items():
+            known_bigrams[phrase] = rows(keys) if corpus else (
+                rows(keys), novel(keys))
+
+    def _embed(self, features: list[tuple[list[int], list[FeatureKey]]]) -> np.ndarray:
+        """Sum each document's weighted directions in canonical order."""
+        n_docs = len(features)
+        # corpus rows: one np.unique over the call's (document, row) keys
+        # sorts each document's rows and counts them
+        stride = max(len(self._bank), 1)
+        lengths = [len(flat) for flat, _ in features]
+        occurrences = np.fromiter(chain.from_iterable([flat for flat, _ in features]),
+                                  dtype=np.intp, count=sum(lengths))
+        if n_docs > 1:
+            occurrences += np.repeat(np.arange(0, n_docs * stride, stride), lengths)
+        rows, counts = np.unique(occurrences, return_counts=True)
+        bounds = [0, len(rows)]
+        if n_docs > 1:
+            owners, rows = np.divmod(rows, stride)
+            bounds = np.searchsorted(owners, np.arange(n_docs + 1)).tolist()
+        weights = self._sync_row_weights()[rows] * (1.0 + np.log(counts))
+
+        # request-time features: per document, in order of first appearance
+        tally = Counter([(i, key) for i, (_, keys) in enumerate(features)
+                         for key in keys])
+        request_bounds = [0] * (n_docs + 1)
+        if tally:
+            distinct = list(dict.fromkeys([key for _, key in tally]))
+            vectors, slots = self._bank.request(distinct)
+            slot_of = dict(zip(distinct, slots))
+            request_rows = [slot_of[key] for _, key in tally]
+            request_weights = (
+                np.array([FAMILY_WEIGHTS[key[0]] for _, key in tally])
+                * (1.0 + np.log(np.array(list(tally.values())))))
+            for i, _ in tally:
+                request_bounds[i + 1] += 1
+            for i in range(n_docs):
+                request_bounds[i + 1] += request_bounds[i]
+
+        # each document's operand is gathered into one preallocated buffer
+        sizes = [hi - lo + request_bounds[i + 1] - request_bounds[i]
+                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        operand = np.empty((max(sizes), self.dim))
+        mixed = np.empty(max(sizes))
+        take = self._bank.matrix.take
+        out = np.zeros((n_docs, self.dim))
+        for i, size in enumerate(sizes):
+            if not size:
+                continue
+            lo, hi = bounds[i], bounds[i + 1]
+            n_rows = hi - lo
+            take(rows[lo:hi], axis=0, out=operand[:n_rows], mode="clip")
+            if size == n_rows:
+                out[i] = weights[lo:hi] @ operand[:size]
+                continue
+            start, end = request_bounds[i], request_bounds[i + 1]
+            vectors.take(request_rows[start:end], axis=0,
+                         out=operand[n_rows:size], mode="clip")
+            mixed[:n_rows] = weights[lo:hi]
+            mixed[n_rows:size] = request_weights[start:end]
+            out[i] = mixed[:size] @ operand[:size]
+        return normalize_rows(out)
 
     def _sync_row_weights(self) -> np.ndarray:
-        """Extend the per-row family-weight array to cover all bank rows."""
+        """Extend the per-row family-weight array to cover all corpus rows."""
         weights = self._row_weights
         n_rows = len(self._bank)
         if len(weights) < n_rows:

@@ -104,7 +104,7 @@ class ExperimentRunner:
         execution", has the measurements).
         """
         _ = self.levels
-        self.embedder.encode(self.suite.catalog.descriptions())
+        self.embedder.encode_corpus(self.suite.catalog.descriptions())
         runs = [self.run(scheme, model, quant)
                 for model in models for quant in quants for scheme in schemes]
         return {run.key: run for run in runs}

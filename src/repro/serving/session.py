@@ -124,7 +124,7 @@ class TenantSession:
         new_runner = ExperimentRunner(new_suite, embedder=self.runner.embedder,
                                       engine=self.engine)
         _ = new_runner.levels  # re-index now, not on the first request
-        new_runner.embedder.encode(new_suite.catalog.descriptions())
+        new_runner.embedder.encode_corpus(new_suite.catalog.descriptions())
         new_agents: dict[tuple[str, str, str], object] = {}
         if warm_cell is not None:
             new_agents[warm_cell] = new_runner.make_agent(*warm_cell)
@@ -170,7 +170,7 @@ class TenantSession:
         scheme (the paper's baseline agent has no retrieval of its own).
         """
         self.agent_for(scheme, model, quant)
-        self.runner.embedder.encode(self.suite.catalog.descriptions())
+        self.runner.embedder.encode_corpus(self.suite.catalog.descriptions())
 
 
 class SessionManager:

@@ -639,6 +639,7 @@ class ServingSpec(_SpecBase):
         _require_min(self, 0, "plan_cache_size")
         _require_min(self, 0, "timeout_ms", strict=True)
         _require_name(self, "default_scheme", "default_model", "default_quant")
+        _require_scheme(self, "default_scheme", self.default_scheme)
         _coerce(self, "obs", ObsSpec)
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)

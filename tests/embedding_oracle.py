@@ -68,12 +68,13 @@ def features_reference(embedder, text: str) -> Counter:
 
 
 def memo_features(embedder, text: str) -> Counter:
-    """The feature multiset the embedder's word and bigram memos resolve
-    ``text`` to (encoding it first fills them)."""
+    """The feature multiset the embedder's word and bigram plans resolve
+    ``text`` to, corpus rows and request-time keys together (encoding it
+    first makes the plans)."""
     embedder.encode([text])
     keys = embedder._bank.keys
-    rows = embedder._document_rows(embedder._tokenizer.words(text))
-    return Counter(keys[row] for row in rows)
+    rows, request = embedder._document_features(embedder._tokenizer.words(text))
+    return Counter([keys[row] for row in rows] + request)
 
 
 def encode_one_reference(embedder, text: str) -> np.ndarray:

@@ -262,6 +262,11 @@ _BAD_VALUES = [
      "-k<N> suffix must be >= 1, got 'lis-k0'"),
     (["grid", "--schemes", "default,nosuch"], "--schemes",
      "unknown scheme 'nosuch'"),
+    # a spec file is vetted before the gateway warms its tenants
+    (["load", "--spec", str(ROOT / "tests/data/spec_unknown_default_scheme.json")],
+     "--spec", "ServingSpec.default_scheme: unknown scheme 'nosuch'"),
+    (["load", "--spec", str(ROOT / "tests/data/spec_no_tenants.json")],
+     "--spec", "must name at least one tenant, got none in"),
 ]
 
 

@@ -7,7 +7,6 @@ import pytest
 from embedding_oracle import (
     direction, encode_one_reference, features_reference, memo_features)
 from repro.embedding import DirectionBank, SentenceEmbedder
-from repro.embedding import directions as directions_module
 from repro.embedding.cache import CachedEmbedder
 from repro.suites import load_suite
 from repro.utils.rng import _BULK_MIN
@@ -69,9 +68,9 @@ class TestDirectionCache:
         embedder = SentenceEmbedder()
         assert embedder.direction_count == 0
         embedder.encode(CORPUS)
-        count = embedder.direction_count
-        assert count > 0
-        assert embedder.cache_nbytes == count * embedder.dim * 8
+        assert embedder.direction_count == 0   # request-time: no corpus rows
+        embedder.add_corpus(CORPUS)
+        assert embedder.direction_count > 0
 
     def test_bank_intern_is_idempotent(self):
         bank = DirectionBank(dim=16, namespace="t")
@@ -88,29 +87,10 @@ class TestDirectionCache:
         bank.intern([("token", str(i)) for i in range(300)])
         np.testing.assert_allclose(np.linalg.norm(bank.matrix, axis=1), 1.0)
 
-    def test_interning_past_the_first_batch_copies_no_earlier_row(self):
-        """A served process interns a catalog-sized first batch, then a
-        couple of new bigram rows per request: inside the reservation
-        that must never reallocate (the copy would run in the request
-        path)."""
-        bank = DirectionBank(dim=8, namespace="t")
-        bank.intern([("token", str(i)) for i in range(6000)])
-        before = bank.matrix
-        snapshot = before.copy()
-        address = before.__array_interface__["data"][0]
-        for start in range(6000, 9000, 2):    # two rows a request
-            bank.intern([("bigram", f"{start} a"), ("bigram", f"{start} b")])
-        assert len(bank) == 9000
-        assert bank.matrix.__array_interface__["data"][0] == address
-        assert np.shares_memory(before, bank.matrix)
-        np.testing.assert_array_equal(before, snapshot)
-        np.testing.assert_array_equal(bank.matrix[:6000], snapshot)
-
-    def test_growth_past_the_reservation_keeps_every_row(self, monkeypatch):
-        monkeypatch.setattr(directions_module, "_INITIAL_CAPACITY", 4)
+    def test_growth_keeps_every_row(self):
         bank = DirectionBank(dim=16, namespace="t")
         keys = [("token", str(i)) for i in range(37)]
-        for key in keys:                      # one row at a time: 4 doublings
+        for key in keys:                      # one row at a time: 6 doublings
             bank.intern([key])
         fresh = DirectionBank(dim=16, namespace="t")
         fresh.intern(keys)

@@ -6,14 +6,13 @@ from many threads with overlapping hit/miss workloads plus texts only
 one thread sends, and assert that every vector ever served is the one
 canonical embedding of its text, and that the wrapped embedder's
 direction bank, which the cache's one lock guards, drew each feature's
-row exactly once.  A cache bounded below the texts it is sent evicts
-under the same contention and re-encodes each evicted text to the bytes
-it first served.
+direction exactly once.  A cache bounded below the texts it is sent
+evicts under the same contention and re-encodes each evicted text to the
+bytes it first served, without drawing a direction again.
 
-Reference vectors come from an independent embedder, which interns its
-vocabulary in a different order — bitwise-identical results are only
-guaranteed *within* one embedder, so references compare with a tight
-``allclose`` while intra-cache consistency is asserted bitwise.
+Reference vectors come from an independent embedder; the references
+compare with a tight ``allclose`` while intra-cache consistency is
+asserted bitwise.
 """
 
 from __future__ import annotations
@@ -24,7 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.embedding import directions
 from repro.embedding.cache import CachedEmbedder
+from repro.embedding.directions import DirectionBank
 from repro.embedding.sentence import SentenceEmbedder
 
 TEXTS = [
@@ -44,14 +45,30 @@ def canonical() -> dict[str, np.ndarray]:
     return {text: vectors[i] for i, text in enumerate(TEXTS)}
 
 
+def record_draws(monkeypatch) -> list:
+    """Every feature key any :class:`DirectionBank` draws from now on."""
+    drawn = []
+    draw = DirectionBank._draw
+
+    def recording(self, keys, rows):
+        drawn.extend(keys)
+        return draw(self, keys, rows)
+
+    monkeypatch.setattr(DirectionBank, "_draw", recording)
+    return drawn
+
+
 def close(vec: np.ndarray, reference: np.ndarray) -> bool:
     """Same embedding up to float addition order (vocab intern order)."""
     return np.allclose(vec, reference, rtol=0.0, atol=1e-9)
 
 
-def test_many_threads_mixed_hits_and_misses_serve_canonical_vectors():
+def test_many_threads_mixed_hits_and_misses_serve_canonical_vectors(monkeypatch):
+    # room for every feature sent, so a second draw could only be a race
+    monkeypatch.setattr(directions, "MAX_ENTRIES", 1 << 14)
     cache = CachedEmbedder()
     reference = canonical()
+    drawn = record_draws(monkeypatch)
     served: dict[str, list[np.ndarray]] = {text: [] for text in TEXTS}
     #: texts no other thread sends -> the vector served for them
     private: dict[str, np.ndarray] = {}
@@ -92,23 +109,25 @@ def test_many_threads_mixed_hits_and_misses_serve_canonical_vectors():
     info = cache.cache_info()
     assert info["hits"] > 0 and info["misses"] > 0
 
-    # every thread interned new words at once, yet each feature got one
-    # bank row: as many rows as one thread encoding the same texts draws
-    keys = cache.embedder._bank.keys
-    assert len(set(keys)) == len(keys)
+    # every thread brought new words at once, yet each feature was drawn
+    # once: the same features one thread encoding the same texts draws
+    assert len(set(drawn)) == len(drawn)
     sent = [text for text, vectors in served.items() if vectors] + list(private)
-    single = SentenceEmbedder()
-    single_vectors = single.encode(sent)
-    assert cache.embedder.direction_count == single.direction_count
+    fleet = set(drawn)
+    drawn.clear()
+    single_vectors = SentenceEmbedder().encode(sent)
+    assert fleet == set(drawn)
     for text, vec in zip(sent[-len(private):], single_vectors[-len(private):]):
         assert close(private[text], vec), text
 
 
-def test_evicted_texts_re_encode_bitwise_under_contention():
+def test_evicted_texts_re_encode_bitwise_under_contention(monkeypatch):
     bound = 8
     cache = CachedEmbedder(max_entries=bound)
+    drawn = record_draws(monkeypatch)
     first = {text: cache.encode_one(text).tobytes() for text in TEXTS}
-    directions = cache.embedder.direction_count
+    assert len(set(drawn)) == len(drawn) < directions.MAX_ENTRIES
+    n_drawn = len(drawn)
     served: list[tuple[str, bytes]] = []
     served_lock = threading.Lock()
 
@@ -136,5 +155,6 @@ def test_evicted_texts_re_encode_bitwise_under_contention():
     assert info["evictions"] > len(TEXTS) and info["misses"] > len(TEXTS)
     for text, data in served:
         assert data == first[text], text
-    # a re-encode reads the interned rows: the bank drew nothing new
-    assert cache.embedder.direction_count == directions
+    # a re-encode reads the request-time directions, all still resident:
+    # the bank drew nothing new
+    assert len(drawn) == n_drawn
