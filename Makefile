@@ -15,9 +15,10 @@ golden-check:
 	$(PYTHON) scripts/make_golden_episodes.py --check
 
 ## fault-injection suite (stalled batches, deadlines, the serving
-## ladder), the gateway state machine, the bulk PCG64 seeding check and
+## ladder), the gateway state machine, the bulk PCG64 seeding check,
 ## the Search-Level kernels against their oracles (bit-parallel ROUGE-L
-## LCS, merge loop under all four linkages) under the longer randomized
+## LCS, merge loop under all four linkages) and the request path's
+## numpy kernels against their plain forms under the longer randomized
 ## `chaos` Hypothesis profile (tests/conftest.py), then the two committed chaos specs end to end
 ## through `repro load`.  Every load run exits 1 if telemetry does not
 ## account for every offered request or the trace artifact's fault spans
@@ -28,7 +29,8 @@ golden-check:
 test-chaos:
 	$(PYTHON) -m pytest tests/test_serving_faults.py tests/test_serving_degrade.py -q
 	$(PYTHON) -m pytest tests/test_serving_state_machine.py \
-		tests/test_utils_rng.py tests/test_levels_kernels.py -q \
+		tests/test_utils_rng.py tests/test_levels_kernels.py \
+		tests/test_numpy_kernels.py -q \
 		--hypothesis-profile=chaos
 	$(PYTHON) -m repro load --spec examples/specs/chaos_stall.json \
 		--requests 64 --concurrency 8

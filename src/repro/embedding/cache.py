@@ -89,23 +89,32 @@ class CachedEmbedder:
         texts = list(texts)
         if not texts:
             return np.zeros((0, self.dim))
-        out: list[np.ndarray | None] = [None] * len(texts)
+        out: list[np.ndarray | None] = []
         miss_positions: dict[str, list[int]] = {}
         with self._lock:
+            cache = self._cache
             for i, text in enumerate(texts):
-                vec = self._lookup(text)
+                vec = cache.get(text)
                 if vec is None:
                     miss_positions.setdefault(text, []).append(i)
+                    self._misses += 1
                 else:
-                    out[i] = vec
+                    cache.move_to_end(text)
+                    self._hits += 1
+                out.append(vec)
             if miss_positions:
                 unique_misses = list(miss_positions)
                 fresh = self.embedder.encode(unique_misses)
                 for text, vec in zip(unique_misses, fresh):
-                    stored = self._store(text, vec)
+                    # own the storage: a row view of the batch result would
+                    # keep the whole (n, dim) array alive, defeating the bound
+                    cache[text] = vec = vec.copy()
                     for i in miss_positions[text]:
-                        out[i] = stored
-        return np.stack(out)
+                        out[i] = vec
+                    if len(cache) > self.max_entries:
+                        cache.popitem(last=False)
+                        self._evictions += 1
+        return np.array(out)
 
     def encode_corpus(self, texts: list[str] | tuple[str, ...]) -> np.ndarray:
         """Embed corpus texts, whose features become permanent directions.
@@ -135,29 +144,6 @@ class CachedEmbedder:
             "size": len(self._cache),
             "max_entries": self.max_entries,
         }
-
-    # ------------------------------------------------------------------
-    # internals (callers hold the lock)
-    # ------------------------------------------------------------------
-    def _lookup(self, text: str) -> np.ndarray | None:
-        vec = self._cache.get(text)
-        if vec is None:
-            self._misses += 1
-            return None
-        self._hits += 1
-        self._cache.move_to_end(text)
-        return vec
-
-    def _store(self, text: str, vec: np.ndarray) -> np.ndarray:
-        # own the storage: a row view of the batch result would keep the
-        # whole (n, dim) base array alive, defeating the LRU memory bound
-        if vec.base is not None:
-            vec = vec.copy()
-        self._cache[text] = vec
-        if len(self._cache) > self.max_entries:
-            self._cache.popitem(last=False)
-            self._evictions += 1
-        return vec
 
 
 _SHARED: CachedEmbedder | None = None

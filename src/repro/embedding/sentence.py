@@ -20,7 +20,7 @@ equivalence tests' oracle (``tests/embedding_oracle.py``).
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -36,6 +36,32 @@ FAMILY_WEIGHTS = {
     "bigram": 0.8,
     "trigram": 0.25,
 }
+
+
+def count_rows(flats: list[list[int]], stride: int
+               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each document's distinct row ids (all below ``stride``), ascending,
+    and their counts; document ``i``'s are ``rows[bounds[i]:bounds[i + 1]]``.
+    One in-place sort of the call's ``(document, row)`` keys: each run of
+    equal keys is one row, counted by the distance to the next run."""
+    lengths = [len(flat) for flat in flats]
+    n_occurrences = sum(lengths)
+    occurrences = np.fromiter(chain.from_iterable(flats), dtype=np.intp,
+                              count=n_occurrences)
+    if len(flats) > 1:
+        occurrences += np.repeat(np.arange(0, len(flats) * stride, stride), lengths)
+    occurrences.sort()
+    # run edges: every run's start, then the end of the last run
+    edges = np.empty(n_occurrences + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(occurrences[1:], occurrences[:-1], out=edges[1:-1])
+    edges = edges.nonzero()[0]
+    rows = occurrences[edges[:-1]]
+    counts = edges[1:] - edges[:-1]
+    if len(flats) == 1:
+        return rows, counts, [0, len(rows)]
+    owners, rows = np.divmod(rows, stride)
+    return rows, counts, np.searchsorted(owners, np.arange(len(flats) + 1)).tolist()
 
 
 class SentenceEmbedder:
@@ -122,6 +148,8 @@ class SentenceEmbedder:
         self._plan([self._tokenizer.words(text) for text in texts], corpus=True)
         if len(self._bank) == n_rows:
             return False
+        self._row_weights = np.concatenate([self._row_weights, [
+            FAMILY_WEIGHTS[family] for family, _ in self._bank.keys[n_rows:]]])
         # request-time plans may name a key that is now a corpus row
         self._request_words.clear()
         self._request_bigrams.clear()
@@ -279,38 +307,23 @@ class SentenceEmbedder:
 
     def _embed(self, features: list[tuple[list[int], list[FeatureKey]]]) -> np.ndarray:
         """Sum each document's weighted directions in canonical order."""
-        n_docs = len(features)
-        # corpus rows: one np.unique over the call's (document, row) keys
-        # sorts each document's rows and counts them
-        stride = max(len(self._bank), 1)
-        lengths = [len(flat) for flat, _ in features]
-        occurrences = np.fromiter(chain.from_iterable([flat for flat, _ in features]),
-                                  dtype=np.intp, count=sum(lengths))
-        if n_docs > 1:
-            occurrences += np.repeat(np.arange(0, n_docs * stride, stride), lengths)
-        rows, counts = np.unique(occurrences, return_counts=True)
-        bounds = [0, len(rows)]
-        if n_docs > 1:
-            owners, rows = np.divmod(rows, stride)
-            bounds = np.searchsorted(owners, np.arange(n_docs + 1)).tolist()
-        weights = self._sync_row_weights()[rows] * (1.0 + np.log(counts))
+        rows, counts, bounds = count_rows([flat for flat, _ in features],
+                                          max(len(self._bank), 1))
+        weights = self._row_weights[rows] * (1.0 + np.log(counts))
 
         # request-time features: per document, in order of first appearance
-        tally = Counter([(i, key) for i, (_, keys) in enumerate(features)
-                         for key in keys])
-        request_bounds = [0] * (n_docs + 1)
-        if tally:
-            distinct = list(dict.fromkeys([key for _, key in tally]))
+        tallies = [Counter(keys) for _, keys in features]
+        request_bounds = list(accumulate(map(len, tallies), initial=0))
+        if request_bounds[-1]:
+            request_keys = list(chain.from_iterable(tallies))
+            distinct = list(dict.fromkeys(request_keys))
             vectors, slots = self._bank.request(distinct)
             slot_of = dict(zip(distinct, slots))
-            request_rows = [slot_of[key] for _, key in tally]
+            request_rows = [slot_of[key] for key in request_keys]
             request_weights = (
-                np.array([FAMILY_WEIGHTS[key[0]] for _, key in tally])
-                * (1.0 + np.log(np.array(list(tally.values())))))
-            for i, _ in tally:
-                request_bounds[i + 1] += 1
-            for i in range(n_docs):
-                request_bounds[i + 1] += request_bounds[i]
+                np.array([FAMILY_WEIGHTS[family] for family, _ in request_keys])
+                * (1.0 + np.log(np.array(
+                    list(chain.from_iterable([tally.values() for tally in tallies]))))))
 
         # each document's operand is gathered into one preallocated buffer
         sizes = [hi - lo + request_bounds[i + 1] - request_bounds[i]
@@ -318,34 +331,17 @@ class SentenceEmbedder:
         operand = np.empty((max(sizes), self.dim))
         mixed = np.empty(max(sizes))
         take = self._bank.matrix.take
-        out = np.zeros((n_docs, self.dim))
+        out = np.empty((len(features), self.dim))
         for i, size in enumerate(sizes):
-            if not size:
-                continue
             lo, hi = bounds[i], bounds[i + 1]
             n_rows = hi - lo
             take(rows[lo:hi], axis=0, out=operand[:n_rows], mode="clip")
-            if size == n_rows:
-                out[i] = weights[lo:hi] @ operand[:size]
-                continue
-            start, end = request_bounds[i], request_bounds[i + 1]
-            vectors.take(request_rows[start:end], axis=0,
-                         out=operand[n_rows:size], mode="clip")
             mixed[:n_rows] = weights[lo:hi]
-            mixed[n_rows:size] = request_weights[start:end]
+            start, end = request_bounds[i], request_bounds[i + 1]
+            if end > start:
+                vectors.take(request_rows[start:end], axis=0,
+                             out=operand[n_rows:size], mode="clip")
+                mixed[n_rows:size] = request_weights[start:end]
+            # an empty document sums nothing: its row is zeros
             out[i] = mixed[:size] @ operand[:size]
         return normalize_rows(out)
-
-    def _sync_row_weights(self) -> np.ndarray:
-        """Extend the per-row family-weight array to cover all corpus rows."""
-        weights = self._row_weights
-        n_rows = len(self._bank)
-        if len(weights) < n_rows:
-            keys = self._bank.keys
-            fresh = np.fromiter(
-                (FAMILY_WEIGHTS[keys[row][0]] for row in range(len(weights), n_rows)),
-                dtype=float, count=n_rows - len(weights),
-            )
-            weights = np.concatenate([weights, fresh])
-            self._row_weights = weights
-        return weights

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.specs import MODEL_NAMES, QUANT_NAMES
+
 
 @dataclass(frozen=True)
 class QuantSpec:
@@ -45,13 +47,15 @@ class QuantSpec:
     long_context_retention: float
 
 
-QUANT_REGISTRY: dict[str, QuantSpec] = {
-    "full": QuantSpec("full", 16.0, 1.00, 1.00, 1.00),
-    "q8_0": QuantSpec("q8_0", 8.5, 0.90, 0.95, 0.84),
-    "q4_K_M": QuantSpec("q4_K_M", 4.85, 0.85, 0.92, 0.92),
-    "q4_1": QuantSpec("q4_1", 5.0, 0.81, 0.93, 0.96),
-    "q4_0": QuantSpec("q4_0", 4.5, 0.71, 0.82, 0.80),
+#: the QuantSpec fields after ``name``, per :data:`repro.specs.QUANT_NAMES`
+_QUANT_PROFILES = {
+    "full": (16.0, 1.00, 1.00, 1.00),
+    "q8_0": (8.5, 0.90, 0.95, 0.84),
+    "q4_K_M": (4.85, 0.85, 0.92, 0.92),
+    "q4_1": (5.0, 0.81, 0.93, 0.96),
+    "q4_0": (4.5, 0.71, 0.82, 0.80),
 }
+QUANT_REGISTRY = {name: QuantSpec(name, *_QUANT_PROFILES[name]) for name in QUANT_NAMES}
 
 
 @dataclass(frozen=True)
@@ -84,21 +88,23 @@ class ModelSpec:
     verbosity: float
 
 
-MODEL_REGISTRY: dict[str, ModelSpec] = {
+#: the ModelSpec fields after ``name``, per :data:`repro.specs.MODEL_NAMES`
+_MODEL_PROFILES = {
     # advanced LLaMA variant optimized for function calling
-    "hermes2-pro-8b": ModelSpec("hermes2-pro-8b", 8.0, 0.82, 0.80, 0.82, 0.68, 0.7),
+    "hermes2-pro-8b": (8.0, 0.82, 0.80, 0.82, 0.68, 0.7),
     # state-of-the-art, strong selection but weak argument formatting
-    "llama3.1-8b": ModelSpec("llama3.1-8b", 8.0, 0.74, 0.68, 0.80, 0.76, 0.8),
+    "llama3.1-8b": (8.0, 0.74, 0.68, 0.80, 0.76, 0.8),
     # decent native selection but weak compressed reasoning; paper:
     # Gorilla worst, LiS no success/accuracy gain (only time/power)
-    "mistral-8b": ModelSpec("mistral-8b", 7.2, 0.70, 0.70, 0.30, 0.52, 1.0),
+    "mistral-8b": (7.2, 0.70, 0.70, 0.30, 0.52, 1.0),
     # task-specialised; collapses on sequential chains (excluded in Fig. 3)
-    "phi3-8b": ModelSpec("phi3-8b", 7.6, 0.66, 0.72, 0.70, 0.16, 0.9),
+    "phi3-8b": (7.6, 0.66, 0.72, 0.70, 0.16, 0.9),
     # small edge model
-    "qwen2-1.5b": ModelSpec("qwen2-1.5b", 1.5, 0.48, 0.58, 0.55, 0.26, 1.2),
+    "qwen2-1.5b": (1.5, 0.48, 0.58, 0.55, 0.26, 1.2),
     # larger sibling
-    "qwen2-7b": ModelSpec("qwen2-7b", 7.6, 0.76, 0.78, 0.78, 0.34, 0.8),
+    "qwen2-7b": (7.6, 0.76, 0.78, 0.78, 0.34, 0.8),
 }
+MODEL_REGISTRY = {name: ModelSpec(name, *_MODEL_PROFILES[name]) for name in MODEL_NAMES}
 
 
 def get_model_spec(name: str) -> ModelSpec:

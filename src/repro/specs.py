@@ -126,6 +126,20 @@ def _require_scheme(owner, name: str, scheme: str) -> None:
              f"got {scheme!r}")
 
 
+def _require_model(owner, name: str, model: str) -> None:
+    """``model`` (field ``name``, or one entry of it) has a profile."""
+    _require(model.lower() in MODEL_NAMES,
+             f"{type(owner).__name__}.{name}: unknown model {model!r}; "
+             f"choose from {', '.join(MODEL_NAMES)}")
+
+
+def _require_quant(owner, name: str, quant: str) -> None:
+    """``quant`` (field ``name``, or one entry of it) has a profile."""
+    _require(quant in QUANT_NAMES,
+             f"{type(owner).__name__}.{name}: unknown quantization "
+             f"{quant!r}; choose from {', '.join(QUANT_NAMES)}")
+
+
 def _coerce(owner, name: str, spec_cls, required: bool = False) -> None:
     """Normalize nested-spec field ``name`` of the frozen ``owner``.
 
@@ -279,6 +293,8 @@ class AgentSpec(_SpecBase):
     def __post_init__(self):
         _require_name(self, "scheme", "model", "quant")
         _require_scheme(self, "scheme", self.scheme)
+        _require_model(self, "model", self.model)
+        _require_quant(self, "quant", self.quant)
         _coerce(self, "engine", EngineSpec)
         _require(self.force_level is None or self.force_level in (1, 2, 3),
                  f"AgentSpec.force_level must be 1, 2 or 3, got {self.force_level}")
@@ -307,12 +323,13 @@ class GridSpec(_SpecBase):
                                      "comma-separated quantizations")
 
     def __post_init__(self):
-        for axis in ("schemes", "models", "quants"):
+        for axis, vet in (("schemes", _require_scheme), ("models", _require_model),
+                          ("quants", _require_quant)):
             object.__setattr__(self, axis, _as_tuple(getattr(self, axis)))
             _require(bool(getattr(self, axis)),
                      f"GridSpec.{axis} must name at least one entry")
-        for scheme in self.schemes:
-            _require_scheme(self, "schemes", scheme)
+            for entry in getattr(self, axis):
+                vet(self, axis, entry)
 
 
 @dataclass(frozen=True)
@@ -374,6 +391,12 @@ class ObsSpec(_SpecBase):
 #: importing repro.hardware loads numpy and spec validation must not
 #: (tests/test_specs.py holds both the mirror and the cheap import)
 POWER_MODE_NAMES = ("MAXN", "30W", "15W")
+
+#: the paper's model ids (case-insensitive) and GGUF quantizations, by
+#: which repro.llm.registry keys its profiles: vetted here without numpy
+MODEL_NAMES = ("hermes2-pro-8b", "llama3.1-8b", "mistral-8b", "phi3-8b",
+               "qwen2-1.5b", "qwen2-7b")
+QUANT_NAMES = ("full", "q8_0", "q4_K_M", "q4_1", "q4_0")
 
 
 #: the hysteresis band: a tenant climbs back a rung only with its rolling
@@ -640,6 +663,8 @@ class ServingSpec(_SpecBase):
         _require_min(self, 0, "timeout_ms", strict=True)
         _require_name(self, "default_scheme", "default_model", "default_quant")
         _require_scheme(self, "default_scheme", self.default_scheme)
+        _require_model(self, "default_model", self.default_model)
+        _require_quant(self, "default_quant", self.default_quant)
         _coerce(self, "obs", ObsSpec)
         _coerce(self, "http", HttpSpec)
         _coerce(self, "budget", BudgetSpec)

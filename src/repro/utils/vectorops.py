@@ -1,4 +1,4 @@
-"""Shared dense-vector helpers: zero-safe norms, row normalization, blending.
+"""Shared dense-vector helpers: zero-safe row normalization, blending.
 
 Several layers (the sentence embedder, the retrieval pipeline, clustering
 distances, vector-index metrics) need the same "L2-normalize but leave
@@ -12,21 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def safe_norms(matrix: np.ndarray, axis: int = 1, keepdims: bool = True) -> np.ndarray:
-    """Row (or column) L2 norms with zeros replaced by 1.0.
-
-    Dividing by the result never produces NaN/inf: all-zero rows keep a
-    nominal norm of 1.0 and therefore stay all-zero after division.
-    """
-    norms = np.linalg.norm(matrix, axis=axis, keepdims=keepdims)
-    norms[norms == 0.0] = 1.0
-    return norms
-
-
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """Return ``matrix`` with unit-norm rows (zero rows preserved as zero)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    return matrix / safe_norms(matrix)
+    """Return ``matrix`` with unit-norm rows (zero rows preserved as zero).
+
+    The norms are the reduction ``np.linalg.norm(matrix, axis=1)`` runs
+    for a real matrix, without its dispatch: bit for bit the same.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim < 2:
+        matrix = matrix.reshape(1, -1)
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
+    # a zero row has no direction: dividing by 1.0 keeps it zero, not NaN
+    norms[norms == 0.0] = 1.0
+    return matrix / norms
 
 
 def blend_and_normalize(vectors: np.ndarray, context: np.ndarray,

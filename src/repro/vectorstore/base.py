@@ -31,21 +31,13 @@ def batch_invariant_matmul(queries: np.ndarray, vectors_t: np.ndarray) -> np.nda
     relies on for served results to equal sequential ones.
     """
     n_queries = queries.shape[0]
-    if n_queries == 0:
-        return np.zeros((0, vectors_t.shape[1]))
-    blocks = []
-    for start in range(0, n_queries, QUERY_BLOCK):
-        chunk = queries[start:start + QUERY_BLOCK]
-        rows = chunk.shape[0]
-        if rows < QUERY_BLOCK:
-            padded = np.zeros((QUERY_BLOCK, chunk.shape[1]))
-            padded[:rows] = chunk
-            blocks.append((padded @ vectors_t)[:rows])
-        else:
-            blocks.append(chunk @ vectors_t)
-    if len(blocks) == 1:
-        return blocks[0]
-    return np.vstack(blocks)
+    padded = np.zeros((-(-n_queries // QUERY_BLOCK) * QUERY_BLOCK, queries.shape[1]))
+    padded[:n_queries] = queries
+    scores = np.empty((len(padded), vectors_t.shape[1]))
+    for start in range(0, len(padded), QUERY_BLOCK):
+        block = slice(start, start + QUERY_BLOCK)
+        np.matmul(padded[block], vectors_t, out=scores[block])
+    return scores[:n_queries]
 
 
 @dataclass
@@ -150,10 +142,7 @@ class VectorIndex:
             raise ValueError(f"expected dim {self.dim}, got {queries.shape[1]}")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if len(self) == 0:
-            n_queries = queries.shape[0]
-            return (np.zeros((n_queries, 0)),
-                    np.zeros((n_queries, 0), dtype=np.int64))
+        # an empty index ranks (q, 0) scores into (q, 0) results
         return self._rank_batch(
             batch_invariant_matmul(normalize_rows(queries), self._operand.T),
             min(k, len(self)))
@@ -173,16 +162,17 @@ class VectorIndex:
 
         When ``k`` is a strict subset, an ``argpartition`` pass selects
         the top block before only that block is sorted — O(n + k log k)
-        per query instead of O(n log n).
+        per query instead of O(n log n).  The sorts are stable: exact
+        ties keep ``argpartition``'s order within a top block, and stored
+        order when every row is ranked.
         """
         # argsort/argpartition pick minima; negate the similarities so
         # "best" is the smallest key
         keys = -score_matrix
+        at = np.arange(score_matrix.shape[0])[:, None]
         if k < score_matrix.shape[1]:
-            block = np.argpartition(keys, k - 1, axis=1)[:, :k]
-            block_keys = np.take_along_axis(keys, block, axis=1)
-            order = np.argsort(block_keys, axis=1, kind="stable")
-            top = np.take_along_axis(block, order, axis=1)
+            block = keys.argpartition(k - 1, axis=1)[:, :k]
+            top = block[at, keys[at, block].argsort(axis=1, kind="stable")]
         else:
-            top = np.argsort(keys, axis=1, kind="stable")
-        return np.take_along_axis(score_matrix, top, axis=1), self._ids[top]
+            top = keys.argsort(axis=1, kind="stable")
+        return score_matrix[at, top], self._ids[top]

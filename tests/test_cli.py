@@ -267,6 +267,16 @@ _BAD_VALUES = [
      "--spec", "ServingSpec.default_scheme: unknown scheme 'nosuch'"),
     (["load", "--spec", str(ROOT / "tests/data/spec_no_tenants.json")],
      "--spec", "must name at least one tenant, got none in"),
+    # model and quant names are vetted before the suite loads too
+    # (models case-insensitively)
+    (["run", "--suite", "edgehome", "-n", "2", "--model", "nosuch"], "--model",
+     "unknown model 'nosuch'; choose from hermes2-pro-8b, llama3.1-8b"),
+    (["run", "--suite", "edgehome", "-n", "2", "--quant", "nosuch"], "--quant",
+     "unknown quantization 'nosuch'; choose from full, q8_0, q4_K_M"),
+    (["grid", "--models", "Qwen2-7B,nosuch"], "--models",
+     "unknown model 'nosuch'"),
+    (["grid", "--quants", "q4_0,Q4_0"], "--quants",
+     "unknown quantization 'Q4_0'"),
 ]
 
 

@@ -86,8 +86,10 @@ class TestNormalization:
         assert grid.quants == ("q4_K_M", "q8_0")
 
     def test_grid_axes_accept_lists(self):
-        grid = GridSpec(schemes=["default"], models=["m"], quants=["q"])
+        grid = GridSpec(schemes=["default"], models=["qwen2-7b"],
+                        quants=["q4_0"])
         assert grid.schemes == ("default",)
+        assert grid.models == ("qwen2-7b",)
 
     def test_tenant_accepts_suite_name_string(self):
         tenant = TenantSpec(name="home", suite="edgehome")
@@ -114,7 +116,7 @@ class TestNormalization:
     def test_nested_dicts_decode(self):
         spec = ExperimentSpec.from_dict({
             "suite": {"name": "edgehome", "n_queries": 4, "seed": None},
-            "agent": {"scheme": "lis-k3", "model": "m", "quant": "q",
+            "agent": {"scheme": "lis-k3", "model": "qwen2-7b", "quant": "q4_0",
                       "confidence_threshold": None, "force_level": None},
             "grid": None,
             "serving": {"tenants": [{"name": "t",
@@ -123,7 +125,7 @@ class TestNormalization:
                                                "seed": None}}],
                         "max_batch_size": 4,
                         "queue_capacity": 8, "default_scheme": "lis-k3",
-                        "default_model": "m", "default_quant": "q",
+                        "default_model": "qwen2-7b", "default_quant": "q4_0",
                         "plan_cache_size": 2},
         })
         assert spec.suite.n_queries == 4
@@ -149,6 +151,19 @@ class TestValidation:
             spec_cls(**{field: value})
         with pytest.raises(ValueError, match=re.escape(message)):
             spec_cls.from_dict({field: value})
+
+    @pytest.mark.parametrize("spec_cls,field,value,kind", [
+        (AgentSpec, "model", "gpt-4", "model"),
+        (AgentSpec, "quant", "Q4_0", "quantization"),
+        (ServingSpec, "default_model", "gpt-4", "model"),
+        (ServingSpec, "default_quant", "q2_K", "quantization"),
+    ])
+    def test_model_and_quant_names_need_a_profile(self, spec_cls, field,
+                                                  value, kind):
+        """Vetted at construction, before numpy or a suite loads."""
+        message = f"{spec_cls.__name__}.{field}: unknown {kind} {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            spec_cls(**{field: value})
 
     def test_suite_name_required(self):
         with pytest.raises(ValueError, match="non-empty"):

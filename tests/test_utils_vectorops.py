@@ -1,25 +1,16 @@
-"""Tests for repro.utils.vectorops — the shared zero-safe norm helpers."""
+"""Tests for repro.utils.vectorops — the shared zero-safe normalization helpers."""
 
 import numpy as np
 import pytest
 
-from repro.utils.vectorops import blend_and_normalize, normalize_rows, safe_norms
-
-
-class TestSafeNorms:
-    def test_plain_norms(self):
-        matrix = np.array([[3.0, 4.0], [0.0, 2.0]])
-        np.testing.assert_allclose(safe_norms(matrix), [[5.0], [2.0]])
-
-    def test_zero_rows_guarded(self):
-        matrix = np.array([[0.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(safe_norms(matrix), [[1.0], [1.0]])
-
-    def test_no_keepdims(self):
-        assert safe_norms(np.zeros((2, 3)), keepdims=False).shape == (2,)
+from repro.utils.vectorops import blend_and_normalize, normalize_rows
 
 
 class TestNormalizeRows:
+    def test_plain_norms(self):
+        out = normalize_rows(np.array([[3.0, 4.0], [0.0, 2.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8], [0.0, 1.0]])
+
     def test_unit_rows(self):
         out = normalize_rows(np.array([[3.0, 4.0], [0.0, 5.0]]))
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0)
