@@ -1,18 +1,17 @@
-"""Carbon demo: the budget controller degrading under a joule cap and a
-grid-intensity duck curve.
+"""Carbon demo: the budget controller degrading a tenant under a joule cap.
 
 One tenant serves waves of smart-home traffic under a
-:class:`~repro.specs.BudgetSpec` with a tight rolling energy budget and
-the committed day-long grid-intensity trace
-(``benchmarks/data/grid_intensity_day.csv``).  Between waves the budget
-controller ticks against a simulated clock walking through the day:
-over-budget windows step the tenant down the serving ladder
-(full -> reduced-k -> shed), and the evening carbon peak steps the
-simulated Jetson down power modes (MAXN -> 30W -> 15W).  Both effects
-are visible in the per-wave status lines.  Every served episode runs on
-the board in the mode of its batch, so it is bitwise identical to
-running the same query uncontrolled at that rung on that mode's device,
-and the J/req column is the mean of those episodes' own joules.
+:class:`~repro.specs.BudgetSpec` with a tight rolling energy budget.
+Between waves the budget controller ticks once: over-budget windows
+step the tenant down the serving ladder (full -> reduced-k -> shed), and
+probation and under-budget windows step it back up.  Every served
+episode is bitwise identical to running the same query uncontrolled at
+that rung, and the J/req column is the mean of those episodes' own
+joules; gCO2 is attributed to each request through the committed
+day-long grid-intensity trace (``benchmarks/data/grid_intensity_day.csv``,
+read at the meter's clock: seconds after midnight), never budgeted.  The board serves at
+MAXN throughout: under this repo's hardware model a lower nvpmodel mode
+does not save joules per request (``tests/test_power_laws.py``).
 The gateway traces into an in-memory sink with no request sampled, so
 the trace holds exactly the controller's ``budget`` marker spans: one per
 counted budget transition, which the demo checks before it exits.
@@ -41,10 +40,8 @@ from repro.serving import TenantShedError
 TRACE = Path(__file__).resolve().parent.parent / "benchmarks" / "data" / \
     "grid_intensity_day.csv"
 
-#: simulated hours the controller ticks at: afternoon (cheap grid),
-#: evening peak (steps the power mode down twice), then the overnight
-#: trough (two clean ticks per rung step the mode back up)
-HOURS = (13.0, 14.0, 20.0, 22.0, 2.0, 3.0, 4.0, 5.0)
+#: waves served, one controller tick after each
+WAVES = 8
 
 
 async def main() -> None:
@@ -61,8 +58,6 @@ async def main() -> None:
             recovery_ticks=2,
             interval_ms=3_600_000.0,        # dormant loop: we tick manually
             signal="trace", trace_path=str(TRACE),
-            intensity_high=450.0,           # evening peak is 524 g/kWh
-            intensity_low=400.0,            # overnight trough is ~370
         ),
         obs=ObsSpec(sink="memory", sample_rate=0.0),  # markers only
     )
@@ -70,10 +65,9 @@ async def main() -> None:
 
     async with session.serve() as gateway:
         suite = gateway.sessions.get("smart-home").suite
-        print(f"{'hour':>5} {'rung':<10} {'mode':<5} "
-              f"{'J/req':>7} {'gCO2/req':>9}  served")
-        print("-" * 49)
-        for hour in HOURS:
+        print(f"{'wave':>4} {'rung':<10} {'J/req':>7} {'gCO2/req':>9}  served")
+        print("-" * 42)
+        for number in range(1, WAVES + 1):
             queries = [suite.queries[i % len(suite.queries)]
                        for i in range(wave)]
             results = await asyncio.gather(
@@ -86,10 +80,9 @@ async def main() -> None:
                 if isinstance(result, BaseException):
                     raise result
                 served += 1
-            gateway.budget.tick(now_s=hour * 3600.0)
+            gateway.budget.tick()
             status = gateway.budget_status("smart-home")
-            print(f"{hour:>5.0f} {gateway.rung('smart-home'):<10} "
-                  f"{gateway.power_mode():<5} "
+            print(f"{number:>4} {gateway.rung('smart-home'):<10} "
                   f"{status['mean_energy_j']:>7.1f} "
                   f"{status['mean_carbon_g'] * 1e3:>8.2f}m  "
                   f"{served}/{wave}")
@@ -102,19 +95,17 @@ async def main() -> None:
               f"{metrics['budget_transitions_detail']}")
         # each move is one marker span, keyed like the transition counter
         markers = Counter(
-            f"{a['scope']}:{a['direction']}:{a.get('rung', a.get('power_mode'))}"
+            f"{a['scope']}:{a['direction']}:{a['rung']}"
             for a in (span.attributes for span in gateway.tracer.sink.spans()
                       if span.name == "budget"))
         assert markers == metrics["budget_transitions_detail"], markers
         assert {key.split(":")[0] for key in markers} == {
-            "smart-home", "device"}, markers
+            "smart-home"}, markers
         print(f"budget marker spans: {sum(markers.values())}, one per "
               f"transition")
-        print("\nThe joule cap walks the tenant down the ladder (cheaper "
-              "rungs spend fewer tokens, hence fewer joules) while the "
-              "evening carbon peak independently steps the simulated board "
-              "down a power mode — and back up once the grid is clean for "
-              "two consecutive ticks.")
+        print("\nThe joule cap walks the tenant down the ladder: cheaper "
+              "rungs present fewer tools, so they spend fewer tokens and "
+              "fewer joules; a shed tenant comes back on probation.")
 
 
 if __name__ == "__main__":

@@ -108,7 +108,6 @@ def drive(conn: HTTPConnection, qid: str, mock: MockOpenAIServer) -> None:
     assert call.status == 200, call.text
     payload = call.json()
     assert payload["episode"]["qid"] == qid
-    assert payload["power_mode"] == "MAXN"
     assert call.trace_id == payload["trace_id"] != ""
     print(f"  /v1/call ok (trace {payload['trace_id']}, "
           f"{payload['latency_s'] * 1e3:.1f} ms)")

@@ -305,11 +305,21 @@ def _serving_spec(args: argparse.Namespace) -> ServingSpec:
         if building:
             args.parser.error(f"{', '.join(building)} cannot be combined "
                               f"with --spec")
-        with open(args.spec) as handle:
-            try:
-                base = ServingSpec.from_dict(json.load(handle))
-            except ValueError as error:
-                args.parser.error(f"argument --spec: {error}")
+        try:
+            with open(args.spec) as handle:
+                data = json.load(handle)
+        except OSError as error:
+            args.parser.error(f"argument --spec: can't open '{args.spec}': "
+                              f"{error.strerror}")
+        except ValueError as error:   # not JSON
+            args.parser.error(f"argument --spec: {error} in {args.spec}")
+        if not isinstance(data, dict):
+            args.parser.error(f"argument --spec: must hold a JSON object, "
+                              f"got {type(data).__name__} in {args.spec}")
+        try:
+            base = ServingSpec.from_dict(data)
+        except (TypeError, ValueError) as error:   # an unknown key, a bad value
+            args.parser.error(f"argument --spec: {error}")
         if not base.tenants:
             args.parser.error(f"argument --spec: must name at least one "
                               f"tenant, got none in {args.spec}")

@@ -108,20 +108,16 @@ class FunctionCallingAgent:
         """Execute one full episode and measure it on the device model."""
         return self.run_planned(query, self.plan(query))
 
-    def run_planned(self, query: Query, plan: ToolPlan,
-                    device: DeviceProfile | None = None) -> EpisodeResult:
+    def run_planned(self, query: Query, plan: ToolPlan) -> EpisodeResult:
         """Execute one episode from an already-computed plan.
 
         Split from :meth:`run` so a serving layer can plan a whole
         micro-batch in one vectorized pass and then execute each episode
-        individually.  ``device`` is the board the episode is measured
-        on (default: the agent's); the gateway passes its power mode's.
-        The method touches no agent-level mutable state, so one agent
+        individually.  The method touches no agent-level mutable state, so one agent
         instance can execute episodes concurrently as long as its
         executor/embedder are thread-safe (they are by default).
         """
-        session = MeasurementSession(
-            device=self.device if device is None else device)
+        session = MeasurementSession(device=self.device)
         session.add_overhead(plan.overhead_s)
 
         result = EpisodeResult(
@@ -162,16 +158,14 @@ class FunctionCallingAgent:
         result.peak_memory_gb = session.peak_memory_gb
         return result
 
-    def run_planned_many(self, queries: list[Query], plans: list[ToolPlan],
-                         device: DeviceProfile | None = None,
-                         ) -> list[EpisodeResult]:
+    def run_planned_many(self, queries: list[Query],
+                         plans: list[ToolPlan]) -> list[EpisodeResult]:
         """Execute a batch of already-planned episodes, in order.
 
         The serial loop the gateway's batch worker runs after
-        ``plan_batch``, one planned group at a time, every episode on
-        ``device`` (see :meth:`run_planned`), certain streams seeded in bulk
-        (not when their bound, ``2 * n_steps`` a query plus its pre-calls,
-        is too few).
+        ``plan_batch``, one planned group at a time, certain streams
+        seeded in bulk (not when their bound, ``2 * n_steps`` a query plus
+        its pre-calls, is too few).
         """
         if len(queries) != len(plans):
             raise ValueError(
@@ -179,7 +173,7 @@ class FunctionCallingAgent:
         few = sum(2 * query.n_steps + len(plan.pre_usages)
                   for query, plan in zip(queries, plans)) < _BULK_MIN
         with prefetched(() if few else self._certain_streams(queries, plans)):
-            return [self.run_planned(query, plan, device)
+            return [self.run_planned(query, plan)
                     for query, plan in zip(queries, plans)]
 
     def _certain_streams(self, queries: list[Query], plans: list[ToolPlan]):

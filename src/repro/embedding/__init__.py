@@ -24,13 +24,11 @@ model, fully deterministic across processes and platforms.
 from repro.embedding.directions import DirectionBank
 from repro.embedding.lexicon import ConceptLexicon, default_lexicon
 from repro.embedding.sentence import SentenceEmbedder
-from repro.embedding.tokenizer import Tokenizer
 
 __all__ = [
     "ConceptLexicon",
     "DirectionBank",
     "SentenceEmbedder",
-    "Tokenizer",
     "default_lexicon",
 ]
 

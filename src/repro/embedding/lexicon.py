@@ -12,7 +12,7 @@ plus general agent phrasing.
 
 from __future__ import annotations
 
-from repro.embedding.tokenizer import Tokenizer, stem
+from repro.embedding.tokenizer import split_words, stem
 
 #: concept id -> synonym terms (single words or two-word phrases).
 DEFAULT_CONCEPTS: dict[str, tuple[str, ...]] = {
@@ -276,10 +276,9 @@ class ConceptLexicon:
                           for name, terms in DEFAULT_CONCEPTS.items()}
         self._token_map: dict[str, list[str]] = {}
         self._phrase_map: dict[str, list[str]] = {}
-        tokenizer = Tokenizer(remove_stopwords=False, apply_stem=False)
         for concept, terms in self._concepts.items():
             for term in terms:
-                words = tokenizer.words(term)
+                words = split_words(term)
                 if not words:
                     continue
                 if len(words) == 1:

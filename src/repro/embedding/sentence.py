@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.embedding.directions import DirectionBank, FeatureKey, trim
 from repro.embedding.lexicon import default_lexicon
-from repro.embedding.tokenizer import STOPWORDS, Tokenizer, stem
+from repro.embedding.tokenizer import STOPWORDS, split_words, stem
 from repro.utils.vectorops import normalize_rows
 
 #: Relative weight of each feature family in the summed embedding.
@@ -108,7 +108,6 @@ class SentenceEmbedder:
         self.dim = int(dim)
         self.lexicon = default_lexicon()
         self.seed_namespace = seed_namespace
-        self._tokenizer = Tokenizer()
         self._bank = DirectionBank(self.dim, seed_namespace)
         #: per-row family weight, kept parallel to the corpus rows
         self._row_weights = np.empty(0)
@@ -145,7 +144,7 @@ class SentenceEmbedder:
         row now, which takes another place in the canonical order.
         """
         n_rows = len(self._bank)
-        self._plan([self._tokenizer.words(text) for text in texts], corpus=True)
+        self._plan([split_words(text) for text in texts], corpus=True)
         if len(self._bank) == n_rows:
             return False
         self._row_weights = np.concatenate([self._row_weights, [
@@ -166,7 +165,7 @@ class SentenceEmbedder:
         texts = list(texts)
         if not texts:
             return np.zeros((0, self.dim))
-        word_lists = [self._tokenizer.words(text) for text in texts]
+        word_lists = [split_words(text) for text in texts]
         features: list = [None] * len(texts)
         cold: list[int] = []
         for i, words in enumerate(word_lists):
@@ -246,16 +245,14 @@ class SentenceEmbedder:
         word_memo = self._word_memo
         known_words = word_memo if corpus else self._request_words
         word_keys: dict[str, tuple[str | None, list[FeatureKey], list[FeatureKey]]] = {}
-        remove_stop = self._tokenizer.remove_stopwords
-        apply_stem = self._tokenizer.apply_stem
         for words in word_lists:
             for word in words:
                 if word in word_memo or word in known_words or word in word_keys:
                     continue
-                if remove_stop and word in STOPWORDS:
+                if word in STOPWORDS:
                     stemmed, keys = None, []
                 else:
-                    stemmed = stem(word) if apply_stem else word
+                    stemmed = stem(word)
                     keys = [("token", stemmed)]
                     keys.extend(("concept", c) for c in self.lexicon.lookup(stemmed))
                 padded = f"#{word}#"

@@ -47,14 +47,7 @@ def stem(word: str) -> str:
     return word
 
 
-class Tokenizer:
-    """Lowercasing word splitter, with the stopword and stemming switches
-    the embedder applies to each word."""
-
-    def __init__(self, remove_stopwords: bool = True, apply_stem: bool = True):
-        self.remove_stopwords = remove_stopwords
-        self.apply_stem = apply_stem
-
-    def words(self, text: str) -> list[str]:
-        """Return raw lowercase word tokens (no stopword removal)."""
-        return _TOKEN_RE.findall(text.lower())
+def split_words(text: str) -> list[str]:
+    """The raw lowercase words of ``text`` (no stopword removal, no
+    stemming: the embedder drops stopwords and stems what it keeps)."""
+    return _TOKEN_RE.findall(text.lower())

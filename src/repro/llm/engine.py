@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.embedding.cache import CachedEmbedder, shared_embedder
 from repro.embedding.lexicon import default_lexicon
-from repro.embedding.tokenizer import Tokenizer, stem
+from repro.embedding.tokenizer import split_words, stem
 from repro.llm import behavior
 from repro.llm.behavior import DEFAULT_CALIBRATION, BehaviorCalibration
 from repro.llm.registry import ModelSpec, QuantSpec, get_model_spec, get_quant_spec
@@ -49,9 +49,6 @@ _PLACEHOLDER_VALUES = {
 #: concept signal, so retrieval quality degrades with reasoning skill.
 _GENERIC_WORDS = ("data", "information", "process", "handle", "task",
                   "result", "item", "request", "thing", "general")
-
-#: Splits a description into the raw words the paraphraser rewrites.
-_WORD_TOKENIZER = Tokenizer(remove_stopwords=False, apply_stem=False)
 
 #: Entries kept by :meth:`SimulatedLLM._similarities`.  An episode uses
 #: one to three presented sets and a gateway runs at most a few dozen
@@ -415,7 +412,7 @@ class SimulatedLLM:
         if generic_p is None:
             generic_p = noise * 0.30
         lexicon = default_lexicon()
-        words = _WORD_TOKENIZER.words(text)
+        words = split_words(text)
         output: list[str] = []
         for word in words:
             roll = rng.random()

@@ -53,7 +53,7 @@ def join_labels(values: tuple[str, ...]) -> str:
 def split_labels(joined: str, n_labels: int) -> list[str]:
     """Invert :func:`join_labels`.  Split from the right: only the first
     label (tenant / scope / hook) is free-form and may itself hold ``:``;
-    directions, rungs and power modes never do."""
+    directions and rungs never do."""
     return joined.rsplit(":", n_labels - 1)
 
 
@@ -85,17 +85,16 @@ FAMILIES: tuple[Family, ...] = (
            "Chaos faults fired, per fault hook.", ("hook",)),
     Family("energy_j", "energy_joules_total",
            "Estimated energy attributed to served requests, per tenant "
-           "(joules; the sum of the served episodes' energy_j, each on the "
-           "board in the power mode it ran in).",
+           "(joules; the sum of the served episodes' energy_j).",
            ("tenant",)),
     Family("carbon_g", "carbon_grams_total",
            "Estimated operational carbon attributed to served requests, "
            "per tenant (gCO2 via the configured grid-intensity signal).",
            ("tenant",)),
     Family("budget_transitions", "budget_transitions_total",
-           "Carbon/power budget-controller actions, per "
-           "scope/direction/target (tenant ladder moves and device "
-           "power-mode moves).", ("scope", "direction", "target")),
+           "Budget-controller ladder moves, per scope/direction/target "
+           "(the tenant, down|up, the new rung).",
+           ("scope", "direction", "target")),
     Family("uptime_s", "uptime_seconds",
            "Seconds since this Telemetry instance was created (monotonic).",
            kind="gauge"),

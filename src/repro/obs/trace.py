@@ -222,8 +222,7 @@ class Tracer:
 
     def marker(self, name: str, attributes: dict | None = None) -> None:
         """Emit a standalone zero-duration span for a control-plane event
-        not owned by any request (a budget controller's ladder or
-        power-mode move)."""
+        not owned by any request (a budget controller's ladder move)."""
         with self._lock:
             seq = self._span_seq
             self._span_seq += 1

@@ -6,12 +6,13 @@ CarbonCall's (arXiv 2504.20348) closed loop: the
 ``full`` → reduced-``k`` scheme → ``shed``
 
 on a *power budget* — a rolling joules-per-request cap read from the
-:class:`~repro.power.meter.EnergyMeter` — and additionally steps the
-simulated board down nvpmodel power modes (MAXN → 30W → 15W) while
-the grid's carbon intensity is high, climbing back with hysteresis once
-it clears.  The mode lives on the meter; the
-gateway runs each batch's episodes on that mode's device, so a step
-changes the latency and joules of every episode served after it.
+:class:`~repro.power.meter.EnergyMeter` — climbing back with hysteresis
+once a tenant's window clears.  CarbonCall also steps the board down
+nvpmodel power modes; under this repo's hardware model that raises the
+joules per request at 15W and saves 1–6% at 30W for 22–34% more time
+(``tests/test_power_laws.py`` pins the table), so the board serves at
+MAXN and the modes stay an offline ablation
+(:func:`~repro.hardware.power_modes.orin_in_mode`).
 
 The reduced-``k`` rung reroutes default traffic through
 :data:`REDUCED_K_SCHEME` (fewer tools presented — the paper's lever);
@@ -21,8 +22,7 @@ pinned per rung in ``tests/test_serving_degrade.py``.  A tenant's rung is
 one integer on its session, which only :meth:`BudgetController._step`
 writes and ``Gateway.submit`` reads.
 
-The core is a synchronous :meth:`~BudgetController.tick` (pass
-``now_s`` to drive the carbon signal without any clock);
+The core is a synchronous :meth:`~BudgetController.tick`;
 :meth:`~BudgetController.run` is the thin async loop the gateway starts
 when configured with a :class:`~repro.specs.BudgetSpec`.
 
@@ -35,11 +35,8 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.hardware.power_modes import POWER_MODES
 from repro.specs import RECOVERY_MARGIN, BudgetSpec
 
-#: the nvpmodel ladder, fastest first
-MODE_LADDER = tuple(POWER_MODES)
 #: the serving ladder, cheapest last, the same for every tenant
 RUNGS = ("full", "reduced-k", "shed")
 #: the scheme a tenant's default traffic runs from ``reduced-k`` down
@@ -47,19 +44,15 @@ REDUCED_K_SCHEME = "lis-k1"
 
 
 class BudgetController:
-    """Steps tenants down the ladder and the board down power modes.
+    """Steps tenants down the ladder on their rolling joules per request.
 
-    One controller per gateway, sharing the gateway's
-    :class:`~repro.power.meter.EnergyMeter`, whose ``power_mode`` is the
-    one home of the board's mode and of the carbon signal: the
-    controller reads its place on :data:`MODE_LADDER` from there and
-    writes only there.
+    One controller per gateway, reading each tenant's window off the
+    gateway's :class:`~repro.power.meter.EnergyMeter`.
     It holds the sessions, meter, telemetry and tracer, never the gateway.
-    Every action lands in telemetry as one ``budget_transitions`` entry
-    (``<tenant>:<direction>:<rung>`` for ladder moves,
-    ``device:<direction>:<mode>`` for power-mode moves) and, on a traced
-    gateway, one ``budget`` marker span.  The per-tenant rung, streaks
-    and settle mark are the tenant session's.
+    Every move lands in telemetry as one ``budget_transitions`` entry
+    (``<tenant>:<direction>:<rung>``) and, on a traced gateway, one
+    ``budget`` marker span.  The per-tenant rung, streaks and settle mark
+    are the tenant session's.
     """
 
     def __init__(self, sessions, spec: BudgetSpec, *, meter, telemetry,
@@ -69,20 +62,14 @@ class BudgetController:
         self.meter = meter
         self.telemetry = telemetry
         self.tracer = tracer
-        self._mode_floor = MODE_LADDER.index(spec.min_power_mode)
-        self._mode_clear_streak = 0
 
     # ------------------------------------------------------------------
     # the feedback loop
     # ------------------------------------------------------------------
-    def tick(self, now_s: float | None = None) -> None:
-        """One control step; pass ``now_s`` to drive it without a clock."""
-        t_s = self.meter.now() if now_s is None else now_s
-        intensity = self.meter.signal.intensity(t_s)
-        self._tick_power_mode(intensity)
-        if self.spec.energy_budget_j is not None:
-            for session in self.sessions:
-                self._tick_tenant(session)
+    def tick(self) -> None:
+        """One control step over every tenant."""
+        for session in self.sessions:
+            self._tick_tenant(session)
 
     async def run(self) -> None:
         """Poll-and-tick loop; cancelled by ``Gateway.stop``.
@@ -93,36 +80,6 @@ class BudgetController:
         while True:
             await asyncio.sleep(self.spec.interval_s)
             self.tick()
-
-    # ------------------------------------------------------------------
-    # power-mode ladder
-    # ------------------------------------------------------------------
-    def _tick_power_mode(self, intensity: float) -> None:
-        spec = self.spec
-        if spec.intensity_high is None:
-            return
-        index = MODE_LADDER.index(self.meter.power_mode)
-        if intensity >= spec.intensity_high:
-            self._mode_clear_streak = 0
-            if index < self._mode_floor:
-                self._set_mode(index + 1, "down")
-        elif intensity <= spec.effective_intensity_low:
-            self._mode_clear_streak += 1
-            if self._mode_clear_streak >= spec.recovery_ticks:
-                self._mode_clear_streak = 0
-                if index > 0:
-                    self._set_mode(index - 1, "up")
-        else:
-            # in-between band: hold the mode, restart the recovery streak
-            self._mode_clear_streak = 0
-
-    def _set_mode(self, index: int, direction: str) -> None:
-        mode = MODE_LADDER[index]
-        self.meter.set_power_mode(mode)
-        self.telemetry.record_budget_transition("device", mode, direction)
-        if self.tracer is not None:
-            self.tracer.marker("budget", {
-                "scope": "device", "power_mode": mode, "direction": direction})
 
     # ------------------------------------------------------------------
     # per-tenant budget ladder

@@ -2,12 +2,10 @@
 
 An episode's ``energy_j`` is already the board's joules for the whole
 request: one :func:`~repro.hardware.inference.simulate_inference` trace
-per LLM call plus every wait, on the device of the power mode the
-gateway served it in.  The :class:`EnergyMeter` reads those joules as
-they are, converts them to gCO₂ through the configured carbon signal,
-and keeps each tenant's rolling window for the budget controller.  It
-also holds the gateway's one power mode: the batch worker reads it once
-per batch and runs the batch's episodes on that mode's device.
+per LLM call plus every wait, on the agent's device.  The
+:class:`EnergyMeter` reads those joules as they are, converts them to
+gCO₂ through the configured carbon signal, and keeps each tenant's
+rolling window for the budget controller.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from dataclasses import dataclass
 # not called here: the repo benchmark's tracer patches every name bound
 # to simulate_inference and looks this one up with vars(module)
 from repro.hardware.inference import simulate_inference  # noqa: F401
-from repro.hardware.power_modes import POWER_MODES
 from repro.specs import BudgetSpec
 
 #: joules per kWh (converts attributed energy to grid-intensity units)
@@ -46,7 +43,6 @@ class EnergyRecord:
     qid: str
     energy_j: float
     carbon_g: float
-    power_mode: str
     intensity_g_per_kwh: float
 
 
@@ -65,14 +61,12 @@ class WindowStats:
 class EnergyMeter:
     """Attributes each request's joules and gCO₂ to its tenant.
 
-    One meter per gateway.  It holds the active ``power_mode`` (which
-    the budget controller steps and the batch worker runs episodes
-    under); the rolling window and the request count it keeps are the
-    tenant session's (``energy_window``, ``energy_requests``), so they
-    die with the registration.  ``record`` runs on the gateway's batch
-    worker while the event loop reads ``window_stats`` and swaps the
-    power mode — one lock keeps the mode and every window coherent
-    across the two.  Lifetime joules/gCO₂ live in the gateway's
+    One meter per gateway.  The rolling window and the request count it
+    keeps are the tenant session's (``energy_window``,
+    ``energy_requests``), so they die with the registration.  ``record``
+    runs on the gateway's batch worker while the event loop reads
+    ``window_stats`` — one lock keeps every window coherent across the
+    two.  Lifetime joules/gCO₂ live in the gateway's
     ``Telemetry`` (``record_energy``), the one ledger ``/metrics`` reads.
     """
 
@@ -87,28 +81,6 @@ class EnergyMeter:
         self._clock = clock if clock is not None else elapsed_clock()
         self.window_requests = window_requests
         self._lock = threading.Lock()
-        self._mode = "MAXN"
-
-    # ------------------------------------------------------------------
-    # clock / power mode
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        """The meter's notion of time (drives the carbon signal)."""
-        return self._clock()
-
-    @property
-    def power_mode(self) -> str:
-        """The nvpmodel mode the next batch's episodes run under."""
-        return self._mode
-
-    def set_power_mode(self, mode: str) -> None:
-        """Switch the simulated board to an nvpmodel mode."""
-        mode = mode.upper()
-        if mode not in POWER_MODES:
-            raise ValueError(f"unknown power mode {mode!r}; choose from "
-                             f"{sorted(POWER_MODES)}")
-        with self._lock:
-            self._mode = mode
 
     # ------------------------------------------------------------------
     # attribution
@@ -116,12 +88,7 @@ class EnergyMeter:
     def record(self, session, episode, *,
                now_s: float | None = None) -> EnergyRecord:
         """Attribute one completed episode's joules to the tenant
-        ``session``; returns the record.
-
-        The record is stamped with the power mode active now: the mode
-        the episode ran under, unless the controller stepped it while
-        the batch ran.
-        """
+        ``session``; returns the record."""
         energy_j = episode.energy_j
         t_s = self._clock() if now_s is None else now_s
         intensity = self.signal.intensity(t_s)
@@ -129,7 +96,7 @@ class EnergyMeter:
             record = EnergyRecord(
                 tenant=session.name, qid=episode.qid, energy_j=energy_j,
                 carbon_g=energy_j / J_PER_KWH * intensity,
-                power_mode=self._mode, intensity_g_per_kwh=intensity)
+                intensity_g_per_kwh=intensity)
             session.energy_requests += 1
             window = session.energy_window
             window.append(record)

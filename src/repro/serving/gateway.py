@@ -6,10 +6,9 @@ carries it to accounting), applies admission control, queues the
 request on the micro-batch scheduler and awaits the episode result.
 Batches are planned through the agents' vectorized :meth:`plan_batch`
 (one ``encode`` and one multi-query search per index for the whole
-batch) and then executed per-episode with :meth:`run_planned` on the
-device of the gateway's power mode — so a served episode is bitwise
-identical to running the same query through the sequential
-:class:`~repro.evaluation.runner.ExperimentRunner` path on that device.
+batch) and then executed per-episode with :meth:`run_planned` — so a
+served episode is bitwise identical to running the same query through
+the sequential :class:`~repro.evaluation.runner.ExperimentRunner` path.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.episode import EpisodeResult
-from repro.hardware.power_modes import orin_in_mode
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
 from repro.power import BudgetController, EnergyMeter, build_signal
@@ -140,8 +138,6 @@ class ServingResponse:
     batch_size: int
     #: seconds spent waiting in the queue before the batch was cut
     queued_s: float
-    #: the nvpmodel power mode the episode ran in (read once per batch)
-    power_mode: str
     #: total client-observed seconds, stamped by :meth:`Gateway.submit`
     latency_s: float = 0.0
     #: deterministic request id (:func:`repro.obs.trace.request_trace_id`),
@@ -180,9 +176,9 @@ class Gateway:
         self.scheduler = BatchScheduler(self.config, telemetry=self.telemetry)
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
-        # carbon/power accounting: the meter is always on (it holds the
-        # power mode and reads each episode's joules); the
-        # BudgetController only runs when a BudgetSpec is configured
+        # carbon accounting: the meter is always on (it reads each
+        # episode's joules); the BudgetController only runs when a
+        # BudgetSpec is configured
         budget = self.config.budget
         self.power_meter = EnergyMeter(
             signal=build_signal(budget),
@@ -353,10 +349,6 @@ class Gateway:
         """The tenant's ladder rung (``"full"`` at rest)."""
         return RUNGS[self.sessions.get(tenant).rung]
 
-    def power_mode(self) -> str:
-        """The nvpmodel mode the next batch's episodes run under."""
-        return self.power_meter.power_mode
-
     def budget_status(self, tenant: str) -> dict:
         """The tenant's rolling energy/carbon window plus its energy budget."""
         stats = self.power_meter.window_stats(self.sessions.get(tenant))
@@ -447,8 +439,7 @@ class Gateway:
         that session's agent, coalescing every request's embedding and
         Level-1/Level-2 retrieval into single kernel invocations.  The
         planned episodes then run on this batch-worker thread through
-        ``run_planned_many``, on the device of the power mode read once
-        for the whole batch (the agent's own device at MAXN).
+        ``run_planned_many``.
 
         Failures are contained per group: an invalid model name (or any
         agent error) fails only the requests sharing that grid cell —
@@ -469,9 +460,6 @@ class Gateway:
                             "hook": "batch.process",
                             "sleep_ms": action.sleep_s * 1e3})
                 time.sleep(action.sleep_s)
-        # the whole batch runs on the board in one power mode, read once
-        mode = self.power_meter.power_mode
-        device = None if mode == "MAXN" else orin_in_mode(mode)
         groups: dict[tuple[TenantSession, str, str, str], list[int]] = {}
         for position, request in enumerate(batch):
             item: WorkItem = request.payload
@@ -530,12 +518,10 @@ class Gateway:
                             attributes={"group_size": len(positions),
                                         "cache_hit": hit})
                         tracer.end_span(plan_span, end_s=plan_end)
-                execute_spans = [
-                    tracer.start_span(trace, "execute",
-                                      attributes={"power_mode": mode})
-                    for trace in traced]
+                execute_spans = [tracer.start_span(trace, "execute")
+                                 for trace in traced]
                 try:
-                    episodes = agent.run_planned_many(queries, plans, device)
+                    episodes = agent.run_planned_many(queries, plans)
                 except Exception:
                     for span in execute_spans:
                         tracer.end_span(span, status="error")
@@ -563,7 +549,6 @@ class Gateway:
                         batch_size=request.batch_size,
                         queued_s=max(0.0,
                                      request.dequeued_at - request.enqueued_at),
-                        power_mode=mode,
                     )
             except Exception as exc:  # noqa: BLE001 - contained per group
                 for position in positions:

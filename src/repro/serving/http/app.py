@@ -270,7 +270,6 @@ class GatewayHTTPApp:
             "batch_size": response.batch_size,
             "queued_s": response.queued_s,
             "latency_s": response.latency_s,
-            "power_mode": response.power_mode,
             "episode": response.episode.to_dict(),
         }, headers={"x-trace-id": response.trace_id})
 
@@ -354,7 +353,6 @@ class GatewayHTTPApp:
             "name": name,
             "catalog_version": session.catalog_version,
             "rung": self.gateway.rung(name),
-            "power_mode": self.gateway.power_mode(),
             "shed": self.gateway.is_shed(name),
             "scheme_override": self.gateway.scheme_override(name),
             "cost": costs.get("by_tenant", {}).get(name, {}),

@@ -167,10 +167,8 @@ class Telemetry:
 
     def record_budget_transition(self, scope: str, target: str,
                                  direction: str) -> None:
-        """One budget-controller action: a tenant's ladder move
-        (``scope`` is the tenant, ``target`` the new rung) or a device
-        power-mode move (``scope="device"``, ``target`` the new mode);
-        ``direction`` is down|up."""
+        """One budget-controller ladder move: ``scope`` is the tenant,
+        ``target`` the new rung, ``direction`` down|up."""
         with self._lock:
             self._add("budget_transitions", scope, direction, target)
 

@@ -386,10 +386,10 @@ class ObsSpec(_SpecBase):
 
 
 #: nvpmodel modes, fastest first — the keys of
-#: repro.hardware.power_modes.POWER_MODES (from which
-#: repro.power.budget.MODE_LADDER is derived), repeated here because
-#: importing repro.hardware loads numpy and spec validation must not
-#: (tests/test_specs.py holds both the mirror and the cheap import)
+#: repro.hardware.power_modes.POWER_MODES, repeated here for
+#: ``repro profile --power-mode`` because importing repro.hardware loads
+#: numpy and the CLI's parser must not (tests/test_specs.py holds both
+#: the mirror and the cheap import)
 POWER_MODE_NAMES = ("MAXN", "30W", "15W")
 
 #: the paper's model ids (case-insensitive) and GGUF quantizations, by
@@ -400,24 +400,24 @@ QUANT_NAMES = ("full", "q8_0", "q4_K_M", "q4_1", "q4_0")
 
 
 #: the hysteresis band: a tenant climbs back a rung only with its rolling
-#: mean under ``energy_budget_j * RECOVERY_MARGIN``, and the board a mode
-#: only with the grid under ``intensity_high * RECOVERY_MARGIN`` (unless
-#: ``intensity_low`` is set), so a tenant hovering at its cap never flaps
+#: mean under ``energy_budget_j * RECOVERY_MARGIN``, so a tenant hovering
+#: at its cap never flaps
 RECOVERY_MARGIN = 0.8
 
 
 @dataclass(frozen=True)
 class BudgetSpec(_SpecBase):
-    """Energy/power budget: the knobs of the gateway's budget loop.
+    """Energy budget: the knobs of the gateway's budget loop.
 
     Threading this through :class:`ServingSpec` makes the gateway build
     an :class:`~repro.power.budget.BudgetController`, which reads this
     spec directly: tenants whose rolling mean joules per request exceed
-    the budget step down the serving ladder, and while the grid's carbon
-    intensity is high the simulated board steps down nvpmodel power
-    modes (MAXN → 30W → 15W), both climbing back with hysteresis
-    (:data:`RECOVERY_MARGIN`).  gCO₂ is attributed and exported, never
-    budgeted.  Budget windows count requests (the last
+    ``energy_budget_j`` (the one required field) step down the serving
+    ladder and climb back with hysteresis (:data:`RECOVERY_MARGIN`).
+    The board serves at MAXN: there is no power-mode axis, since no
+    lower mode saves enough joules per request to pay for its time
+    (``tests/test_power_laws.py``).  gCO₂ is attributed and exported,
+    never budgeted.  Budget windows count requests (the last
     ``window_requests`` attributed per tenant), not seconds, so the
     whole loop is drivable deterministically without a clock.
 
@@ -434,54 +434,34 @@ class BudgetSpec(_SpecBase):
         :attr:`effective_settle_requests`.
     recovery_ticks:
         Consecutive under-budget ticks required before stepping a tenant
-        back up (and low-intensity ticks before stepping the power mode
-        back up).
+        back up.
     signal:
         A registered carbon signal
         (:data:`repro.registry.CARBON_SIGNALS`): ``static`` holds
         ``intensity_g_per_kwh`` flat, ``trace`` replays the
         grid-intensity CSV at ``trace_path``.
-    intensity_high / intensity_low:
-        gCO₂/kWh thresholds for the power-mode ladder: at or above
-        ``intensity_high`` each tick steps the simulated board down one
-        nvpmodel mode; at or below ``intensity_low`` (default
-        ``intensity_high * RECOVERY_MARGIN``, resolved by
-        :attr:`effective_intensity_low`) ticks count toward climbing
-        back.  ``intensity_high=None`` disables mode stepping.
-    min_power_mode:
-        Deepest mode the controller may select (``"15W"`` allows the
-        full MAXN → 30W → 15W descent; ``"MAXN"`` pins the board).
-        Served episodes run on the mode's device: 30W spends slightly
-        fewer joules per request than MAXN, 15W slightly more (its
-        runtime doubles), so 15W lowers power, not joules.
     interval_ms:
         Poll period of the async :meth:`BudgetController.run
         <repro.power.budget.BudgetController.run>` loop.
     """
 
-    energy_budget_j: float | None = _field(
-        None, "rolling-mean joules per request a tenant may spend before it "
-              "steps down a rung (unset: no energy budget)")
+    energy_budget_j: float = _field(
+        MISSING, "rolling-mean joules per request a tenant may spend before "
+                 "it steps down a rung")
     window_requests: int = 32
     settle_requests: int | None = None
     recovery_ticks: int = 3
     signal: str = "static"
     intensity_g_per_kwh: float = 400.0
     trace_path: str | None = None
-    intensity_high: float | None = None
-    intensity_low: float | None = None
-    min_power_mode: str = "15W"
     interval_ms: float = 100.0
 
     def __post_init__(self):
         from repro.registry import CARBON_SIGNALS
 
-        _require(self.energy_budget_j is not None
-                 or self.intensity_high is not None,
-                 "BudgetSpec needs at least one control: energy_budget_j "
-                 "or intensity_high")
-        _require_min(self, 0, "energy_budget_j", "intensity_high",
-                     "interval_ms", strict=True)
+        _require(self.energy_budget_j is not None,
+                 "BudgetSpec.energy_budget_j is required")
+        _require_min(self, 0, "energy_budget_j", "interval_ms", strict=True)
         _require_min(self, 1, "window_requests", "settle_requests",
                      "recovery_ticks")
         _require_min(self, 0, "intensity_g_per_kwh")
@@ -489,16 +469,6 @@ class BudgetSpec(_SpecBase):
         _require(self.signal != "trace" or bool(self.trace_path),
                  "BudgetSpec(signal='trace') requires trace_path to name "
                  "the grid-intensity CSV")
-        _require(self.intensity_low is None
-                 or self.intensity_high is not None,
-                 "BudgetSpec.intensity_low requires intensity_high")
-        _require(self.intensity_high is None
-                 or 0.0 <= self.effective_intensity_low < self.intensity_high,
-                 f"BudgetSpec.intensity_low must be in [0, intensity_high), "
-                 f"got {self.effective_intensity_low}")
-        _require(self.min_power_mode in POWER_MODE_NAMES,
-                 f"BudgetSpec.min_power_mode must be one of "
-                 f"{', '.join(POWER_MODE_NAMES)}, got {self.min_power_mode!r}")
 
     # late defaults resolve on read, never by mutating the fields:
     # replace() re-resolves them and to_dict() round-trips what was set
@@ -506,12 +476,6 @@ class BudgetSpec(_SpecBase):
     def effective_settle_requests(self) -> int:
         return (self.settle_requests if self.settle_requests is not None
                 else self.window_requests)
-
-    @property
-    def effective_intensity_low(self) -> float | None:
-        if self.intensity_low is not None or self.intensity_high is None:
-            return self.intensity_low
-        return self.intensity_high * RECOVERY_MARGIN
 
     @property
     def interval_s(self) -> float:
@@ -614,11 +578,10 @@ class ServingSpec(_SpecBase):
         default) means the gateway is in-process only — the ASGI app
         itself works regardless (tests call it directly).
     budget:
-        Energy/power budget (:class:`BudgetSpec`): when set, the gateway
+        Energy budget (:class:`BudgetSpec`): when set, the gateway
         runs a :class:`~repro.power.budget.BudgetController` that steps
-        tenants down the serving ladder on a rolling joule budget and
-        the simulated board down nvpmodel power modes while grid carbon
-        intensity is high.  ``None`` (the default) disables
+        tenants down the serving ladder on a rolling joule budget.
+        ``None`` (the default) disables
         budget control; per-request energy/carbon attribution through
         the :class:`~repro.power.meter.EnergyMeter` is always on.
     faults:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.embedding.lexicon import default_lexicon
-from repro.embedding.tokenizer import Tokenizer, stem
+from repro.embedding.tokenizer import split_words, stem
 from repro.suites.base import BenchmarkSuite, Query
 from repro.suites.rouge import rouge_l
 from repro.utils.rng import derive_rng
@@ -57,7 +57,6 @@ class AugmentationEngine:
     def __init__(self, suite: BenchmarkSuite):
         self.suite = suite
         self.lexicon = default_lexicon()
-        self._tokenizer = Tokenizer(remove_stopwords=False, apply_stem=False)
         # reverse map: concept -> terms, for synonym substitution
         self._terms_of: dict[str, tuple[str, ...]] = {
             concept: tuple(term for term in terms if " " not in term)
@@ -162,7 +161,7 @@ class AugmentationEngine:
     def paraphrase_text(self, text: str, rng: np.random.Generator,
                         substitution_rate: float) -> str:
         """Replace words with same-concept synonyms at the given rate."""
-        words = self._tokenizer.words(text)
+        words = split_words(text)
         replaced: list[str] = []
         for word in words:
             concepts = self.lexicon.lookup(stem(word))

@@ -10,9 +10,7 @@ operations on w-bit machine words.
 
 from __future__ import annotations
 
-from repro.embedding.tokenizer import Tokenizer
-
-_tokenizer = Tokenizer(remove_stopwords=False, apply_stem=False)
+from repro.embedding.tokenizer import split_words
 
 
 def _f_measure(matches: int, candidate_len: int, reference_len: int) -> float:
@@ -44,6 +42,6 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(candidate: str, reference: str) -> float:
     """Longest-common-subsequence ROUGE-L F-measure in [0, 1]."""
-    cand = _tokenizer.words(candidate)
-    ref = _tokenizer.words(reference)
+    cand = split_words(candidate)
+    ref = split_words(reference)
     return _f_measure(_lcs_length(cand, ref), len(cand), len(ref))

@@ -17,25 +17,20 @@ from collections import Counter
 import numpy as np
 
 from repro.embedding.sentence import FAMILY_WEIGHTS
-from repro.embedding.tokenizer import STOPWORDS, Tokenizer, stem
+from repro.embedding.tokenizer import STOPWORDS, split_words, stem
 from repro.utils.hashing import stable_hash64
 
 
-def tokenize(tokenizer: Tokenizer, text: str) -> list[str]:
-    """Normalised tokens: the raw words, minus stopwords, stemmed
-    (each step as ``tokenizer`` is configured)."""
-    tokens = tokenizer.words(text)
-    if tokenizer.remove_stopwords:
-        tokens = [token for token in tokens if token not in STOPWORDS]
-    if tokenizer.apply_stem:
-        tokens = [stem(token) for token in tokens]
-    return tokens
+def tokenize(text: str) -> list[str]:
+    """Normalised tokens: the raw words, minus stopwords, stemmed."""
+    return [stem(word) for word in split_words(text)
+            if word not in STOPWORDS]
 
 
-def char_trigrams(tokenizer: Tokenizer, text: str) -> list[str]:
+def char_trigrams(text: str) -> list[str]:
     """Character trigrams of each raw word padded as ``#word#``."""
     trigrams: list[str] = []
-    for word in tokenizer.words(text):
+    for word in split_words(text):
         padded = f"#{word}#"
         trigrams.extend(padded[i:i + 3] for i in range(len(padded) - 2))
     return trigrams
@@ -51,8 +46,7 @@ def direction(namespace: str, dim: int, key: tuple[str, str]) -> np.ndarray:
 
 def features_reference(embedder, text: str) -> Counter:
     """The feature multiset of ``text``, without the embedder's memos."""
-    tokenizer = Tokenizer()
-    tokens = tokenize(tokenizer, text)
+    tokens = tokenize(text)
     counts: Counter = Counter()
     for token in tokens:
         counts[("token", token)] += 1
@@ -62,7 +56,7 @@ def features_reference(embedder, text: str) -> Counter:
         counts[("bigram", f"{first} {second}")] += 1
         for concept in embedder.lexicon.lookup_phrase(f"{first} {second}"):
             counts[("concept", concept)] += 1
-    for trigram in char_trigrams(tokenizer, text):
+    for trigram in char_trigrams(text):
         counts[("trigram", trigram)] += 1
     return counts
 
@@ -73,7 +67,7 @@ def memo_features(embedder, text: str) -> Counter:
     first makes the plans)."""
     embedder.encode([text])
     keys = embedder._bank.keys
-    rows, request = embedder._document_features(embedder._tokenizer.words(text))
+    rows, request = embedder._document_features(split_words(text))
     return Counter([keys[row] for row in rows] + request)
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.clustering.agglomerative import Merge, _lance_williams
 from repro.clustering.distances import pairwise_distances
-from repro.suites.rouge import _f_measure, _tokenizer
+from repro.embedding.tokenizer import split_words
+from repro.suites.rouge import _f_measure
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
@@ -41,8 +42,8 @@ def lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_1(candidate: str, reference: str) -> float:
     """Unigram-overlap ROUGE-1 F-measure in [0, 1]."""
-    cand = Counter(_tokenizer.words(candidate))
-    ref = Counter(_tokenizer.words(reference))
+    cand = Counter(split_words(candidate))
+    ref = Counter(split_words(reference))
     matches = sum((cand & ref).values())
     return _f_measure(matches, sum(cand.values()), sum(ref.values()))
 

@@ -183,13 +183,13 @@ class TestServingSpecFlags:
                                                        command):
         """``--carbon-budget`` sets one field of the file's BudgetSpec, as
         ``--host``/``--port`` set fields of its HttpSpec: the window and
-        the power-mode threshold survive."""
+        the recovery ticks survive."""
         spec_path = _spec_file(tmp_path, budget=BudgetSpec(
-            window_requests=4, intensity_high=450.0))
+            energy_budget_j=90.0, window_requests=4, recovery_ticks=2))
         spec = _serving_spec(build_parser().parse_args(
             [command, "--spec", spec_path, "--carbon-budget", "150"]))
         assert spec.budget == BudgetSpec(
-            energy_budget_j=150.0, window_requests=4, intensity_high=450.0)
+            energy_budget_j=150.0, window_requests=4, recovery_ticks=2)
 
     def test_host_and_port_keep_the_spec_files_http(self, tmp_path):
         spec_path = _spec_file(tmp_path, http=HttpSpec(
@@ -277,6 +277,20 @@ _BAD_VALUES = [
      "unknown model 'nosuch'"),
     (["grid", "--quants", "q4_0,Q4_0"], "--quants",
      "unknown quantization 'Q4_0'"),
+    # a spec file that cannot become a ServingSpec names the key or path
+    (["load", "--spec", str(ROOT / "tests/data/spec_unknown_key.json")],
+     "--spec", "ServingSpec.__init__() got an unexpected keyword argument "
+               "'bogus'"),
+    (["load", "--spec", str(ROOT / "tests/data/spec_unknown_budget_key.json")],
+     "--spec", "BudgetSpec.__init__() got an unexpected keyword argument "
+               "'intensity_high'"),
+    (["load", "--spec", str(ROOT / "tests/data/spec_budget_without_energy.json")],
+     "--spec", "BudgetSpec.__init__() missing 1 required positional "
+               "argument: 'energy_budget_j'"),
+    (["load", "--spec", str(ROOT / "tests/data/spec_list.json")], "--spec",
+     f"must hold a JSON object, got list in {ROOT / 'tests/data/spec_list.json'}"),
+    (["serve", "--spec", str(ROOT / "tests/data/no_such_spec.json")], "--spec",
+     f"can't open '{ROOT / 'tests/data/no_such_spec.json'}': No such file"),
 ]
 
 

@@ -1,10 +1,19 @@
 """Tests for repro.embedding.tokenizer."""
 
+from collections import Counter
+from functools import cache
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from embedding_oracle import char_trigrams, tokenize
-from repro.embedding.tokenizer import STOPWORDS, Tokenizer, stem
+from embedding_oracle import char_trigrams, memo_features, tokenize
+from repro.embedding.sentence import SentenceEmbedder
+from repro.embedding.tokenizer import STOPWORDS, split_words, stem
+
+
+@cache
+def _embedder() -> SentenceEmbedder:
+    return SentenceEmbedder()
 
 
 class TestStem:
@@ -38,22 +47,21 @@ class TestStem:
 
 class TestTokenizer:
     def test_lowercases_and_splits(self):
-        tokens = tokenize(Tokenizer(remove_stopwords=False, apply_stem=False),
-                          "Hello WORLD-42")
+        tokens = split_words("Hello WORLD-42")
         assert tokens == ["hello", "world", "42"]
 
     def test_stopwords_removed(self):
-        tokens = tokenize(Tokenizer(), "what is the weather in Paris")
+        tokens = tokenize("what is the weather in Paris")
         assert "the" not in tokens
         assert "weather" in tokens
 
     def test_stemming_applied(self):
-        tokens = tokenize(Tokenizer(), "plotting datasets")
+        tokens = tokenize("plotting datasets")
         assert "plot" in tokens
         assert "dataset" in tokens
 
     def test_empty_string(self):
-        assert tokenize(Tokenizer(), "") == []
+        assert split_words("") == tokenize("") == []
 
     def test_stem_memo_is_bounded_and_transparent(self):
         assert stem.cache_info().maxsize is not None
@@ -62,14 +70,22 @@ class TestTokenizer:
             stem.__wrapped__(word) for word in words]
 
     def test_char_trigrams_padding(self):
-        trigrams = char_trigrams(Tokenizer(), "map")
+        trigrams = char_trigrams("map")
         assert "#ma" in trigrams
         assert "ap#" in trigrams
 
     def test_char_trigrams_skip_tiny_words(self):
-        assert char_trigrams(Tokenizer(), "a") == ["#a#"]
+        assert char_trigrams("a") == ["#a#"]
 
-    @given(st.text())
-    def test_tokenize_never_returns_stopwords(self, text):
-        tokens = tokenize(Tokenizer(apply_stem=False), text)
-        assert not set(tokens) & STOPWORDS
+    @given(st.text() | st.lists(st.sampled_from(
+        [*sorted(STOPWORDS), "ours", "plotting", "Datasets", "weather"]),
+    ).map(" ".join))
+    def test_the_embedder_stems_only_non_stopwords(self, text):
+        """A stopword gives the embedder no token feature; every other
+        word gives its stem (which may itself spell a stopword:
+        "ours" -> "our")."""
+        tokens = Counter(feature for (family, feature), count
+                         in memo_features(_embedder(), text).items()
+                         for _ in range(count) if family == "token")
+        assert tokens == Counter(stem(word) for word in split_words(text)
+                                 if word not in STOPWORDS)

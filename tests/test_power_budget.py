@@ -1,4 +1,4 @@
-"""The carbon/power budget controller: ladder, power modes, composition.
+"""The budget controller: the ladder, its accounting, composition.
 
 The acceptance criteria of the ``repro.power`` subsystem live here:
 
@@ -6,8 +6,7 @@ The acceptance criteria of the ``repro.power`` subsystem live here:
   an uncontrolled gateway while goodput stays above zero;
 - every episode served at a rung is bitwise identical to the same query
   served by an uncontrolled gateway pinned at that rung's configuration
-  in the same power mode (the budget ladder never leaks into episode
-  bits; the power mode does, through the device: ``test_power_laws``);
+  (the budget ladder never leaks into episode bits);
 - one ladder move is one ``budget_transitions`` entry and one ``budget``
   marker span.
 """
@@ -17,17 +16,13 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from repro.power import BudgetController, MODE_LADDER
+from repro.power import BudgetController
 from repro.serving import Gateway, SessionManager, TenantShedError
 from repro.specs import BudgetSpec, ObsSpec, ServingSpec
 from repro.suites import load_suite
-
-COMMITTED_TRACE = (Path(__file__).resolve().parent.parent
-                   / "benchmarks" / "data" / "grid_intensity_day.csv")
 
 #: how an uncontrolled gateway reproduces each serving rung: the scheme
 #: its requests name (the catalog is the same at every rung)
@@ -35,8 +30,10 @@ RUNG_SETUPS = {"full": None, "reduced-k": "lis-k1"}
 
 
 def test_budget_policy_validation():
-    with pytest.raises(ValueError, match="at least one control"):
+    with pytest.raises(TypeError, match="energy_budget_j"):
         BudgetSpec()
+    with pytest.raises(ValueError, match="energy_budget_j is required"):
+        BudgetSpec(energy_budget_j=None)
     with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=0.0)
     with pytest.raises(ValueError):
@@ -46,31 +43,16 @@ def test_budget_policy_validation():
     with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=1.0, recovery_ticks=0)
     with pytest.raises(ValueError):
-        BudgetSpec(intensity_high=-10.0)
-    with pytest.raises(ValueError, match="requires intensity_high"):
-        BudgetSpec(energy_budget_j=1.0, intensity_low=100.0)
-    with pytest.raises(ValueError):
-        BudgetSpec(intensity_high=400.0, intensity_low=500.0)
-    with pytest.raises(ValueError, match="min_power_mode"):
-        BudgetSpec(energy_budget_j=1.0, min_power_mode="1W")
-    with pytest.raises(ValueError):
         BudgetSpec(energy_budget_j=1.0, interval_ms=0.0)
-    with pytest.raises(ValueError, match=r"intensity_low must be in \[0"):
-        # an explicit threshold must leave a band too
-        BudgetSpec(intensity_high=400.0, intensity_low=400.0)
-    # defaults: settle window fills, intensity_low derives from the margin
-    spec = BudgetSpec(energy_budget_j=5.0, window_requests=16,
-                      intensity_high=500.0)
+    # defaults: the settle window fills
+    spec = BudgetSpec(energy_budget_j=5.0, window_requests=16)
     assert spec.effective_settle_requests == 16
-    assert spec.effective_intensity_low == pytest.approx(400.0)
     assert spec.interval_s == pytest.approx(0.1)
-    # explicit values win over the derived defaults
-    pinned = spec.replace(settle_requests=4, intensity_low=100.0)
-    assert pinned.effective_settle_requests == 4
-    assert pinned.effective_intensity_low == 100.0
-    # the defaults resolve on read: the fields stay as written, so the
+    # an explicit value wins over the derived default
+    assert spec.replace(settle_requests=4).effective_settle_requests == 4
+    # the default resolves on read: the field stays as written, so the
     # dict form round-trips exactly what was set
-    assert spec.settle_requests is None and spec.intensity_low is None
+    assert spec.settle_requests is None
     assert BudgetSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -128,7 +110,7 @@ def test_energy_budget_reduces_energy_with_bitwise_identity():
                     response = await gateway.submit("home", query)
                     episodes[query.qid] = response.episode
                 waves.append((rung, episodes))
-                gateway.budget.tick(now_s=0.0)
+                gateway.budget.tick()
             metrics = gateway.metrics()
             assert gateway.rung("home") == "reduced-k"
 
@@ -219,92 +201,37 @@ def test_wave_scenario_pins_the_budget_ladder():
     assert f"{budget.energy_budget_j:.1f}" == "110.1"
     assert f"{controlled['carbon_g'] / capped * 1e3:.2f}" == "17.67"
     assert f"{1.0 - capped_j / base_j:.0%}" == "13%"
-    # ladder moves only: no device power-mode move
+    # ladder moves only
     assert controlled["budget_transitions_detail"] == {
         "edgehome:down:reduced-k": 1, "edgehome:down:shed": 4,
         "edgehome:up:reduced-k": 3}
 
 
-def test_intensity_steps_power_mode_with_hysteresis():
-    """High grid intensity walks MAXN -> 30W -> 15W; climbing back needs
-    ``recovery_ticks`` consecutive low readings, and the in-between band
-    restarts the streak.  Every move is one ``budget`` marker span."""
+def test_a_rung_move_is_one_transition_and_one_marker():
+    """Each ladder move lands once in ``budget_transitions`` and once as
+    a ``budget`` marker span, keyed alike; nothing else lands in the
+    trace, and a move clamped at the ladder's edge records nothing."""
     suite = load_suite("edgehome", n_queries=2)
 
     async def scenario():
         sessions = SessionManager()
         sessions.register("home", suite)
-        spec = BudgetSpec(intensity_high=450.0, intensity_low=300.0,
-                          recovery_ticks=2, signal="trace",
-                          trace_path=str(COMMITTED_TRACE),
-                          interval_ms=600_000.0)
-        config = ServingSpec(max_batch_size=4,
-                             budget=spec, obs=ObsSpec())
+        spec = BudgetSpec(energy_budget_j=1e6, interval_ms=600_000.0)
+        config = ServingSpec(max_batch_size=4, budget=spec, obs=ObsSpec())
         async with Gateway(sessions, config=config) as gateway:
             sink = gateway.tracer.sink
-
-            def markers() -> Counter:
-                """``scope:direction:target`` of each budget marker,
-                counted the way ``budget_transitions_detail`` keys its
-                moves."""
-                return Counter(
-                    f"{a['scope']}:{a['direction']}:"
-                    f"{a.get('power_mode', a.get('rung'))}"
-                    for a in (span.attributes for span in sink.spans()
-                              if span.name == "budget"))
-
-            controller = gateway.budget
-            evening = 20 * 3600.0   # duck-curve peak, > intensity_high
-            midday = 13 * 3600.0    # solar dip, < intensity_low
-            morning = 7 * 3600.0    # ramp, inside the hysteresis band
-
-            assert gateway.power_mode() == "MAXN"
-            controller.tick(now_s=evening)
-            assert gateway.power_mode() == "30W"
-            controller.tick(now_s=evening)
-            assert gateway.power_mode() == "15W"
-            controller.tick(now_s=evening)   # clamped at min_power_mode
-            assert gateway.power_mode() == "15W"
-
-            # recovery: one low tick is not enough…
-            controller.tick(now_s=midday)
-            assert gateway.power_mode() == "15W"
-            controller.tick(now_s=midday)
-            assert gateway.power_mode() == "30W"
-            # …and an in-between reading restarts the streak
-            controller.tick(now_s=morning)
-            controller.tick(now_s=midday)
-            assert gateway.power_mode() == "30W"
-            controller.tick(now_s=midday)
-            assert gateway.power_mode() == "MAXN"
-
-            # the meter followed every move; telemetry counted each one
+            controller, session = gateway.budget, sessions.get("home")
+            assert controller._step(session, -1) is None
+            assert [controller._step(session, +1) for _ in range(3)] == [
+                "reduced-k", "shed", None]
+            assert controller._step(session, -1) == "reduced-k"
             detail = gateway.metrics()["budget_transitions_detail"]
-            assert detail == {
-                "device:down:30W": 1, "device:down:15W": 1,
-                "device:up:30W": 1, "device:up:MAXN": 1,
-            }
-            assert markers() == detail
-
-            # an over-budget tenant step is one tenant-scope marker and
-            # one transition, and nothing else lands in the trace
-            controller._step(sessions.get("home"), +1)
-            assert gateway.rung("home") == "reduced-k"
-            assert markers() == gateway.metrics()["budget_transitions_detail"]
-            assert markers()["home:down:reduced-k"] == 1
+            assert detail == {"home:down:reduced-k": 1, "home:down:shed": 1,
+                              "home:up:reduced-k": 1}
+            assert Counter(
+                f"{a['scope']}:{a['direction']}:{a['rung']}"
+                for a in (span.attributes for span in sink.spans())) == detail
             assert {span.name for span in sink.spans()} == {"budget"}
-            detail = gateway.metrics()["budget_transitions_detail"]
-
-            # a MAXN-pinned policy never leaves the top mode
-            pinned = BudgetController(
-                gateway.sessions,
-                BudgetSpec(intensity_high=450.0, min_power_mode="MAXN"),
-                meter=gateway.power_meter, telemetry=gateway.telemetry,
-                tracer=gateway.tracer)
-            pinned.tick(now_s=evening)
-            assert gateway.power_mode() == "MAXN"
-            assert (gateway.metrics()["budget_transitions_detail"]
-                    == detail)
 
     asyncio.run(scenario())
 
@@ -328,16 +255,16 @@ def test_shed_probation_recovers_a_shed_tenant():
             descent = []
             for _ in range(2):
                 await gateway.submit("home", query)
-                gateway.budget.tick(now_s=0.0)
+                gateway.budget.tick()
                 descent.append(gateway.rung("home"))
             assert descent == ["reduced-k", "shed"]
             with pytest.raises(TenantShedError):
                 await gateway.submit("home", query)
 
             # probation: quiet ticks count toward one step back up
-            gateway.budget.tick(now_s=0.0)
+            gateway.budget.tick()
             assert gateway.rung("home") == "shed"
-            gateway.budget.tick(now_s=0.0)
+            gateway.budget.tick()
             assert gateway.rung("home") == "reduced-k"
 
             # the tenant serves again (degraded, but alive)
@@ -365,7 +292,7 @@ def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
         async with Gateway(sessions, config=ServingSpec(budget=spec)) as gateway:
             for query in old.queries:
                 await gateway.submit("t", query)
-            gateway.budget.tick(now_s=0.0)   # over budget: settle mark = 4
+            gateway.budget.tick()   # over budget: settle mark = 4
             assert gateway.rung("t") == "reduced-k"
             lifetime_j = gateway.metrics()["energy_j_by_tenant"]["t"]
 
@@ -374,7 +301,7 @@ def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
             status = gateway.budget_status("t")
             assert status["window_requests"] == 0
             assert status["mean_energy_j"] == 0.0
-            gateway.budget.tick(now_s=0.0)
+            gateway.budget.tick()
             assert gateway.rung("t") == "full"
             # lifetime counters are not per-incarnation state
             assert gateway.metrics()["energy_j_by_tenant"]["t"] == lifetime_j
@@ -383,11 +310,11 @@ def test_removed_tenant_leaves_no_energy_window_or_budget_streaks():
             # once its own window has filled
             for query in new.queries[:3]:
                 await gateway.submit("t", query)
-            gateway.budget.tick(now_s=0.0)
+            gateway.budget.tick()
             assert gateway.rung("t") == "full"
             await gateway.submit("t", new.queries[3])
             assert gateway.budget_status("t")["window_requests"] == 4
-            gateway.budget.tick(now_s=0.0)
+            gateway.budget.tick()
             assert gateway.rung("t") == "reduced-k"
 
     asyncio.run(scenario())
@@ -419,8 +346,6 @@ def test_budget_status_surface():
             assert status["energy_budget_j"] == 1e6
             # gCO₂ is attributed, never budgeted
             assert "carbon_budget_g" not in status
-            # a budget-less gateway still meters, but advertises no caps
-            assert MODE_LADDER[0] == gateway.power_mode() == "MAXN"
 
     asyncio.run(scenario())
 

@@ -198,24 +198,10 @@ def test_meter_attribution_is_deterministic():
     assert first.energy_j == second.energy_j == episode.energy_j
     assert first.carbon_g == episode.energy_j / 3.6e6 * 500.0
     assert (first.tenant, first.qid) == ("home", "q1")
-    assert first.power_mode == "MAXN"
     stats = meter.window_stats(home)
     assert stats.requests == 2
     assert stats.total_requests == 2
     assert stats.mean_energy_j == pytest.approx(episode.energy_j)
-
-
-def test_meter_stamps_the_power_mode_it_holds():
-    meter = EnergyMeter(signal=StaticSignal(400.0), clock=lambda: 0.0)
-    home = _session("home")
-    meter.set_power_mode("30w")  # case-insensitive
-    assert meter.power_mode == "30W"
-    capped = meter.record(home, _Episode("q1", 99.5))
-    assert capped.power_mode == "30W"
-    assert capped.energy_j == 99.5  # the episode's joules, never re-costed
-    with pytest.raises(ValueError, match="unknown power mode"):
-        meter.set_power_mode("5W")
-    assert meter.power_mode == "30W"
 
 
 def test_meter_window_rolls_and_totals_accumulate():

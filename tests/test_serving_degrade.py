@@ -148,7 +148,7 @@ async def budget_move(gateway, reading: str, query) -> str:
     tick at ``reading``; returns the tenant's new rung."""
     await gateway.submit("home", query)
     gateway.budget.spec = BUDGETS[reading]
-    gateway.budget.tick(now_s=0.0)
+    gateway.budget.tick()
     return gateway.rung("home")
 
 
@@ -171,7 +171,7 @@ def test_ladder_down_to_shed_and_back_up():
             down = []
             for query in suite.queries[:2]:
                 await gateway.submit("home", query)
-                controller.tick(now_s=0.0)
+                controller.tick()
                 down.append(gateway.rung("home"))
             assert down == ["reduced-k", "shed"]
             # the override outlives the step to shed; the catalog is
@@ -192,11 +192,11 @@ def test_ladder_down_to_shed_and_back_up():
             controller.spec = spec.replace(energy_budget_j=1e9)
             up = []
             for _ in range(2):
-                controller.tick(now_s=0.0)
+                controller.tick()
                 up.append(gateway.rung("home"))
             await gateway.submit("home", suite.queries[2])
             for _ in range(2):
-                controller.tick(now_s=0.0)
+                controller.tick()
                 up.append(gateway.rung("home"))
             assert up == ["shed", "reduced-k", "reduced-k", "full"]
             assert gateway.scheme_override("home") is None

@@ -83,7 +83,7 @@ def test_call_by_qid(suite):
     assert payload["tenant"] == "home"
     assert payload["batch_size"] >= 1
     assert payload["latency_s"] > 0.0
-    assert payload["power_mode"] == "MAXN"
+    assert "power_mode" not in payload
     # the deterministic trace id rides in body and header alike
     assert payload["trace_id"] == request_trace_id("home", qid, 0)
     assert response.trace_id == payload["trace_id"]
@@ -477,18 +477,19 @@ def test_tenant_status_reports_rung_shed_and_cost(suite):
 
 def test_tenant_status_reports_budget_and_power_fields(suite):
     """The status endpoint surfaces the carbon/power subsystem: the
-    rung, active power mode and the spent window against the budgets."""
+    rung and the spent window against the budget (no power mode: the
+    board serves at MAXN)."""
     qid = suite.queries[0].qid
     budget = BudgetSpec(energy_budget_j=1e-6, window_requests=1,
-                        settle_requests=1, intensity_high=450.0,
-                        intensity_g_per_kwh=500.0, interval_ms=600_000.0)
+                        settle_requests=1, intensity_g_per_kwh=500.0,
+                        interval_ms=600_000.0)
 
     async def scenario(client, app):
         await client.post("/v1/call", {"tenant": "home", "qid": qid})
         before = await client.get("/v1/tenants/home/status")
         # one controller tick: the impossible budget steps the tenant
-        # down a rung and the high static intensity steps the mode down
-        app.gateway.budget.tick(now_s=0.0)
+        # down a rung
+        app.gateway.budget.tick()
         after = await client.get("/v1/tenants/home/status")
         return before, after
 
@@ -496,9 +497,8 @@ def test_tenant_status_reports_budget_and_power_fields(suite):
     assert before.status == 200
     status = before.json()
     assert status["rung"] == "full"
-    assert set(status) == {"name", "catalog_version", "rung", "power_mode",
-                           "shed", "scheme_override", "cost", "budget"}
-    assert status["power_mode"] == "MAXN"
+    assert set(status) == {"name", "catalog_version", "rung", "shed",
+                           "scheme_override", "cost", "budget"}
     assert status["budget"]["window_requests"] == 1
     assert status["budget"]["window_energy_j"] > 0.0
     assert status["budget"]["window_carbon_g"] > 0.0
@@ -506,7 +506,6 @@ def test_tenant_status_reports_budget_and_power_fields(suite):
 
     degraded = after.json()
     assert degraded["rung"] == "reduced-k"
-    assert degraded["power_mode"] == "30W"
 
 
 # ----------------------------------------------------------------------

@@ -208,7 +208,7 @@ class GatewayMachine(RuleBasedStateMachine):
     @rule(reading=st.sampled_from(sorted(BUDGETS)), then=BURSTS)
     def budget_tick(self, reading, then):
         self.gateway.budget.spec = BUDGETS[reading]
-        self.gateway.budget.tick(now_s=0.0)
+        self.gateway.budget.tick()
         for tenant in self.model.values():
             self._budget_tick(tenant, over=reading == "over")
         self._drain(then)

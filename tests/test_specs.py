@@ -15,7 +15,6 @@ from repro.specs import (
     GridSpec,
     HttpSpec,
     ObsSpec,
-    RECOVERY_MARGIN,
     ServingSpec,
     SuiteSpec,
     TenantSpec,
@@ -37,8 +36,7 @@ ALL_SPECS = [
     BudgetSpec(energy_budget_j=120.0,
                window_requests=8, recovery_ticks=2, signal="trace",
                trace_path="benchmarks/data/grid_intensity_day.csv",
-               intensity_g_per_kwh=380.0, intensity_high=480.0,
-               min_power_mode="30W"),
+               intensity_g_per_kwh=380.0),
     ServingSpec(
         tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),),
         plan_cache_size=16,
@@ -259,8 +257,12 @@ class TestValidation:
             ServingSpec(plan_cache_size=-1)
 
     def test_budget_needs_a_control(self):
-        with pytest.raises(ValueError, match="at least one control"):
+        with pytest.raises(TypeError, match="energy_budget_j"):
             BudgetSpec()
+        with pytest.raises(TypeError, match="energy_budget_j"):
+            BudgetSpec.from_dict({"window_requests": 4})
+        with pytest.raises(ValueError, match="energy_budget_j is required"):
+            BudgetSpec.from_dict({"energy_budget_j": None})
 
     def test_budget_trace_requires_path(self):
         with pytest.raises(ValueError, match="requires trace_path"):
@@ -270,21 +272,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="static.*trace"):
             BudgetSpec(energy_budget_j=1.0, signal="lunar")
 
-    def test_budget_power_mode_domain(self):
-        with pytest.raises(ValueError, match="MAXN, 30W, 15W"):
-            BudgetSpec(energy_budget_j=1.0, min_power_mode="5W")
-
-    def test_budget_intensity_low_requires_high(self):
-        with pytest.raises(ValueError, match="requires intensity_high"):
-            BudgetSpec(energy_budget_j=1.0, intensity_low=200.0)
-
     def test_power_mode_names_match_hardware_ladder(self):
         from repro.hardware.power_modes import POWER_MODES
-        from repro.power import MODE_LADDER
         from repro.specs import POWER_MODE_NAMES
 
-        assert POWER_MODE_NAMES == MODE_LADDER
-        assert set(POWER_MODE_NAMES) == set(POWER_MODES)
+        assert POWER_MODE_NAMES == tuple(POWER_MODES)
 
     def test_experiment_needs_suite_or_serving(self):
         with pytest.raises(ValueError, match="suite.*serving"):
@@ -358,13 +350,10 @@ class TestConversions:
             ServingSpec(budget="tight")
 
     def test_budget_spec_resolves_late_defaults(self):
-        spec = BudgetSpec(energy_budget_j=5.0, intensity_high=500.0)
-        assert spec.effective_intensity_low == pytest.approx(
-            500.0 * RECOVERY_MARGIN) == pytest.approx(400.0)
+        spec = BudgetSpec(energy_budget_j=5.0)
         assert spec.effective_settle_requests == spec.window_requests == 32
         # resolved on read, so a replaced window re-resolves the default
         assert spec.replace(window_requests=64).effective_settle_requests == 64
-        assert spec.replace(intensity_high=None).effective_intensity_low is None
 
     def test_agent_kwargs_only_set_fields(self):
         assert AgentSpec().agent_kwargs() == {}
@@ -386,8 +375,7 @@ FIELDS = {
     ObsSpec: ("sink", "sink_path", "sample_rate", "slow_span_ms"),
     BudgetSpec: ("energy_budget_j", "window_requests", "settle_requests",
                  "recovery_ticks", "signal", "intensity_g_per_kwh",
-                 "trace_path", "intensity_high", "intensity_low",
-                 "min_power_mode", "interval_ms"),
+                 "trace_path", "interval_ms"),
     HttpSpec: ("host", "port", "api_key", "rate_limit_rps",
                "rate_limit_burst"),
     FaultPlan: ("seed", "slow_batch_rate", "slow_batch_ms", "exception_rate"),
@@ -452,9 +440,10 @@ def test_constructor_parameters_are_pinned(target):
                  if name != "self") == SIGNATURES[target]
 
 
-#: the keys the one-knob-per-idea cut removed, by class (a second way to
-#: say what another field says, a single-value tuning knob, or a
-#: capability no shipped path used)
+#: the keys the one-knob-per-idea cuts removed, by class (a second way to
+#: say what another field says, a single-value tuning knob, a capability
+#: no shipped path used, or the power-mode axis, which did not save the
+#: joules it was stepped for)
 REMOVED = {
     EngineSpec: ("timeout_s", "retries", "retry_backoff_ms", "max_tokens",
                  "temperature"),
@@ -463,7 +452,8 @@ REMOVED = {
     GridSpec: ("n_queries",),
     TenantSpec: ("catalog",),
     ObsSpec: ("ring_capacity",),
-    BudgetSpec: ("carbon_budget_g", "recovery_margin"),
+    BudgetSpec: ("carbon_budget_g", "recovery_margin", "intensity_high",
+                 "intensity_low", "min_power_mode"),
     HttpSpec: ("backlog",),
     ServingSpec: ("default_engine",),
 }
@@ -491,7 +481,7 @@ class TestWireCompat:
         for spec_cls, names in FIELDS.items():
             assert tuple(field.name for field in
                          dataclasses.fields(spec_cls)) == names, spec_cls
-        assert sum(map(len, FIELDS.values())) == 62
+        assert sum(map(len, FIELDS.values())) == 59
 
     @pytest.mark.parametrize(
         "spec_cls,key", [(spec_cls, key) for spec_cls, keys in REMOVED.items()
@@ -522,7 +512,7 @@ class TestWireCompat:
         assert (len(removed), {name: len(keys) for name, keys
                                in removed_in.items()},
                 removed_tenant, len(removed_engine)) == (
-            8, {"obs": 1, "http": 1, "budget": 5}, {"catalog"}, 5)
+            8, {"obs": 1, "http": 1, "budget": 8}, {"catalog"}, 5)
         clean = {key: value for key, value in data.items()
                  if key not in removed}
         for name in sections:
@@ -565,8 +555,7 @@ class TestWireCompat:
             plan_cache_size=256, timeout_ms=500.0,
             obs=ObsSpec(sink="null", sample_rate=0.5, slow_span_ms=20.0),
             http=HttpSpec(port=0, api_key="k", rate_limit_rps=5.0),
-            budget=BudgetSpec(energy_budget_j=90.0, window_requests=4,
-                              intensity_high=450.0))
+            budget=BudgetSpec(energy_budget_j=90.0, window_requests=4))
         assert spec.to_dict() == {**data, "faults": None}
 
 
