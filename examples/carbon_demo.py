@@ -2,16 +2,18 @@
 
 One tenant serves waves of smart-home traffic under a
 :class:`~repro.specs.BudgetSpec` with a tight rolling energy budget.
-Between waves the budget controller ticks once: over-budget windows
-step the tenant down the serving ladder (full -> reduced-k -> shed), and
-probation and under-budget windows step it back up.  Every served
-episode is bitwise identical to running the same query uncontrolled at
-that rung, and the J/req column is the mean of those episodes' own
-joules; gCO2 is attributed to each request through the committed
-day-long grid-intensity trace (``benchmarks/data/grid_intensity_day.csv``,
-read at the meter's clock: seconds after midnight), never budgeted.  The board serves at
-MAXN throughout: under this repo's hardware model a lower nvpmodel mode
-does not save joules per request (``tests/test_power_laws.py``).
+Between waves the budget controller ticks once: an over-budget window
+steps the tenant down the serving ladder (full -> reduced-k -> shed),
+and probation and under-budget windows step it back up.  The cap sits
+between what a wave costs on ``full`` and on ``reduced-k`` at every wave
+size up to 5, so the tenant steps down once and is then served steadily
+on ``reduced-k``.  Every served episode is bitwise identical to running
+the same query uncontrolled at that rung, and the J/req column is the
+mean of those episodes' own joules; the gCO2 column is those joules
+times the spec's one grid intensity (``intensity_g_per_kwh``), never
+budgeted.  The board serves at MAXN throughout: under this repo's
+hardware model neither a lower nvpmodel mode nor a lighter quantization
+saves joules per request (``tests/test_power_laws.py``).
 The gateway traces into an in-memory sink with no request sampled, so
 the trace holds exactly the controller's ``budget`` marker spans: one per
 counted budget transition, which the demo checks before it exits.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import asyncio
 import os
 from collections import Counter
-from pathlib import Path
 
 from repro import (
     BudgetSpec,
@@ -37,27 +38,23 @@ from repro import (
 )
 from repro.serving import TenantShedError
 
-TRACE = Path(__file__).resolve().parent.parent / "benchmarks" / "data" / \
-    "grid_intensity_day.csv"
-
 #: waves served, one controller tick after each
 WAVES = 8
 
 
 async def main() -> None:
-    wave = int(os.environ.get("REPRO_EXAMPLE_QUERIES", "6"))
+    wave = int(os.environ.get("REPRO_EXAMPLE_QUERIES", "5"))
     spec = ServingSpec(
         tenants=(
             TenantSpec("smart-home", SuiteSpec("edgehome", n_queries=12)),
         ),
         max_batch_size=8,
         budget=BudgetSpec(
-            energy_budget_j=135.0,          # under the first full-rung
-            window_requests=wave,           # wave: ~141 J/req at 4, ~171 at 6
+            energy_budget_j=135.0,          # full: 140.6 J/req at 4, 143.2
+            window_requests=wave,           # at 5; reduced-k: 123.5, 125.5
             settle_requests=wave,
             recovery_ticks=2,
             interval_ms=3_600_000.0,        # dormant loop: we tick manually
-            signal="trace", trace_path=str(TRACE),
         ),
         obs=ObsSpec(sink="memory", sample_rate=0.0),  # markers only
     )
@@ -70,6 +67,7 @@ async def main() -> None:
         for number in range(1, WAVES + 1):
             queries = [suite.queries[i % len(suite.queries)]
                        for i in range(wave)]
+            rung = gateway.rung("smart-home")   # the rung serving this wave
             results = await asyncio.gather(
                 *(gateway.submit("smart-home", query) for query in queries),
                 return_exceptions=True)
@@ -82,7 +80,7 @@ async def main() -> None:
                 served += 1
             gateway.budget.tick()
             status = gateway.budget_status("smart-home")
-            print(f"{number:>4} {gateway.rung('smart-home'):<10} "
+            print(f"{number:>4} {rung:<10} "
                   f"{status['mean_energy_j']:>7.1f} "
                   f"{status['mean_carbon_g'] * 1e3:>8.2f}m  "
                   f"{served}/{wave}")
@@ -103,9 +101,10 @@ async def main() -> None:
             "smart-home"}, markers
         print(f"budget marker spans: {sum(markers.values())}, one per "
               f"transition")
-        print("\nThe joule cap walks the tenant down the ladder: cheaper "
-              "rungs present fewer tools, so they spend fewer tokens and "
-              "fewer joules; a shed tenant comes back on probation.")
+        print(f"\nThe joule cap steps the tenant down the ladder: cheaper "
+              f"rungs present fewer tools, so they spend fewer tokens and "
+              f"fewer joules.  gCO2 is those joules at "
+              f"{spec.budget.intensity_g_per_kwh:g} g/kWh.")
 
 
 if __name__ == "__main__":

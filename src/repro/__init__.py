@@ -48,11 +48,9 @@ _LAZY_EXPORTS = {
     "register_suite": ("repro.registry", "register_suite"),
     "register_catalog": ("repro.registry", "register_catalog"),
     "register_engine": ("repro.registry", "register_engine"),
-    "register_carbon_signal": ("repro.registry", "register_carbon_signal"),
     # carbon/power-aware serving
     "BudgetController": ("repro.power", "BudgetController"),
     "EnergyMeter": ("repro.power", "EnergyMeter"),
-    "load_intensity_trace": ("repro.power", "load_intensity_trace"),
     "build_engine_llm": ("repro.engines", "build_engine_llm"),
     # the HTTP front door
     "create_app": ("repro.serving.http", "create_app"),

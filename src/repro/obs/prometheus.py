@@ -89,7 +89,8 @@ FAMILIES: tuple[Family, ...] = (
            ("tenant",)),
     Family("carbon_g", "carbon_grams_total",
            "Estimated operational carbon attributed to served requests, "
-           "per tenant (gCO2 via the configured grid-intensity signal).",
+           "per tenant (gCO2: the served joules times the budget's "
+           "constant grid intensity, BudgetSpec.intensity_g_per_kwh).",
            ("tenant",)),
     Family("budget_transitions", "budget_transitions_total",
            "Budget-controller ladder moves, per scope/direction/target "

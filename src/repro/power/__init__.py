@@ -2,14 +2,15 @@
 
 Joins the per-request latency/energy model
 (:mod:`repro.hardware.inference`) to the gateway's admission path
-(:mod:`repro.serving.gateway`).  The nvpmodel power modes
-(:mod:`repro.hardware.power_modes`) are not a serving axis: under this
-model a lower mode does not lower joules per request enough to pay for
-its time (``tests/test_power_laws.py``), so the board serves at MAXN.
+(:mod:`repro.serving.gateway`).  CarbonCall's two intensity-steered
+knobs are not serving axes here: under this model neither a lower
+nvpmodel power mode (:mod:`repro.hardware.power_modes`) nor a lighter
+quantization lowers joules per request enough to pay for itself
+(``tests/test_power_laws.py`` pins both tables), so the board serves at
+MAXN on the agent's own quantization, and gCO₂ is joules times one grid
+intensity, :attr:`BudgetSpec.intensity_g_per_kwh
+<repro.specs.BudgetSpec>`.
 
-* :mod:`repro.power.signals` — grid carbon-intensity signals (gCO₂/kWh
-  as a pure function of time) behind the
-  :data:`repro.registry.CARBON_SIGNALS` registry.
 * :mod:`repro.power.meter` — the :class:`EnergyMeter`, attributing each
   episode's joules (and their gCO₂) per request/tenant.
 * :mod:`repro.power.budget` — the serving ladder (:data:`RUNGS`) and
@@ -19,22 +20,10 @@ its time (``tests/test_power_laws.py``), so the board serves at MAXN.
 
 from repro.power.budget import BudgetController
 from repro.power.meter import EnergyMeter, EnergyRecord, WindowStats
-from repro.power.signals import (
-    DEFAULT_INTENSITY_G_PER_KWH,
-    StaticSignal,
-    TraceSignal,
-    build_signal,
-    load_intensity_trace,
-)
 
 __all__ = [
     "BudgetController",
-    "DEFAULT_INTENSITY_G_PER_KWH",
     "EnergyMeter",
     "EnergyRecord",
-    "StaticSignal",
-    "TraceSignal",
     "WindowStats",
-    "build_signal",
-    "load_intensity_trace",
 ]

@@ -4,14 +4,14 @@ An episode's ``energy_j`` is already the board's joules for the whole
 request: one :func:`~repro.hardware.inference.simulate_inference` trace
 per LLM call plus every wait, on the agent's device.  The
 :class:`EnergyMeter` reads those joules as they are, converts them to
-gCO₂ through the configured carbon signal, and keeps each tenant's
-rolling window for the budget controller.
+gCO₂ at the gateway's one grid intensity
+(:attr:`BudgetSpec.intensity_g_per_kwh <repro.specs.BudgetSpec>`), and
+keeps each tenant's rolling window for the budget controller.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 
 # not called here: the repo benchmark's tracer patches every name bound
@@ -23,18 +23,6 @@ from repro.specs import BudgetSpec
 J_PER_KWH = 3.6e6
 
 
-def elapsed_clock(start: float | None = None):
-    """The default meter clock: seconds elapsed since construction.
-
-    Monotonic wall time is fine here — carbon attribution observes the
-    live serving loop and never feeds back into episode bits; tests
-    inject a fake clock (or pass ``now_s`` explicitly) instead.
-    """
-    if start is None:
-        start = time.monotonic()
-    return lambda: time.monotonic() - start
-
-
 @dataclass(frozen=True)
 class EnergyRecord:
     """One request's attributed energy/carbon."""
@@ -43,7 +31,6 @@ class EnergyRecord:
     qid: str
     energy_j: float
     carbon_g: float
-    intensity_g_per_kwh: float
 
 
 @dataclass(frozen=True)
@@ -70,33 +57,27 @@ class EnergyMeter:
     ``Telemetry`` (``record_energy``), the one ledger ``/metrics`` reads.
     """
 
-    def __init__(self, signal=None, clock=None,
+    def __init__(self, *,
+                 intensity_g_per_kwh: float = BudgetSpec.intensity_g_per_kwh,
                  window_requests: int = BudgetSpec.window_requests):
-        from repro.power.signals import StaticSignal
-
         if window_requests < 1:
             raise ValueError(
                 f"window_requests must be >= 1, got {window_requests}")
-        self.signal = signal if signal is not None else StaticSignal()
-        self._clock = clock if clock is not None else elapsed_clock()
+        self.intensity_g_per_kwh = intensity_g_per_kwh
         self.window_requests = window_requests
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # attribution
     # ------------------------------------------------------------------
-    def record(self, session, episode, *,
-               now_s: float | None = None) -> EnergyRecord:
+    def record(self, session, episode) -> EnergyRecord:
         """Attribute one completed episode's joules to the tenant
         ``session``; returns the record."""
         energy_j = episode.energy_j
-        t_s = self._clock() if now_s is None else now_s
-        intensity = self.signal.intensity(t_s)
         with self._lock:
             record = EnergyRecord(
                 tenant=session.name, qid=episode.qid, energy_j=energy_j,
-                carbon_g=energy_j / J_PER_KWH * intensity,
-                intensity_g_per_kwh=intensity)
+                carbon_g=energy_j / J_PER_KWH * self.intensity_g_per_kwh)
             session.energy_requests += 1
             window = session.energy_window
             window.append(record)

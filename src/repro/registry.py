@@ -185,15 +185,6 @@ TRACE_SINKS = Registry("trace sink", builtin_modules=(
 ENGINES = Registry("engine", builtin_modules=("repro.engines",),
                    builtin_names=("simulated", "openai_http"))
 
-#: carbon signal name -> factory ``f(budget_spec) -> signal`` where the
-#: signal satisfies the :mod:`repro.power.signals` protocol
-#: (``intensity(t_s) -> gCO₂/kWh``, a pure function of time).  Resolved
-#: by :func:`repro.power.signals.build_signal` when a gateway is
-#: configured with a :class:`~repro.specs.BudgetSpec`.
-CARBON_SIGNALS = Registry("carbon signal", builtin_modules=(
-    "repro.power.signals",),
-    builtin_names=("static", "trace"))
-
 
 def register_scheme(name: str, factory: Callable | None = None, *,
                     replace: bool = False):
@@ -222,19 +213,6 @@ def register_trace_sink(name: str, factory: Callable | None = None, *,
     addressable as ``ObsSpec(sink="<name>")``.
     """
     return TRACE_SINKS.register(name, factory, replace=replace)
-
-
-def register_carbon_signal(name: str, factory: Callable | None = None, *,
-                           replace: bool = False):
-    """Register a carbon-signal factory ``f(budget_spec) -> signal``.
-
-    The factory receives the full :class:`~repro.specs.BudgetSpec`
-    (intensity level, curve shape, trace path, ...) and returns an
-    object with ``intensity(t_s) -> float`` (gCO₂/kWh, a pure function
-    of time); a third-party grid feed plugs in here and becomes
-    addressable as ``BudgetSpec(signal="<name>")``.
-    """
-    return CARBON_SIGNALS.register(name, factory, replace=replace)
 
 
 def register_engine(name: str, factory: Callable | None = None, *,

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from repro.core.episode import EpisodeResult
 from repro.obs.cost import CostLedger, CostRecord, plan_tool_tokens
 from repro.obs.trace import TraceContext, build_tracer, request_trace_id
-from repro.power import BudgetController, EnergyMeter, build_signal
+from repro.power import BudgetController, EnergyMeter
 from repro.power.budget import REDUCED_K_SCHEME, RUNGS
 from repro.serving.batcher import BatchScheduler, PendingRequest
 from repro.serving.faults import InjectedFaultError, as_injector
 from repro.serving.session import SessionManager, TenantSession
 from repro.serving.telemetry import Telemetry
-from repro.specs import BudgetSpec, ServingSpec
+from repro.specs import ServingSpec
 from repro.suites.base import Query
 
 
@@ -177,13 +177,13 @@ class Gateway:
         self._plan_cache = (_PlanCache(self.config.plan_cache_size)
                             if self.config.plan_cache_size > 0 else None)
         # carbon accounting: the meter is always on (it reads each
-        # episode's joules); the BudgetController only runs when a
+        # episode's joules, at the budget's grid intensity or the
+        # default one); the BudgetController only runs when a
         # BudgetSpec is configured
         budget = self.config.budget
-        self.power_meter = EnergyMeter(
-            signal=build_signal(budget),
-            window_requests=(budget.window_requests if budget is not None
-                             else BudgetSpec.window_requests))
+        self.power_meter = (EnergyMeter() if budget is None else EnergyMeter(
+            intensity_g_per_kwh=budget.intensity_g_per_kwh,
+            window_requests=budget.window_requests))
         self.budget = None  # controller, built in start() when enabled
         self._budget_task: asyncio.Task | None = None
 

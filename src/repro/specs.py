@@ -414,10 +414,12 @@ class BudgetSpec(_SpecBase):
     spec directly: tenants whose rolling mean joules per request exceed
     ``energy_budget_j`` (the one required field) step down the serving
     ladder and climb back with hysteresis (:data:`RECOVERY_MARGIN`).
-    The board serves at MAXN: there is no power-mode axis, since no
-    lower mode saves enough joules per request to pay for its time
-    (``tests/test_power_laws.py``).  gCO₂ is attributed and exported,
-    never budgeted.  Budget windows count requests (the last
+    The board serves at MAXN on the agent's own quantization: there is
+    no power-mode or quantization axis, since no lower mode or lighter
+    quant saves enough joules per request to pay for itself
+    (``tests/test_power_laws.py``).  gCO₂ is joules times
+    ``intensity_g_per_kwh``, attributed and exported, never budgeted.
+    Budget windows count requests (the last
     ``window_requests`` attributed per tenant), not seconds, so the
     whole loop is drivable deterministically without a clock.
 
@@ -435,11 +437,11 @@ class BudgetSpec(_SpecBase):
     recovery_ticks:
         Consecutive under-budget ticks required before stepping a tenant
         back up.
-    signal:
-        A registered carbon signal
-        (:data:`repro.registry.CARBON_SIGNALS`): ``static`` holds
-        ``intensity_g_per_kwh`` flat, ``trace`` replays the
-        grid-intensity CSV at ``trace_path``.
+    intensity_g_per_kwh:
+        The site's grid carbon intensity: every request's gCO₂ is its
+        joules times this one constant.  The default (400.0, a mixed
+        fossil/renewables annual average) is also what a gateway
+        without a budget attributes at.
     interval_ms:
         Poll period of the async :meth:`BudgetController.run
         <repro.power.budget.BudgetController.run>` loop.
@@ -451,24 +453,16 @@ class BudgetSpec(_SpecBase):
     window_requests: int = 32
     settle_requests: int | None = None
     recovery_ticks: int = 3
-    signal: str = "static"
     intensity_g_per_kwh: float = 400.0
-    trace_path: str | None = None
     interval_ms: float = 100.0
 
     def __post_init__(self):
-        from repro.registry import CARBON_SIGNALS
-
         _require(self.energy_budget_j is not None,
                  "BudgetSpec.energy_budget_j is required")
         _require_min(self, 0, "energy_budget_j", "interval_ms", strict=True)
         _require_min(self, 1, "window_requests", "settle_requests",
                      "recovery_ticks")
         _require_min(self, 0, "intensity_g_per_kwh")
-        _require_registered(self, "signal", CARBON_SIGNALS)
-        _require(self.signal != "trace" or bool(self.trace_path),
-                 "BudgetSpec(signal='trace') requires trace_path to name "
-                 "the grid-intensity CSV")
 
     # late defaults resolve on read, never by mutating the fields:
     # replace() re-resolves them and to_dict() round-trips what was set

@@ -34,8 +34,7 @@ ALL_SPECS = [
              quants=("q4_K_M", "q8_0")),
     TenantSpec(name="home", suite=SuiteSpec(name="edgehome", n_queries=6)),
     BudgetSpec(energy_budget_j=120.0,
-               window_requests=8, recovery_ticks=2, signal="trace",
-               trace_path="benchmarks/data/grid_intensity_day.csv",
+               window_requests=8, recovery_ticks=2,
                intensity_g_per_kwh=380.0),
     ServingSpec(
         tenants=(TenantSpec(name="home", suite=SuiteSpec(name="edgehome")),),
@@ -264,14 +263,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="energy_budget_j is required"):
             BudgetSpec.from_dict({"energy_budget_j": None})
 
-    def test_budget_trace_requires_path(self):
-        with pytest.raises(ValueError, match="requires trace_path"):
-            BudgetSpec(energy_budget_j=1.0, signal="trace")
-
-    def test_budget_unknown_signal_lists_names(self):
-        with pytest.raises(ValueError, match="static.*trace"):
-            BudgetSpec(energy_budget_j=1.0, signal="lunar")
-
     def test_power_mode_names_match_hardware_ladder(self):
         from repro.hardware.power_modes import POWER_MODES
         from repro.specs import POWER_MODE_NAMES
@@ -304,8 +295,8 @@ class TestSpecImportsStayCheap:
             "ServingSpec(tenants=(TenantSpec('t', SuiteSpec('edgehome'), "
             "engine='simulated'),), "
             "plan_cache_size=8, "
-            "budget=BudgetSpec(energy_budget_j=50.0, signal='trace', "
-            "trace_path='grid.csv'), "
+            "budget=BudgetSpec(energy_budget_j=50.0, "
+            "intensity_g_per_kwh=380.0), "
             "obs=ObsSpec(), "
             "faults=FaultPlan(seed=3, slow_batch_rate=0.25, "
             "slow_batch_ms=250.0, exception_rate=0.3)); "
@@ -374,8 +365,7 @@ FIELDS = {
     TenantSpec: ("name", "suite", "engine"),
     ObsSpec: ("sink", "sink_path", "sample_rate", "slow_span_ms"),
     BudgetSpec: ("energy_budget_j", "window_requests", "settle_requests",
-                 "recovery_ticks", "signal", "intensity_g_per_kwh",
-                 "trace_path", "interval_ms"),
+                 "recovery_ticks", "intensity_g_per_kwh", "interval_ms"),
     HttpSpec: ("host", "port", "api_key", "rate_limit_rps",
                "rate_limit_burst"),
     FaultPlan: ("seed", "slow_batch_rate", "slow_batch_ms", "exception_rate"),
@@ -417,7 +407,6 @@ SIGNATURES = {
     "repro.serving.telemetry:Telemetry": (),
     "repro.serving.batcher:_SingleWorker.shutdown": (),
     "repro.obs.sinks:MemorySink": (),
-    "repro.power.signals:TraceSignal": ("points",),
     "repro.power.budget:BudgetController": (
         "sessions", "spec", "meter", "telemetry", "tracer"),
     "repro.registry:resolve_scheme": ("name",),
@@ -442,8 +431,9 @@ def test_constructor_parameters_are_pinned(target):
 
 #: the keys the one-knob-per-idea cuts removed, by class (a second way to
 #: say what another field says, a single-value tuning knob, a capability
-#: no shipped path used, or the power-mode axis, which did not save the
-#: joules it was stepped for)
+#: no shipped path used, the power-mode axis, which did not save the
+#: joules it was stepped for, or the time-varying carbon signal, which
+#: steered nothing: gCO₂ is joules times one intensity)
 REMOVED = {
     EngineSpec: ("timeout_s", "retries", "retry_backoff_ms", "max_tokens",
                  "temperature"),
@@ -453,7 +443,7 @@ REMOVED = {
     TenantSpec: ("catalog",),
     ObsSpec: ("ring_capacity",),
     BudgetSpec: ("carbon_budget_g", "recovery_margin", "intensity_high",
-                 "intensity_low", "min_power_mode"),
+                 "intensity_low", "min_power_mode", "signal", "trace_path"),
     HttpSpec: ("backlog",),
     ServingSpec: ("default_engine",),
 }
@@ -481,7 +471,7 @@ class TestWireCompat:
         for spec_cls, names in FIELDS.items():
             assert tuple(field.name for field in
                          dataclasses.fields(spec_cls)) == names, spec_cls
-        assert sum(map(len, FIELDS.values())) == 59
+        assert sum(map(len, FIELDS.values())) == 57
 
     @pytest.mark.parametrize(
         "spec_cls,key", [(spec_cls, key) for spec_cls, keys in REMOVED.items()
@@ -512,7 +502,7 @@ class TestWireCompat:
         assert (len(removed), {name: len(keys) for name, keys
                                in removed_in.items()},
                 removed_tenant, len(removed_engine)) == (
-            8, {"obs": 1, "http": 1, "budget": 8}, {"catalog"}, 5)
+            8, {"obs": 1, "http": 1, "budget": 10}, {"catalog"}, 5)
         clean = {key: value for key, value in data.items()
                  if key not in removed}
         for name in sections:
